@@ -21,7 +21,7 @@ import (
 type AgentPeer interface {
 	Backend
 	Gossip(ctx context.Context, m dmfwire.Membership) (*dmfwire.Membership, error)
-	SaveTrialJSON(ctx context.Context, body []byte) error
+	SaveTrialBody(ctx context.Context, body []byte) error
 }
 
 // AgentConfig configures a daemon's cluster agent.
@@ -373,7 +373,7 @@ func (a *Agent) handoffOnce(ctx context.Context) {
 		}
 		peer, err := a.peer(hint.Owner)
 		if err == nil {
-			err = peer.SaveTrialJSON(ctx, hint.Body)
+			err = peer.SaveTrialBody(ctx, hint.Body)
 		}
 		if err != nil {
 			a.handoffFailures.Inc()

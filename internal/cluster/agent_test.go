@@ -30,7 +30,7 @@ func (p *fakePeer) Gossip(ctx context.Context, m dmfwire.Membership) (*dmfwire.M
 	return p.gossip(ctx, m)
 }
 
-func (p *fakePeer) SaveTrialJSON(_ context.Context, body []byte) error {
+func (p *fakePeer) SaveTrialBody(_ context.Context, body []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.saveErr != nil {

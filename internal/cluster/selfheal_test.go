@@ -259,15 +259,38 @@ func TestHintedHandoffDrains(t *testing.T) {
 	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatalf("save with dead owner: %v", err)
 	}
+	var holder *healPeer
 	hinted := 0
 	for url, p := range peers {
 		if url == owner {
 			continue
 		}
-		hinted += p.agent.Hints().Pending()
+		if n := p.agent.Hints().Pending(); n > 0 {
+			hinted += n
+			holder = p
+		}
 	}
 	if hinted != 1 {
 		t.Fatalf("pending hints across survivors = %d, want 1", hinted)
+	}
+	// The hint body is the trial's encoded form: the bytes the survivors
+	// stored and the bytes replay will post.
+	want, err := perfdmf.EncodeTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hints, errs := holder.agent.Hints().All(); len(errs) != 0 || len(hints) != 1 || !bytes.Equal(hints[0].Body, want) {
+		t.Fatalf("hint body is not the encoded trial (hints=%d errs=%v)", len(hints), errs)
+	}
+	// A hint written by a pre-upgrade daemon holds trial JSON; it must
+	// still replay.
+	old := trial("sweep3d", "weak-scaling", "np32")
+	oldBody, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: old.App, Experiment: old.Experiment, Trial: old.Name, Body: oldBody}); err != nil {
+		t.Fatal(err)
 	}
 
 	// "Restart" the owner: connections flow again and a fresh agent takes
@@ -275,7 +298,7 @@ func TestHintedHandoffDrains(t *testing.T) {
 	// server keeps serving through the restarted process's node.
 	peers[owner].down.Store(false)
 
-	eventually(t, 10*time.Second, "hint never drained to the restarted owner", func() bool {
+	eventually(t, 10*time.Second, "hints never drained to the restarted owner", func() bool {
 		for url, p := range peers {
 			if url == owner {
 				continue
@@ -284,13 +307,11 @@ func TestHintedHandoffDrains(t *testing.T) {
 				return false
 			}
 		}
-		for _, name := range peers[owner].repo.Trials(tr.App, tr.Experiment) {
-			if name == tr.Name {
-				return true
-			}
-		}
-		return false
+		return len(peers[owner].repo.Trials(tr.App, tr.Experiment)) == 2
 	})
+	if got, err := peers[owner].repo.GetEncoded(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replayed trial is not stored as the encoded bytes the hint held (err=%v)", err)
+	}
 }
 
 // TestEpochBumpPropagates is the dynamic-membership acceptance test: a

@@ -1,7 +1,9 @@
 // Package dmfclient is the Go client for the perfdmfd profile service
-// (internal/dmfserver): it mirrors the perfdmf.Repository API over
-// HTTP/JSON so that PerfExplorer sessions and command-line tools can run
-// against a remote repository exactly as they do against a local one.
+// (internal/dmfserver): it mirrors the perfdmf.Repository API over HTTP —
+// JSON for requests and listings, the repository's own encoded form
+// (dmfwire.TrialContentType) for trial bodies — so that PerfExplorer
+// sessions and command-line tools can run against a remote repository
+// exactly as they do against a local one.
 //
 // Client implements perfdmf.Store, so it drops into core.NewSession and
 // every other Store consumer unchanged:
@@ -40,6 +42,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -95,7 +98,8 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithTransport installs an http.RoundTripper on the underlying client —
-// e.g. a faults.RoundTripper for chaos testing.
+// e.g. a faults.RoundTripper for chaos testing — in place of the default
+// transport New builds.
 func WithTransport(rt http.RoundTripper) Option {
 	return func(c *Client) { c.http.Transport = rt }
 }
@@ -131,7 +135,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	}
 	c := &Client{
 		base:     u,
-		http:     &http.Client{Timeout: 60 * time.Second},
+		http:     &http.Client{Timeout: 60 * time.Second, Transport: newTransport()},
 		retry:    DefaultRetryPolicy(),
 		clientID: hex.EncodeToString(id[:]),
 	}
@@ -144,6 +148,25 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c.attempts = c.reg.Counter("client_http_attempts_total")
 	c.retries = c.reg.Counter("client_http_retries_total")
 	return c, nil
+}
+
+// idleConnsPerHost is how many idle connections the default transport
+// keeps to the one daemon a Client talks to. net/http's default of 2 makes
+// every burst of more than two concurrent callers (a cluster fan-out, a
+// parallel study) dial — and then close — a fresh connection per extra
+// caller.
+const idleConnsPerHost = 32
+
+// newTransport clones http.DefaultTransport (proxy, dial and TLS settings
+// stay the library's) with the per-host idle pool raised.
+func newTransport() http.RoundTripper {
+	dt, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultTransport // replaced by the embedding process; respect it
+	}
+	tr := dt.Clone()
+	tr.MaxIdleConnsPerHost = idleConnsPerHost
+	return tr
 }
 
 var (
@@ -216,8 +239,10 @@ type reqMeta struct {
 	// requests get exactly one attempt.
 	idempotent bool
 	// contentType overrides the body media type (default application/json)
-	// for the checksummed wire payloads (ring, membership).
+	// for the checksummed wire payloads (ring, membership, encoded trial).
 	contentType string
+	// accept, when set, is sent as the Accept header.
+	accept string
 	// hintFor, when set, is sent as the Dmf-Hint-For header: "this write
 	// belongs to that peer too — keep a durable hint and replay it there".
 	hintFor string
@@ -295,6 +320,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, query url.Val
 		}
 		req.Header.Set("Content-Type", ct)
 	}
+	if meta.accept != "" {
+		req.Header.Set("Accept", meta.accept)
+	}
 	if meta.hintFor != "" {
 		req.Header.Set(dmfwire.HeaderHintFor, meta.hintFor)
 	}
@@ -334,23 +362,72 @@ func (c *Client) attempt(ctx context.Context, method, path string, query url.Val
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, false, 0
 	}
-	// *[]byte asks for the raw body — used for non-JSON payloads like the
-	// checksummed ring descriptor, which carries its own integrity check.
-	if raw, ok := out.(*[]byte); ok {
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	switch out := out.(type) {
+	case *[]byte:
+		// The raw body — the checksummed ring and membership payloads,
+		// which carry their own integrity check.
+		data, err := readBody(resp.Body, maxControlBody)
 		if err != nil {
 			return fmt.Errorf("dmfclient: read %s %s response: %w", method, path, err), true, 0
 		}
-		*raw = data
-		return nil, false, 0
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		// A garbled success body usually means the response was cut
-		// mid-flight; the request itself succeeded server-side, so an
-		// idempotent re-issue is safe and will re-fetch the full body.
-		return fmt.Errorf("dmfclient: decode %s %s response: %w", method, path, err), true, 0
+		*out = data
+	case **perfdmf.Trial:
+		t, err := readTrial(resp)
+		if err != nil {
+			return fmt.Errorf("dmfclient: decode %s %s response: %w", method, path, err), true, 0
+		}
+		*out = t
+	default:
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			// A garbled success body usually means the response was cut
+			// mid-flight; the request itself succeeded server-side, so an
+			// idempotent re-issue is safe and will re-fetch the full body.
+			return fmt.Errorf("dmfclient: decode %s %s response: %w", method, path, err), true, 0
+		}
 	}
 	return nil, false, 0
+}
+
+// maxControlBody bounds the raw ring and membership bodies — a few lines
+// per peer, so 1 MiB is generous.
+const maxControlBody = 1 << 20
+
+// readBody reads a response body of at most limit bytes. A longer body is
+// an error, never a silently shortened result.
+func readBody(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return data, nil
+}
+
+// readTrial decodes a trial response by its Content-Type: the encoded form
+// from a daemon that honours Accept, trial JSON from one that predates it.
+// Any failure is a transport fault to the caller (garbled or cut body) —
+// in particular a checksum mismatch must not surface as perfdmf.ErrCorrupt,
+// which means "the stored trial is damaged", so the sentinel is dropped.
+func readTrial(resp *http.Response) (*perfdmf.Trial, error) {
+	mt, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
+	if strings.TrimSpace(mt) != dmfwire.TrialContentType {
+		t := &perfdmf.Trial{}
+		if err := json.NewDecoder(resp.Body).Decode(t); err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	data, err := readBody(resp.Body, dmfwire.MaxTrialBody)
+	if err != nil {
+		return nil, err
+	}
+	t, err := perfdmf.DecodeTrial(data)
+	if err != nil {
+		return nil, errors.New(err.Error())
+	}
+	return t, nil
 }
 
 func (c *Client) postJSON(ctx context.Context, path string, query url.Values, in any, meta reqMeta, out any) error {
@@ -377,8 +454,9 @@ func coordQuery(app, experiment, trial string) url.Values {
 
 // --- perfdmf.Store ----------------------------------------------------
 
-// Save uploads the trial in native JSON format. The upload carries an
-// idempotency key, so a retry after a lost response stores it exactly once.
+// Save uploads the trial in its encoded form (dmfwire.TrialContentType).
+// The upload carries an idempotency key, so a retry after a lost response
+// stores it exactly once.
 func (c *Client) Save(t *perfdmf.Trial) error {
 	return c.SaveContext(context.Background(), t)
 }
@@ -386,11 +464,30 @@ func (c *Client) Save(t *perfdmf.Trial) error {
 // SaveContext is Save bounded by ctx (deadline and cancellation cover the
 // whole retry loop, not just one attempt).
 func (c *Client) SaveContext(ctx context.Context, t *perfdmf.Trial) error {
+	return c.saveEncoded(ctx, t, "")
+}
+
+// saveEncoded posts the trial's encoded form; a non-empty hintFor makes it
+// a hinted write (see SaveHintedContext).
+func (c *Client) saveEncoded(ctx context.Context, t *perfdmf.Trial, hintFor string) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	return c.postJSON(ctx, "/api/v1/trials", nil, t,
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, nil)
+	data, err := perfdmf.EncodeTrial(t)
+	if err != nil {
+		return fmt.Errorf("dmfclient: %w", err)
+	}
+	return c.postTrial(ctx, data, hintFor)
+}
+
+// postTrial posts a serialized trial, picking the media type from the
+// body's magic: the encoded form, else trial JSON.
+func (c *Client) postTrial(ctx context.Context, body []byte, hintFor string) error {
+	meta := reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true, hintFor: hintFor}
+	if perfdmf.IsEncodedTrial(body) {
+		meta.contentType = dmfwire.TrialContentType
+	}
+	return c.doCtx(ctx, http.MethodPost, "/api/v1/trials", nil, body, meta, nil)
 }
 
 // GetTrial fetches one trial. The returned trial is a private copy by
@@ -402,14 +499,15 @@ func (c *Client) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error)
 // GetTrialContext is GetTrial bounded by ctx. It speaks the resource-style
 // route (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}); the legacy
 // query-param /api/v1/trial route still answers, but with a Deprecation
-// header.
+// header. It asks for the trial's encoded form and decodes whatever the
+// daemon answers with, so it still reads a JSON-only daemon.
 func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
 	if app == "" || experiment == "" || trial == "" {
 		return nil, fmt.Errorf("dmfclient: get trial: app, experiment and trial are required")
 	}
-	t := &perfdmf.Trial{}
+	var t *perfdmf.Trial
 	err := c.doCtx(ctx, http.MethodGet, trialPath(app, experiment, trial), nil, nil,
-		reqMeta{idempotent: true}, t)
+		reqMeta{idempotent: true, accept: dmfwire.TrialContentType}, &t)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package dmfclient
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -88,18 +87,13 @@ func (c *Client) ClusterGossipView(ctx context.Context) (*dmfwire.GossipView, er
 // the cluster router when a replica owner is down (see
 // cluster.HintedBackend).
 func (c *Client) SaveHintedContext(ctx context.Context, t *perfdmf.Trial, owner string) error {
-	data, err := json.Marshal(t)
-	if err != nil {
-		return fmt.Errorf("dmfclient: encode trial: %w", err)
-	}
-	return c.doCtx(ctx, http.MethodPost, "/api/v1/trials", nil, data,
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true, hintFor: owner}, nil)
+	return c.saveEncoded(ctx, t, owner)
 }
 
-// SaveTrialJSON replays a raw trial-JSON body (the payload of a stored
-// hint) to this daemon. The bytes are posted verbatim so a hint written by
-// one version replays unchanged by another.
-func (c *Client) SaveTrialJSON(ctx context.Context, body []byte) error {
-	return c.doCtx(ctx, http.MethodPost, "/api/v1/trials", nil, body,
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, nil)
+// SaveTrialBody replays the body of a stored hint to this daemon: the
+// trial's encoded form, or trial JSON in hints written by older daemons.
+// The bytes are posted verbatim so a hint written by one version replays
+// unchanged by another.
+func (c *Client) SaveTrialBody(ctx context.Context, body []byte) error {
+	return c.postTrial(ctx, body, "")
 }

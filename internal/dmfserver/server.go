@@ -1,8 +1,9 @@
 // Package dmfserver exposes a PerfDMF profile repository and the
 // PerfExplorer analysis stack as a networked HTTP/JSON service — the
-// perfdmfd daemon. Many clients can upload trials (native JSON, TAU text
-// profiles, or gprof flat profiles), browse the Application → Experiment →
-// Trial hierarchy, fetch trials, run analysis operations, and execute
+// perfdmfd daemon. Many clients can upload trials (the encoded form the
+// repository stores, native JSON, TAU text profiles, or gprof flat
+// profiles), browse the Application → Experiment → Trial hierarchy, fetch
+// trials in either representation, run analysis operations, and execute
 // rule-based diagnosis server-side against one shared repository, in the
 // spirit of networked performance-knowledge repositories (Collective Mind /
 // Collective Tuning).
@@ -46,6 +47,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -80,7 +82,7 @@ type (
 
 // Default hygiene limits, overridable through Config.
 const (
-	DefaultMaxBodyBytes   = 32 << 20 // 32 MiB of profile data per upload
+	DefaultMaxBodyBytes   = dmfwire.MaxTrialBody // 32 MiB of profile data per upload
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultMaxScriptSteps bounds how many statements one diagnosis
 	// script may execute — generous for real analyses, but a hard stop
@@ -485,16 +487,26 @@ type apiError struct {
 
 // encodeJSON renders v exactly as writeJSON would send it, so a response
 // can be cached and replayed byte-identically.
-func encodeJSON(v any) []byte {
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-	return buf.Bytes()
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
+// writeJSON sends v as the response body. A value JSON cannot represent —
+// in practice a stored trial holding NaN or ±Inf — answers 500 with the
+// encoder's message instead of a 2xx with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeRaw(w, status, encodeJSON(v))
+	body, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = encodeJSON(apiError{Error: "encode response: " + err.Error()}) // a string always encodes
+	}
+	writeRaw(w, status, body)
 }
 
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
@@ -548,13 +560,47 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return fmt.Errorf("decode request: %w", err)
+		return bodyError("decode request", err)
 	}
 	return nil
+}
+
+// readBody reads a whole request body under the configured size cap.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		return nil, bodyError("read request", err)
+	}
+	return data, nil
+}
+
+func bodyError(what string, err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return fmt.Errorf("%s: %w", what, err)
+}
+
+// mediaType is the media type of a Content-Type header value, without
+// parameters, lower-cased.
+func mediaType(header string) string {
+	mt, _, _ := strings.Cut(header, ";")
+	return strings.ToLower(strings.TrimSpace(mt))
+}
+
+// acceptsEncodedTrial reports whether the request's Accept header names
+// dmfwire.TrialContentType. Wildcards do not count: a client gets the
+// encoded form only by asking for it by name.
+func acceptsEncodedTrial(r *http.Request) bool {
+	for _, accept := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(accept, ",") {
+			if mediaType(part) == dmfwire.TrialContentType {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // gated admits the request through the analysis limiter and runs fn under
@@ -714,8 +760,21 @@ func (s *Server) handleTrialDeleteDeprecated(w http.ResponseWriter, r *http.Requ
 
 // trialGet and trialDelete are the shared implementations behind the
 // legacy query-param routes and the resource-style routes, so both styles
-// answer byte-identically (the golden tests pin that).
+// answer byte-identically (the golden tests pin that). A get whose Accept
+// names dmfwire.TrialContentType is answered with the stored bytes as they
+// are; any other get with trial JSON.
 func (s *Server) trialGet(w http.ResponseWriter, r *http.Request, app, exp, name string) {
+	if acceptsEncodedTrial(r) {
+		data, err := s.repo.GetEncoded(r.Context(), app, exp, name)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", dmfwire.TrialContentType)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data)
+		return
+	}
 	t, err := s.repo.GetTrialContext(r.Context(), app, exp, name)
 	if err != nil {
 		writeServiceError(w, err)
@@ -754,67 +813,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		if hintFor != "" && s.node == nil {
 			return fmt.Errorf("hinted write for %s: this daemon is not a cluster member", hintFor)
 		}
-		var t *perfdmf.Trial
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "json":
-			t = &perfdmf.Trial{}
-			if err := s.decodeBody(w, r, t); err != nil {
-				return err
-			}
-		case "gprof":
-			app, exp, name := coords(r)
-			if app == "" || exp == "" || name == "" {
-				return errors.New("gprof upload needs app, experiment and trial parameters")
-			}
-			var err error
-			t, err = perfdmf.ParseGprof(http.MaxBytesReader(w, r.Body, s.maxBody), app, exp, name)
-			if err != nil {
-				return err
-			}
-		case "tau":
-			var up TAUUpload
-			if err := s.decodeBody(w, r, &up); err != nil {
-				return err
-			}
-			if up.App == "" || up.Experiment == "" || up.Trial == "" {
-				return errors.New("tau upload needs app, experiment and trial fields")
-			}
-			dir, err := os.MkdirTemp("", "perfdmfd-tau-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			for rel, content := range up.Files {
-				clean := filepath.Clean(rel)
-				if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) || filepath.IsAbs(clean) {
-					return fmt.Errorf("tau upload: illegal file path %q", rel)
-				}
-				p := filepath.Join(dir, clean)
-				if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-					return err
-				}
-				if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-					return err
-				}
-			}
-			t, err = perfdmf.ParseTAU(dir, up.App, up.Experiment, up.Trial)
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown upload format %q (want json, tau or gprof)", format)
-		}
-		if err := s.repo.SaveContext(ctx, t); err != nil {
+		t, err := s.storeUpload(ctx, w, r)
+		if err != nil {
 			return err
 		}
 		if hintFor != "" {
-			// The local copy is safe; now record the IOU. Re-encoding
-			// the parsed trial (rather than echoing the request body)
-			// makes hints uniform across upload formats — a gprof or TAU
-			// hinted upload replays as plain trial JSON.
-			data, err := json.Marshal(t)
+			// The local copy is safe; now record the IOU. The hint body is
+			// the trial's encoded form whatever the upload format was, so
+			// a gprof or TAU hinted upload replays like any other.
+			data, err := perfdmf.EncodeTrial(t)
 			if err != nil {
-				return fmt.Errorf("hinted write for %s: encode trial: %w", hintFor, err)
+				return fmt.Errorf("hinted write for %s: %w", hintFor, err)
 			}
 			hint := dmfwire.Hint{Owner: hintFor, App: t.App, Experiment: t.Experiment, Trial: t.Name, Body: data}
 			if err := s.node.AcceptHint(hint); err != nil {
@@ -822,7 +831,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.uploadsStored.Inc()
-		body := encodeJSON(UploadSummary{
+		body, err := encodeJSON(UploadSummary{
 			Application: t.App,
 			Experiment:  t.Experiment,
 			Name:        t.Name,
@@ -830,12 +839,87 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			Events:      len(t.Events),
 			Metrics:     len(t.Metrics),
 		})
+		if err != nil {
+			return err
+		}
 		if idemKey != "" {
 			s.idem.store(idemKey, http.StatusCreated, body)
 		}
 		writeRaw(w, http.StatusCreated, body)
 		return nil
 	})
+}
+
+// storeUpload decodes the request body — the trial's encoded form when the
+// Content-Type says so, else by the format query parameter — and saves it.
+func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http.Request) (*perfdmf.Trial, error) {
+	if mediaType(r.Header.Get("Content-Type")) == dmfwire.TrialContentType {
+		data, err := s.readBody(w, r)
+		if err != nil {
+			return nil, err
+		}
+		t, err := s.repo.SaveEncoded(ctx, data)
+		if errors.Is(err, perfdmf.ErrCorrupt) {
+			// The damage is in what the client sent, not in the store:
+			// drop the sentinel so the answer is 400, not 500.
+			return nil, fmt.Errorf("decode request: %v", err)
+		}
+		return t, err
+	}
+	var t *perfdmf.Trial
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		t = &perfdmf.Trial{}
+		if err := s.decodeBody(w, r, t); err != nil {
+			return nil, err
+		}
+	case "gprof":
+		app, exp, name := coords(r)
+		if app == "" || exp == "" || name == "" {
+			return nil, errors.New("gprof upload needs app, experiment and trial parameters")
+		}
+		var err error
+		t, err = perfdmf.ParseGprof(http.MaxBytesReader(w, r.Body, s.maxBody), app, exp, name)
+		if err != nil {
+			return nil, err
+		}
+	case "tau":
+		var up TAUUpload
+		if err := s.decodeBody(w, r, &up); err != nil {
+			return nil, err
+		}
+		if up.App == "" || up.Experiment == "" || up.Trial == "" {
+			return nil, errors.New("tau upload needs app, experiment and trial fields")
+		}
+		dir, err := os.MkdirTemp("", "perfdmfd-tau-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		for rel, content := range up.Files {
+			clean := filepath.Clean(rel)
+			if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) || filepath.IsAbs(clean) {
+				return nil, fmt.Errorf("tau upload: illegal file path %q", rel)
+			}
+			p := filepath.Join(dir, clean)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+				return nil, err
+			}
+		}
+		t, err = perfdmf.ParseTAU(dir, up.App, up.Experiment, up.Trial)
+		if err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("unknown upload format %q (want json, tau or gprof)", format)
+	}
+	if err := s.repo.SaveContext(ctx, t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // --- analysis ---------------------------------------------------------

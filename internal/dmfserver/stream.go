@@ -317,7 +317,10 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		}
 		s.streams.add(st)
 		s.streamsOpened.Inc()
-		body := encodeJSON(st.info())
+		body, err := encodeJSON(st.info())
+		if err != nil {
+			return err
+		}
 		if idemKey != "" {
 			s.idem.store(idemKey, http.StatusCreated, body)
 		}
@@ -522,10 +525,13 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		span.SetAttr("alerts", strconv.Itoa(len(firings)))
 
-		body := encodeJSON(dmfwire.AppendAck{
+		body, err := encodeJSON(dmfwire.AppendAck{
 			Stream: st.id, Seq: chunk.Seq,
 			Events: len(st.trial.Events), Alerts: st.nextAlert,
 		})
+		if err != nil {
+			return err
+		}
 		st.acks[chunk.Seq] = body
 		st.ackOrder = append(st.ackOrder, chunk.Seq)
 		for len(st.ackOrder) > streamAckEntries {
@@ -561,11 +567,7 @@ func (s *Server) handleStreamSeal(w http.ResponseWriter, r *http.Request) {
 		if err := s.repo.SaveContext(ctx, t); err != nil {
 			return err
 		}
-		s.uploadsStored.Inc()
-		s.streamsSealed.Inc()
-		st.state = streamSealed
-		st.sealStatus = http.StatusCreated
-		st.sealBody = encodeJSON(UploadSummary{
+		body, err := encodeJSON(UploadSummary{
 			Application: t.App,
 			Experiment:  t.Experiment,
 			Name:        t.Name,
@@ -573,6 +575,14 @@ func (s *Server) handleStreamSeal(w http.ResponseWriter, r *http.Request) {
 			Events:      len(t.Events),
 			Metrics:     len(t.Metrics),
 		})
+		if err != nil {
+			return err
+		}
+		s.uploadsStored.Inc()
+		s.streamsSealed.Inc()
+		st.state = streamSealed
+		st.sealStatus = http.StatusCreated
+		st.sealBody = body
 		st.changedLocked()
 		s.streams.noteSealed(st.id)
 		writeRaw(w, st.sealStatus, st.sealBody)

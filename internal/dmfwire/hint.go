@@ -29,17 +29,16 @@ const HintMagic = "%DMFHINT1"
 // trial so the handoff loop can complete the delivery later.
 const HeaderHintFor = "Dmf-Hint-For"
 
-// MaxHintBody bounds the embedded trial body (32 MiB, matching the
-// daemon's default request-body cap).
-const MaxHintBody = 32 << 20
+// MaxHintBody bounds the embedded trial body.
+const MaxHintBody = MaxTrialBody
 
 // ErrHint marks a malformed hint record: every DecodeHint failure and
 // every Hint.Validate failure wraps it.
 var ErrHint = errors.New("malformed hint record")
 
 // Hint is one durable hinted-handoff record: the owner that should hold
-// the trial, the trial's coordinates, and the trial's native-JSON body
-// exactly as it would be posted to /api/v1/trials.
+// the trial, the trial's coordinates, and the trial's body exactly as it
+// would be posted to /api/v1/trials.
 type Hint struct {
 	// Owner is the base URL of the ring peer the trial belongs to.
 	Owner string `json:"owner"`
@@ -49,8 +48,9 @@ type Hint struct {
 	App        string `json:"app"`
 	Experiment string `json:"experiment"`
 	Trial      string `json:"trial"`
-	// Body is the trial serialized as native JSON; replay posts it to the
-	// owner verbatim.
+	// Body is the trial in its encoded form (TrialContentType); records
+	// written by older daemons hold trial JSON. Replay posts it to the
+	// owner verbatim, picking the media type from the body's magic.
 	Body []byte `json:"-"`
 }
 

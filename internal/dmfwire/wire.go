@@ -17,6 +17,19 @@ import (
 // response stores the trial exactly once.
 const HeaderIdempotencyKey = "Idempotency-Key"
 
+// TrialContentType is the media type of a trial in its encoded form
+// (perfdmf.EncodeTrial: the %PDMFCOL1 columnar payload inside the
+// CRC-checked %PDMF1 envelope, the same bytes the repository stores).
+// GET .../trials/{trial} answers with it when the request's Accept header
+// names it, and POST /api/v1/trials accepts it as a Content-Type; requests
+// that name neither speak trial JSON as before.
+const TrialContentType = "application/x-pdmf-trial"
+
+// MaxTrialBody bounds one trial body in either representation: it is the
+// daemon's default request-body cap, the cap on a hint's embedded trial,
+// and the most a client reads of an encoded trial response.
+const MaxTrialBody = 32 << 20
+
 // UploadSummary acknowledges a stored trial.
 type UploadSummary struct {
 	Application string `json:"application"`

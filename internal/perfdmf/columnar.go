@@ -600,14 +600,23 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 	return c.Trial(), nil
 }
 
-// decodeTrialPayload turns an envelope payload — columnar binary or trial
-// JSON — into a Trial. Decode failures wrap ErrCorrupt.
+// decodeTrialPayload turns an envelope payload — columnar binary or, in
+// legacy files, trial JSON — into a validated Trial. Decode and validation
+// failures wrap ErrCorrupt.
 func decodeTrialPayload(payload []byte) (*Trial, error) {
+	var t *Trial
 	if IsColumnar(payload) {
-		return UnmarshalColumnar(payload)
+		var err error
+		if t, err = UnmarshalColumnar(payload); err != nil {
+			return nil, err
+		}
+	} else {
+		t = &Trial{}
+		if err := json.Unmarshal(payload, t); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
-	t := &Trial{}
-	if err := json.Unmarshal(payload, t); err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return t, nil

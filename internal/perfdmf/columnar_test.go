@@ -327,34 +327,38 @@ func isColumnarFile(t *testing.T, data []byte) bool {
 	return IsColumnar(payload)
 }
 
-// Saved trials switch to the columnar layout at the cell threshold, and a
-// fresh repository reads either format back identically.
-func TestRepositoryColumnarThreshold(t *testing.T) {
+// Every saved trial is written in the one encoded form, whatever its size,
+// the file is exactly EncodeTrial's output, and a fresh repository reads it
+// back bit-identically.
+func TestRepositoryStoresEveryTrialColumnar(t *testing.T) {
 	dir := t.TempDir()
 	repo, err := OpenRepository(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := cellsTrial("small", 4, 2) // 8 cells < DefaultColumnarMinCells
-	big := cellsTrial("big", 512, 8)   // 4096 cells = DefaultColumnarMinCells
-	for _, tr := range []*Trial{small, big} {
+	trials := []*Trial{cellsTrial("small", 4, 2), cellsTrial("big", 512, 8), NewTrial("app", "exp", "empty", 1)}
+	for _, tr := range trials {
 		if err := repo.Save(tr); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if isColumnarFile(t, rawTrialFile(t, repo, "app", "exp", "small")) {
-		t.Error("small trial written columnar below threshold")
-	}
-	if !isColumnarFile(t, rawTrialFile(t, repo, "app", "exp", "big")) {
-		t.Error("big trial not written columnar at threshold")
+		file := rawTrialFile(t, repo, "app", "exp", tr.Name)
+		if !isColumnarFile(t, file) {
+			t.Errorf("trial %q not written columnar", tr.Name)
+		}
+		want, err := EncodeTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, want) {
+			t.Errorf("trial %q: stored file differs from EncodeTrial output", tr.Name)
+		}
 	}
 
-	// A fresh repository decodes both formats from disk bit-identically.
 	repo2, err := OpenRepository(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []*Trial{small, big} {
+	for _, tr := range trials {
 		got, err := repo2.GetTrial("app", "exp", tr.Name)
 		if err != nil {
 			t.Fatalf("GetTrial(%s): %v", tr.Name, err)
@@ -362,23 +366,6 @@ func TestRepositoryColumnarThreshold(t *testing.T) {
 		if canonicalTrialDump(got) != canonicalTrialDump(tr) {
 			t.Errorf("trial %q read back differently", tr.Name)
 		}
-	}
-
-	// Forcing columnar for everything.
-	repo.SetColumnarMinCells(-1)
-	if err := repo.Save(small); err != nil {
-		t.Fatal(err)
-	}
-	if !isColumnarFile(t, rawTrialFile(t, repo, "app", "exp", "small")) {
-		t.Error("SetColumnarMinCells(-1) did not force columnar")
-	}
-	// And disabling it entirely.
-	repo.SetColumnarMinCells(math.MaxInt)
-	if err := repo.Save(big); err != nil {
-		t.Fatal(err)
-	}
-	if isColumnarFile(t, rawTrialFile(t, repo, "app", "exp", "big")) {
-		t.Error("SetColumnarMinCells(MaxInt) still wrote columnar")
 	}
 }
 
@@ -410,7 +397,6 @@ func TestRepositoryLegacyUpgradeToColumnar(t *testing.T) {
 	if canonicalTrialDump(got) != canonicalTrialDump(tr) {
 		t.Fatal("legacy trial read back differently")
 	}
-	repo.SetColumnarMinCells(-1)
 	if err := repo.Save(got); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +420,6 @@ func TestRepositoryQuarantinesCorruptColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := cellsTrial("victim", 4, 2)
-	repo.SetColumnarMinCells(-1)
 	if err := repo.Save(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +454,6 @@ func TestRepositoryListsColumnarTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo.SetColumnarMinCells(-1)
 	tr := NewTrial("my app", "exp one", "trial 1", 2)
 	tr.AddMetric(TimeMetric)
 	e := tr.EnsureEvent("main")
@@ -502,7 +486,6 @@ func TestFsckCountsColumnarTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo.SetColumnarMinCells(-1)
 	if err := repo.Save(cellsTrial("ok", 3, 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package perfdmf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -42,12 +43,16 @@ func crashSeed(t *testing.T, dir string) {
 }
 
 // crashWorkload mutates the seeded repository: overwrite A, delete B,
-// create C. Errors are ignored — under a crash schedule most operations
-// fail, and the point is what the disk looks like afterwards.
+// create C — A through Save, C through SaveEncoded, so both entrances to
+// the one persist path are swept. Errors are ignored — under a crash
+// schedule most operations fail, and the point is what the disk looks like
+// afterwards.
 func crashWorkload(repo *Repository) {
 	_ = repo.Save(miniTrial("crash app", "exp 1", "tr A", 10))
 	_ = repo.Delete("crash app", "exp 1", "tr B")
-	_ = repo.Save(miniTrial("crash app", "exp 1", "tr C", 30))
+	if data, err := EncodeTrial(miniTrial("crash app", "exp 1", "tr C", 30)); err == nil {
+		_, _ = repo.SaveEncoded(context.Background(), data)
+	}
 }
 
 func TestCrashPointSweep(t *testing.T) {

@@ -14,20 +14,23 @@ import (
 // degrades a single lookup instead of poisoning listings or analyses.
 var ErrCorrupt = errors.New("trial data corrupt")
 
-// Trial files are stored in a checksummed envelope so torn writes and
-// bit rot are detected instead of silently parsed:
+// A trial has one encoded form — on disk, in a hint record and on the wire
+// (dmfwire.TrialContentType): the binary columnar payload (columnar.go)
+// inside a checksummed envelope, so torn writes, cut responses and bit rot
+// are detected instead of silently parsed:
 //
 //	%PDMF1\n
-//	<payload: the trial JSON, byte-exact>
+//	<payload: %PDMFCOL1 columnar trial, byte-exact>
 //	\n%PDMF1 crc32c=XXXXXXXX len=NNN\n
 //
 // The trailer repeats the magic, then carries the CRC32-C of the payload
 // (8 lowercase hex digits) and the payload length in decimal. Both the
 // header and the trailer must be intact and agree with the payload for a
 // read to succeed — a file cut off anywhere, or altered anywhere, fails
-// the check. Files that do not start with the magic are treated as
-// legacy plain-JSON trials (the pre-envelope format) and remain
-// readable; they are rewritten into the envelope on their next save.
+// the check. EncodeTrial is the only writer. Two older on-disk forms stay
+// readable and are rewritten on their next save: trial JSON inside the
+// envelope, and files that do not start with the magic at all, which are
+// treated as plain-JSON trials (the pre-envelope format).
 const (
 	envelopeMagic   = "%PDMF1\n"
 	envelopeTrailer = "\n%PDMF1 crc32c="
@@ -78,4 +81,34 @@ func decodeEnvelope(data []byte) (payload []byte, legacy bool, err error) {
 		return nil, false, fmt.Errorf("%w: crc32c mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
 	return payload, false, nil
+}
+
+// EncodeTrial renders a trial in its encoded form: the columnar payload
+// inside the checksummed envelope. The encoding is canonical — equal trials
+// give equal bytes — so stored files, hint bodies and wire bodies of one
+// trial are interchangeable.
+func EncodeTrial(t *Trial) ([]byte, error) {
+	payload, err := MarshalColumnar(t)
+	if err != nil {
+		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
+	}
+	return encodeEnvelope(payload), nil
+}
+
+// DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
+// checksum, decodes the payload and validates the result. It also accepts
+// the two legacy forms (trial JSON inside the envelope, plain trial JSON).
+// Checksum, structure and validation failures all wrap ErrCorrupt.
+func DecodeTrial(data []byte) (*Trial, error) {
+	payload, _, err := decodeEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeTrialPayload(payload)
+}
+
+// IsEncodedTrial reports whether data starts like EncodeTrial output rather
+// than like trial JSON. It is how a replayed hint body picks its media type.
+func IsEncodedTrial(data []byte) bool {
+	return bytes.HasPrefix(data, []byte(envelopeMagic))
 }

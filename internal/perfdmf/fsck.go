@@ -15,10 +15,11 @@ import (
 type FsckReport struct {
 	// Root is the repository directory that was scanned ("" = in-memory).
 	Root string `json:"root"`
-	// Trials counts readable, valid trial files (envelope or legacy).
+	// Trials counts readable, valid trial files (encoded or legacy).
 	Trials int `json:"trials"`
-	// Legacy counts trials still in the pre-envelope plain-JSON format;
-	// they are rewritten into the checksummed envelope on their next save.
+	// Legacy counts trials still in one of the two older forms (plain
+	// pre-envelope JSON, or trial JSON inside the envelope); they are
+	// rewritten into the encoded form on their next save.
 	Legacy int `json:"legacy"`
 	// Quarantined lists the .corrupt files present after the scan —
 	// both previously quarantined entries and files this scan moved aside.
@@ -84,10 +85,7 @@ func (r *Repository) verifyTrialFile(p string, rep *FsckReport) {
 	}
 	payload, legacy, err := decodeEnvelope(data)
 	if err == nil {
-		var t *Trial
-		if t, err = decodeTrialPayload(payload); err == nil {
-			err = t.Validate()
-		}
+		_, err = decodeTrialPayload(payload)
 	}
 	if err != nil {
 		r.quarantine(p)
@@ -95,7 +93,7 @@ func (r *Repository) verifyTrialFile(p string, rep *FsckReport) {
 		return
 	}
 	rep.Trials++
-	if legacy {
+	if legacy || !IsColumnar(payload) {
 		rep.Legacy++
 	}
 }

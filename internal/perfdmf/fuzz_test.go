@@ -2,8 +2,13 @@ package perfdmf
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -118,28 +123,7 @@ func FuzzParseCSV(f *testing.F) {
 // whose JSON is legal but non-canonical — key order, whitespace — so
 // encode(decode(b)) may differ from b, but it must then be stable).
 func FuzzDecodeColumnarEnvelope(f *testing.F) {
-	valid := func() []byte {
-		tr := NewTrial("app", "exp", "seed", 2)
-		tr.AddMetric(TimeMetric)
-		e := tr.EnsureEvent("main")
-		for th := 0; th < 2; th++ {
-			e.Calls[th] = 1
-			e.SetValue(TimeMetric, th, float64(th+1), float64(th))
-		}
-		p, err := MarshalColumnar(tr)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}()
-	f.Add(encodeEnvelope(valid))
-	f.Add(encodeEnvelope(valid[:len(valid)-5])) // truncated payload
-	badCRC := encodeEnvelope(valid)
-	badCRC[len(envelopeMagic)+3] ^= 0x40 // flip a payload bit under the CRC
-	f.Add(badCRC)
-	f.Add(encodeEnvelope([]byte(columnarMagic + "\x60\x00\x00\x00" +
-		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
-	f.Add(encodeEnvelope([]byte(columnarMagic)))
+	addColumnarEnvelopeSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, legacy, err := decodeEnvelope(data)
@@ -178,6 +162,82 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 		}
 		if !bytes.Equal(e1, e2) {
 			t.Fatal("columnar encoding is not a fixed point after one round")
+		}
+	})
+}
+
+// addColumnarEnvelopeSeeds seeds a fuzz target with encoded trials: one
+// valid, the rest damaged in the ways the decoders must survive.
+func addColumnarEnvelopeSeeds(f *testing.F) {
+	valid := func() []byte {
+		tr := NewTrial("app", "exp", "seed", 2)
+		tr.AddMetric(TimeMetric)
+		e := tr.EnsureEvent("main")
+		for th := 0; th < 2; th++ {
+			e.Calls[th] = 1
+			e.SetValue(TimeMetric, th, float64(th+1), float64(th))
+		}
+		p, err := MarshalColumnar(tr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
+	}()
+	f.Add(encodeEnvelope(valid))
+	f.Add(encodeEnvelope(valid[:len(valid)-5])) // truncated payload
+	badCRC := encodeEnvelope(valid)
+	badCRC[len(envelopeMagic)+3] ^= 0x40 // flip a payload bit under the CRC
+	f.Add(badCRC)
+	f.Add(encodeEnvelope([]byte(columnarMagic + "\x60\x00\x00\x00" +
+		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
+	f.Add(encodeEnvelope([]byte(columnarMagic)))
+}
+
+// FuzzSaveEncoded drives the upload decoder — Repository.SaveEncoded, what
+// POST /api/v1/trials runs on an encoded body — with the seeds and the
+// checked-in corpus of FuzzDecodeColumnarEnvelope. The invariants: a
+// refusal wraps ErrCorrupt and stores nothing; an accepted body is the
+// canonical encoding of a Validate-clean trial, which then reads back.
+func FuzzSaveEncoded(f *testing.F) {
+	addColumnarEnvelopeSeeds(f)
+	corpus, err := filepath.Glob("testdata/fuzz/FuzzDecodeColumnarEnvelope/*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range corpus {
+		// A corpus file is "go test fuzz v1\n[]byte(<quoted>)\n".
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(string(raw), "\n[]byte(")
+		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if err != nil {
+			f.Fatalf("corpus file %s: %v", name, err)
+		}
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		repo := NewRepository()
+		tr, err := repo.SaveEncoded(context.Background(), data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal does not wrap ErrCorrupt: %v", err)
+			}
+			if _, _, n := repo.Size(); n != 0 {
+				t.Fatalf("refused body left %d trials stored", n)
+			}
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted trial fails Validate: %v", err)
+		}
+		if canon, err := EncodeTrial(tr); err != nil || !bytes.Equal(canon, data) {
+			t.Fatalf("accepted body is not the canonical encoding of its trial (err=%v)", err)
+		}
+		if _, err := repo.GetTrial(tr.App, tr.Experiment, tr.Name); err != nil {
+			t.Fatalf("accepted trial does not read back: %v", err)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 package perfdmf
 
 import (
-	"encoding/json"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"perfknow/internal/obs"
 	"perfknow/internal/vfs"
 )
 
@@ -39,18 +41,20 @@ const readOnlyAfterENOSPC = 2
 //
 // The storage path is built for crash safety and corruption tolerance:
 //
-//   - Save writes the trial into a checksummed envelope (see envelope.go),
-//     first to a temp file that is fsynced, then atomically renamed into
-//     place, then the parent directory is fsynced — so after a crash every
-//     trial file is bytewise either its old or its new version, never a
-//     blend. The in-memory cache is updated only after the bytes are
-//     durable, so a failed save never makes GetTrial serve data that would
-//     vanish on restart.
+//   - Save and SaveEncoded write the trial's one encoded form (EncodeTrial:
+//     columnar payload in a checksummed envelope, see envelope.go), first to
+//     a temp file that is fsynced, then atomically renamed into place, then
+//     the parent directory is fsynced — so after a crash every trial file
+//     is bytewise either its old or its new version, never a blend. The
+//     in-memory cache is updated only after the bytes are durable, so a
+//     failed save never makes GetTrial serve data that would vanish on
+//     restart.
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. Legacy plain-JSON files (the pre-envelope format)
-//     remain readable and are rewritten into the envelope on next save.
+//     are unaffected. Files in the two legacy forms (trial JSON inside the
+//     envelope, plain pre-envelope JSON) remain readable and are rewritten
+//     into the encoded form on next save.
 //   - Opening runs a recovery sweep that deletes orphaned .tmp files left
 //     by interrupted saves. Verify runs a full fsck on demand.
 //   - Persistent ENOSPC on save flips the repository into read-only
@@ -85,11 +89,6 @@ type Repository struct {
 
 	readOnly     atomic.Bool
 	enospcStreak atomic.Int32
-
-	// columnarMinCells is the events×threads size at or above which persist
-	// writes the binary columnar payload instead of trial JSON. 0 means
-	// DefaultColumnarMinCells. Guarded by mu.
-	columnarMinCells int
 
 	// Durability counters, mirrored into an obs.Registry by Instrument.
 	quarantined  storeCounter
@@ -186,35 +185,6 @@ func (r *Repository) legacyPath(app, experiment, trial string) string {
 	return filepath.Join(r.root, safeLegacy(app), safeLegacy(experiment), safeLegacy(trial)+".json")
 }
 
-// DefaultColumnarMinCells is the default events×threads threshold at which
-// Save switches from the indented-JSON payload to the binary columnar
-// payload inside the envelope. Small trials stay JSON (greppable, diffable);
-// large ones — where decode cost and file size actually matter — go
-// columnar. Both forms read back transparently, and a file in either format
-// (or legacy pre-envelope JSON) is rewritten into the current policy's
-// format on its next save.
-const DefaultColumnarMinCells = 4096
-
-// SetColumnarMinCells overrides the events×threads threshold at or above
-// which trials persist in the binary columnar format. n < 0 forces
-// columnar for every trial, n == 0 restores the default; to disable
-// columnar persistence entirely pass a threshold larger than any trial
-// (e.g. math.MaxInt).
-func (r *Repository) SetColumnarMinCells(n int) {
-	r.mu.Lock()
-	r.columnarMinCells = n
-	r.mu.Unlock()
-}
-
-// useColumnar decides the persisted payload format. Callers hold r.mu.
-func (r *Repository) useColumnar(t *Trial) bool {
-	min := r.columnarMinCells
-	if min == 0 {
-		min = DefaultColumnarMinCells
-	}
-	return len(t.Events)*t.Threads >= min
-}
-
 // ReadOnly reports whether the repository is in read-only degraded mode
 // (persistent ENOSPC on save). Use Verify to probe the volume and clear
 // the mode once space is available again.
@@ -232,48 +202,90 @@ func (r *Repository) Save(t *Trial) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
+	var data []byte
+	if r.root != "" {
+		var err error
+		if data, err = EncodeTrial(t); err != nil {
+			return err
+		}
+	}
+	return r.store(t, data)
+}
+
+// SaveEncoded stores a trial that arrives already encoded (EncodeTrial
+// output: an upload body, a replayed hint). It runs every check Save runs
+// — envelope checksum, full structural decode, Validate — and additionally
+// requires data to be the canonical encoding of the trial it decodes to,
+// so the file written is byte for byte what Save of that trial would
+// write. Rejected input wraps ErrCorrupt and leaves the repository
+// untouched. The returned trial is the caller's own copy.
+func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (*Trial, error) {
+	_, sp := obs.StartSpan(ctx, "perfdmf.save")
+	t, err := r.saveEncoded(data)
+	if t != nil {
+		sp.SetAttr("app", t.App)
+		sp.SetAttr("experiment", t.Experiment)
+		sp.SetAttr("trial", t.Name)
+	}
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func (r *Repository) saveEncoded(data []byte) (*Trial, error) {
+	t, err := DecodeTrial(data)
+	if err != nil {
+		return nil, err
+	}
+	canon, err := EncodeTrial(t)
+	if err != nil {
+		return t, err
+	}
+	if !bytes.Equal(canon, data) {
+		return t, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, t.App, t.Experiment, t.Name)
+	}
+	return t, r.store(t, data)
+}
+
+// store persists data, the encoded form of t (unused when in-memory), and
+// then caches a private copy of t.
+func (r *Repository) store(t *Trial, data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	k := key(t.App, t.Experiment, t.Name)
 	if r.root == "" {
-		r.cache[key(t.App, t.Experiment, t.Name)] = t.Clone()
+		r.cache[k] = t.Clone()
 		return nil
 	}
 	if r.readOnly.Load() {
 		return fmt.Errorf("perfdmf: save trial %q/%q/%q: %w", t.App, t.Experiment, t.Name, ErrReadOnly)
 	}
-	if err := r.persist(t); err != nil {
+	if err := r.persist(t.App, t.Experiment, t.Name, data); err != nil {
 		// The on-disk state is now uncertain (the rename may or may not
 		// have happened before a directory-sync failure), so drop any
 		// cached copy: reads fall back to the disk, the source of truth.
-		delete(r.cache, key(t.App, t.Experiment, t.Name))
+		delete(r.cache, k)
 		r.noteWriteError(err)
 		return err
 	}
 	r.enospcStreak.Store(0)
-	r.cache[key(t.App, t.Experiment, t.Name)] = t.Clone()
+	r.cache[k] = t.Clone()
 	return nil
 }
 
-// persist writes the trial durably: envelope → fsynced temp file → atomic
-// rename → parent directory fsync. Callers hold r.mu.
-func (r *Repository) persist(t *Trial) error {
-	p := r.path(t.App, t.Experiment, t.Name)
+// persist writes one trial's encoded bytes durably: fsynced temp file →
+// atomic rename → parent directory fsync. Callers hold r.mu.
+func (r *Repository) persist(app, experiment, trial string, data []byte) error {
+	p := r.path(app, experiment, trial)
 	dir := filepath.Dir(p)
 	if err := r.fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("perfdmf: save trial: %w", err)
 	}
-	var data []byte
-	var err error
-	if r.useColumnar(t) {
-		data, err = MarshalColumnar(t)
-	} else {
-		data, err = json.MarshalIndent(t, "", " ")
-	}
-	if err != nil {
-		return fmt.Errorf("perfdmf: encode trial: %w", err)
-	}
 	tmp := p + ".tmp"
-	if err := r.fsys.WriteFile(tmp, encodeEnvelope(data), 0o644); err != nil {
+	if err := r.fsys.WriteFile(tmp, data, 0o644); err != nil {
 		_ = r.fsys.Remove(tmp) // clear the torn temp; recovery sweeps catch the rest
 		return fmt.Errorf("perfdmf: write trial: %w", err)
 	}
@@ -289,7 +301,7 @@ func (r *Repository) persist(t *Trial) error {
 	// name can be the current path of another ("a b" → "a_b.json", which
 	// is also where trial "a_b" lives), so the file is only removed when
 	// its embedded header matches this trial.
-	if lp, ok := r.legacyTwin(t.App, t.Experiment, t.Name); ok {
+	if lp, ok := r.legacyTwin(app, experiment, trial); ok {
 		if err := r.fsys.Remove(lp); err == nil {
 			delete(r.headers, lp)
 		}
@@ -343,9 +355,9 @@ func (r *Repository) noteWriteError(err error) {
 // The returned trial is a private copy: callers may mutate it freely
 // without affecting the repository (copy-on-read).
 //
-// A damaged file — failed checksum, truncated envelope, undecodable JSON,
-// invalid trial — is quarantined to <file>.corrupt and the error wraps
-// ErrCorrupt; other trials and listings are unaffected.
+// A damaged file — failed checksum, truncated envelope, undecodable
+// payload, invalid trial — is quarantined to <file>.corrupt and the error
+// wraps ErrCorrupt; other trials and listings are unaffected.
 func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	r.mu.RLock()
 	t, ok := r.cache[key(app, experiment, trial)]
@@ -353,51 +365,101 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	if ok {
 		return t.Clone(), nil
 	}
-	if r.root == "" {
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, ErrNotFound)
-	}
-	p := r.path(app, experiment, trial)
-	viaLegacy := false
-	data, err := r.fsys.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		if lp := r.legacyPath(app, experiment, trial); lp != p {
-			if d, lerr := r.fsys.ReadFile(lp); lerr == nil {
-				data, err, p = d, nil, lp
-				viaLegacy = true
-			}
-		}
-	}
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			err = ErrNotFound
-		}
+	fail := func(err error) (*Trial, error) {
 		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
 	}
-	payload, _, err := decodeEnvelope(data)
+	data, p, viaLegacy, err := r.readStored(app, experiment, trial)
+	if err != nil {
+		return fail(err)
+	}
+	t, err = DecodeTrial(data)
 	if err != nil {
 		r.quarantine(p)
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
+		return fail(err)
 	}
-	t, err = decodeTrialPayload(payload)
-	if err != nil {
-		r.quarantine(p)
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
-	}
-	if err := t.Validate(); err != nil {
-		r.quarantine(p)
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w: %v", app, experiment, trial, ErrCorrupt, err)
-	}
-	// The legacy path of one name can be the current path of another
-	// ("a b" and "a_b" both map to a_b.json under the old scheme), so a
-	// legacy fallback hit only counts when the file's own coordinates
-	// match what was asked for.
 	if viaLegacy && (t.App != app || t.Experiment != experiment || t.Name != trial) {
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, ErrNotFound)
+		return fail(ErrNotFound)
 	}
 	r.mu.Lock()
 	r.cache[key(t.App, t.Experiment, t.Name)] = t
 	r.mu.Unlock()
 	return t.Clone(), nil
+}
+
+// GetEncoded returns a trial in its encoded form (EncodeTrial output), for
+// callers that ship it on rather than analyse it. A file-backed repository
+// answers with the stored file's bytes after verifying the envelope
+// checksum — nothing is decoded; a file in a legacy form is decoded and
+// re-encoded on the fly (it is upgraded on disk by its next save). A failed
+// check quarantines the file exactly as GetTrial does. An in-memory
+// repository encodes from its cache.
+func (r *Repository) GetEncoded(ctx context.Context, app, experiment, trial string) ([]byte, error) {
+	_, sp := obs.StartSpan(ctx, "perfdmf.get_trial",
+		"app", app, "experiment", experiment, "trial", trial)
+	data, err := r.getEncoded(app, experiment, trial)
+	sp.SetError(err)
+	sp.End()
+	return data, err
+}
+
+func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
+	fail := func(err error) ([]byte, error) {
+		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
+	}
+	if r.root == "" {
+		r.mu.RLock()
+		t, ok := r.cache[key(app, experiment, trial)]
+		r.mu.RUnlock()
+		if !ok {
+			return fail(ErrNotFound)
+		}
+		return EncodeTrial(t)
+	}
+	data, p, viaLegacy, err := r.readStored(app, experiment, trial)
+	if err != nil {
+		return fail(err)
+	}
+	payload, _, err := decodeEnvelope(data)
+	if err != nil {
+		r.quarantine(p)
+		return fail(err)
+	}
+	if viaLegacy {
+		if h, ok := decodeTrialHeaderPayload(payload); !ok || h.App != app || h.Experiment != experiment || h.Name != trial {
+			return fail(ErrNotFound)
+		}
+	}
+	if IsColumnar(payload) {
+		return data, nil
+	}
+	t, err := decodeTrialPayload(payload)
+	if err != nil {
+		r.quarantine(p)
+		return fail(err)
+	}
+	return EncodeTrial(t)
+}
+
+// readStored reads the file holding a trial. When nothing exists at the
+// current path it tries the legacy underscore path; the legacy path of one
+// name can be the current path of another ("a b" and "a_b" both map to
+// a_b.json under the old scheme), so on a viaLegacy hit the caller must
+// check the file's own coordinates against what was asked for.
+func (r *Repository) readStored(app, experiment, trial string) (data []byte, p string, viaLegacy bool, err error) {
+	if r.root == "" {
+		return nil, "", false, ErrNotFound
+	}
+	p = r.path(app, experiment, trial)
+	data, err = r.fsys.ReadFile(p)
+	if errors.Is(err, os.ErrNotExist) {
+		err = ErrNotFound
+		if lp := r.legacyPath(app, experiment, trial); lp != p {
+			if d, lerr := r.fsys.ReadFile(lp); lerr == nil {
+				return d, lp, true, nil
+			}
+		}
+	}
+	return data, p, false, err
 }
 
 // quarantine moves a damaged trial file aside to <path>.corrupt so the
@@ -619,23 +681,15 @@ func (r *Repository) header(path string) (trialHeader, bool) {
 }
 
 // ReadTrialFile loads a single trial from a native snapshot (the file
-// format Save writes — checksummed envelope or legacy plain JSON),
-// without needing a repository.
+// format Save writes, or either legacy form), without needing a repository.
 func ReadTrialFile(path string) (*Trial, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: read trial: %w", err)
 	}
-	payload, _, err := decodeEnvelope(data)
+	t, err := DecodeTrial(data)
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: decode trial %s: %w", path, err)
-	}
-	t, err := decodeTrialPayload(payload)
-	if err != nil {
-		return nil, fmt.Errorf("perfdmf: decode trial %s: %w", path, err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

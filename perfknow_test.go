@@ -5,7 +5,10 @@ package perfknow_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -237,5 +240,89 @@ func TestRepositoryOnDiskPublic(t *testing.T) {
 	}
 	if _, err := os.Stat(dir + "/a/e/t.json"); err != nil {
 		t.Fatalf("trial not persisted: %v", err)
+	}
+}
+
+// TestStoredTrialsNoLargerThanIndentedJSON: the repository has one on-disk
+// format, the columnar encoding, with no size threshold below which trials
+// fall back to JSON. Its blocks are dense, so in principle a sparse trial
+// could store larger than the indented JSON small trials used to be written
+// as; every shape the simulator, the compiler pipeline and the examples
+// produce must not.
+func TestStoredTrialsNoLargerThanIndentedJSON(t *testing.T) {
+	cfg := perfknow.AltixConfig(16, 2)
+	var (
+		trials []*perfknow.Trial
+		labels []string
+	)
+	add := func(tr *perfknow.Trial, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = append(labels, tr.App+"/"+tr.Experiment+"/"+tr.Name)
+		tr.App, tr.Experiment, tr.Name = "shapes", "all", "shape"+strconv.Itoa(len(trials))
+		trials = append(trials, tr)
+	}
+	// examples/msa_loadbalance and examples/parametric_study: the MSA
+	// workload over schedules and thread counts, 1 thread included.
+	for _, sched := range []string{"static", "dynamic,1", "guided"} {
+		for _, threads := range []int{1, 4, 16} {
+			add(perfknow.RunMSA(cfg, perfknow.MSAParams{
+				Sequences: 48, MeanLen: 100, LenJitter: 50, Seed: 42,
+				Threads: threads, Schedule: perfknow.MustSchedule(sched),
+			}))
+		}
+	}
+	// examples/genidlest_locality and examples/power_model: every
+	// GenIDLEST parallelization mode, with hardware-counter metrics.
+	for _, c := range []perfknow.GenIDLESTConfig{
+		perfknow.GenIDLESTDefaults(perfknow.Rib45(), perfknow.ModeOpenMP, 8),
+		perfknow.GenIDLESTDefaults(perfknow.Rib45(), perfknow.ModeMPI, 8),
+		perfknow.GenIDLESTDefaults(perfknow.Rib45(), perfknow.ModeHybrid, 8),
+	} {
+		c.Timesteps, c.InnerIters, c.ThreadsPerRank = 1, 2, 2
+		add(perfknow.RunGenIDLEST(cfg, c))
+	}
+	// examples/quickstart and examples/uhcc: a compiled program with
+	// compiler-placed instrumentation, at two optimization levels.
+	src, err := os.ReadFile(filepath.Join("examples", "uhcc", "heat.uh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := perfknow.ParseSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []perfknow.OptLevel{perfknow.O0, perfknow.O2} {
+		ex, _, err := perfknow.Compile(prog, level, perfknow.DefaultInstrumentation(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(ex.Run(perfknow.NewEngine(perfknow.NewMachine(cfg), 8), "heat", "uhcc", "8"))
+	}
+
+	dir := t.TempDir()
+	repo, err := perfknow.OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range trials {
+		if err := repo.Save(tr); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, "shapes", "all", tr.Name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		indented, err := json.MarshalIndent(tr, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := len(tr.Events) * tr.Threads
+		if fi.Size() > int64(len(indented)) {
+			t.Errorf("%s (%d events × %d threads × %d metrics = %d cells): stored %d B, indented JSON %d B",
+				labels[i], len(tr.Events), tr.Threads, len(tr.Metrics), cells, fi.Size(), len(indented))
+		}
 	}
 }
