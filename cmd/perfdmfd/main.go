@@ -10,18 +10,20 @@
 //
 // The daemon answers GET /healthz for liveness probes, GET /api/v1/metrics
 // with a typed telemetry snapshot (counters, gauges, latency histograms)
-// and GET /api/v1/traces with recent request traces; the legacy /metrics
-// path remains as a deprecated alias. With -debug-addr a second listener
-// serves Go's net/http/pprof profiler, kept off the public API address. On
-// SIGINT/SIGTERM the daemon stops accepting connections and drains
-// in-flight requests for up to -drain before exiting. With -addr ending in
-// ":0" the kernel picks a free port; -addr-file writes the bound address
-// to a file so scripts and tests can find the server.
+// and GET /api/v1/traces with recent request traces. With -debug-addr a
+// second listener serves Go's net/http/pprof profiler, kept off the public
+// API address. On SIGINT/SIGTERM the daemon stops accepting connections and
+// drains in-flight requests for up to -drain before exiting. With -addr
+// ending in ":0" the kernel picks a free port; -addr-file writes the bound
+// address to a file so scripts and tests can find the server.
 //
 // With -fsck the daemon does not serve at all: it verifies the repository
-// (recovering orphaned temp files, quarantining corrupt trial files),
-// prints the fsck report as JSON on stdout, and exits 0 if the store is
-// clean or 1 otherwise — the offline twin of GET /api/v1/fsck.
+// (recovering orphaned temp files, quarantining corrupt trial files, moving
+// valid files that sit at another name's path to their own), prints the
+// fsck report as JSON on stdout, and exits 0 if the store is clean or 1
+// otherwise — the offline twin of GET /api/v1/fsck. Run it once over a
+// repository written before names were percent-escaped on disk: a trial
+// filed under the old underscore scheme is not served until it is moved.
 //
 // Streaming ingestion: POST /api/v1/streams opens a chunked upload whose
 // seal stores a trial byte-identical to a whole-file upload; while chunks

@@ -84,12 +84,6 @@ type Client struct {
 // Option customizes a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying *http.Client (e.g. an
-// httptest client or one with custom transport settings).
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.http = h }
-}
-
 // WithTimeout sets the per-request timeout (default 60s). With retries
 // enabled this bounds each attempt; bound the whole operation with a
 // context deadline on the *Context call variants.
@@ -497,10 +491,9 @@ func (c *Client) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error)
 }
 
 // GetTrialContext is GetTrial bounded by ctx. It speaks the resource-style
-// route (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}); the legacy
-// query-param /api/v1/trial route still answers, but with a Deprecation
-// header. It asks for the trial's encoded form and decodes whatever the
-// daemon answers with, so it still reads a JSON-only daemon.
+// route (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}). It asks for
+// the trial's encoded form and decodes whatever the daemon answers with,
+// so it still reads a JSON-only daemon.
 func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
 	if app == "" || experiment == "" || trial == "" {
 		return nil, fmt.Errorf("dmfclient: get trial: app, experiment and trial are required")

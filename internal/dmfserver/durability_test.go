@@ -110,7 +110,7 @@ func TestFsckEndpoint(t *testing.T) {
 	}
 
 	// The damaged trial is a 500 wrapping ErrCorrupt; the sibling still reads.
-	resp, err := http.Get(ts.URL + "/api/v1/trial?app=app&experiment=exp&trial=bad")
+	resp, err := http.Get(ts.URL + "/api/v1/apps/app/experiments/exp/trials/bad")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -658,10 +658,9 @@ func TestTrialContentNegotiation(t *testing.T) {
 			t.Errorf("Accept %q: encoded response = %v, want %v", accept, got, want)
 		}
 	}
-	// The deprecated query-param route negotiates the same way.
-	status, h, _ := s.request(t, "GET", "/api/v1/trial?app=app&experiment=exp&trial=t1", map[string]string{"Accept": dmfwire.TrialContentType}, nil)
-	if status != http.StatusOK || h.Get("Content-Type") != dmfwire.TrialContentType || h.Get("Deprecation") == "" {
-		t.Errorf("deprecated route: HTTP %d, Content-Type %q, Deprecation %q", status, h.Get("Content-Type"), h.Get("Deprecation"))
+	// The retired query-param route does not negotiate: it is gone.
+	if status, _, _ := s.request(t, "GET", "/api/v1/trial?app=app&experiment=exp&trial=t1", map[string]string{"Accept": dmfwire.TrialContentType}, nil); status != http.StatusNotFound {
+		t.Errorf("retired query-param route: HTTP %d, want 404", status)
 	}
 	// An encoded upload with a format parameter is still an encoded upload.
 	body, _ := perfdmf.EncodeTrial(stallTrial("app", "exp", "t2"))

@@ -3,7 +3,6 @@ package dmfserver
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"perfknow/internal/faults"
@@ -40,59 +39,17 @@ func (s *Server) handlesFor(route string) *routeHandles {
 	return actual.(*routeHandles)
 }
 
-// parameterizedRoutes lists every route template with a variable segment.
-// routeLabel folds a request path onto the first template whose literal
-// segments match, so ids and resource names never become metric labels.
-// (The original implementation special-cased only /api/v1/traces/{id};
-// every new parameterized route silently minted one sync.Map entry and
-// three registry series per distinct id — unbounded label cardinality.)
-var parameterizedRoutes = func() [][]string {
-	templates := []string{
-		"/api/v1/traces/{id}",
-		"/api/v1/streams/{id}",
-		"/api/v1/streams/{id}/chunks",
-		"/api/v1/streams/{id}/seal",
-		"/api/v1/streams/{id}/alerts",
-		"/api/v1/apps/{app}/experiments",
-		"/api/v1/apps/{app}/experiments/{exp}/trials",
-		"/api/v1/apps/{app}/experiments/{exp}/trials/{trial}",
+// routeLabel is the request's bounded-cardinality route label: the pattern
+// the router itself matches it to ("GET /api/v1/traces/{id}"), so ids and
+// resource names never become metric labels and a new route needs no entry
+// anywhere else. Every request the router has no handler for shares one
+// label per method — a client probing distinct paths must not mint a
+// sync.Map entry and three registry series for each.
+func (s *Server) routeLabel(r *http.Request) string {
+	if _, pattern := s.mux.Handler(r); pattern != "" {
+		return pattern
 	}
-	out := make([][]string, len(templates))
-	for i, t := range templates {
-		out[i] = strings.Split(t, "/")[1:]
-	}
-	return out
-}()
-
-// routeLabel normalizes a request to a bounded-cardinality route label:
-// method + path, with variable segments folded back to their {placeholder}
-// when the path matches a parameterized route template.
-func routeLabel(r *http.Request) string {
-	return r.Method + " " + normalizePath(r.URL.Path)
-}
-
-func normalizePath(path string) string {
-	if len(path) == 0 || path[0] != '/' {
-		return path
-	}
-	segs := strings.Split(path, "/")[1:]
-templates:
-	for _, tmpl := range parameterizedRoutes {
-		if len(tmpl) != len(segs) {
-			continue
-		}
-		for i, ts := range tmpl {
-			wild := len(ts) > 1 && ts[0] == '{' && ts[len(ts)-1] == '}'
-			if !wild && ts != segs[i] {
-				continue templates
-			}
-			if wild && segs[i] == "" {
-				continue templates // trailing slash is not a resource id
-			}
-		}
-		return "/" + strings.Join(tmpl, "/")
-	}
-	return path
+	return r.Method + " unmatched"
 }
 
 // statusWriter captures the response status and byte count for logging and
@@ -133,7 +90,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if faults.Attempt(r.Header) > 0 {
 			s.retried.Inc()
 		}
-		route := routeLabel(r)
+		route := s.routeLabel(r)
 
 		ctx := obs.ContextWithTracer(r.Context(), s.tracer)
 		if traceID, spanID, ok := obs.Extract(r.Header); ok {

@@ -1,9 +1,9 @@
 package dmfserver
 
 import (
-	"fmt"
 	"net/http"
-	"net/url"
+
+	"perfknow/internal/dmfwire"
 )
 
 // Resource-style v1 routes: the Application → Experiment → Trial hierarchy
@@ -15,24 +15,10 @@ import (
 //	GET    /api/v1/apps/{app}/experiments/{exp}/trials/{trial}
 //	DELETE /api/v1/apps/{app}/experiments/{exp}/trials/{trial}
 //
-// Bodies are byte-identical to the legacy query-param routes (which now
-// answer with Deprecation headers); path segments are percent-escaped by
-// clients and decoded by the router, so names containing '/' round-trip.
-
-// resourceTrialPath renders the canonical resource path for a trial,
-// escaping each segment.
-func resourceTrialPath(app, exp, trial string) string {
-	return "/api/v1/apps/" + url.PathEscape(app) +
-		"/experiments/" + url.PathEscape(exp) +
-		"/trials/" + url.PathEscape(trial)
-}
-
-// deprecateTrialRoute stamps the legacy-route deprecation headers, pointing
-// at the resource-style successor for these exact coordinates.
-func deprecateTrialRoute(w http.ResponseWriter, app, exp, trial string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", resourceTrialPath(app, exp, trial), "successor-version"))
-}
+// Path segments are percent-escaped by clients and decoded by the router,
+// so names containing '/' round-trip. The listings also answer on the older
+// query-param routes (/api/v1/applications|experiments|trials), with
+// byte-identical bodies.
 
 func (s *Server) handleResourceExperiments(w http.ResponseWriter, r *http.Request) {
 	app := r.PathValue("app")
@@ -44,10 +30,35 @@ func (s *Server) handleResourceTrialList(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, map[string][]string{"trials": s.repo.Trials(app, exp)})
 }
 
+// handleResourceTrialGet answers a get whose Accept names
+// dmfwire.TrialContentType with the stored bytes as they are; any other
+// get with trial JSON.
 func (s *Server) handleResourceTrialGet(w http.ResponseWriter, r *http.Request) {
-	s.trialGet(w, r, r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial"))
+	app, exp, name := r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial")
+	if acceptsEncodedTrial(r) {
+		data, err := s.repo.GetEncoded(r.Context(), app, exp, name)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", dmfwire.TrialContentType)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data)
+		return
+	}
+	t, err := s.repo.GetTrialContext(r.Context(), app, exp, name)
+	if err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, t)
 }
 
 func (s *Server) handleResourceTrialDelete(w http.ResponseWriter, r *http.Request) {
-	s.trialDelete(w, r, r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial"))
+	app, exp, name := r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial")
+	if err := s.repo.DeleteContext(r.Context(), app, exp, name); err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }

@@ -56,9 +56,8 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestResourceTrialRouteGolden pins the resource route's exact response
-// bytes with a golden file, and requires the legacy query-param route to
-// answer byte-identically — plus the Deprecation/Link headers that steer
-// clients to the successor.
+// bytes with a golden file; the retired query-param trial route answers
+// 404.
 func TestResourceTrialRouteGolden(t *testing.T) {
 	ts, c := rawService(t)
 	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
@@ -90,19 +89,8 @@ func TestResourceTrialRouteGolden(t *testing.T) {
 		t.Fatalf("resource trial response drifted from golden:\ngot:\n%s\nwant:\n%s", resBody, want)
 	}
 
-	legacyResp, legacyBody := get(t, ts.URL+"/api/v1/trial?app=app&experiment=exp&trial=t1")
-	if legacyResp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy route status = %d", legacyResp.StatusCode)
-	}
-	if string(legacyBody) != string(resBody) {
-		t.Fatalf("legacy and resource responses diverge:\nlegacy:\n%s\nresource:\n%s", legacyBody, resBody)
-	}
-	if h := legacyResp.Header.Get("Deprecation"); h != "true" {
-		t.Fatalf("legacy Deprecation header = %q, want \"true\"", h)
-	}
-	wantLink := `</api/v1/apps/app/experiments/exp/trials/t1>; rel="successor-version"`
-	if h := legacyResp.Header.Get("Link"); h != wantLink {
-		t.Fatalf("legacy Link header = %q, want %q", h, wantLink)
+	if resp, _ := get(t, ts.URL+"/api/v1/trial?app=app&experiment=exp&trial=t1"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("retired query-param route status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -149,8 +137,8 @@ func TestResourceListings(t *testing.T) {
 	}
 }
 
-// TestResourceTrialDelete exercises DELETE on both route styles, including
-// the legacy route's deprecation headers.
+// TestResourceTrialDelete exercises DELETE on the resource route; the
+// retired query-param route answers 404 and deletes nothing.
 func TestResourceTrialDelete(t *testing.T) {
 	ts, c := rawService(t)
 	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
@@ -179,14 +167,11 @@ func TestResourceTrialDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy delete status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("retired query-param delete status = %d, want 404", resp.StatusCode)
 	}
-	if h := resp.Header.Get("Deprecation"); h != "true" {
-		t.Fatalf("legacy delete Deprecation header = %q", h)
-	}
-	if _, err := c.GetTrial("app", "exp", "t2"); !errors.Is(err, perfdmf.ErrNotFound) {
-		t.Fatalf("t2 still present: %v", err)
+	if _, err := c.GetTrial("app", "exp", "t2"); err != nil {
+		t.Fatalf("t2 deleted through a retired route: %v", err)
 	}
 }
 

@@ -28,8 +28,7 @@
 //     completed traces are served by GET /api/v1/traces[/{id}];
 //   - GET /healthz answers liveness probes and GET /api/v1/metrics serves
 //     the typed, versioned telemetry schema (request counts, latency
-//     histograms, repository size, resilience counters); the legacy
-//     GET /metrics alias answers with a Deprecation header;
+//     histograms, repository size, resilience counters);
 //   - the configured http.Server carries read/write timeouts and supports
 //     graceful shutdown with connection draining;
 //   - for chaos testing, Config.FaultInjector wires a seeded
@@ -414,7 +413,6 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 func (s *Server) routes() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetricsDeprecated)
 	mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/v1/fsck", s.handleFsck)
 	mux.HandleFunc("GET /api/v1/traces", s.handleTraceList)
@@ -422,8 +420,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /api/v1/applications", s.handleApplications)
 	mux.HandleFunc("GET /api/v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /api/v1/trials", s.handleTrialList)
-	mux.HandleFunc("GET /api/v1/trial", s.handleTrialGetDeprecated)
-	mux.HandleFunc("DELETE /api/v1/trial", s.handleTrialDeleteDeprecated)
 	mux.HandleFunc("POST /api/v1/trials", s.handleUpload)
 	mux.HandleFunc("POST /api/v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("POST /api/v1/diagnose", s.handleDiagnose)
@@ -433,8 +429,7 @@ func (s *Server) routes() {
 	mux.HandleFunc("POST /api/v1/cluster", s.handleAnnounce)
 	mux.HandleFunc("POST /api/v1/cluster/gossip", s.handleGossipPost)
 	mux.HandleFunc("GET /api/v1/cluster/gossip", s.handleGossipGet)
-	// Resource-style hierarchy routes (resources.go); the query-param
-	// GET/DELETE /api/v1/trial twins above answer with Deprecation headers.
+	// Resource-style hierarchy routes (resources.go).
 	mux.HandleFunc("GET /api/v1/apps", s.handleApplications)
 	mux.HandleFunc("GET /api/v1/apps/{app}/experiments", s.handleResourceExperiments)
 	mux.HandleFunc("GET /api/v1/apps/{app}/experiments/{exp}/trials", s.handleResourceTrialList)
@@ -682,15 +677,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.metricsBody())
 }
 
-// handleMetricsDeprecated serves the same body on the legacy /metrics
-// path, flagged with a Deprecation header and a pointer at the successor.
-// The route exists for one release; scrape /api/v1/metrics instead.
-func (s *Server) handleMetricsDeprecated(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</api/v1/metrics>; rel="successor-version"`)
-	writeJSON(w, http.StatusOK, s.metricsBody())
-}
-
 // --- traces -------------------------------------------------------------
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
@@ -733,62 +719,6 @@ func (s *Server) handleTrialList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string][]string{"trials": s.repo.Trials(app, exp)})
-}
-
-// handleTrialGetDeprecated serves the legacy query-param trial fetch,
-// flagged with a Deprecation header and a Link at its resource-style
-// successor (same migration pattern as the /metrics alias).
-func (s *Server) handleTrialGetDeprecated(w http.ResponseWriter, r *http.Request) {
-	app, exp, name := coords(r)
-	if app == "" || exp == "" || name == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing app, experiment or trial parameter"))
-		return
-	}
-	deprecateTrialRoute(w, app, exp, name)
-	s.trialGet(w, r, app, exp, name)
-}
-
-func (s *Server) handleTrialDeleteDeprecated(w http.ResponseWriter, r *http.Request) {
-	app, exp, name := coords(r)
-	if app == "" || exp == "" || name == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing app, experiment or trial parameter"))
-		return
-	}
-	deprecateTrialRoute(w, app, exp, name)
-	s.trialDelete(w, r, app, exp, name)
-}
-
-// trialGet and trialDelete are the shared implementations behind the
-// legacy query-param routes and the resource-style routes, so both styles
-// answer byte-identically (the golden tests pin that). A get whose Accept
-// names dmfwire.TrialContentType is answered with the stored bytes as they
-// are; any other get with trial JSON.
-func (s *Server) trialGet(w http.ResponseWriter, r *http.Request, app, exp, name string) {
-	if acceptsEncodedTrial(r) {
-		data, err := s.repo.GetEncoded(r.Context(), app, exp, name)
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", dmfwire.TrialContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-		return
-	}
-	t, err := s.repo.GetTrialContext(r.Context(), app, exp, name)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, t)
-}
-
-func (s *Server) trialDelete(w http.ResponseWriter, r *http.Request, app, exp, name string) {
-	if err := s.repo.DeleteContext(r.Context(), app, exp, name); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
 // --- uploads ----------------------------------------------------------

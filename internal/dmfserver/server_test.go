@@ -372,6 +372,46 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// A client probing paths no route serves must not grow the metric label
+// set: every unmatched request of one method shares a single label.
+func TestUnmatchedPathsShareOneRouteLabel(t *testing.T) {
+	_, c := newService(t, Config{})
+	routeLabels := func() map[string]int64 {
+		snap, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := map[string]int64{}
+		for k, n := range snap.Counters {
+			if strings.HasPrefix(k, "http_requests_total{") {
+				labels[k] = n
+			}
+		}
+		return labels
+	}
+	before := routeLabels()
+	for i := 0; i < 100; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/api/v1/nowhere/%d", c.BaseURL(), i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown path %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	after := routeLabels()
+	unmatched := obs.Key("http_requests_total", "route", "GET unmatched")
+	for k := range before {
+		delete(after, k)
+	}
+	// The first scrape's own route is counted only after it is answered.
+	delete(after, obs.Key("http_requests_total", "route", "GET /api/v1/metrics"))
+	if len(after) != 1 || after[unmatched] != 100 {
+		t.Fatalf("100 unknown paths added labels %v, want only %s = 100", after, unmatched)
+	}
+}
+
 func TestMaxBodyEnforced(t *testing.T) {
 	_, c := newService(t, Config{MaxBodyBytes: 512})
 	big := stallTrial("a", "e", "t")

@@ -223,37 +223,30 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDeprecatedAlias: the legacy /metrics path still answers with
-// the new schema, flagged with a Deprecation header and a successor link.
+// TestMetricsDeprecatedAlias: the deprecated /metrics alias is gone (404);
+// the typed schema is served on /api/v1/metrics only, not marked deprecated.
 func TestMetricsDeprecatedAlias(t *testing.T) {
 	_, c := newService(t, Config{})
 	resp, err := http.Get(c.BaseURL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /metrics status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy /metrics missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link == "" {
-		t.Fatal("legacy /metrics missing successor Link header")
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same typed schema on both paths.
-	if want := `"schema_version"`; !strings.Contains(string(body), want) {
-		t.Fatalf("legacy body lacks %s: %s", want, body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("retired /metrics status = %d, want 404", resp.StatusCode)
 	}
 	resp2, err := http.Get(c.BaseURL() + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
+	body, err := io.ReadAll(resp2.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"schema_version"`; resp2.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+		t.Fatalf("/api/v1/metrics: HTTP %d, body lacks %s: %s", resp2.StatusCode, want, body)
+	}
 	if resp2.Header.Get("Deprecation") != "" {
 		t.Fatal("/api/v1/metrics must not be marked deprecated")
 	}

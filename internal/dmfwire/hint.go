@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/url"
-	"strconv"
 	"strings"
 )
 
@@ -118,32 +117,10 @@ func EncodeHint(h Hint) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// hintField and hintUint mirror ringField/ringUint with the ErrHint
-// sentinel.
-func hintField(tok, name string) (string, error) {
-	val, ok := strings.CutPrefix(tok, name+"=")
-	if !ok {
-		return "", fmt.Errorf("dmfwire: %w: want field %q, got %q", ErrHint, name, tok)
-	}
-	return val, nil
-}
-
-func hintUint(tok, name string) (uint64, error) {
-	val, err := hintField(tok, name)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.ParseUint(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("dmfwire: %w: field %s: %v", ErrHint, name, err)
-	}
-	return n, nil
-}
-
 // hintCoord parses one escaped coordinate token, insisting the escaping is
 // canonical so that re-encoding reproduces the input bytes.
 func hintCoord(tok, name string) (string, error) {
-	esc, err := hintField(tok, name)
+	esc, err := hintText.field(tok, name)
 	if err != nil {
 		return "", err
 	}
@@ -162,20 +139,12 @@ func hintCoord(tok, name string) (string, error) {
 // result. Every failure wraps ErrHint. A successful decode re-encodes to
 // the exact input bytes.
 func DecodeHint(data []byte) (Hint, error) {
+	toks, wantCRC, rest, err := hintText.header(data, 7, HintMagic)
+	if err != nil {
+		return Hint{}, err
+	}
 	var h Hint
-	head, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return h, fmt.Errorf("dmfwire: %w: missing header line", ErrHint)
-	}
-	toks := strings.Split(string(head), " ")
-	if len(toks) != 7 {
-		return h, fmt.Errorf("dmfwire: %w: header has %d fields, want 7", ErrHint, len(toks))
-	}
-	if toks[0] != HintMagic {
-		return h, fmt.Errorf("dmfwire: %w: bad magic %q", ErrHint, toks[0])
-	}
-	var err error
-	if h.Owner, err = hintField(toks[1], "owner"); err != nil {
+	if h.Owner, err = hintText.field(toks[1], "owner"); err != nil {
 		return Hint{}, err
 	}
 	if h.App, err = hintCoord(toks[2], "app"); err != nil {
@@ -187,17 +156,9 @@ func DecodeHint(data []byte) (Hint, error) {
 	if h.Trial, err = hintCoord(toks[4], "trial"); err != nil {
 		return Hint{}, err
 	}
-	n, err := hintUint(toks[5], "len")
+	n, err := hintText.uint(toks[5], "len")
 	if err != nil {
 		return Hint{}, err
-	}
-	crcStr, err := hintField(toks[6], "crc32c")
-	if err != nil {
-		return Hint{}, err
-	}
-	wantCRC, err := strconv.ParseUint(crcStr, 16, 32)
-	if err != nil || len(crcStr) != 8 {
-		return Hint{}, fmt.Errorf("dmfwire: %w: bad crc32c %q", ErrHint, crcStr)
 	}
 	if n > MaxHintBody {
 		return Hint{}, fmt.Errorf("dmfwire: %w: declared body of %d bytes exceeds the %d cap", ErrHint, n, MaxHintBody)
@@ -206,8 +167,8 @@ func DecodeHint(data []byte) (Hint, error) {
 		return Hint{}, fmt.Errorf("dmfwire: %w: body is %d bytes, header declares %d", ErrHint, len(rest), n)
 	}
 	h.Body = rest
-	if got := crc32.Checksum(hintPayload(h), ringCRCTable); got != uint32(wantCRC) {
-		return Hint{}, fmt.Errorf("dmfwire: %w: crc32c mismatch (header %08x, payload %08x)", ErrHint, wantCRC, got)
+	if err := hintText.verify(wantCRC, hintPayload(h)); err != nil {
+		return Hint{}, err
 	}
 	if err := h.Validate(); err != nil {
 		return Hint{}, err

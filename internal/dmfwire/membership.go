@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -189,61 +188,23 @@ func EncodeMembership(m Membership) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// memField and memUint mirror ringField/ringUint with the ErrMembership
-// sentinel.
-func memField(tok, name string) (string, error) {
-	val, ok := strings.CutPrefix(tok, name+"=")
-	if !ok {
-		return "", fmt.Errorf("dmfwire: %w: want field %q, got %q", ErrMembership, name, tok)
-	}
-	return val, nil
-}
-
-func memUint(tok, name string) (uint64, error) {
-	val, err := memField(tok, name)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.ParseUint(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("dmfwire: %w: field %s: %v", ErrMembership, name, err)
-	}
-	return n, nil
-}
-
 // DecodeMembership parses an encoded message, verifying the magic, the
 // field layout, the declared view size, the outer CRC32-C and the embedded
 // ring, then validating the result. Every failure wraps ErrMembership
 // (ring failures are wrapped in it too). A successful decode re-encodes to
 // the exact input bytes.
 func DecodeMembership(data []byte) (Membership, error) {
+	toks, wantCRC, rest, err := membershipText.header(data, 4, MembershipMagic)
+	if err != nil {
+		return Membership{}, err
+	}
 	var m Membership
-	head, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return m, fmt.Errorf("dmfwire: %w: missing header line", ErrMembership)
-	}
-	toks := strings.Split(string(head), " ")
-	if len(toks) != 4 {
-		return m, fmt.Errorf("dmfwire: %w: header has %d fields, want 4", ErrMembership, len(toks))
-	}
-	if toks[0] != MembershipMagic {
-		return m, fmt.Errorf("dmfwire: %w: bad magic %q", ErrMembership, toks[0])
-	}
-	var err error
-	if m.From, err = memField(toks[1], "from"); err != nil {
+	if m.From, err = membershipText.field(toks[1], "from"); err != nil {
 		return Membership{}, err
 	}
-	nPeers, err := memUint(toks[2], "peers")
+	nPeers, err := membershipText.uint(toks[2], "peers")
 	if err != nil {
 		return Membership{}, err
-	}
-	crcStr, err := memField(toks[3], "crc32c")
-	if err != nil {
-		return Membership{}, err
-	}
-	wantCRC, err := strconv.ParseUint(crcStr, 16, 32)
-	if err != nil || len(crcStr) != 8 {
-		return Membership{}, fmt.Errorf("dmfwire: %w: bad crc32c %q", ErrMembership, crcStr)
 	}
 	if nPeers > MaxRingPeers {
 		return Membership{}, fmt.Errorf("dmfwire: %w: %d view entries exceeds the %d cap", ErrMembership, nPeers, MaxRingPeers)
@@ -261,10 +222,10 @@ func DecodeMembership(data []byte) (Membership, error) {
 		}
 		var p PeerStatus
 		p.Peer = parts[0]
-		if p.Incarnation, err = memUint(parts[1], "inc"); err != nil {
+		if p.Incarnation, err = membershipText.uint(parts[1], "inc"); err != nil {
 			return Membership{}, err
 		}
-		state, err := memField(parts[2], "state")
+		state, err := membershipText.field(parts[2], "state")
 		if err != nil {
 			return Membership{}, err
 		}
@@ -272,8 +233,8 @@ func DecodeMembership(data []byte) (Membership, error) {
 		m.Peers = append(m.Peers, p)
 		rest = tail
 	}
-	if got := crc32.Checksum(membershipPayload(m, rest), ringCRCTable); got != uint32(wantCRC) {
-		return Membership{}, fmt.Errorf("dmfwire: %w: crc32c mismatch (header %08x, payload %08x)", ErrMembership, wantCRC, got)
+	if err := membershipText.verify(wantCRC, membershipPayload(m, rest)); err != nil {
+		return Membership{}, err
 	}
 	if m.Ring, err = DecodeRing(rest); err != nil {
 		return Membership{}, fmt.Errorf("dmfwire: %w: %v", ErrMembership, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,26 +213,78 @@ func EncodeRing(r Ring) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// ringField parses one "name=value" header token, insisting on the exact
-// field name.
-func ringField(tok, name string) (string, error) {
+// textFormat parses what the checksummed text records (ring, membership,
+// hint) have in common — a header line
+//
+//	<magic> name=value ... crc32c=xxxxxxxx
+//
+// whose checksum covers a payload rebuilt from the decoded value — wrapping
+// every failure in the record's own sentinel.
+type textFormat struct{ sentinel error }
+
+var (
+	ringText       = textFormat{ErrRing}
+	membershipText = textFormat{ErrMembership}
+	hintText       = textFormat{ErrHint}
+)
+
+func (f textFormat) errorf(format string, args ...any) error {
+	return fmt.Errorf("dmfwire: %w: "+format, append([]any{f.sentinel}, args...)...)
+}
+
+// field parses one "name=value" token, insisting on the exact field name.
+func (f textFormat) field(tok, name string) (string, error) {
 	val, ok := strings.CutPrefix(tok, name+"=")
 	if !ok {
-		return "", fmt.Errorf("dmfwire: %w: want field %q, got %q", ErrRing, name, tok)
+		return "", f.errorf("want field %q, got %q", name, tok)
 	}
 	return val, nil
 }
 
-func ringUint(tok, name string) (uint64, error) {
-	val, err := ringField(tok, name)
+func (f textFormat) uint(tok, name string) (uint64, error) {
+	val, err := f.field(tok, name)
 	if err != nil {
 		return 0, err
 	}
 	n, err := strconv.ParseUint(val, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("dmfwire: %w: field %s: %v", ErrRing, name, err)
+		return 0, f.errorf("field %s: %v", name, err)
 	}
 	return n, nil
+}
+
+// header splits the header line off data, checks its field count and that
+// it opens with one of magics, and parses the closing crc32c field. toks
+// holds every token of the line, the magic first.
+func (f textFormat) header(data []byte, fields int, magics ...string) (toks []string, crc uint32, rest []byte, err error) {
+	head, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, 0, nil, f.errorf("missing header line")
+	}
+	toks = strings.Split(string(head), " ")
+	if len(toks) != fields {
+		return nil, 0, nil, f.errorf("header has %d fields, want %d", len(toks), fields)
+	}
+	if !slices.Contains(magics, toks[0]) {
+		return nil, 0, nil, f.errorf("bad magic %q", toks[0])
+	}
+	crcStr, err := f.field(toks[fields-1], "crc32c")
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	want, err := strconv.ParseUint(crcStr, 16, 32)
+	if err != nil || len(crcStr) != 8 {
+		return nil, 0, nil, f.errorf("bad crc32c %q", crcStr)
+	}
+	return toks, uint32(want), rest, nil
+}
+
+// verify compares the header's checksum with that of the rebuilt payload.
+func (f textFormat) verify(want uint32, payload []byte) error {
+	if got := crc32.Checksum(payload, ringCRCTable); got != want {
+		return f.errorf("crc32c mismatch (header %08x, payload %08x)", want, got)
+	}
+	return nil
 }
 
 // DecodeRing parses an encoded descriptor, verifying the magic, the field
@@ -240,49 +293,31 @@ func ringUint(tok, name string) (uint64, error) {
 // Every failure wraps ErrRing. A successful decode re-encodes to the exact
 // input bytes.
 func DecodeRing(data []byte) (Ring, error) {
-	var r Ring
-	head, rest, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return r, fmt.Errorf("dmfwire: %w: missing header line", ErrRing)
+	toks, wantCRC, rest, err := ringText.header(data, 7, RingMagic, RingMagicV2)
+	if err != nil {
+		return Ring{}, err
 	}
-	toks := strings.Split(string(head), " ")
-	if len(toks) != 7 {
-		return r, fmt.Errorf("dmfwire: %w: header has %d fields, want 7", ErrRing, len(toks))
-	}
-	switch toks[0] {
-	case RingMagic:
-		r.Version = 1
-	case RingMagicV2:
+	r := Ring{Version: 1}
+	if toks[0] == RingMagicV2 {
 		r.Version = 2
-	default:
-		return r, fmt.Errorf("dmfwire: %w: bad magic %q", ErrRing, toks[0])
 	}
-	var err error
-	if r.Epoch, err = ringUint(toks[1], "epoch"); err != nil {
+	if r.Epoch, err = ringText.uint(toks[1], "epoch"); err != nil {
 		return Ring{}, err
 	}
-	replicas, err := ringUint(toks[2], "replicas")
+	replicas, err := ringText.uint(toks[2], "replicas")
 	if err != nil {
 		return Ring{}, err
 	}
-	vnodes, err := ringUint(toks[3], "vnodes")
+	vnodes, err := ringText.uint(toks[3], "vnodes")
 	if err != nil {
 		return Ring{}, err
 	}
-	if r.Seed, err = ringUint(toks[4], "seed"); err != nil {
+	if r.Seed, err = ringText.uint(toks[4], "seed"); err != nil {
 		return Ring{}, err
 	}
-	nPeers, err := ringUint(toks[5], "peers")
+	nPeers, err := ringText.uint(toks[5], "peers")
 	if err != nil {
 		return Ring{}, err
-	}
-	crcStr, err := ringField(toks[6], "crc32c")
-	if err != nil {
-		return Ring{}, err
-	}
-	wantCRC, err := strconv.ParseUint(crcStr, 16, 32)
-	if err != nil || len(crcStr) != 8 {
-		return Ring{}, fmt.Errorf("dmfwire: %w: bad crc32c %q", ErrRing, crcStr)
 	}
 	if replicas > MaxRingPeers || vnodes > MaxRingVNodes || nPeers > MaxRingPeers {
 		return Ring{}, fmt.Errorf("dmfwire: %w: header fields out of range", ErrRing)
@@ -302,8 +337,8 @@ func DecodeRing(data []byte) (Ring, error) {
 	if len(rest) != 0 {
 		return Ring{}, fmt.Errorf("dmfwire: %w: %d trailing bytes after peer list", ErrRing, len(rest))
 	}
-	if got := crc32.Checksum(ringPayload(r), ringCRCTable); got != uint32(wantCRC) {
-		return Ring{}, fmt.Errorf("dmfwire: %w: crc32c mismatch (header %08x, payload %08x)", ErrRing, wantCRC, got)
+	if err := ringText.verify(wantCRC, ringPayload(r)); err != nil {
+		return Ring{}, err
 	}
 	if err := r.Validate(); err != nil {
 		return Ring{}, err

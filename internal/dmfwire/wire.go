@@ -117,8 +117,7 @@ const MetricsSchemaVersion = 1
 // flattening of the server's obs.Registry. Metric keys are stable API —
 // names carry their unit as a suffix (`_total` for counters, `_ms` / `_us`
 // for durations) and label sets are folded into the key
-// (`http_requests_total{route="GET /api/v1/trial"}`). The legacy /metrics
-// endpoint serves the same body with a Deprecation header.
+// (`http_requests_total{route="GET /api/v1/trials"}`).
 type Metrics struct {
 	SchemaVersion int    `json:"schema_version"`
 	Service       string `json:"service"`

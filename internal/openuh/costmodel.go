@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"perfknow/internal/machine"
 	"perfknow/internal/perfdmf"
 )
 
@@ -54,21 +53,6 @@ func (m ProcessorModel) EstimateILP(w Work) float64 {
 		ilp = 0.05
 	}
 	return ilp
-}
-
-// RegisterPressure estimates live values for a statement (a crude proxy:
-// distinct operand streams). Above ~96 (Itanium's rotating subset), the
-// model predicts spill traffic.
-func (m ProcessorModel) RegisterPressure(w Work) float64 {
-	streams := 0.0
-	if w.Loads > 0 {
-		streams += 2
-	}
-	if w.Stores > 0 {
-		streams += 1
-	}
-	streams += float64(w.FP) / float64(w.Ops()+1) * 8
-	return streams * 12
 }
 
 // CacheModel predicts misses and loop startup cycles for a statement's
@@ -207,13 +191,4 @@ func (cm *CostModel) RemoteRatio(event string, def float64) float64 {
 		return v
 	}
 	return def
-}
-
-// MachineCacheModel builds a CacheModel from a machine configuration, so
-// compile-time prediction and run-time behaviour share parameters.
-func MachineCacheModel(cfg machine.Config) CacheModel {
-	return CacheModel{
-		L1Bytes: cfg.L1D.SizeBytes, L2Bytes: cfg.L2.SizeBytes, L3Bytes: cfg.L3.SizeBytes,
-		LineBytes: cfg.L2.LineBytes, L2Lat: cfg.L2.Latency, L3Lat: cfg.L3.Latency, MemLat: cfg.LocalMemLat,
-	}
 }

@@ -63,16 +63,6 @@ type Work struct {
 	DepChain float64
 }
 
-// Scale returns the work multiplied by n executions.
-func (w Work) Scale(n uint64) Work {
-	w.FP *= n
-	w.Int *= n
-	w.Loads *= n
-	w.Stores *= n
-	w.Branches *= n
-	return w
-}
-
 // Ops returns the essential instruction count.
 func (w Work) Ops() uint64 { return w.FP + w.Int + w.Loads + w.Stores + w.Branches }
 

@@ -100,26 +100,6 @@ func (c *Columns) Col(metric string) *MetricColumn {
 	return nil
 }
 
-// AddEvent appends an event row (zero-filled, present in every existing
-// column) and returns its index. groups is not copied.
-func (c *Columns) AddEvent(name string, groups []string) int {
-	i := len(c.EventNames)
-	c.EventNames = append(c.EventNames, name)
-	c.Groups = append(c.Groups, groups)
-	c.Calls = append(c.Calls, make([]float64, c.Threads)...)
-	for ci := range c.Cols {
-		col := &c.Cols[ci]
-		col.Inc = append(col.Inc, make([]float64, c.Threads)...)
-		col.Exc = append(col.Exc, make([]float64, c.Threads)...)
-		col.IncPresent = append(col.IncPresent, true)
-		col.ExcPresent = append(col.ExcPresent, true)
-	}
-	if c.eventIndex != nil {
-		c.eventIndex[name] = i
-	}
-	return i
-}
-
 // AddColumn appends a zero-filled, all-present column for the metric,
 // registering it in Metrics if new, and returns it. The pointer is valid
 // until the next AddColumn call.

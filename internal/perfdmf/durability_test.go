@@ -2,15 +2,18 @@ package perfdmf
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
+	"testing/quick"
 
 	"perfknow/internal/vfs"
 )
@@ -169,9 +172,12 @@ func TestLegacyPlainJSONCompatibility(t *testing.T) {
 	}
 }
 
-// A file written by the old underscore path scheme is still found through
-// the legacy-path fallback, and Delete removes it.
-func TestLegacyPathSchemeFallback(t *testing.T) {
+// A file written by the old underscore path scheme sits at another name's
+// path: until Verify moves it home it is listed under the name of that path
+// and served under neither name; afterwards it is a normal trial. A move
+// onto an existing file is refused and reported.
+func TestVerifyRelocatesMisplacedFiles(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	tr := miniTrial("my app", "exp one", "trial 1", 7)
 	data, err := json.MarshalIndent(tr, "", " ")
@@ -191,17 +197,69 @@ func TestLegacyPathSchemeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my app" {
-		t.Fatalf("Applications = %v, want [my app]", apps)
+	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my_app" {
+		t.Fatalf("Applications before fsck = %v, want the directory name [my_app]", apps)
 	}
-	if _, err := repo.GetTrial("my app", "exp one", "trial 1"); err != nil {
-		t.Fatalf("legacy-path trial unreadable: %v", err)
+	for _, c := range [][3]string{{"my app", "exp one", "trial 1"}, {"my_app", "exp_one", "trial_1"}} {
+		if _, err := repo.GetTrial(c[0], c[1], c[2]); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetTrial(%q) before fsck = %v, want ErrNotFound", c, err)
+		}
+		if _, err := repo.GetEncoded(ctx, c[0], c[1], c[2]); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetEncoded(%q) before fsck = %v, want ErrNotFound", c, err)
+		}
 	}
-	if err := repo.Delete("my app", "exp one", "trial 1"); err != nil {
+	if onDisk, err := os.ReadFile(lp); err != nil || !bytes.Equal(onDisk, data) {
+		t.Fatalf("misplaced file touched by the reads: %v", err)
+	}
+	if q, _, _ := repo.StoreStats(); q != 0 {
+		t.Fatalf("misplaced file quarantined %d times; it is valid", q)
+	}
+
+	rep, err := repo.Verify()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(lp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy file survived Delete: %v", err)
+	want := FsckMove{From: "my_app/exp_one/trial_1.json", To: "my%20app/exp%20one/trial%201.json"}
+	if len(rep.Relocated) != 1 || rep.Relocated[0] != want || rep.Trials != 1 || !rep.Clean() {
+		t.Fatalf("Verify = %+v, want 1 trial, clean, relocated %v", rep, want)
+	}
+	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my app" {
+		t.Fatalf("Applications after fsck = %v, want [my app]", apps)
+	}
+	if trials := repo.Trials("my app", "exp one"); len(trials) != 1 || trials[0] != "trial 1" {
+		t.Fatalf("Trials after fsck = %v, want [trial 1]", trials)
+	}
+	got, err := repo.GetTrial("my app", "exp one", "trial 1")
+	if err != nil || got.Events[0].Inclusive[TimeMetric][0] != 7 {
+		t.Fatalf("GetTrial after fsck: %v", err)
+	}
+	if _, err := repo.GetEncoded(ctx, "my app", "exp one", "trial 1"); err != nil {
+		t.Fatalf("GetEncoded after fsck: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "my_app")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("emptied underscore directory not pruned: %v", err)
+	}
+	if rep, err := repo.Verify(); err != nil || len(rep.Relocated) != 0 || !rep.Clean() {
+		t.Fatalf("second Verify = %+v, %v; want nothing left to move", rep, err)
+	}
+
+	// The same file planted again now collides with its relocated twin.
+	if err := os.MkdirAll(filepath.Dir(lp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(lp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := trialFiles(t, dir, ".json")
+	rep, err = repo.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Relocated) != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], "already exists") || rep.Clean() {
+		t.Fatalf("Verify over a collision = %+v, want one error and no move", rep)
+	}
+	if after := trialFiles(t, dir, ".json"); len(after) != 2 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused move altered the files: %d before, %d after", len(before), len(after))
 	}
 }
 
@@ -351,13 +409,14 @@ func TestSafeEscapingCollisionFree(t *testing.T) {
 	}
 }
 
+var hostileNames = []string{"a", "a.", ".a", "..", ".", "a/b", "a\\b", "a b", "a_b",
+	"a%b", "a%2Fb", "%", "", "a:b", "con", "a\nb", "a\x00b", "ü"}
+
 // safe is injective over a hostile alphabet and never emits a path
 // separator or leading dot.
 func TestSafeInjective(t *testing.T) {
-	names := []string{"a", "a.", ".a", "..", ".", "a/b", "a\\b", "a b", "a_b",
-		"a%b", "a%2Fb", "%", "", "a:b", "con", "a\nb", "a\x00b", "ü"}
 	seen := map[string]string{}
-	for _, n := range names {
+	for _, n := range hostileNames {
 		s := safe(n)
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("safe(%q) == safe(%q) == %q", n, prev, s)
@@ -365,6 +424,39 @@ func TestSafeInjective(t *testing.T) {
 		seen[s] = n
 		if strings.ContainsAny(s, "/\\") || strings.HasPrefix(s, ".") || s == "" {
 			t.Fatalf("safe(%q) = %q is not a safe path component", n, s)
+		}
+	}
+}
+
+// checkNameOf states the bijection for one string: as a name it survives
+// safe then nameOf, and as a path component nameOf accepts it only if safe
+// of the result gives it back.
+func checkNameOf(t *testing.T, s string) {
+	t.Helper()
+	if got, ok := nameOf(safe(s)); !ok || got != s {
+		t.Fatalf("nameOf(safe(%q)) = %q, %v", s, got, ok)
+	}
+	if name, ok := nameOf(s); ok && safe(name) != s {
+		t.Fatalf("nameOf(%q) = %q, whose path component is %q", s, name, safe(name))
+	}
+}
+
+// nameOf inverts safe on every string and rejects what safe cannot emit.
+func TestNameOfInvertsSafe(t *testing.T) {
+	for _, n := range hostileNames {
+		checkNameOf(t, n)
+	}
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			checkNameOf(t, string([]byte{byte(a), byte(b)}))
+		}
+	}
+	if err := quick.Check(func(s string) bool { checkNameOf(t, s); return true }, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, comp := range []string{"a b", "a%zz", "%2e", "a%2Eb", ".", ".a", "", "a%", "a%2", "%41", "a/b"} {
+		if name, ok := nameOf(comp); ok {
+			t.Errorf("nameOf(%q) = %q, want rejection: safe never emits it", comp, name)
 		}
 	}
 }

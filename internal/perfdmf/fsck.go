@@ -1,6 +1,8 @@
 package perfdmf
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,13 +29,24 @@ type FsckReport struct {
 	// RecoveredTmp lists orphaned .tmp files from interrupted saves that
 	// this scan removed.
 	RecoveredTmp []string `json:"recovered_tmp,omitempty"`
+	// Relocated lists valid trial files this scan moved to the path of the
+	// coordinates they embed — files written under the old underscore path
+	// scheme, or copied in by hand under the wrong name.
+	Relocated []FsckMove `json:"relocated,omitempty"`
 	// Errors lists I/O failures encountered while scanning (unreadable
-	// files that were NOT identified as corrupt, e.g. EIO). Corruption is
+	// files that were NOT identified as corrupt, e.g. EIO) and refused
+	// relocations (the destination already holds a file). Corruption is
 	// not an error here: it is handled by quarantine.
 	Errors []string `json:"errors,omitempty"`
 	// ReadOnly reports whether the repository is (still) in read-only
 	// degraded mode after the scan's write probe.
 	ReadOnly bool `json:"read_only"`
+}
+
+// FsckMove is one relocation: both paths relative to the repository root.
+type FsckMove struct {
+	From string `json:"from"`
+	To   string `json:"to"`
 }
 
 // Clean reports whether the scan found nothing wrong: no quarantined
@@ -44,9 +57,10 @@ func (rep *FsckReport) Clean() bool {
 
 // Verify runs fsck over the repository: removes orphaned .tmp files,
 // validates every trial file (quarantining damaged ones to <file>.corrupt),
-// reports quarantined entries, and — when the repository is in read-only
-// degraded mode — probes the volume and clears the mode if writes succeed
-// again. It never fails the whole scan because of one bad file.
+// moves valid files that sit at another name's path to their own, reports
+// quarantined entries, and — when the repository is in read-only degraded
+// mode — probes the volume and clears the mode if writes succeed again. It
+// never fails the whole scan because of one bad file.
 func (r *Repository) Verify() (*FsckReport, error) {
 	rep := &FsckReport{Root: r.root}
 	if r.root == "" {
@@ -56,6 +70,7 @@ func (r *Repository) Verify() (*FsckReport, error) {
 		return rep, nil
 	}
 	r.recoverTmp(rep)
+	var misplaced []string
 	r.walkTrialDirs(func(dir string, files []os.DirEntry) {
 		for _, f := range files {
 			if f.IsDir() {
@@ -66,36 +81,97 @@ func (r *Repository) Verify() (*FsckReport, error) {
 			case strings.HasSuffix(f.Name(), ".corrupt"):
 				rep.Quarantined = append(rep.Quarantined, r.rel(p))
 			case strings.HasSuffix(f.Name(), ".json"):
-				r.verifyTrialFile(p, rep)
+				if r.verifyTrialFile(p, rep) {
+					misplaced = append(misplaced, p)
+				}
 			}
 		}
 	})
+	// After the walk, so a file moved into a directory not yet visited is
+	// not verified and counted twice.
+	for _, p := range misplaced {
+		r.relocate(p, rep)
+	}
 	r.probeWritable()
 	rep.ReadOnly = r.ReadOnly()
 	return rep, nil
 }
 
 // verifyTrialFile checks one .json file end to end; damaged files are
-// quarantined and recorded, unreadable ones recorded as scan errors.
-func (r *Repository) verifyTrialFile(p string, rep *FsckReport) {
+// quarantined and recorded, unreadable ones recorded as scan errors. It
+// reports whether the file is a valid trial that is not at its own path.
+func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (misplaced bool) {
 	data, err := r.fsys.ReadFile(p)
 	if err != nil {
 		rep.Errors = append(rep.Errors, r.rel(p)+": "+err.Error())
-		return
+		return false
 	}
+	var t *Trial
 	payload, legacy, err := decodeEnvelope(data)
 	if err == nil {
-		_, err = decodeTrialPayload(payload)
+		t, err = decodeTrialPayload(payload)
 	}
 	if err != nil {
 		r.quarantine(p)
 		rep.Quarantined = append(rep.Quarantined, r.rel(p)+".corrupt")
-		return
+		return false
 	}
 	rep.Trials++
 	if legacy || !IsColumnar(payload) {
 		rep.Legacy++
 	}
+	return r.path(t.App, t.Experiment, t.Name) != p
+}
+
+// relocate moves the valid trial file at from to the path of the
+// coordinates it embeds, never over an existing file. It holds the write
+// lock and re-reads the file under it, so a Save racing the scan is
+// neither overwritten at the destination nor carried off from the source.
+func (r *Repository) relocate(from string, rep *FsckReport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	to, err := r.moveHome(from)
+	switch {
+	case err != nil:
+		rep.Errors = append(rep.Errors, r.rel(from)+": relocate: "+err.Error())
+	case to != from:
+		rep.Relocated = append(rep.Relocated, FsckMove{From: r.rel(from), To: r.rel(to)})
+	}
+}
+
+func (r *Repository) moveHome(from string) (to string, err error) {
+	data, err := r.fsys.ReadFile(from)
+	if err != nil {
+		return "", err
+	}
+	t, err := DecodeTrial(data)
+	if err != nil {
+		return "", err
+	}
+	if to = r.path(t.App, t.Experiment, t.Name); to == from {
+		return to, nil
+	}
+	if _, err := r.fsys.Stat(to); err == nil {
+		return "", fmt.Errorf("%s already exists", r.rel(to))
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return "", err
+	}
+	if err := r.fsys.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+		return "", err
+	}
+	if err := r.fsys.Rename(from, to); err != nil {
+		return "", err
+	}
+	// Make the move durable, then prune the directories it emptied
+	// (Remove fails harmlessly on one that still has entries).
+	for _, dir := range []string{filepath.Dir(to), filepath.Dir(from)} {
+		if err := r.fsys.SyncDir(dir); err != nil {
+			r.fsyncErrors.inc()
+		}
+	}
+	_ = r.fsys.Remove(filepath.Dir(from))
+	_ = r.fsys.Remove(filepath.Dir(filepath.Dir(from)))
+	return to, nil
 }
 
 // recoverTmp removes orphaned .tmp files left by interrupted saves. It

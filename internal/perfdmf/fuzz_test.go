@@ -94,6 +94,20 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzNameOf checks that safe and nameOf are inverse bijections between
+// names and path components (see checkNameOf), from the hostile names of
+// TestSafeInjective, their images, and components safe never emits.
+func FuzzNameOf(f *testing.F) {
+	for _, n := range hostileNames {
+		f.Add(n)
+		f.Add(safe(n))
+	}
+	for _, comp := range []string{"a%zz", "%2e", "a%", "%41"} {
+		f.Add(comp)
+	}
+	f.Fuzz(checkNameOf)
+}
+
 func FuzzParseCSV(f *testing.F) {
 	f.Add([]byte("application,experiment,trial,event,metric,thread,calls,exclusive,inclusive\na,e,t,main,TIME,0,1,10,10\na,e,t,main,TIME,1,1,12,12\n"))
 	// Regression seeds for the thread-index hole: a negative index used to

@@ -8,11 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"perfknow/internal/obs"
 	"perfknow/internal/vfs"
@@ -64,12 +64,12 @@ const readOnlyAfterENOSPC = 2
 // All filesystem access goes through a vfs.FS, so tests drive the error
 // paths and crash points deterministically with vfs.Faulty.
 //
-// Directory and file names on disk are sanitized with a collision-free
-// percent-escaping (see safe), but the repository always presents the
-// original names: listings are built from the cache keys and from the
-// application/experiment/name header of each trial file, never from the
-// sanitized path components. Files written by older versions, which used a
-// lossy underscore scheme, are still found through a legacy-path fallback.
+// Directory and file names on disk are the trial's coordinates under a
+// bijective percent-escaping (safe and its inverse nameOf), so the path is
+// the name: a file-backed repository lists by reading directory entries and
+// opens no trial file to do so. A file that is not at the path of the
+// coordinates it embeds — one written by older versions under their lossy
+// underscore scheme — is never served; Verify moves it into place.
 //
 // The repository enforces copy-on-read at its boundary: Save stores a
 // private Clone of the trial and GetTrial returns a Clone, so callers may
@@ -82,10 +82,6 @@ type Repository struct {
 	root  string
 	fsys  vfs.FS
 	cache map[string]*Trial // key: app/experiment/trial
-
-	// headers caches the (app, experiment, name) header of on-disk trial
-	// files so listings do not re-read unchanged files. Guarded by mu.
-	headers map[string]headerEntry
 
 	readOnly     atomic.Bool
 	enospcStreak atomic.Int32
@@ -101,13 +97,6 @@ type trialHeader struct {
 	App        string `json:"application"`
 	Experiment string `json:"experiment"`
 	Name       string `json:"name"`
-}
-
-// headerEntry is a cached header plus the file stamp it was read at.
-type headerEntry struct {
-	size    int64
-	modTime time.Time
-	hdr     trialHeader
 }
 
 // NewRepository returns an in-memory repository.
@@ -130,10 +119,9 @@ func OpenRepositoryFS(root string, fsys vfs.FS) (*Repository, error) {
 		return nil, fmt.Errorf("perfdmf: open repository: %w", err)
 	}
 	r := &Repository{
-		root:    root,
-		fsys:    fsys,
-		cache:   make(map[string]*Trial),
-		headers: make(map[string]headerEntry),
+		root:  root,
+		fsys:  fsys,
+		cache: make(map[string]*Trial),
 	}
 	r.recoverTmp(nil)
 	return r, nil
@@ -146,10 +134,8 @@ func key(app, experiment, trial string) string {
 // safe makes a name usable as a path component, injectively: letters,
 // digits, '-', '_' and non-leading '.' pass through, every other byte
 // (including '%' itself) becomes %XX. Because '%' never appears bare,
-// two distinct names can never map to the same component — unlike the
-// old underscore scheme where "a b" and "a_b" collided and the last save
-// silently overwrote the other. Leading dots are escaped so no component
-// can be ".", ".." or hidden.
+// two distinct names can never map to the same component. Leading dots
+// are escaped so no component can be ".", ".." or hidden.
 func safe(name string) string {
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
@@ -170,19 +156,36 @@ func safe(name string) string {
 	return b.String()
 }
 
-// safeLegacy is the pre-escaping sanitizer, kept only to locate files
-// written by older repository versions.
-func safeLegacy(name string) string {
-	r := strings.NewReplacer("/", "_", "\\", "_", ":", "_", " ", "_")
-	return r.Replace(name)
+// nameOf inverts safe: it returns the name whose path component is comp,
+// and false when comp is not the image of any name (a bare or lower-case
+// escape, an escaped byte safe passes through, an unescaped leading dot),
+// so a directory entry the repository did not write is never listed.
+func nameOf(comp string) (string, bool) {
+	if comp == "%" {
+		return "", true
+	}
+	var b strings.Builder
+	for i := 0; i < len(comp); i++ {
+		c := comp[i]
+		if c == '%' {
+			if i+2 >= len(comp) {
+				return "", false
+			}
+			v, err := strconv.ParseUint(comp[i+1:i+3], 16, 8)
+			if err != nil {
+				return "", false
+			}
+			c = byte(v)
+			i += 2
+		}
+		b.WriteByte(c)
+	}
+	name := b.String()
+	return name, safe(name) == comp
 }
 
 func (r *Repository) path(app, experiment, trial string) string {
 	return filepath.Join(r.root, safe(app), safe(experiment), safe(trial)+".json")
-}
-
-func (r *Repository) legacyPath(app, experiment, trial string) string {
-	return filepath.Join(r.root, safeLegacy(app), safeLegacy(experiment), safeLegacy(trial)+".json")
 }
 
 // ReadOnly reports whether the repository is in read-only degraded mode
@@ -296,44 +299,7 @@ func (r *Repository) persist(app, experiment, trial string, data []byte) error {
 	if err := r.fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("perfdmf: sync trial dir: %w", err)
 	}
-	// Drop a legacy-scheme file for the SAME coordinates so it cannot
-	// resurrect this trial after a future delete. The legacy path of one
-	// name can be the current path of another ("a b" → "a_b.json", which
-	// is also where trial "a_b" lives), so the file is only removed when
-	// its embedded header matches this trial.
-	if lp, ok := r.legacyTwin(app, experiment, trial); ok {
-		if err := r.fsys.Remove(lp); err == nil {
-			delete(r.headers, lp)
-		}
-	}
 	return nil
-}
-
-// legacyTwin reports whether a file written by the old underscore path
-// scheme exists for these exact coordinates. Lock-free (callers hold
-// r.mu): reads the file directly instead of going through the header
-// cache.
-func (r *Repository) legacyTwin(app, experiment, trial string) (string, bool) {
-	lp := r.legacyPath(app, experiment, trial)
-	if lp == r.path(app, experiment, trial) {
-		return "", false
-	}
-	data, err := r.fsys.ReadFile(lp)
-	if err != nil {
-		return "", false
-	}
-	payload, _, err := decodeEnvelope(data)
-	if err != nil {
-		return "", false
-	}
-	h, ok := decodeTrialHeaderPayload(payload)
-	if !ok {
-		return "", false
-	}
-	if h.App != app || h.Experiment != experiment || h.Name != trial {
-		return "", false
-	}
-	return lp, true
 }
 
 // noteWriteError classifies a persistence failure: fsync failures feed the
@@ -368,7 +334,7 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	fail := func(err error) (*Trial, error) {
 		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
 	}
-	data, p, viaLegacy, err := r.readStored(app, experiment, trial)
+	data, p, err := r.readStored(app, experiment, trial)
 	if err != nil {
 		return fail(err)
 	}
@@ -377,11 +343,14 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 		r.quarantine(p)
 		return fail(err)
 	}
-	if viaLegacy && (t.App != app || t.Experiment != experiment || t.Name != trial) {
+	// A valid file at another trial's path (the old underscore scheme put
+	// "a b" where "a_b" lives) is not this trial, and not damage either:
+	// Verify moves it to its own path.
+	if t.App != app || t.Experiment != experiment || t.Name != trial {
 		return fail(ErrNotFound)
 	}
 	r.mu.Lock()
-	r.cache[key(t.App, t.Experiment, t.Name)] = t
+	r.cache[key(app, experiment, trial)] = t
 	r.mu.Unlock()
 	return t.Clone(), nil
 }
@@ -415,7 +384,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		}
 		return EncodeTrial(t)
 	}
-	data, p, viaLegacy, err := r.readStored(app, experiment, trial)
+	data, p, err := r.readStored(app, experiment, trial)
 	if err != nil {
 		return fail(err)
 	}
@@ -424,10 +393,13 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		r.quarantine(p)
 		return fail(err)
 	}
-	if viaLegacy {
-		if h, ok := decodeTrialHeaderPayload(payload); !ok || h.App != app || h.Experiment != experiment || h.Name != trial {
-			return fail(ErrNotFound)
-		}
+	h, ok := decodeTrialHeaderPayload(payload)
+	if !ok {
+		r.quarantine(p)
+		return fail(corruptf("unreadable trial header"))
+	}
+	if h.App != app || h.Experiment != experiment || h.Name != trial {
+		return fail(ErrNotFound) // see GetTrial
 	}
 	if IsColumnar(payload) {
 		return data, nil
@@ -440,26 +412,17 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 	return EncodeTrial(t)
 }
 
-// readStored reads the file holding a trial. When nothing exists at the
-// current path it tries the legacy underscore path; the legacy path of one
-// name can be the current path of another ("a b" and "a_b" both map to
-// a_b.json under the old scheme), so on a viaLegacy hit the caller must
-// check the file's own coordinates against what was asked for.
-func (r *Repository) readStored(app, experiment, trial string) (data []byte, p string, viaLegacy bool, err error) {
+// readStored reads the file at the path of a trial's coordinates.
+func (r *Repository) readStored(app, experiment, trial string) (data []byte, p string, err error) {
 	if r.root == "" {
-		return nil, "", false, ErrNotFound
+		return nil, "", ErrNotFound
 	}
 	p = r.path(app, experiment, trial)
 	data, err = r.fsys.ReadFile(p)
 	if errors.Is(err, os.ErrNotExist) {
 		err = ErrNotFound
-		if lp := r.legacyPath(app, experiment, trial); lp != p {
-			if d, lerr := r.fsys.ReadFile(lp); lerr == nil {
-				return d, lp, true, nil
-			}
-		}
 	}
-	return data, p, false, err
+	return data, p, err
 }
 
 // quarantine moves a damaged trial file aside to <path>.corrupt so the
@@ -467,19 +430,14 @@ func (r *Repository) readStored(app, experiment, trial string) (data []byte, p s
 // Best-effort: a failing rename leaves the file in place, and the read
 // that triggered the quarantine still fails with ErrCorrupt.
 func (r *Repository) quarantine(path string) {
-	if err := r.fsys.Rename(path, path+".corrupt"); err != nil {
-		return
+	if err := r.fsys.Rename(path, path+".corrupt"); err == nil {
+		r.quarantined.inc()
 	}
-	r.quarantined.inc()
-	r.mu.Lock()
-	delete(r.headers, path)
-	r.mu.Unlock()
 }
 
-// Delete removes a trial from the cache and, when file-backed, from disk
-// (including a legacy-scheme file for the same coordinates). Emptied
-// experiment and application directories are pruned so they stop appearing
-// in listings. Delete works in read-only degraded mode: it releases space.
+// Delete removes a trial from the cache and, when file-backed, from disk.
+// Emptied experiment and application directories are pruned. Delete works
+// in read-only degraded mode: it releases space.
 func (r *Repository) Delete(app, experiment, trial string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -488,27 +446,13 @@ func (r *Repository) Delete(app, experiment, trial string) error {
 		return nil
 	}
 	p := r.path(app, experiment, trial)
-	targets := []string{p}
-	// A legacy-scheme file is only this trial's twin when its embedded
-	// header matches — the same path may belong to a different name.
-	if lp, ok := r.legacyTwin(app, experiment, trial); ok {
-		targets = append(targets, lp)
-	}
-	removed := false
-	for _, target := range targets {
-		delete(r.headers, target)
-		err := r.fsys.Remove(target)
-		if err == nil {
-			removed = true
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
 	expDir := filepath.Dir(p)
-	if removed {
+	if err := r.fsys.Remove(p); err == nil {
 		if err := r.fsys.SyncDir(expDir); err != nil {
 			r.fsyncErrors.inc()
 		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
 	// Prune now-empty parents; Remove fails harmlessly when a directory
 	// still has entries.
@@ -523,101 +467,109 @@ func (r *Repository) Delete(app, experiment, trial string) error {
 }
 
 // Applications lists application names known to the repository, sorted.
+// On disk an application or experiment exists only while it holds a trial
+// file: the directories a failed first save leaves behind are not listed.
 func (r *Repository) Applications() []string {
-	set := make(map[string]bool)
-	r.mu.RLock()
-	for k := range r.cache {
-		set[strings.SplitN(k, "\x00", 2)[0]] = true
+	if r.root == "" {
+		return r.cachedNames(func(app, _, _ string) (string, bool) { return app, true })
 	}
-	r.mu.RUnlock()
-	for _, h := range r.diskHeaders() {
-		set[h.App] = true
+	out := []string{}
+	for _, app := range r.diskNames(r.root, true) {
+		if len(r.Experiments(app)) > 0 {
+			out = append(out, app)
+		}
 	}
-	return sortedKeys(set)
+	return out
 }
 
 // Experiments lists experiment names for an application, sorted.
 func (r *Repository) Experiments(app string) []string {
-	set := make(map[string]bool)
-	r.mu.RLock()
-	for k := range r.cache {
-		parts := strings.SplitN(k, "\x00", 3)
-		if parts[0] == app {
-			set[parts[1]] = true
+	if r.root == "" {
+		return r.cachedNames(func(a, exp, _ string) (string, bool) { return exp, a == app })
+	}
+	out := []string{}
+	for _, exp := range r.diskNames(filepath.Join(r.root, safe(app)), true) {
+		if len(r.Trials(app, exp)) > 0 {
+			out = append(out, exp)
 		}
 	}
-	r.mu.RUnlock()
-	for _, h := range r.diskHeaders() {
-		if h.App == app {
-			set[h.Experiment] = true
-		}
-	}
-	return sortedKeys(set)
+	return out
 }
 
 // Trials lists trial names for an (application, experiment) pair, sorted.
+// File-backed, that is one ReadDir of the experiment's directory.
 func (r *Repository) Trials(app, experiment string) []string {
+	if r.root == "" {
+		return r.cachedNames(func(a, exp, name string) (string, bool) { return name, a == app && exp == experiment })
+	}
+	return r.diskNames(filepath.Join(r.root, safe(app), safe(experiment)), false)
+}
+
+// Size reports the number of applications, experiments and trials in the
+// repository.
+func (r *Repository) Size() (apps, experiments, trials int) {
+	if r.root == "" {
+		apps = len(r.Applications())
+		experiments = len(r.cachedNames(func(app, exp, _ string) (string, bool) { return key(app, exp, ""), true }))
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return apps, experiments, len(r.cache)
+	}
+	for _, app := range r.diskNames(r.root, true) {
+		held := 0
+		for _, exp := range r.diskNames(filepath.Join(r.root, safe(app)), true) {
+			if n := len(r.Trials(app, exp)); n > 0 {
+				held++
+				trials += n
+			}
+		}
+		if held > 0 {
+			apps++
+			experiments += held
+		}
+	}
+	return apps, experiments, trials
+}
+
+// cachedNames is the listing of an in-memory repository: the distinct
+// names pick selects from the cached trials' coordinates, sorted.
+func (r *Repository) cachedNames(pick func(app, experiment, trial string) (string, bool)) []string {
 	set := make(map[string]bool)
 	r.mu.RLock()
 	for k := range r.cache {
 		parts := strings.SplitN(k, "\x00", 3)
-		if parts[0] == app && parts[1] == experiment {
-			set[parts[2]] = true
+		if name, ok := pick(parts[0], parts[1], parts[2]); ok {
+			set[name] = true
 		}
 	}
 	r.mu.RUnlock()
-	for _, h := range r.diskHeaders() {
-		if h.App == app && h.Experiment == experiment {
-			set[h.Name] = true
-		}
-	}
 	return sortedKeys(set)
 }
 
-// Size reports the number of applications, experiments and trials visible
-// in the repository (cache plus disk).
-func (r *Repository) Size() (apps, experiments, trials int) {
-	appSet := make(map[string]bool)
-	expSet := make(map[string]bool)
-	trialSet := make(map[string]bool)
-	add := func(app, exp, name string) {
-		appSet[app] = true
-		expSet[key(app, exp, "")] = true
-		trialSet[key(app, exp, name)] = true
+// diskNames is the listing of one directory of a file-backed repository:
+// the names of its sub-directories (dirs) or of its trial files, sorted.
+// In-flight (.tmp) and quarantined (.corrupt) files do not end in .json,
+// and an entry that is not the image of a name under safe is skipped, so
+// a listed name always leads back to the entry it came from.
+func (r *Repository) diskNames(dir string, dirs bool) []string {
+	out := []string{} // a listing is a JSON array even when empty
+	entries, err := r.fsys.ReadDir(dir)
+	if err != nil {
+		return out
 	}
-	r.mu.RLock()
-	for k := range r.cache {
-		parts := strings.SplitN(k, "\x00", 3)
-		add(parts[0], parts[1], parts[2])
-	}
-	r.mu.RUnlock()
-	for _, h := range r.diskHeaders() {
-		add(h.App, h.Experiment, h.Name)
-	}
-	return len(appSet), len(expSet), len(trialSet)
-}
-
-// diskHeaders walks the on-disk tree and returns the original
-// (application, experiment, name) coordinates recorded inside each trial
-// file. Unchanged files are served from a stat-validated header cache, so
-// repeated listings cost one ReadDir walk plus a stat per trial.
-// Quarantined (.corrupt) and in-flight (.tmp) files are skipped, so one
-// damaged trial never breaks a listing.
-func (r *Repository) diskHeaders() []trialHeader {
-	if r.root == "" {
-		return nil
-	}
-	var out []trialHeader
-	r.walkTrialDirs(func(dir string, files []os.DirEntry) {
-		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
+	for _, e := range entries {
+		comp := e.Name()
+		if !dirs {
+			var ok bool
+			if comp, ok = strings.CutSuffix(comp, ".json"); !ok {
 				continue
 			}
-			if h, ok := r.header(filepath.Join(dir, f.Name())); ok {
-				out = append(out, h)
-			}
 		}
-	})
+		if name, ok := nameOf(comp); ok && e.IsDir() == dirs {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out) // escaping does not preserve order: "a~" > "az" but "a%7E" < "az"
 	return out
 }
 
@@ -648,36 +600,6 @@ func (r *Repository) walkTrialDirs(fn func(dir string, files []os.DirEntry)) {
 			fn(dir, files)
 		}
 	}
-}
-
-// header returns the cached or freshly decoded header of one trial file.
-func (r *Repository) header(path string) (trialHeader, bool) {
-	fi, err := r.fsys.Stat(path)
-	if err != nil {
-		return trialHeader{}, false
-	}
-	r.mu.RLock()
-	e, ok := r.headers[path]
-	r.mu.RUnlock()
-	if ok && e.size == fi.Size() && e.modTime.Equal(fi.ModTime()) {
-		return e.hdr, true
-	}
-	data, err := r.fsys.ReadFile(path)
-	if err != nil {
-		return trialHeader{}, false
-	}
-	payload, _, err := decodeEnvelope(data)
-	if err != nil {
-		return trialHeader{}, false
-	}
-	h, ok := decodeTrialHeaderPayload(payload)
-	if !ok || h.Name == "" {
-		return trialHeader{}, false
-	}
-	r.mu.Lock()
-	r.headers[path] = headerEntry{size: fi.Size(), modTime: fi.ModTime(), hdr: h}
-	r.mu.Unlock()
-	return h, true
 }
 
 // ReadTrialFile loads a single trial from a native snapshot (the file

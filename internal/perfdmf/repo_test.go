@@ -2,9 +2,13 @@ package perfdmf
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
+
+	"perfknow/internal/vfs"
 )
 
 // spacedTrial builds a minimal trial whose coordinates all contain
@@ -34,9 +38,8 @@ func TestFileBackedListingsKeepOriginalNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Listing through the repository that wrote the trial: the cache holds
-	// "my app" while the disk holds "my_app"; the two must dedupe to the
-	// original name.
+	// Listing through the repository that wrote the trial: the disk holds
+	// "my%20app", which must be presented as the original name.
 	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my app" {
 		t.Fatalf("Applications = %v, want [my app]", apps)
 	}
@@ -48,8 +51,8 @@ func TestFileBackedListingsKeepOriginalNames(t *testing.T) {
 	}
 
 	// A fresh repository over the same directory sees only the disk; it
-	// must still report the original names (read from the trial headers,
-	// not the sanitized directory names) and resolve them.
+	// must still report the original names (decoded from the escaped
+	// directory entries) and resolve them.
 	repo2, err := OpenRepository(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +91,7 @@ func TestDeletePrunesEmptyDirectories(t *testing.T) {
 	if err := repo.Delete("my app", "exp one", "trial 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "my_app")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, safe("my app"))); !os.IsNotExist(err) {
 		t.Fatalf("application directory not pruned: %v", err)
 	}
 	if apps := repo.Applications(); len(apps) != 0 {
@@ -185,5 +188,62 @@ func TestGetTrialNotFoundSentinel(t *testing.T) {
 	}
 	if _, err := disk.GetTrial("a", "e", "t"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("file-backed miss does not wrap ErrNotFound: %v", err)
+	}
+}
+
+// Listing one experiment costs one ReadDir of its directory, however large
+// the rest of the repository is, and opens no trial file.
+func TestTrialsListingReadsOneDirectory(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 20; e++ {
+		for n := 0; n < 10; n++ {
+			if err := repo.Save(miniTrial("my app", fmt.Sprintf("exp %d", e), fmt.Sprintf("trial %d", n), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counting := vfs.NewFaulty(vfs.OS{}) // no fault armed: it only counts
+	cold, err := OpenRepositoryFS(dir, counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := counting.Ops() // discount the open-time recovery sweep
+	if trials := cold.Trials("my app", "exp 7"); len(trials) != 10 || trials[0] != "trial 0" {
+		t.Fatalf("Trials = %v, want trial 0..9", trials)
+	}
+	if ops := counting.Ops() - before; ops != 1 {
+		t.Fatalf("Trials cost %d filesystem operations, want 1: the ReadDir, and no ReadFile or Stat", ops)
+	}
+}
+
+// A first save into a new experiment that fails for lack of space leaves
+// its freshly made directories behind, but nothing to list.
+func TestFailedFirstSaveListsNothing(t *testing.T) {
+	f := vfs.NewFaulty(vfs.OS{})
+	repo, err := OpenRepositoryFS(t.TempDir(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Save(miniTrial("app", "exp", "t1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	f.Inject(vfs.Fault{Op: vfs.OpWriteFile, Err: syscall.ENOSPC})
+	for _, tr := range []*Trial{miniTrial("app", "exp new", "t1", 1), miniTrial("app new", "exp", "t1", 1)} {
+		if err := repo.Save(tr); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("Save = %v, want ENOSPC", err)
+		}
+	}
+	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "app" {
+		t.Fatalf("Applications = %v, want [app]", apps)
+	}
+	if exps := repo.Experiments("app"); len(exps) != 1 || exps[0] != "exp" {
+		t.Fatalf("Experiments = %v, want [exp]", exps)
+	}
+	if apps, exps, trials := repo.Size(); apps != 1 || exps != 1 || trials != 1 {
+		t.Fatalf("Size = %d/%d/%d, want 1/1/1", apps, exps, trials)
 	}
 }

@@ -70,9 +70,6 @@ func NewColumnWindow(threads, capacityChunks int) *ColumnWindow {
 // Threads returns the per-event row width.
 func (w *ColumnWindow) Threads() int { return w.threads }
 
-// Capacity returns the window size in chunks (0 = cumulative).
-func (w *ColumnWindow) Capacity() int { return w.capacity }
-
 // Events returns the number of distinct events ever appended. Events are
 // never removed — an evicted event's row simply decays back toward zero.
 func (w *ColumnWindow) Events() int { return len(w.names) }

@@ -195,9 +195,6 @@ func New() *Interp {
 // SetGlobal binds a name in the global scope (host API injection).
 func (in *Interp) SetGlobal(name string, v Value) { in.globals.define(name, v) }
 
-// Global reads a global binding.
-func (in *Interp) Global(name string) (Value, bool) { return in.globals.get(name) }
-
 // Context returns the context host bindings should use for work done on
 // behalf of the running script: the current top-level statement's span
 // context when tracing is on, else the context from SetContext, else

@@ -255,12 +255,6 @@ func (tm *Team) MasterOnly(f func(t *Thread)) {
 	f(tm.threads[0])
 }
 
-// Single runs f on the first-arriving (smallest clock) thread, as the
-// OpenMP single construct does; no implied barrier.
-func (tm *Team) Single(f func(t *Thread)) {
-	f(tm.minClockThread())
-}
-
 func (tm *Team) minClockThread() *Thread {
 	best := tm.threads[0]
 	for _, t := range tm.threads[1:] {

@@ -84,9 +84,6 @@ type ThreadProfile struct {
 	order         []string
 }
 
-// Depth returns the current timer-stack depth.
-func (tp *ThreadProfile) Depth() int { return len(tp.stack) }
-
 // Enter pushes an instrumented region. clock and cs are the thread's current
 // virtual cycle count and counter sample.
 func (tp *ThreadProfile) Enter(event string, clock uint64, cs counters.Set) {
