@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -26,6 +27,7 @@ import (
 // dead process gossips with no one.
 type healPeer struct {
 	url   string
+	dir   string // repo's root
 	repo  *perfdmf.Repository
 	agent *Agent
 	ts    *httptest.Server
@@ -113,7 +115,8 @@ func newHealingCluster(t *testing.T, n, replicas int, tm healTiming) (*ShardedSt
 // startHealPeer stands up one member: repository, agent, server, proxy.
 func startHealPeer(t *testing.T, self string, desc dmfwire.Ring, tm healTiming, ln net.Listener) *healPeer {
 	t.Helper()
-	repo, err := perfdmf.OpenRepository(filepath.Join(t.TempDir(), "repo"))
+	dir := filepath.Join(t.TempDir(), "repo")
+	repo, err := perfdmf.OpenRepository(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func startHealPeer(t *testing.T, self string, desc dmfwire.Ring, tm healTiming, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	p := &healPeer{url: self, repo: repo, agent: agent}
+	p := &healPeer{url: self, dir: dir, repo: repo, agent: agent}
 	inner := srv.Handler()
 	p.ts = &httptest.Server{
 		Listener: ln,
@@ -292,6 +295,20 @@ func TestHintedHandoffDrains(t *testing.T) {
 	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: old.App, Experiment: old.Experiment, Trial: old.Name, Body: oldBody}); err != nil {
 		t.Fatal(err)
 	}
+	// A hint queued before the %PDMFCOL2 upgrade holds the trial's
+	// %PDMFCOL1 encoding; replay posts it as an encoded trial and the owner
+	// must take it, or the hint is stranded for good.
+	col1Body, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col1_trial.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col1, err := perfdmf.DecodeTrial(col1Body)
+	if err != nil || !bytes.Contains(col1Body[:32], []byte("%PDMFCOL1\n")) {
+		t.Fatalf("testdata is not a %%PDMFCOL1 trial (err=%v)", err)
+	}
+	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: col1.App, Experiment: col1.Experiment, Trial: col1.Name, Body: col1Body}); err != nil {
+		t.Fatal(err)
+	}
 
 	// "Restart" the owner: connections flow again and a fresh agent takes
 	// over gossip for it (the old one died with the process). The HTTP
@@ -307,10 +324,20 @@ func TestHintedHandoffDrains(t *testing.T) {
 				return false
 			}
 		}
-		return len(peers[owner].repo.Trials(tr.App, tr.Experiment)) == 2
+		return len(peers[owner].repo.Trials(tr.App, tr.Experiment)) == 2 &&
+			len(peers[owner].repo.Trials(col1.App, col1.Experiment)) == 1
 	})
 	if got, err := peers[owner].repo.GetEncoded(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("replayed trial is not stored as the encoded bytes the hint held (err=%v)", err)
+	}
+	// The %PDMFCOL1 hint landed as the current encoding of the same trial.
+	wantCol1, err := perfdmf.EncodeTrial(col1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(filepath.Join(peers[owner].dir, col1.App, col1.Experiment, col1.Name+".json"))
+	if err != nil || !bytes.Equal(stored, wantCol1) || !bytes.Contains(stored[:32], []byte("%PDMFCOL2\n")) {
+		t.Fatalf("replayed %%PDMFCOL1 hint is not stored as EncodeTrial's bytes (err=%v)", err)
 	}
 }
 

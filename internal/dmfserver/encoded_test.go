@@ -405,6 +405,70 @@ func wrapEnvelope(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%%PDMF1\n%s\n%%PDMF1 crc32c=%08x len=%d\n", payload, sum, len(payload)))
 }
 
+// columnarV1 is the %PDMFCOL1 payload of c, the encoding before %PDMFCOL2,
+// written from its documentation: the same JSON header, then every value
+// block as raw little-endian float64 bits between the presence bitmaps.
+func columnarV1(header string, c *perfdmf.Columns) []byte {
+	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL1\n"), uint32(len(header)))
+	p = append(p, header...)
+	raw := func(xs []float64) {
+		for _, x := range xs {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(x))
+		}
+	}
+	bitmap := func(bs []bool) {
+		b := make([]byte, (len(bs)+7)/8)
+		for i, on := range bs {
+			if on {
+				b[i/8] |= 1 << (i % 8)
+			}
+		}
+		p = append(p, b...)
+	}
+	raw(c.Calls)
+	for _, col := range c.Cols {
+		bitmap(col.IncPresent)
+		bitmap(col.ExcPresent)
+		raw(col.Inc)
+		raw(col.Exc)
+	}
+	return p
+}
+
+// columnarHeader cuts the JSON header out of an EncodeTrial envelope.
+func columnarHeader(enc []byte) string {
+	const at = len("%PDMF1\n") + len("%PDMFCOL2\n")
+	return string(enc[at+4 : at+4+int(binary.LittleEndian.Uint32(enc[at:]))])
+}
+
+// A body in the previous encoding — what a hint queued before the upgrade
+// replays and a client one version behind uploads — is accepted and stored
+// as its re-encoding, so the repository still holds one form.
+func TestColumnarV1UploadIsStoredReencoded(t *testing.T) {
+	s := newEncodedService(t, Config{})
+	tr := stallTrial("app", "exp", "t1")
+	want, err := perfdmf.EncodeTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := perfdmf.ColumnsFromTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := map[string]string{"Content-Type": dmfwire.TrialContentType}
+	status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, wrapEnvelope(columnarV1(columnarHeader(want), c)))
+	if status != http.StatusCreated {
+		t.Fatalf("%%PDMFCOL1 upload: HTTP %d: %s", status, body)
+	}
+	files := storedFiles(t, s.dir)
+	if got := files["app/exp/t1.json"]; len(files) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("stored %d files; app/exp/t1.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
+	}
+	if got, err := s.c.GetTrial("app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
+		t.Fatalf("trial uploaded as %%PDMFCOL1 reads back differently (err=%v)", err)
+	}
+}
+
 func TestHostileEncodedUploads(t *testing.T) {
 	tr := stallTrial("app", "exp", "t1")
 	valid, err := perfdmf.EncodeTrial(tr)
@@ -417,7 +481,7 @@ func TestHostileEncodedUploads(t *testing.T) {
 	if !bytes.Equal(wrapEnvelope(payload), valid) {
 		t.Fatal("wrapEnvelope does not reproduce EncodeTrial's envelope")
 	}
-	const colMagic = len("%PDMFCOL1\n")
+	const colMagic = len("%PDMFCOL2\n")
 	hlen := int(binary.LittleEndian.Uint32(payload[colMagic:]))
 	header, blocks := string(payload[colMagic+4:colMagic+4+hlen]), payload[colMagic+4+hlen:]
 	withHeader := func(h string) []byte {
@@ -425,11 +489,22 @@ func TestHostileEncodedUploads(t *testing.T) {
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(h)))
 		return wrapEnvelope(append(append(p, h...), blocks...))
 	}
-	flip := func(i int) []byte {
-		b := append([]byte(nil), valid...)
+	flipIn := func(body []byte, i int) []byte {
+		b := append([]byte(nil), body...)
 		b[i] ^= 0x01
 		return b
 	}
+	flip := func(i int) []byte { return flipIn(valid, i) }
+	// The previous encoding is accepted (TestColumnarV1UploadIsStoredReencoded)
+	// without a canonical check, so a damaged one must fall to the checksum,
+	// the structural decode or Validate.
+	cols, err := perfdmf.ColumnsFromTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	validV1 := wrapEnvelope(columnarV1(header, cols))
+	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
+	invalidV1 := wrapEnvelope(columnarV1(header, cols))
 	cases := []struct {
 		name string
 		body []byte
@@ -444,17 +519,21 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"non-canonical header JSON", withHeader(strings.Replace(header, `"threads":2`, `"threads" : 2`, 1))},
 		{"trial JSON under the encoded media type", mustJSON(t, tr)},
 		{"body over -max-body", append(append([]byte(nil), valid...), make([]byte, 64<<10)...)},
+		{"over-wide row", wrapEnvelope(overwide(payload, colMagic+4+hlen, tr.Threads))},
+		{"%PDMFCOL1 with a flipped bit", flipIn(validV1, head+len(validV1)/2)},
+		{"%PDMFCOL1 with a bad CRC", flipIn(validV1, bytes.LastIndex(validV1, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL1 holding an invalid trial", invalidV1},
 	}
-	if !strings.Contains(header, `"threads":2`) {
-		t.Fatalf("header layout changed, the table needs updating: %s", header)
+	if !strings.Contains(header, `"threads":2`) || blocks[0] != 2 {
+		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, width %d", header, blocks[0])
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newEncodedService(t, Config{MaxBodyBytes: int64(len(valid)) + 1024})
+			s := newEncodedService(t, Config{MaxBodyBytes: int64(len(validV1)) + 1024})
 			hdr := map[string]string{"Content-Type": dmfwire.TrialContentType, dmfwire.HeaderIdempotencyKey: "hostile-" + strconv.Itoa(i)}
 			status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, tc.body)
-			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
-				t.Fatalf("HTTP %d: %s; want 400 or 413", status, body)
+			if want := http.StatusBadRequest; status != want && !(tc.name == "body over -max-body" && status == http.StatusRequestEntityTooLarge) {
+				t.Fatalf("HTTP %d: %s; want %d", status, body, want)
 			}
 			if files := storedFiles(t, s.dir); len(files) != 0 {
 				t.Fatalf("rejected upload left files: %v", files)
@@ -476,6 +555,18 @@ func TestHostileEncodedUploads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overwide rewrites the first row of the calls block, which starts at off —
+// call counts, stored at width 2 — at width 8: every value intact, the
+// checksum recomputed by the caller, only the width rule broken.
+func overwide(payload []byte, off, threads int) []byte {
+	out := append([]byte(nil), payload[:off]...)
+	out = append(out, 8)
+	for i := 0; i < threads; i++ {
+		out = append(out, payload[off+1+2*i], payload[off+2+2*i], 0, 0, 0, 0, 0, 0)
+	}
+	return append(out, payload[off+1+2*threads:]...)
 }
 
 func mustJSON(t *testing.T, v any) []byte {

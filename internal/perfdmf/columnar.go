@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -308,32 +309,77 @@ func (c *Columns) Trial() *Trial {
 // payload carried inside the standard %PDMF1 envelope (which contributes
 // the CRC32-C integrity check, so the payload itself carries none):
 //
-//	%PDMFCOL1\n
+//	%PDMFCOL2\n
 //	u32 (LE)  header length
 //	header    JSON: application/experiment/name/threads, registered
 //	          metrics, event dictionary (name+groups), column metric
 //	          order, metadata
-//	calls     NEvents×Threads float64 (LE bits)
+//	calls     value block
 //	per column, in header order:
 //	    inc-presence bitmap   ceil(NEvents/8) bytes, LSB-first
 //	    exc-presence bitmap   ceil(NEvents/8) bytes
-//	    inclusive block       NEvents×Threads float64
-//	    exclusive block       NEvents×Threads float64
+//	    inclusive value block
+//	    exclusive value block
 //
-// Every dimension is validated against the actual payload length before
-// any block is allocated, so truncated or dimension-inflated inputs fail
-// fast with ErrCorrupt instead of allocating. Float values are raw IEEE
-// bits: NaN payloads survive, which the JSON form cannot represent at
-// all. The encoding of a given Columns value is canonical — byte-for-byte
-// reproducible — which is what lets the differential test harness compare
-// whole trials by comparing encodings.
+// A value block holds NEvents rows, one per event in dictionary order. A
+// row is one width byte w (0–8) followed by the top w bytes, most
+// significant first, of each of the row's Threads IEEE-754 bit patterns,
+// where
+//
+//	w = 8 − TrailingZeros64(OR of the row's bit patterns)/8
+//
+// is the narrowest width that drops only zero bytes: a row of zeros is the
+// width byte alone, call counts take 2 bytes a value, hardware-counter
+// totals 3–5, full-precision measurements 8. Every bit survives (NaN
+// payloads, −0), which the JSON form cannot represent at all. A row stored
+// wider than its values need is rejected, so the encoding of a given
+// Columns value stays canonical — byte-for-byte reproducible, decode →
+// encode a fixed point — which is what lets SaveEncoded and the
+// differential test harness compare whole trials by comparing encodings.
+//
+// Because a zero row expands 1 byte to 8×Threads, the payload length no
+// longer bounds what a payload decodes to; maxDecodedBytes does, checked
+// against the header's dimensions before any block is allocated. Encode
+// refuses the same size, so nothing can be written that cannot be read.
+//
+// The previous payload, %PDMFCOL1, differs only in its value blocks — raw
+// little-endian float64 bits, no width bytes — and stays readable as a
+// legacy form: DecodeColumnar reads both, only %PDMFCOL2 is written.
 
-const columnarMagic = "%PDMFCOL1\n"
+const (
+	columnarMagic   = "%PDMFCOL2\n"
+	columnarMagicV1 = "%PDMFCOL1\n" // same length: the header sits at one offset in both
+)
+
+// maxDecodedBytes bounds the value blocks a payload may decode to: 8× the
+// largest body the service accepts (dmfwire.MaxTrialBody), so any upload
+// whose rows average a stored byte per value or more fits.
+const maxDecodedBytes = 1 << 28
+
+// decodableSize reports whether value blocks of these dimensions stay
+// within maxDecodedBytes, without overflowing on hostile dimensions.
+func decodableSize(nEv, threads, nCols int) bool {
+	if nEv == 0 {
+		return true
+	}
+	return uint64(threads) <= maxDecodedBytes/8/uint64(nEv)/uint64(1+2*nCols)
+}
 
 // IsColumnar reports whether an envelope payload is a binary columnar
-// trial rather than trial JSON.
+// trial in the current form, rather than a legacy one (%PDMFCOL1 or trial
+// JSON).
 func IsColumnar(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagic))
+}
+
+func isColumnarV1(payload []byte) bool {
+	return bytes.HasPrefix(payload, []byte(columnarMagicV1))
+}
+
+// isColumnarAny reports a columnar payload of either version — what
+// DecodeColumnar reads.
+func isColumnarAny(payload []byte) bool {
+	return IsColumnar(payload) || isColumnarV1(payload)
 }
 
 type columnarEvent struct {
@@ -354,9 +400,20 @@ type columnarHeader struct {
 
 // Encode serializes the columnar trial into the binary payload format.
 func (c *Columns) Encode() ([]byte, error) {
+	return c.encode("", 0)
+}
+
+// encode returns prefix followed by the binary payload, in a buffer with
+// room spare bytes of capacity left — so EncodeTrial builds envelope magic,
+// payload and trailer in one allocation.
+func (c *Columns) encode(prefix string, room int) ([]byte, error) {
 	nEv, th := len(c.EventNames), c.Threads
 	if th <= 0 {
 		return nil, fmt.Errorf("perfdmf: encode columnar %q: non-positive threads %d", c.Name, th)
+	}
+	if !decodableSize(nEv, th, len(c.Cols)) {
+		return nil, fmt.Errorf("perfdmf: encode columnar %q: %d×%d values in %d columns exceed the %d-byte decode bound",
+			c.Name, nEv, th, len(c.Cols), maxDecodedBytes)
 	}
 	block := nEv * th
 	if len(c.Calls) != block || len(c.Groups) != nEv {
@@ -389,26 +446,157 @@ func (c *Columns) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("perfdmf: encode columnar %q: %w", c.Name, err)
 	}
 	bitmap := (nEv + 7) / 8
-	buf := make([]byte, 0, len(columnarMagic)+4+len(hb)+8*block+len(c.Cols)*(2*bitmap+16*block))
+	widths, valueBytes := c.rowWidths()
+	size := len(prefix) + len(columnarMagic) + 4 + len(hb) + len(c.Cols)*2*bitmap + len(widths) + valueBytes
+	buf := make([]byte, 0, size+room)
+	buf = append(buf, prefix...)
 	buf = append(buf, columnarMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hb)))
 	buf = append(buf, hb...)
-	buf = appendF64Block(buf, c.Calls)
+	buf = appendPackedBlock(buf, c.Calls, widths[:nEv])
 	for i := range c.Cols {
 		col := &c.Cols[i]
+		ws := widths[nEv*(1+2*i):]
 		buf = appendBitmap(buf, col.IncPresent)
 		buf = appendBitmap(buf, col.ExcPresent)
-		buf = appendF64Block(buf, col.Inc)
-		buf = appendF64Block(buf, col.Exc)
+		buf = appendPackedBlock(buf, col.Inc, ws[:nEv])
+		buf = appendPackedBlock(buf, col.Exc, ws[nEv:2*nEv])
 	}
 	return buf, nil
 }
 
-func appendF64Block(buf []byte, xs []float64) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+// rowWidth is the narrowest byte width that keeps every set bit of a row
+// whose bit patterns OR to or: 0 for a row of zeros, 8 when any value uses
+// its lowest byte.
+func rowWidth(or uint64) int {
+	return 8 - bits.TrailingZeros64(or)/8
+}
+
+// rowWidths is the pre-pass of encode: the width of every row of every
+// block, block after block in write order, and the bytes the values of all
+// those rows pack to — with the widths themselves, the exact size of the
+// value blocks.
+func (c *Columns) rowWidths() (widths []byte, valueBytes int) {
+	th := c.Threads
+	widths = make([]byte, 0, len(c.EventNames)*(1+2*len(c.Cols)))
+	block := func(xs []float64) {
+		for lo := 0; lo < len(xs); lo += th {
+			w := widthOf(xs[lo : lo+th])
+			widths = append(widths, byte(w))
+			valueBytes += w * th
+		}
+	}
+	block(c.Calls)
+	for i := range c.Cols {
+		block(c.Cols[i].Inc)
+		block(c.Cols[i].Exc)
+	}
+	return widths, valueBytes
+}
+
+// widthOf is the rowWidth of the OR of row's bit patterns, taken four
+// values at a time. It stops at the first that use their lowest byte — the
+// width is 8 whatever follows — so a row of full-precision measurements,
+// the widest to write, is the cheapest to size.
+func widthOf(row []float64) int {
+	var or uint64
+	for len(row) >= 4 {
+		or |= math.Float64bits(row[0]) | math.Float64bits(row[1]) | math.Float64bits(row[2]) | math.Float64bits(row[3])
+		if or&0xff != 0 {
+			return 8
+		}
+		row = row[4:]
+	}
+	for _, x := range row {
+		or |= math.Float64bits(x)
+	}
+	return rowWidth(or)
+}
+
+// appendPackedBlock appends a value block: per row its width byte, then the
+// top width bytes of each value, most significant first. buf must have the
+// capacity for it (encode sizes it from the same widths).
+func appendPackedBlock(buf []byte, xs []float64, widths []byte) []byte {
+	if len(widths) == 0 {
+		return buf
+	}
+	th := len(xs) / len(widths)
+	for ev, wb := range widths {
+		row := xs[ev*th : (ev+1)*th]
+		buf = append(buf, wb)
+		switch w := int(wb); w {
+		case 0:
+		case 8:
+			for _, x := range row {
+				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
+			}
+		default:
+			n := len(buf)
+			packRow(buf[n:cap(buf)], row, w)
+			buf = buf[:n+w*th]
+		}
 	}
 	return buf
+}
+
+// packRow writes the top w bytes (1–7) of each of row's values to the front
+// of out, which may extend past the row. It stores whole 8-byte words: the
+// low 8−w bytes of a value are zero by the width rule and the next store
+// (or the next row) overwrites them. Byte by byte only where a word no
+// longer fits out — the last values of a buffer sized exactly.
+func packRow(out []byte, row []float64, w int) {
+	fast := fullWordValues(len(out), w, len(row))
+	off := 0
+	for _, x := range row[:fast] {
+		binary.BigEndian.PutUint64(out[off:off+8], math.Float64bits(x))
+		off += w
+	}
+	for _, x := range row[fast:] {
+		b := math.Float64bits(x)
+		for k := 0; k < w; k++ {
+			out[off+k] = byte(b >> (56 - 8*k))
+		}
+		off += w
+	}
+}
+
+// unpackRow is the inverse of packRow: it fills row from the w-byte (1–7)
+// values at the front of src, which may extend past the row, by masked
+// 8-byte loads, and returns the OR of the bit patterns it read.
+func unpackRow(row []float64, src []byte, w int) (or uint64) {
+	mask := ^uint64(0) << (64 - 8*w)
+	fast := fullWordValues(len(src), w, len(row))
+	head, tail := row[:fast], row[fast:]
+	off := 0
+	for i := range head {
+		b := binary.BigEndian.Uint64(src[off:off+8]) & mask
+		or |= b
+		head[i] = math.Float64frombits(b)
+		off += w
+	}
+	for i := range tail {
+		var b uint64
+		for k := 0; k < w; k++ {
+			b |= uint64(src[off+k]) << (56 - 8*k)
+		}
+		or |= b
+		tail[i] = math.Float64frombits(b)
+		off += w
+	}
+	return or
+}
+
+// fullWordValues is how many of th values packed w bytes apart can each be
+// moved as a whole 8-byte word inside n bytes: all of them, except in the
+// last few bytes of a buffer.
+func fullWordValues(n, w, th int) int {
+	if n >= w*(th-1)+8 {
+		return th
+	}
+	if n < 8 {
+		return 0
+	}
+	return (n-8)/w + 1
 }
 
 func appendBitmap(buf []byte, bs []bool) []byte {
@@ -427,13 +615,84 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: columnar: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// DecodeColumnar parses a binary columnar payload. Any structural
-// problem — bad magic, truncated blocks, dimension/length mismatch,
-// duplicate names, presence inconsistent with Trial validity — wraps
-// ErrCorrupt. A successful decode always yields a Columns whose Trial()
-// passes Validate, and re-encoding it reproduces the input bytes.
+// blockReader walks the bytes after the header of a columnar payload.
+type blockReader struct {
+	rest    []byte
+	nEv, th int
+	packed  bool // %PDMFCOL2 rows; false: %PDMFCOL1 raw little-endian blocks
+}
+
+func (r *blockReader) take(n int) ([]byte, bool) {
+	if len(r.rest) < n {
+		return nil, false
+	}
+	b := r.rest[:n]
+	r.rest = r.rest[n:]
+	return b, true
+}
+
+// block decodes one value block. The caller has checked the dimensions
+// against maxDecodedBytes, which is what bounds the allocation for packed
+// rows; a raw block is taken whole before anything is allocated.
+func (r *blockReader) block() ([]float64, error) {
+	th, n := r.th, r.nEv*r.th
+	if !r.packed {
+		raw, ok := r.take(8 * n)
+		if !ok {
+			return nil, corruptf("truncated")
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		return xs, nil
+	}
+	xs := make([]float64, n)
+	for ev := 0; ev < r.nEv; ev++ {
+		wb, ok := r.take(1)
+		if !ok {
+			return nil, corruptf("truncated at row %d", ev)
+		}
+		w := int(wb[0])
+		if w > 8 {
+			return nil, corruptf("row %d has width %d", ev, w)
+		}
+		if w == 0 {
+			continue
+		}
+		src := r.rest // past the row's end too: what a masked load reads there is dropped
+		if _, ok := r.take(w * th); !ok {
+			return nil, corruptf("truncated inside row %d", ev)
+		}
+		row := xs[ev*th : (ev+1)*th]
+		var or uint64
+		if w == 8 {
+			for i := range row {
+				b := binary.BigEndian.Uint64(src[8*i:])
+				or |= b
+				row[i] = math.Float64frombits(b)
+			}
+		} else {
+			or = unpackRow(row, src, w)
+		}
+		// The writer always picks the narrowest width, so a wider row never
+		// came from it and would re-encode to different bytes.
+		if need := rowWidth(or); need != w {
+			return nil, corruptf("row %d stored at width %d needs %d", ev, w, need)
+		}
+	}
+	return xs, nil
+}
+
+// DecodeColumnar parses a binary columnar payload, %PDMFCOL2 or the legacy
+// %PDMFCOL1. Any structural problem — bad magic, truncated blocks,
+// dimension/length mismatch, over-wide rows, duplicate names, presence
+// inconsistent with Trial validity — wraps ErrCorrupt. A successful decode
+// always yields a Columns whose Trial() passes Validate, and re-encoding a
+// decoded %PDMFCOL2 payload reproduces the input bytes.
 func DecodeColumnar(payload []byte) (*Columns, error) {
-	if !IsColumnar(payload) {
+	packed := IsColumnar(payload)
+	if !isColumnarAny(payload) {
 		return nil, corruptf("missing %q magic", columnarMagic[:len(columnarMagic)-1])
 	}
 	rest := payload[len(columnarMagic):]
@@ -449,28 +708,17 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 	if err := json.Unmarshal(rest[:hlen], &hdr); err != nil {
 		return nil, corruptf("bad header: %v", err)
 	}
-	rest = rest[hlen:]
 	if hdr.Threads <= 0 {
 		return nil, corruptf("non-positive threads %d", hdr.Threads)
 	}
 	nEv := len(hdr.Events)
-	th := uint64(hdr.Threads)
-	// Size sanity before any dimension-proportional allocation: the calls
-	// block alone needs 8*nEv*th bytes, which bounds both factors.
-	if nEv > 0 && th > uint64(len(rest))/8/uint64(nEv) {
-		return nil, corruptf("dimensions %d×%d exceed payload size", nEv, hdr.Threads)
+	// Size sanity before any dimension-proportional allocation.
+	if !decodableSize(nEv, hdr.Threads, len(hdr.Columns)) {
+		return nil, corruptf("dimensions %d×%d in %d columns decode to more than %d bytes",
+			nEv, hdr.Threads, len(hdr.Columns), maxDecodedBytes)
 	}
-	block := uint64(nEv) * th
-	bitmap := uint64((nEv + 7) / 8)
-	off := uint64(0)
-	take := func(n uint64) ([]byte, bool) {
-		if uint64(len(rest))-off < n {
-			return nil, false
-		}
-		b := rest[off : off+n]
-		off += n
-		return b, true
-	}
+	r := &blockReader{rest: rest[hlen:], nEv: nEv, th: hdr.Threads, packed: packed}
+	bitmap := (nEv + 7) / 8
 	seenEv := make(map[string]bool, nEv)
 	c := &Columns{
 		App:        hdr.App,
@@ -490,11 +738,10 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 		c.EventNames[i] = e.Name
 		c.Groups[i] = e.Groups
 	}
-	raw, ok := take(8 * block)
-	if !ok {
-		return nil, corruptf("truncated calls block")
+	var err error
+	if c.Calls, err = r.block(); err != nil {
+		return nil, fmt.Errorf("%w (calls block)", err)
 	}
-	c.Calls = decodeF64Block(raw)
 	seenCol := make(map[string]bool, len(hdr.Columns))
 	c.Cols = make([]MetricColumn, len(hdr.Columns))
 	for i, m := range hdr.Columns {
@@ -504,12 +751,11 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 		seenCol[m] = true
 		col := &c.Cols[i]
 		col.Metric = m
-		ib, ok1 := take(bitmap)
-		eb, ok2 := take(bitmap)
+		ib, ok1 := r.take(bitmap)
+		eb, ok2 := r.take(bitmap)
 		if !ok1 || !ok2 {
 			return nil, corruptf("truncated presence bitmap for %q", m)
 		}
-		var err error
 		if col.IncPresent, err = decodeBitmap(ib, nEv); err != nil {
 			return nil, err
 		}
@@ -524,26 +770,17 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 				return nil, corruptf("column %q event %d has inclusive but no exclusive data", m, ev)
 			}
 		}
-		ri, ok1 := take(8 * block)
-		re, ok2 := take(8 * block)
-		if !ok1 || !ok2 {
-			return nil, corruptf("truncated value blocks for %q", m)
+		if col.Inc, err = r.block(); err != nil {
+			return nil, fmt.Errorf("%w (inclusive block of %q)", err, m)
 		}
-		col.Inc = decodeF64Block(ri)
-		col.Exc = decodeF64Block(re)
+		if col.Exc, err = r.block(); err != nil {
+			return nil, fmt.Errorf("%w (exclusive block of %q)", err, m)
+		}
 	}
-	if off != uint64(len(rest)) {
-		return nil, corruptf("%d trailing bytes", uint64(len(rest))-off)
+	if len(r.rest) != 0 {
+		return nil, corruptf("%d trailing bytes", len(r.rest))
 	}
 	return c, nil
-}
-
-func decodeF64Block(raw []byte) []float64 {
-	xs := make([]float64, len(raw)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return xs
 }
 
 func decodeBitmap(raw []byte, n int) ([]bool, error) {
@@ -580,12 +817,12 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 	return c.Trial(), nil
 }
 
-// decodeTrialPayload turns an envelope payload — columnar binary or, in
-// legacy files, trial JSON — into a validated Trial. Decode and validation
-// failures wrap ErrCorrupt.
+// decodeTrialPayload turns an envelope payload — columnar binary of either
+// version or, in legacy files, trial JSON — into a validated Trial. Decode
+// and validation failures wrap ErrCorrupt.
 func decodeTrialPayload(payload []byte) (*Trial, error) {
 	var t *Trial
-	if IsColumnar(payload) {
+	if isColumnarAny(payload) {
 		var err error
 		if t, err = UnmarshalColumnar(payload); err != nil {
 			return nil, err
@@ -603,10 +840,10 @@ func decodeTrialPayload(payload []byte) (*Trial, error) {
 }
 
 // decodeTrialHeaderPayload extracts the identifying header from an
-// envelope payload of either format. For columnar payloads this reads
-// only the JSON header — listings never touch the value blocks.
+// envelope payload of any format. For columnar payloads this reads only
+// the JSON header, never the value blocks.
 func decodeTrialHeaderPayload(payload []byte) (trialHeader, bool) {
-	if IsColumnar(payload) {
+	if isColumnarAny(payload) {
 		rest := payload[len(columnarMagic):]
 		if len(rest) < 4 {
 			return trialHeader{}, false

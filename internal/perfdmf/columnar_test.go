@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -220,7 +221,11 @@ func TestColumnsFromTrialErrors(t *testing.T) {
 
 // craftColumnar assembles magic + length-prefixed header + body.
 func craftColumnar(headerJSON string, body []byte) []byte {
-	buf := []byte(columnarMagic)
+	return craftColumnarAs(columnarMagic, headerJSON, body)
+}
+
+func craftColumnarAs(magic, headerJSON string, body []byte) []byte {
+	buf := []byte(magic)
 	var l [4]byte
 	binary.LittleEndian.PutUint32(l[:], uint32(len(headerJSON)))
 	buf = append(buf, l[:]...)
@@ -232,22 +237,47 @@ func craftColumnar(headerJSON string, body []byte) []byte {
 const minimalHeader = `{"application":"a","experiment":"e","name":"n","threads":1,` +
 	`"metrics":["TIME"],"events":[{"name":"e"}],"columns":["TIME"]}`
 
-// minimalBody: calls block (8B) + inc bitmap (1B) + exc bitmap (1B) +
-// inc block (8B) + exc block (8B).
+// minimalBodyWith: the given calls row + inc bitmap (1B) + exc bitmap (1B)
+// + an inclusive and an exclusive row of zeros (1B each).
+func minimalBodyWith(callsRow []byte, incBits, excBits byte) []byte {
+	body := append([]byte(nil), callsRow...)
+	return append(body, incBits, excBits, 0, 0)
+}
+
+// callsOne is the one-value row holding 1.0 (0x3ff0…) at its width, 2.
+var callsOne = []byte{2, 0x3f, 0xf0}
+
 func minimalBody(incBits, excBits byte) []byte {
-	body := make([]byte, 0, 26)
-	body = append(body, make([]byte, 8)...) // calls
+	return minimalBodyWith(callsOne, incBits, excBits)
+}
+
+// minimalBodyV1 is the same trial's %PDMFCOL1 body: three raw 8-byte
+// little-endian blocks around the bitmaps.
+func minimalBodyV1(incBits, excBits byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
 	body = append(body, incBits, excBits)
-	body = append(body, make([]byte, 16)...) // inc + exc blocks
-	return body
+	return append(body, make([]byte, 16)...)
 }
 
 func TestDecodeColumnarRejections(t *testing.T) {
 	valid := craftColumnar(minimalHeader, minimalBody(0x01, 0x01))
-	if _, err := DecodeColumnar(valid); err != nil {
+	c, err := DecodeColumnar(valid)
+	if err != nil {
 		t.Fatalf("handcrafted minimal payload must decode, got %v", err)
 	}
+	if re, err := c.Encode(); err != nil || !bytes.Equal(re, valid) {
+		t.Fatalf("handcrafted minimal payload is not what Encode writes (err=%v)", err)
+	}
+	validV1 := craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x01))
+	if c1, err := DecodeColumnar(validV1); err != nil {
+		t.Fatalf("handcrafted %%PDMFCOL1 payload must decode, got %v", err)
+	} else if canonicalTrialDump(c1.Trial()) != canonicalTrialDump(c.Trial()) {
+		t.Fatal("the %PDMFCOL1 and %PDMFCOL2 payloads of one trial decode differently")
+	}
 
+	const bombHeader = `{"threads":2147483648,"events":[{"name":"a"}],"columns":[]}`
+	overclaimV1 := craftColumnarAs(columnarMagicV1,
+		`{"threads":1000000,"events":[{"name":"a"}],"columns":[]}`, make([]byte, 64))
 	cases := []struct {
 		name    string
 		payload []byte
@@ -266,12 +296,23 @@ func TestDecodeColumnarRejections(t *testing.T) {
 		{"huge dimensions", craftColumnar(
 			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
 		{"duplicate event", craftColumnar(
-			`{"threads":1,"events":[{"name":"a"},{"name":"a"}],"columns":[]}`, make([]byte, 16))},
+			`{"threads":1,"events":[{"name":"a"},{"name":"a"}],"columns":[]}`, make([]byte, 2))},
 		{"duplicate column", craftColumnar(
-			`{"threads":1,"events":[{"name":"a"}],"columns":["TIME","TIME"]}`, make([]byte, 100))},
+			`{"threads":1,"events":[{"name":"a"}],"columns":["TIME","TIME"]}`, make([]byte, 9))},
 		{"inclusive without exclusive", craftColumnar(minimalHeader, minimalBody(0x01, 0x00))},
 		{"nonzero bitmap padding", craftColumnar(minimalHeader, minimalBody(0x03, 0x03))},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0x00)},
+		{"width 9", craftColumnar(minimalHeader,
+			minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))},
+		{"over-wide row", craftColumnar(minimalHeader, // small integer at full width
+			minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))},
+		{"over-wide zero row", craftColumnar(minimalHeader, minimalBodyWith([]byte{1, 0}, 0x01, 0x01))},
+		{"truncated inside a row", craftColumnar(minimalHeader, []byte{2, 0x3f})},
+		{"zero-row bomb", craftColumnar(bombHeader, []byte{0})},
+		{"huge dimensions, v1", craftColumnarAs(columnarMagicV1,
+			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
+		{"claims more than it holds, v1", overclaimV1},
+		{"trailing bytes, v1", append(append([]byte(nil), validV1...), 0x00)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -286,12 +327,217 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	}
 
 	// Every strict prefix of a valid payload is rejected: the header pins
-	// the exact body size, so truncation at any byte must surface.
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := DecodeColumnar(valid[:cut]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("prefix of %d bytes: want ErrCorrupt, got %v", cut, err)
+	// the row count of every block and each row its own length, so
+	// truncation at any byte must surface.
+	for _, whole := range [][]byte{valid, validV1} {
+		for cut := 0; cut < len(whole); cut++ {
+			if _, err := DecodeColumnar(whole[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("prefix of %d bytes: want ErrCorrupt, got %v", cut, err)
+			}
 		}
 	}
+
+	// The bomb — a payload of about 100 bytes whose one zero row claims 2³¹
+	// threads, 16 GiB decoded — and its %PDMFCOL1 cousin are refused before
+	// anything proportional to the claim is allocated.
+	bomb := craftColumnar(bombHeader, []byte{0})
+	if len(bomb) > 100 {
+		t.Fatalf("bomb payload is %d bytes, want at most 100", len(bomb))
+	}
+	for name, payload := range map[string][]byte{
+		"zero-row bomb":                 bomb,
+		"claims more than it holds, v1": overclaimV1,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if _, err := DecodeColumnar(payload); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 16<<10 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, per)
+		}
+	}
+}
+
+// Columns.Encode refuses what DecodeColumnar would: nothing can be written
+// that cannot be read back.
+func TestEncodeRefusesUndecodableSize(t *testing.T) {
+	c := NewColumns("a", "e", "n", maxDecodedBytes/8+1)
+	c.EventNames, c.Groups = []string{"e"}, [][]string{nil}
+	if _, err := c.Encode(); err == nil || !strings.Contains(err.Error(), "decode bound") {
+		t.Fatalf("Encode of an over-bound trial = %v, want the decode-bound refusal", err)
+	}
+	if !decodableSize(1, maxDecodedBytes/8, 0) || decodableSize(1, maxDecodedBytes/8+1, 0) ||
+		!decodableSize(2, maxDecodedBytes/8/6, 1) || decodableSize(2, maxDecodedBytes/8/6+1, 1) ||
+		decodableSize(math.MaxInt, math.MaxInt, math.MaxInt/2-1) || !decodableSize(0, math.MaxInt, 5) {
+		t.Error("decodableSize is not exactly events × threads × (1 + 2 columns) × 8 ≤ maxDecodedBytes")
+	}
+}
+
+// legacyColumnarPayload renders a trial as the %PDMFCOL1 payload earlier
+// versions wrote, from that format's documentation: the same header, then
+// every value block as raw little-endian float64 bits.
+func legacyColumnarPayload(t testing.TB, tr *Trial) []byte {
+	t.Helper()
+	c, err := ColumnsFromTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := int(binary.LittleEndian.Uint32(cur[len(columnarMagic):]))
+	raw := func(buf []byte, xs []float64) []byte {
+		for _, x := range xs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+		return buf
+	}
+	buf := append([]byte(columnarMagicV1), cur[len(columnarMagic):len(columnarMagic)+4+hlen]...)
+	buf = raw(buf, c.Calls)
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		buf = appendBitmap(buf, col.IncPresent)
+		buf = appendBitmap(buf, col.ExcPresent)
+		buf = raw(raw(buf, col.Inc), col.Exc)
+	}
+	return buf
+}
+
+// A %PDMFCOL1 payload decodes to the trial it was written from, bit for
+// bit, through the same decoder.
+func TestDecodeColumnarReadsV1(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 60; i++ {
+		tr := genColTrial(r, fmt.Sprintf("t%03d", i), 1+r.Intn(9))
+		back, err := UnmarshalColumnar(legacyColumnarPayload(t, tr))
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if canonicalTrialDump(back) != canonicalTrialDump(tr) {
+			t.Fatalf("trial %d: %%PDMFCOL1 round trip lost information", i)
+		}
+	}
+}
+
+// --- packed rows -------------------------------------------------------
+
+// packedRowEdgeValues are the bit patterns the width rule must carry
+// exactly: both zeros, infinities, NaNs with payloads in high and low
+// bytes, subnormals, and integers that fit 2, 3 and 8 bytes.
+var packedRowEdgeValues = []uint64{
+	0, 1 << 63, // 0, −0
+	0x7ff0_0000_0000_0000, 0xfff0_0000_0000_0000, // ±Inf
+	0x7ff8_0000_0000_0000, 0x7ff8_0000_0000_dead, 0xfff8_dead_0000_0000, 0x7ff0_0000_0000_0001, // NaNs
+	1, 0x000f_ffff_ffff_ffff, 0x0008_0000_0000_0000, // subnormals
+	0x4000_0000_0000_0000, // 2.0: one byte
+	0x4059_0000_0000_0000, // 100: two bytes
+	0x40c3_8800_0000_0000, // 10000: three bytes
+	0x4340_0000_0000_0000, // 1<<53: two bytes
+	0x433f_ffff_ffff_ffff, // 1<<53 − 1: eight bytes
+	math.Float64bits(0.1), math.Float64bits(-1e-300),
+}
+
+// checkPackedRows encodes vals as the calls block and both blocks of one
+// column of a threads-wide trial and checks the properties of the row
+// format: bit-exact round trip, decode → encode a fixed point, every row
+// at the narrowest exact width.
+func checkPackedRows(t *testing.T, vals []uint64, threads int) {
+	t.Helper()
+	nEv := (len(vals) + threads - 1) / threads
+	c := NewColumns("a", "e", "n", threads)
+	for ev := 0; ev < nEv; ev++ {
+		c.EventNames = append(c.EventNames, "e"+strconv.Itoa(ev))
+	}
+	c.Groups = make([][]string, nEv)
+	c.Calls = make([]float64, nEv*threads)
+	col := c.AddColumn("M")
+	for i, b := range vals {
+		c.Calls[i] = math.Float64frombits(b)
+		col.Inc[len(col.Inc)-1-i] = math.Float64frombits(b) // other row alignment
+		col.Exc[i] = math.Float64frombits(b &^ 0xffff)      // narrower rows
+	}
+	enc, err := c.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := DecodeColumnar(enc)
+	if err != nil {
+		t.Fatalf("decode of Encode output: %v", err)
+	}
+	for name, pair := range map[string][2][]float64{
+		"calls": {c.Calls, back.Calls}, "inc": {col.Inc, back.Cols[0].Inc}, "exc": {col.Exc, back.Cols[0].Exc},
+	} {
+		for i := range pair[0] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d]: %016x came back as %016x (threads=%d)", name, i,
+					math.Float64bits(pair[0][i]), math.Float64bits(pair[1][i]), threads)
+			}
+		}
+	}
+	if re, err := back.Encode(); err != nil || !bytes.Equal(re, enc) {
+		t.Fatalf("decode → encode is not a fixed point (err=%v)", err)
+	}
+	// The calls block starts right after the header: walk its rows and
+	// compare each width with the rule, stated independently.
+	hlen := int(binary.LittleEndian.Uint32(enc[len(columnarMagic):]))
+	off := len(columnarMagic) + 4 + hlen
+	for ev := 0; ev < nEv; ev++ {
+		want := 0
+		for _, x := range c.Calls[ev*threads : (ev+1)*threads] {
+			for k := 0; k < 8; k++ {
+				if byte(math.Float64bits(x)>>(8*k)) != 0 && 8-k > want {
+					want = 8 - k
+				}
+			}
+		}
+		if int(enc[off]) != want {
+			t.Fatalf("calls row %d stored at width %d, narrowest exact width is %d", ev, enc[off], want)
+		}
+		off += 1 + want*threads
+	}
+}
+
+func TestPackedRows(t *testing.T) {
+	for _, threads := range []int{1, 2, 3, 7, 8, 64} {
+		checkPackedRows(t, packedRowEdgeValues, threads)
+		// One row per value, every other slot zero: each width on its own.
+		var spread []uint64
+		for _, b := range packedRowEdgeValues {
+			spread = append(spread, b)
+			spread = append(spread, make([]uint64, threads-1)...)
+		}
+		checkPackedRows(t, spread, threads)
+	}
+}
+
+// FuzzPackedRows: any values × threads round-trip bit-exactly and re-encode
+// to the same bytes. data is read as 8-byte patterns; keep zeroes that many
+// low bytes of each so the fuzzer reaches the narrow widths.
+func FuzzPackedRows(f *testing.F) {
+	var seed []byte
+	for _, b := range packedRowEdgeValues {
+		seed = binary.BigEndian.AppendUint64(seed, b)
+	}
+	f.Add(seed, uint8(1), uint8(0))
+	f.Add(seed, uint8(4), uint8(0))
+	f.Add(seed, uint8(3), uint8(6))
+	f.Add(seed[:8], uint8(16), uint8(8))
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, threads, keep uint8) {
+		if len(data) > 1<<12 {
+			data = data[:1<<12]
+		}
+		vals := make([]uint64, len(data)/8)
+		for i := range vals {
+			vals[i] = binary.BigEndian.Uint64(data[8*i:]) &^ (1<<(8*(keep%9)) - 1)
+		}
+		checkPackedRows(t, vals, 1+int(threads%64))
+	})
 }
 
 // --- repository integration ---------------------------------------------

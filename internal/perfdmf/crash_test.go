@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -194,5 +196,95 @@ func TestCrashTornPublishedFileIsQuarantined(t *testing.T) {
 	}
 	if _, err := re.GetTrial("app", "exp", "whole"); err != nil {
 		t.Fatalf("healthy trial unreadable beside torn one: %v", err)
+	}
+}
+
+// The same sweep over the format migration: a repository holding the one
+// checked-in %PDMFCOL1 file, crashed at every filesystem operation of open +
+// Verify. After the restart the file is bytewise the old bytes or
+// EncodeTrial's, nothing else exists, fsck is clean — and, having run, has
+// finished the upgrade.
+func TestCrashPointSweepFsckUpgrade(t *testing.T) {
+	oldBytes, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DecodeTrial(oldBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newBytes, err := EncodeTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rel = "app/exp/seed.json"
+	seed := func(t *testing.T) string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "app", "exp"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, rel), oldBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	counter := vfs.NewFaulty(vfs.OS{})
+	repo, err := OpenRepositoryFS(seed(t), counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := repo.Verify(); err != nil || rep.Legacy != 1 || rep.Upgraded != 1 || !rep.Clean() {
+		t.Fatalf("uncrashed fsck = %+v, %v; want 1 legacy, 1 upgraded, clean", rep, err)
+	}
+	totalOps := counter.Ops()
+	if totalOps < 8 {
+		t.Fatalf("open + fsck performed only %d filesystem ops — the sweep would prove nothing", totalOps)
+	}
+
+	sawOld, sawNew := false, false
+	for k := 0; k < totalOps; k++ {
+		k := k
+		t.Run(fmt.Sprintf("crash_at_op_%02d", k), func(t *testing.T) {
+			dir := seed(t)
+			f := vfs.NewFaulty(vfs.OS{})
+			f.CrashAt(k)
+			if repo, err := OpenRepositoryFS(dir, f); err == nil {
+				_, _ = repo.Verify()
+			}
+			if !f.Crashed() {
+				t.Fatalf("crash point %d never reached", k)
+			}
+			// What the dying machine left, before any recovery runs.
+			left := trialFiles(t, dir, ".json")
+			if cur := left[rel]; len(left) != 1 || !(bytes.Equal(cur, oldBytes) || bytes.Equal(cur, newBytes)) {
+				t.Fatalf("crash at op %d left %d .json files; %s is its old or new version: false", k, len(left), rel)
+			}
+			sawOld = sawOld || bytes.Equal(left[rel], oldBytes)
+			sawNew = sawNew || bytes.Equal(left[rel], newBytes)
+
+			re, err := OpenRepository(dir)
+			if err != nil {
+				t.Fatalf("repository did not reopen after crash: %v", err)
+			}
+			rep, err := re.Verify()
+			if err != nil || !rep.Clean() || rep.Trials != 1 {
+				t.Fatalf("fsck after crash = %+v, %v", rep, err)
+			}
+			got := trialFiles(t, dir, "")
+			if cur := got[rel]; len(got) != 1 || !bytes.Equal(cur, newBytes) {
+				t.Fatalf("after restart + fsck: %d files, %s upgraded: %v", len(got), rel, bytes.Equal(cur, newBytes))
+			}
+			if again, err := re.Verify(); err != nil || again.Legacy != 0 || again.Upgraded != 0 || !again.Clean() {
+				t.Fatalf("second fsck = %+v, %v; want nothing legacy", again, err)
+			}
+			if back, err := re.GetTrial(tr.App, tr.Experiment, tr.Name); err != nil || canonicalTrialDump(back) != canonicalTrialDump(tr.Clone()) {
+				t.Fatalf("trial unreadable or changed after the upgrade: %v", err)
+			}
+		})
+	}
+	if !sawOld || !sawNew {
+		t.Errorf("sweep saw old bytes: %v, new bytes: %v — want both sides of the rename", sawOld, sawNew)
 	}
 }

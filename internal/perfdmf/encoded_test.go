@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,6 +24,13 @@ import (
 // persisted or cached before a full decode and Validate, a damaged file is
 // quarantined, and what SaveEncoded writes is byte for byte what Save
 // writes.
+
+// encodeEnvelope wraps any payload — a legacy form, a handcrafted or damaged
+// one — in the checksummed trial envelope, as EncodeTrial does its own.
+func encodeEnvelope(payload []byte) []byte {
+	buf := append([]byte(envelopeMagic), payload...)
+	return appendEnvelopeTrailer(buf, payload)
+}
 
 // EncodeTrial → DecodeTrial is lossless down to float bits, and the
 // encoding is canonical: the decoded trial encodes to the same bytes.
@@ -54,14 +62,18 @@ func TestEncodeDecodeTrialRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeTrial still reads both legacy forms.
+// DecodeTrial still reads every legacy form.
 func TestDecodeTrialLegacyForms(t *testing.T) {
 	tr := cellsTrial("legacy", 3, 2)
 	plain, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"plain JSON": plain, "JSON in envelope": encodeEnvelope(plain)} {
+	for name, data := range map[string][]byte{
+		"plain JSON":            plain,
+		"JSON in envelope":      encodeEnvelope(plain),
+		"%PDMFCOL1 in envelope": encodeEnvelope(legacyColumnarPayload(t, tr)),
+	} {
 		got, err := DecodeTrial(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -77,6 +89,26 @@ func TestDecodeTrialLegacyForms(t *testing.T) {
 	}
 }
 
+// The checked-in %PDMFCOL1 file — the `valid` seed of the fuzz corpus as a
+// raw file, which CI plants in a repository — still decodes to the trial it
+// was written from.
+func TestCheckedInColumnarV1File(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, _, err := decodeEnvelope(data); err != nil || !isColumnarV1(payload) {
+		t.Fatalf("testdata/col1_trial.pdmf is not a %%PDMFCOL1 envelope (err=%v)", err)
+	}
+	got, err := DecodeTrial(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalTrialDump(got) != canonicalTrialDump(fuzzSeedTrial()) {
+		t.Errorf("checked-in %%PDMFCOL1 file decoded to a different trial:\n%s", canonicalTrialDump(got))
+	}
+}
+
 // hostileEncodings returns inputs SaveEncoded must refuse, derived from the
 // valid encoding of a one-event trial. Each keeps as much of the envelope
 // intact as its fault allows, so the check under test is the one that has
@@ -89,20 +121,38 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	}
 	payload, _, _ := decodeEnvelope(valid)
 	inflated := strings.Replace(minimalHeader, `"threads":1`, `"threads":1000000000`, 1)
+	bomb := strings.Replace(minimalHeader, `"threads":1`, `"threads":2147483648`, 1)
 	spaced := strings.Replace(minimalHeader, `"threads":1`, `"threads": 1`, 1)
 	reordered := `{"experiment":"e","application":"a",` + strings.TrimPrefix(minimalHeader, `{"application":"a","experiment":"e",`)
+	// %PDMFCOL1 bodies are accepted without a canonical check, so each of
+	// these has to fall to the checksum, the structural decode or Validate.
+	validV1 := encodeEnvelope(craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x01)))
+	if _, err := DecodeTrial(validV1); err != nil {
+		t.Fatalf("baseline %%PDMFCOL1 encoding must decode: %v", err)
+	}
+	payloadV1, _, _ := decodeEnvelope(validV1)
 	return map[string][]byte{
 		"empty":                       nil,
 		"truncated envelope":          valid[:len(valid)-9],
 		"flipped payload bit":         flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
 		"flipped CRC digit":           flipByte(valid, len(valid)-12),
 		"dimension-inflated header":   encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"zero-row bomb":               encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
+		"width 9":                     encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"over-wide row":               encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"truncated inside a row":      encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
 		"trailing bytes in payload":   encodeEnvelope(append(append([]byte(nil), payload...), 0)),
 		"trailing bytes after":        append(append([]byte(nil), valid...), '\n'),
 		"non-canonical header spaces": encodeEnvelope(craftColumnar(spaced, minimalBody(0x01, 0x01))),
 		"non-canonical header order":  encodeEnvelope(craftColumnar(reordered, minimalBody(0x01, 0x01))),
 		"legacy plain JSON":           []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
 		"legacy JSON in envelope":     encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
+		"v1 flipped payload bit":      flipByte(validV1, len(envelopeMagic)+len(columnarMagicV1)+30),
+		"v1 flipped CRC digit":        flipByte(validV1, len(validV1)-12),
+		"v1 dimension-inflated":       encodeEnvelope(craftColumnarAs(columnarMagicV1, inflated, minimalBodyV1(0x01, 0x01))),
+		"v1 cut short":                encodeEnvelope(payloadV1[:len(payloadV1)-3]),
+		"v1 trailing bytes":           encodeEnvelope(append(append([]byte(nil), payloadV1...), 0)),
+		"v1 invalid trial":            encodeEnvelope(craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x00))), // inclusive without exclusive
 	}
 }
 
@@ -175,6 +225,30 @@ func TestSaveEncodedMatchesSave(t *testing.T) {
 			if err != nil || cached.Events[0].Calls[0] == -12345 {
 				t.Fatalf("trial %d: returned trial aliases the cache (err=%v)", i, err)
 			}
+		}
+	}
+}
+
+// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL1
+// encoding is stored as the re-encoding of the trial it holds.
+func TestSaveEncodedReencodesColumnarV1(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	repo := mustOpen(t, t.TempDir())
+	for i := 0; i < 40; i++ {
+		tr := genColTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(4))
+		got, err := repo.SaveEncoded(context.Background(), encodeEnvelope(legacyColumnarPayload(t, tr)))
+		if err != nil {
+			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL1 body: %v", i, err)
+		}
+		if canonicalTrialDump(got) != canonicalTrialDump(tr) {
+			t.Fatalf("trial %d: SaveEncoded returned a different trial", i)
+		}
+		want, err := EncodeTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file := rawTrialFile(t, repo, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, want) || !isColumnarFile(t, file) {
+			t.Fatalf("trial %d: %%PDMFCOL1 body not stored as EncodeTrial's output", i)
 		}
 	}
 }
@@ -278,9 +352,10 @@ func mustOpen(t *testing.T, dir string) *Repository {
 	return repo
 }
 
-// A directory written by older versions — a plain-JSON file, a
-// JSON-in-envelope file, one of them under the underscore path scheme —
-// serves both representations, and each file is upgraded by its next save.
+// A directory written by older versions — a plain-JSON file under the
+// underscore path scheme, a JSON-in-envelope file, a %PDMFCOL1 file —
+// serves both representations; a file is upgraded by its next save, and
+// whatever is still legacy by one Verify, after which a second finds none.
 func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -295,46 +370,64 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	plain := miniTrial("my app", "exp", "plain", 1)
 	wrapped := miniTrial("my app", "exp", "wrapped", 2)
+	col1 := miniTrial("my app", "exp", "col1", 3)
 	plainJSON, _ := json.MarshalIndent(plain, "", " ")
 	wrappedJSON, _ := json.MarshalIndent(wrapped, "", " ")
+	col1File := encodeEnvelope(legacyColumnarPayload(t, col1))
 	plant(filepath.Join(dir, "my_app", "exp", "plain.json"), plainJSON) // underscore scheme
 	plant(filepath.Join(dir, safe("my app"), "exp", "wrapped.json"), encodeEnvelope(wrappedJSON))
+	plant(filepath.Join(dir, safe("my app"), "exp", "col1.json"), col1File)
 
 	repo := mustOpen(t, dir)
-	if rep, err := repo.Verify(); err != nil || rep.Trials != 2 || rep.Legacy != 2 || !rep.Clean() {
-		t.Fatalf("fsck over legacy files = %+v, %v; want 2 trials, 2 legacy, clean", rep, err)
+	canon := func(tr *Trial) []byte {
+		t.Helper()
+		data, err := EncodeTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	for _, want := range []*Trial{plain, wrapped} {
+	// The two files at their own paths read in both representations, and
+	// reading rewrites nothing.
+	for _, want := range []*Trial{wrapped, col1} {
 		data, err := repo.GetEncoded(ctx, want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("%s: GetEncoded: %v", want.Name, err)
 		}
-		canon, _ := EncodeTrial(want)
-		if !bytes.Equal(data, canon) {
+		if !bytes.Equal(data, canon(want)) {
 			t.Errorf("%s: legacy file not re-encoded to the canonical form", want.Name)
 		}
 		got, err := repo.GetTrial(want.App, want.Experiment, want.Name)
 		if err != nil || canonicalTrialDump(got) != canonicalTrialDump(want) {
 			t.Errorf("%s: GetTrial: err=%v", want.Name, err)
 		}
-		// Reading does not rewrite; the next save does, in either flavour.
-		if want == plain {
-			err = repo.Save(got)
-		} else {
-			_, err = repo.SaveEncoded(ctx, data)
-		}
-		if err != nil {
-			t.Fatalf("%s: save: %v", want.Name, err)
-		}
-		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon) {
-			t.Errorf("%s: file not upgraded to the encoded form by its save", want.Name)
+	}
+	if file := rawTrialFile(t, repo, col1.App, col1.Experiment, col1.Name); !bytes.Equal(file, col1File) {
+		t.Error("reading a %PDMFCOL1 file rewrote it")
+	}
+	// The next save upgrades a file — here the old bytes of col1, as a hint
+	// queued before the upgrade would replay them.
+	if _, err := repo.SaveEncoded(ctx, col1File); err != nil {
+		t.Fatalf("SaveEncoded of the %%PDMFCOL1 bytes: %v", err)
+	}
+	if file := rawTrialFile(t, repo, col1.App, col1.Experiment, col1.Name); !bytes.Equal(file, canon(col1)) {
+		t.Error("col1: file not upgraded to the encoded form by its save")
+	}
+	// Verify moves the underscore-scheme file home and upgrades the rest.
+	rep, err := repo.Verify()
+	if err != nil || rep.Trials != 3 || rep.Legacy != 2 || rep.Upgraded != 2 || len(rep.Relocated) != 1 || !rep.Clean() {
+		t.Fatalf("fsck over legacy files = %+v, %v; want 3 trials, 2 legacy, 2 upgraded, 1 relocated, clean", rep, err)
+	}
+	for _, want := range []*Trial{plain, wrapped, col1} {
+		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon(want)) {
+			t.Errorf("%s: file is not EncodeTrial's output after fsck", want.Name)
 		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "my_app", "exp", "plain.json")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("underscore-scheme twin survived the upgrade: %v", err)
 	}
-	if rep, err := repo.Verify(); err != nil || rep.Trials != 2 || rep.Legacy != 0 {
-		t.Fatalf("fsck after upgrade = %+v, %v; want 2 trials, 0 legacy", rep, err)
+	if rep, err := repo.Verify(); err != nil || rep.Trials != 3 || rep.Legacy != 0 || rep.Upgraded != 0 || !rep.Clean() {
+		t.Fatalf("second fsck = %+v, %v; want 3 trials, 0 legacy, 0 upgraded", rep, err)
 	}
 	// The legacy path of "a b" is the current path of "a_b": a raw read
 	// must not serve one trial under the other's name.
@@ -346,30 +439,110 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 }
 
-// The trade-off DESIGN.md records: blocks are dense, so an absent (event,
-// metric) pair still costs 16 × threads bytes and a very sparse trial
-// stores larger than its JSON. The test pins the arithmetic, not a policy.
-func TestDenseBlocksCostOnSparseTrials(t *testing.T) {
-	const events, threads = 64, 16
-	tr := NewTrial("app", "exp", "sparse", threads)
-	for i := 0; i < events; i++ {
-		// Every event carries one metric of its own and nothing else.
-		e := tr.EnsureEvent("f" + strconv.Itoa(i))
-		vals := make([]float64, threads)
-		e.Inclusive["M"+strconv.Itoa(i)] = vals
-		e.Exclusive["M"+strconv.Itoa(i)] = vals
-	}
-	enc, err := EncodeTrial(tr)
+// Verify upgrades nothing while the repository is read-only — a full volume
+// is no place to rewrite every file — and picks the files up on the first
+// scan after space is back. A failed rewrite is a scan error and leaves the
+// old file.
+func TestVerifyUpgradeReadOnlyAndFailure(t *testing.T) {
+	dir := t.TempDir()
+	old, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, _ := decodeEnvelope(enc)
-	hlen := int(binary.LittleEndian.Uint32(payload[len(columnarMagic):]))
-	blocks := len(payload) - len(columnarMagic) - 4 - hlen
-	if want := 8*events*threads + events*(2*((events+7)/8)+16*events*threads); blocks != want {
-		t.Errorf("block bytes = %d, want %d (calls + per column: 2 bitmaps + 2 dense blocks)", blocks, want)
+	p := filepath.Join(dir, "app", "exp", "seed.json")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if js, _ := json.Marshal(tr); len(enc) <= len(js) {
-		t.Errorf("sparse trial: encoded %d B ≤ JSON %d B — the documented trade-off no longer exists", len(enc), len(js))
+	if err := os.WriteFile(p, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := vfs.NewFaulty(vfs.OS{})
+	repo, err := OpenRepositoryFS(dir, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Inject(vfs.Fault{Op: vfs.OpWriteFile, Err: syscall.ENOSPC})
+	for i := 0; i < readOnlyAfterENOSPC; i++ {
+		_ = repo.Save(miniTrial("app", "exp", "other", 1))
+	}
+	rep, err := repo.Verify()
+	if err != nil || !rep.ReadOnly || rep.Legacy != 1 || rep.Upgraded != 0 || len(rep.Errors) != 0 {
+		t.Fatalf("fsck on a full volume = %+v, %v; want read-only, 1 legacy, nothing upgraded, no errors", rep, err)
+	}
+	if cur, _ := os.ReadFile(p); !bytes.Equal(cur, old) {
+		t.Fatal("read-only fsck touched the legacy file")
+	}
+	// Writable again, but the rename of the rewrite fails once.
+	f.Clear()
+	f.Inject(vfs.Fault{Op: vfs.OpRename, Err: syscall.EIO, Count: 1})
+	rep, err = repo.Verify()
+	if err != nil || rep.ReadOnly || rep.Upgraded != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], "upgrade") {
+		t.Fatalf("fsck with a failing rewrite = %+v, %v; want one upgrade error", rep, err)
+	}
+	if cur, _ := os.ReadFile(p); !bytes.Equal(cur, old) {
+		t.Fatal("failed rewrite did not leave the old file")
+	}
+	if files := trialFiles(t, dir, ".tmp"); len(files) != 0 {
+		t.Fatalf("failed rewrite left temp files: %v", files)
+	}
+	rep, err = repo.Verify()
+	if err != nil || rep.Legacy != 1 || rep.Upgraded != 1 || !rep.Clean() {
+		t.Fatalf("fsck after the fault cleared = %+v, %v; want 1 legacy, 1 upgraded, clean", rep, err)
+	}
+	if cur, _ := os.ReadFile(p); !isColumnarFile(t, cur) {
+		t.Fatal("file still not in the current form")
+	}
+}
+
+// Blocks are dense in memory and packed on disk: an absent (event, metric)
+// pair is a row of zeros, one width byte. A very sparse trial — every event
+// with a metric of its own and nothing else — used to store at 100× its
+// JSON; now it is at par when every value is 0 (JSON's cheapest, 2 bytes a
+// value) and smaller as soon as the values are measurements. The test pins
+// the arithmetic DESIGN.md records.
+func TestSparseTrialsStoreSmallerThanJSON(t *testing.T) {
+	const events, threads = 64, 16
+	tr := NewTrial("app", "exp", "sparse", threads)
+	for i := 0; i < events; i++ {
+		e := tr.EnsureEvent("f" + strconv.Itoa(i))
+		e.Inclusive["M"+strconv.Itoa(i)] = make([]float64, threads)
+		e.Exclusive["M"+strconv.Itoa(i)] = make([]float64, threads)
+	}
+	sizes := func() (enc, blocks, js int) {
+		t.Helper()
+		data, err := EncodeTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, _ := decodeEnvelope(data)
+		hlen := int(binary.LittleEndian.Uint32(payload[len(columnarMagic):]))
+		compact, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data), len(payload) - len(columnarMagic) - 4 - hlen, len(compact)
+	}
+	enc, blocks, js := sizes()
+	zeroBlocks := events + events*(2*((events+7)/8)+2*events)
+	if blocks != zeroBlocks {
+		t.Errorf("block bytes = %d, want %d (calls + per column: 2 bitmaps + 2 blocks, one width byte a row)", blocks, zeroBlocks)
+	}
+	if enc*100 > js*102 {
+		t.Errorf("all-zero sparse trial: encoded %d B, JSON %d B — more than 2%% apart", enc, js)
+	}
+	// Measurements in every event's own metric: those 2 rows per event go to
+	// width 8, nothing else moves, and JSON pays ~18 bytes a value.
+	for i, e := range tr.Events {
+		for th := 0; th < threads; th++ {
+			v := math.Sqrt(float64(i*threads + th + 2)) // full-precision, as timers give
+			e.SetValue("M"+strconv.Itoa(i), th, 2*v, v)
+		}
+	}
+	enc, blocks, js = sizes()
+	if want := zeroBlocks + events*2*8*threads; blocks != want {
+		t.Errorf("block bytes with measurements = %d, want %d", blocks, want)
+	}
+	if enc >= js {
+		t.Errorf("sparse trial with measurements: encoded %d B ≥ JSON %d B", enc, js)
 	}
 }

@@ -20,32 +20,31 @@ var ErrCorrupt = errors.New("trial data corrupt")
 // are detected instead of silently parsed:
 //
 //	%PDMF1\n
-//	<payload: %PDMFCOL1 columnar trial, byte-exact>
+//	<payload: %PDMFCOL2 columnar trial, byte-exact>
 //	\n%PDMF1 crc32c=XXXXXXXX len=NNN\n
 //
 // The trailer repeats the magic, then carries the CRC32-C of the payload
 // (8 lowercase hex digits) and the payload length in decimal. Both the
 // header and the trailer must be intact and agree with the payload for a
 // read to succeed — a file cut off anywhere, or altered anywhere, fails
-// the check. EncodeTrial is the only writer. Two older on-disk forms stay
-// readable and are rewritten on their next save: trial JSON inside the
+// the check. EncodeTrial is the only writer. Three older forms stay
+// readable and are rewritten on their next save or by fsck: a %PDMFCOL1
+// payload (raw value blocks) inside the envelope, trial JSON inside the
 // envelope, and files that do not start with the magic at all, which are
 // treated as plain-JSON trials (the pre-envelope format).
 const (
 	envelopeMagic   = "%PDMF1\n"
 	envelopeTrailer = "\n%PDMF1 crc32c="
+	// envelopeTrailerMax bounds a trailer: 8 hex digits, " len=", a decimal
+	// int64 and the newline after the fixed part.
+	envelopeTrailerMax = len(envelopeTrailer) + 8 + len(" len=") + 20 + 1
 )
 
 var envelopeTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeEnvelope wraps payload in the checksummed trial envelope.
-func encodeEnvelope(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(envelopeMagic) + len(payload) + len(envelopeTrailer) + 24)
-	buf.WriteString(envelopeMagic)
-	buf.Write(payload)
-	fmt.Fprintf(&buf, "%s%08x len=%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), len(payload))
-	return buf.Bytes()
+// appendEnvelopeTrailer appends the trailer that seals payload.
+func appendEnvelopeTrailer(buf, payload []byte) []byte {
+	return fmt.Appendf(buf, "%s%08x len=%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), len(payload))
 }
 
 // decodeEnvelope validates data and returns the enclosed payload.
@@ -88,16 +87,22 @@ func decodeEnvelope(data []byte) (payload []byte, legacy bool, err error) {
 // give equal bytes — so stored files, hint bodies and wire bodies of one
 // trial are interchangeable.
 func EncodeTrial(t *Trial) ([]byte, error) {
-	payload, err := MarshalColumnar(t)
+	c, err := ColumnsFromTrial(t)
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
-	return encodeEnvelope(payload), nil
+	// Magic, payload and trailer in the one buffer the payload is sized for.
+	buf, err := c.encode(envelopeMagic, envelopeTrailerMax)
+	if err != nil {
+		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
+	}
+	return appendEnvelopeTrailer(buf, buf[len(envelopeMagic):]), nil
 }
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum, decodes the payload and validates the result. It also accepts
-// the two legacy forms (trial JSON inside the envelope, plain trial JSON).
+// the legacy forms (%PDMFCOL1 or trial JSON inside the envelope, plain
+// trial JSON).
 // Checksum, structure and validation failures all wrap ErrCorrupt.
 func DecodeTrial(data []byte) (*Trial, error) {
 	payload, _, err := decodeEnvelope(data)

@@ -19,10 +19,14 @@ type FsckReport struct {
 	Root string `json:"root"`
 	// Trials counts readable, valid trial files (encoded or legacy).
 	Trials int `json:"trials"`
-	// Legacy counts trials still in one of the two older forms (plain
-	// pre-envelope JSON, or trial JSON inside the envelope); they are
-	// rewritten into the encoded form on their next save.
+	// Legacy counts trials the walk found in one of the older forms (plain
+	// pre-envelope JSON, trial JSON inside the envelope, a %PDMFCOL1
+	// payload).
 	Legacy int `json:"legacy"`
+	// Upgraded counts the legacy-form files this scan rewrote into the
+	// encoded form; after a scan that upgraded them all, the next reports
+	// no legacy files.
+	Upgraded int `json:"upgraded"`
 	// Quarantined lists the .corrupt files present after the scan —
 	// both previously quarantined entries and files this scan moved aside.
 	Quarantined []string `json:"quarantined,omitempty"`
@@ -58,9 +62,11 @@ func (rep *FsckReport) Clean() bool {
 // Verify runs fsck over the repository: removes orphaned .tmp files,
 // validates every trial file (quarantining damaged ones to <file>.corrupt),
 // moves valid files that sit at another name's path to their own, reports
-// quarantined entries, and — when the repository is in read-only degraded
-// mode — probes the volume and clears the mode if writes succeed again. It
-// never fails the whole scan because of one bad file.
+// quarantined entries, when the repository is in read-only degraded mode
+// probes the volume and clears the mode if writes succeed again, and —
+// unless it stays read-only — rewrites every legacy-form file into the
+// encoded form, which makes it the one-shot format migration. It never
+// fails the whole scan because of one bad file.
 func (r *Repository) Verify() (*FsckReport, error) {
 	rep := &FsckReport{Root: r.root}
 	if r.root == "" {
@@ -70,7 +76,7 @@ func (r *Repository) Verify() (*FsckReport, error) {
 		return rep, nil
 	}
 	r.recoverTmp(rep)
-	var misplaced []string
+	var misplaced, legacy []string
 	r.walkTrialDirs(func(dir string, files []os.DirEntry) {
 		for _, f := range files {
 			if f.IsDir() {
@@ -81,8 +87,12 @@ func (r *Repository) Verify() (*FsckReport, error) {
 			case strings.HasSuffix(f.Name(), ".corrupt"):
 				rep.Quarantined = append(rep.Quarantined, r.rel(p))
 			case strings.HasSuffix(f.Name(), ".json"):
-				if r.verifyTrialFile(p, rep) {
+				home, isLegacy := r.verifyTrialFile(p, rep)
+				if home != "" && home != p {
 					misplaced = append(misplaced, p)
+				}
+				if isLegacy {
+					legacy = append(legacy, home)
 				}
 			}
 		}
@@ -93,34 +103,76 @@ func (r *Repository) Verify() (*FsckReport, error) {
 		r.relocate(p, rep)
 	}
 	r.probeWritable()
+	for _, p := range legacy {
+		r.upgrade(p, rep)
+	}
 	rep.ReadOnly = r.ReadOnly()
 	return rep, nil
 }
 
 // verifyTrialFile checks one .json file end to end; damaged files are
-// quarantined and recorded, unreadable ones recorded as scan errors. It
-// reports whether the file is a valid trial that is not at its own path.
-func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (misplaced bool) {
+// quarantined and recorded, unreadable ones recorded as scan errors. For a
+// valid trial it returns home, the path of the coordinates the file embeds
+// (the file is misplaced when that is not p), and whether the file is in a
+// legacy form.
+func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (home string, legacy bool) {
 	data, err := r.fsys.ReadFile(p)
 	if err != nil {
 		rep.Errors = append(rep.Errors, r.rel(p)+": "+err.Error())
-		return false
+		return "", false
 	}
 	var t *Trial
-	payload, legacy, err := decodeEnvelope(data)
+	payload, _, err := decodeEnvelope(data)
 	if err == nil {
 		t, err = decodeTrialPayload(payload)
 	}
 	if err != nil {
 		r.quarantine(p)
 		rep.Quarantined = append(rep.Quarantined, r.rel(p)+".corrupt")
-		return false
+		return "", false
 	}
 	rep.Trials++
-	if legacy || !IsColumnar(payload) {
+	if legacy = !IsColumnar(payload); legacy {
 		rep.Legacy++
 	}
-	return r.path(t.App, t.Experiment, t.Name) != p
+	return r.path(t.App, t.Experiment, t.Name), legacy
+}
+
+// upgrade rewrites the legacy-form trial file at p, its own path, as
+// EncodeTrial output through persist. Like relocate it holds the write lock
+// and re-reads the file under it, so a Save racing the scan is not
+// overwritten with the older trial. A file that is gone, already upgraded,
+// or still misplaced because its relocation was refused is left alone.
+func (r *Repository) upgrade(p string, rep *FsckReport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.readOnly.Load() {
+		return
+	}
+	data, err := r.fsys.ReadFile(p)
+	if err != nil {
+		return
+	}
+	payload, _, err := decodeEnvelope(data)
+	if err != nil || IsColumnar(payload) {
+		return
+	}
+	t, err := decodeTrialPayload(payload)
+	if err != nil || r.path(t.App, t.Experiment, t.Name) != p {
+		return
+	}
+	enc, err := EncodeTrial(t)
+	if err == nil {
+		if err = r.persist(t.App, t.Experiment, t.Name, enc); err != nil {
+			r.noteWriteError(err)
+		}
+	}
+	if err != nil {
+		rep.Errors = append(rep.Errors, r.rel(p)+": upgrade: "+err.Error())
+		return
+	}
+	r.enospcStreak.Store(0)
+	rep.Upgraded++
 }
 
 // relocate moves the valid trial file at from to the path of the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,12 +131,14 @@ func FuzzParseCSV(f *testing.F) {
 }
 
 // FuzzDecodeColumnarEnvelope drives the full trial-file read path over the
-// columnar binary format: envelope decode, columnar payload decode, trial
-// validation. The invariants: every failure wraps ErrCorrupt; every decode
-// that succeeds yields a Validate-clean trial; and the encoding is a fixed
-// point after one canonicalization round (the fuzzer can supply headers
-// whose JSON is legal but non-canonical — key order, whitespace — so
-// encode(decode(b)) may differ from b, but it must then be stable).
+// columnar binary format, current and legacy: envelope decode, columnar
+// payload decode, trial validation. The invariants: every failure wraps
+// ErrCorrupt; every decode that succeeds yields a Validate-clean trial; and
+// the encoding is a fixed point after one canonicalization round (the
+// fuzzer can supply headers whose JSON is legal but non-canonical — key
+// order, whitespace — and %PDMFCOL1 payloads, so encode(decode(b)) may
+// differ from b, but it must then be stable). The checked-in %PDMFCOL1
+// corpus predates %PDMFCOL2 and is kept byte for byte.
 func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
 
@@ -147,7 +150,7 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 			}
 			return
 		}
-		if legacy || !IsColumnar(payload) {
+		if legacy || !isColumnarAny(payload) {
 			return // JSON bodies are FuzzDecodeEnvelope's territory
 		}
 		c, err := DecodeColumnar(payload)
@@ -166,9 +169,15 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding decoded payload: %v", err)
 		}
+		if !IsColumnar(e1) {
+			t.Fatal("re-encoding is not in the current form")
+		}
 		c2, err := DecodeColumnar(e1)
 		if err != nil {
 			t.Fatalf("canonical encoding does not decode: %v", err)
+		}
+		if canonicalTrialDump(c2.Trial()) != canonicalTrialDump(tr) {
+			t.Fatal("re-encoding changed the trial")
 		}
 		e2, err := c2.Encode()
 		if err != nil {
@@ -180,23 +189,27 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	})
 }
 
+// fuzzSeedTrial is the trial behind the valid seeds and, as %PDMFCOL1,
+// behind the checked-in `valid` corpus entry and testdata/col1_trial.pdmf.
+func fuzzSeedTrial() *Trial {
+	tr := NewTrial("app", "exp", "seed", 2)
+	tr.AddMetric(TimeMetric)
+	e := tr.EnsureEvent("main")
+	for th := 0; th < 2; th++ {
+		e.Calls[th] = 1
+		e.SetValue(TimeMetric, th, float64(th+1), float64(th))
+	}
+	return tr
+}
+
 // addColumnarEnvelopeSeeds seeds a fuzz target with encoded trials: one
-// valid, the rest damaged in the ways the decoders must survive.
+// valid, the rest damaged in the ways the decoders must survive, and last
+// the same trial as a %PDMFCOL1 body.
 func addColumnarEnvelopeSeeds(f *testing.F) {
-	valid := func() []byte {
-		tr := NewTrial("app", "exp", "seed", 2)
-		tr.AddMetric(TimeMetric)
-		e := tr.EnsureEvent("main")
-		for th := 0; th < 2; th++ {
-			e.Calls[th] = 1
-			e.SetValue(TimeMetric, th, float64(th+1), float64(th))
-		}
-		p, err := MarshalColumnar(tr)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}()
+	valid, err := MarshalColumnar(fuzzSeedTrial())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(encodeEnvelope(valid))
 	f.Add(encodeEnvelope(valid[:len(valid)-5])) // truncated payload
 	badCRC := encodeEnvelope(valid)
@@ -205,31 +218,89 @@ func addColumnarEnvelopeSeeds(f *testing.F) {
 	f.Add(encodeEnvelope([]byte(columnarMagic + "\x60\x00\x00\x00" +
 		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
 	f.Add(encodeEnvelope([]byte(columnarMagic)))
+	f.Add(encodeEnvelope(legacyColumnarPayload(f, fuzzSeedTrial())))
+}
+
+// columnarCorpus returns the checked-in corpus of
+// FuzzDecodeColumnarEnvelope, name → input.
+func columnarCorpus(t testing.TB) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob("testdata/fuzz/FuzzDecodeColumnarEnvelope/*")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no corpus found (err=%v)", err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		// A corpus file is "go test fuzz v1\n[]byte(<quoted>)\n".
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(string(raw), "\n[]byte(")
+		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+		if err != nil {
+			t.Fatalf("corpus file %s: %v", name, err)
+		}
+		out[filepath.Base(name)] = []byte(seed)
+	}
+	return out
+}
+
+// The corpus holds what its names say, in both forms: the pre-%PDMFCOL2
+// entries are %PDMFCOL1 bodies read through the legacy path, the col2_
+// entries their current-form counterparts plus the over-wide row.
+func TestColumnarCorpus(t *testing.T) {
+	corpus := columnarCorpus(t)
+	want := canonicalTrialDump(fuzzSeedTrial())
+	for _, name := range []string{"valid", "col2_valid"} {
+		data, ok := corpus[name]
+		if !ok {
+			t.Fatalf("corpus entry %s missing", name)
+		}
+		payload, _, err := decodeEnvelope(data)
+		if err != nil || IsColumnar(payload) != (name == "col2_valid") || isColumnarV1(payload) != (name == "valid") {
+			t.Fatalf("%s: wrong form (err=%v)", name, err)
+		}
+		if got, err := DecodeTrial(data); err != nil || canonicalTrialDump(got) != want {
+			t.Errorf("%s: does not decode to the seed trial (err=%v)", name, err)
+		}
+	}
+	if raw, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf")); err != nil || !bytes.Equal(raw, corpus["valid"]) {
+		t.Errorf("testdata/col1_trial.pdmf is not the corpus's valid seed (err=%v)", err)
+	}
+	for _, name := range []string{"truncated", "bad_crc", "huge_dimension",
+		"col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row"} {
+		data, ok := corpus[name]
+		if !ok {
+			t.Fatalf("corpus entry %s missing", name)
+		}
+		if _, err := DecodeTrial(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
+		// The damage is where the name says, not in the envelope around it.
+		if _, _, err := decodeEnvelope(data); (err != nil) != strings.HasSuffix(name, "bad_crc") {
+			t.Errorf("%s: envelope check = %v", name, err)
+		}
+	}
 }
 
 // FuzzSaveEncoded drives the upload decoder — Repository.SaveEncoded, what
 // POST /api/v1/trials runs on an encoded body — with the seeds and the
 // checked-in corpus of FuzzDecodeColumnarEnvelope. The invariants: a
-// refusal wraps ErrCorrupt and stores nothing; an accepted body is the
-// canonical encoding of a Validate-clean trial, which then reads back.
+// refusal wraps ErrCorrupt and stores nothing; an accepted body holds a
+// Validate-clean trial that reads back, and is its canonical encoding — or
+// is a %PDMFCOL1 body, and the file stored for it is the canonical encoding
+// of the same trial.
 func FuzzSaveEncoded(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
-	corpus, err := filepath.Glob("testdata/fuzz/FuzzDecodeColumnarEnvelope/*")
-	if err != nil {
-		f.Fatal(err)
+	corpus := columnarCorpus(f)
+	names := make([]string, 0, len(corpus))
+	for name := range corpus {
+		names = append(names, name)
 	}
-	for _, name := range corpus {
-		// A corpus file is "go test fuzz v1\n[]byte(<quoted>)\n".
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		_, lit, _ := strings.Cut(string(raw), "\n[]byte(")
-		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
-		if err != nil {
-			f.Fatalf("corpus file %s: %v", name, err)
-		}
-		f.Add([]byte(seed))
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(corpus[name])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -247,11 +318,32 @@ func FuzzSaveEncoded(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("accepted trial fails Validate: %v", err)
 		}
-		if canon, err := EncodeTrial(tr); err != nil || !bytes.Equal(canon, data) {
-			t.Fatalf("accepted body is not the canonical encoding of its trial (err=%v)", err)
-		}
 		if _, err := repo.GetTrial(tr.App, tr.Experiment, tr.Name); err != nil {
 			t.Fatalf("accepted trial does not read back: %v", err)
+		}
+		canon, err := EncodeTrial(tr)
+		if err != nil {
+			t.Fatalf("accepted trial does not encode: %v", err)
+		}
+		if bytes.Equal(canon, data) {
+			return
+		}
+		payload, _, _ := decodeEnvelope(data)
+		if !isColumnarV1(payload) {
+			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL1 body")
+		}
+		if direct, err := DecodeTrial(data); err != nil || canonicalTrialDump(direct) != canonicalTrialDump(tr) {
+			t.Fatalf("accepted %%PDMFCOL1 body holds a different trial (err=%v)", err)
+		}
+		disk, err := OpenRepository(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := disk.SaveEncoded(context.Background(), data); err != nil {
+			t.Fatalf("file-backed SaveEncoded refused what the in-memory one took: %v", err)
+		}
+		if file := rawTrialFile(t, disk, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, canon) {
+			t.Fatal("file stored for a %PDMFCOL1 body is not the canonical encoding of its trial")
 		}
 	})
 }

@@ -52,9 +52,10 @@ const readOnlyAfterENOSPC = 2
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. Files in the two legacy forms (trial JSON inside the
-//     envelope, plain pre-envelope JSON) remain readable and are rewritten
-//     into the encoded form on next save.
+//     are unaffected. Files in the legacy forms (a %PDMFCOL1 payload or
+//     trial JSON inside the envelope, plain pre-envelope JSON) remain
+//     readable and are rewritten into the encoded form on next save, or
+//     all at once by Verify.
 //   - Opening runs a recovery sweep that deletes orphaned .tmp files left
 //     by interrupted saves. Verify runs a full fsck on demand.
 //   - Persistent ENOSPC on save flips the repository into read-only
@@ -220,8 +221,12 @@ func (r *Repository) Save(t *Trial) error {
 // — envelope checksum, full structural decode, Validate — and additionally
 // requires data to be the canonical encoding of the trial it decodes to,
 // so the file written is byte for byte what Save of that trial would
-// write. Rejected input wraps ErrCorrupt and leaves the repository
-// untouched. The returned trial is the caller's own copy.
+// write. The one other body accepted is a %PDMFCOL1 encoding (a hint queued
+// before the upgrade, a client one version behind), which passes the same
+// checks and is stored as its re-encoding; trial JSON, bare or in the
+// envelope, is not an encoded trial. Rejected input wraps ErrCorrupt and
+// leaves the repository untouched. The returned trial is the caller's own
+// copy.
 func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (*Trial, error) {
 	_, sp := obs.StartSpan(ctx, "perfdmf.save")
 	t, err := r.saveEncoded(data)
@@ -239,7 +244,11 @@ func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (*Trial, erro
 }
 
 func (r *Repository) saveEncoded(data []byte) (*Trial, error) {
-	t, err := DecodeTrial(data)
+	payload, _, err := decodeEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
+	t, err := decodeTrialPayload(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -247,10 +256,10 @@ func (r *Repository) saveEncoded(data []byte) (*Trial, error) {
 	if err != nil {
 		return t, err
 	}
-	if !bytes.Equal(canon, data) {
+	if !bytes.Equal(canon, data) && !isColumnarV1(payload) {
 		return t, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, t.App, t.Experiment, t.Name)
 	}
-	return t, r.store(t, data)
+	return t, r.store(t, canon)
 }
 
 // store persists data, the encoded form of t (unused when in-memory), and
@@ -359,7 +368,8 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 // callers that ship it on rather than analyse it. A file-backed repository
 // answers with the stored file's bytes after verifying the envelope
 // checksum — nothing is decoded; a file in a legacy form is decoded and
-// re-encoded on the fly (it is upgraded on disk by its next save). A failed
+// re-encoded on the fly (it is upgraded on disk by its next save or by
+// Verify). A failed
 // check quarantines the file exactly as GetTrial does. An in-memory
 // repository encodes from its cache.
 func (r *Repository) GetEncoded(ctx context.Context, app, experiment, trial string) ([]byte, error) {
@@ -603,7 +613,7 @@ func (r *Repository) walkTrialDirs(fn func(dir string, files []os.DirEntry)) {
 }
 
 // ReadTrialFile loads a single trial from a native snapshot (the file
-// format Save writes, or either legacy form), without needing a repository.
+// format Save writes, or any legacy form), without needing a repository.
 func ReadTrialFile(path string) (*Trial, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
