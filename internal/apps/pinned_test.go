@@ -1,0 +1,132 @@
+// Package apps_test pins the simulator's outputs across commits: the band
+// checks in the app packages accept any trial inside a tolerance and the
+// determinism tests compare a commit with itself, so neither notices a
+// change to internal/sim or internal/machine that moves every number a
+// little. This table does.
+package apps_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"perfknow/internal/apps/genidlest"
+	"perfknow/internal/apps/msa"
+	"perfknow/internal/machine"
+	"perfknow/internal/parallel"
+	"perfknow/internal/perfdmf"
+	"perfknow/internal/sim"
+)
+
+// pinnedTrials maps a simulated run to the SHA-256 of its encoded trial.
+// The hashes were recorded at commit 613d8d4. A change that moves one of
+// them has changed what the simulator computes: that is a new model and
+// needs its own PR, not a new hash in a PR about something else.
+var pinnedTrials = map[string]string{
+	"msa/seed1/static/4":                  "645211cf6ce14dbf7a94d91a9f8f1207b36e2ee7e855922bab4f198d63d06139",
+	"msa/seed1/static/16":                 "d8ec3697fc5a5e57e7f5a7650c343d6dc4ed07922f414a22cdacdd6d463ba363",
+	"msa/seed1/dynamic,1/4":               "3a5de3f1596bf490e2d4df7240f410712b5c48b03e12d65c7a9ed6d66017832b",
+	"msa/seed1/dynamic,1/16":              "9f4819abb240bee1ff796ae2b1a1999f6fd1b2883462c4c8c1dac9b6d0f7e0e7",
+	"msa/seed1/guided/4":                  "bacdd2c5cb34f7faca40139f652aed79143a56bf9c30036da0b95a9f1079316f",
+	"msa/seed1/guided/16":                 "973a63c8ff05bd52f5a962da3c91b3ea0fc19ac28e9d39c6969dfe4c5c35da78",
+	"msa/seed2/static/4":                  "f85f45d78f43beadfef620988f0e68ee4ff48999736be9b1c4b89ef959d488ea",
+	"msa/seed2/static/16":                 "e98f303e25d73dd502d3d4bab0993d69b53ebd635f978394820df09601711819",
+	"msa/seed2/dynamic,1/4":               "e1e22d187586315904c8de4c0887a2f9b2727a30db01bba919554c97722d8ac5",
+	"msa/seed2/dynamic,1/16":              "54b1ade4efa43f978e12daad37016f28b4951dc233eb8ea0064c9132774b99fc",
+	"msa/seed2/guided/4":                  "0bba7d8de3e275c41c1c68b755fcee6bb777597539a0a90d84e2da66e4ae97cf",
+	"msa/seed2/guided/16":                 "c9adb3c855d3af7744885f0e5c411a0dd6212df16d583e2ac056b9cb610d2d4a",
+	"msa/seed3/static/4":                  "2b4d40002a41399219ec6866a81bf38273efb66a3918c315e237213596b0a639",
+	"msa/seed3/static/16":                 "fc2827cc89b4da8e001f9ea649daa6119257a653d252000d7bec3774c20e1f4b",
+	"msa/seed3/dynamic,1/4":               "2c9d1a4644bd07260969311835b38c7934df949499a064b36f84d7b606cab63c",
+	"msa/seed3/dynamic,1/16":              "41feb61a3c9c0bd42633cb63ab674c4d0d3459613e3826e605590e4058620861",
+	"msa/seed3/guided/4":                  "d18f6c3e2cb59311b60c88edd8e630932774af6f7d57b3ead07d9d56ab929a80",
+	"msa/seed3/guided/16":                 "a83f9ef44cf85fd60cd211e2dd6634d66014866c9e33931b00b4e3486394b8a2",
+	"genidlest/45rib/OpenMP/opt=false/4":  "4d64a294bf4303e27e43ec4fee801deb96a9f9b04fd210c8df47d86547033e9d",
+	"genidlest/45rib/OpenMP/opt=false/8":  "bb8d2aef44b5db91269737f78006ac396ebc24c191a4d2b3810d26c6158a5e96",
+	"genidlest/45rib/OpenMP/opt=true/4":   "5e99a73905d776a60a5698549691427f1980e52ab585c169021b9b50a5b97bc8",
+	"genidlest/45rib/OpenMP/opt=true/8":   "ea5e344496abf83300cc9f5c2d367afc18e031da1328900eadc102ac7d3803b7",
+	"genidlest/45rib/MPI/opt=false/4":     "c886427dffb644da1afbab89844aede0614c93e85f4470e5964f319fb50429f6",
+	"genidlest/45rib/MPI/opt=false/8":     "5e300926a9c392374ec051be83ec28011c96ed81b8c2eb906668957597b0ce8d",
+	"genidlest/45rib/MPI/opt=true/4":      "7b9c09357e2d7e49e6b707ca83986991c84310a117c97f25c4fc4376829bc12e",
+	"genidlest/45rib/MPI/opt=true/8":      "003e0bb47810062d1f704ec772158edd0748c18c43f548e35622e0187575e724",
+	"genidlest/45rib/Hybrid/opt=false/4":  "c9c63057807678854d02bb1b0b5e59d5e94fd44abf59a77c58fe9217f8b1383f",
+	"genidlest/45rib/Hybrid/opt=false/8":  "21736b3075317ac57c094af31c069b64732bba4b07d4406ab517dbcf8cd15336",
+	"genidlest/45rib/Hybrid/opt=true/4":   "fee243ca37c0dbb21feb76db0272da90e312387b3824659d7ed1663eff368fa7",
+	"genidlest/45rib/Hybrid/opt=true/8":   "0ff1f4cb0696629f01bbc60ebf72f8a03bbf1654fee861cc2b9834cb7a90d14a",
+	"genidlest/90rib/OpenMP/opt=false/16": "efbb14111f088298be690b856eb722f1587db2217fbca77586045929b1115649",
+	"genidlest/90rib/OpenMP/opt=false/32": "a79593e1924550b1a4c3a4eaae584f2e7300c7f41436591073b85194445aec2d",
+	"genidlest/90rib/OpenMP/opt=true/16":  "bd0c5bb3b4df68b0662c1a54477bb08bdfa4456887c4310ef5502928b29db9ed",
+	"genidlest/90rib/OpenMP/opt=true/32":  "ff69a904d3b3eabe797bab3c7a6d22c390f554f8e2c8539e2b1dc9d84690fbbc",
+	"genidlest/90rib/MPI/opt=false/16":    "81d41f87a690d721e2cf436e9577d1b824745406e5eaa85d17bfb47540f91695",
+	"genidlest/90rib/MPI/opt=false/32":    "287369e81abaede3fe0067e61506ff98b2058ab1b6d6a58de07e666d75fdeb45",
+	"genidlest/90rib/MPI/opt=true/16":     "c1e585b99d92d421f3831fdb08b83875cab592ee5014f7176d80213b5924480c",
+	"genidlest/90rib/MPI/opt=true/32":     "4de21989e8b56f4439595042a58cab1ef576d090ce69ffc59c6290003b4d6d53",
+	"genidlest/90rib/Hybrid/opt=false/16": "b7efd1655a48bbf08ed0a3e3139d76a4d2a24536a289b06c0eca2b9b77f8f6aa",
+	"genidlest/90rib/Hybrid/opt=false/32": "646b0ae69713443c83d3fab510adbb7bd00eac837a93f8e65a0054f7569b3b61",
+	"genidlest/90rib/Hybrid/opt=true/16":  "17c49ff16401f8f5e09169a36a2840f8eac74607e881165ed059e2b1086d21ab",
+	"genidlest/90rib/Hybrid/opt=true/32":  "1a4ff3a0466e79836542bfe683fefaf8c4c87e75c35099cd099778b263d0306f",
+}
+
+type pinnedRun struct {
+	name string
+	run  func() (*perfdmf.Trial, error)
+}
+
+func pinnedRuns() []pinnedRun {
+	mcfg := machine.Altix(16, 2)
+	var runs []pinnedRun
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, sched := range []sim.Schedule{{Kind: sim.StaticSched}, {Kind: sim.DynamicSched, Chunk: 1}, {Kind: sim.GuidedSched}} {
+			for _, threads := range []int{4, 16} {
+				p := msa.DefaultParams(threads, sched)
+				p.Seed = seed
+				runs = append(runs, pinnedRun{
+					name: fmt.Sprintf("msa/seed%d/%s/%d", seed, sched, threads),
+					run:  func() (*perfdmf.Trial, error) { return msa.Run(mcfg, p) },
+				})
+			}
+		}
+	}
+	for _, prob := range []genidlest.Problem{genidlest.Rib45(), genidlest.Rib90()} {
+		for _, mode := range []genidlest.Mode{genidlest.OpenMP, genidlest.MPI, genidlest.Hybrid} {
+			for _, opt := range []bool{false, true} {
+				for _, threads := range []int{prob.Blocks / 2, prob.Blocks} {
+					cfg := genidlest.DefaultConfig(prob, mode, threads)
+					cfg.Optimized = opt
+					if mode == genidlest.Hybrid {
+						cfg.ThreadsPerRank = 4
+					}
+					runs = append(runs, pinnedRun{
+						name: fmt.Sprintf("genidlest/%s/%s/opt=%v/%d", prob.Name, mode, opt, threads),
+						run:  func() (*perfdmf.Trial, error) { return genidlest.Run(mcfg, cfg) },
+					})
+				}
+			}
+		}
+	}
+	return runs
+}
+
+func TestSimulatorOutputsPinned(t *testing.T) {
+	defer parallel.SetDefaultWorkers(0)
+	runs := pinnedRuns()
+	if len(runs) != len(pinnedTrials) {
+		t.Errorf("%d runs, %d pinned hashes", len(runs), len(pinnedTrials))
+	}
+	for _, workers := range []int{1, 0} {
+		parallel.SetDefaultWorkers(workers)
+		for _, r := range runs {
+			trial, err := r.run()
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			enc, err := perfdmf.EncodeTrial(trial)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[r.name] {
+				t.Errorf("workers=%d %q: %q, pinned %q", workers, r.name, got, pinnedTrials[r.name])
+			}
+		}
+	}
+}
