@@ -17,10 +17,13 @@ import (
 
 	"perfknow"
 	"perfknow/internal/analysis"
+	"perfknow/internal/apps/genidlest"
+	"perfknow/internal/apps/msa"
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/experiments"
 	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
+	"perfknow/internal/sim"
 )
 
 // regen runs one experiment per benchmark iteration and fails the benchmark
@@ -230,6 +233,25 @@ func benchStandingDiagnosis(b *testing.B, ruleSrc string, windowEvents int) {
 }
 
 // --- component micro-benchmarks -----------------------------------------
+
+// BenchmarkSimStudyPair is the simulator and nothing else: the two runs one
+// study iteration makes (GenIDLEST 90rib under OpenMP with the first-touch
+// defect, MSAP under a static schedule, 16 threads each), no repository,
+// script or rule. The paper-figure benchmarks above spend a fifth of their
+// time in analysis; a change to internal/sim or internal/machine is gated on
+// this one by itself.
+func BenchmarkSimStudyPair(b *testing.B) {
+	mcfg := perfknow.AltixConfig(16, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := genidlest.Run(mcfg, genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := msa.Run(mcfg, msa.DefaultParams(16, sim.Schedule{Kind: sim.StaticSched})); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkSimOpenMPDynamicFor(b *testing.B) {
 	m := perfknow.NewMachine(perfknow.AltixConfig(8, 2))

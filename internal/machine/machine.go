@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -187,11 +189,34 @@ func (m *Machine) Seconds(cycles uint64) float64 {
 // simulated threads can Touch and read disjoint (or already-placed) ranges
 // without locks; first-touch claims race through compare-and-swap exactly
 // like the hardware policy they model.
+//
+// A page never becomes unplaced again, so once the last one is claimed only
+// Place can change a home. From then on placement queries are answered from
+// a run index (see histogram) instead of a scan of homes.
 type Region struct {
 	Name  string
 	Bytes int64
 	homes []int32 // atomic; -1 = unplaced
 	page  int64
+	nodes int // the machine's node count: every placed home is in [0, nodes)
+
+	unplaced atomic.Int64 // pages still at -1; never rises
+
+	// index is read without a lock; it is built and dropped under mu, so a
+	// build never overlaps a Place and an index published after a Place
+	// returns was scanned from the homes that Place left.
+	mu    sync.Mutex
+	index atomic.Pointer[runIndex]
+}
+
+// runIndex is the placement of a fully placed region as maximal runs of
+// pages with one home: run i covers pages [starts[i], starts[i+1]) — the
+// last one to the end of the region — and lives on nodes[i]. A sequentially
+// initialised region is one run, a block-parallel one a run per block. It is
+// immutable once published.
+type runIndex struct {
+	starts []int64
+	nodes  []int32
 }
 
 // AllocRegion creates (or replaces) a named region of the given size with
@@ -201,10 +226,11 @@ func (m *Machine) AllocRegion(name string, size int64) *Region {
 		panic(fmt.Sprintf("machine: region %q size must be positive, got %d", name, size))
 	}
 	pages := (size + m.cfg.PageBytes - 1) / m.cfg.PageBytes
-	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes}
+	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes, nodes: m.cfg.Nodes}
 	for i := range r.homes {
 		r.homes[i] = -1
 	}
+	r.unplaced.Store(pages)
 	m.regions[name] = r
 	return r
 }
@@ -231,12 +257,21 @@ func (r *Region) HomeOf(off int64) int {
 // compare-and-swap, so concurrent touchers of the same page race exactly as
 // the hardware policy does: one wins, the rest see the page placed.
 func (r *Region) Touch(off, length int64, node int) int {
+	r.checkNode(node)
 	first, last := r.pageRange(off, length)
+	if r.unplaced.Load() == 0 {
+		return 0
+	}
 	placed := 0
 	for p := first; p <= last; p++ {
 		if atomic.CompareAndSwapInt32(&r.homes[p], -1, int32(node)) {
 			placed++
 		}
+	}
+	// One decrement after the walk: the count reaches 0 only when every
+	// claim it stands for has been stored.
+	if placed > 0 {
+		r.unplaced.Add(-int64(placed))
 	}
 	return placed
 }
@@ -244,10 +279,18 @@ func (r *Region) Touch(off, length int64, node int) int {
 // Place forces the home of every page in [off, off+length) to `node`,
 // modeling an explicit placement or migration (dplace-style).
 func (r *Region) Place(off, length int64, node int) {
+	r.checkNode(node)
 	first, last := r.pageRange(off, length)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var placed int64
 	for p := first; p <= last; p++ {
-		atomic.StoreInt32(&r.homes[p], int32(node))
+		if atomic.SwapInt32(&r.homes[p], int32(node)) < 0 {
+			placed++
+		}
 	}
+	r.unplaced.Add(-placed)
+	r.index.Store(nil)
 }
 
 // NodeShare returns, for each node, the fraction of placed pages in
@@ -255,21 +298,82 @@ func (r *Region) Place(off, length int64, node int) {
 // the range is placed the returned slice is all zeros and ok is false.
 func (r *Region) NodeShare(off, length int64, nodes int) (share []float64, ok bool) {
 	first, last := r.pageRange(off, length)
+	counts := make([]int64, nodes)
+	placed := r.histogram(first, last, counts)
 	share = make([]float64, nodes)
-	placed := 0
-	for p := first; p <= last; p++ {
-		if h := atomic.LoadInt32(&r.homes[p]); h >= 0 {
-			share[h]++
-			placed++
-		}
-	}
 	if placed == 0 {
 		return share, false
 	}
-	for i := range share {
-		share[i] /= float64(placed)
+	for i, n := range counts {
+		share[i] = float64(n) / float64(placed)
 	}
 	return share, true
+}
+
+// histogram adds to counts[n] the number of pages in [first, last] homed on
+// node n and returns how many pages of the range are placed. It is the one
+// placement query: AccessCost and NodeShare both divide its integer counts.
+//
+// A fully placed region is answered from the run index in O(runs in range):
+// find the run holding first, add run overlaps until past last. Until then
+// the range is scanned page by page, because unplaced pages must stay out
+// of the counts. The index is built from a state no Touch can change any
+// more, so which path answers cannot change a count.
+func (r *Region) histogram(first, last int64, counts []int64) (placed int64) {
+	if r.unplaced.Load() != 0 {
+		for p := first; p <= last; p++ {
+			if h := atomic.LoadInt32(&r.homes[p]); h >= 0 {
+				counts[h]++
+				placed++
+			}
+		}
+		return placed
+	}
+	idx := r.index.Load()
+	if idx == nil {
+		idx = r.buildIndex()
+	}
+	// The run holding first is the last one starting at or before it.
+	lo := sort.Search(len(idx.starts), func(i int) bool { return idx.starts[i] > first }) - 1
+	for p, run := first, lo; p <= last; run++ {
+		end := last + 1
+		if run+1 < len(idx.starts) && idx.starts[run+1] < end {
+			end = idx.starts[run+1]
+		}
+		counts[idx.nodes[run]] += end - p
+		p = end
+	}
+	return last - first + 1
+}
+
+// buildIndex scans the homes of a fully placed region once and publishes
+// the run index, unless another reader got there first.
+func (r *Region) buildIndex() *runIndex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if idx := r.index.Load(); idx != nil {
+		return idx
+	}
+	idx := &runIndex{}
+	prev := int32(-1)
+	for p := range r.homes {
+		if h := atomic.LoadInt32(&r.homes[p]); h != prev {
+			idx.starts = append(idx.starts, int64(p))
+			idx.nodes = append(idx.nodes, h)
+			prev = h
+		}
+	}
+	r.index.Store(idx)
+	return idx
+}
+
+// checkNode panics on a node the machine does not have. A bad home stored
+// here would only surface later, as an index out of range in some reader
+// that names neither the region nor the caller.
+func (r *Region) checkNode(node int) {
+	if node < 0 || node >= r.nodes {
+		panic(fmt.Sprintf("machine: node %d out of range [0,%d) placing pages of region %q", node, r.nodes, r.Name))
+	}
 }
 
 func (r *Region) pageRange(off, length int64) (first, last int64) {
@@ -323,9 +427,8 @@ type MemCost struct {
 // approximation). Each miss at level i pays the latency of level i+1; L3
 // misses pay local or worst-observed remote memory latency according to the
 // page placement of the touched range.
-func (m *Machine) AccessCost(cpu int, r *Region, off, length int64, p MemProfile) MemCost {
+func (m *Machine) AccessCost(cpu int, r *Region, off, length int64, p MemProfile) (c MemCost) {
 	accesses := p.Loads + p.Stores
-	var c MemCost
 	if accesses == 0 {
 		return c
 	}
@@ -379,29 +482,20 @@ func (m *Machine) AccessCost(cpu int, r *Region, off, length int64, p MemProfile
 		c.TLBMiss += uint64(float64(accesses-pages) * (1 - float64(reach)/float64(ws)) * 0.05)
 	}
 
-	// Local/remote split from page placement. This is the same computation
-	// as NodeShare followed by the weighted-latency loop, but with the
-	// per-node page counts accumulated in a stack-resident array: AccessCost
-	// runs once per memory reference of every kernel execution, and the
-	// per-call share slice dominated the simulator's allocation profile.
-	// float64(count)/float64(placed) reproduces NodeShare's float division
-	// bit for bit, and the node-order loop keeps the summation order.
+	// Local/remote split from page placement: per-node page counts from the
+	// region's one placement query, in a stack-resident array — AccessCost
+	// runs once per memory reference of every kernel execution.
+	// float64(count)/float64(placed) is NodeShare's division bit for bit,
+	// and the node-order loop keeps the summation order.
 	myNode := m.NodeOf(cpu)
 	var countsBuf [64]int64
 	counts := countsBuf[:]
 	if m.cfg.Nodes > len(countsBuf) {
 		counts = make([]int64, m.cfg.Nodes)
-	} else {
-		counts = countsBuf[:m.cfg.Nodes]
 	}
+	counts = counts[:m.cfg.Nodes]
 	first, last := r.pageRange(off, length)
-	var placed int64
-	for pg := first; pg <= last; pg++ {
-		if h := atomic.LoadInt32(&r.homes[pg]); h >= 0 {
-			counts[h]++
-			placed++
-		}
-	}
+	placed := r.histogram(first, last, counts)
 	remoteFrac, avgRemoteLat := 0.0, float64(m.cfg.LocalMemLat)
 	if placed > 0 {
 		weighted := 0.0

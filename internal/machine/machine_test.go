@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +176,224 @@ func TestRegionBoundsPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// A node the machine does not have is refused where it is handed in, with
+// the region and the node in the message, not stored for a later reader to
+// trip over.
+func TestRegionBadNodePanics(t *testing.T) {
+	m := New(Altix(16, 2))
+	pageB := m.Config().PageBytes
+	r := m.AllocRegion("grid", 4*pageB)
+	for _, node := range []int{-1, 16, 99} {
+		for name, f := range map[string]func(){
+			"Touch": func() { r.Touch(0, pageB, node) },
+			"Place": func() { r.Place(0, pageB, node) },
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, `"grid"`) || !strings.Contains(msg, fmt.Sprintf("node %d ", node)) {
+						t.Errorf("%s(node %d): panic %q does not name region and node", name, node, msg)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+	if r.HomeOf(0) != -1 {
+		t.Fatal("a refused placement still stored a home")
+	}
+	if _, ok := r.NodeShare(0, 4*pageB, 16); ok {
+		t.Fatal("a refused placement still counts as placed")
+	}
+}
+
+// scanMirror rebuilds r's placement, page by page from HomeOf, in a region
+// with one spare page that is never placed: a region with an unplaced page
+// has no run index, so queries on the mirror take the page scan.
+func scanMirror(m *Machine, r *Region) *Region {
+	mirror := m.AllocRegion("mirror", int64(r.Pages()+1)*r.page)
+	for p := int64(0); p < int64(r.Pages()); p++ {
+		if h := r.HomeOf(p * r.page); h >= 0 {
+			mirror.Place(p*r.page, r.page, h)
+		}
+	}
+	return mirror
+}
+
+// scanShare is NodeShare computed from HomeOf alone.
+func scanShare(r *Region, off, length int64, nodes int) ([]float64, bool) {
+	share := make([]float64, nodes)
+	placed := 0
+	for p := off / r.page; p <= (off+length-1)/r.page; p++ {
+		if h := r.HomeOf(p * r.page); h >= 0 {
+			share[h]++
+			placed++
+		}
+	}
+	if placed == 0 {
+		return share, false
+	}
+	for i := range share {
+		share[i] /= float64(placed)
+	}
+	return share, true
+}
+
+// Property: whichever way a placement query is answered — page scan while
+// the region has unplaced pages, run index once it has none, a rebuilt index
+// after a Place — every MemCost and every share vector equals, bit for bit,
+// what a page-by-page reading of HomeOf gives. Ranges start and end in the
+// middle of runs and pages; more than 64 nodes takes AccessCost's heap
+// fallback for the per-node counts.
+func TestPlacementQueriesMatchPageScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	indexed, wide := 0, 0
+	for trial := 0; trial < 150; trial++ {
+		cfg := Altix(1+rng.Intn(70), 1+rng.Intn(2))
+		m := New(cfg)
+		pages := int64(1 + rng.Intn(400))
+		bytes := pages*cfg.PageBytes - rng.Int63n(cfg.PageBytes) // last page partly used
+		r := m.AllocRegion("r", bytes)
+		if cfg.Nodes > 64 {
+			wide++
+		}
+		randRange := func() (off, length int64) {
+			off = rng.Int63n(bytes)
+			max := bytes - off
+			if rng.Intn(3) == 0 && max > cfg.PageBytes {
+				max = cfg.PageBytes // single page, or two halves
+			}
+			return off, 1 + rng.Int63n(max)
+		}
+		const ops = 80
+		for op := 0; op < ops; op++ {
+			off, length := randRange()
+			switch k := rng.Intn(10); {
+			case op == ops/2:
+				// Whatever is still unplaced is placed now: from here on
+				// the region answers from its index.
+				r.Touch(0, bytes, rng.Intn(cfg.Nodes))
+				if r.unplaced.Load() != 0 {
+					t.Fatalf("trial %d: %d pages unplaced after touching the whole region", trial, r.unplaced.Load())
+				}
+			case k < 3:
+				before := 0
+				for p := off / r.page; p <= (off+length-1)/r.page; p++ {
+					if r.HomeOf(p*r.page) < 0 {
+						before++
+					}
+				}
+				if got := r.Touch(off, length, rng.Intn(cfg.Nodes)); got != before {
+					t.Fatalf("trial %d op %d: Touch placed %d pages, %d were unplaced", trial, op, got, before)
+				}
+			case k < 4:
+				r.Place(off, length, rng.Intn(cfg.Nodes))
+			case k < 8:
+				prof := MemProfile{
+					Loads:      uint64(rng.Intn(1 << 20)),
+					Stores:     uint64(rng.Intn(1 << 18)),
+					WorkingSet: []int64{0, length, 64 << 20}[rng.Intn(3)],
+					StrideB:    []int64{0, 8, 256}[rng.Intn(3)],
+					Reuse:      float64(rng.Intn(16)),
+					Contenders: rng.Intn(2 * cfg.CPUsPerNode * cfg.Nodes),
+					Hot:        float64(rng.Intn(3)) / 2,
+				}
+				cpu := rng.Intn(m.CPUs())
+				got := m.AccessCost(cpu, r, off, length, prof)
+				if want := m.AccessCost(cpu, scanMirror(m, r), off, length, prof); got != want {
+					t.Fatalf("trial %d op %d: AccessCost over [%d,+%d) = %+v, page scan gives %+v", trial, op, off, length, got, want)
+				}
+				if r.index.Load() != nil {
+					indexed++
+				}
+			default:
+				got, ok := r.NodeShare(off, length, cfg.Nodes)
+				want, wantOK := scanShare(r, off, length, cfg.Nodes)
+				if ok != wantOK {
+					t.Fatalf("trial %d op %d: NodeShare over [%d,+%d) = %v %v, page scan gives %v %v", trial, op, off, length, got, ok, want, wantOK)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d op %d: share[%d] = %v, page scan gives %v", trial, op, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if indexed == 0 || wide == 0 {
+		t.Fatalf("%d AccessCost calls answered from an index, %d machines over 64 nodes: the property was not exercised", indexed, wide)
+	}
+}
+
+// Sixteen threads first-touch their own block, meet at a barrier, and then
+// all cost overlapping ranges at once: one of them builds the index while
+// the rest arrive. Every result equals the one-goroutine run's.
+func TestConcurrentReadersBuildOneIndex(t *testing.T) {
+	const threads = 16
+	run := func(concurrent bool) [threads]MemCost {
+		m := New(Altix(16, 2))
+		pageB := m.Config().PageBytes
+		block := 6 * pageB
+		r := m.AllocRegion("fields", threads*block)
+		touch := func(k int) { r.Touch(int64(k)*block, block, m.NodeOf(2*k)) } // thread k on cpu 2k: a node each
+		var out [threads]MemCost
+		cost := func(k int) {
+			// Thread k reads from the middle of its block to the end of the
+			// region: every pair of ranges overlaps.
+			off := int64(k)*block + block/2
+			out[k] = m.AccessCost(2*k, r, off, threads*block-off, MemProfile{Loads: 1 << 20, WorkingSet: 64 << 20, Reuse: 4})
+		}
+		if !concurrent {
+			for k := 0; k < threads; k++ {
+				touch(k)
+			}
+			for k := 0; k < threads; k++ {
+				cost(k)
+			}
+			return out
+		}
+		var touched, done sync.WaitGroup
+		touched.Add(threads)
+		done.Add(threads)
+		for k := 0; k < threads; k++ {
+			go func() {
+				defer done.Done()
+				touch(k)
+				touched.Done()
+				touched.Wait()
+				cost(k)
+			}()
+		}
+		done.Wait()
+		if idx := r.index.Load(); idx == nil || len(idx.starts) != threads {
+			t.Errorf("index after a block-parallel first touch: %+v, want %d runs", idx, threads)
+		}
+		return out
+	}
+	if seq, par := run(false), run(true); seq != par {
+		t.Fatalf("concurrent readers disagree with the sequential run:\n%+v\n%+v", par, seq)
+	}
+}
+
+func TestFullyPlacedRegionFastPaths(t *testing.T) {
+	m := altix8()
+	size := int64(64 << 20)
+	r := m.AllocRegion("a", size)
+	for n := int64(0); n < 8; n++ {
+		r.Touch(n*size/8, size/8, int(n))
+	}
+	if got := r.Touch(0, size, 3); got != 0 {
+		t.Fatalf("Touch on a fully placed region placed %d pages", got)
+	}
+	if r.HomeOf(0) != 0 || r.HomeOf(size-1) != 7 {
+		t.Fatal("Touch on a fully placed region re-homed a page")
+	}
+	prof := MemProfile{Loads: 1 << 20, Stores: 1 << 18, WorkingSet: size, Reuse: 4}
+	if allocs := testing.AllocsPerRun(100, func() { m.AccessCost(5, r, size/16, size/2, prof) }); allocs != 0 {
+		t.Fatalf("AccessCost on an indexed region allocates %v times per call", allocs)
 	}
 }
 

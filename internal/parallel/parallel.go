@@ -110,10 +110,10 @@ func capped(workers, n int) int {
 type panicValue struct{ v any }
 
 // Each runs fn(i) for every i in [0, n), using at most `workers`
-// goroutines (workers <= 0 means DefaultWorkers). It returns after all
-// calls complete. With one worker or one item the loop runs inline in
-// index order. A panic in fn is re-raised on the calling goroutine after
-// the remaining workers drain.
+// goroutines, the calling one included (workers <= 0 means
+// DefaultWorkers). It returns after all calls complete. With one worker or
+// one item the loop runs inline in index order. A panic in fn is re-raised
+// on the calling goroutine after the remaining workers drain.
 func Each(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -133,29 +133,36 @@ func Each(n, workers int, fn func(i int)) {
 		pmu  sync.Mutex
 		pval *panicValue
 	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			defer workerSpan()()
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if pval == nil {
-						pval = &panicValue{r}
-					}
-					pmu.Unlock()
+	worker := func() {
+		defer workerSpan()()
+		defer func() {
+			if r := recover(); r != nil {
+				pmu.Lock()
+				if pval == nil {
+					pval = &panicValue{r}
 				}
-			}()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
+				pmu.Unlock()
 			}
 		}()
+		for {
+			i := int(atomic.AddInt64(&next, 1))
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
 	}
+	// The caller is one of the w workers: it would otherwise park until
+	// the others finish, and for the microsecond-sized fan-outs of the
+	// simulator a goroutine start and a wake-up cost more than the work.
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
 	wg.Wait()
 	if pval != nil {
 		panic(pval.v)

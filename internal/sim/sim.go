@@ -54,6 +54,7 @@ type Options struct {
 // Engine couples a machine, a set of logical threads and a profiler.
 type Engine struct {
 	mach    *machine.Machine
+	cfg     machine.Config // mach.Config(), copied once: Compute reads it per kernel
 	prof    *tau.Profiler
 	threads []*Thread
 	ovh     Overheads
@@ -69,11 +70,13 @@ func NewEngine(m *machine.Machine, opts Options) *Engine {
 	if opts.Overheads != nil {
 		ovh = *opts.Overheads
 	}
+	cfg := m.Config()
 	e := &Engine{
 		mach: m,
+		cfg:  cfg,
 		prof: tau.NewProfiler(tau.Options{
 			Threads:       opts.Threads,
-			ClockHz:       m.Config().ClockHz,
+			ClockHz:       cfg.ClockHz,
 			CallpathDepth: opts.CallpathDepth,
 		}),
 		ovh: ovh,
@@ -110,9 +113,9 @@ func (e *Engine) Snapshot(app, experiment, name string) (*Trial, error) {
 		return nil, err
 	}
 	t.Metadata["threads"] = fmt.Sprintf("%d", len(e.threads))
-	t.Metadata["machine:nodes"] = fmt.Sprintf("%d", e.mach.Config().Nodes)
-	t.Metadata["machine:cpus_per_node"] = fmt.Sprintf("%d", e.mach.Config().CPUsPerNode)
-	t.Metadata["machine:clock_hz"] = fmt.Sprintf("%g", e.mach.Config().ClockHz)
+	t.Metadata["machine:nodes"] = fmt.Sprintf("%d", e.cfg.Nodes)
+	t.Metadata["machine:cpus_per_node"] = fmt.Sprintf("%d", e.cfg.CPUsPerNode)
+	t.Metadata["machine:clock_hz"] = fmt.Sprintf("%g", e.cfg.ClockHz)
 	return t, nil
 }
 
@@ -134,12 +137,12 @@ func (t *Thread) Node() int { return t.eng.mach.NodeOf(t.CPU) }
 
 // Enter opens an instrumented region on this thread.
 func (t *Thread) Enter(event string) {
-	t.eng.prof.Thread(t.ID).Enter(event, t.Clock, t.CS)
+	t.eng.prof.Thread(t.ID).Enter(event, t.Clock, &t.CS)
 }
 
 // Leave closes the current region, which must be event.
 func (t *Thread) Leave(event string) {
-	t.eng.prof.Thread(t.ID).Leave(event, t.Clock, t.CS)
+	t.eng.prof.Thread(t.ID).Leave(event, t.Clock, &t.CS)
 }
 
 // Advance moves the thread's clock forward by cyc cycles and merges delta
@@ -188,12 +191,13 @@ type Kernel struct {
 // analytic cache cascade for each memory reference, the processor model for
 // base issue cycles and the stall decomposition, then a single Advance.
 func (t *Thread) Compute(k Kernel) {
-	cfg := t.eng.mach.Config()
+	cfg := &t.eng.cfg
 	var delta counters.Set
 
 	var loads, stores uint64
 	var memStall, rawLatency uint64
-	for _, ref := range k.Refs {
+	for i := range k.Refs {
+		ref := &k.Refs[i]
 		if ref.Region == nil || ref.Loads+ref.Stores == 0 {
 			loads += ref.Loads
 			stores += ref.Stores

@@ -85,29 +85,30 @@ type ThreadProfile struct {
 }
 
 // Enter pushes an instrumented region. clock and cs are the thread's current
-// virtual cycle count and counter sample.
-func (tp *ThreadProfile) Enter(event string, clock uint64, cs counters.Set) {
+// virtual cycle count and counter sample; cs is copied, not retained.
+func (tp *ThreadProfile) Enter(event string, clock uint64, cs *counters.Set) {
 	path := ""
 	if tp.callpathDepth > 0 && len(tp.stack) > 0 && len(tp.stack) < tp.callpathDepth {
-		parent := tp.stack[len(tp.stack)-1]
+		parent := &tp.stack[len(tp.stack)-1]
 		prefix := parent.path
 		if prefix == "" {
 			prefix = parent.event
 		}
 		path = prefix + perfdmf.CallpathSeparator + event
 	}
-	tp.stack = append(tp.stack, frame{event: event, path: path, enterCyc: clock, enter: cs})
+	tp.stack = append(tp.stack, frame{event: event, path: path, enterCyc: clock, enter: *cs})
 }
 
 // Leave pops the current region, checking that it matches event, and charges
 // the measured deltas: inclusive to the event, inclusive-minus-children to
 // the event's exclusive, and the inclusive total to the parent's child
 // accumulator.
-func (tp *ThreadProfile) Leave(event string, clock uint64, cs counters.Set) {
+func (tp *ThreadProfile) Leave(event string, clock uint64, cs *counters.Set) {
 	if len(tp.stack) == 0 {
 		panic(fmt.Sprintf("tau: thread %d: Leave(%q) with empty timer stack", tp.id, event))
 	}
-	f := tp.stack[len(tp.stack)-1]
+	// f stays valid after the pop: nothing is pushed before Leave returns.
+	f := &tp.stack[len(tp.stack)-1]
 	tp.stack = tp.stack[:len(tp.stack)-1]
 	if f.event != event {
 		panic(fmt.Sprintf("tau: thread %d: Leave(%q) does not match open region %q", tp.id, event, f.event))
@@ -219,8 +220,10 @@ func (p *Profiler) Trial(app, experiment, name string) (*perfdmf.Trial, error) {
 	var present [counters.NumIDs]bool
 	for _, tp := range p.threads {
 		for _, a := range tp.accums {
-			for _, id := range a.incl.NonZero() {
-				present[id] = true
+			for id := counters.ID(0); id < counters.NumIDs; id++ {
+				if a.incl.Get(id) != 0 {
+					present[id] = true
+				}
 			}
 		}
 	}

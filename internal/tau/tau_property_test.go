@@ -23,7 +23,7 @@ func TestRandomNestingInvariants(t *testing.T) {
 		var cs counters.Set
 		clock := uint64(0)
 
-		tp.Enter("root", clock, cs)
+		tp.Enter("root", clock, &cs)
 		var stack []string
 		depth := 0
 		steps := 5 + rng.Intn(40)
@@ -35,22 +35,22 @@ func TestRandomNestingInvariants(t *testing.T) {
 				ev := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				depth--
-				tp.Leave(ev, clock, cs)
+				tp.Leave(ev, clock, &cs)
 			case depth < 4:
 				ev := events[rng.Intn(len(events))]
 				stack = append(stack, ev)
 				depth++
-				tp.Enter(ev, clock, cs)
+				tp.Enter(ev, clock, &cs)
 			}
 		}
 		for len(stack) > 0 {
 			clock += uint64(1 + rng.Intn(100))
 			ev := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			tp.Leave(ev, clock, cs)
+			tp.Leave(ev, clock, &cs)
 		}
 		clock += 10
-		tp.Leave("root", clock, cs)
+		tp.Leave("root", clock, &cs)
 
 		tr, err := p.Trial("a", "e", "t")
 		if err != nil {

@@ -15,17 +15,17 @@ func newProf(threads int) *Profiler {
 // run one thread through main{ loop{ kernel } kernel } with explicit clocks.
 func runNested(tp *ThreadProfile) {
 	var cs counters.Set
-	tp.Enter("main", 0, cs)
-	tp.Enter("loop", 10, cs)
+	tp.Enter("main", 0, &cs)
+	tp.Enter("loop", 10, &cs)
 	cs.Inc(counters.FPOps, 100)
-	tp.Enter("kernel", 20, cs)
+	tp.Enter("kernel", 20, &cs)
 	cs.Inc(counters.FPOps, 50)
-	tp.Leave("kernel", 50, cs) // kernel: 30 cyc, 50 fp
-	tp.Leave("loop", 60, cs)   // loop: 50 cyc incl, 20 excl; fp 150 incl, 100 excl
+	tp.Leave("kernel", 50, &cs) // kernel: 30 cyc, 50 fp
+	tp.Leave("loop", 60, &cs)   // loop: 50 cyc incl, 20 excl; fp 150 incl, 100 excl
 	cs.Inc(counters.Loads, 7)
-	tp.Enter("kernel", 70, cs)
-	tp.Leave("kernel", 100, cs) // kernel again: 30 cyc
-	tp.Leave("main", 120, cs)   // main: 120 incl, 120-50-30=40 excl
+	tp.Enter("kernel", 70, &cs)
+	tp.Leave("kernel", 100, &cs) // kernel again: 30 cyc
+	tp.Leave("main", 120, &cs)   // main: 120 incl, 120-50-30=40 excl
 }
 
 func TestInclusiveExclusiveAccounting(t *testing.T) {
@@ -114,8 +114,8 @@ func TestTrialTimeMetric(t *testing.T) {
 	p := newProf(2)
 	runNested(p.Thread(0))
 	var cs counters.Set
-	p.Thread(1).Enter("main", 0, cs)
-	p.Thread(1).Leave("main", 1000, cs)
+	p.Thread(1).Enter("main", 0, &cs)
+	p.Thread(1).Leave("main", 1000, &cs)
 
 	tr, err := p.Trial("app", "exp", "t1")
 	if err != nil {
@@ -149,11 +149,11 @@ func TestAddExclusiveOverhead(t *testing.T) {
 	p := newProf(1)
 	tp := p.Thread(0)
 	var cs counters.Set
-	tp.Enter("main", 0, cs)
+	tp.Enter("main", 0, &cs)
 	var wait counters.Set
 	wait.Inc(counters.OMPBarrierCycles, 500)
 	tp.AddExclusive("omp_barrier", 500, wait)
-	tp.Leave("main", 1000, cs)
+	tp.Leave("main", 1000, &cs)
 
 	if got := tp.InclusiveCycles("omp_barrier"); got != 500 {
 		t.Fatalf("barrier cycles = %d", got)
@@ -174,7 +174,7 @@ func TestAddExclusiveOverhead(t *testing.T) {
 func TestTrialRejectsOpenTimers(t *testing.T) {
 	p := newProf(1)
 	var cs counters.Set
-	p.Thread(0).Enter("main", 0, cs)
+	p.Thread(0).Enter("main", 0, &cs)
 	if _, err := p.Trial("a", "e", "t"); err == nil {
 		t.Fatal("Trial with open timers should fail")
 	} else if !strings.Contains(err.Error(), "main") {
@@ -186,10 +186,10 @@ func TestMismatchedLeavePanics(t *testing.T) {
 	p := newProf(1)
 	tp := p.Thread(0)
 	var cs counters.Set
-	tp.Enter("a", 0, cs)
+	tp.Enter("a", 0, &cs)
 	for name, f := range map[string]func(){
-		"wrong event": func() { tp.Leave("b", 10, cs) },
-		"clock back":  func() { tp.Leave("a", 0, cs); tp.Enter("c", 10, cs); tp.Leave("c", 5, cs) },
+		"wrong event": func() { tp.Leave("b", 10, &cs) },
+		"clock back":  func() { tp.Leave("a", 0, &cs); tp.Enter("c", 10, &cs); tp.Leave("c", 5, &cs) },
 	} {
 		func() {
 			defer func() {
@@ -207,7 +207,7 @@ func TestMismatchedLeavePanics(t *testing.T) {
 			t.Error("empty-stack Leave: no panic")
 		}
 	}()
-	p2.Thread(0).Leave("x", 0, counters.Set{})
+	p2.Thread(0).Leave("x", 0, &counters.Set{})
 }
 
 func TestProfilerConstructionErrors(t *testing.T) {
