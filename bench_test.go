@@ -9,6 +9,7 @@ package perfknow_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -148,6 +149,93 @@ func BenchmarkColumnarConvert(b *testing.B) {
 		if back.Threads != 64 || len(back.Events) != 256 {
 			b.Fatal("bad round trip")
 		}
+	}
+}
+
+// BenchmarkRepositorySaveGet is the repository layer alone, on the two
+// shapes the service benchmark stores (S: 32 events × 8 threads × 1 metric,
+// L: 128 × 64 × 2; integer-valued measurements in [1e14, 1e15)): an
+// overwriting Save on the real file system with real fsync and in memory, a
+// GetTrial served from the cache, and one served by a repository that has
+// not read the file yet.
+func BenchmarkRepositorySaveGet(b *testing.B) {
+	for _, sh := range []struct {
+		name            string
+		events, threads int
+		metrics         []string
+	}{
+		{"S", 32, 8, []string{perfknow.TimeMetric}},
+		{"L", 128, 64, []string{perfknow.TimeMetric, "CPU_CYCLES"}},
+	} {
+		rng := rand.New(rand.NewSource(17))
+		tr := perfknow.NewTrial("app", "exp", sh.name, sh.threads)
+		tr.Metadata["shape"] = sh.name
+		for _, m := range sh.metrics {
+			tr.AddMetric(m)
+		}
+		for j := 0; j < sh.events; j++ {
+			e := tr.EnsureEvent(fmt.Sprintf("main => phase_%02d => loop_%03d", j%8, j))
+			for th := 0; th < sh.threads; th++ {
+				e.Calls[th] = float64(1 + rng.Intn(9))
+				for _, m := range sh.metrics {
+					x := 1e14 + float64(rng.Int63n(1e14))
+					e.SetValue(m, th, x+float64(rng.Int63n(9e13)), x)
+				}
+			}
+		}
+		save := func(b *testing.B, repo *perfdmf.Repository) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := repo.Save(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		get := func(b *testing.B, repo *perfdmf.Repository) {
+			got, err := repo.GetTrial("app", "exp", sh.name)
+			if err != nil || len(got.Events) != sh.events {
+				b.Fatalf("GetTrial: %v", err)
+			}
+		}
+		stored := func(b *testing.B) (dir string, repo *perfdmf.Repository) {
+			dir = b.TempDir()
+			repo, err := perfdmf.OpenRepository(dir)
+			if err == nil {
+				err = repo.Save(tr)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			return dir, repo
+		}
+		b.Run(sh.name+"/save_disk", func(b *testing.B) {
+			_, repo := stored(b)
+			save(b, repo)
+		})
+		b.Run(sh.name+"/save_mem", func(b *testing.B) { save(b, perfdmf.NewRepository()) })
+		b.Run(sh.name+"/get_warm", func(b *testing.B) {
+			_, repo := stored(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get(b, repo)
+			}
+		})
+		b.Run(sh.name+"/get_cold", func(b *testing.B) {
+			dir, _ := stored(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				repo, err := perfdmf.OpenRepository(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				get(b, repo)
+			}
+		})
 	}
 }
 

@@ -505,6 +505,20 @@ func TestHostileEncodedUploads(t *testing.T) {
 	validV1 := wrapEnvelope(columnarV1(header, cols))
 	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
 	invalidV1 := wrapEnvelope(columnarV1(header, cols))
+	// Checksummed, decodable and Validate-clean, yet not the bytes EncodeTrial
+	// writes for the trial held: only the canonical check can refuse these.
+	reencoded := func(perturb func(c *perfdmf.Columns)) []byte {
+		c, err := perfdmf.ColumnsFromTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturb(c)
+		p, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wrapEnvelope(p)
+	}
 	cases := []struct {
 		name string
 		body []byte
@@ -523,6 +537,9 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"%PDMFCOL1 with a flipped bit", flipIn(validV1, head+len(validV1)/2)},
 		{"%PDMFCOL1 with a bad CRC", flipIn(validV1, bytes.LastIndex(validV1, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
 		{"%PDMFCOL1 holding an invalid trial", invalidV1},
+		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
+		{"registered metric without a column", reencoded(func(c *perfdmf.Columns) { c.Cols = c.Cols[:2] })},
+		{"values under a clear presence bit", reencoded(func(c *perfdmf.Columns) { c.Cols[2].IncPresent[1], c.Cols[2].ExcPresent[1] = false, false })},
 	}
 	if !strings.Contains(header, `"threads":2`) || blocks[0] != 2 {
 		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, width %d", header, blocks[0])

@@ -743,31 +743,25 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		if hintFor != "" && s.node == nil {
 			return fmt.Errorf("hinted write for %s: this daemon is not a cluster member", hintFor)
 		}
-		t, err := s.storeUpload(ctx, w, r)
+		st, err := s.storeUpload(ctx, w, r, hintFor != "")
 		if err != nil {
 			return err
 		}
 		if hintFor != "" {
-			// The local copy is safe; now record the IOU. The hint body is
-			// the trial's encoded form whatever the upload format was, so
-			// a gprof or TAU hinted upload replays like any other.
-			data, err := perfdmf.EncodeTrial(t)
-			if err != nil {
-				return fmt.Errorf("hinted write for %s: %w", hintFor, err)
-			}
-			hint := dmfwire.Hint{Owner: hintFor, App: t.App, Experiment: t.Experiment, Trial: t.Name, Body: data}
+			// The local copy is safe; now record the IOU.
+			hint := dmfwire.Hint{Owner: hintFor, App: st.App, Experiment: st.Experiment, Trial: st.Name, Body: st.Encoded}
 			if err := s.node.AcceptHint(hint); err != nil {
 				return fmt.Errorf("hinted write for %s: %w", hintFor, err)
 			}
 		}
 		s.uploadsStored.Inc()
 		body, err := encodeJSON(UploadSummary{
-			Application: t.App,
-			Experiment:  t.Experiment,
-			Name:        t.Name,
-			Threads:     t.Threads,
-			Events:      len(t.Events),
-			Metrics:     len(t.Metrics),
+			Application: st.App,
+			Experiment:  st.Experiment,
+			Name:        st.Name,
+			Threads:     st.Threads,
+			Events:      st.Events,
+			Metrics:     st.Metrics,
 		})
 		if err != nil {
 			return err
@@ -782,20 +776,44 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // storeUpload decodes the request body — the trial's encoded form when the
 // Content-Type says so, else by the format query parameter — and saves it.
-func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http.Request) (*perfdmf.Trial, error) {
+// A hinted upload needs the trial's encoded form for the hint body whatever
+// the upload format was, so that a gprof or TAU hinted upload replays like
+// any other: an encoded upload has it from the save, which produced or
+// verified exactly those bytes, the other formats encode for it.
+func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http.Request, hinted bool) (perfdmf.Stored, error) {
 	if mediaType(r.Header.Get("Content-Type")) == dmfwire.TrialContentType {
 		data, err := s.readBody(w, r)
 		if err != nil {
-			return nil, err
+			return perfdmf.Stored{}, err
 		}
-		t, err := s.repo.SaveEncoded(ctx, data)
+		st, err := s.repo.SaveEncoded(ctx, data)
 		if errors.Is(err, perfdmf.ErrCorrupt) {
 			// The damage is in what the client sent, not in the store:
 			// drop the sentinel so the answer is 400, not 500.
-			return nil, fmt.Errorf("decode request: %v", err)
+			return perfdmf.Stored{}, fmt.Errorf("decode request: %v", err)
 		}
-		return t, err
+		return st, err
 	}
+	t, err := s.parseUpload(w, r)
+	if err == nil {
+		err = s.repo.SaveContext(ctx, t)
+	}
+	if err != nil {
+		return perfdmf.Stored{}, err
+	}
+	st := perfdmf.Stored{App: t.App, Experiment: t.Experiment, Name: t.Name,
+		Threads: t.Threads, Events: len(t.Events), Metrics: len(t.Metrics)}
+	if hinted {
+		if st.Encoded, err = perfdmf.EncodeTrial(t); err != nil {
+			return perfdmf.Stored{}, err
+		}
+	}
+	return st, nil
+}
+
+// parseUpload reads a trial uploaded in the format the query parameter
+// names.
+func (s *Server) parseUpload(w http.ResponseWriter, r *http.Request) (*perfdmf.Trial, error) {
 	var t *perfdmf.Trial
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
@@ -845,9 +863,6 @@ func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http
 		}
 	default:
 		return nil, fmt.Errorf("unknown upload format %q (want json, tau or gprof)", format)
-	}
-	if err := s.repo.SaveContext(ctx, t); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

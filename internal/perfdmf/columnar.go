@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -278,9 +279,11 @@ func (c *Columns) Trial() *Trial {
 		}
 	}
 	t.Events = make([]*Event, len(c.EventNames))
+	events := make([]Event, len(c.EventNames)) // one allocation for them all
 	for ev, name := range c.EventNames {
 		lo, hi := ev*th, (ev+1)*th
-		e := &Event{
+		e := &events[ev]
+		*e = Event{
 			Name:      name,
 			Calls:     c.Calls[lo:hi:hi],
 			Inclusive: make(map[string][]float64, len(c.Cols)),
@@ -300,6 +303,76 @@ func (c *Columns) Trial() *Trial {
 		}
 		t.Events[ev] = e
 	}
+	return t
+}
+
+// isPivot reports whether c is exactly what ColumnsFromTrial builds from
+// c.Trial(): an empty metric list is nil, the columns are the registered
+// metrics in Metrics order followed by the unregistered ones by the first
+// event that has them (by name within one event), and rows without presence
+// hold zeros. The decoder guarantees the rest (unique names, inclusive data
+// only beside exclusive). Only such columns encode to the canonical bytes of
+// their trial, and only such columns are cached.
+func (c *Columns) isPivot() bool {
+	if c.Metrics != nil && len(c.Metrics) == 0 {
+		return false
+	}
+	n := 0
+	for i, m := range c.Metrics {
+		if slices.Contains(c.Metrics[:i], m) {
+			continue
+		}
+		if n == len(c.Cols) || c.Cols[n].Metric != m {
+			return false
+		}
+		n++
+	}
+	th, prev := c.Threads, -1
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		if i >= n {
+			first := slices.Index(col.ExcPresent, true) // inclusive data is only where exclusive data is
+			if first < 0 || first < prev || first == prev && col.Metric < c.Cols[i-1].Metric {
+				return false
+			}
+			prev = first
+		}
+		for ev := range col.IncPresent {
+			if !col.IncPresent[ev] && widthOf(col.Inc[ev*th:(ev+1)*th]) != 0 ||
+				!col.ExcPresent[ev] && widthOf(col.Exc[ev*th:(ev+1)*th]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cloneTrial materializes a private row-oriented Trial from c, which must
+// satisfy isPivot, leaving c untouched: Trial() over a copy of the 1 +
+// 2·columns flat blocks. The result is what Trial.Clone returns for the
+// trial c was pivoted from — registered metrics zero-filled on events that
+// never recorded them, unregistered ones absent where they were absent,
+// Metadata and the name index never nil, no events a nil slice.
+func (c *Columns) cloneTrial() *Trial {
+	p := *c
+	p.Calls = slices.Clone(c.Calls)
+	p.Cols = slices.Clone(c.Cols)
+	everywhere := allTrue(len(c.EventNames))
+	for i := range p.Cols {
+		col := &p.Cols[i]
+		col.Inc, col.Exc = slices.Clone(col.Inc), slices.Clone(col.Exc)
+		if slices.Contains(c.Metrics, col.Metric) {
+			col.IncPresent, col.ExcPresent = everywhere, everywhere
+		}
+	}
+	t := p.Trial()
+	if t.Metadata == nil {
+		t.Metadata = make(map[string]string)
+	}
+	if len(t.Events) == 0 {
+		t.Events = nil
+	}
+	t.ensureIndex()
 	return t
 }
 
@@ -837,6 +910,23 @@ func decodeTrialPayload(payload []byte) (*Trial, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return t, nil
+}
+
+// decodeColumnsPayload is decodeTrialPayload for the repository, which keeps
+// trials pivoted: the columns of the trial an envelope payload of any form
+// holds, satisfying isPivot. A payload the encoder wrote decodes straight to
+// them; anything else goes through the Trial it holds.
+func decodeColumnsPayload(payload []byte) (*Columns, error) {
+	if isColumnarAny(payload) {
+		if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
+			return c, err
+		}
+	}
+	t, err := decodeTrialPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return ColumnsFromTrial(t)
 }
 
 // decodeTrialHeaderPayload extracts the identifying header from an

@@ -386,6 +386,13 @@ func legacyColumnarPayload(t testing.TB, tr *Trial) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return legacyColumnsPayload(t, c)
+}
+
+// legacyColumnsPayload is legacyColumnarPayload for a trial already pivoted
+// — or pivoted as ColumnsFromTrial never would.
+func legacyColumnsPayload(t testing.TB, c *Columns) []byte {
+	t.Helper()
 	cur, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -91,12 +91,27 @@ func EncodeTrial(t *Trial) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
-	// Magic, payload and trailer in the one buffer the payload is sized for.
+	return c.encodeEnveloped()
+}
+
+// encodeEnveloped is EncodeTrial for a trial already pivoted: magic, payload
+// and trailer in the one buffer the payload is sized for.
+func (c *Columns) encodeEnveloped() ([]byte, error) {
 	buf, err := c.encode(envelopeMagic, envelopeTrailerMax)
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
 	return appendEnvelopeTrailer(buf, buf[len(envelopeMagic):]), nil
+}
+
+// decodeColumns is DecodeTrial for the repository, which keeps trials
+// pivoted: see decodeColumnsPayload.
+func decodeColumns(data []byte) (*Columns, error) {
+	payload, _, err := decodeEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeColumnsPayload(payload)
 }
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope

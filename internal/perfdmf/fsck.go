@@ -121,10 +121,10 @@ func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (home string, le
 		rep.Errors = append(rep.Errors, r.rel(p)+": "+err.Error())
 		return "", false
 	}
-	var t *Trial
+	var c *Columns
 	payload, _, err := decodeEnvelope(data)
 	if err == nil {
-		t, err = decodeTrialPayload(payload)
+		c, err = decodeColumnsPayload(payload)
 	}
 	if err != nil {
 		r.quarantine(p)
@@ -135,7 +135,7 @@ func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (home string, le
 	if legacy = !IsColumnar(payload); legacy {
 		rep.Legacy++
 	}
-	return r.path(t.App, t.Experiment, t.Name), legacy
+	return r.path(c.App, c.Experiment, c.Name), legacy
 }
 
 // upgrade rewrites the legacy-form trial file at p, its own path, as
@@ -157,13 +157,13 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	if err != nil || IsColumnar(payload) {
 		return
 	}
-	t, err := decodeTrialPayload(payload)
-	if err != nil || r.path(t.App, t.Experiment, t.Name) != p {
+	c, err := decodeColumnsPayload(payload)
+	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
 		return
 	}
-	enc, err := EncodeTrial(t)
+	enc, err := c.encodeEnveloped()
 	if err == nil {
-		if err = r.persist(t.App, t.Experiment, t.Name, enc); err != nil {
+		if err = r.persist(c.App, c.Experiment, c.Name, enc); err != nil {
 			r.noteWriteError(err)
 		}
 	}
@@ -196,11 +196,11 @@ func (r *Repository) moveHome(from string) (to string, err error) {
 	if err != nil {
 		return "", err
 	}
-	t, err := DecodeTrial(data)
+	c, err := decodeColumns(data)
 	if err != nil {
 		return "", err
 	}
-	if to = r.path(t.App, t.Experiment, t.Name); to == from {
+	if to = r.path(c.App, c.Experiment, c.Name); to == from {
 		return to, nil
 	}
 	if _, err := r.fsys.Stat(to); err == nil {

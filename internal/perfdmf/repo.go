@@ -36,8 +36,20 @@ const readOnlyAfterENOSPC = 2
 
 // Repository stores trials in the Application → Experiment → Trial
 // hierarchy. A repository may be purely in-memory (root == "") or backed by
-// a directory tree root/app/experiment/trial.json; file-backed repositories
-// keep an in-memory cache of everything loaded or saved.
+// a directory tree with one file per trial, root/<app>/<experiment>/<trial>.json
+// (the names percent-escaped, the contents EncodeTrial's output whatever the
+// extension says); file-backed repositories keep an in-memory cache of
+// everything loaded or saved.
+//
+// A trial is resident in one form, the Columns it was encoded from or
+// decoded to: Save pivots the caller's trial once, encodes those columns and
+// caches them; SaveEncoded checks, re-encodes and caches the columns it
+// decoded and builds no Trial at all; a cold read caches what it decoded.
+// Cached columns are immutable — nothing writes to them once they are in
+// the map, not even their lazily built lookup tables — so any number of
+// readers share them without a lock, and GetTrial materializes a private
+// Trial from a copy of their flat blocks. Callers may therefore freely
+// mutate the trials they pass in and the trials they get back.
 //
 // The storage path is built for crash safety and corruption tolerance:
 //
@@ -72,17 +84,15 @@ const readOnlyAfterENOSPC = 2
 // coordinates it embeds — one written by older versions under their lossy
 // underscore scheme — is never served; Verify moves it into place.
 //
-// The repository enforces copy-on-read at its boundary: Save stores a
-// private Clone of the trial and GetTrial returns a Clone, so callers may
-// freely mutate trials they hold without corrupting the shared cache (and
-// vice versa).
-//
 // Repository is safe for concurrent use.
 type Repository struct {
 	mu    sync.RWMutex
 	root  string
 	fsys  vfs.FS
-	cache map[string]*Trial // key: app/experiment/trial
+	cache map[string]*Columns // key: app/experiment/trial; values satisfy isPivot and are never written again
+	// gen counts Saves and Deletes. A cold read decodes its file outside
+	// mu; it caches the result only if gen has not moved since it looked.
+	gen uint64
 
 	readOnly     atomic.Bool
 	enospcStreak atomic.Int32
@@ -102,7 +112,7 @@ type trialHeader struct {
 
 // NewRepository returns an in-memory repository.
 func NewRepository() *Repository {
-	return &Repository{cache: make(map[string]*Trial)}
+	return &Repository{cache: make(map[string]*Columns)}
 }
 
 // OpenRepository returns a repository backed by the directory root on the
@@ -122,7 +132,7 @@ func OpenRepositoryFS(root string, fsys vfs.FS) (*Repository, error) {
 	r := &Repository{
 		root:  root,
 		fsys:  fsys,
-		cache: make(map[string]*Trial),
+		cache: make(map[string]*Columns),
 	}
 	r.recoverTmp(nil)
 	return r, nil
@@ -195,8 +205,9 @@ func (r *Repository) path(app, experiment, trial string) string {
 func (r *Repository) ReadOnly() bool { return r.readOnly.Load() }
 
 // Save stores the trial (validating first) and persists it when the
-// repository is file-backed. The cache keeps a private copy, so mutating t
-// after Save does not affect what later GetTrial calls observe.
+// repository is file-backed. The repository keeps the trial's columns, which
+// share nothing with t, so mutating t after Save does not affect what later
+// GetTrial calls observe.
 //
 // Persistence is crash-safe (temp file + fsync + atomic rename + directory
 // fsync) and the cache is only updated after the bytes are durable: a
@@ -206,76 +217,92 @@ func (r *Repository) Save(t *Trial) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
+	c, err := ColumnsFromTrial(t)
+	if err != nil {
+		return err
+	}
 	var data []byte
 	if r.root != "" {
-		var err error
-		if data, err = EncodeTrial(t); err != nil {
+		if data, err = c.encodeEnveloped(); err != nil {
 			return err
 		}
 	}
-	return r.store(t, data)
+	return r.store(c, data)
+}
+
+// Stored describes a trial SaveEncoded has stored: what an upload is
+// answered with, and the bytes a hint for it carries.
+type Stored struct {
+	App, Experiment, Name    string
+	Threads, Events, Metrics int
+	// Encoded is the trial's canonical encoding, as written.
+	Encoded []byte
 }
 
 // SaveEncoded stores a trial that arrives already encoded (EncodeTrial
 // output: an upload body, a replayed hint). It runs every check Save runs
-// — envelope checksum, full structural decode, Validate — and additionally
-// requires data to be the canonical encoding of the trial it decodes to,
-// so the file written is byte for byte what Save of that trial would
-// write. The one other body accepted is a %PDMFCOL1 encoding (a hint queued
-// before the upgrade, a client one version behind), which passes the same
-// checks and is stored as its re-encoding; trial JSON, bare or in the
-// envelope, is not an encoded trial. Rejected input wraps ErrCorrupt and
-// leaves the repository untouched. The returned trial is the caller's own
-// copy.
-func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (*Trial, error) {
+// — envelope checksum, full structural decode, the decoder's validity
+// checks — and additionally requires data to be the canonical encoding of
+// the trial it decodes to, so the file written is byte for byte what Save of
+// that trial would write. The one other body accepted is a %PDMFCOL1
+// encoding (a hint queued before the upgrade, a client one version behind),
+// which passes the same checks and is stored as its re-encoding; trial JSON,
+// bare or in the envelope, is not an encoded trial. Rejected input wraps
+// ErrCorrupt and leaves the repository untouched. No Trial is built: the
+// decoded columns are what is checked, encoded and cached.
+func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, err error) {
 	_, sp := obs.StartSpan(ctx, "perfdmf.save")
-	t, err := r.saveEncoded(data)
-	if t != nil {
-		sp.SetAttr("app", t.App)
-		sp.SetAttr("experiment", t.Experiment)
-		sp.SetAttr("trial", t.Name)
-	}
-	sp.SetError(err)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (r *Repository) saveEncoded(data []byte) (*Trial, error) {
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	payload, _, err := decodeEnvelope(data)
 	if err != nil {
-		return nil, err
+		return Stored{}, err
 	}
-	t, err := decodeTrialPayload(payload)
+	c, err := DecodeColumnar(payload)
 	if err != nil {
-		return nil, err
+		return Stored{}, err
 	}
-	canon, err := EncodeTrial(t)
-	if err != nil {
-		return t, err
+	sp.SetAttr("app", c.App)
+	sp.SetAttr("experiment", c.Experiment)
+	sp.SetAttr("trial", c.Name)
+	// isPivot shows the columns are how the encoder pivots this trial, equal
+	// bytes that the body is how it writes those columns.
+	var canon []byte
+	canonical := c.isPivot()
+	if canonical {
+		if canon, err = c.encodeEnveloped(); err != nil {
+			return Stored{}, err
+		}
+		canonical = bytes.Equal(canon, data) || isColumnarV1(payload)
 	}
-	if !bytes.Equal(canon, data) && !isColumnarV1(payload) {
-		return t, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, t.App, t.Experiment, t.Name)
+	if !canonical {
+		return Stored{}, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)
 	}
-	return t, r.store(t, canon)
+	st = Stored{App: c.App, Experiment: c.Experiment, Name: c.Name,
+		Threads: c.Threads, Events: len(c.EventNames), Metrics: len(c.Metrics), Encoded: canon}
+	if err := r.store(c, canon); err != nil {
+		return Stored{}, err
+	}
+	return st, nil
 }
 
-// store persists data, the encoded form of t (unused when in-memory), and
-// then caches a private copy of t.
-func (r *Repository) store(t *Trial, data []byte) error {
+// store persists data, the encoded form of c (unused when in-memory), and
+// then caches c, which the caller must not touch again.
+func (r *Repository) store(c *Columns, data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(t.App, t.Experiment, t.Name)
+	r.gen++
+	k := key(c.App, c.Experiment, c.Name)
 	if r.root == "" {
-		r.cache[k] = t.Clone()
+		r.cache[k] = c
 		return nil
 	}
 	if r.readOnly.Load() {
-		return fmt.Errorf("perfdmf: save trial %q/%q/%q: %w", t.App, t.Experiment, t.Name, ErrReadOnly)
+		return fmt.Errorf("perfdmf: save trial %q/%q/%q: %w", c.App, c.Experiment, c.Name, ErrReadOnly)
 	}
-	if err := r.persist(t.App, t.Experiment, t.Name, data); err != nil {
+	if err := r.persist(c.App, c.Experiment, c.Name, data); err != nil {
 		// The on-disk state is now uncertain (the rename may or may not
 		// have happened before a directory-sync failure), so drop any
 		// cached copy: reads fall back to the disk, the source of truth.
@@ -284,7 +311,7 @@ func (r *Repository) store(t *Trial, data []byte) error {
 		return err
 	}
 	r.enospcStreak.Store(0)
-	r.cache[k] = t.Clone()
+	r.cache[k] = c
 	return nil
 }
 
@@ -327,18 +354,20 @@ func (r *Repository) noteWriteError(err error) {
 }
 
 // GetTrial loads a trial by its (application, experiment, name) coordinates.
-// The returned trial is a private copy: callers may mutate it freely
-// without affecting the repository (copy-on-read).
+// The returned trial is a private copy, materialized from the cached
+// columns: callers may mutate it freely without affecting the repository.
 //
 // A damaged file — failed checksum, truncated envelope, undecodable
 // payload, invalid trial — is quarantined to <file>.corrupt and the error
 // wraps ErrCorrupt; other trials and listings are unaffected.
 func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
+	k := key(app, experiment, trial)
 	r.mu.RLock()
-	t, ok := r.cache[key(app, experiment, trial)]
+	c, ok := r.cache[k]
+	gen := r.gen
 	r.mu.RUnlock()
 	if ok {
-		return t.Clone(), nil
+		return c.cloneTrial(), nil
 	}
 	fail := func(err error) (*Trial, error) {
 		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
@@ -347,7 +376,7 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	if err != nil {
 		return fail(err)
 	}
-	t, err = DecodeTrial(data)
+	c, err = decodeColumns(data)
 	if err != nil {
 		r.quarantine(p)
 		return fail(err)
@@ -355,13 +384,17 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	// A valid file at another trial's path (the old underscore scheme put
 	// "a b" where "a_b" lives) is not this trial, and not damage either:
 	// Verify moves it to its own path.
-	if t.App != app || t.Experiment != experiment || t.Name != trial {
+	if c.App != app || c.Experiment != experiment || c.Name != trial {
 		return fail(ErrNotFound)
 	}
+	// The file was read outside the lock: a Save or Delete since then may
+	// have replaced what it held, and must not be undone in the cache.
 	r.mu.Lock()
-	r.cache[key(app, experiment, trial)] = t
+	if _, ok := r.cache[k]; !ok && r.gen == gen {
+		r.cache[k] = c
+	}
 	r.mu.Unlock()
-	return t.Clone(), nil
+	return c.cloneTrial(), nil
 }
 
 // GetEncoded returns a trial in its encoded form (EncodeTrial output), for
@@ -387,12 +420,12 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 	}
 	if r.root == "" {
 		r.mu.RLock()
-		t, ok := r.cache[key(app, experiment, trial)]
+		c, ok := r.cache[key(app, experiment, trial)]
 		r.mu.RUnlock()
 		if !ok {
 			return fail(ErrNotFound)
 		}
-		return EncodeTrial(t)
+		return c.encodeEnveloped()
 	}
 	data, p, err := r.readStored(app, experiment, trial)
 	if err != nil {
@@ -414,12 +447,12 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 	if IsColumnar(payload) {
 		return data, nil
 	}
-	t, err := decodeTrialPayload(payload)
+	c, err := decodeColumnsPayload(payload)
 	if err != nil {
 		r.quarantine(p)
 		return fail(err)
 	}
-	return EncodeTrial(t)
+	return c.encodeEnveloped()
 }
 
 // readStored reads the file at the path of a trial's coordinates.
@@ -451,6 +484,7 @@ func (r *Repository) quarantine(path string) {
 func (r *Repository) Delete(app, experiment, trial string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.gen++
 	delete(r.cache, key(app, experiment, trial))
 	if r.root == "" {
 		return nil
