@@ -153,36 +153,52 @@ func BenchmarkColumnarConvert(b *testing.B) {
 }
 
 // BenchmarkRepositorySaveGet is the repository layer alone, on the two
-// shapes the service benchmark stores (S: 32 events × 8 threads × 1 metric,
-// L: 128 × 64 × 2; integer-valued measurements in [1e14, 1e15)): an
+// shapes the service benchmark generates (S: 32 events × 8 threads × 1 metric,
+// L: 128 × 64 × 2; integer-valued measurements in [1e14, 1e15)) and on one
+// trial the simulator produces (M: GenIDLEST 90rib, OpenMP, 16 threads — leaf
+// events and SPMD threads, the rows the synthetic shapes never contain): an
 // overwriting Save on the real file system with real fsync and in memory, a
 // GetTrial served from the cache, and one served by a repository that has
-// not read the file yet.
+// not read the file yet. Every sub-benchmark also reports the size of the
+// stored file.
 func BenchmarkRepositorySaveGet(b *testing.B) {
-	for _, sh := range []struct {
-		name            string
-		events, threads int
-		metrics         []string
-	}{
-		{"S", 32, 8, []string{perfknow.TimeMetric}},
-		{"L", 128, 64, []string{perfknow.TimeMetric, "CPU_CYCLES"}},
-	} {
+	synthetic := func(name string, events, threads int, metrics ...string) *perfknow.Trial {
 		rng := rand.New(rand.NewSource(17))
-		tr := perfknow.NewTrial("app", "exp", sh.name, sh.threads)
-		tr.Metadata["shape"] = sh.name
-		for _, m := range sh.metrics {
+		tr := perfknow.NewTrial("app", "exp", name, threads)
+		tr.Metadata["shape"] = name
+		for _, m := range metrics {
 			tr.AddMetric(m)
 		}
-		for j := 0; j < sh.events; j++ {
+		for j := 0; j < events; j++ {
 			e := tr.EnsureEvent(fmt.Sprintf("main => phase_%02d => loop_%03d", j%8, j))
-			for th := 0; th < sh.threads; th++ {
+			for th := 0; th < threads; th++ {
 				e.Calls[th] = float64(1 + rng.Intn(9))
-				for _, m := range sh.metrics {
+				for _, m := range metrics {
 					x := 1e14 + float64(rng.Int63n(1e14))
 					e.SetValue(m, th, x+float64(rng.Int63n(9e13)), x)
 				}
 			}
 		}
+		return tr
+	}
+	simulated, err := genidlest.Run(perfknow.AltixConfig(16, 2), genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name string
+		tr   *perfknow.Trial
+	}{
+		{"S", synthetic("S", 32, 8, perfknow.TimeMetric)},
+		{"L", synthetic("L", 128, 64, perfknow.TimeMetric, "CPU_CYCLES")},
+		{"M", simulated},
+	} {
+		tr := sh.tr
+		enc, err := perfdmf.EncodeTrial(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		storedBytes := float64(len(enc))
 		save := func(b *testing.B, repo *perfdmf.Repository) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -193,8 +209,8 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 			}
 		}
 		get := func(b *testing.B, repo *perfdmf.Repository) {
-			got, err := repo.GetTrial("app", "exp", sh.name)
-			if err != nil || len(got.Events) != sh.events {
+			got, err := repo.GetTrial(tr.App, tr.Experiment, tr.Name)
+			if err != nil || len(got.Events) != len(tr.Events) {
 				b.Fatalf("GetTrial: %v", err)
 			}
 		}
@@ -209,12 +225,18 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 			}
 			return dir, repo
 		}
-		b.Run(sh.name+"/save_disk", func(b *testing.B) {
+		run := func(name string, f func(b *testing.B)) {
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				f(b)
+				b.ReportMetric(storedBytes, "stored-B/op")
+			})
+		}
+		run("save_disk", func(b *testing.B) {
 			_, repo := stored(b)
 			save(b, repo)
 		})
-		b.Run(sh.name+"/save_mem", func(b *testing.B) { save(b, perfdmf.NewRepository()) })
-		b.Run(sh.name+"/get_warm", func(b *testing.B) {
+		run("save_mem", func(b *testing.B) { save(b, perfdmf.NewRepository()) })
+		run("get_warm", func(b *testing.B) {
 			_, repo := stored(b)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -222,7 +244,7 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 				get(b, repo)
 			}
 		})
-		b.Run(sh.name+"/get_cold", func(b *testing.B) {
+		run("get_cold", func(b *testing.B) {
 			dir, _ := stored(b)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -6,8 +6,14 @@
 package apps_test
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"perfknow/internal/apps/genidlest"
@@ -67,6 +73,114 @@ var pinnedTrials = map[string]string{
 	"genidlest/90rib/Hybrid/opt=true/32":  "1a4ff3a0466e79836542bfe683fefaf8c4c87e75c35099cd099778b263d0306f",
 }
 
+// pinnedValues maps the same runs to valueDigest of their trial: what the
+// simulator computed, whatever the encoding. A PR that changes the encoding
+// re-records pinnedTrials and must leave this table untouched in its diff;
+// that is the proof that no simulated value moved. Recorded at commit
+// 2565d7f, before %PDMFCOL3.
+var pinnedValues = map[string]string{
+	"msa/seed1/static/4":                  "04303697d481d8390fcc80f52ef9810873074377541f2c5a804f6d03510d7e97",
+	"msa/seed1/static/16":                 "23133bad17fe2452d73784803e237e40c98f8cf6952d42c130b543df0755f628",
+	"msa/seed1/dynamic,1/4":               "bb947b5d4150cd93e2c8a032eaaf8b65837003f591cc8a645eeb7026adf7b6f3",
+	"msa/seed1/dynamic,1/16":              "5ac9af804196b20e9c6b44d634b938fee23e56c348f88d9a312634d20f5c3884",
+	"msa/seed1/guided/4":                  "b403894ca6eeee712cc4cd83f3d5701a3ae55a1fd0d11ea8c6b0a9a985c6ad4d",
+	"msa/seed1/guided/16":                 "e7b90bf1ecb4bb6bdf692507e432290105bbb663787ae5791f17192cd689cd2c",
+	"msa/seed2/static/4":                  "4b663ba8ec7ed07f6c8c91c34517bfacdf3836d2b29249e6d3012a105de70841",
+	"msa/seed2/static/16":                 "aa7682382932783d860c309e66ffd570454235dbdd020f5b90919f326491d2ef",
+	"msa/seed2/dynamic,1/4":               "255be41eedff83ee102f8bdee60315eb5c682f30662af4564a24fde92c81caf4",
+	"msa/seed2/dynamic,1/16":              "f65f465d26df083b0d78231a6b9f9cce38d030ccaca2d13a4e2a3f97e262971a",
+	"msa/seed2/guided/4":                  "8fb0d29b7fb45a12858cdb218f40f7c4136fb9ba65fcc906a4a2089fa7684304",
+	"msa/seed2/guided/16":                 "eff04b2a38fe33793651eaa3b1decbb18e7fad67eb7a35430632410ea76b2d46",
+	"msa/seed3/static/4":                  "c27e672fae966b18877c817c6d010414183c4cde56f50e9aeac7fea1d0aab83f",
+	"msa/seed3/static/16":                 "bb43727e3f415793fd7c41358f2e75d362e688b4e4f45b83fe662aac5d6b6414",
+	"msa/seed3/dynamic,1/4":               "a2bad4f3a04c8e06a6be0c791b0a6f4cadb7f82161f94ff99823ded6e45c07cd",
+	"msa/seed3/dynamic,1/16":              "ce481e8376c7d635bcfd4b65e1a930300fc548263e9d87a59d1124c1de071630",
+	"msa/seed3/guided/4":                  "92adff6f9c7090cb3911e23a53ce469f15a553ab1c88ee0cf57c926007560e1a",
+	"msa/seed3/guided/16":                 "1ca3aff8e272beb2d6a8f03f65f8f3d193ae8a6ec57d4707bf4b2e2c5f9ab9fe",
+	"genidlest/45rib/OpenMP/opt=false/4":  "e6f1e0f7703209c01db16fce823de16d0b5f449d59d02aff03ee1cd999d20ba3",
+	"genidlest/45rib/OpenMP/opt=false/8":  "2fa5e69439ef9140741696357c7c426d9ad93a98f949a68107d952c19b58f9c9",
+	"genidlest/45rib/OpenMP/opt=true/4":   "9a226c313510f83a49291c943097b06fa8dbbdb62c4466acbc8fa71c66723e83",
+	"genidlest/45rib/OpenMP/opt=true/8":   "2ccb9fe18f827fae5e044b0e59f8b34e8b22557c4c7582913e33689e587a60a9",
+	"genidlest/45rib/MPI/opt=false/4":     "c78b8c9aa0268c9b25ecf6707e186c4fe0777bc77e3029195d7931989ce71c52",
+	"genidlest/45rib/MPI/opt=false/8":     "baefeb4f5f9ad0b09494562fd951ba98731558aa59b8ae9be3758898a4e906e1",
+	"genidlest/45rib/MPI/opt=true/4":      "c91fa951fb90d83800d5a01e36126e109d1807cc27bffc9ff944a615342993eb",
+	"genidlest/45rib/MPI/opt=true/8":      "c95fdaff0b52a7a1f2577e6f8660611d2876a7045c723e82f541f729c49e44d7",
+	"genidlest/45rib/Hybrid/opt=false/4":  "2ec958da88300863f0e78f0913012c971624303e475958feb72002765a469bd4",
+	"genidlest/45rib/Hybrid/opt=false/8":  "e8e659cd579a0b1ec832b8ea248bc978b7a02ea6d123a12ec045acc56c03ed8e",
+	"genidlest/45rib/Hybrid/opt=true/4":   "87e1b42b9d2d02c68e6850ce7c974aa1f879ac54fcaaaba53b126e06c0cf8314",
+	"genidlest/45rib/Hybrid/opt=true/8":   "bc4d9805ea70245b8104bfdffd3c7b7f7518641e9b640e821dbd758df54f261f",
+	"genidlest/90rib/OpenMP/opt=false/16": "9e8f1f881749fcd2873be325650353d63639cef5874942e0348f2bbdd36d7fd1",
+	"genidlest/90rib/OpenMP/opt=false/32": "722e69fa9b1f17908f23503e963adee73179f73b3b60787c5546c945c0dc7be9",
+	"genidlest/90rib/OpenMP/opt=true/16":  "bc8c72f0b969b83236e39ee8c613d2a91597c8ea429ee8bd9dcd451cd95e7c9f",
+	"genidlest/90rib/OpenMP/opt=true/32":  "8dc0a67fffc54487c2499531a735769bee22ca42cc28364f2faee24b76b84334",
+	"genidlest/90rib/MPI/opt=false/16":    "114d6e66610e49d695655b19141c56249d5db6e2d4abc76de65768131cc1fb1d",
+	"genidlest/90rib/MPI/opt=false/32":    "85aba3c3ad9653bd6f3b9fcb2f17a80280b780fa4f83a6e1cce8bc820f217836",
+	"genidlest/90rib/MPI/opt=true/16":     "869bd7675be87239d6bf43d71aa0fb93e2085abe7d5bbcc28f31ce7ccef5f1d2",
+	"genidlest/90rib/MPI/opt=true/32":     "fcbdbef68bc641f778707d7f447b10e056f5c06e6bebc8a993ebb51374cf33c0",
+	"genidlest/90rib/Hybrid/opt=false/16": "5512ea8d08326a460970d44fe36c6d1bf196e0c538c9b4afc251fd60e0fe8868",
+	"genidlest/90rib/Hybrid/opt=false/32": "0f79fae005170434e2c2504dafeedc932ddea88ed28fb56f5cd1d65bc8b21b6b",
+	"genidlest/90rib/Hybrid/opt=true/16":  "dad6e477734c2d4787fecb069c493ee3be5cabab3e614d91c5c81d9a62f1ca7a",
+	"genidlest/90rib/Hybrid/opt=true/32":  "5e2b63324749c4cf3743e665cf059ef78dfcf3794e2cb47f4ce84f97b4749122",
+}
+
+// valueDigest is a SHA-256 over everything a trial holds, independent of
+// how a trial is encoded: coordinates, thread count, registered metrics,
+// sorted metadata, then in dictionary order every event's name and groups,
+// the calls block and, per column, the metric, both presence vectors and the
+// Float64bits of every inclusive and exclusive value.
+func valueDigest(t *perfdmf.Trial) (string, error) {
+	c, err := perfdmf.ColumnsFromTrial(t)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	num := func(n int) { binary.Write(h, binary.BigEndian, uint64(n)) }
+	str := func(ss ...string) {
+		num(len(ss))
+		for _, s := range ss {
+			num(len(s))
+			h.Write([]byte(s))
+		}
+	}
+	vals := func(xs []float64) {
+		num(len(xs))
+		for _, x := range xs {
+			binary.Write(h, binary.BigEndian, math.Float64bits(x))
+		}
+	}
+	present := func(bs []bool) {
+		num(len(bs))
+		for _, b := range bs {
+			binary.Write(h, binary.BigEndian, b)
+		}
+	}
+	str(c.App, c.Experiment, c.Name)
+	num(c.Threads)
+	str(c.Metrics...)
+	keys := make([]string, 0, len(c.Metadata))
+	for k := range c.Metadata {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		str(k, c.Metadata[k])
+	}
+	for ev, name := range c.EventNames {
+		str(name)
+		str(c.Groups[ev]...)
+	}
+	vals(c.Calls)
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		str(col.Metric)
+		present(col.IncPresent)
+		present(col.ExcPresent)
+		vals(col.Inc)
+		vals(col.Exc)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), nil
+}
+
 type pinnedRun struct {
 	name string
 	run  func() (*perfdmf.Trial, error)
@@ -110,8 +224,8 @@ func pinnedRuns() []pinnedRun {
 func TestSimulatorOutputsPinned(t *testing.T) {
 	defer parallel.SetDefaultWorkers(0)
 	runs := pinnedRuns()
-	if len(runs) != len(pinnedTrials) {
-		t.Errorf("%d runs, %d pinned hashes", len(runs), len(pinnedTrials))
+	if len(runs) != len(pinnedTrials) || len(runs) != len(pinnedValues) {
+		t.Errorf("%d runs, %d pinned hashes, %d pinned value digests", len(runs), len(pinnedTrials), len(pinnedValues))
 	}
 	for _, workers := range []int{1, 0} {
 		parallel.SetDefaultWorkers(workers)
@@ -127,6 +241,37 @@ func TestSimulatorOutputsPinned(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[r.name] {
 				t.Errorf("workers=%d %q: %q, pinned %q", workers, r.name, got, pinnedTrials[r.name])
 			}
+			if got, err := valueDigest(trial); err != nil || got != pinnedValues[r.name] {
+				t.Errorf("workers=%d values %q: %q, pinned %q (err=%v)", workers, r.name, got, pinnedValues[r.name], err)
+			}
 		}
 	}
+}
+
+// simFixture is the run checked in as a %PDMFCOL2 file, written by the last
+// encoder that wrote that form (commit 2565d7f).
+const simFixture = "genidlest/45rib/OpenMP/opt=false/4"
+
+// The checked-in simulator trial is byte for byte what this commit's encoder
+// writes for the run it names.
+func TestSimulatorFixture(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sim.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range pinnedRuns() {
+		if r.name != simFixture {
+			continue
+		}
+		trial, err := r.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := perfdmf.EncodeTrial(trial)
+		if err != nil || !bytes.Equal(enc, file) {
+			t.Fatalf("col2_sim.pdmf is not the encoding of %s (err=%v)", simFixture, err)
+		}
+		return
+	}
+	t.Fatalf("no pinned run %q", simFixture)
 }

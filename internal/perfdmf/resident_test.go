@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -349,9 +350,14 @@ func TestIsPivotMatchesReencoding(t *testing.T) {
 // to the file. Do not edit the hash to make the test pass.
 func TestStoredBytesPinned(t *testing.T) {
 	const want = "2f471eb90feb19116f93edb1df6e2d221aee4306a30d1b3eec0b3a89bfd74edb"
+	// wantValues is over what the files decode to (canonicalTrialDump: every
+	// name, presence and float bit), whatever the encoding. A PR that changes
+	// the encoding re-records want and must leave wantValues untouched in its
+	// diff. Recorded at commit 2565d7f, before %PDMFCOL3.
+	const wantValues = "258738301d185dc812c8c607e839d13ef00f7ef819ba5fd14baf34bafcd005eb"
 	r := rand.New(rand.NewSource(31))
 	viaSave, viaEncoded := mustOpen(t, t.TempDir()), mustOpen(t, t.TempDir())
-	h := sha256.New()
+	h, hv := sha256.New(), sha256.New()
 	for i := 0; i < 60; i++ {
 		tr := genColTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(8))
 		if err := viaSave.Save(tr); err != nil {
@@ -370,9 +376,17 @@ func TestStoredBytesPinned(t *testing.T) {
 			t.Fatalf("trial %d: Save, SaveEncoded and EncodeTrial disagree on the stored bytes", i)
 		}
 		h.Write(a)
+		back, err := DecodeTrial(a)
+		if err != nil {
+			t.Fatalf("trial %d: stored file does not decode: %v", i, err)
+		}
+		io.WriteString(hv, canonicalTrialDump(back))
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("stored bytes hash to %s, pinned %s", got, want)
+		t.Errorf("stored bytes hash to %s, pinned %s", got, want)
+	}
+	if got := hex.EncodeToString(hv.Sum(nil)); got != wantValues {
+		t.Errorf("stored values hash to %s, pinned %s", got, wantValues)
 	}
 }
 
