@@ -25,52 +25,54 @@ import (
 )
 
 // pinnedTrials maps a simulated run to the SHA-256 of its encoded trial.
-// The hashes were recorded at commit 613d8d4. A change that moves one of
-// them has changed what the simulator computes: that is a new model and
-// needs its own PR, not a new hash in a PR about something else.
+// The hashes were last recorded with the encoding, %PDMFCOL3. A change that
+// moves one of them and not the encoding has changed what the simulator
+// computes: that is a new model and needs its own PR, not a new hash in a PR
+// about something else. A change of encoding moves all of them and none of
+// pinnedValues.
 var pinnedTrials = map[string]string{
-	"msa/seed1/static/4":                  "645211cf6ce14dbf7a94d91a9f8f1207b36e2ee7e855922bab4f198d63d06139",
-	"msa/seed1/static/16":                 "d8ec3697fc5a5e57e7f5a7650c343d6dc4ed07922f414a22cdacdd6d463ba363",
-	"msa/seed1/dynamic,1/4":               "3a5de3f1596bf490e2d4df7240f410712b5c48b03e12d65c7a9ed6d66017832b",
-	"msa/seed1/dynamic,1/16":              "9f4819abb240bee1ff796ae2b1a1999f6fd1b2883462c4c8c1dac9b6d0f7e0e7",
-	"msa/seed1/guided/4":                  "bacdd2c5cb34f7faca40139f652aed79143a56bf9c30036da0b95a9f1079316f",
-	"msa/seed1/guided/16":                 "973a63c8ff05bd52f5a962da3c91b3ea0fc19ac28e9d39c6969dfe4c5c35da78",
-	"msa/seed2/static/4":                  "f85f45d78f43beadfef620988f0e68ee4ff48999736be9b1c4b89ef959d488ea",
-	"msa/seed2/static/16":                 "e98f303e25d73dd502d3d4bab0993d69b53ebd635f978394820df09601711819",
-	"msa/seed2/dynamic,1/4":               "e1e22d187586315904c8de4c0887a2f9b2727a30db01bba919554c97722d8ac5",
-	"msa/seed2/dynamic,1/16":              "54b1ade4efa43f978e12daad37016f28b4951dc233eb8ea0064c9132774b99fc",
-	"msa/seed2/guided/4":                  "0bba7d8de3e275c41c1c68b755fcee6bb777597539a0a90d84e2da66e4ae97cf",
-	"msa/seed2/guided/16":                 "c9adb3c855d3af7744885f0e5c411a0dd6212df16d583e2ac056b9cb610d2d4a",
-	"msa/seed3/static/4":                  "2b4d40002a41399219ec6866a81bf38273efb66a3918c315e237213596b0a639",
-	"msa/seed3/static/16":                 "fc2827cc89b4da8e001f9ea649daa6119257a653d252000d7bec3774c20e1f4b",
-	"msa/seed3/dynamic,1/4":               "2c9d1a4644bd07260969311835b38c7934df949499a064b36f84d7b606cab63c",
-	"msa/seed3/dynamic,1/16":              "41feb61a3c9c0bd42633cb63ab674c4d0d3459613e3826e605590e4058620861",
-	"msa/seed3/guided/4":                  "d18f6c3e2cb59311b60c88edd8e630932774af6f7d57b3ead07d9d56ab929a80",
-	"msa/seed3/guided/16":                 "a83f9ef44cf85fd60cd211e2dd6634d66014866c9e33931b00b4e3486394b8a2",
-	"genidlest/45rib/OpenMP/opt=false/4":  "4d64a294bf4303e27e43ec4fee801deb96a9f9b04fd210c8df47d86547033e9d",
-	"genidlest/45rib/OpenMP/opt=false/8":  "bb8d2aef44b5db91269737f78006ac396ebc24c191a4d2b3810d26c6158a5e96",
-	"genidlest/45rib/OpenMP/opt=true/4":   "5e99a73905d776a60a5698549691427f1980e52ab585c169021b9b50a5b97bc8",
-	"genidlest/45rib/OpenMP/opt=true/8":   "ea5e344496abf83300cc9f5c2d367afc18e031da1328900eadc102ac7d3803b7",
-	"genidlest/45rib/MPI/opt=false/4":     "c886427dffb644da1afbab89844aede0614c93e85f4470e5964f319fb50429f6",
-	"genidlest/45rib/MPI/opt=false/8":     "5e300926a9c392374ec051be83ec28011c96ed81b8c2eb906668957597b0ce8d",
-	"genidlest/45rib/MPI/opt=true/4":      "7b9c09357e2d7e49e6b707ca83986991c84310a117c97f25c4fc4376829bc12e",
-	"genidlest/45rib/MPI/opt=true/8":      "003e0bb47810062d1f704ec772158edd0748c18c43f548e35622e0187575e724",
-	"genidlest/45rib/Hybrid/opt=false/4":  "c9c63057807678854d02bb1b0b5e59d5e94fd44abf59a77c58fe9217f8b1383f",
-	"genidlest/45rib/Hybrid/opt=false/8":  "21736b3075317ac57c094af31c069b64732bba4b07d4406ab517dbcf8cd15336",
-	"genidlest/45rib/Hybrid/opt=true/4":   "fee243ca37c0dbb21feb76db0272da90e312387b3824659d7ed1663eff368fa7",
-	"genidlest/45rib/Hybrid/opt=true/8":   "0ff1f4cb0696629f01bbc60ebf72f8a03bbf1654fee861cc2b9834cb7a90d14a",
-	"genidlest/90rib/OpenMP/opt=false/16": "efbb14111f088298be690b856eb722f1587db2217fbca77586045929b1115649",
-	"genidlest/90rib/OpenMP/opt=false/32": "a79593e1924550b1a4c3a4eaae584f2e7300c7f41436591073b85194445aec2d",
-	"genidlest/90rib/OpenMP/opt=true/16":  "bd0c5bb3b4df68b0662c1a54477bb08bdfa4456887c4310ef5502928b29db9ed",
-	"genidlest/90rib/OpenMP/opt=true/32":  "ff69a904d3b3eabe797bab3c7a6d22c390f554f8e2c8539e2b1dc9d84690fbbc",
-	"genidlest/90rib/MPI/opt=false/16":    "81d41f87a690d721e2cf436e9577d1b824745406e5eaa85d17bfb47540f91695",
-	"genidlest/90rib/MPI/opt=false/32":    "287369e81abaede3fe0067e61506ff98b2058ab1b6d6a58de07e666d75fdeb45",
-	"genidlest/90rib/MPI/opt=true/16":     "c1e585b99d92d421f3831fdb08b83875cab592ee5014f7176d80213b5924480c",
-	"genidlest/90rib/MPI/opt=true/32":     "4de21989e8b56f4439595042a58cab1ef576d090ce69ffc59c6290003b4d6d53",
-	"genidlest/90rib/Hybrid/opt=false/16": "b7efd1655a48bbf08ed0a3e3139d76a4d2a24536a289b06c0eca2b9b77f8f6aa",
-	"genidlest/90rib/Hybrid/opt=false/32": "646b0ae69713443c83d3fab510adbb7bd00eac837a93f8e65a0054f7569b3b61",
-	"genidlest/90rib/Hybrid/opt=true/16":  "17c49ff16401f8f5e09169a36a2840f8eac74607e881165ed059e2b1086d21ab",
-	"genidlest/90rib/Hybrid/opt=true/32":  "1a4ff3a0466e79836542bfe683fefaf8c4c87e75c35099cd099778b263d0306f",
+	"msa/seed1/static/4":                  "55195ce9e5e6231452ee774d0ab7cfe298db6aa3a99b893d0824fce3acedc2ca",
+	"msa/seed1/static/16":                 "5b89043568c1d8b17c2245987e6d53fb50b996ac72dabc2f2294ebf27cfadd98",
+	"msa/seed1/dynamic,1/4":               "7fca522e12844b0c361ad8d070a737f26c44d9a138a73a39d292efd4733e0ea9",
+	"msa/seed1/dynamic,1/16":              "1cea031dbc0ada012eedce4e8c9c3b9370d8d4a3245bb132a722b1e72b010421",
+	"msa/seed1/guided/4":                  "fd5c49460299e606ecd628bf7d053f41d2daf967eadaa6d1e0f2bc3f9f8e8eb7",
+	"msa/seed1/guided/16":                 "bf31736d23db2479020e98746fb8b8fdb27f88bb30f5a282ef113a7bd312a3dd",
+	"msa/seed2/static/4":                  "3b1a5f2d67e541fc7dc85f84dacfbf7a478317ace3fbc190d8c9c11267c79fa9",
+	"msa/seed2/static/16":                 "19f2d850b7867a050cc36964191c2b8c1a2749745284a9cd40345c441bf65150",
+	"msa/seed2/dynamic,1/4":               "f6e4bd89889af1ed035d52a0464e096038ab5cdc8105f316559c308daffcb282",
+	"msa/seed2/dynamic,1/16":              "a4209323bb5606c6334868851cf3562f5d122a68fa2dc257e9a430a99bb31053",
+	"msa/seed2/guided/4":                  "82ade220382145765de73e39601c58ff2fe3b13603553b715fea1f8d0427d939",
+	"msa/seed2/guided/16":                 "bb88cd2ac617465f2657d037238a60ba7c95b5b5f4f4da3873e786f5a5b485b2",
+	"msa/seed3/static/4":                  "82baef3720ad0bb950af7ca5e5baf76598b34164bb986e5a811320422bee932d",
+	"msa/seed3/static/16":                 "2d8d15622f5fb36b2fb7065c9e6eb91d9cdd52a51c6841a2a7ff636cc439f546",
+	"msa/seed3/dynamic,1/4":               "74b999ec28fc94fa0d4552ace3356dbb583877b1b08bde66bb27c04cf7a84108",
+	"msa/seed3/dynamic,1/16":              "023f3879860b70d6fe40eaa554130fc78d27202f7183a4f3d6d1597e61de7526",
+	"msa/seed3/guided/4":                  "57752569aa9916f0205b2fafc5bf8e11c455d8ada6a3641c41f06e3facce35b1",
+	"msa/seed3/guided/16":                 "49faef43e960b1c8258a8cb9c829cd4eb8220c28245412a604def0d68dd16018",
+	"genidlest/45rib/OpenMP/opt=false/4":  "ff0dd68315b195d851ff37ba9ec4d1e4e834709fbbca3728a4700deed8604617",
+	"genidlest/45rib/OpenMP/opt=false/8":  "b85ef547342b7137921048b15843804fabe0fa2f5f77fc9284462a8dec4088f5",
+	"genidlest/45rib/OpenMP/opt=true/4":   "5cfaf3f200ff3ad5eddca79fa1f58e367ff3ac8be31d784cb87df277415b20ba",
+	"genidlest/45rib/OpenMP/opt=true/8":   "6b2aa3abc66fa1f97d6e618a82db885baea282ec2a1fecea8cfccefa54ed9b69",
+	"genidlest/45rib/MPI/opt=false/4":     "ef5b93d87c654053d1786194339855e51497e475a579221aac05e6594fe89741",
+	"genidlest/45rib/MPI/opt=false/8":     "c6bf4de5f33b11ae48e351defd4de2dcfbd929701a597e90e2dd67ef5aa804cc",
+	"genidlest/45rib/MPI/opt=true/4":      "d6bc516bf30921c200ba5b8012e3420a443e0a5d797bcb9a1038d932b38c0d2a",
+	"genidlest/45rib/MPI/opt=true/8":      "10c96b41df491cbd2aa1651082424ca6b1d132e0a6a5fbde64595758b336012e",
+	"genidlest/45rib/Hybrid/opt=false/4":  "5c1836acbbd3c4931fedeb60d98a61c13115a13a7040e656ad14b2bc79ee0309",
+	"genidlest/45rib/Hybrid/opt=false/8":  "18460a80a7e4de77ee335f12d8bfb0050f236c9c08348a6a9ed0901aa276d32d",
+	"genidlest/45rib/Hybrid/opt=true/4":   "30b241e1be7aa8f8e1f767fb985a410c7f4ea642c7c13b7e64740064ec4e0684",
+	"genidlest/45rib/Hybrid/opt=true/8":   "a9100712c5e90735e56195b990794e8207d25b1e28f70c471b1e5b8bab6bff5a",
+	"genidlest/90rib/OpenMP/opt=false/16": "5a620fc6903ffc17c8cb1e39f773749f4031651a0b4ae43f431b5d746e4a4f12",
+	"genidlest/90rib/OpenMP/opt=false/32": "581cd8ab1c8d2e7ada70c137a4fbc25d1a360fdf1c5db68370cd64a5d2488d0c",
+	"genidlest/90rib/OpenMP/opt=true/16":  "4d338a3732abfb032a78b96aa61fe099dfa9ee2f2bec454dda64a4c0ecfcbfbe",
+	"genidlest/90rib/OpenMP/opt=true/32":  "de44a971aa84b77ae05cabb26171b0ca63a8f04b4753cb92c57bac13e5dd47bb",
+	"genidlest/90rib/MPI/opt=false/16":    "13d3d7cd2670e5142c62a1c112b5d065f0d899f5135660ad698350f411cb49ea",
+	"genidlest/90rib/MPI/opt=false/32":    "1d1796c0640125ba1c278c6663d4c0056c3f384e6065390debd00737bb58c334",
+	"genidlest/90rib/MPI/opt=true/16":     "f620c1d6788ad451e9305effcf32c358793c001886f8de0cdac09ff1f1b73a5f",
+	"genidlest/90rib/MPI/opt=true/32":     "1677d80a8cc7e58a607ee0f625d8ac08400d89d1793e03104b7c55f8a10d8fd7",
+	"genidlest/90rib/Hybrid/opt=false/16": "53422bf7eefb95564334a16d4a97c5a408b9ceb00e770e22db309611f072bc8f",
+	"genidlest/90rib/Hybrid/opt=false/32": "53fda4ae9925a52e1830c63216f72faa1141dee40577a1559a277de85a64a10d",
+	"genidlest/90rib/Hybrid/opt=true/16":  "7ddd1bee9af09c83cacb2ae52d941c05d8402d5555f98a866a37728c0d74eb51",
+	"genidlest/90rib/Hybrid/opt=true/32":  "34fc6dc4d7c2b9c85da6185a9cb7be1ef0997bab3775a7150b5a6c67bb8a2d36",
 }
 
 // pinnedValues maps the same runs to valueDigest of their trial: what the
@@ -252,26 +254,29 @@ func TestSimulatorOutputsPinned(t *testing.T) {
 // encoder that wrote that form (commit 2565d7f).
 const simFixture = "genidlest/45rib/OpenMP/opt=false/4"
 
-// The checked-in simulator trial is byte for byte what this commit's encoder
-// writes for the run it names.
+// The checked-in simulator trial, in the previous encoding, still decodes to
+// what the simulator computes for the run it names — value for value — and
+// encodes, in the current form, to the bytes pinned for that run.
 func TestSimulatorFixture(t *testing.T) {
 	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sim.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range pinnedRuns() {
-		if r.name != simFixture {
-			continue
-		}
-		trial, err := r.run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := perfdmf.EncodeTrial(trial)
-		if err != nil || !bytes.Equal(enc, file) {
-			t.Fatalf("col2_sim.pdmf is not the encoding of %s (err=%v)", simFixture, err)
-		}
-		return
+	if !bytes.Contains(file[:32], []byte("%PDMFCOL2\n")) {
+		t.Fatal("col2_sim.pdmf is not in the previous encoding")
 	}
-	t.Fatalf("no pinned run %q", simFixture)
+	trial, err := perfdmf.DecodeTrial(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := valueDigest(trial); err != nil || got != pinnedValues[simFixture] {
+		t.Errorf("col2_sim.pdmf holds %q, %s is pinned at %q (err=%v)", got, simFixture, pinnedValues[simFixture], err)
+	}
+	enc, err := perfdmf.EncodeTrial(trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[simFixture] || len(enc) >= len(file) {
+		t.Errorf("col2_sim.pdmf re-encodes to %q, %d B from %d B; pinned %q", got, len(enc), len(file), pinnedTrials[simFixture])
+	}
 }

@@ -295,18 +295,18 @@ func TestHintedHandoffDrains(t *testing.T) {
 	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: old.App, Experiment: old.Experiment, Trial: old.Name, Body: oldBody}); err != nil {
 		t.Fatal(err)
 	}
-	// A hint queued before the %PDMFCOL2 upgrade holds the trial's
-	// %PDMFCOL1 encoding; replay posts it as an encoded trial and the owner
+	// A hint queued before the %PDMFCOL3 upgrade holds the trial's
+	// %PDMFCOL2 encoding; replay posts it as an encoded trial and the owner
 	// must take it, or the hint is stranded for good.
-	col1Body, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col1_trial.pdmf"))
+	prevBody, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col1, err := perfdmf.DecodeTrial(col1Body)
-	if err != nil || !bytes.Contains(col1Body[:32], []byte("%PDMFCOL1\n")) {
-		t.Fatalf("testdata is not a %%PDMFCOL1 trial (err=%v)", err)
+	prev, err := perfdmf.DecodeTrial(prevBody)
+	if err != nil || !bytes.Contains(prevBody[:32], []byte("%PDMFCOL2\n")) {
+		t.Fatalf("testdata is not a %%PDMFCOL2 trial (err=%v)", err)
 	}
-	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: col1.App, Experiment: col1.Experiment, Trial: col1.Name, Body: col1Body}); err != nil {
+	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: prev.App, Experiment: prev.Experiment, Trial: prev.Name, Body: prevBody}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,19 +325,19 @@ func TestHintedHandoffDrains(t *testing.T) {
 			}
 		}
 		return len(peers[owner].repo.Trials(tr.App, tr.Experiment)) == 2 &&
-			len(peers[owner].repo.Trials(col1.App, col1.Experiment)) == 1
+			len(peers[owner].repo.Trials(prev.App, prev.Experiment)) == 1
 	})
 	if got, err := peers[owner].repo.GetEncoded(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("replayed trial is not stored as the encoded bytes the hint held (err=%v)", err)
 	}
-	// The %PDMFCOL1 hint landed as the current encoding of the same trial.
-	wantCol1, err := perfdmf.EncodeTrial(col1)
+	// The %PDMFCOL2 hint landed as the current encoding of the same trial.
+	wantPrev, err := perfdmf.EncodeTrial(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := os.ReadFile(filepath.Join(peers[owner].dir, col1.App, col1.Experiment, col1.Name+".json"))
-	if err != nil || !bytes.Equal(stored, wantCol1) || !bytes.Contains(stored[:32], []byte("%PDMFCOL2\n")) {
-		t.Fatalf("replayed %%PDMFCOL1 hint is not stored as EncodeTrial's bytes (err=%v)", err)
+	stored, err := os.ReadFile(filepath.Join(peers[owner].dir, prev.App, prev.Experiment, prev.Name+".json"))
+	if err != nil || !bytes.Equal(stored, wantPrev) || !bytes.Contains(stored[:32], []byte("%PDMFCOL3\n")) {
+		t.Fatalf("replayed %%PDMFCOL2 hint is not stored as EncodeTrial's bytes (err=%v)", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -405,15 +406,25 @@ func wrapEnvelope(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%%PDMF1\n%s\n%%PDMF1 crc32c=%08x len=%d\n", payload, sum, len(payload)))
 }
 
-// columnarV1 is the %PDMFCOL1 payload of c, the encoding before %PDMFCOL2,
-// written from its documentation: the same JSON header, then every value
-// block as raw little-endian float64 bits between the presence bitmaps.
-func columnarV1(header string, c *perfdmf.Columns) []byte {
-	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL1\n"), uint32(len(header)))
+// columnarPrev is the %PDMFCOL2 payload of c, the encoding before
+// %PDMFCOL3, written from its documentation: the same JSON header, then,
+// between the presence bitmaps, every row of every value block as a width
+// byte and the top width bytes of each value, at the narrowest width that
+// drops only zero bytes.
+func columnarPrev(header string, c *perfdmf.Columns) []byte {
+	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL2\n"), uint32(len(header)))
 	p = append(p, header...)
-	raw := func(xs []float64) {
-		for _, x := range xs {
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(x))
+	rows := func(xs []float64) {
+		for lo := 0; lo < len(xs); lo += c.Threads {
+			row, or := xs[lo:lo+c.Threads], uint64(0)
+			for _, x := range row {
+				or |= math.Float64bits(x)
+			}
+			w := 8 - bits.TrailingZeros64(or)/8
+			p = append(p, byte(w))
+			for _, x := range row {
+				p = append(p, binary.BigEndian.AppendUint64(nil, math.Float64bits(x))[:w]...)
+			}
 		}
 	}
 	bitmap := func(bs []bool) {
@@ -425,26 +436,26 @@ func columnarV1(header string, c *perfdmf.Columns) []byte {
 		}
 		p = append(p, b...)
 	}
-	raw(c.Calls)
+	rows(c.Calls)
 	for _, col := range c.Cols {
 		bitmap(col.IncPresent)
 		bitmap(col.ExcPresent)
-		raw(col.Inc)
-		raw(col.Exc)
+		rows(col.Inc)
+		rows(col.Exc)
 	}
 	return p
 }
 
 // columnarHeader cuts the JSON header out of an EncodeTrial envelope.
 func columnarHeader(enc []byte) string {
-	const at = len("%PDMF1\n") + len("%PDMFCOL2\n")
+	const at = len("%PDMF1\n") + len("%PDMFCOL3\n")
 	return string(enc[at+4 : at+4+int(binary.LittleEndian.Uint32(enc[at:]))])
 }
 
 // A body in the previous encoding — what a hint queued before the upgrade
 // replays and a client one version behind uploads — is accepted and stored
 // as its re-encoding, so the repository still holds one form.
-func TestColumnarV1UploadIsStoredReencoded(t *testing.T) {
+func TestPreviousColumnarUploadIsStoredReencoded(t *testing.T) {
 	s := newEncodedService(t, Config{})
 	tr := stallTrial("app", "exp", "t1")
 	want, err := perfdmf.EncodeTrial(tr)
@@ -456,16 +467,20 @@ func TestColumnarV1UploadIsStoredReencoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := map[string]string{"Content-Type": dmfwire.TrialContentType}
-	status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, wrapEnvelope(columnarV1(columnarHeader(want), c)))
+	prev := wrapEnvelope(columnarPrev(columnarHeader(want), c))
+	if len(prev) <= len(want) {
+		t.Fatalf("the previous encoding of a trial of repeating rows is %d B, the current %d B", len(prev), len(want))
+	}
+	status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, prev)
 	if status != http.StatusCreated {
-		t.Fatalf("%%PDMFCOL1 upload: HTTP %d: %s", status, body)
+		t.Fatalf("%%PDMFCOL2 upload: HTTP %d: %s", status, body)
 	}
 	files := storedFiles(t, s.dir)
 	if got := files["app/exp/t1.json"]; len(files) != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("stored %d files; app/exp/t1.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
 	}
 	if got, err := s.c.GetTrial("app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
-		t.Fatalf("trial uploaded as %%PDMFCOL1 reads back differently (err=%v)", err)
+		t.Fatalf("trial uploaded as %%PDMFCOL2 reads back differently (err=%v)", err)
 	}
 }
 
@@ -481,7 +496,7 @@ func TestHostileEncodedUploads(t *testing.T) {
 	if !bytes.Equal(wrapEnvelope(payload), valid) {
 		t.Fatal("wrapEnvelope does not reproduce EncodeTrial's envelope")
 	}
-	const colMagic = len("%PDMFCOL2\n")
+	const colMagic = len("%PDMFCOL3\n")
 	hlen := int(binary.LittleEndian.Uint32(payload[colMagic:]))
 	header, blocks := string(payload[colMagic+4:colMagic+4+hlen]), payload[colMagic+4+hlen:]
 	withHeader := func(h string) []byte {
@@ -495,16 +510,23 @@ func TestHostileEncodedUploads(t *testing.T) {
 		return b
 	}
 	flip := func(i int) []byte { return flipIn(valid, i) }
-	// The previous encoding is accepted (TestColumnarV1UploadIsStoredReencoded)
-	// without a canonical check, so a damaged one must fall to the checksum,
-	// the structural decode or Validate.
+	// The previous encoding is accepted
+	// (TestPreviousColumnarUploadIsStoredReencoded) without a canonical check,
+	// so a damaged one must fall to the checksum, the structural decode or
+	// Validate — and may not use the row kinds of the current one.
 	cols, err := perfdmf.ColumnsFromTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	validV1 := wrapEnvelope(columnarV1(header, cols))
+	prevPayload := columnarPrev(header, cols)
+	validPrev := wrapEnvelope(prevPayload)
 	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
-	invalidV1 := wrapEnvelope(columnarV1(header, cols))
+	invalidPrev := columnarPrev(header, cols)
+	// The encoding before that is refused whatever follows its magic.
+	retired := func(payload []byte) []byte {
+		return wrapEnvelope(append([]byte("%PDMFCOL1\n"), payload[colMagic:]...))
+	}
+	validV1 := retired(prevPayload)
 	// Checksummed, decodable and Validate-clean, yet not the bytes EncodeTrial
 	// writes for the trial held: only the canonical check can refuse these.
 	reencoded := func(perturb func(c *perfdmf.Columns)) []byte {
@@ -533,20 +555,27 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"non-canonical header JSON", withHeader(strings.Replace(header, `"threads":2`, `"threads" : 2`, 1))},
 		{"trial JSON under the encoded media type", mustJSON(t, tr)},
 		{"body over -max-body", append(append([]byte(nil), valid...), make([]byte, 64<<10)...)},
-		{"over-wide row", wrapEnvelope(overwide(payload, colMagic+4+hlen, tr.Threads))},
+		{"over-wide row", wrapEnvelope(overwide(payload, colMagic+4+hlen))},
 		{"%PDMFCOL1 with a flipped bit", flipIn(validV1, head+len(validV1)/2)},
 		{"%PDMFCOL1 with a bad CRC", flipIn(validV1, bytes.LastIndex(validV1, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
-		{"%PDMFCOL1 holding an invalid trial", invalidV1},
+		{"%PDMFCOL1 holding an invalid trial", retired(invalidPrev)},
+		{"%PDMFCOL1, well-formed", validV1},
+		{"%PDMFCOL2 with a flipped bit", flipIn(validPrev, head+len(validPrev)/2)},
+		{"%PDMFCOL2 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL2 holding an invalid trial", wrapEnvelope(invalidPrev)},
+		{"%PDMFCOL2 with the row kinds of %PDMFCOL3", wrapEnvelope(append([]byte("%PDMFCOL2\n"), payload[colMagic:]...))},
+		{"trailer in upper-case hex", append(append([]byte(nil), valid[:trailer]...), strings.ToUpper(string(valid[trailer:]))...)},
+		{"trailer with a signed length", []byte(strings.Replace(string(valid), " len=", " len=+", 1))},
 		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
 		{"registered metric without a column", reencoded(func(c *perfdmf.Columns) { c.Cols = c.Cols[:2] })},
 		{"values under a clear presence bit", reencoded(func(c *perfdmf.Columns) { c.Cols[2].IncPresent[1], c.Cols[2].ExcPresent[1] = false, false })},
 	}
-	if !strings.Contains(header, `"threads":2`) || blocks[0] != 2 {
-		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, width %d", header, blocks[0])
+	if !strings.Contains(header, `"threads":2`) || blocks[0] != 0x12 {
+		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, kind %#x", header, blocks[0])
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newEncodedService(t, Config{MaxBodyBytes: int64(len(validV1)) + 1024})
+			s := newEncodedService(t, Config{MaxBodyBytes: int64(len(validPrev)) + 1024})
 			hdr := map[string]string{"Content-Type": dmfwire.TrialContentType, dmfwire.HeaderIdempotencyKey: "hostile-" + strconv.Itoa(i)}
 			status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, tc.body)
 			if want := http.StatusBadRequest; status != want && !(tc.name == "body over -max-body" && status == http.StatusRequestEntityTooLarge) {
@@ -575,15 +604,13 @@ func TestHostileEncodedUploads(t *testing.T) {
 }
 
 // overwide rewrites the first row of the calls block, which starts at off —
-// call counts, stored at width 2 — at width 8: every value intact, the
-// checksum recomputed by the caller, only the width rule broken.
-func overwide(payload []byte, off, threads int) []byte {
+// one call count on every thread, stored as that one value in 2 bytes — with
+// the value in 3: every bit intact, the checksum recomputed by the caller,
+// only the width rule broken.
+func overwide(payload []byte, off int) []byte {
 	out := append([]byte(nil), payload[:off]...)
-	out = append(out, 8)
-	for i := 0; i < threads; i++ {
-		out = append(out, payload[off+1+2*i], payload[off+2+2*i], 0, 0, 0, 0, 0, 0)
-	}
-	return append(out, payload[off+1+2*threads:]...)
+	out = append(out, payload[off]+1, payload[off+1], payload[off+2], 0)
+	return append(out, payload[off+3:]...)
 }
 
 func mustJSON(t *testing.T, v any) []byte {

@@ -18,12 +18,13 @@ import (
 const HeaderIdempotencyKey = "Idempotency-Key"
 
 // TrialContentType is the media type of a trial in its encoded form
-// (perfdmf.EncodeTrial: the %PDMFCOL2 columnar payload inside the
+// (perfdmf.EncodeTrial: the %PDMFCOL3 columnar payload inside the
 // CRC-checked %PDMF1 envelope, the same bytes the repository stores).
 // GET .../trials/{trial} answers with it when the request's Accept header
 // names it, and POST /api/v1/trials accepts it as a Content-Type (a body in
-// the previous encoding, %PDMFCOL1, is accepted too and stored re-encoded);
-// requests that name neither speak trial JSON as before.
+// the previous encoding, %PDMFCOL2, is accepted too and stored re-encoded;
+// one in the encoding before that is answered 400); requests that name
+// neither speak trial JSON as before.
 const TrialContentType = "application/x-pdmf-trial"
 
 // MaxTrialBody bounds one trial body in either representation: it is the

@@ -382,7 +382,7 @@ func (c *Columns) cloneTrial() *Trial {
 // payload carried inside the standard %PDMF1 envelope (which contributes
 // the CRC32-C integrity check, so the payload itself carries none):
 //
-//	%PDMFCOL2\n
+//	%PDMFCOL3\n
 //	u32 (LE)  header length
 //	header    JSON: application/experiment/name/threads, registered
 //	          metrics, event dictionary (name+groups), column metric
@@ -395,33 +395,53 @@ func (c *Columns) cloneTrial() *Trial {
 //	    exclusive value block
 //
 // A value block holds NEvents rows, one per event in dictionary order. A
-// row is one width byte w (0–8) followed by the top w bytes, most
-// significant first, of each of the row's Threads IEEE-754 bit patterns,
-// where
+// row is one kind byte and what that kind says follows:
 //
-//	w = 8 − TrailingZeros64(OR of the row's bit patterns)/8
+//	0–8     literal: the top w bytes, most significant first, of each of the
+//	        row's Threads IEEE-754 bit patterns, where
+//	        w = 8 − TrailingZeros64(OR of the row's bit patterns)/8
+//	        is the narrowest width that drops only zero bytes
+//	9       the row equals the inclusive row of the same event and column;
+//	        nothing follows. Exclusive blocks only — every leaf event
+//	0x10+w  all Threads values are the one value whose top w bytes (1–8)
+//	        follow. Threads ≥ 2 only — SPMD threads doing the same work
 //
-// is the narrowest width that drops only zero bytes: a row of zeros is the
-// width byte alone, call counts take 2 bytes a value, hardware-counter
-// totals 3–5, full-precision measurements 8. Every bit survives (NaN
-// payloads, −0), which the JSON form cannot represent at all. A row stored
-// wider than its values need is rejected, so the encoding of a given
-// Columns value stays canonical — byte-for-byte reproducible, decode →
-// encode a fixed point — which is what lets SaveEncoded and the
-// differential test harness compare whole trials by comparing encodings.
+// A row of zeros is the kind byte alone, call counts take 2 bytes a value,
+// hardware-counter totals 3–5, full-precision measurements 8; a repeated row
+// costs 1 byte and a one-valued row 1+w whatever the thread count. Every bit
+// survives (NaN payloads, −0) — rows are compared by bit pattern, never as
+// floats — which the JSON form cannot represent at all. Each row has exactly
+// one spelling, by precedence: a zero row is 0, else a row equal to its
+// inclusive row is 9, else a one-valued row is 0x10+w at its narrowest w, else
+// the narrowest literal. The decoder rejects every other spelling row by row,
+// so the encoding of a given Columns value stays canonical — byte-for-byte
+// reproducible, decode → encode a fixed point — which is what lets SaveEncoded
+// and the differential test harness compare whole trials by comparing
+// encodings.
 //
-// Because a zero row expands 1 byte to 8×Threads, the payload length no
-// longer bounds what a payload decodes to; maxDecodedBytes does, checked
-// against the header's dimensions before any block is allocated. Encode
-// refuses the same size, so nothing can be written that cannot be read.
+// Because a zero row expands 1 byte to 8×Threads (and a repeated or one-valued
+// row as much), the payload length does not bound what a payload decodes to;
+// maxDecodedBytes does, checked against the header's dimensions before any
+// block is allocated. Encode refuses the same size, so nothing can be written
+// that cannot be read.
 //
-// The previous payload, %PDMFCOL1, differs only in its value blocks — raw
-// little-endian float64 bits, no width bytes — and stays readable as a
-// legacy form: DecodeColumnar reads both, only %PDMFCOL2 is written.
+// The previous payload, %PDMFCOL2, is the same with literal rows only (a kind
+// above 8 is corrupt, a repeating row is spelled out) and stays readable as a
+// legacy form: DecodeColumnar reads both through one row loop, only %PDMFCOL3
+// is written. The version before that is refused by name (see
+// DecodeColumnar).
 
 const (
-	columnarMagic   = "%PDMFCOL2\n"
-	columnarMagicV1 = "%PDMFCOL1\n" // same length: the header sits at one offset in both
+	columnarMagic     = "%PDMFCOL3\n"
+	columnarMagicPrev = "%PDMFCOL2\n" // same length: the header sits at one offset in both
+	// columnarFamily starts the magic of every version.
+	columnarFamily = "%PDMFCOL"
+)
+
+// Row kinds above the literal widths 0–8.
+const (
+	rowSameAsInc = 9    // an exclusive row equal to its inclusive row
+	rowConst     = 0x10 // rowConst+w: one w-byte value on every thread
 )
 
 // maxDecodedBytes bounds the value blocks a payload may decode to: 8× the
@@ -439,20 +459,20 @@ func decodableSize(nEv, threads, nCols int) bool {
 }
 
 // IsColumnar reports whether an envelope payload is a binary columnar
-// trial in the current form, rather than a legacy one (%PDMFCOL1 or trial
+// trial in the current form, rather than a legacy one (%PDMFCOL2 or trial
 // JSON).
 func IsColumnar(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagic))
 }
 
-func isColumnarV1(payload []byte) bool {
-	return bytes.HasPrefix(payload, []byte(columnarMagicV1))
+func isColumnarPrev(payload []byte) bool {
+	return bytes.HasPrefix(payload, []byte(columnarMagicPrev))
 }
 
-// isColumnarAny reports a columnar payload of either version — what
-// DecodeColumnar reads.
-func isColumnarAny(payload []byte) bool {
-	return IsColumnar(payload) || isColumnarV1(payload)
+// claimsColumnar reports a payload under a columnar magic of any version:
+// DecodeColumnar's to read or to refuse, never trial JSON.
+func claimsColumnar(payload []byte) bool {
+	return bytes.HasPrefix(payload, []byte(columnarFamily))
 }
 
 type columnarEvent struct {
@@ -519,21 +539,21 @@ func (c *Columns) encode(prefix string, room int) ([]byte, error) {
 		return nil, fmt.Errorf("perfdmf: encode columnar %q: %w", c.Name, err)
 	}
 	bitmap := (nEv + 7) / 8
-	widths, valueBytes := c.rowWidths()
-	size := len(prefix) + len(columnarMagic) + 4 + len(hb) + len(c.Cols)*2*bitmap + len(widths) + valueBytes
+	kinds, valueBytes := c.rowKinds()
+	size := len(prefix) + len(columnarMagic) + 4 + len(hb) + len(c.Cols)*2*bitmap + len(kinds) + valueBytes
 	buf := make([]byte, 0, size+room)
 	buf = append(buf, prefix...)
 	buf = append(buf, columnarMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hb)))
 	buf = append(buf, hb...)
-	buf = appendPackedBlock(buf, c.Calls, widths[:nEv])
+	buf = appendPackedBlock(buf, c.Calls, kinds[:nEv])
 	for i := range c.Cols {
 		col := &c.Cols[i]
-		ws := widths[nEv*(1+2*i):]
+		ks := kinds[nEv*(1+2*i):]
 		buf = appendBitmap(buf, col.IncPresent)
 		buf = appendBitmap(buf, col.ExcPresent)
-		buf = appendPackedBlock(buf, col.Inc, ws[:nEv])
-		buf = appendPackedBlock(buf, col.Exc, ws[nEv:2*nEv])
+		buf = appendPackedBlock(buf, col.Inc, ks[:nEv])
+		buf = appendPackedBlock(buf, col.Exc, ks[nEv:2*nEv])
 	}
 	return buf, nil
 }
@@ -545,26 +565,56 @@ func rowWidth(or uint64) int {
 	return 8 - bits.TrailingZeros64(or)/8
 }
 
-// rowWidths is the pre-pass of encode: the width of every row of every
-// block, block after block in write order, and the bytes the values of all
-// those rows pack to — with the widths themselves, the exact size of the
-// value blocks.
-func (c *Columns) rowWidths() (widths []byte, valueBytes int) {
+// rowKinds is the pre-pass of encode: the kind of every row of every block,
+// block after block in write order, and the bytes that follow all those kind
+// bytes — with the kinds themselves, the exact size of the value blocks. The
+// two comparisons behind the kinds above 8 each stop at the first value that
+// differs, which in a row of measurements is the first.
+func (c *Columns) rowKinds() (kinds []byte, valueBytes int) {
 	th := c.Threads
-	widths = make([]byte, 0, len(c.EventNames)*(1+2*len(c.Cols)))
-	block := func(xs []float64) {
+	kinds = make([]byte, 0, len(c.EventNames)*(1+2*len(c.Cols)))
+	block := func(xs, inc []float64) {
 		for lo := 0; lo < len(xs); lo += th {
-			w := widthOf(xs[lo : lo+th])
-			widths = append(widths, byte(w))
+			row := xs[lo : lo+th]
+			w := widthOf(row)
+			switch {
+			case w == 0:
+			case inc != nil && sameBits(row, inc[lo:lo+th]):
+				kinds = append(kinds, rowSameAsInc)
+				continue
+			case th >= 2 && oneValued(row):
+				kinds = append(kinds, rowConst+byte(w))
+				valueBytes += w
+				continue
+			}
+			kinds = append(kinds, byte(w))
 			valueBytes += w * th
 		}
 	}
-	block(c.Calls)
+	block(c.Calls, nil)
 	for i := range c.Cols {
-		block(c.Cols[i].Inc)
-		block(c.Cols[i].Exc)
+		block(c.Cols[i].Inc, nil)
+		block(c.Cols[i].Exc, c.Cols[i].Inc)
 	}
-	return widths, valueBytes
+	return kinds, valueBytes
+}
+
+// sameBits reports whether a and the front of b hold the same bit patterns
+// (so NaN equals itself and −0 differs from 0), stopping at the first that
+// differ.
+func sameBits(a, b []float64) bool {
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// oneValued reports whether every value of row has the bit pattern of the
+// first: each equals the one before it.
+func oneValued(row []float64) bool {
+	return sameBits(row[1:], row)
 }
 
 // widthOf is the rowWidth of the OR of row's bit patterns, taken four
@@ -586,27 +636,34 @@ func widthOf(row []float64) int {
 	return rowWidth(or)
 }
 
-// appendPackedBlock appends a value block: per row its width byte, then the
-// top width bytes of each value, most significant first. buf must have the
-// capacity for it (encode sizes it from the same widths).
-func appendPackedBlock(buf []byte, xs []float64, widths []byte) []byte {
-	if len(widths) == 0 {
+// appendPackedBlock appends a value block: per row its kind byte, then what
+// the kind says follows — the top w bytes of each value, most significant
+// first, of one value, or nothing. buf must have the capacity for it (encode
+// sizes it from the same kinds).
+func appendPackedBlock(buf []byte, xs []float64, kinds []byte) []byte {
+	if len(kinds) == 0 {
 		return buf
 	}
-	th := len(xs) / len(widths)
-	for ev, wb := range widths {
+	th := len(xs) / len(kinds)
+	for ev, kb := range kinds {
 		row := xs[ev*th : (ev+1)*th]
-		buf = append(buf, wb)
-		switch w := int(wb); w {
-		case 0:
-		case 8:
+		buf = append(buf, kb)
+		switch k := int(kb); {
+		case k == 0, k == rowSameAsInc:
+		case k == 8:
 			for _, x := range row {
 				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
 			}
+		case k > rowConst:
+			b := math.Float64bits(row[0])
+			for w := k - rowConst; w > 0; w-- {
+				buf = append(buf, byte(b>>56))
+				b <<= 8
+			}
 		default:
 			n := len(buf)
-			packRow(buf[n:cap(buf)], row, w)
-			buf = buf[:n+w*th]
+			packRow(buf[n:cap(buf)], row, k)
+			buf = buf[:n+k*th]
 		}
 	}
 	return buf
@@ -692,7 +749,7 @@ func corruptf(format string, args ...any) error {
 type blockReader struct {
 	rest    []byte
 	nEv, th int
-	packed  bool // %PDMFCOL2 rows; false: %PDMFCOL1 raw little-endian blocks
+	kinds   bool // %PDMFCOL3 row kinds; false: %PDMFCOL2, literal rows only
 }
 
 func (r *blockReader) take(n int) ([]byte, bool) {
@@ -704,68 +761,106 @@ func (r *blockReader) take(n int) ([]byte, bool) {
 	return b, true
 }
 
-// block decodes one value block. The caller has checked the dimensions
-// against maxDecodedBytes, which is what bounds the allocation for packed
-// rows; a raw block is taken whole before anything is allocated.
-func (r *blockReader) block() ([]float64, error) {
-	th, n := r.th, r.nEv*r.th
-	if !r.packed {
-		raw, ok := r.take(8 * n)
-		if !ok {
-			return nil, corruptf("truncated")
-		}
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-		return xs, nil
-	}
-	xs := make([]float64, n)
+// block decodes one value block — an exclusive one when inc, the inclusive
+// block of the same column, is given. The caller has checked the dimensions
+// against maxDecodedBytes, which is what bounds the allocation. A row in any
+// spelling but the one the writer picks (see the format comment) never came
+// from it and would re-encode to different bytes: it is corrupt.
+func (r *blockReader) block(inc []float64) ([]float64, error) {
+	th := r.th
+	xs := make([]float64, r.nEv*th)
 	for ev := 0; ev < r.nEv; ev++ {
-		wb, ok := r.take(1)
+		kb, ok := r.take(1)
 		if !ok {
 			return nil, corruptf("truncated at row %d", ev)
 		}
-		w := int(wb[0])
-		if w > 8 {
-			return nil, corruptf("row %d has width %d", ev, w)
-		}
-		if w == 0 {
+		k := int(kb[0])
+		if k == 0 {
 			continue
 		}
-		src := r.rest // past the row's end too: what a masked load reads there is dropped
-		if _, ok := r.take(w * th); !ok {
-			return nil, corruptf("truncated inside row %d", ev)
-		}
 		row := xs[ev*th : (ev+1)*th]
-		var or uint64
-		if w == 8 {
-			for i := range row {
-				b := binary.BigEndian.Uint64(src[8*i:])
-				or |= b
-				row[i] = math.Float64frombits(b)
-			}
-		} else {
-			or = unpackRow(row, src, w)
+		var incRow []float64
+		if inc != nil {
+			incRow = inc[ev*th : (ev+1)*th]
 		}
-		// The writer always picks the narrowest width, so a wider row never
-		// came from it and would re-encode to different bytes.
-		if need := rowWidth(or); need != w {
-			return nil, corruptf("row %d stored at width %d needs %d", ev, w, need)
+		switch {
+		case k <= 8:
+			src := r.rest // past the row's end too: what a masked load reads there is dropped
+			if _, ok := r.take(k * th); !ok {
+				return nil, corruptf("truncated inside row %d", ev)
+			}
+			var or uint64
+			if k == 8 {
+				for i := range row {
+					b := binary.BigEndian.Uint64(src[8*i:])
+					or |= b
+					row[i] = math.Float64frombits(b)
+				}
+			} else {
+				or = unpackRow(row, src, k)
+			}
+			if need := rowWidth(or); need != k {
+				return nil, corruptf("row %d stored at width %d needs %d", ev, k, need)
+			}
+			if !r.kinds {
+				continue
+			}
+			if th >= 2 && oneValued(row) {
+				return nil, corruptf("row %d holds one value and is spelled out", ev)
+			}
+		case !r.kinds:
+			return nil, corruptf("row %d has width %d", ev, k)
+		case k == rowSameAsInc:
+			if incRow == nil {
+				return nil, corruptf("row %d repeats an inclusive row outside an exclusive block", ev)
+			}
+			if widthOf(incRow) == 0 {
+				return nil, corruptf("row %d repeats a row of zeros", ev)
+			}
+			copy(row, incRow)
+			continue
+		case k > rowConst && k <= rowConst+8:
+			if th < 2 {
+				return nil, corruptf("row %d is one-valued in a trial of one thread", ev)
+			}
+			w := k - rowConst
+			src, ok := r.take(w)
+			if !ok {
+				return nil, corruptf("truncated inside row %d", ev)
+			}
+			var b uint64
+			for i, x := range src {
+				b |= uint64(x) << (56 - 8*i)
+			}
+			if need := rowWidth(b); need != w {
+				return nil, corruptf("one-valued row %d stored at width %d needs %d", ev, w, need)
+			}
+			x := math.Float64frombits(b)
+			for i := range row {
+				row[i] = x
+			}
+		default:
+			return nil, corruptf("row %d has kind %d", ev, k)
+		}
+		if incRow != nil && sameBits(row, incRow) {
+			return nil, corruptf("exclusive row %d equals its inclusive row and is spelled out", ev)
 		}
 	}
 	return xs, nil
 }
 
-// DecodeColumnar parses a binary columnar payload, %PDMFCOL2 or the legacy
-// %PDMFCOL1. Any structural problem — bad magic, truncated blocks,
-// dimension/length mismatch, over-wide rows, duplicate names, presence
-// inconsistent with Trial validity — wraps ErrCorrupt. A successful decode
-// always yields a Columns whose Trial() passes Validate, and re-encoding a
-// decoded %PDMFCOL2 payload reproduces the input bytes.
+// DecodeColumnar parses a binary columnar payload, %PDMFCOL3 or the legacy
+// %PDMFCOL2. Any structural problem — bad magic, truncated blocks,
+// dimension/length mismatch, a row not in its one spelling, duplicate names,
+// presence inconsistent with Trial validity — wraps ErrCorrupt. A successful
+// decode always yields a Columns whose Trial() passes Validate, and
+// re-encoding a decoded %PDMFCOL3 payload reproduces the input bytes.
 func DecodeColumnar(payload []byte) (*Columns, error) {
-	packed := IsColumnar(payload)
-	if !isColumnarAny(payload) {
+	kinds := IsColumnar(payload)
+	if !kinds && !isColumnarPrev(payload) {
+		if bytes.HasPrefix(payload, []byte("%PDMFCOL1\n")) {
+			return nil, corruptf("%%PDMFCOL1 is no longer read: rewrite the repository with `perfdmfd -fsck` of the previous release (and drain its hint queues) first")
+		}
 		return nil, corruptf("missing %q magic", columnarMagic[:len(columnarMagic)-1])
 	}
 	rest := payload[len(columnarMagic):]
@@ -790,7 +885,7 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 		return nil, corruptf("dimensions %d×%d in %d columns decode to more than %d bytes",
 			nEv, hdr.Threads, len(hdr.Columns), maxDecodedBytes)
 	}
-	r := &blockReader{rest: rest[hlen:], nEv: nEv, th: hdr.Threads, packed: packed}
+	r := &blockReader{rest: rest[hlen:], nEv: nEv, th: hdr.Threads, kinds: kinds}
 	bitmap := (nEv + 7) / 8
 	seenEv := make(map[string]bool, nEv)
 	c := &Columns{
@@ -812,7 +907,7 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 		c.Groups[i] = e.Groups
 	}
 	var err error
-	if c.Calls, err = r.block(); err != nil {
+	if c.Calls, err = r.block(nil); err != nil {
 		return nil, fmt.Errorf("%w (calls block)", err)
 	}
 	seenCol := make(map[string]bool, len(hdr.Columns))
@@ -843,10 +938,10 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 				return nil, corruptf("column %q event %d has inclusive but no exclusive data", m, ev)
 			}
 		}
-		if col.Inc, err = r.block(); err != nil {
+		if col.Inc, err = r.block(nil); err != nil {
 			return nil, fmt.Errorf("%w (inclusive block of %q)", err, m)
 		}
-		if col.Exc, err = r.block(); err != nil {
+		if col.Exc, err = r.block(col.Inc); err != nil {
 			return nil, fmt.Errorf("%w (exclusive block of %q)", err, m)
 		}
 	}
@@ -891,11 +986,11 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 }
 
 // decodeTrialPayload turns an envelope payload — columnar binary of either
-// version or, in legacy files, trial JSON — into a validated Trial. Decode
-// and validation failures wrap ErrCorrupt.
+// version read or, in legacy files, trial JSON — into a validated Trial.
+// Decode and validation failures wrap ErrCorrupt.
 func decodeTrialPayload(payload []byte) (*Trial, error) {
 	var t *Trial
-	if isColumnarAny(payload) {
+	if claimsColumnar(payload) {
 		var err error
 		if t, err = UnmarshalColumnar(payload); err != nil {
 			return nil, err
@@ -917,7 +1012,7 @@ func decodeTrialPayload(payload []byte) (*Trial, error) {
 // holds, satisfying isPivot. A payload the encoder wrote decodes straight to
 // them; anything else goes through the Trial it holds.
 func decodeColumnsPayload(payload []byte) (*Columns, error) {
-	if isColumnarAny(payload) {
+	if claimsColumnar(payload) {
 		if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
 			return c, err
 		}
@@ -933,7 +1028,7 @@ func decodeColumnsPayload(payload []byte) (*Columns, error) {
 // envelope payload of any format. For columnar payloads this reads only
 // the JSON header, never the value blocks.
 func decodeTrialHeaderPayload(payload []byte) (trialHeader, bool) {
-	if isColumnarAny(payload) {
+	if claimsColumnar(payload) && len(payload) >= len(columnarMagic) {
 		rest := payload[len(columnarMagic):]
 		if len(rest) < 4 {
 			return trialHeader{}, false

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -251,12 +253,20 @@ func minimalBody(incBits, excBits byte) []byte {
 	return minimalBodyWith(callsOne, incBits, excBits)
 }
 
-// minimalBodyV1 is the same trial's %PDMFCOL1 body: three raw 8-byte
-// little-endian blocks around the bitmaps.
-func minimalBodyV1(incBits, excBits byte) []byte {
-	body := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
-	body = append(body, incBits, excBits)
-	return append(body, make([]byte, 16)...)
+// retiredMagic is the magic two versions back, which DecodeColumnar refuses
+// by name whatever follows it.
+const retiredMagic = "%PDMFCOL1\n"
+
+// twoThreadHeader is minimalHeader with two threads, the least that can hold
+// a one-valued row.
+var twoThreadHeader = strings.Replace(minimalHeader, `"threads":1`, `"threads":2`, 1)
+
+// rowsBody: the given calls, inclusive and exclusive rows around both bitmaps
+// set.
+func rowsBody(calls, inc, exc []byte) []byte {
+	body := append([]byte(nil), calls...)
+	body = append(body, 0x01, 0x01)
+	return append(append(body, inc...), exc...)
 }
 
 func TestDecodeColumnarRejections(t *testing.T) {
@@ -268,15 +278,36 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	if re, err := c.Encode(); err != nil || !bytes.Equal(re, valid) {
 		t.Fatalf("handcrafted minimal payload is not what Encode writes (err=%v)", err)
 	}
-	validV1 := craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x01))
-	if c1, err := DecodeColumnar(validV1); err != nil {
-		t.Fatalf("handcrafted %%PDMFCOL1 payload must decode, got %v", err)
+	// The minimal payload has literal rows only: it is the same bytes in the
+	// previous version.
+	validPrev := craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01))
+	if c1, err := DecodeColumnar(validPrev); err != nil {
+		t.Fatalf("handcrafted %%PDMFCOL2 payload must decode, got %v", err)
 	} else if canonicalTrialDump(c1.Trial()) != canonicalTrialDump(c.Trial()) {
-		t.Fatal("the %PDMFCOL1 and %PDMFCOL2 payloads of one trial decode differently")
+		t.Fatal("the %PDMFCOL2 and %PDMFCOL3 payloads of one trial decode differently")
+	}
+	// Both new kinds, one thread and two: calls 1.0, inclusive 1.0, exclusive
+	// the same row.
+	one, oneEverywhere := []byte{2, 0x3f, 0xf0}, []byte{rowConst + 2, 0x3f, 0xf0}
+	sameBody := rowsBody(one, one, []byte{rowSameAsInc})
+	validKinds := craftColumnar(twoThreadHeader, rowsBody(oneEverywhere, oneEverywhere, []byte{rowSameAsInc}))
+	for name, payload := range map[string][]byte{"one thread": craftColumnar(minimalHeader, sameBody), "two threads": validKinds} {
+		ck, err := DecodeColumnar(payload)
+		if err != nil {
+			t.Fatalf("handcrafted payload with the new kinds, %s, must decode, got %v", name, err)
+		}
+		if re, err := ck.Encode(); err != nil || !bytes.Equal(re, payload) {
+			t.Fatalf("handcrafted payload with the new kinds, %s, is not what Encode writes (err=%v)", name, err)
+		}
+		for i, x := range append(append(append([]float64(nil), ck.Calls...), ck.Cols[0].Inc...), ck.Cols[0].Exc...) {
+			if x != 1 {
+				t.Fatalf("%s: value %d decoded to %v, want 1", name, i, x)
+			}
+		}
 	}
 
 	const bombHeader = `{"threads":2147483648,"events":[{"name":"a"}],"columns":[]}`
-	overclaimV1 := craftColumnarAs(columnarMagicV1,
+	overclaimV1 := craftColumnarAs(retiredMagic,
 		`{"threads":1000000,"events":[{"name":"a"}],"columns":[]}`, make([]byte, 64))
 	cases := []struct {
 		name    string
@@ -309,10 +340,37 @@ func TestDecodeColumnarRejections(t *testing.T) {
 		{"over-wide zero row", craftColumnar(minimalHeader, minimalBodyWith([]byte{1, 0}, 0x01, 0x01))},
 		{"truncated inside a row", craftColumnar(minimalHeader, []byte{2, 0x3f})},
 		{"zero-row bomb", craftColumnar(bombHeader, []byte{0})},
-		{"huge dimensions, v1", craftColumnarAs(columnarMagicV1,
+		// One case per spelling of a row the writer never picks.
+		{"same-as-inclusive in the calls block", craftColumnar(minimalHeader, rowsBody([]byte{rowSameAsInc}, one, one))},
+		{"same-as-inclusive in an inclusive block", craftColumnar(minimalHeader, rowsBody(one, []byte{rowSameAsInc}, []byte{0}))},
+		{"same-as-inclusive of a zero row", craftColumnar(minimalHeader, rowsBody(one, []byte{0}, []byte{rowSameAsInc}))},
+		{"literal exclusive row equal to its inclusive row", craftColumnar(minimalHeader, rowsBody(one, one, one))},
+		{"one-valued exclusive row equal to its inclusive row", craftColumnar(twoThreadHeader,
+			rowsBody(oneEverywhere, oneEverywhere, oneEverywhere))},
+		{"literal row of one value", craftColumnar(twoThreadHeader,
+			rowsBody([]byte{2, 0x3f, 0xf0, 0x3f, 0xf0}, []byte{0}, []byte{0}))},
+		{"one-valued row with one thread", craftColumnar(minimalHeader, rowsBody(oneEverywhere, []byte{0}, []byte{0}))},
+		{"one-valued row stored wide", craftColumnar(twoThreadHeader,
+			rowsBody([]byte{rowConst + 3, 0x3f, 0xf0, 0}, []byte{0}, []byte{0}))},
+		{"one-valued row of zero", craftColumnar(twoThreadHeader, rowsBody([]byte{rowConst + 1, 0}, []byte{0}, []byte{0}))},
+		{"one-valued row of no bytes", craftColumnar(twoThreadHeader, rowsBody([]byte{rowConst}, []byte{0}, []byte{0}))},
+		{"one-valued row of nine bytes", craftColumnar(twoThreadHeader,
+			rowsBody([]byte{rowConst + 9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 1}, []byte{0}, []byte{0}))},
+		{"kind between the families", craftColumnar(minimalHeader, rowsBody([]byte{10}, []byte{0}, []byte{0}))},
+		{"truncated inside a one-valued row", craftColumnar(twoThreadHeader, []byte{rowConst + 2, 0x3f})},
+		{"one-valued-row bomb", craftColumnar(bombHeader, oneEverywhere)},
+		{"%PDMFCOL2 with a same-as-inclusive row", craftColumnarAs(columnarMagicPrev, minimalHeader, sameBody)},
+		{"%PDMFCOL2 with a one-valued row", craftColumnarAs(columnarMagicPrev, twoThreadHeader,
+			rowsBody(oneEverywhere, []byte{0}, []byte{0}))},
+		{"huge dimensions, %PDMFCOL2", craftColumnarAs(columnarMagicPrev,
+			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
+		{"trailing bytes, %PDMFCOL2", append(append([]byte(nil), validPrev...), 0x00)},
+		// Behind the retired magic nothing is read, well-formed or not.
+		{"huge dimensions, v1", craftColumnarAs(retiredMagic,
 			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
 		{"claims more than it holds, v1", overclaimV1},
-		{"trailing bytes, v1", append(append([]byte(nil), validV1...), 0x00)},
+		{"trailing bytes, v1", append(craftColumnarAs(retiredMagic, minimalHeader, minimalBody(0x01, 0x01)), 0x00)},
+		{"well-formed, v1", craftColumnarAs(retiredMagic, minimalHeader, minimalBody(0x01, 0x01))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,13 +381,16 @@ func TestDecodeColumnarRejections(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
+			if strings.HasPrefix(string(tc.payload), retiredMagic) && !strings.Contains(err.Error(), "perfdmfd -fsck") {
+				t.Fatalf("refusal of the retired version does not name the way out: %v", err)
+			}
 		})
 	}
 
 	// Every strict prefix of a valid payload is rejected: the header pins
 	// the row count of every block and each row its own length, so
 	// truncation at any byte must surface.
-	for _, whole := range [][]byte{valid, validV1} {
+	for _, whole := range [][]byte{valid, validPrev, validKinds} {
 		for cut := 0; cut < len(whole); cut++ {
 			if _, err := DecodeColumnar(whole[:cut]); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("prefix of %d bytes: want ErrCorrupt, got %v", cut, err)
@@ -337,15 +398,17 @@ func TestDecodeColumnarRejections(t *testing.T) {
 		}
 	}
 
-	// The bomb — a payload of about 100 bytes whose one zero row claims 2³¹
-	// threads, 16 GiB decoded — and its %PDMFCOL1 cousin are refused before
-	// anything proportional to the claim is allocated.
+	// The bombs — payloads of about 100 bytes whose one row, of zeros or of
+	// one value, claims 2³¹ threads, 16 GiB decoded — and the over-claiming
+	// body behind the retired magic are refused before anything proportional
+	// to the claim is allocated.
 	bomb := craftColumnar(bombHeader, []byte{0})
 	if len(bomb) > 100 {
 		t.Fatalf("bomb payload is %d bytes, want at most 100", len(bomb))
 	}
 	for name, payload := range map[string][]byte{
 		"zero-row bomb":                 bomb,
+		"one-valued-row bomb":           craftColumnar(bombHeader, oneEverywhere),
 		"claims more than it holds, v1": overclaimV1,
 	} {
 		var before, after runtime.MemStats
@@ -377,56 +440,130 @@ func TestEncodeRefusesUndecodableSize(t *testing.T) {
 	}
 }
 
-// legacyColumnarPayload renders a trial as the %PDMFCOL1 payload earlier
-// versions wrote, from that format's documentation: the same header, then
-// every value block as raw little-endian float64 bits.
-func legacyColumnarPayload(t testing.TB, tr *Trial) []byte {
+// prevColumnarPayload renders a trial as the %PDMFCOL2 payload the previous
+// version wrote, from that format's documentation: the same header, then
+// every row as a width byte and the top width bytes of each value, at the
+// narrowest width that drops only zero bytes.
+func prevColumnarPayload(t testing.TB, tr *Trial) []byte {
 	t.Helper()
 	c, err := ColumnsFromTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return legacyColumnsPayload(t, c)
+	return prevColumnsPayload(t, c)
 }
 
-// legacyColumnsPayload is legacyColumnarPayload for a trial already pivoted
-// — or pivoted as ColumnsFromTrial never would.
-func legacyColumnsPayload(t testing.TB, c *Columns) []byte {
+// prevColumnsPayload is prevColumnarPayload for a trial already pivoted — or
+// pivoted as ColumnsFromTrial never would.
+func prevColumnsPayload(t testing.TB, c *Columns) []byte {
 	t.Helper()
 	cur, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hlen := int(binary.LittleEndian.Uint32(cur[len(columnarMagic):]))
-	raw := func(buf []byte, xs []float64) []byte {
-		for _, x := range xs {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	literal := func(buf []byte, xs []float64) []byte {
+		for lo := 0; lo < len(xs); lo += c.Threads {
+			row := bitsOf(xs[lo : lo+c.Threads])
+			w := literalWidth(row)
+			buf = append(buf, byte(w))
+			for _, b := range row {
+				for k := 0; k < w; k++ {
+					buf = append(buf, byte(b>>(56-8*k)))
+				}
+			}
 		}
 		return buf
 	}
-	buf := append([]byte(columnarMagicV1), cur[len(columnarMagic):len(columnarMagic)+4+hlen]...)
-	buf = raw(buf, c.Calls)
+	buf := append([]byte(columnarMagicPrev), cur[len(columnarMagic):len(columnarMagic)+4+hlen]...)
+	buf = literal(buf, c.Calls)
 	for i := range c.Cols {
 		col := &c.Cols[i]
 		buf = appendBitmap(buf, col.IncPresent)
 		buf = appendBitmap(buf, col.ExcPresent)
-		buf = raw(raw(buf, col.Inc), col.Exc)
+		buf = literal(literal(buf, col.Inc), col.Exc)
 	}
 	return buf
 }
 
-// A %PDMFCOL1 payload decodes to the trial it was written from, bit for
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// literalWidth states the width rule independently of the codec: the most
+// bytes, counted from the top, any value of the row needs.
+func literalWidth(row []uint64) int {
+	w := 0
+	for _, b := range row {
+		for k := 0; k < 8; k++ {
+			if byte(b>>(8*k)) != 0 && 8-k > w {
+				w = 8 - k
+			}
+		}
+	}
+	return w
+}
+
+// A %PDMFCOL2 payload decodes to the trial it was written from, bit for
 // bit, through the same decoder.
-func TestDecodeColumnarReadsV1(t *testing.T) {
+func TestDecodeColumnarReadsPreviousVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 60; i++ {
 		tr := genColTrial(r, fmt.Sprintf("t%03d", i), 1+r.Intn(9))
-		back, err := UnmarshalColumnar(legacyColumnarPayload(t, tr))
+		payload := prevColumnarPayload(t, tr)
+		if !isColumnarPrev(payload) {
+			t.Fatal("test payload is not in the previous form")
+		}
+		back, err := UnmarshalColumnar(payload)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		if canonicalTrialDump(back) != canonicalTrialDump(tr) {
-			t.Fatalf("trial %d: %%PDMFCOL1 round trip lost information", i)
+			t.Fatalf("trial %d: %%PDMFCOL2 round trip lost information", i)
+		}
+	}
+}
+
+// A trial with no row that repeats — random measurements, inclusive above
+// exclusive, as the service benchmark's S and L shapes generate — encodes to
+// the bytes of the previous version but for the magic's version digit.
+func TestSyntheticShapesUnchanged(t *testing.T) {
+	for _, sh := range []struct {
+		events, threads int
+		metrics         []string
+	}{{32, 8, []string{TimeMetric}}, {128, 64, []string{TimeMetric, "CPU_CYCLES"}}, {5, 1, []string{TimeMetric}}} {
+		r := rand.New(rand.NewSource(int64(sh.events)))
+		tr := NewTrial("dmfload", "exp-00", "trial-0000", sh.threads)
+		for _, m := range sh.metrics {
+			tr.AddMetric(m)
+		}
+		for i := 0; i < sh.events; i++ {
+			e := tr.EnsureEvent(fmt.Sprintf("loop_%03d", i))
+			for th := 0; th < sh.threads; th++ {
+				e.Calls[th] = float64(1 + (i+th)%9)
+				for _, m := range sh.metrics {
+					x := 1e14 + float64(r.Int63n(1e14))
+					e.SetValue(m, th, x+1+float64(r.Int63n(9e13)), x)
+				}
+			}
+		}
+		cur, err := MarshalColumnar(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := prevColumnarPayload(t, tr)
+		at := len(columnarFamily)
+		if cur[at] != '3' || prev[at] != '2' {
+			t.Fatalf("version digits %q and %q, want 3 and 2", cur[at], prev[at])
+		}
+		prev[at] = cur[at]
+		if !bytes.Equal(cur, prev) {
+			t.Errorf("%d×%d×%d: the payload differs from the previous version's in more than the version digit (%d B against %d B)",
+				sh.events, sh.threads, len(sh.metrics), len(cur), len(prev))
 		}
 	}
 }
@@ -449,13 +586,34 @@ var packedRowEdgeValues = []uint64{
 	math.Float64bits(0.1), math.Float64bits(-1e-300),
 }
 
-// checkPackedRows encodes vals as the calls block and both blocks of one
-// column of a threads-wide trial and checks the properties of the row
-// format: bit-exact round trip, decode → encode a fixed point, every row
-// at the narrowest exact width.
-func checkPackedRows(t *testing.T, vals []uint64, threads int) {
+// wantRow states the row format independently of the codec: the kind byte a
+// row must be stored under and how many bytes follow it. inc is the inclusive
+// row of the same event and column when row is an exclusive one, else nil.
+func wantRow(row, inc []uint64) (kind byte, follow int) {
+	w := literalWidth(row)
+	one := true
+	for _, b := range row {
+		one = one && b == row[0]
+	}
+	switch {
+	case w == 0:
+		return 0, 0
+	case inc != nil && reflect.DeepEqual(row, inc):
+		return rowSameAsInc, 0
+	case one && len(row) >= 2:
+		return rowConst + byte(w), w
+	}
+	return byte(w), w * len(row)
+}
+
+// checkPackedRows encodes inc as the calls block and as the inclusive block
+// of one column of a threads-wide trial, exc as its exclusive block, and
+// checks the properties of the row format: bit-exact round trip, decode →
+// encode a fixed point, every row of every block in its one spelling and the
+// payload exactly as long as those rows.
+func checkPackedRows(t *testing.T, inc, exc []uint64, threads int) {
 	t.Helper()
-	nEv := (len(vals) + threads - 1) / threads
+	nEv := (len(inc) + threads - 1) / threads
 	c := NewColumns("a", "e", "n", threads)
 	for ev := 0; ev < nEv; ev++ {
 		c.EventNames = append(c.EventNames, "e"+strconv.Itoa(ev))
@@ -463,10 +621,10 @@ func checkPackedRows(t *testing.T, vals []uint64, threads int) {
 	c.Groups = make([][]string, nEv)
 	c.Calls = make([]float64, nEv*threads)
 	col := c.AddColumn("M")
-	for i, b := range vals {
-		c.Calls[i] = math.Float64frombits(b)
-		col.Inc[len(col.Inc)-1-i] = math.Float64frombits(b) // other row alignment
-		col.Exc[i] = math.Float64frombits(b &^ 0xffff)      // narrower rows
+	for i := range inc {
+		c.Calls[i] = math.Float64frombits(inc[i])
+		col.Inc[i] = math.Float64frombits(inc[i])
+		col.Exc[i] = math.Float64frombits(exc[i])
 	}
 	enc, err := c.Encode()
 	if err != nil {
@@ -476,74 +634,127 @@ func checkPackedRows(t *testing.T, vals []uint64, threads int) {
 	if err != nil {
 		t.Fatalf("decode of Encode output: %v", err)
 	}
-	for name, pair := range map[string][2][]float64{
-		"calls": {c.Calls, back.Calls}, "inc": {col.Inc, back.Cols[0].Inc}, "exc": {col.Exc, back.Cols[0].Exc},
-	} {
-		for i := range pair[0] {
-			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-				t.Fatalf("%s[%d]: %016x came back as %016x (threads=%d)", name, i,
-					math.Float64bits(pair[0][i]), math.Float64bits(pair[1][i]), threads)
+	blocks := []struct {
+		name      string
+		in, out   []float64
+		exclusive bool
+	}{{"calls", c.Calls, back.Calls, false}, {"inc", col.Inc, back.Cols[0].Inc, false}, {"exc", col.Exc, back.Cols[0].Exc, true}}
+	for _, blk := range blocks {
+		for i := range blk.in {
+			if math.Float64bits(blk.in[i]) != math.Float64bits(blk.out[i]) {
+				t.Fatalf("%s[%d]: %016x came back as %016x (threads=%d)", blk.name, i,
+					math.Float64bits(blk.in[i]), math.Float64bits(blk.out[i]), threads)
 			}
 		}
 	}
 	if re, err := back.Encode(); err != nil || !bytes.Equal(re, enc) {
 		t.Fatalf("decode → encode is not a fixed point (err=%v)", err)
 	}
-	// The calls block starts right after the header: walk its rows and
-	// compare each width with the rule, stated independently.
+	// The calls block starts right after the header, the column's bitmaps
+	// and blocks follow: walk every row and compare its kind with the rule.
 	hlen := int(binary.LittleEndian.Uint32(enc[len(columnarMagic):]))
 	off := len(columnarMagic) + 4 + hlen
-	for ev := 0; ev < nEv; ev++ {
-		want := 0
-		for _, x := range c.Calls[ev*threads : (ev+1)*threads] {
-			for k := 0; k < 8; k++ {
-				if byte(math.Float64bits(x)>>(8*k)) != 0 && 8-k > want {
-					want = 8 - k
-				}
+	for _, blk := range blocks {
+		if blk.name == "inc" {
+			off += 2 * ((nEv + 7) / 8)
+		}
+		for ev := 0; ev < nEv; ev++ {
+			var incRow []uint64
+			if blk.exclusive {
+				incRow = bitsOf(col.Inc[ev*threads : (ev+1)*threads])
+			}
+			kind, follow := wantRow(bitsOf(blk.in[ev*threads:(ev+1)*threads]), incRow)
+			if enc[off] != kind {
+				t.Fatalf("%s row %d stored as kind %#x, want %#x (threads=%d)", blk.name, ev, enc[off], kind, threads)
+			}
+			off += 1 + follow
+		}
+	}
+	if off != len(enc) {
+		t.Fatalf("rows end at byte %d of a %d-byte payload", off, len(enc))
+	}
+}
+
+// excVariants derives exclusive blocks from an inclusive one, row by row:
+// narrower values, the same row, a row of the row's first value, zeros —
+// in turn, so each meets every kind of inclusive row across the variants.
+func excVariants(inc []uint64, threads int) [][]uint64 {
+	out := make([][]uint64, 4)
+	for shift := range out {
+		exc := make([]uint64, len(inc))
+		for i, b := range inc {
+			switch row := i / threads; (row + shift) % 4 {
+			case 0:
+				exc[i] = b &^ 0xffff
+			case 1:
+				exc[i] = b
+			case 2:
+				exc[i] = inc[row*threads]
 			}
 		}
-		if int(enc[off]) != want {
-			t.Fatalf("calls row %d stored at width %d, narrowest exact width is %d", ev, enc[off], want)
-		}
-		off += 1 + want*threads
+		out[shift] = exc
 	}
+	return out
 }
 
 func TestPackedRows(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 7, 8, 64} {
-		checkPackedRows(t, packedRowEdgeValues, threads)
-		// One row per value, every other slot zero: each width on its own.
-		var spread []uint64
+		// One row per value, every other slot zero, then every slot that
+		// value: each width on its own, literal and one-valued.
+		var spread, filled []uint64
 		for _, b := range packedRowEdgeValues {
 			spread = append(spread, b)
 			spread = append(spread, make([]uint64, threads-1)...)
+			for th := 0; th < threads; th++ {
+				filled = append(filled, b)
+			}
 		}
-		checkPackedRows(t, spread, threads)
+		for _, inc := range [][]uint64{packedRowEdgeValues, spread, filled} {
+			for _, exc := range excVariants(inc, threads) {
+				checkPackedRows(t, inc, exc, threads)
+			}
+		}
 	}
 }
 
-// FuzzPackedRows: any values × threads round-trip bit-exactly and re-encode
-// to the same bytes. data is read as 8-byte patterns; keep zeroes that many
-// low bytes of each so the fuzzer reaches the narrow widths.
+// FuzzPackedRows: any values × threads, as an inclusive/exclusive pair,
+// round-trip bit-exactly, re-encode to the same bytes and sit in their one
+// spelling. data is read as 8-byte patterns; keep zeroes that many low bytes
+// of each so the fuzzer reaches the narrow widths; shape picks, two bits a
+// row, which rows become one-valued and which exclusive rows repeat their
+// inclusive row.
 func FuzzPackedRows(f *testing.F) {
 	var seed []byte
 	for _, b := range packedRowEdgeValues {
 		seed = binary.BigEndian.AppendUint64(seed, b)
 	}
-	f.Add(seed, uint8(1), uint8(0))
-	f.Add(seed, uint8(4), uint8(0))
-	f.Add(seed, uint8(3), uint8(6))
-	f.Add(seed[:8], uint8(16), uint8(8))
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, threads, keep uint8) {
+	f.Add(seed, uint8(1), uint8(0), uint8(0))
+	f.Add(seed, uint8(4), uint8(0), uint8(0b11_10_01_00))
+	f.Add(seed, uint8(3), uint8(6), uint8(0b01_11_00_10))
+	f.Add(seed[:8], uint8(16), uint8(8), uint8(0xff))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add(seed, uint8(2), uint8(2), uint8(0b01_01_01_01))
+	f.Fuzz(func(t *testing.T, data []byte, threadsArg, keep, shape uint8) {
 		if len(data) > 1<<12 {
 			data = data[:1<<12]
 		}
-		vals := make([]uint64, len(data)/8)
-		for i := range vals {
-			vals[i] = binary.BigEndian.Uint64(data[8*i:]) &^ (1<<(8*(keep%9)) - 1)
+		threads := 1 + int(threadsArg%64)
+		inc := make([]uint64, len(data)/8)
+		for i := range inc {
+			inc[i] = binary.BigEndian.Uint64(data[8*i:]) &^ (1<<(8*(keep%9)) - 1)
 		}
-		checkPackedRows(t, vals, 1+int(threads%64))
+		exc := make([]uint64, len(inc))
+		for i := range inc {
+			row := i / threads
+			pick := shape >> (2 * (row % 4))
+			if pick&1 != 0 {
+				inc[i] = inc[row*threads]
+			}
+			if exc[i] = bits.Reverse64(inc[i]) &^ 0xff; pick&2 != 0 {
+				exc[i] = inc[i]
+			}
+		}
+		checkPackedRows(t, inc, exc, threads)
 	})
 }
 

@@ -200,12 +200,12 @@ func TestCrashTornPublishedFileIsQuarantined(t *testing.T) {
 }
 
 // The same sweep over the format migration: a repository holding the one
-// checked-in %PDMFCOL1 file, crashed at every filesystem operation of open +
+// checked-in %PDMFCOL2 file, crashed at every filesystem operation of open +
 // Verify. After the restart the file is bytewise the old bytes or
 // EncodeTrial's, nothing else exists, fsck is clean — and, having run, has
 // finished the upgrade.
 func TestCrashPointSweepFsckUpgrade(t *testing.T) {
-	oldBytes, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
+	oldBytes, err := os.ReadFile(filepath.Join("testdata", "col2_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCrashPointSweepFsckUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rel = "app/exp/seed.json"
+	const rel = "app/exp/sparse.json"
 	seed := func(t *testing.T) string {
 		t.Helper()
 		dir := t.TempDir()

@@ -2,11 +2,13 @@ package perfdmf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -90,19 +92,96 @@ func col2FixtureTrials() map[string]*Trial {
 	}
 }
 
-// The checked-in files are byte for byte what this commit's encoder writes
-// for their trials, and decode to them.
+// Each checked-in file is still in the previous form, decodes to the trial it
+// was written from, re-encodes in the current form, and decodes from that to
+// the same columns — every value with the bits it had. Stored, it is counted
+// legacy and rewritten by fsck; uploaded or replayed from a hint queued before
+// the upgrade, it is stored re-encoded.
 func TestCheckedInCol2Files(t *testing.T) {
-	for name, tr := range col2FixtureTrials() {
+	ctx := context.Background()
+	trials := col2FixtureTrials()
+	trials["col2_sim.pdmf"] = nil // held to the simulator's output by internal/apps
+	for name, tr := range trials {
 		file, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc, err := EncodeTrial(tr); err != nil || !bytes.Equal(enc, file) {
-			t.Errorf("%s is not the encoding of its trial (err=%v)", name, err)
+		payload, _, err := decodeEnvelope(file)
+		if err != nil || !isColumnarPrev(payload) {
+			t.Fatalf("%s is not a %%PDMFCOL2 envelope (err=%v)", name, err)
 		}
-		if got, err := DecodeTrial(file); err != nil || canonicalTrialDump(got) != canonicalTrialDump(tr) {
-			t.Errorf("%s does not decode to its trial (err=%v)", name, err)
+		old, err := DecodeColumnar(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tr != nil && canonicalTrialDump(old.Trial()) != canonicalTrialDump(tr) {
+			t.Errorf("%s does not decode to its trial", name)
+		}
+		cur, err := old.encodeEnveloped()
+		if err != nil {
+			t.Fatal(err)
+		}
+		curPayload, _, err := decodeEnvelope(cur)
+		if err != nil || !IsColumnar(curPayload) || len(cur) > len(file) {
+			t.Fatalf("%s re-encodes to %d B from %d B, current form: %v (err=%v)", name, len(cur), len(file), IsColumnar(curPayload), err)
+		}
+		back, err := DecodeColumnar(curPayload)
+		if err != nil {
+			t.Fatalf("%s re-encoded: %v", name, err)
+		}
+		// DeepEqual compares floats as floats: NaN never equals itself and −0
+		// equals 0, so the blocks are compared by their bits.
+		if canonicalTrialDump(back.Trial()) != canonicalTrialDump(old.Trial()) || !equalColumnBits(old, back) {
+			t.Errorf("%s: the re-encoding holds different columns", name)
+		}
+
+		dir := t.TempDir()
+		p := filepath.Join(dir, safe(old.App), safe(old.Experiment), safe(old.Name)+".json")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		repo := mustOpen(t, dir)
+		if got, err := repo.GetEncoded(ctx, old.App, old.Experiment, old.Name); err != nil || !bytes.Equal(got, cur) {
+			t.Errorf("%s: GetEncoded over the stored file does not serve the current form (err=%v)", name, err)
+		}
+		if rep, err := repo.Verify(); err != nil || rep.Legacy != 1 || rep.Upgraded != 1 || !rep.Clean() {
+			t.Errorf("%s: fsck = %+v, %v; want 1 legacy, 1 upgraded, clean", name, rep, err)
+		}
+		if stored, _ := os.ReadFile(p); !bytes.Equal(stored, cur) {
+			t.Errorf("%s: fsck did not rewrite the file in the current form", name)
+		}
+		if rep, err := repo.Verify(); err != nil || rep.Legacy != 0 || rep.Upgraded != 0 || !rep.Clean() {
+			t.Errorf("%s: second fsck = %+v, %v; want nothing legacy", name, rep, err)
+		}
+		replayed := mustOpen(t, t.TempDir())
+		st, err := replayed.SaveEncoded(ctx, file)
+		if err != nil || !bytes.Equal(st.Encoded, cur) {
+			t.Fatalf("%s: SaveEncoded of the previous form: %v", name, err)
+		}
+		if stored := rawTrialFile(t, replayed, old.App, old.Experiment, old.Name); !bytes.Equal(stored, cur) {
+			t.Errorf("%s: the previous form was not stored re-encoded", name)
 		}
 	}
+}
+
+// equalColumnBits compares everything two Columns hold, values by bit
+// pattern.
+func equalColumnBits(a, b *Columns) bool {
+	bitsEqual := func(x, y []float64) bool { return len(x) == len(y) && sameBits(x, y) }
+	if !reflect.DeepEqual(a.EventNames, b.EventNames) || !reflect.DeepEqual(a.Groups, b.Groups) ||
+		!reflect.DeepEqual(a.Metrics, b.Metrics) || !reflect.DeepEqual(a.Metadata, b.Metadata) ||
+		a.Threads != b.Threads || len(a.Cols) != len(b.Cols) || !bitsEqual(a.Calls, b.Calls) {
+		return false
+	}
+	for i := range a.Cols {
+		x, y := &a.Cols[i], &b.Cols[i]
+		if x.Metric != y.Metric || !reflect.DeepEqual(x.IncPresent, y.IncPresent) || !reflect.DeepEqual(x.ExcPresent, y.ExcPresent) ||
+			!bitsEqual(x.Inc, y.Inc) || !bitsEqual(x.Exc, y.Exc) {
+			return false
+		}
+	}
+	return true
 }

@@ -73,7 +73,7 @@ func TestDecodeTrialLegacyForms(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"plain JSON":            plain,
 		"JSON in envelope":      encodeEnvelope(plain),
-		"%PDMFCOL1 in envelope": encodeEnvelope(legacyColumnarPayload(t, tr)),
+		"%PDMFCOL2 in envelope": encodeEnvelope(prevColumnarPayload(t, tr)),
 	} {
 		got, err := DecodeTrial(data)
 		if err != nil {
@@ -91,22 +91,57 @@ func TestDecodeTrialLegacyForms(t *testing.T) {
 }
 
 // The checked-in %PDMFCOL1 file — the `valid` seed of the fuzz corpus as a
-// raw file, which CI plants in a repository — still decodes to the trial it
-// was written from.
+// raw file — is two versions back and no longer read: every entry point
+// answers ErrCorrupt and says which release still rewrites it, a stored file
+// is quarantined rather than served or destroyed, and fsck reports it.
 func TestCheckedInColumnarV1File(t *testing.T) {
+	ctx := context.Background()
 	data, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload, _, err := decodeEnvelope(data); err != nil || !isColumnarV1(payload) {
+	payload, _, err := decodeEnvelope(data)
+	if err != nil || !bytes.HasPrefix(payload, []byte(retiredMagic)) {
 		t.Fatalf("testdata/col1_trial.pdmf is not a %%PDMFCOL1 envelope (err=%v)", err)
 	}
-	got, err := DecodeTrial(data)
-	if err != nil {
-		t.Fatal(err)
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "perfdmfd -fsck") {
+			t.Errorf("%s of a %%PDMFCOL1 body = %v; want ErrCorrupt naming perfdmfd -fsck of the previous release", what, err)
+		}
 	}
-	if canonicalTrialDump(got) != canonicalTrialDump(fuzzSeedTrial()) {
-		t.Errorf("checked-in %%PDMFCOL1 file decoded to a different trial:\n%s", canonicalTrialDump(got))
+	_, err = DecodeTrial(data)
+	refused("DecodeTrial", err)
+	_, err = DecodeColumnar(payload)
+	refused("DecodeColumnar", err)
+	dir := t.TempDir()
+	repo := mustOpen(t, dir)
+	_, err = repo.SaveEncoded(ctx, data)
+	refused("SaveEncoded", err)
+	if files := trialFiles(t, dir, ""); len(files) != 0 {
+		t.Fatalf("refused body left files behind: %v", files)
+	}
+	for name, read := range map[string]func(r *Repository) error{
+		"GetTrial":   func(r *Repository) error { _, err := r.GetTrial("app", "exp", "seed"); return err },
+		"GetEncoded": func(r *Repository) error { _, err := r.GetEncoded(ctx, "app", "exp", "seed"); return err },
+	} {
+		dir := t.TempDir()
+		p := filepath.Join(dir, "app", "exp", "seed.json")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		repo := mustOpen(t, dir)
+		refused(name, read(repo))
+		if kept, err := os.ReadFile(p + ".corrupt"); err != nil || !bytes.Equal(kept, data) {
+			t.Errorf("%s: the file was not set aside intact (err=%v)", name, err)
+		}
+		rep, err := repo.Verify()
+		if err != nil || rep.Clean() || len(rep.Quarantined) != 1 || rep.Trials != 0 || rep.Upgraded != 0 {
+			t.Errorf("fsck after %s = %+v, %v; want the one file reported quarantined", name, rep, err)
+		}
 	}
 }
 
@@ -125,13 +160,18 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	bomb := strings.Replace(minimalHeader, `"threads":1`, `"threads":2147483648`, 1)
 	spaced := strings.Replace(minimalHeader, `"threads":1`, `"threads": 1`, 1)
 	reordered := `{"experiment":"e","application":"a",` + strings.TrimPrefix(minimalHeader, `{"application":"a","experiment":"e",`)
-	// %PDMFCOL1 bodies are accepted without comparing bytes, so each of
+	// %PDMFCOL2 bodies are accepted without comparing bytes, so each of
 	// these has to fall to the checksum, the structural decode or Validate.
-	validV1 := encodeEnvelope(craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x01)))
-	if _, err := DecodeTrial(validV1); err != nil {
-		t.Fatalf("baseline %%PDMFCOL1 encoding must decode: %v", err)
+	validPrev := encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01)))
+	if _, err := DecodeTrial(validPrev); err != nil {
+		t.Fatalf("baseline %%PDMFCOL2 encoding must decode: %v", err)
 	}
-	payloadV1, _, _ := decodeEnvelope(validV1)
+	payloadPrev, _, _ := decodeEnvelope(validPrev)
+	// Behind the magic two versions back nothing is accepted, damaged or not.
+	retired := func(payload []byte) []byte {
+		return encodeEnvelope(append([]byte(retiredMagic), payload[len(columnarMagic):]...))
+	}
+	validV1 := retired(payload)
 	// Checksummed, decodable, Validate-clean and a fixed point of decode →
 	// encode, but not how ColumnsFromTrial pivots the trial held: these fall
 	// to isPivot alone, in either payload version.
@@ -144,7 +184,7 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 			t.Fatal(err)
 		}
 		perturb(c)
-		if _, err := DecodeColumnar(legacyColumnsPayload(t, c)); err != nil || c.isPivot() {
+		if _, err := DecodeColumnar(prevColumnsPayload(t, c)); err != nil || c.isPivot() {
 			t.Fatalf("perturbed columns must decode and not be a pivot (err=%v)", err)
 		}
 		return c
@@ -166,36 +206,67 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	ghost := notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }) // EXTRA is absent on "main"
 	emptyMetrics := notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil })
 	return map[string][]byte{
-		"empty":                       nil,
-		"truncated envelope":          valid[:len(valid)-9],
-		"flipped payload bit":         flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
-		"flipped CRC digit":           flipByte(valid, len(valid)-12),
-		"dimension-inflated header":   encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
-		"zero-row bomb":               encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
-		"width 9":                     encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"over-wide row":               encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"truncated inside a row":      encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
-		"trailing bytes in payload":   encodeEnvelope(append(append([]byte(nil), payload...), 0)),
-		"trailing bytes after":        append(append([]byte(nil), valid...), '\n'),
-		"non-canonical header spaces": encodeEnvelope(craftColumnar(spaced, minimalBody(0x01, 0x01))),
-		"non-canonical header order":  encodeEnvelope(craftColumnar(reordered, minimalBody(0x01, 0x01))),
-		"legacy plain JSON":           []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
-		"legacy JSON in envelope":     encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
-		"v1 flipped payload bit":      flipByte(validV1, len(envelopeMagic)+len(columnarMagicV1)+30),
-		"v1 flipped CRC digit":        flipByte(validV1, len(validV1)-12),
-		"v1 dimension-inflated":       encodeEnvelope(craftColumnarAs(columnarMagicV1, inflated, minimalBodyV1(0x01, 0x01))),
-		"v1 cut short":                encodeEnvelope(payloadV1[:len(payloadV1)-3]),
-		"v1 trailing bytes":           encodeEnvelope(append(append([]byte(nil), payloadV1...), 0)),
-		"v1 invalid trial":            encodeEnvelope(craftColumnarAs(columnarMagicV1, minimalHeader, minimalBodyV1(0x01, 0x00))), // inclusive without exclusive
-		"columns swapped":             v2(swapped),
-		"unregistered column first":   v2(extraFirst),
-		"registered metric no column": v2(missing),
-		"column nobody has":           v2(nobody),
-		"values under a clear bit":    v2(ghost),
-		"empty metric list not null":  v2(emptyMetrics),
-		"v1 columns swapped":          encodeEnvelope(legacyColumnsPayload(t, swapped)),
-		"v1 values under a clear bit": encodeEnvelope(legacyColumnsPayload(t, ghost)),
+		"empty":                         nil,
+		"truncated envelope":            valid[:len(valid)-9],
+		"flipped payload bit":           flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
+		"flipped CRC digit":             flipByte(valid, len(valid)-12),
+		"dimension-inflated header":     encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"zero-row bomb":                 encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
+		"width 9":                       encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"over-wide row":                 encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"truncated inside a row":        encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
+		"trailing bytes in payload":     encodeEnvelope(append(append([]byte(nil), payload...), 0)),
+		"trailing bytes after":          append(append([]byte(nil), valid...), '\n'),
+		"non-canonical header spaces":   encodeEnvelope(craftColumnar(spaced, minimalBody(0x01, 0x01))),
+		"non-canonical header order":    encodeEnvelope(craftColumnar(reordered, minimalBody(0x01, 0x01))),
+		"legacy plain JSON":             []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
+		"legacy JSON in envelope":       encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
+		"col2 flipped payload bit":      flipByte(validPrev, len(envelopeMagic)+len(columnarMagicPrev)+30),
+		"col2 flipped CRC digit":        flipByte(validPrev, len(validPrev)-12),
+		"col2 dimension-inflated":       encodeEnvelope(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
+		"col2 cut short":                encodeEnvelope(payloadPrev[:len(payloadPrev)-3]),
+		"col2 trailing bytes":           encodeEnvelope(append(append([]byte(nil), payloadPrev...), 0)),
+		"col2 invalid trial":            encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))), // inclusive without exclusive
+		"col2 with a row kind":          encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, rowsBody(callsOne, callsOne, []byte{rowSameAsInc}))),
+		"v1 well-formed":                validV1,
+		"v1 flipped payload bit":        flipByte(validV1, len(envelopeMagic)+len(retiredMagic)+30),
+		"v1 flipped CRC digit":          flipByte(validV1, len(validV1)-12),
+		"v1 dimension-inflated":         retired(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"v1 cut short":                  retired(payload[:len(payload)-3]),
+		"v1 trailing bytes":             retired(append(append([]byte(nil), payload...), 0)),
+		"v1 invalid trial":              retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
+		"columns swapped":               v2(swapped),
+		"unregistered column first":     v2(extraFirst),
+		"registered metric no column":   v2(missing),
+		"column nobody has":             v2(nobody),
+		"values under a clear bit":      v2(ghost),
+		"empty metric list not null":    v2(emptyMetrics),
+		"col2 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
+		"col2 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
+		"v1 columns swapped":            retired(prevColumnsPayload(t, swapped)),
+		"v1 values under a clear bit":   retired(prevColumnsPayload(t, ghost)),
+		// The trailer has one spelling.
+		"trailer in upper-case hex":    respellTrailer(t, valid, func(sum, n string) string { return strings.ToUpper(sum) + " len=" + n }),
+		"trailer with a signed length": respellTrailer(t, valid, func(sum, n string) string { return sum + " len=+" + n }),
+		"trailer with a padded length": respellTrailer(t, valid, func(sum, n string) string { return sum + " len=0" + n }),
+		"trailer with a second line":   append(append([]byte(nil), valid...), "x\n"...),
 	}
+}
+
+// respellTrailer rewrites the checksum and length of an envelope's trailer;
+// the result must differ from the input.
+func respellTrailer(t *testing.T, data []byte, spell func(sum, n string) string) []byte {
+	t.Helper()
+	i := bytes.LastIndex(data, []byte(envelopeTrailer)) + len(envelopeTrailer)
+	sum, n, ok := strings.Cut(strings.TrimSuffix(string(data[i:]), "\n"), envelopeLenTag)
+	if !ok {
+		t.Fatalf("no trailer in %q", data[i:])
+	}
+	out := append(append([]byte(nil), data[:i]...), spell(sum, n)+"\n"...)
+	if bytes.Equal(out, data) {
+		t.Fatalf("respelling %q changed nothing", data[i:])
+	}
+	return out
 }
 
 func TestSaveEncodedRejectsHostileInput(t *testing.T) {
@@ -267,16 +338,16 @@ func TestSaveEncodedMatchesSave(t *testing.T) {
 	}
 }
 
-// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL1
+// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL2
 // encoding is stored as the re-encoding of the trial it holds.
-func TestSaveEncodedReencodesColumnarV1(t *testing.T) {
+func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	repo := mustOpen(t, t.TempDir())
 	for i := 0; i < 40; i++ {
 		tr := genColTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(4))
-		got, err := repo.SaveEncoded(context.Background(), encodeEnvelope(legacyColumnarPayload(t, tr)))
+		got, err := repo.SaveEncoded(context.Background(), encodeEnvelope(prevColumnarPayload(t, tr)))
 		if err != nil {
-			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL1 body: %v", i, err)
+			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL2 body: %v", i, err)
 		}
 		want, err := EncodeTrial(tr)
 		if err != nil {
@@ -286,7 +357,7 @@ func TestSaveEncodedReencodesColumnarV1(t *testing.T) {
 			t.Fatalf("trial %d: SaveEncoded stored or returned a different trial (err=%v)", i, err)
 		}
 		if file := rawTrialFile(t, repo, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, want) || !isColumnarFile(t, file) {
-			t.Fatalf("trial %d: %%PDMFCOL1 body not stored as EncodeTrial's output", i)
+			t.Fatalf("trial %d: %%PDMFCOL2 body not stored as EncodeTrial's output", i)
 		}
 	}
 }
@@ -391,7 +462,7 @@ func mustOpen(t *testing.T, dir string) *Repository {
 }
 
 // A directory written by older versions — a plain-JSON file under the
-// underscore path scheme, a JSON-in-envelope file, a %PDMFCOL1 file —
+// underscore path scheme, a JSON-in-envelope file, a %PDMFCOL2 file —
 // serves both representations; a file is upgraded by its next save, and
 // whatever is still legacy by one Verify, after which a second finds none.
 func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
@@ -408,13 +479,13 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	plain := miniTrial("my app", "exp", "plain", 1)
 	wrapped := miniTrial("my app", "exp", "wrapped", 2)
-	col1 := miniTrial("my app", "exp", "col1", 3)
+	col2 := miniTrial("my app", "exp", "col2", 3)
 	plainJSON, _ := json.MarshalIndent(plain, "", " ")
 	wrappedJSON, _ := json.MarshalIndent(wrapped, "", " ")
-	col1File := encodeEnvelope(legacyColumnarPayload(t, col1))
+	col2File := encodeEnvelope(prevColumnarPayload(t, col2))
 	plant(filepath.Join(dir, "my_app", "exp", "plain.json"), plainJSON) // underscore scheme
 	plant(filepath.Join(dir, safe("my app"), "exp", "wrapped.json"), encodeEnvelope(wrappedJSON))
-	plant(filepath.Join(dir, safe("my app"), "exp", "col1.json"), col1File)
+	plant(filepath.Join(dir, safe("my app"), "exp", "col2.json"), col2File)
 
 	repo := mustOpen(t, dir)
 	canon := func(tr *Trial) []byte {
@@ -427,7 +498,7 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	// The two files at their own paths read in both representations, and
 	// reading rewrites nothing.
-	for _, want := range []*Trial{wrapped, col1} {
+	for _, want := range []*Trial{wrapped, col2} {
 		data, err := repo.GetEncoded(ctx, want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("%s: GetEncoded: %v", want.Name, err)
@@ -440,23 +511,23 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 			t.Errorf("%s: GetTrial: err=%v", want.Name, err)
 		}
 	}
-	if file := rawTrialFile(t, repo, col1.App, col1.Experiment, col1.Name); !bytes.Equal(file, col1File) {
-		t.Error("reading a %PDMFCOL1 file rewrote it")
+	if file := rawTrialFile(t, repo, col2.App, col2.Experiment, col2.Name); !bytes.Equal(file, col2File) {
+		t.Error("reading a %PDMFCOL2 file rewrote it")
 	}
-	// The next save upgrades a file — here the old bytes of col1, as a hint
+	// The next save upgrades a file — here the old bytes of col2, as a hint
 	// queued before the upgrade would replay them.
-	if _, err := repo.SaveEncoded(ctx, col1File); err != nil {
-		t.Fatalf("SaveEncoded of the %%PDMFCOL1 bytes: %v", err)
+	if _, err := repo.SaveEncoded(ctx, col2File); err != nil {
+		t.Fatalf("SaveEncoded of the %%PDMFCOL2 bytes: %v", err)
 	}
-	if file := rawTrialFile(t, repo, col1.App, col1.Experiment, col1.Name); !bytes.Equal(file, canon(col1)) {
-		t.Error("col1: file not upgraded to the encoded form by its save")
+	if file := rawTrialFile(t, repo, col2.App, col2.Experiment, col2.Name); !bytes.Equal(file, canon(col2)) {
+		t.Error("col2: file not upgraded to the encoded form by its save")
 	}
 	// Verify moves the underscore-scheme file home and upgrades the rest.
 	rep, err := repo.Verify()
 	if err != nil || rep.Trials != 3 || rep.Legacy != 2 || rep.Upgraded != 2 || len(rep.Relocated) != 1 || !rep.Clean() {
 		t.Fatalf("fsck over legacy files = %+v, %v; want 3 trials, 2 legacy, 2 upgraded, 1 relocated, clean", rep, err)
 	}
-	for _, want := range []*Trial{plain, wrapped, col1} {
+	for _, want := range []*Trial{plain, wrapped, col2} {
 		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon(want)) {
 			t.Errorf("%s: file is not EncodeTrial's output after fsck", want.Name)
 		}
@@ -483,11 +554,11 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 // old file.
 func TestVerifyUpgradeReadOnlyAndFailure(t *testing.T) {
 	dir := t.TempDir()
-	old, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
+	old, err := os.ReadFile(filepath.Join("testdata", "col2_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(dir, "app", "exp", "seed.json")
+	p := filepath.Join(dir, "app", "exp", "sparse.json")
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +607,9 @@ func TestVerifyUpgradeReadOnlyAndFailure(t *testing.T) {
 // pair is a row of zeros, one width byte. A very sparse trial — every event
 // with a metric of its own and nothing else — used to store at 100× its
 // JSON; now it is at par when every value is 0 (JSON's cheapest, 2 bytes a
-// value) and smaller as soon as the values are measurements. The test pins
-// the arithmetic DESIGN.md records.
+// value) and smaller as soon as the values are measurements — and a row that
+// repeats the inclusive row, or one value, costs its kind byte, or that and
+// the value. The test pins the arithmetic DESIGN.md records.
 func TestSparseTrialsStoreSmallerThanJSON(t *testing.T) {
 	const events, threads = 64, 16
 	tr := NewTrial("app", "exp", "sparse", threads)
@@ -582,5 +654,24 @@ func TestSparseTrialsStoreSmallerThanJSON(t *testing.T) {
 	}
 	if enc >= js {
 		t.Errorf("sparse trial with measurements: encoded %d B ≥ JSON %d B", enc, js)
+	}
+	// Leaf events — exclusive = inclusive: the exclusive rows shrink to their
+	// kind byte, which zeroBlocks already counts.
+	for i, e := range tr.Events {
+		copy(e.Exclusive["M"+strconv.Itoa(i)], e.Inclusive["M"+strconv.Itoa(i)])
+	}
+	if _, blocks, _ = sizes(); blocks != zeroBlocks+events*8*threads {
+		t.Errorf("block bytes with leaf events = %d, want %d", blocks, zeroBlocks+events*8*threads)
+	}
+	// SPMD threads — one measurement on every thread, inclusive twice the
+	// exclusive: both rows are that one value, whatever the thread count.
+	for i, e := range tr.Events {
+		for th := 0; th < threads; th++ {
+			v := math.Sqrt(float64(i) + 2.5) // irrational: all 8 bytes
+			e.SetValue("M"+strconv.Itoa(i), th, 2*v, v)
+		}
+	}
+	if _, blocks, _ = sizes(); blocks != zeroBlocks+events*2*8 {
+		t.Errorf("block bytes with one value a row = %d, want %d", blocks, zeroBlocks+events*2*8)
 	}
 }

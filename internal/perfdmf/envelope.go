@@ -20,31 +20,69 @@ var ErrCorrupt = errors.New("trial data corrupt")
 // are detected instead of silently parsed:
 //
 //	%PDMF1\n
-//	<payload: %PDMFCOL2 columnar trial, byte-exact>
+//	<payload: %PDMFCOL3 columnar trial, byte-exact>
 //	\n%PDMF1 crc32c=XXXXXXXX len=NNN\n
 //
 // The trailer repeats the magic, then carries the CRC32-C of the payload
 // (8 lowercase hex digits) and the payload length in decimal. Both the
 // header and the trailer must be intact and agree with the payload for a
 // read to succeed — a file cut off anywhere, or altered anywhere, fails
-// the check. EncodeTrial is the only writer. Three older forms stay
-// readable and are rewritten on their next save or by fsck: a %PDMFCOL1
-// payload (raw value blocks) inside the envelope, trial JSON inside the
-// envelope, and files that do not start with the magic at all, which are
-// treated as plain-JSON trials (the pre-envelope format).
+// the check. A trailer has one spelling, the one appendEnvelopeTrailer
+// writes (lower-case hex, no sign or leading zero on the length, nothing
+// after the newline), so equal payloads have equal envelopes and replicas
+// can be compared by their trailers. EncodeTrial is the only writer. Three
+// older forms stay readable and are rewritten on their next save or by
+// fsck: a %PDMFCOL2 payload (literal rows only) inside the envelope, trial
+// JSON inside the envelope, and files that do not start with the magic at
+// all, which are treated as plain-JSON trials (the pre-envelope format).
 const (
 	envelopeMagic   = "%PDMF1\n"
 	envelopeTrailer = "\n%PDMF1 crc32c="
-	// envelopeTrailerMax bounds a trailer: 8 hex digits, " len=", a decimal
-	// int64 and the newline after the fixed part.
-	envelopeTrailerMax = len(envelopeTrailer) + 8 + len(" len=") + 20 + 1
+	envelopeLenTag  = " len="
+	// envelopeLenDigits bounds the decimal length: what fits an int64.
+	envelopeLenDigits = 18
+	// envelopeTrailerMax bounds a trailer: 8 hex digits, the length and the
+	// newline after the fixed part.
+	envelopeTrailerMax = len(envelopeTrailer) + 8 + len(envelopeLenTag) + envelopeLenDigits + 1
 )
 
 var envelopeTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendEnvelopeTrailer appends the trailer that seals payload.
 func appendEnvelopeTrailer(buf, payload []byte) []byte {
-	return fmt.Appendf(buf, "%s%08x len=%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), len(payload))
+	return fmt.Appendf(buf, "%s%08x%s%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), envelopeLenTag, len(payload))
+}
+
+// parseEnvelopeTrailer reads what follows envelopeTrailer to the end of the
+// data: exactly what appendEnvelopeTrailer writes there, and no other
+// spelling of the same numbers.
+func parseEnvelopeTrailer(tail []byte) (sum uint32, n int, ok bool) {
+	digits := len(tail) - 8 - len(envelopeLenTag) - 1
+	if digits < 1 || digits > envelopeLenDigits || tail[len(tail)-1] != '\n' ||
+		string(tail[8:8+len(envelopeLenTag)]) != envelopeLenTag {
+		return 0, 0, false
+	}
+	for _, c := range tail[:8] {
+		switch {
+		case '0' <= c && c <= '9':
+			sum = sum<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			sum = sum<<4 | uint32(c-'a'+10)
+		default:
+			return 0, 0, false
+		}
+	}
+	dec := tail[len(tail)-1-digits : len(tail)-1]
+	if dec[0] == '0' && digits > 1 {
+		return 0, 0, false
+	}
+	for _, c := range dec {
+		if c < '0' || c > '9' {
+			return 0, 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return sum, n, true
 }
 
 // decodeEnvelope validates data and returns the enclosed payload.
@@ -67,10 +105,8 @@ func decodeEnvelope(data []byte) (payload []byte, legacy bool, err error) {
 		return nil, false, fmt.Errorf("%w: envelope trailer missing (truncated file?)", ErrCorrupt)
 	}
 	payload = body[:i]
-	var sum uint32
-	var n int
-	tail := body[i+len(envelopeTrailer):]
-	if _, err := fmt.Sscanf(string(tail), "%08x len=%d\n", &sum, &n); err != nil {
+	sum, n, ok := parseEnvelopeTrailer(body[i+len(envelopeTrailer):])
+	if !ok {
 		return nil, false, fmt.Errorf("%w: malformed envelope trailer", ErrCorrupt)
 	}
 	if n != len(payload) {
@@ -116,7 +152,7 @@ func decodeColumns(data []byte) (*Columns, error) {
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum, decodes the payload and validates the result. It also accepts
-// the legacy forms (%PDMFCOL1 or trial JSON inside the envelope, plain
+// the legacy forms (%PDMFCOL2 or trial JSON inside the envelope, plain
 // trial JSON).
 // Checksum, structure and validation failures all wrap ErrCorrupt.
 func DecodeTrial(data []byte) (*Trial, error) {

@@ -20,7 +20,7 @@ type FsckReport struct {
 	// Trials counts readable, valid trial files (encoded or legacy).
 	Trials int `json:"trials"`
 	// Legacy counts trials the walk found in one of the older forms (plain
-	// pre-envelope JSON, trial JSON inside the envelope, a %PDMFCOL1
+	// pre-envelope JSON, trial JSON inside the envelope, a %PDMFCOL2
 	// payload).
 	Legacy int `json:"legacy"`
 	// Upgraded counts the legacy-form files this scan rewrote into the

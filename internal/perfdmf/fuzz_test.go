@@ -66,6 +66,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=zzzzzzzz len=2\n"))
 	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=00000000 len=999\n"))
 	f.Add([]byte("   \t\r\n"))
+	// A trailer has one spelling: these three carry the right numbers.
+	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=2\nx"))
+	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297BD0AA len=2\n"))
+	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=+2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, legacy, err := decodeEnvelope(data)
 		if err != nil {
@@ -83,16 +87,68 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			}
 			return
 		}
-		// A successful envelope decode must round-trip: re-encoding the
-		// payload yields an envelope that decodes to the same payload.
-		again, legacy2, err := decodeEnvelope(encodeEnvelope(payload))
-		if err != nil || legacy2 {
-			t.Fatalf("re-encoded payload does not decode cleanly: legacy=%v err=%v", legacy2, err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatal("envelope round-trip changed the payload")
+		// An envelope has one spelling: what was accepted is, byte for byte,
+		// what sealing its payload writes.
+		if !bytes.Equal(encodeEnvelope(payload), data) {
+			t.Fatalf("accepted envelope is not the sealing of its payload: %q", data)
 		}
 	})
+}
+
+// The three seeds above carry the checksum and length of their payload, so
+// only the spelling of the trailer can refuse them — and a file spelled so is
+// refused on every path: decode, raw save, raw read (quarantined) and fsck
+// (reported, not clean).
+func TestEnvelopeTrailerHasOneSpelling(t *testing.T) {
+	ctx := context.Background()
+	good, err := EncodeTrial(miniTrial("app", "exp", "t1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTrial(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeEnvelope([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=2\n")); err != nil {
+		t.Fatalf("the fuzz seeds do not carry the checksum of their payload: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"bytes after the newline": append(append([]byte(nil), good...), 'x'),
+		"a second newline":        append(append([]byte(nil), good...), '\n'),
+		"upper-case hex":          respellTrailer(t, good, func(sum, n string) string { return strings.ToUpper(sum) + envelopeLenTag + n }),
+		"signed length":           respellTrailer(t, good, func(sum, n string) string { return sum + envelopeLenTag + "+" + n }),
+		"zero-padded length":      respellTrailer(t, good, func(sum, n string) string { return sum + envelopeLenTag + "0" + n }),
+		"space before the length": respellTrailer(t, good, func(sum, n string) string { return sum + envelopeLenTag + " " + n }),
+		"nine-digit checksum":     respellTrailer(t, good, func(sum, n string) string { return "0" + sum + envelopeLenTag + n }),
+		"length past an int64":    respellTrailer(t, good, func(sum, n string) string { return sum + envelopeLenTag + "18446744073709551616" }),
+	} {
+		if _, err := DecodeTrial(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeTrial = %v, want ErrCorrupt", name, err)
+		}
+		dir := t.TempDir()
+		repo := mustOpen(t, dir)
+		if _, err := repo.SaveEncoded(ctx, data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: SaveEncoded = %v, want ErrCorrupt", name, err)
+		}
+		p := repo.path("app", "exp", "t1")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := mustOpen(t, dir).Verify(); err != nil || rep.Clean() || rep.Trials != 0 || len(rep.Quarantined) != 1 {
+			t.Errorf("%s: fsck = %+v, %v; want the file reported, not clean", name, rep, err)
+		}
+		if err := os.Rename(p+".corrupt", p); err != nil {
+			t.Fatalf("%s: fsck did not set the file aside: %v", name, err)
+		}
+		if _, err := mustOpen(t, dir).GetEncoded(ctx, "app", "exp", "t1"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: GetEncoded = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := os.Stat(p + ".corrupt"); err != nil {
+			t.Errorf("%s: GetEncoded did not quarantine the file: %v", name, err)
+		}
+	}
 }
 
 // FuzzNameOf checks that safe and nameOf are inverse bijections between
@@ -136,9 +192,11 @@ func FuzzParseCSV(f *testing.F) {
 // ErrCorrupt; every decode that succeeds yields a Validate-clean trial; and
 // the encoding is a fixed point after one canonicalization round (the
 // fuzzer can supply headers whose JSON is legal but non-canonical — key
-// order, whitespace — and %PDMFCOL1 payloads, so encode(decode(b)) may
-// differ from b, but it must then be stable). The checked-in %PDMFCOL1
-// corpus predates %PDMFCOL2 and is kept byte for byte.
+// order, whitespace — and %PDMFCOL2 payloads, so encode(decode(b)) may
+// differ from b, but it must then be stable). The checked-in corpus entries
+// without a prefix predate %PDMFCOL2, are kept byte for byte and are all
+// refused now; the col2_ entries are the previous form, the col3_ ones the
+// current.
 func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
 
@@ -150,7 +208,7 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 			}
 			return
 		}
-		if legacy || !isColumnarAny(payload) {
+		if legacy || !claimsColumnar(payload) {
 			return // JSON bodies are FuzzDecodeEnvelope's territory
 		}
 		c, err := DecodeColumnar(payload)
@@ -189,8 +247,8 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	})
 }
 
-// fuzzSeedTrial is the trial behind the valid seeds and, as %PDMFCOL1,
-// behind the checked-in `valid` corpus entry and testdata/col1_trial.pdmf.
+// fuzzSeedTrial is the trial behind the valid seeds and behind the checked-in
+// `col2_valid` corpus entry.
 func fuzzSeedTrial() *Trial {
 	tr := NewTrial("app", "exp", "seed", 2)
 	tr.AddMetric(TimeMetric)
@@ -202,9 +260,43 @@ func fuzzSeedTrial() *Trial {
 	return tr
 }
 
+// fuzzKindsTrial is a leaf event whose threads did the same work: its calls
+// and inclusive rows are one-valued, its exclusive row repeats the inclusive.
+// It is behind the `col3_` corpus entries.
+func fuzzKindsTrial() *Trial {
+	tr := NewTrial("app", "exp", "kinds", 2)
+	tr.AddMetric(TimeMetric)
+	e := tr.EnsureEvent("leaf")
+	for th := 0; th < 2; th++ {
+		e.Calls[th] = 1
+		e.SetValue(TimeMetric, th, 3, 3)
+	}
+	return tr
+}
+
+// fuzzKindsSeeds are the encoding of fuzzKindsTrial, that encoding cut inside
+// its last one-valued row, and with that row stored a byte wider than it
+// needs — each in a valid envelope.
+func fuzzKindsSeeds(t testing.TB) (valid, truncated, overwide []byte) {
+	t.Helper()
+	p, err := MarshalColumnar(fuzzKindsTrial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends: inclusive row {rowConst+2, 0x40, 0x08}, exclusive
+	// row {rowSameAsInc}.
+	n := len(p)
+	if !bytes.Equal(p[n-4:], []byte{rowConst + 2, 0x40, 0x08, rowSameAsInc}) {
+		t.Fatalf("kinds payload ends % x", p[n-4:])
+	}
+	wide := append(append([]byte(nil), p[:n-4]...), rowConst+3, 0x40, 0x08, 0x00, rowSameAsInc)
+	return encodeEnvelope(p), encodeEnvelope(p[:n-2]), encodeEnvelope(wide)
+}
+
 // addColumnarEnvelopeSeeds seeds a fuzz target with encoded trials: one
-// valid, the rest damaged in the ways the decoders must survive, and last
-// the same trial as a %PDMFCOL1 body.
+// valid, the rest damaged in the ways the decoders must survive, the same
+// trial as a %PDMFCOL2 body, and a trial whose rows take the kinds above 8,
+// whole and damaged.
 func addColumnarEnvelopeSeeds(f *testing.F) {
 	valid, err := MarshalColumnar(fuzzSeedTrial())
 	if err != nil {
@@ -218,7 +310,11 @@ func addColumnarEnvelopeSeeds(f *testing.F) {
 	f.Add(encodeEnvelope([]byte(columnarMagic + "\x60\x00\x00\x00" +
 		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
 	f.Add(encodeEnvelope([]byte(columnarMagic)))
-	f.Add(encodeEnvelope(legacyColumnarPayload(f, fuzzSeedTrial())))
+	f.Add(encodeEnvelope(prevColumnarPayload(f, fuzzSeedTrial())))
+	valid, truncated, overwide := fuzzKindsSeeds(f)
+	f.Add(valid)
+	f.Add(truncated)
+	f.Add(overwide)
 }
 
 // columnarCorpus returns the checked-in corpus of
@@ -246,30 +342,37 @@ func columnarCorpus(t testing.TB) map[string][]byte {
 	return out
 }
 
-// The corpus holds what its names say, in both forms: the pre-%PDMFCOL2
-// entries are %PDMFCOL1 bodies read through the legacy path, the col2_
-// entries their current-form counterparts plus the over-wide row.
+// The corpus holds what its names say, in all three forms: the entries
+// without a prefix are %PDMFCOL1 bodies, refused whatever their state; the
+// col2_ entries are the previous form, read through the legacy path; the
+// col3_ entries are the current form with rows of the kinds above 8.
 func TestColumnarCorpus(t *testing.T) {
 	corpus := columnarCorpus(t)
-	want := canonicalTrialDump(fuzzSeedTrial())
-	for _, name := range []string{"valid", "col2_valid"} {
+	for name, want := range map[string]*Trial{"col2_valid": fuzzSeedTrial(), "col3_valid": fuzzKindsTrial()} {
 		data, ok := corpus[name]
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
 		}
 		payload, _, err := decodeEnvelope(data)
-		if err != nil || IsColumnar(payload) != (name == "col2_valid") || isColumnarV1(payload) != (name == "valid") {
+		if err != nil || IsColumnar(payload) != (name == "col3_valid") || isColumnarPrev(payload) != (name == "col2_valid") {
 			t.Fatalf("%s: wrong form (err=%v)", name, err)
 		}
-		if got, err := DecodeTrial(data); err != nil || canonicalTrialDump(got) != want {
-			t.Errorf("%s: does not decode to the seed trial (err=%v)", name, err)
+		if got, err := DecodeTrial(data); err != nil || canonicalTrialDump(got) != canonicalTrialDump(want) {
+			t.Errorf("%s: does not decode to its trial (err=%v)", name, err)
 		}
 	}
 	if raw, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf")); err != nil || !bytes.Equal(raw, corpus["valid"]) {
 		t.Errorf("testdata/col1_trial.pdmf is not the corpus's valid seed (err=%v)", err)
 	}
-	for _, name := range []string{"truncated", "bad_crc", "huge_dimension",
-		"col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row"} {
+	valid, truncated, overwide := fuzzKindsSeeds(t)
+	for name, want := range map[string][]byte{"col3_valid": valid, "col3_truncated_const": truncated, "col3_overwide_const": overwide} {
+		if !bytes.Equal(corpus[name], want) {
+			t.Errorf("corpus entry %s is not the seed of that name", name)
+		}
+	}
+	for _, name := range []string{"valid", "truncated", "bad_crc", "huge_dimension",
+		"col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row",
+		"col3_truncated_const", "col3_overwide_const"} {
 		data, ok := corpus[name]
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
@@ -289,7 +392,7 @@ func TestColumnarCorpus(t *testing.T) {
 // checked-in corpus of FuzzDecodeColumnarEnvelope. The invariants: a
 // refusal wraps ErrCorrupt and stores nothing; an accepted body holds a
 // Validate-clean trial that reads back, and is its canonical encoding — or
-// is a %PDMFCOL1 body, and the file stored for it is the canonical encoding
+// is a %PDMFCOL2 body, and the file stored for it is the canonical encoding
 // of the same trial.
 func FuzzSaveEncoded(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
@@ -336,8 +439,8 @@ func FuzzSaveEncoded(f *testing.F) {
 			return
 		}
 		payload, _, _ := decodeEnvelope(data)
-		if !isColumnarV1(payload) {
-			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL1 body")
+		if !isColumnarPrev(payload) {
+			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL2 body")
 		}
 		disk, err := OpenRepository(t.TempDir())
 		if err != nil {
@@ -347,7 +450,7 @@ func FuzzSaveEncoded(f *testing.F) {
 			t.Fatalf("file-backed SaveEncoded refused what the in-memory one took: %v", err)
 		}
 		if file := rawTrialFile(t, disk, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, canon) {
-			t.Fatal("file stored for a %PDMFCOL1 body is not the canonical encoding of its trial")
+			t.Fatal("file stored for a %PDMFCOL2 body is not the canonical encoding of its trial")
 		}
 	})
 }

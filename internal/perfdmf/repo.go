@@ -64,7 +64,7 @@ const readOnlyAfterENOSPC = 2
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. Files in the legacy forms (a %PDMFCOL1 payload or
+//     are unaffected. Files in the legacy forms (a %PDMFCOL2 payload or
 //     trial JSON inside the envelope, plain pre-envelope JSON) remain
 //     readable and are rewritten into the encoded form on next save, or
 //     all at once by Verify.
@@ -244,7 +244,7 @@ type Stored struct {
 // — envelope checksum, full structural decode, the decoder's validity
 // checks — and additionally requires data to be the canonical encoding of
 // the trial it decodes to, so the file written is byte for byte what Save of
-// that trial would write. The one other body accepted is a %PDMFCOL1
+// that trial would write. The one other body accepted is a %PDMFCOL2
 // encoding (a hint queued before the upgrade, a client one version behind),
 // which passes the same checks and is stored as its re-encoding; trial JSON,
 // bare or in the envelope, is not an encoded trial. Rejected input wraps
@@ -275,7 +275,7 @@ func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, e
 		if canon, err = c.encodeEnveloped(); err != nil {
 			return Stored{}, err
 		}
-		canonical = bytes.Equal(canon, data) || isColumnarV1(payload)
+		canonical = bytes.Equal(canon, data) || isColumnarPrev(payload)
 	}
 	if !canonical {
 		return Stored{}, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)

@@ -332,7 +332,7 @@ func TestIsPivotMatchesReencoding(t *testing.T) {
 		}
 	}
 	for name, data := range columnarCorpus(t) {
-		if payload, _, err := decodeEnvelope(data); err == nil && isColumnarAny(payload) {
+		if payload, _, err := decodeEnvelope(data); err == nil && claimsColumnar(payload) {
 			if c, err := DecodeColumnar(payload); err == nil {
 				check("corpus "+name, c)
 			}
@@ -343,13 +343,14 @@ func TestIsPivotMatchesReencoding(t *testing.T) {
 	}
 }
 
-// The bytes Save and SaveEncoded write are the bytes they wrote before the
-// repository kept columns: SHA-256 over the files of a fixed set of trials,
-// recorded on the parent commit. A change to the encoding changes
-// TestSimulatorOutputsPinned too; this one holds the repository's own path
-// to the file. Do not edit the hash to make the test pass.
+// The bytes Save and SaveEncoded write are the bytes they wrote at the commit
+// that last changed the encoding: SHA-256 over the files of a fixed set of
+// trials. A change to the encoding changes TestSimulatorOutputsPinned too;
+// this one holds the repository's own path to the file. Do not edit either
+// hash to make the test pass — want moves only in a PR that changes the
+// encoding (last: %PDMFCOL3), wantValues never.
 func TestStoredBytesPinned(t *testing.T) {
-	const want = "2f471eb90feb19116f93edb1df6e2d221aee4306a30d1b3eec0b3a89bfd74edb"
+	const want = "eb23260b93603a8bfd26e32b6e3e696289cfa0c09220b6785c900dc6037a2ae3"
 	// wantValues is over what the files decode to (canonicalTrialDump: every
 	// name, presence and float bit), whatever the encoding. A PR that changes
 	// the encoding re-records want and must leave wantValues untouched in its
