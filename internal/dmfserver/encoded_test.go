@@ -510,6 +510,10 @@ func TestHostileEncodedUploads(t *testing.T) {
 		return b
 	}
 	flip := func(i int) []byte { return flipIn(valid, i) }
+	// The same checksum, its hex digits in upper case.
+	sumAt := trailer + len("\n%PDMF1 crc32c=")
+	upperSum := append([]byte(nil), valid...)
+	copy(upperSum[sumAt:], bytes.ToUpper(valid[sumAt:sumAt+8]))
 	// The previous encoding is accepted
 	// (TestPreviousColumnarUploadIsStoredReencoded) without a canonical check,
 	// so a damaged one must fall to the checksum, the structural decode or
@@ -564,7 +568,7 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"%PDMFCOL2 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
 		{"%PDMFCOL2 holding an invalid trial", wrapEnvelope(invalidPrev)},
 		{"%PDMFCOL2 with the row kinds of %PDMFCOL3", wrapEnvelope(append([]byte("%PDMFCOL2\n"), payload[colMagic:]...))},
-		{"trailer in upper-case hex", append(append([]byte(nil), valid[:trailer]...), strings.ToUpper(string(valid[trailer:]))...)},
+		{"trailer in upper-case hex", upperSum},
 		{"trailer with a signed length", []byte(strings.Replace(string(valid), " len=", " len=+", 1))},
 		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
 		{"registered metric without a column", reencoded(func(c *perfdmf.Columns) { c.Cols = c.Cols[:2] })},
@@ -572,6 +576,9 @@ func TestHostileEncodedUploads(t *testing.T) {
 	}
 	if !strings.Contains(header, `"threads":2`) || blocks[0] != 0x12 {
 		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, kind %#x", header, blocks[0])
+	}
+	if bytes.Equal(upperSum, valid) {
+		t.Fatalf("the checksum %s has no letter to respell; pick another trial", valid[sumAt:sumAt+8])
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"os"
-	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -598,7 +598,7 @@ func wantRow(row, inc []uint64) (kind byte, follow int) {
 	switch {
 	case w == 0:
 		return 0, 0
-	case inc != nil && reflect.DeepEqual(row, inc):
+	case inc != nil && slices.Equal(row, inc):
 		return rowSameAsInc, 0
 	case one && len(row) >= 2:
 		return rowConst + byte(w), w

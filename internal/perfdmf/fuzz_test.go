@@ -151,6 +151,22 @@ func TestEnvelopeTrailerHasOneSpelling(t *testing.T) {
 	}
 }
 
+// respellTrailer rewrites the checksum and length of an envelope's trailer;
+// the result must differ from the input.
+func respellTrailer(t *testing.T, data []byte, spell func(sum, n string) string) []byte {
+	t.Helper()
+	i := bytes.LastIndex(data, []byte(envelopeTrailer)) + len(envelopeTrailer)
+	sum, n, ok := strings.Cut(strings.TrimSuffix(string(data[i:]), "\n"), envelopeLenTag)
+	if !ok {
+		t.Fatalf("no trailer in %q", data[i:])
+	}
+	out := append(append([]byte(nil), data[:i]...), spell(sum, n)+"\n"...)
+	if bytes.Equal(out, data) {
+		t.Fatalf("respelling %q changed nothing", data[i:])
+	}
+	return out
+}
+
 // FuzzNameOf checks that safe and nameOf are inverse bijections between
 // names and path components (see checkNameOf), from the hostile names of
 // TestSafeInjective, their images, and components safe never emits.
