@@ -5,10 +5,15 @@ package diagnosis
 // interpreter × {Rete, naive} rule matcher — and the session output bytes,
 // fired-rule log and recommendations must be identical. This is the
 // assets-level proof that the closure compiler and the Rete network are
-// pure optimizations.
+// pure optimizations. What the four agree on is recorded in
+// testdata/asset_outcomes/*.golden (re-record with -update), so the proof
+// outlives the engine switches.
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,6 +25,8 @@ import (
 	"perfknow/internal/sim"
 )
 
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/asset_outcomes/*.golden")
+
 // diffOutcome captures everything observable from one script run.
 type diffOutcome struct {
 	out   string
@@ -28,14 +35,32 @@ type diffOutcome struct {
 	err   string
 }
 
-// runUnder executes scenario in a fresh session with the engine toggles
-// set, and captures the observable outcome.
-func runUnder(t *testing.T, treeWalk, naive bool, scenario func(t *testing.T, s *core.Session) error) diffOutcome {
+// golden renders the outcome as the text of its golden file: error text,
+// fired rules in order, recommendations, then the raw session output last
+// so its bytes are kept as they are.
+func (o diffOutcome) golden() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "error: %s\n", o.err)
+	fmt.Fprintf(&b, "fired (%d):\n", len(o.fired))
+	for _, f := range o.fired {
+		b.WriteString("  " + f + "\n")
+	}
+	fmt.Fprintf(&b, "recommendations (%d):\n", len(o.recs))
+	for _, r := range o.recs {
+		b.WriteString("  " + r + "\n")
+	}
+	b.WriteString("output:\n" + o.out)
+	return b.String()
+}
+
+// runUnder sets a scenario up in a fresh session, runs the script it
+// returns with the engine toggles set, and captures the observable outcome.
+func runUnder(t *testing.T, treeWalk, naive bool, scenario func(t *testing.T, s *core.Session) string) diffOutcome {
 	t.Helper()
 	s, buf, _ := session(t)
 	s.Interp.TreeWalk = treeWalk
 	s.Engine.Naive = naive
-	err := scenario(t, s)
+	err := s.RunScript(scenario(t, s))
 	o := diffOutcome{out: buf.String()}
 	if err != nil {
 		o.err = err.Error()
@@ -49,9 +74,10 @@ func runUnder(t *testing.T, treeWalk, naive bool, scenario func(t *testing.T, s 
 	return o
 }
 
-// diffScript runs scenario under all four engine combinations and fails on
-// the first observable divergence from the default (compiled × Rete).
-func diffScript(t *testing.T, scenario func(t *testing.T, s *core.Session) error) {
+// diffScript runs scenario under all four engine combinations, fails on the
+// first observable divergence from the default (compiled × Rete), and holds
+// the agreed outcome to its golden file.
+func diffScript(t *testing.T, scenario func(t *testing.T, s *core.Session) string) {
 	t.Helper()
 	type combo struct {
 		name     string
@@ -83,6 +109,31 @@ func diffScript(t *testing.T, scenario func(t *testing.T, s *core.Session) error
 			t.Fatalf("%s recommendations = %v, want %v", c.name, got.recs, want.recs)
 		}
 	}
+	checkGolden(t, want)
+}
+
+// checkGolden compares an outcome with the golden file named after the
+// running subtest, or rewrites the file under -update.
+func checkGolden(t *testing.T, o diffOutcome) {
+	t.Helper()
+	name := t.Name()[strings.LastIndexByte(t.Name(), '/')+1:]
+	path := filepath.Join("testdata", "asset_outcomes", name+".golden")
+	if *updateGoldens {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(o.golden()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.golden(); got != string(want) {
+		t.Fatalf("outcome differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
 }
 
 func saveGen(t *testing.T, s *core.Session, threads int, opt bool) *perfdmf.Trial {
@@ -96,7 +147,7 @@ func saveGen(t *testing.T, s *core.Session, threads int, opt bool) *perfdmf.Tria
 
 func TestDifferentialAssetScripts(t *testing.T) {
 	t.Run("LoadBalanceStatic", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr, err := msa.Run(altix(), msa.Params{
 				Sequences: 64, MeanLen: 120, LenJitter: 60, Seed: 42,
 				Threads: 16, Schedule: sim.Schedule{Kind: sim.StaticSched},
@@ -108,36 +159,36 @@ func TestDifferentialAssetScripts(t *testing.T) {
 				t.Fatal(err)
 			}
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return s.RunScript(ScriptLoadBalance)
+			return ScriptLoadBalance
 		})
 	})
 
 	t.Run("Inefficiency", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := saveGen(t, s, 16, false)
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return s.RunScript(ScriptInefficiency)
+			return ScriptInefficiency
 		})
 	})
 
 	t.Run("StallDecomposition", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := saveGen(t, s, 16, false)
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return s.RunScript(ScriptStallDecomposition)
+			return ScriptStallDecomposition
 		})
 	})
 
 	t.Run("StallsPerCycle", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := saveGen(t, s, 16, false)
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return s.RunScript(ScriptStallsPerCycle)
+			return ScriptStallsPerCycle
 		})
 	})
 
 	t.Run("MemoryAnalysisWithBaseline", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := saveGen(t, s, 16, false)
 			base := genTrial(t, genidlest.OpenMP, 1, false)
 			base.Name = "base_1"
@@ -145,12 +196,12 @@ func TestDifferentialAssetScripts(t *testing.T) {
 				t.Fatal(err)
 			}
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
-			return s.RunScript(ScriptMemoryAnalysis)
+			return ScriptMemoryAnalysis
 		})
 	})
 
 	t.Run("PowerLevels", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
 				cfg := genidlest.DefaultConfig(genidlest.Rib90(), genidlest.MPI, 16)
 				cfg.OptLevel = lvl
@@ -164,12 +215,12 @@ func TestDifferentialAssetScripts(t *testing.T) {
 				}
 			}
 			SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
-			return s.RunScript(ScriptPowerLevels)
+			return ScriptPowerLevels
 		})
 	})
 
 	t.Run("Synchronization", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := perfdmf.NewTrial("app", "sync", "t", 4)
 			tr.AddMetric(perfdmf.TimeMetric)
 			tr.AddMetric("CPU_CYCLES")
@@ -187,15 +238,15 @@ func TestDifferentialAssetScripts(t *testing.T) {
 				t.Fatal(err)
 			}
 			SetArgs(s, []string{"app", "sync", "t"})
-			return s.RunScript(ScriptSynchronization)
+			return ScriptSynchronization
 		})
 	})
 
 	t.Run("ThreadClusters", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) error {
+		diffScript(t, func(t *testing.T, s *core.Session) string {
 			tr := saveGen(t, s, 16, false)
 			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "2"})
-			return s.RunScript(ScriptThreadClusters)
+			return ScriptThreadClusters
 		})
 	})
 }
@@ -205,10 +256,10 @@ func TestDifferentialAssetScripts(t *testing.T) {
 // least one rule under the default engines, or the differential comparison
 // would be vacuous.
 func TestDifferentialAssetScriptsNonEmpty(t *testing.T) {
-	o := runUnder(t, false, false, func(t *testing.T, s *core.Session) error {
+	o := runUnder(t, false, false, func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return s.RunScript(ScriptInefficiency)
+		return ScriptInefficiency
 	})
 	if o.err != "" {
 		t.Fatalf("inefficiency script failed: %s", o.err)
