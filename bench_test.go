@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"perfknow"
-	"perfknow/internal/analysis"
 	"perfknow/internal/apps/genidlest"
 	"perfknow/internal/apps/msa"
 	"perfknow/internal/dmfserver"
@@ -72,9 +71,7 @@ func BenchmarkHybridMPIOpenMP(b *testing.B)             { regen(b, "A4") }
 // On machines with at least 4 cores the concurrent run must be at least
 // twice as fast; on smaller machines the ratio is reported but not
 // enforced (a 1-core box legitimately measures ~1x).
-func BenchmarkParallelSpeedup(b *testing.B) { parallelSpeedup(b) }
-
-func parallelSpeedup(b *testing.B) {
+func BenchmarkParallelSpeedup(b *testing.B) {
 	defer parallel.SetDefaultWorkers(0)
 	measure := func(workers int) (time.Duration, []*experiments.Result) {
 		parallel.SetDefaultWorkers(workers)
@@ -98,26 +95,6 @@ func parallelSpeedup(b *testing.B) {
 	if cores := runtime.GOMAXPROCS(0); cores >= 4 && speedup < 2 {
 		b.Fatalf("RunAll speedup %.2fx on %d cores, want >= 2x", speedup, cores)
 	}
-}
-
-// --- columnar engine benchmarks -----------------------------------------
-//
-// The analysis layer defaults to the columnar engine, so the plain
-// BenchmarkFig5bScaling / BenchmarkParallelSpeedup above ARE the columnar
-// numbers. The *RowOracle variants pin the retained row-oriented oracle as
-// the denominator; they exist for comparison and are excluded from the CI
-// bench gate.
-
-func BenchmarkFig5bScalingRowOracle(b *testing.B) {
-	defer analysis.UseRowOriented(false)
-	analysis.UseRowOriented(true)
-	regen(b, "F5b")
-}
-
-func BenchmarkParallelSpeedupRowOracle(b *testing.B) {
-	defer analysis.UseRowOriented(false)
-	analysis.UseRowOriented(true)
-	parallelSpeedup(b)
 }
 
 // BenchmarkColumnarConvert measures the Trial → Columns → binary → Trial
@@ -421,63 +398,8 @@ end
 	}
 }
 
-// BenchmarkRuleEngineJoinNaive is the same workload with the original
-// scan-everything matcher, kept as the denominator for the Rete speedup
-// (compare with benchstat; the CI gate only watches the un-suffixed name).
-func BenchmarkRuleEngineJoinNaive(b *testing.B) {
-	src := `
-rule "join"
-when
-    a : Imbalance ( e : eventName, ratio > 0.25 )
-    n : Nesting ( inner == e, o : outer )
-    c : Correlation ( innerEvent == e, value < -0.9 )
-then
-    recommend("scheduling", "fix " + e + " in " + o)
-end
-`
-	for i := 0; i < b.N; i++ {
-		eng := perfknow.NewRuleEngine()
-		eng.Naive = true
-		if err := eng.LoadString(src); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 30; j++ {
-			name := fmt.Sprintf("loop_%d", j)
-			eng.Assert(perfknow.NewFact("Imbalance", map[string]any{"eventName": name, "ratio": 0.3}))
-			eng.Assert(perfknow.NewFact("Nesting", map[string]any{"inner": name, "outer": "main"}))
-			eng.Assert(perfknow.NewFact("Correlation", map[string]any{"innerEvent": name, "value": -0.95}))
-		}
-		res, err := eng.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Fired) != 30 {
-			b.Fatalf("fired %d", len(res.Fired))
-		}
-	}
-}
-
 func BenchmarkScriptInterpreter(b *testing.B) {
 	s := perfknow.NewSession(nil)
-	src := `
-total = 0
-for i in range(1000) {
-    if i % 3 == 0 { total = total + i }
-}
-`
-	for i := 0; i < b.N; i++ {
-		if err := s.RunScript(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScriptTreeWalker runs the interpreter benchmark workload through
-// the original tree-walking evaluator, kept as the denominator for the
-// closure-compiler speedup.
-func BenchmarkScriptTreeWalker(b *testing.B) {
-	s := perfknow.NewSession(nil)
-	s.Interp.TreeWalk = true
 	src := `
 total = 0
 for i in range(1000) {

@@ -1,128 +1,21 @@
 package analysis
 
-import (
-	"fmt"
+// Trial algebra in the spirit of CUBE's Performance Algebra (Wolf & Mohr,
+// cited in §IV): DiffTrials, MergeTrials and RelativeChange (columnar.go)
+// are difference, merge and aggregation operations over whole parallel
+// profiles, so cross-experiment analyses ("what changed between these two
+// builds?") compose like values. This file holds RelativeChange's row type
+// and ordering.
 
-	"perfknow/internal/perfdmf"
-)
-
-// This file implements trial algebra in the spirit of CUBE's Performance
-// Algebra (Wolf & Mohr, cited in §IV): difference, merge and aggregation
-// operations over whole parallel profiles, so cross-experiment analyses
-// ("what changed between these two builds?") compose like values.
-
-// DiffTrialsRow is the row-oriented oracle for DiffTrials.
-func DiffTrialsRow(a, b *perfdmf.Trial) (*perfdmf.Trial, error) {
-	if a.Threads != b.Threads {
-		return nil, fmt.Errorf("analysis: diff of %d-thread and %d-thread trials", a.Threads, b.Threads)
-	}
-	out := perfdmf.NewTrial(a.App, a.Experiment, a.Name+" - "+b.Name, a.Threads)
-	out.Metadata["algebra"] = "difference"
-	out.Metadata["minuend"] = a.Name
-	out.Metadata["subtrahend"] = b.Name
-	var metrics []string
-	for _, m := range a.Metrics {
-		if b.HasMetric(m) {
-			metrics = append(metrics, m)
-			out.AddMetric(m)
-		}
-	}
-	if len(metrics) == 0 {
-		return nil, fmt.Errorf("analysis: trials %q and %q share no metrics", a.Name, b.Name)
-	}
-	names := unionEventNames(a, b)
-	for _, name := range names {
-		ea, eb := a.Event(name), b.Event(name)
-		ne := out.EnsureEvent(name)
-		for th := 0; th < out.Threads; th++ {
-			ne.Calls[th] = callsAt(ea, th) - callsAt(eb, th)
-			for _, m := range metrics {
-				incA, excA := valuesAt(ea, m, th)
-				incB, excB := valuesAt(eb, m, th)
-				ne.SetValue(m, th, incA-incB, excA-excB)
-			}
-		}
-	}
-	return out, nil
-}
-
-// MergeTrialsRow is the row-oriented oracle for MergeTrials.
-func MergeTrialsRow(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
-	if len(trials) == 0 {
-		return nil, fmt.Errorf("analysis: merge of no trials")
-	}
-	first := trials[0]
-	for _, t := range trials[1:] {
-		if t.Threads != first.Threads {
-			return nil, fmt.Errorf("analysis: merge of mismatched thread counts (%d vs %d)",
-				t.Threads, first.Threads)
-		}
-	}
-	metrics := append([]string(nil), first.Metrics...)
-	for _, t := range trials[1:] {
-		var keep []string
-		for _, m := range metrics {
-			if t.HasMetric(m) {
-				keep = append(keep, m)
-			}
-		}
-		metrics = keep
-	}
-	if len(metrics) == 0 {
-		return nil, fmt.Errorf("analysis: merged trials share no metrics")
-	}
-	out := perfdmf.NewTrial(first.App, first.Experiment, "merged", first.Threads)
-	out.Metadata["algebra"] = "merge"
-	out.Metadata["members"] = fmt.Sprintf("%d", len(trials))
-	for _, m := range metrics {
-		out.AddMetric(m)
-	}
-	for _, t := range trials {
-		for _, e := range t.Events {
-			ne := out.EnsureEvent(e.Name)
-			for th := 0; th < out.Threads; th++ {
-				ne.Calls[th] += callsAt(e, th)
-				for _, m := range metrics {
-					inc, exc := valuesAt(e, m, th)
-					ne.AddValue(m, th, inc, exc)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// RelativeChange summarizes a diff trial (or any trial) against a baseline:
-// per flat event, the fractional change of the metric's mean exclusive
-// value, sorted by descending absolute change. Events below minBase in the
-// baseline are skipped as noise.
+// Change is one row of RelativeChange, which summarizes a trial against a
+// baseline: per flat event, the fractional change of the metric's mean
+// exclusive value, sorted by descending absolute change. Events below
+// minBase in the baseline are skipped as noise.
 type Change struct {
 	Event    string
 	Base     float64
 	Other    float64
 	Fraction float64 // (Other-Base)/Base
-}
-
-// RelativeChangeRow is the row-oriented oracle for RelativeChange.
-func RelativeChangeRow(base, other *perfdmf.Trial, metric string, minBase float64) []Change {
-	var out []Change
-	for _, e := range base.Events {
-		if e.IsCallpath() {
-			continue
-		}
-		bv := perfdmf.Mean(e.Exclusive[metric])
-		if bv < minBase || bv == 0 {
-			continue
-		}
-		oe := other.Event(e.Name)
-		if oe == nil {
-			continue
-		}
-		ov := perfdmf.Mean(oe.Exclusive[metric])
-		out = append(out, Change{Event: e.Name, Base: bv, Other: ov, Fraction: (ov - bv) / bv})
-	}
-	sortChanges(out)
-	return out
 }
 
 func sortChanges(cs []Change) {
@@ -138,36 +31,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func unionEventNames(a, b *perfdmf.Trial) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range a.Events {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			out = append(out, e.Name)
-		}
-	}
-	for _, e := range b.Events {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}
-
-func callsAt(e *perfdmf.Event, th int) float64 {
-	if e == nil || th >= len(e.Calls) {
-		return 0
-	}
-	return e.Calls[th]
-}
-
-func valuesAt(e *perfdmf.Event, metric string, th int) (inc, exc float64) {
-	if e == nil {
-		return 0, 0
-	}
-	return at(e.Inclusive[metric], th), at(e.Exclusive[metric], th)
 }

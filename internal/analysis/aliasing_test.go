@@ -8,9 +8,10 @@ import (
 
 // Satellite regression for the aliasing audit: derived trials must not share
 // backing storage with their sources. Mutating every reachable slice and map
-// of each op's output must leave the source trial bit-identical — under both
-// engines, since the columnar path rebuilds trials from flat blocks and
-// could easily leak subslice views of a shared buffer.
+// of each op's output must leave the source trial bit-identical — for the
+// columnar operations, which rebuild trials from flat blocks and could
+// easily leak subslice views of a shared buffer, and for the row oracle they
+// are compared against.
 func TestDerivedTrialsDoNotAliasSource(t *testing.T) {
 	build := func() *perfdmf.Trial {
 		tr := perfdmf.NewTrial("app", "exp", "src", 4)
@@ -61,50 +62,46 @@ func TestDerivedTrialsDoNotAliasSource(t *testing.T) {
 		}
 	}
 
-	for _, engine := range []struct {
-		name string
-		row  bool
-	}{{"columnar", false}, {"row", true}} {
-		t.Run(engine.name, func(t *testing.T) {
-			defer UseRowOriented(false)
-			UseRowOriented(engine.row)
+	derived := func(out *perfdmf.Trial, _ string, err error) (*perfdmf.Trial, error) { return out, err }
 
+	// Every trial-returning operation, once per implementation.
+	columnar := func(t *testing.T, src, sib *perfdmf.Trial) []*perfdmf.Trial {
+		must := mustTrial(t)
+		return []*perfdmf.Trial{
+			must(derived(DeriveMetric(src, perfdmf.TimeMetric, "PAPI_FP_OPS", OpDivide))),
+			must(derived(DeriveScaled(src, perfdmf.TimeMetric, 2))),
+			must(derived(DeriveSum(src, src.Metrics))),
+			Reduce(src, ReduceMean),
+			ExtractEvents(src, []string{"main", "io"}),
+			must(DiffTrials(src, sib)),
+			must(MergeTrials([]*perfdmf.Trial{src, sib})),
+		}
+	}
+	row := func(t *testing.T, src, sib *perfdmf.Trial) []*perfdmf.Trial {
+		must := mustTrial(t)
+		return []*perfdmf.Trial{
+			must(derived(DeriveMetricRow(src, perfdmf.TimeMetric, "PAPI_FP_OPS", OpDivide))),
+			must(derived(DeriveScaledRow(src, perfdmf.TimeMetric, 2))),
+			must(derived(DeriveSumRow(src, src.Metrics))),
+			ReduceRow(src, ReduceMean),
+			ExtractEventsRow(src, []string{"main", "io"}),
+			must(DiffTrialsRow(src, sib)),
+			must(MergeTrialsRow([]*perfdmf.Trial{src, sib})),
+		}
+	}
+
+	for _, engine := range []struct {
+		name   string
+		derive func(t *testing.T, src, sib *perfdmf.Trial) []*perfdmf.Trial
+	}{{"columnar", columnar}, {"row", row}} {
+		t.Run(engine.name, func(t *testing.T) {
 			src := build()
 			sib := build()
 			sib.Name = "sib"
 			before := dumpTrial(src)
 			beforeSib := dumpTrial(sib)
 
-			outs := make([]*perfdmf.Trial, 0, 8)
-			if out, _, err := DeriveMetric(src, perfdmf.TimeMetric, "PAPI_FP_OPS", OpDivide); err != nil {
-				t.Fatalf("DeriveMetric: %v", err)
-			} else {
-				outs = append(outs, out)
-			}
-			if out, _, err := DeriveScaled(src, perfdmf.TimeMetric, 2); err != nil {
-				t.Fatalf("DeriveScaled: %v", err)
-			} else {
-				outs = append(outs, out)
-			}
-			if out, _, err := DeriveSum(src, src.Metrics); err != nil {
-				t.Fatalf("DeriveSum: %v", err)
-			} else {
-				outs = append(outs, out)
-			}
-			outs = append(outs, Reduce(src, ReduceMean))
-			outs = append(outs, ExtractEvents(src, []string{"main", "io"}))
-			if out, err := DiffTrials(src, sib); err != nil {
-				t.Fatalf("DiffTrials: %v", err)
-			} else {
-				outs = append(outs, out)
-			}
-			if out, err := MergeTrials([]*perfdmf.Trial{src, sib}); err != nil {
-				t.Fatalf("MergeTrials: %v", err)
-			} else {
-				outs = append(outs, out)
-			}
-
-			for _, out := range outs {
+			for _, out := range engine.derive(t, src, sib) {
 				vandalize(out)
 			}
 			if got := dumpTrial(src); got != before {
@@ -114,6 +111,17 @@ func TestDerivedTrialsDoNotAliasSource(t *testing.T) {
 				t.Errorf("sibling trial mutated through a derived trial\nbefore:\n%s\nafter:\n%s", beforeSib, got)
 			}
 		})
+	}
+}
+
+// mustTrial unwraps an operation's (trial, error) result, failing t on error.
+func mustTrial(t *testing.T) func(*perfdmf.Trial, error) *perfdmf.Trial {
+	return func(out *perfdmf.Trial, err error) *perfdmf.Trial {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 }
 

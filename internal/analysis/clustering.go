@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
 	"perfknow/internal/parallel"
-	"perfknow/internal/perfdmf"
 )
 
 // Clustering is the result of k-means over the threads of a trial: each
@@ -23,47 +21,10 @@ type Clustering struct {
 	Inertia    float64     // sum of squared distances to assigned centroids
 }
 
-// KMeansRow is the row-oriented oracle for KMeans. Both engines share
-// kmeansCore; they differ only in how the feature matrix is gathered.
-func KMeansRow(t *perfdmf.Trial, metric string, k int, maxIter int) (*Clustering, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("analysis: k must be positive, got %d", k)
-	}
-	if k > t.Threads {
-		return nil, fmt.Errorf("analysis: k=%d exceeds thread count %d", k, t.Threads)
-	}
-	var events []string
-	for _, e := range t.Events {
-		if !e.IsCallpath() && len(e.Exclusive[metric]) == t.Threads {
-			events = append(events, e.Name)
-		}
-	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("analysis: trial %q has no events with metric %q", t.Name, metric)
-	}
-
-	// Build feature matrix: threads × events. Gather the metric columns
-	// first (Trial.Event builds a lazy index, so resolve names up front),
-	// then fill the independent rows in parallel.
-	cols := make([][]float64, len(events))
-	for j, name := range events {
-		cols[j] = t.Event(name).Exclusive[metric]
-	}
-	feats := make([][]float64, t.Threads)
-	parallel.Each(t.Threads, 0, func(th int) {
-		row := make([]float64, len(events))
-		for j := range cols {
-			row[j] = cols[j][th]
-		}
-		feats[th] = row
-	})
-	return kmeansCore(events, feats, k, maxIter)
-}
-
 // kmeansCore runs deterministic k-means over a prebuilt threads×events
-// feature matrix. Shared by the row and columnar engines: given the same
-// matrix, every float operation happens in the same order, so the two
-// engines agree bit for bit.
+// feature matrix. KMeans and its row oracle share it: given the same
+// matrix, every float operation happens in the same order, so the two agree
+// bit for bit.
 func kmeansCore(events []string, feats [][]float64, k, maxIter int) (*Clustering, error) {
 	if maxIter <= 0 {
 		maxIter = 50

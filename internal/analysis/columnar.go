@@ -5,40 +5,37 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
-// This file is the columnar engine: the public analysis operations pivot
-// the trial into a perfdmf.Columns view and run tight loops over the flat
-// blocks, instead of chasing map[string][]float64 cells per event. The
-// original row-oriented implementations are retained, exported with a Row
-// suffix, as the differential oracle — the same pattern PR 6 used for the
-// compiled script interpreter vs. the tree-walker. The differential suite
-// (differential_test.go) proves the two engines byte-identical over every
-// operation, so the contract here is strict: identical float values in
-// identical summation order, identical presence of metrics on events,
-// identical error messages.
+// This file is the analysis engine: the public operations pivot the trial
+// into a perfdmf.Columns view and run tight loops over the flat blocks,
+// instead of chasing map[string][]float64 cells per event. The row-oriented
+// implementations they replaced live in row_oracle_test.go (the *Row
+// functions) as the differential oracle; differential_test.go holds the two
+// byte-identical over every operation, so the contract here is strict:
+// identical float values in identical summation order, identical presence
+// of metrics on events, identical error messages.
 //
-// Every columnar operation falls back to its row oracle when the trial
-// cannot be pivoted (malformed per-thread slices, duplicate event names —
-// shapes Validate rejects anyway), so the dispatchers never change
-// behavior, only speed.
+// A trial that cannot be pivoted — non-positive thread count, a duplicate
+// event name, a per-thread slice of the wrong length: shapes Trial.Validate
+// rejects with the same message — is an invalid argument, not a reason to
+// compute some other way. Operations with an error result return that
+// error; the others return their empty result (no rows, or emptyLike for a
+// trial). invalid_test.go holds every operation to that.
 
-// rowOriented selects the retained row-oriented oracle implementations
-// for every dispatching operation. Columnar is the default engine.
-var rowOriented atomic.Bool
-
-// UseRowOriented switches every analysis operation to the row-oriented
-// oracle engine (true) or the columnar engine (false, the default). The
-// oracle is retained for differential testing and benchmarking, not as a
-// production mode.
-func UseRowOriented(v bool) { rowOriented.Store(v) }
-
-// RowOrientedEngine reports whether the row-oriented oracle is selected.
-func RowOrientedEngine() bool { return rowOriented.Load() }
+// emptyLike is the empty result of a trial-returning operation that has no
+// error result: the source's coordinates and metric list, no events.
+func emptyLike(t *perfdmf.Trial, threads int) *perfdmf.Trial {
+	if threads < 1 {
+		threads = 1
+	}
+	out := perfdmf.NewTrial(t.App, t.Experiment, t.Name, threads)
+	out.Metrics = append([]string(nil), t.Metrics...)
+	return out
+}
 
 // ensureCol returns the metric's column, creating an all-present one if
 // missing, and forcing presence everywhere if it exists (the columnar
@@ -94,12 +91,9 @@ func DeriveMetric(t *perfdmf.Trial, lhs, rhs string, op Op) (*perfdmf.Trial, str
 	if !t.HasMetric(rhs) {
 		return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, rhs)
 	}
-	if rowOriented.Load() {
-		return DeriveMetricRow(t, lhs, rhs, op)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return DeriveMetricRow(t, lhs, rhs, op)
+		return nil, "", err
 	}
 	name := DeriveMetricName(lhs, rhs, op)
 	// The pivot is already a private deep copy, so it doubles as the
@@ -120,12 +114,9 @@ func DeriveScaled(t *perfdmf.Trial, metric string, scale float64) (*perfdmf.Tria
 	if !t.HasMetric(metric) {
 		return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, metric)
 	}
-	if rowOriented.Load() {
-		return DeriveScaledRow(t, metric, scale)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return DeriveScaledRow(t, metric, scale)
+		return nil, "", err
 	}
 	name := "(" + metric + " * " + strconv.FormatFloat(scale, 'g', -1, 64) + ")"
 	c.MarkRegisteredPresent()
@@ -148,12 +139,9 @@ func DeriveSum(t *perfdmf.Trial, metrics []string) (*perfdmf.Trial, string, erro
 			return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, m)
 		}
 	}
-	if rowOriented.Load() {
-		return DeriveSumRow(t, metrics)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return DeriveSumRow(t, metrics)
+		return nil, "", err
 	}
 	name := "(sum"
 	for _, m := range metrics {
@@ -185,12 +173,9 @@ func DeriveSum(t *perfdmf.Trial, metrics []string) (*perfdmf.Trial, string, erro
 // chosen statistic of every (event, metric) cell — the TrialMeanResult /
 // TrialTotalResult views of PerfExplorer.
 func Reduce(t *perfdmf.Trial, r Reduction) *perfdmf.Trial {
-	if rowOriented.Load() {
-		return ReduceRow(t, r)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return ReduceRow(t, r)
+		return emptyLike(t, 1)
 	}
 	th := c.Threads
 	out := buildColumns(t.App, t.Experiment, t.Name, 1, t.Metrics, c.EventNames)
@@ -221,12 +206,9 @@ func Reduce(t *perfdmf.Trial, r Reduction) *perfdmf.Trial {
 
 // ExtractEvents returns a copy of the trial restricted to the named events.
 func ExtractEvents(t *perfdmf.Trial, names []string) *perfdmf.Trial {
-	if rowOriented.Load() {
-		return ExtractEventsRow(t, names)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return ExtractEventsRow(t, names)
+		return emptyLike(t, t.Threads)
 	}
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -263,12 +245,9 @@ func ExtractEvents(t *perfdmf.Trial, names []string) *perfdmf.Trial {
 // TopN returns the n flat events with the largest mean exclusive value of
 // the metric, in descending order.
 func TopN(t *perfdmf.Trial, metric string, n int) []string {
-	if rowOriented.Load() {
-		return TopNRow(t, metric, n)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return TopNRow(t, metric, n)
+		return nil
 	}
 	col := c.Col(metric)
 	th := c.Threads
@@ -308,24 +287,18 @@ func TopN(t *perfdmf.Trial, metric string, n int) []string {
 // ExclusiveStats computes per-event statistics of the exclusive metric
 // across threads, for flat events, sorted by descending mean.
 func ExclusiveStats(t *perfdmf.Trial, metric string) []EventStat {
-	if rowOriented.Load() {
-		return ExclusiveStatsRow(t, metric)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return ExclusiveStatsRow(t, metric)
+		return nil
 	}
 	return eventStatsColumnar(c, metric, false)
 }
 
 // InclusiveStats is ExclusiveStats over inclusive values.
 func InclusiveStats(t *perfdmf.Trial, metric string) []EventStat {
-	if rowOriented.Load() {
-		return InclusiveStatsRow(t, metric)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return InclusiveStatsRow(t, metric)
+		return nil
 	}
 	return eventStatsColumnar(c, metric, true)
 }
@@ -378,12 +351,9 @@ func eventStatsColumnar(c *perfdmf.Columns, metric string, inclusive bool) []Eve
 // exclusive values of the metric. Initialization is deterministic
 // (farthest-point seeding from thread 0), so results are reproducible.
 func KMeans(t *perfdmf.Trial, metric string, k int, maxIter int) (*Clustering, error) {
-	if rowOriented.Load() {
-		return KMeansRow(t, metric, k, maxIter)
-	}
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
-		return KMeansRow(t, metric, k, maxIter)
+		return nil, err
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("analysis: k must be positive, got %d", k)
@@ -424,16 +394,16 @@ func KMeans(t *perfdmf.Trial, metric string, k int, maxIter int) (*Clustering, e
 // Missing events in either trial are treated as zero, so a regression shows
 // up positive and an improvement negative.
 func DiffTrials(a, b *perfdmf.Trial) (*perfdmf.Trial, error) {
-	if rowOriented.Load() {
-		return DiffTrialsRow(a, b)
-	}
 	if a.Threads != b.Threads {
 		return nil, fmt.Errorf("analysis: diff of %d-thread and %d-thread trials", a.Threads, b.Threads)
 	}
-	ca, errA := perfdmf.ColumnsFromTrial(a)
-	cb, errB := perfdmf.ColumnsFromTrial(b)
-	if errA != nil || errB != nil {
-		return DiffTrialsRow(a, b)
+	ca, err := perfdmf.ColumnsFromTrial(a)
+	if err != nil {
+		return nil, err
+	}
+	cb, err := perfdmf.ColumnsFromTrial(b)
+	if err != nil {
+		return nil, err
 	}
 	var metrics []string
 	for _, m := range a.Metrics {
@@ -518,9 +488,6 @@ func dedup(xs []string) []string {
 // intersection of their metrics (e.g. combining repeated runs). All trials
 // must have the same thread count.
 func MergeTrials(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
-	if rowOriented.Load() {
-		return MergeTrialsRow(trials)
-	}
 	if len(trials) == 0 {
 		return nil, fmt.Errorf("analysis: merge of no trials")
 	}
@@ -531,19 +498,21 @@ func MergeTrials(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
 				t.Threads, first.Threads)
 		}
 	}
-	// A duplicate metric registration makes the row oracle's AddValue loop
-	// accumulate that metric twice; that degenerate shape stays on the
-	// oracle path rather than being replicated here.
-	for _, t := range trials {
-		if len(dedup(t.Metrics)) != len(t.Metrics) {
-			return MergeTrialsRow(trials)
-		}
-	}
 	cs := make([]*perfdmf.Columns, len(trials))
 	for i, t := range trials {
+		// Validate accepts a metric registered twice; a sum that counted it
+		// twice (what the row oracle's AddValue loop does) would not be a
+		// merge, so it is refused by name.
+		seen := make(map[string]bool, len(t.Metrics))
+		for _, m := range t.Metrics {
+			if seen[m] {
+				return nil, fmt.Errorf("analysis: trial %q registers metric %q twice", t.Name, m)
+			}
+			seen[m] = true
+		}
 		c, err := perfdmf.ColumnsFromTrial(t)
 		if err != nil {
-			return MergeTrialsRow(trials)
+			return nil, err
 		}
 		cs[i] = c
 	}
@@ -560,8 +529,7 @@ func MergeTrials(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
 	if len(metrics) == 0 {
 		return nil, fmt.Errorf("analysis: merged trials share no metrics")
 	}
-	// Union of events in first-seen order across trials, mirroring the row
-	// oracle's EnsureEvent sequence.
+	// Union of events in first-seen order across trials.
 	var union []string
 	outIdx := make(map[string]int)
 	for _, c := range cs {
@@ -583,9 +551,8 @@ func MergeTrials(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
 		dsts[i] = out.Col(m)
 	}
 	// Accumulate trial by trial, event by event — the same += sequence per
-	// cell as the oracle, so the float results match bit for bit. Absent
-	// cells contribute an explicit +0 (the zero-filled block), exactly like
-	// AddValue with a zero sample.
+	// cell as the row oracle, so the float results match bit for bit. Absent
+	// cells contribute an explicit +0 (the zero-filled block).
 	for _, c := range cs {
 		srcs := make([]*perfdmf.MetricColumn, len(metrics))
 		for i, m := range metrics {
@@ -607,13 +574,10 @@ func MergeTrials(trials []*perfdmf.Trial) (*perfdmf.Trial, error) {
 
 // RelativeChange compares per-event means between two trials.
 func RelativeChange(base, other *perfdmf.Trial, metric string, minBase float64) []Change {
-	if rowOriented.Load() {
-		return RelativeChangeRow(base, other, metric, minBase)
-	}
 	cb, errB := perfdmf.ColumnsFromTrial(base)
 	co, errO := perfdmf.ColumnsFromTrial(other)
 	if errB != nil || errO != nil {
-		return RelativeChangeRow(base, other, metric, minBase)
+		return nil
 	}
 	colB, colO := cb.Col(metric), co.Col(metric)
 	th := cb.Threads

@@ -15,8 +15,8 @@ import (
 )
 
 // The differential harness: every analysis operation runs through both the
-// columnar engine (the public functions) and the retained row-oriented
-// oracle (the *Row functions) over ~100 generated trials — varied thread
+// columnar engine (the public functions) and the row-oriented oracle (the
+// *Row functions of row_oracle_test.go) over ~100 generated trials — varied thread
 // counts, metrics, callpaths, absent metrics, unregistered extras, NaN
 // (including payloads), ±Inf and -0 values, zero-event and single-event
 // shapes — and the results must be byte-identical, down to float bit
@@ -232,9 +232,6 @@ func (ml *mismatchLog) finish(t *testing.T) {
 }
 
 func TestDifferentialEngines(t *testing.T) {
-	if RowOrientedEngine() {
-		t.Fatal("columnar engine must be the default")
-	}
 	r := rand.New(rand.NewSource(8))
 	ml := &mismatchLog{}
 	threadChoices := []int{1, 1, 2, 3, 4, 8, 16}
@@ -368,25 +365,4 @@ func TestDifferentialEdgeShapes(t *testing.T) {
 		ml.check("mismatched threads merge", fmt.Sprint(me), fmt.Sprint(mce))
 	}
 	ml.finish(t)
-}
-
-// TestEngineSwitch pins the UseRowOriented switch: it must route the
-// dispatchers to the oracle and back.
-func TestEngineSwitch(t *testing.T) {
-	defer UseRowOriented(false)
-	UseRowOriented(true)
-	if !RowOrientedEngine() {
-		t.Fatal("UseRowOriented(true) not observed")
-	}
-	tr := perfdmf.NewTrial("app", "exp", "switch", 2)
-	tr.AddMetric(perfdmf.TimeMetric)
-	tr.EnsureEvent("main").SetValue(perfdmf.TimeMetric, 0, 3, 3)
-	out, _, err := DeriveMetric(tr, perfdmf.TimeMetric, perfdmf.TimeMetric, OpAdd)
-	if err != nil || out == nil {
-		t.Fatalf("row-engine DeriveMetric failed: %v", err)
-	}
-	UseRowOriented(false)
-	if RowOrientedEngine() {
-		t.Fatal("UseRowOriented(false) not observed")
-	}
 }

@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 
 	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
@@ -81,32 +79,6 @@ func DeriveMetricName(lhs, rhs string, op Op) string {
 	return "(" + lhs + " " + op.String() + " " + rhs + ")"
 }
 
-// DeriveMetricRow is the row-oriented implementation of DeriveMetric,
-// retained as the differential oracle for the columnar engine (see
-// columnar.go).
-func DeriveMetricRow(t *perfdmf.Trial, lhs, rhs string, op Op) (*perfdmf.Trial, string, error) {
-	if !t.HasMetric(lhs) {
-		return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, lhs)
-	}
-	if !t.HasMetric(rhs) {
-		return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, rhs)
-	}
-	name := DeriveMetricName(lhs, rhs, op)
-	out := t.Clone()
-	out.AddMetric(name)
-	// Each event owns its metric maps in the fresh clone, so the per-event
-	// element-wise computation fans out share-nothing.
-	parallel.Each(len(out.Events), 0, func(i int) {
-		e := out.Events[i]
-		li, ri := e.Inclusive[lhs], e.Inclusive[rhs]
-		le, re := e.Exclusive[lhs], e.Exclusive[rhs]
-		for th := 0; th < out.Threads; th++ {
-			e.SetValue(name, th, op.apply(at(li, th), at(ri, th)), op.apply(at(le, th), at(re, th)))
-		}
-	})
-	return out, name, nil
-}
-
 // DeriveMetricBatch applies the same derivation to several trials
 // concurrently — the multi-trial parametric-study path. It returns the
 // derived trials in input order plus the metric name; on any failure the
@@ -122,53 +94,6 @@ func DeriveMetricBatch(trials []*perfdmf.Trial, lhs, rhs string, op Op) ([]*perf
 	})
 	if err != nil {
 		return nil, "", err
-	}
-	return out, name, nil
-}
-
-// DeriveScaledRow is the row-oriented oracle for DeriveScaled.
-func DeriveScaledRow(t *perfdmf.Trial, metric string, scale float64) (*perfdmf.Trial, string, error) {
-	if !t.HasMetric(metric) {
-		return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, metric)
-	}
-	name := "(" + metric + " * " + strconv.FormatFloat(scale, 'g', -1, 64) + ")"
-	out := t.Clone()
-	out.AddMetric(name)
-	for _, e := range out.Events {
-		inc, exc := e.Inclusive[metric], e.Exclusive[metric]
-		for th := 0; th < out.Threads; th++ {
-			e.SetValue(name, th, at(inc, th)*scale, at(exc, th)*scale)
-		}
-	}
-	return out, name, nil
-}
-
-// DeriveSumRow is the row-oriented oracle for DeriveSum.
-func DeriveSumRow(t *perfdmf.Trial, metrics []string) (*perfdmf.Trial, string, error) {
-	if len(metrics) == 0 {
-		return nil, "", fmt.Errorf("analysis: DeriveSum needs at least one metric")
-	}
-	for _, m := range metrics {
-		if !t.HasMetric(m) {
-			return nil, "", fmt.Errorf("analysis: trial %q has no metric %q", t.Name, m)
-		}
-	}
-	name := "(sum"
-	for _, m := range metrics {
-		name += " " + m
-	}
-	name += ")"
-	out := t.Clone()
-	out.AddMetric(name)
-	for _, e := range out.Events {
-		for th := 0; th < out.Threads; th++ {
-			var inc, exc float64
-			for _, m := range metrics {
-				inc += at(e.Inclusive[m], th)
-				exc += at(e.Exclusive[m], th)
-			}
-			e.SetValue(name, th, inc, exc)
-		}
 	}
 	return out, name, nil
 }
@@ -190,25 +115,6 @@ const (
 	ReduceMin
 	ReduceStdDev
 )
-
-// ReduceRow is the row-oriented oracle for Reduce.
-func ReduceRow(t *perfdmf.Trial, r Reduction) *perfdmf.Trial {
-	out := perfdmf.NewTrial(t.App, t.Experiment, t.Name, 1)
-	for k, v := range t.Metadata {
-		out.Metadata[k] = v
-	}
-	out.Metadata["reduction"] = r.String()
-	out.Metrics = append([]string(nil), t.Metrics...)
-	for _, e := range t.Events {
-		ne := out.EnsureEvent(e.Name)
-		ne.Calls[0] = reduce(e.Calls, r)
-		ne.Groups = append([]string(nil), e.Groups...)
-		for _, m := range t.Metrics {
-			ne.SetValue(m, 0, reduce(e.Inclusive[m], r), reduce(e.Exclusive[m], r))
-		}
-	}
-	return out
-}
 
 // String names the reduction.
 func (r Reduction) String() string {
@@ -256,62 +162,6 @@ func reduce(xs []float64, r Reduction) float64 {
 		return perfdmf.StdDev(xs)
 	}
 	return 0
-}
-
-// ExtractEventsRow is the row-oriented oracle for ExtractEvents.
-func ExtractEventsRow(t *perfdmf.Trial, names []string) *perfdmf.Trial {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	out := perfdmf.NewTrial(t.App, t.Experiment, t.Name, t.Threads)
-	for k, v := range t.Metadata {
-		out.Metadata[k] = v
-	}
-	out.Metrics = append([]string(nil), t.Metrics...)
-	for _, e := range t.Events {
-		if !want[e.Name] {
-			continue
-		}
-		ne := out.EnsureEvent(e.Name)
-		copy(ne.Calls, e.Calls)
-		ne.Groups = append([]string(nil), e.Groups...)
-		for _, m := range t.Metrics {
-			for th := 0; th < t.Threads; th++ {
-				ne.SetValue(m, th, at(e.Inclusive[m], th), at(e.Exclusive[m], th))
-			}
-		}
-	}
-	return out
-}
-
-// TopNRow is the row-oriented oracle for TopN.
-func TopNRow(t *perfdmf.Trial, metric string, n int) []string {
-	type ev struct {
-		name string
-		val  float64
-	}
-	var evs []ev
-	for _, e := range t.Events {
-		if e.IsCallpath() {
-			continue
-		}
-		evs = append(evs, ev{e.Name, perfdmf.Mean(e.Exclusive[metric])})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].val != evs[j].val {
-			return evs[i].val > evs[j].val
-		}
-		return evs[i].name < evs[j].name
-	})
-	if n > len(evs) {
-		n = len(evs)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = evs[i].name
-	}
-	return out
 }
 
 // LinearRegression fits y = slope*x + intercept by least squares and

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -18,60 +17,6 @@ type EventStat struct {
 	Max     float64
 	Total   float64
 	Threads int
-}
-
-// ExclusiveStatsRow is the row-oriented oracle for ExclusiveStats.
-func ExclusiveStatsRow(t *perfdmf.Trial, metric string) []EventStat {
-	return eventStats(t, metric, false)
-}
-
-// InclusiveStatsRow is the row-oriented oracle for InclusiveStats.
-func InclusiveStatsRow(t *perfdmf.Trial, metric string) []EventStat {
-	return eventStats(t, metric, true)
-}
-
-func eventStats(t *perfdmf.Trial, metric string, inclusive bool) []EventStat {
-	// Per-event rows are independent reductions over read-only slices, so
-	// they fan out; the slot-per-event result plus the name-tiebroken sort
-	// keeps the output order deterministic.
-	rows := make([]*EventStat, len(t.Events))
-	parallel.Each(len(t.Events), 0, func(i int) {
-		e := t.Events[i]
-		if e.IsCallpath() {
-			return
-		}
-		vals := e.Exclusive[metric]
-		if inclusive {
-			vals = e.Inclusive[metric]
-		}
-		if len(vals) == 0 {
-			return
-		}
-		s := EventStat{Event: e.Name, Threads: t.Threads, Mean: perfdmf.Mean(vals),
-			StdDev: perfdmf.StdDev(vals), Total: perfdmf.Sum(vals), Min: vals[0], Max: vals[0]}
-		for _, v := range vals {
-			if v < s.Min {
-				s.Min = v
-			}
-			if v > s.Max {
-				s.Max = v
-			}
-		}
-		rows[i] = &s
-	})
-	var out []EventStat
-	for _, s := range rows {
-		if s != nil {
-			out = append(out, *s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mean != out[j].Mean {
-			return out[i].Mean > out[j].Mean
-		}
-		return out[i].Event < out[j].Event
-	})
-	return out
 }
 
 // LoadBalance reports the imbalance of one event across threads: the ratio

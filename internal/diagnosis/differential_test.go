@@ -1,13 +1,14 @@
 package diagnosis
 
-// End-to-end differential harness: every shipped analysis script runs
-// through all four engine combinations — {compiled, tree-walking} script
-// interpreter × {Rete, naive} rule matcher — and the session output bytes,
-// fired-rule log and recommendations must be identical. This is the
-// assets-level proof that the closure compiler and the Rete network are
-// pure optimizations. What the four agree on is recorded in
-// testdata/asset_outcomes/*.golden (re-record with -update), so the proof
-// outlives the engine switches.
+// End-to-end harness over the shipped analysis scripts: every scenario runs
+// in a fresh session and its outcome — error text, fired rules in order,
+// recommendations, session output bytes — must equal
+// testdata/asset_outcomes/<scenario>.golden. The goldens were recorded while
+// the tree had two script engines and two rule matchers, after all four
+// combinations produced the same outcome, and have not changed since; they
+// are what the single engines are held to. internal/script/asset_test.go
+// holds the tree-walking oracle to the same files. Re-record with -update
+// only for a deliberate change of a script, a rule file or the simulator.
 
 import (
 	"flag"
@@ -53,13 +54,11 @@ func (o diffOutcome) golden() string {
 	return b.String()
 }
 
-// runUnder sets a scenario up in a fresh session, runs the script it
-// returns with the engine toggles set, and captures the observable outcome.
-func runUnder(t *testing.T, treeWalk, naive bool, scenario func(t *testing.T, s *core.Session) string) diffOutcome {
+// runScenario sets a scenario up in a fresh session, runs the script it
+// returns, and captures the observable outcome.
+func runScenario(t *testing.T, scenario func(t *testing.T, s *core.Session) string) diffOutcome {
 	t.Helper()
 	s, buf, _ := session(t)
-	s.Interp.TreeWalk = treeWalk
-	s.Engine.Naive = naive
 	err := s.RunScript(scenario(t, s))
 	o := diffOutcome{out: buf.String()}
 	if err != nil {
@@ -72,44 +71,6 @@ func runUnder(t *testing.T, treeWalk, naive bool, scenario func(t *testing.T, s 
 		}
 	}
 	return o
-}
-
-// diffScript runs scenario under all four engine combinations, fails on the
-// first observable divergence from the default (compiled × Rete), and holds
-// the agreed outcome to its golden file.
-func diffScript(t *testing.T, scenario func(t *testing.T, s *core.Session) string) {
-	t.Helper()
-	type combo struct {
-		name     string
-		treeWalk bool
-		naive    bool
-	}
-	combos := []combo{
-		{"compiled+rete", false, false},
-		{"treewalk+rete", true, false},
-		{"compiled+naive", false, true},
-		{"treewalk+naive", true, true},
-	}
-	want := runUnder(t, combos[0].treeWalk, combos[0].naive, scenario)
-	if want.out == "" && want.err == "" {
-		t.Fatalf("scenario produced no output and no error; nothing to compare")
-	}
-	for _, c := range combos[1:] {
-		got := runUnder(t, c.treeWalk, c.naive, scenario)
-		if got.err != want.err {
-			t.Fatalf("%s error = %q, want %q", c.name, got.err, want.err)
-		}
-		if got.out != want.out {
-			t.Fatalf("%s output diverges:\n--- %s\n%s\n--- compiled+rete\n%s", c.name, c.name, got.out, want.out)
-		}
-		if fmt.Sprint(got.fired) != fmt.Sprint(want.fired) {
-			t.Fatalf("%s fired = %v, want %v", c.name, got.fired, want.fired)
-		}
-		if fmt.Sprint(got.recs) != fmt.Sprint(want.recs) {
-			t.Fatalf("%s recommendations = %v, want %v", c.name, got.recs, want.recs)
-		}
-	}
-	checkGolden(t, want)
 }
 
 // checkGolden compares an outcome with the golden file named after the
@@ -145,118 +106,108 @@ func saveGen(t *testing.T, s *core.Session, threads int, opt bool) *perfdmf.Tria
 	return tr
 }
 
-func TestDifferentialAssetScripts(t *testing.T) {
-	t.Run("LoadBalanceStatic", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr, err := msa.Run(altix(), msa.Params{
-				Sequences: 64, MeanLen: 120, LenJitter: 60, Seed: 42,
-				Threads: 16, Schedule: sim.Schedule{Kind: sim.StaticSched},
-			})
+// assetScenarios are the eight shipped-script scenarios: each saves the
+// trials its script reads, sets the script arguments, and returns the script
+// source. internal/script/asset_test.go carries a copy (a _test.go file
+// cannot be imported); both are held to the same golden files, so the copies
+// cannot drift apart unnoticed.
+var assetScenarios = []struct {
+	name  string
+	setup func(t *testing.T, s *core.Session) string
+}{
+	{"LoadBalanceStatic", func(t *testing.T, s *core.Session) string {
+		tr, err := msa.Run(altix(), msa.Params{
+			Sequences: 64, MeanLen: 120, LenJitter: 60, Seed: 42,
+			Threads: 16, Schedule: sim.Schedule{Kind: sim.StaticSched},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Repo.Save(tr); err != nil {
+			t.Fatal(err)
+		}
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
+		return ScriptLoadBalance
+	}},
+	{"Inefficiency", func(t *testing.T, s *core.Session) string {
+		tr := saveGen(t, s, 16, false)
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
+		return ScriptInefficiency
+	}},
+	{"StallDecomposition", func(t *testing.T, s *core.Session) string {
+		tr := saveGen(t, s, 16, false)
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
+		return ScriptStallDecomposition
+	}},
+	{"StallsPerCycle", func(t *testing.T, s *core.Session) string {
+		tr := saveGen(t, s, 16, false)
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
+		return ScriptStallsPerCycle
+	}},
+	{"MemoryAnalysisWithBaseline", func(t *testing.T, s *core.Session) string {
+		tr := saveGen(t, s, 16, false)
+		base := genTrial(t, genidlest.OpenMP, 1, false)
+		base.Name = "base_1"
+		if err := s.Repo.Save(base); err != nil {
+			t.Fatal(err)
+		}
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
+		return ScriptMemoryAnalysis
+	}},
+	{"PowerLevels", func(t *testing.T, s *core.Session) string {
+		for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
+			cfg := genidlest.DefaultConfig(genidlest.Rib90(), genidlest.MPI, 16)
+			cfg.OptLevel = lvl
+			tr, err := genidlest.Run(altix(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr.Name = lvl.String()
 			if err := s.Repo.Save(tr); err != nil {
 				t.Fatal(err)
 			}
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return ScriptLoadBalance
-		})
-	})
+		}
+		SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
+		return ScriptPowerLevels
+	}},
+	{"Synchronization", func(t *testing.T, s *core.Session) string {
+		tr := perfdmf.NewTrial("app", "sync", "t", 4)
+		tr.AddMetric(perfdmf.TimeMetric)
+		tr.AddMetric("CPU_CYCLES")
+		tr.AddMetric("OMP_CRITICAL_CYCLES")
+		main := tr.EnsureEvent("main")
+		locky := tr.EnsureEvent("update_shared")
+		for th := 0; th < 4; th++ {
+			main.SetValue(perfdmf.TimeMetric, th, 1000, 100)
+			main.SetValue("CPU_CYCLES", th, 1500000, 150000)
+			locky.SetValue(perfdmf.TimeMetric, th, 600, 600)
+			locky.SetValue("CPU_CYCLES", th, 900000, 900000)
+			locky.SetValue("OMP_CRITICAL_CYCLES", th, 360000, 360000)
+		}
+		if err := s.Repo.Save(tr); err != nil {
+			t.Fatal(err)
+		}
+		SetArgs(s, []string{"app", "sync", "t"})
+		return ScriptSynchronization
+	}},
+	{"ThreadClusters", func(t *testing.T, s *core.Session) string {
+		tr := saveGen(t, s, 16, false)
+		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "2"})
+		return ScriptThreadClusters
+	}},
+}
 
-	t.Run("Inefficiency", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := saveGen(t, s, 16, false)
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return ScriptInefficiency
-		})
-	})
-
-	t.Run("StallDecomposition", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := saveGen(t, s, 16, false)
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return ScriptStallDecomposition
-		})
-	})
-
-	t.Run("StallsPerCycle", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := saveGen(t, s, 16, false)
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-			return ScriptStallsPerCycle
-		})
-	})
-
-	t.Run("MemoryAnalysisWithBaseline", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := saveGen(t, s, 16, false)
-			base := genTrial(t, genidlest.OpenMP, 1, false)
-			base.Name = "base_1"
-			if err := s.Repo.Save(base); err != nil {
-				t.Fatal(err)
-			}
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
-			return ScriptMemoryAnalysis
-		})
-	})
-
-	t.Run("PowerLevels", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
-				cfg := genidlest.DefaultConfig(genidlest.Rib90(), genidlest.MPI, 16)
-				cfg.OptLevel = lvl
-				tr, err := genidlest.Run(altix(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr.Name = lvl.String()
-				if err := s.Repo.Save(tr); err != nil {
-					t.Fatal(err)
-				}
-			}
-			SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
-			return ScriptPowerLevels
-		})
-	})
-
-	t.Run("Synchronization", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := perfdmf.NewTrial("app", "sync", "t", 4)
-			tr.AddMetric(perfdmf.TimeMetric)
-			tr.AddMetric("CPU_CYCLES")
-			tr.AddMetric("OMP_CRITICAL_CYCLES")
-			main := tr.EnsureEvent("main")
-			locky := tr.EnsureEvent("update_shared")
-			for th := 0; th < 4; th++ {
-				main.SetValue(perfdmf.TimeMetric, th, 1000, 100)
-				main.SetValue("CPU_CYCLES", th, 1500000, 150000)
-				locky.SetValue(perfdmf.TimeMetric, th, 600, 600)
-				locky.SetValue("CPU_CYCLES", th, 900000, 900000)
-				locky.SetValue("OMP_CRITICAL_CYCLES", th, 360000, 360000)
-			}
-			if err := s.Repo.Save(tr); err != nil {
-				t.Fatal(err)
-			}
-			SetArgs(s, []string{"app", "sync", "t"})
-			return ScriptSynchronization
-		})
-	})
-
-	t.Run("ThreadClusters", func(t *testing.T) {
-		diffScript(t, func(t *testing.T, s *core.Session) string {
-			tr := saveGen(t, s, 16, false)
-			SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "2"})
-			return ScriptThreadClusters
-		})
-	})
+func TestDifferentialAssetScripts(t *testing.T) {
+	for _, sc := range assetScenarios {
+		t.Run(sc.name, func(t *testing.T) { checkGolden(t, runScenario(t, sc.setup)) })
+	}
 }
 
 // TestDifferentialAssetScriptsNonEmpty pins that the scenarios above
 // actually exercise the knowledge base: the headline scripts must fire at
-// least one rule under the default engines, or the differential comparison
-// would be vacuous.
+// least one rule, or the golden comparison would be vacuous.
 func TestDifferentialAssetScriptsNonEmpty(t *testing.T) {
-	o := runUnder(t, false, false, func(t *testing.T, s *core.Session) string {
+	o := runScenario(t, func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
 		return ScriptInefficiency

@@ -21,9 +21,9 @@ type Engine struct {
 
 	// mu guards the working memory and result accumulators so that facts
 	// can be asserted from concurrent extraction goroutines. The
-	// match-resolve-act loop itself runs on one goroutine; matchAll takes a
-	// snapshot of the facts under the lock and matches lock-free, so rule
-	// actions (which Assert/Retract through the same lock) never deadlock.
+	// match-resolve-act loop itself runs on one goroutine and fires with the
+	// lock released, so rule actions (which Assert/Retract through the same
+	// lock) never deadlock.
 	// facts is the working memory in arbitrary storage order: Retract
 	// swap-removes through factPos so retraction is O(1) regardless of
 	// memory size (standing diagnoses retract and re-assert facts on every
@@ -39,17 +39,10 @@ type Engine struct {
 	fired    map[string]bool // refraction memory: rule + fact tuple ids
 	firedLog []string
 
-	// net is the incremental Rete-style match network (rete.go), built
-	// lazily on the first Run and kept up to date by Assert/Retract.
-	// naiveMode flips permanently when the network defers a match error,
-	// so the error surfaces with exactly the naive matcher's semantics.
-	net       *reteNet
-	naiveMode bool
-
-	// Naive forces the original scan-everything matcher. The behavior is
-	// identical either way (the differential tests prove it); the flag
-	// exists for those tests, for benchmarks, and as an escape hatch.
-	Naive bool
+	// net is the incremental Rete-style match network (rete.go), the only
+	// matcher: built lazily on the first Run and kept up to date by
+	// Assert/Retract.
+	net *reteNet
 
 	// MaxCycles bounds the match-fire loop to guard against rules that
 	// assert endlessly. The default (1000) is far above any real knowledge
@@ -195,42 +188,62 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (e *Engine) run(ctx context.Context) (*Result, error) {
-	for cycle := 0; ; cycle++ {
-		if cycle >= e.MaxCycles {
-			return nil, fmt.Errorf("rules: no quiescence after %d cycles (rule loop?)", e.MaxCycles)
-		}
-		next, err := e.selectActivation()
-		if err != nil {
-			return nil, err
-		}
-		if next == nil {
-			break
-		}
-		if err := e.fireOne(ctx, next); err != nil {
-			return nil, err
-		}
+	if err := e.step(ctx, nil); err != nil {
+		return nil, err
 	}
+	return e.result(), nil
+}
+
+// result snapshots the accumulated output, recommendations and firing log.
+func (e *Engine) result() *Result {
 	e.mu.Lock()
-	res := &Result{
+	defer e.mu.Unlock()
+	return &Result{
 		Output:          append([]string(nil), e.output...),
 		Recommendations: append([]Recommendation(nil), e.recommendations...),
 		Fired:           append([]string(nil), e.firedLog...),
 	}
-	e.mu.Unlock()
-	return res, nil
+}
+
+// step is the match-resolve-act loop, shared by Run and Standing.Step: pick
+// the best unfired activation, fire it, repeat until quiescence or MaxCycles.
+// When fired is non-nil it is called after each firing with the output lines
+// and recommendations that firing appended — the one thing a standing step
+// needs that a batch run does not.
+func (e *Engine) step(ctx context.Context, fired func(rule string, out []string, recs []Recommendation)) error {
+	for cycle := 0; ; cycle++ {
+		if cycle >= e.MaxCycles {
+			return fmt.Errorf("rules: no quiescence after %d cycles (rule loop?)", e.MaxCycles)
+		}
+		next, err := e.selectActivation()
+		if err != nil {
+			return err
+		}
+		if next == nil {
+			return nil
+		}
+		var outBase, recBase int
+		if fired != nil {
+			outBase, recBase = e.resultLens()
+		}
+		if err := e.fireOne(ctx, next); err != nil {
+			return err
+		}
+		if fired != nil {
+			out, recs := e.resultsSince(outBase, recBase)
+			fired(next.rule.Name, out, recs)
+		}
+	}
 }
 
 // fireOne marks one activation fired and executes its action or
-// consequences under a `rules.fire` span. It is the single act step shared
-// by Run's match-resolve-act loop and by Standing.Step, so a standing
-// firing is byte-identical to the same firing in a batch run.
+// consequences under a `rules.fire` span.
 func (e *Engine) fireOne(ctx context.Context, next *activation) error {
 	e.fired[next.key] = true
 	e.firedLog = append(e.firedLog, next.rule.Name)
 	_, fireSpan := obs.StartSpan(ctx, "rules.fire", "rule", next.rule.Name)
 	// Clone the bindings so a consequence mutating its Context cannot
-	// taint an agenda entry that outlives the firing (the naive matcher
-	// rebuilt envs every cycle, which hid mutations the same way).
+	// taint an agenda entry that outlives the firing.
 	rctx := &Context{Engine: e, Rule: next.rule, Bindings: next.bindings.clone()}
 	var fireErr error
 	if next.rule.Action != nil {
@@ -250,42 +263,26 @@ func (e *Engine) fireOne(ctx context.Context, next *activation) error {
 	return fireErr
 }
 
-// selectActivation returns the highest-priority unfired activation, or nil
-// at quiescence. The Rete agenda and the naive matcher produce the same
-// activation set with the same keys, and better() is a total order, so the
-// choice is identical regardless of which path computed it.
+// selectActivation returns the highest-priority unfired activation on the
+// network's agenda, or nil at quiescence; better() is a total order, so the
+// choice does not depend on map iteration.
+//
+// A Pattern.match error is recorded by the network when the offending fact
+// is asserted or retracted, which may be long before this call, and the fact
+// may be gone by now. ensureNetLocked therefore rebuilds a network that holds
+// an error from current working memory: an error that does not recur is
+// forgotten (a fact retracted before Run must not fail it), one that does is
+// returned — by every Run or Step until the fact is retracted, after which
+// the engine fires normally again.
 func (e *Engine) selectActivation() (*activation, error) {
-	if !e.Naive && !e.naiveMode {
-		e.mu.Lock()
-		e.ensureNetLocked()
-		if e.net.err == nil {
-			var next *activation
-			for _, a := range e.net.agenda {
-				if e.fired[a.key] {
-					continue
-				}
-				if next == nil || better(a, next) {
-					next = a
-				}
-			}
-			e.mu.Unlock()
-			return next, nil
-		}
-		// The network deferred a Pattern.match error. Which error a Run
-		// reports depends on the naive matcher's deterministic rule/env/fact
-		// order, so fall back to it permanently — e.facts is authoritative,
-		// so behavior (including the error text) is exactly the original.
-		e.naiveMode = true
-		e.net = nil
-		e.mu.Unlock()
-	}
-	acts, err := e.matchAll()
-	if err != nil {
-		return nil, err
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.ensureNetLocked()
+	if e.net.err != nil {
+		return nil, e.net.err
 	}
 	var next *activation
-	for i := range acts {
-		a := &acts[i]
+	for _, a := range e.net.agenda {
 		if e.fired[a.key] {
 			continue
 		}
@@ -296,11 +293,11 @@ func (e *Engine) selectActivation() (*activation, error) {
 	return next, nil
 }
 
-// ensureNetLocked (re)builds the Rete network when missing or stale (rules
-// added since the last build), replaying working memory in assertion order.
-// Caller holds e.mu.
+// ensureNetLocked (re)builds the Rete network when missing, stale (rules
+// added since the last build) or holding a match error, replaying working
+// memory in assertion order. Caller holds e.mu.
 func (e *Engine) ensureNetLocked() {
-	if e.net != nil && e.net.ruleCount == len(e.rules) {
+	if e.net != nil && e.net.ruleCount == len(e.rules) && e.net.err == nil {
 		return
 	}
 	e.net = buildNet(e.rules)
@@ -317,70 +314,6 @@ func better(a, b *activation) bool {
 		return a.order < b.order
 	}
 	return a.key < b.key
-}
-
-// matchAll enumerates every (rule, fact-tuple) activation in the current
-// working memory. It matches against a snapshot taken under the lock, so
-// the pattern walk itself runs lock-free.
-func (e *Engine) matchAll() ([]activation, error) {
-	e.mu.Lock()
-	facts := e.orderedFactsLocked()
-	e.mu.Unlock()
-	var acts []activation
-	for ri, r := range e.rules {
-		envs := []Bindings{{}}
-		ids := [][]int64{nil}
-		for pi := range r.Patterns {
-			p := &r.Patterns[pi]
-			var nextEnvs []Bindings
-			var nextIDs [][]int64
-			for ei, env := range envs {
-				if p.Negated || p.Exists {
-					found := false
-					for _, f := range facts {
-						_, ok, err := p.match(f, env)
-						if err != nil {
-							return nil, fmt.Errorf("rules: rule %q: %w", r.Name, err)
-						}
-						if ok {
-							found = true
-							break
-						}
-					}
-					// Negated keeps the env when nothing matched; Exists
-					// keeps it when something did. Neither contributes
-					// bindings or tuple identity.
-					if found == p.Exists {
-						nextEnvs = append(nextEnvs, env)
-						nextIDs = append(nextIDs, ids[ei])
-					}
-					continue
-				}
-				for _, f := range facts {
-					newEnv, ok, err := p.match(f, env)
-					if err != nil {
-						return nil, fmt.Errorf("rules: rule %q: %w", r.Name, err)
-					}
-					if ok {
-						nextEnvs = append(nextEnvs, newEnv)
-						nextIDs = append(nextIDs, append(append([]int64(nil), ids[ei]...), f.id))
-					}
-				}
-			}
-			envs, ids = nextEnvs, nextIDs
-			if len(envs) == 0 {
-				break
-			}
-		}
-		if len(r.Patterns) == 0 {
-			continue // a rule with no patterns never fires
-		}
-		for i, env := range envs {
-			key := r.Name + "|" + tupleKey(ids[i])
-			acts = append(acts, activation{rule: r, bindings: env, key: key, order: ri})
-		}
-	}
-	return acts, nil
 }
 
 func tupleKey(ids []int64) string {
@@ -403,7 +336,6 @@ func (e *Engine) Reset() {
 	e.fired = make(map[string]bool)
 	e.firedLog = nil
 	e.net = nil
-	e.naiveMode = false
 }
 
 // SortedOutput returns the output lines sorted (useful in tests where

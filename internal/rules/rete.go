@@ -1,30 +1,38 @@
 package rules
 
-// rete.go replaces per-cycle re-matching with a Rete-style network so
-// firing cost scales with working-memory *deltas* instead of
-// working-memory size: alpha memories hold the facts of each type in
-// assertion order, beta join nodes hold partial matches (tokens) per rule
-// per pattern level, and assert/retract incrementally extend or kill
-// tokens. Complete tokens land on an agenda keyed exactly like the naive
-// matcher's activations, and conflict resolution picks from the agenda
-// with the same better() total order — so the firing order is reproduced
-// exactly.
+// rete.go is the engine's matcher: a Rete-style network, so firing cost
+// scales with working-memory *deltas* instead of working-memory size.
+// Alpha memories hold the facts of each type in assertion order, beta join
+// nodes hold partial matches (tokens) per rule per pattern level, and
+// assert/retract incrementally extend or kill tokens. Complete tokens land
+// on an agenda, and conflict resolution picks from the agenda with the
+// better() total order.
 //
-// Invariants that keep the network byte-identical to matchAll():
+// The scan-everything matcher it replaced lives in naive_test.go as the
+// differential oracle (differential_test.go: results, firing log and working
+// memory equal over handwritten scenarios and seeded fact churn). Invariants
+// that keep the network in agreement with it:
 //
 //   - Token identity is the tuple of positive-pattern fact IDs in pattern
-//     order, so agenda keys (rule + "|" + tupleKey) match the naive keys
-//     and the refraction memory works unchanged across engines.
+//     order, so agenda keys (rule + "|" + tupleKey) match the oracle's and
+//     the refraction memory means the same thing to both.
 //   - Negated/Exists patterns contribute no bindings and no tuple IDs: a
 //     parent token tracks how many facts currently satisfy the pattern
 //     (negMatches) and owns at most one pass-through child, created or
 //     killed on the 0<->1 transitions.
-//   - Pattern.match errors cannot be raised eagerly at assert time without
-//     changing *which* error a Run reports (the naive matcher discovers
-//     errors in deterministic rule/env/fact order). The network therefore
-//     records the first error (net.err) and the engine falls back to the
-//     naive matcher permanently for that engine — e.facts stays
-//     authoritative, so results and error text are identical.
+//   - Pattern.match errors are not raised at assert time: Assert has no
+//     error result, and the fact may be retracted before anything runs. The
+//     network records the first error (net.err); the next Run or Step
+//     rebuilds the network from current working memory (selectActivation)
+//     and returns the error only if the rebuild hits it again. A match that
+//     errors counts as no match, so a network holding an error is still
+//     structurally sound — it is rebuilt because only a replay can tell
+//     whether the offending fact is still there. The network evaluates every
+//     fact of a Negated/Exists pattern's type (it counts matches), where the
+//     oracle stops at the first match, so a fact whose own fields make the
+//     pattern error is always reported here and only sometimes there; for
+//     errors that depend on the bindings alone the two agree on whether a
+//     Run fails, and on the text when one pattern can fail.
 //   - A fact asserted while it extends one pattern of a rule must not also
 //     join through tokens created by that same assertion (the classic
 //     double-join hazard); tokens carry a birth epoch and an assertion
@@ -75,8 +83,7 @@ type rnode struct {
 // scan — retraction cost then tracks the delta, not the memory size. Those
 // lists are therefore NOT in insertion order; nothing downstream depends on
 // it (the agenda is a map resolved by better(), bindings are per-tuple, and
-// a deferred match error only flips the engine to the naive matcher, which
-// rediscovers the error in its own deterministic order).
+// a recorded match error is confirmed by a replay in assertion order).
 type rtoken struct {
 	node       *rnode
 	parent     *rtoken
@@ -319,8 +326,8 @@ func (n *reteNet) propagate(t *rtoken) {
 	}
 }
 
-// complete puts a fully matched token on the agenda under the same key the
-// naive matcher would compute.
+// complete puts a fully matched token on the agenda, keyed by rule name and
+// fact-ID tuple.
 func (n *reteNet) complete(t *rtoken) {
 	key := t.node.rule.Name + "|" + tupleKey(t.ids)
 	t.actKey = key

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -53,23 +52,11 @@ func (s *Standing) Engine() *Engine { return s.e }
 func (s *Standing) Step(ctx context.Context) ([]Firing, error) {
 	e := s.e
 	var firings []Firing
-	for cycle := 0; ; cycle++ {
-		if cycle >= e.MaxCycles {
-			return firings, fmt.Errorf("rules: no quiescence after %d cycles (rule loop?)", e.MaxCycles)
-		}
-		next, err := e.selectActivation()
-		if err != nil {
-			return firings, err
-		}
-		if next == nil {
-			break
-		}
-		outBase, recBase := e.resultLens()
-		if err := e.fireOne(ctx, next); err != nil {
-			return firings, err
-		}
-		out, recs := e.resultsSince(outBase, recBase)
-		firings = append(firings, Firing{Rule: next.rule.Name, Output: out, Recommendations: recs})
+	err := e.step(ctx, func(rule string, out []string, recs []Recommendation) {
+		firings = append(firings, Firing{Rule: rule, Output: out, Recommendations: recs})
+	})
+	if err != nil {
+		return firings, err
 	}
 	e.drainResults()
 	if len(e.fired) > s.firedHighWater {

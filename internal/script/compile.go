@@ -7,9 +7,11 @@ package script
 // dispatch, no map lookups for locals, and — thanks to a frame pool and a
 // small-float box cache — almost no allocation.
 //
-// Semantics are bit-for-bit those of the tree-walker in interp.go, which
-// stays available behind Interp.TreeWalk as the differential-testing
-// oracle. The invariants that make the two engines agree:
+// This is the only script engine. The AST-walking evaluator it replaced
+// lives in treewalk_test.go as the differential oracle (differential_test.go
+// holds output bytes, step counts and error text equal over a handwritten
+// corpus and seeded random programs; asset_test.go runs it over the shipped
+// .pes scripts). The invariants that keep the two in agreement:
 //
 //   - A slot is "set" exactly when the tree-walker's corresponding env map
 //     would contain the name. Scopes hoist a slot for every name the
@@ -147,7 +149,7 @@ type compiledFn struct {
 }
 
 // program is a compiled script: one runner per top-level statement (so the
-// traced path can wrap each in a span, exactly like the tree-walker).
+// traced path can wrap each in a span).
 type program struct {
 	plan  *scopePlan
 	stmts []cstmt
@@ -263,7 +265,7 @@ func (c *compiler) compileSet(name string) func(in *Interp, f *frame, v Value) {
 				f.slots[idx0] = v
 				return
 			}
-			if in.globals.setIfExists(name, v) {
+			if in.setGlobalIfExists(name, v) {
 				return
 			}
 			f.slots[idx0] = v
@@ -277,7 +279,7 @@ func (c *compiler) compileSet(name string) func(in *Interp, f *frame, v Value) {
 				return
 			}
 		}
-		if in.globals.setIfExists(name, v) {
+		if in.setGlobalIfExists(name, v) {
 			return
 		}
 		f.slots[idx0] = v
@@ -360,7 +362,7 @@ func (c *compiler) compileFunc(st *funcStmt) *compiledFn {
 }
 
 // callCompiled invokes a compiled user function (arity already checked by
-// call, which dispatches here for either engine).
+// call).
 func (in *Interp) callCompiled(fn *Function, args []Value) (Value, error) {
 	cf := fn.compiled
 	f := cf.plan.get(fn.defFrame)
@@ -742,7 +744,7 @@ func (c *compiler) compileIdent(ex *identExpr) cexpr {
 	switch len(refs) {
 	case 0:
 		return func(in *Interp, f *frame) (Value, error) {
-			if v, ok := in.globals.get(name); ok {
+			if v, ok := in.globals[name]; ok {
 				return v, nil
 			}
 			return nil, errAt(line, "undefined name %q", name)
@@ -754,7 +756,7 @@ func (c *compiler) compileIdent(ex *identExpr) cexpr {
 				if v := f.slots[idx]; v != unset {
 					return v, nil
 				}
-				if v, ok := in.globals.get(name); ok {
+				if v, ok := in.globals[name]; ok {
 					return v, nil
 				}
 				return nil, errAt(line, "undefined name %q", name)
@@ -764,7 +766,7 @@ func (c *compiler) compileIdent(ex *identExpr) cexpr {
 			if v := f.at(up).slots[idx]; v != unset {
 				return v, nil
 			}
-			if v, ok := in.globals.get(name); ok {
+			if v, ok := in.globals[name]; ok {
 				return v, nil
 			}
 			return nil, errAt(line, "undefined name %q", name)
@@ -776,7 +778,7 @@ func (c *compiler) compileIdent(ex *identExpr) cexpr {
 					return v, nil
 				}
 			}
-			if v, ok := in.globals.get(name); ok {
+			if v, ok := in.globals[name]; ok {
 				return v, nil
 			}
 			return nil, errAt(line, "undefined name %q", name)
@@ -919,11 +921,13 @@ func compileProgram(stmts []stmt) *program {
 // rather than growing without limit.
 const maxCachedPrograms = 64
 
-// runCompiled is the compiled-engine Run: parse+compile once per distinct
-// source, then execute the closure program against a pooled top frame. The
-// traced path wraps each top-level statement in a script.stmt span exactly
-// like the tree-walking Run.
-func (in *Interp) runCompiled(src string) error {
+// Run parses and executes src: parse+compile once per distinct source, then
+// execute the closure program against a pooled top frame. When the context
+// installed with SetContext carries an obs tracer, each top-level statement
+// executes under a `script.stmt` span (statement kind and line as
+// attributes) — top-level only, so a loop of a million iterations costs one
+// span, not a million.
+func (in *Interp) Run(src string) error {
 	prog := in.progs[src]
 	if prog == nil {
 		stmts, err := parse(src)

@@ -1,8 +1,8 @@
 package script
 
 // Differential tests: every script runs through both the compiled engine
-// (the default) and the tree-walking oracle (TreeWalk=true); output bytes,
-// step counts and error text must match exactly. The corpus covers the
+// (Interp.Run) and the tree-walking oracle (runTreeWalk, treewalk_test.go);
+// output bytes, step counts and error text must match exactly. The corpus covers the
 // semantic corners where the two implementations genuinely differ in
 // mechanism (scoping, conditional definition, closures, budget errors), and
 // a seeded generator adds a few hundred random programs on top.
@@ -25,19 +25,26 @@ type engineResult struct {
 
 func runEngine(src string, treeWalk bool, maxSteps int, ctx context.Context) engineResult {
 	in := New()
-	in.TreeWalk = treeWalk
 	in.MaxSteps = maxSteps
 	if ctx != nil {
 		in.SetContext(ctx)
 	}
 	var buf bytes.Buffer
 	in.Stdout = &buf
-	err := in.Run(src)
+	err := runWith(in, src, treeWalk)
 	res := engineResult{out: buf.String(), steps: in.Steps()}
 	if err != nil {
 		res.err = err.Error()
 	}
 	return res
+}
+
+// runWith executes src on in with the engine or the oracle.
+func runWith(in *Interp, src string, treeWalk bool) error {
+	if treeWalk {
+		return runTreeWalk(in, src)
+	}
+	return in.Run(src)
 }
 
 // diffRun asserts both engines agree on output, error text and step count.
@@ -325,10 +332,9 @@ func TestCancellationErrorPosition(t *testing.T) {
 	src := "\n\n  x = 1"
 	for _, treeWalk := range []bool{false, true} {
 		in := New()
-		in.TreeWalk = treeWalk
 		in.Stdout = &bytes.Buffer{}
 		in.SetContext(ctx)
-		err := in.Run(src)
+		err := runWith(in, src, treeWalk)
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("treeWalk=%v: want wrapped context.Canceled, got %v", treeWalk, err)
 		}
@@ -336,26 +342,5 @@ func TestCancellationErrorPosition(t *testing.T) {
 		if err.Error() != want {
 			t.Errorf("treeWalk=%v: cancel error = %q, want %q", treeWalk, err.Error(), want)
 		}
-	}
-}
-
-// TestTreeWalkFlagSwitches proves the flag actually switches engines: the
-// compiled path populates the program cache, the tree-walker does not.
-func TestTreeWalkFlagSwitches(t *testing.T) {
-	in := New()
-	in.Stdout = &bytes.Buffer{}
-	in.TreeWalk = true
-	if err := in.Run(`a = 1`); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.progs) != 0 {
-		t.Fatalf("tree-walker should not compile, cache has %d entries", len(in.progs))
-	}
-	in.TreeWalk = false
-	if err := in.Run(`a = 1`); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.progs) != 1 {
-		t.Fatalf("compiled run should cache the program, cache has %d entries", len(in.progs))
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"perfknow/internal/obs"
 )
 
 // Value is any script value: float64, string, bool, nil, *List, *Map,
@@ -63,79 +61,27 @@ func (m *Module) Member(name string) (Value, bool) {
 	return v, ok
 }
 
-// Function is a user-defined script function. Tree-walked functions carry
-// Body/Closure; compiled functions carry compiled/defFrame instead. Interp.call
-// dispatches on whichever is present, so functions defined under one engine
-// can be invoked from the other (globals persist across Run calls, and the
-// engine flag may be flipped between them).
+// Function is a user-defined script function: its compiled body plus the
+// frame chain captured at the definition site.
 type Function struct {
-	Name    string
-	Params  []string
-	Body    []stmt
-	Closure *env
+	Name   string
+	Params []string
 
 	compiled *compiledFn
-	defFrame *frame // frame chain captured at the definition site
-}
-
-type env struct {
-	vars   map[string]Value
-	parent *env
-}
-
-func newEnv(parent *env) *env { return &env{vars: make(map[string]Value), parent: parent} }
-
-func (e *env) get(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// set assigns to an existing binding in any enclosing scope, or defines the
-// name in the current scope.
-func (e *env) set(name string, v Value) {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
-	}
-	e.vars[name] = v
-}
-
-func (e *env) define(name string, v Value) { e.vars[name] = v }
-
-// setIfExists assigns to an existing binding in this scope chain and reports
-// whether one was found; unlike set it never defines the name.
-func (e *env) setIfExists(name string, v Value) bool {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return true
-		}
-	}
-	return false
+	defFrame *frame
 }
 
 // Interp runs scripts. Globals persist across Run calls, so an embedding
 // application can bind its API once and execute many scripts.
 //
-// By default Run lowers the parsed AST to Go closures (see compile.go) with
-// names resolved to frame slots at compile time; setting TreeWalk executes
-// the AST directly instead. The two engines are behaviorally identical —
-// the tree-walker is kept as the differential-testing oracle.
+// Run lowers the parsed AST to Go closures (see compile.go) with names
+// resolved to frame slots at compile time.
 type Interp struct {
-	globals *env
+	globals map[string]Value
 	Stdout  io.Writer
 	// MaxSteps bounds statement executions to catch runaway scripts;
 	// 0 means no limit.
 	MaxSteps int
-	// TreeWalk selects the AST-walking evaluator instead of the closure
-	// compiler. Both count steps, trace, and fail identically.
-	TreeWalk bool
 	steps    int
 	ctx      context.Context
 	done     <-chan struct{}
@@ -149,9 +95,8 @@ type Interp struct {
 	curCtx context.Context
 }
 
-// Steps reports how many statements the last (or current) Run has executed —
-// both engines maintain the identical count, which the differential harness
-// asserts.
+// Steps reports how many statements the last (or current) Run has executed;
+// the differential harness holds the count to the tree-walking oracle's.
 func (in *Interp) Steps() int { return in.steps }
 
 // SetContext arranges for script execution to stop with ctx.Err() once ctx
@@ -187,13 +132,23 @@ func (in *Interp) checkBudgetAt(line, col int) error {
 
 // New builds an interpreter with the language builtins installed.
 func New() *Interp {
-	in := &Interp{globals: newEnv(nil), Stdout: os.Stdout}
+	in := &Interp{globals: make(map[string]Value), Stdout: os.Stdout}
 	in.installBuiltins()
 	return in
 }
 
 // SetGlobal binds a name in the global scope (host API injection).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.define(name, v) }
+func (in *Interp) SetGlobal(name string, v Value) { in.globals[name] = v }
+
+// setGlobalIfExists assigns to an existing global and reports whether there
+// was one; unlike SetGlobal it never defines the name.
+func (in *Interp) setGlobalIfExists(name string, v Value) bool {
+	_, ok := in.globals[name]
+	if ok {
+		in.globals[name] = v
+	}
+	return ok
+}
 
 // Context returns the context host bindings should use for work done on
 // behalf of the running script: the current top-level statement's span
@@ -207,47 +162,6 @@ func (in *Interp) Context() context.Context {
 		return in.ctx
 	}
 	return context.Background()
-}
-
-// Run parses and executes src. When the context installed with SetContext
-// carries an obs tracer, each top-level statement executes under a
-// `script.stmt` span (statement kind and line as attributes) — top-level
-// only, so a loop of a million iterations costs one span, not a million.
-func (in *Interp) Run(src string) error {
-	if !in.TreeWalk {
-		return in.runCompiled(src)
-	}
-	stmts, err := parse(src)
-	if err != nil {
-		return err
-	}
-	in.steps = 0
-	e := newEnv(in.globals)
-	base := in.ctx
-	if base == nil {
-		base = context.Background()
-	}
-	if obs.TracerFrom(base) == nil {
-		_, err = in.execBlock(stmts, e)
-		return err
-	}
-	for _, s := range stmts {
-		kind, line := stmtInfo(s)
-		sctx, sp := obs.StartSpan(base, "script.stmt",
-			"stmt", kind, "line", strconv.Itoa(line))
-		in.curCtx = sctx
-		c, err := in.exec(s, e)
-		sp.SetError(err)
-		sp.End()
-		in.curCtx = nil
-		if err != nil {
-			return err
-		}
-		if c.kind != ctlNone {
-			break
-		}
-	}
-	return nil
 }
 
 // stmtInfo labels a statement for its trace span.
@@ -310,142 +224,8 @@ type control struct {
 	val  Value
 }
 
-func (in *Interp) execBlock(stmts []stmt, e *env) (control, error) {
-	for _, s := range stmts {
-		c, err := in.exec(s, e)
-		if err != nil {
-			return control{}, err
-		}
-		if c.kind != ctlNone {
-			return c, nil
-		}
-	}
-	return control{}, nil
-}
-
-func (in *Interp) exec(s stmt, e *env) (control, error) {
-	in.steps++
-	line, col := s.pos()
-	if err := in.checkBudgetAt(line, col); err != nil {
-		return control{}, err
-	}
-	switch st := s.(type) {
-	case *assignStmt:
-		v, err := in.eval(st.Value, e)
-		if err != nil {
-			return control{}, err
-		}
-		switch target := st.Target.(type) {
-		case *identExpr:
-			e.set(target.Name, v)
-		case *indexExpr:
-			return control{}, in.assignIndex(target, v, e)
-		default:
-			return control{}, errAt(st.Line, "invalid assignment target")
-		}
-		return control{}, nil
-	case *exprStmt:
-		_, err := in.eval(st.X, e)
-		return control{}, err
-	case *ifStmt:
-		cond, err := in.eval(st.Cond, e)
-		if err != nil {
-			return control{}, err
-		}
-		if truthy(cond) {
-			return in.execBlock(st.Then, newEnv(e))
-		}
-		return in.execBlock(st.Else, newEnv(e))
-	case *whileStmt:
-		for {
-			cond, err := in.eval(st.Cond, e)
-			if err != nil {
-				return control{}, err
-			}
-			if !truthy(cond) {
-				return control{}, nil
-			}
-			c, err := in.execBlock(st.Body, newEnv(e))
-			if err != nil {
-				return control{}, err
-			}
-			if c.kind == ctlBreak {
-				return control{}, nil
-			}
-			if c.kind == ctlReturn {
-				return c, nil
-			}
-			in.steps++
-			if err := in.checkBudgetAt(st.Line, st.Col); err != nil {
-				return control{}, err
-			}
-		}
-	case *forStmt:
-		iter, err := in.eval(st.Iter, e)
-		if err != nil {
-			return control{}, err
-		}
-		items, keys, err := iterate(iter, st.Line)
-		if err != nil {
-			return control{}, err
-		}
-		for i, item := range items {
-			scope := newEnv(e)
-			if st.Key != "" {
-				var kv Value
-				if keys != nil {
-					kv = keys[i]
-				}
-				scope.define(st.Key, kv)
-			}
-			scope.define(st.Var, item)
-			c, err := in.execBlock(st.Body, scope)
-			if err != nil {
-				return control{}, err
-			}
-			if c.kind == ctlBreak {
-				break
-			}
-			if c.kind == ctlReturn {
-				return c, nil
-			}
-		}
-		return control{}, nil
-	case *funcStmt:
-		e.set(st.Name, &Function{Name: st.Name, Params: st.Params, Body: st.Body, Closure: e})
-		return control{}, nil
-	case *returnStmt:
-		var v Value
-		if st.Value != nil {
-			var err error
-			v, err = in.eval(st.Value, e)
-			if err != nil {
-				return control{}, err
-			}
-		}
-		return control{kind: ctlReturn, val: v}, nil
-	case *breakStmt:
-		return control{kind: ctlBreak}, nil
-	case *continueStmt:
-		return control{kind: ctlContinue}, nil
-	}
-	return control{}, fmt.Errorf("script: unknown statement %T", s)
-}
-
-func (in *Interp) assignIndex(target *indexExpr, v Value, e *env) error {
-	container, err := in.eval(target.X, e)
-	if err != nil {
-		return err
-	}
-	idx, err := in.eval(target.I, e)
-	if err != nil {
-		return err
-	}
-	return setIndex(container, idx, v, target.Line)
-}
-
-// setIndex stores v at container[idx]; shared by both engines so the error
-// texts cannot drift apart.
+// setIndex stores v at container[idx]; the tree-walking oracle
+// (treewalk_test.go) shares it so the error texts cannot drift apart.
 func setIndex(container, idx, v Value, line int) error {
 	switch c := container.(type) {
 	case *List:
@@ -493,130 +273,10 @@ func iterate(v Value, line int) (items []Value, keys []Value, err error) {
 	return nil, nil, errAt(line, "cannot iterate over %s", typeName(v))
 }
 
-func (in *Interp) eval(x expr, e *env) (Value, error) {
-	switch ex := x.(type) {
-	case *numLit:
-		return ex.V, nil
-	case *strLit:
-		return ex.V, nil
-	case *boolLit:
-		return ex.V, nil
-	case *nilLit:
-		return nil, nil
-	case *listLit:
-		items := make([]Value, len(ex.Items))
-		for i, it := range ex.Items {
-			v, err := in.eval(it, e)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = v
-		}
-		return &List{Items: items}, nil
-	case *mapLit:
-		m := NewMap()
-		for i := range ex.Keys {
-			k, err := in.eval(ex.Keys[i], e)
-			if err != nil {
-				return nil, err
-			}
-			v, err := in.eval(ex.Vals[i], e)
-			if err != nil {
-				return nil, err
-			}
-			m.Entries[ToString(k)] = v
-		}
-		return m, nil
-	case *identExpr:
-		if v, ok := e.get(ex.Name); ok {
-			return v, nil
-		}
-		return nil, errAt(ex.Line, "undefined name %q", ex.Name)
-	case *attrExpr:
-		recv, err := in.eval(ex.X, e)
-		if err != nil {
-			return nil, err
-		}
-		return attribute(recv, ex.Name, ex.Line)
-	case *indexExpr:
-		c, err := in.eval(ex.X, e)
-		if err != nil {
-			return nil, err
-		}
-		i, err := in.eval(ex.I, e)
-		if err != nil {
-			return nil, err
-		}
-		return index(c, i, ex.Line)
-	case *callExpr:
-		fn, err := in.eval(ex.Fn, e)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := in.eval(a, e)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return in.call(fn, args, ex.Line)
-	case *unaryExpr:
-		v, err := in.eval(ex.X, e)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.Op {
-		case "-":
-			n, ok := v.(float64)
-			if !ok {
-				return nil, errAt(ex.Line, "unary minus needs a number, got %s", typeName(v))
-			}
-			return -n, nil
-		case "not":
-			return !truthy(v), nil
-		}
-		return nil, errAt(ex.Line, "unknown unary operator %q", ex.Op)
-	case *binExpr:
-		return in.evalBin(ex, e)
-	}
-	return nil, fmt.Errorf("script: unknown expression %T", x)
-}
-
-func (in *Interp) evalBin(ex *binExpr, e *env) (Value, error) {
-	// Short-circuit logic.
-	if ex.Op == "and" || ex.Op == "or" {
-		l, err := in.eval(ex.L, e)
-		if err != nil {
-			return nil, err
-		}
-		if ex.Op == "and" && !truthy(l) {
-			return false, nil
-		}
-		if ex.Op == "or" && truthy(l) {
-			return true, nil
-		}
-		r, err := in.eval(ex.R, e)
-		if err != nil {
-			return nil, err
-		}
-		return truthy(r), nil
-	}
-	l, err := in.eval(ex.L, e)
-	if err != nil {
-		return nil, err
-	}
-	r, err := in.eval(ex.R, e)
-	if err != nil {
-		return nil, err
-	}
-	return applyBin(ex.Op, l, r, ex.Line)
-}
-
 // applyBin applies a non-short-circuit binary operator to two evaluated
-// operands. Both engines route through it, so operator semantics and error
-// texts are identical by construction.
+// operands. The compiled engine and the tree-walking oracle both route
+// through it, so operator semantics and error texts are identical by
+// construction.
 func applyBin(op string, l, r Value, line int) (Value, error) {
 	switch op {
 	case "+":
@@ -682,21 +342,7 @@ func (in *Interp) call(fn Value, args []Value, line int) (Value, error) {
 		if len(args) != len(f.Params) {
 			return nil, errAt(line, "%s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
 		}
-		if f.compiled != nil {
-			return in.callCompiled(f, args)
-		}
-		scope := newEnv(f.Closure)
-		for i, p := range f.Params {
-			scope.define(p, args[i])
-		}
-		c, err := in.execBlock(f.Body, scope)
-		if err != nil {
-			return nil, err
-		}
-		if c.kind == ctlReturn {
-			return c.val, nil
-		}
-		return nil, nil
+		return in.callCompiled(f, args)
 	}
 	return nil, errAt(line, "%s is not callable", typeName(fn))
 }

@@ -298,16 +298,15 @@ var (
 // PerfExplorer session (scripting + inference).
 type (
 	// Session is a PerfExplorer 2.0 session: repository + rule engine +
-	// script interpreter with the object API bound in. Scripts run
-	// through a closure compiler by default; set s.Interp.TreeWalk to
-	// force the original tree-walking evaluator (same output, step
-	// accounting and error text — the differential suite proves it).
+	// script interpreter with the object API bound in. Scripts are
+	// compiled to Go closures; that is the only script engine.
 	Session = core.Session
 	// TrialObject wraps a Trial for the scripting interface.
 	TrialObject = core.TrialObject
 	// RuleEngine is the forward-chaining inference engine. Matching is
-	// incremental (a Rete-style network fed by Assert/Retract); set
-	// Engine.Naive to force the original scan-everything matcher.
+	// incremental (a Rete-style network fed by Assert/Retract); a pattern
+	// that fails to evaluate is an error from Run while the offending
+	// fact is in working memory.
 	RuleEngine = rules.Engine
 	// Fact is a working-memory element.
 	Fact = rules.Fact

@@ -7,8 +7,8 @@
 #       with ns/op and allocs/op
 #   scripts/bench_baseline.sh record-columnar [-out FILE]
 #       run only the columnar-engine benchmarks (the two headline
-#       benchmarks plus their RowOracle denominators and the conversion
-#       micro-benchmark) and write FILE (default BENCH_columnar.json)
+#       benchmarks and the conversion micro-benchmark) and write FILE
+#       (default BENCH_columnar.json)
 #   scripts/bench_baseline.sh record-streaming [-out FILE]
 #       run only the standing-diagnosis streaming benchmark (both window
 #       sizes) and write FILE (default BENCH_streaming.json)
@@ -65,7 +65,7 @@ if [ "$mode" = "record-columnar" ]; then
 	mode="record"
 	baseline="BENCH_columnar.json"
 	pkg="."
-	bench='^(BenchmarkFig5bScaling|BenchmarkFig5bScalingRowOracle|BenchmarkParallelSpeedup|BenchmarkParallelSpeedupRowOracle|BenchmarkColumnarConvert)$'
+	bench='^(BenchmarkFig5bScaling|BenchmarkParallelSpeedup|BenchmarkColumnarConvert)$'
 fi
 if [ "$mode" = "record-streaming" ]; then
 	mode="record"
