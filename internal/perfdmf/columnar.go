@@ -218,8 +218,8 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 	}
 	seenEv := make(map[string]bool, nEv)
 	for ev, e := range t.Events {
-		// The dictionary requires unique names (Validate does too); trials
-		// violating that stay on the row-oriented paths.
+		// The dictionary requires unique names (Validate does too); other
+		// trials are refused, here and so by every analysis operation.
 		if seenEv[e.Name] {
 			return nil, fmt.Errorf("perfdmf: duplicate event %q in trial %q", e.Name, t.Name)
 		}
