@@ -23,7 +23,7 @@ func main() {
 	var (
 		run  = flag.String("run", "", "run only experiments whose ID starts with this prefix")
 		list = flag.Bool("list", false, "list experiment IDs and exit")
-		jobs = flag.Int("j", 0, "worker goroutines for parallel execution (0 = GOMAXPROCS, 1 = sequential)")
+		jobs = flag.Int("j", 0, "experiments in flight, each one goroutine of simulation and analysis (0 = GOMAXPROCS, 1 = one at a time)")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*jobs)

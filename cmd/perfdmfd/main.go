@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		debugFile = fs.String("debug-addr-file", "", "write the bound debug address to this file once listening")
 		repoDir   = fs.String("repo", "perfdata", "profile repository directory")
 		rulesDir  = fs.String("rules", "", "directory holding .prl rule files (default: built-in knowledge base)")
-		jobs      = fs.Int("j", 0, "max concurrent analysis/diagnosis requests (0 = GOMAXPROCS)")
+		jobs      = fs.Int("j", 0, "max concurrent analysis/diagnosis requests, each one goroutine of analysis (0 = GOMAXPROCS)")
 		maxBody   = fs.Int64("max-body", dmfserver.DefaultMaxBodyBytes, "max request body bytes")
 		timeout   = fs.Duration("timeout", dmfserver.DefaultRequestTimeout, "per-request time budget")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")

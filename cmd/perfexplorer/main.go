@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list        = fs.Bool("list", false, "list repository contents and exit")
 		writeAssets = fs.String("write-assets", "", "write the bundled rules and scripts under this directory and exit")
 		tracePath   = fs.String("trace", "", "trace the run and write the span tree (incl. server-side spans with -server) as JSON to this file")
-		jobs        = fs.Int("j", 0, "worker goroutines for parallel analysis (0 = GOMAXPROCS, 1 = sequential)")
+		jobs        = fs.Int("j", 0, "trials of a batch operation in flight; one script is one goroutine of analysis (0 = GOMAXPROCS, 1 = one at a time)")
 		retries     = fs.Int("retries", 0, "max attempts per remote request, incl. the first (0 = client default, 1 = no retries)")
 		clusterFlag = fs.String("cluster", "", "comma-separated perfdmfd peer URLs; route reads/writes across the cluster (overrides -server and -repo)")
 		replicas    = fs.Int("replicas", 2, "cluster replication factor R (with -cluster; must match the daemons)")

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"math"
-	"sync/atomic"
-
-	"perfknow/internal/parallel"
-)
+import "math"
 
 // Clustering is the result of k-means over the threads of a trial: each
 // thread is a feature vector of per-event exclusive metric values, and the
@@ -51,25 +46,15 @@ func kmeansCore(events []string, feats [][]float64, k, maxIter int) (*Clustering
 
 	assign := make([]int, len(feats))
 	for iter := 0; iter < maxIter; iter++ {
-		// Assignment: each point depends only on the (read-only) centroids
-		// and writes its own slot, so the rows fan out. The change flag is
-		// an OR across points — order-independent, hence deterministic.
-		var changed atomic.Bool
-		parallel.Each(len(feats), 0, func(i int) {
-			f := feats[i]
-			best, bestD := 0, math.Inf(1)
-			for c := range centroids {
-				if d := sqDist(f, centroids[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
+		changed := false
+		for i, f := range feats {
+			if best := nearest(f, centroids); assign[i] != best {
 				assign[i] = best
-				changed.Store(true)
+				changed = true
 			}
-		})
-		// Recompute centroids sequentially: the summation order of the
-		// floating-point accumulation is part of the deterministic contract.
+		}
+		// Recompute centroids in thread order: the summation order of the
+		// floating-point accumulation is part of the result.
 		counts := make([]int, k)
 		sums := make([][]float64, k)
 		for c := range sums {
@@ -89,7 +74,7 @@ func kmeansCore(events []string, feats [][]float64, k, maxIter int) (*Clustering
 				centroids[c][j] = sums[c][j] / float64(counts[c])
 			}
 		}
-		if !changed.Load() {
+		if !changed {
 			break
 		}
 	}
@@ -100,6 +85,18 @@ func kmeansCore(events []string, feats [][]float64, k, maxIter int) (*Clustering
 		cl.Inertia += sqDist(f, centroids[assign[i]])
 	}
 	return cl, nil
+}
+
+// nearest returns the index of the centroid closest to f, the lowest one on
+// a tie.
+func nearest(f []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c := range centroids {
+		if d := sqDist(f, centroids[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 func sqDist(a, b []float64) float64 {

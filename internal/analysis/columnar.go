@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -305,19 +304,18 @@ func InclusiveStats(t *perfdmf.Trial, metric string) []EventStat {
 
 func eventStatsColumnar(c *perfdmf.Columns, metric string, inclusive bool) []EventStat {
 	col := c.Col(metric)
+	if col == nil {
+		return nil
+	}
+	block, present := col.Exc, col.ExcPresent
+	if inclusive {
+		block, present = col.Inc, col.IncPresent
+	}
 	th := c.Threads
-	rows := make([]*EventStat, c.NEvents())
-	parallel.Each(c.NEvents(), 0, func(i int) {
-		name := c.EventNames[i]
-		if strings.Contains(name, perfdmf.CallpathSeparator) || col == nil {
-			return
-		}
-		block, present := col.Exc, col.ExcPresent
-		if inclusive {
-			block, present = col.Inc, col.IncPresent
-		}
-		if !present[i] {
-			return
+	var out []EventStat
+	for i, name := range c.EventNames {
+		if !present[i] || strings.Contains(name, perfdmf.CallpathSeparator) {
+			continue
 		}
 		vals := block[i*th : (i+1)*th]
 		s := EventStat{Event: name, Threads: th, Mean: perfdmf.Mean(vals),
@@ -330,13 +328,7 @@ func eventStatsColumnar(c *perfdmf.Columns, metric string, inclusive bool) []Eve
 				s.Max = v
 			}
 		}
-		rows[i] = &s
-	})
-	var out []EventStat
-	for _, s := range rows {
-		if s != nil {
-			out = append(out, *s)
-		}
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Mean != out[j].Mean {
@@ -379,13 +371,13 @@ func KMeans(t *perfdmf.Trial, metric string, k int, maxIter int) (*Clustering, e
 		return nil, fmt.Errorf("analysis: trial %q has no events with metric %q", t.Name, metric)
 	}
 	feats := make([][]float64, th)
-	parallel.Each(th, 0, func(thr int) {
+	for thr := range feats {
 		row := make([]float64, len(events))
 		for j := range blocks {
 			row[j] = blocks[j][thr]
 		}
 		feats[thr] = row
-	})
+	}
 	return kmeansCore(events, feats, k, maxIter)
 }
 

@@ -5,12 +5,10 @@ import (
 	"reflect"
 	"testing"
 
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
-// wideTrial builds a trial big enough that the parallel paths actually fan
-// out (many events, many threads).
+// wideTrial builds a trial of many events and many threads.
 func wideTrial(threads, events int) *perfdmf.Trial {
 	t := perfdmf.NewTrial("app", "exp", "wide", threads)
 	t.AddMetric(perfdmf.TimeMetric)
@@ -24,46 +22,6 @@ func wideTrial(threads, events int) *perfdmf.Trial {
 		}
 	}
 	return t
-}
-
-// TestAnalysisDeterministicAcrossWorkerCounts runs the parallelized
-// operations at one and at eight workers and requires identical output.
-func TestAnalysisDeterministicAcrossWorkerCounts(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
-	tr := wideTrial(64, 40)
-
-	type snapshot struct {
-		stats   []EventStat
-		cluster *Clustering
-		derived *perfdmf.Trial
-	}
-	take := func() snapshot {
-		st := ExclusiveStats(tr, perfdmf.TimeMetric)
-		cl, err := KMeans(tr, perfdmf.TimeMetric, 5, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, _, err := DeriveMetric(tr, "CYCLES", perfdmf.TimeMetric, OpDivide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snapshot{stats: st, cluster: cl, derived: d}
-	}
-
-	parallel.SetDefaultWorkers(1)
-	seq := take()
-	parallel.SetDefaultWorkers(8)
-	par := take()
-
-	if !reflect.DeepEqual(seq.stats, par.stats) {
-		t.Error("ExclusiveStats differs between -j 1 and -j 8")
-	}
-	if !reflect.DeepEqual(seq.cluster, par.cluster) {
-		t.Error("KMeans differs between -j 1 and -j 8")
-	}
-	if !reflect.DeepEqual(seq.derived, par.derived) {
-		t.Error("DeriveMetric differs between -j 1 and -j 8")
-	}
 }
 
 func TestDeriveMetricBatch(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -30,16 +29,13 @@ func DeriveMetricRow(t *perfdmf.Trial, lhs, rhs string, op Op) (*perfdmf.Trial, 
 	name := DeriveMetricName(lhs, rhs, op)
 	out := t.Clone()
 	out.AddMetric(name)
-	// Each event owns its metric maps in the fresh clone, so the per-event
-	// element-wise computation fans out share-nothing.
-	parallel.Each(len(out.Events), 0, func(i int) {
-		e := out.Events[i]
+	for _, e := range out.Events {
 		li, ri := e.Inclusive[lhs], e.Inclusive[rhs]
 		le, re := e.Exclusive[lhs], e.Exclusive[rhs]
 		for th := 0; th < out.Threads; th++ {
 			e.SetValue(name, th, op.apply(at(li, th), at(ri, th)), op.apply(at(le, th), at(re, th)))
 		}
-	})
+	}
 	return out, name, nil
 }
 
@@ -311,21 +307,17 @@ func InclusiveStatsRow(t *perfdmf.Trial, metric string) []EventStat {
 }
 
 func eventStats(t *perfdmf.Trial, metric string, inclusive bool) []EventStat {
-	// Per-event rows are independent reductions over read-only slices, so
-	// they fan out; the slot-per-event result plus the name-tiebroken sort
-	// keeps the output order deterministic.
-	rows := make([]*EventStat, len(t.Events))
-	parallel.Each(len(t.Events), 0, func(i int) {
-		e := t.Events[i]
+	var out []EventStat
+	for _, e := range t.Events {
 		if e.IsCallpath() {
-			return
+			continue
 		}
 		vals := e.Exclusive[metric]
 		if inclusive {
 			vals = e.Inclusive[metric]
 		}
 		if len(vals) == 0 {
-			return
+			continue
 		}
 		s := EventStat{Event: e.Name, Threads: t.Threads, Mean: perfdmf.Mean(vals),
 			StdDev: perfdmf.StdDev(vals), Total: perfdmf.Sum(vals), Min: vals[0], Max: vals[0]}
@@ -337,13 +329,7 @@ func eventStats(t *perfdmf.Trial, metric string, inclusive bool) []EventStat {
 				s.Max = v
 			}
 		}
-		rows[i] = &s
-	})
-	var out []EventStat
-	for _, s := range rows {
-		if s != nil {
-			out = append(out, *s)
-		}
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Mean != out[j].Mean {
@@ -373,20 +359,15 @@ func KMeansRow(t *perfdmf.Trial, metric string, k int, maxIter int) (*Clustering
 		return nil, fmt.Errorf("analysis: trial %q has no events with metric %q", t.Name, metric)
 	}
 
-	// Build feature matrix: threads × events. Gather the metric columns
-	// first (Trial.Event builds a lazy index, so resolve names up front),
-	// then fill the independent rows in parallel.
-	cols := make([][]float64, len(events))
-	for j, name := range events {
-		cols[j] = t.Event(name).Exclusive[metric]
-	}
+	// Feature matrix: threads × events.
 	feats := make([][]float64, t.Threads)
-	parallel.Each(t.Threads, 0, func(th int) {
-		row := make([]float64, len(events))
-		for j := range cols {
-			row[j] = cols[j][th]
+	for th := range feats {
+		feats[th] = make([]float64, len(events))
+	}
+	for j, name := range events {
+		for th, v := range t.Event(name).Exclusive[metric] {
+			feats[th][j] = v
 		}
-		feats[th] = row
-	})
+	}
 	return kmeansCore(events, feats, k, maxIter)
 }

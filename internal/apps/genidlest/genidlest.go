@@ -177,6 +177,10 @@ type runState struct {
 	fields *machine.Region // all field arrays, block-major
 	buf    *machine.Region // intermediate exchange buffers
 	blockB int64           // bytes per block (all arrays)
+
+	// solver[name][block] is the kernel of one solver procedure over one
+	// block. Nothing in it changes during a run, so Run builds it once.
+	solver map[string][]sim.Kernel
 }
 
 // Run executes the configured workload on a fresh machine built from cfg.
@@ -208,6 +212,14 @@ func Run(mcfg machine.Config, cfg Config) (*perfdmf.Trial, error) {
 	st.blockB = perBlock * cfg.Problem.CellBytes * int64(cfg.Problem.ArraysPerCell)
 	st.fields = st.mach.AllocRegion("fields", total*cfg.Problem.CellBytes*int64(cfg.Problem.ArraysPerCell))
 	st.buf = st.mach.AllocRegion("exchange_buffers", maxI64(cfg.Problem.FaceBytes()*2, mcfg.PageBytes))
+	st.solver = make(map[string][]sim.Kernel, len(solverProcs))
+	for name, w := range solverProcs {
+		ks := make([]sim.Kernel, cfg.Problem.Blocks)
+		for b := range ks {
+			ks[b] = st.solverKernel(w, b)
+		}
+		st.solver[name] = ks
+	}
 
 	master := st.eng.Master()
 	master.Enter(EventMain)
@@ -313,8 +325,7 @@ func (st *runState) initialize() {
 }
 
 // solverKernel builds the kernel for one procedure over one block.
-func (st *runState) solverKernel(name string, block int) sim.Kernel {
-	w := solverProcs[name]
+func (st *runState) solverKernel(w procWork, block int) sim.Kernel {
 	perBlock, _ := st.cfg.Problem.Cells()
 	cells := uint64(perBlock)
 	work := openuh.Work{
@@ -358,12 +369,13 @@ func (st *runState) rankTeams() []*sim.Team {
 // computePhase runs one named solver procedure over all blocks, workshared
 // by mode.
 func (st *runState) computePhase(name string) {
+	ks := st.solver[name]
 	if st.cfg.Mode == MPI {
 		st.eng.SPMD(func(r *sim.Thread, rank int) {
 			r.Enter(name)
 			lo, hi := st.blocksOf(rank)
 			for b := lo; b < hi; b++ {
-				r.Compute(st.solverKernel(name, b))
+				r.Compute(ks[b])
 			}
 			r.Leave(name)
 		})
@@ -376,7 +388,7 @@ func (st *runState) computePhase(name string) {
 			u.Enter(name)
 			lo, hi := st.blocksOf(unit)
 			for b := lo; b < hi; b++ {
-				u.Compute(st.solverKernel(name, b))
+				u.Compute(ks[b])
 			}
 		})
 		for _, team := range st.rankTeams() {
@@ -389,7 +401,7 @@ func (st *runState) computePhase(name string) {
 		tm.Each(func(t *sim.Thread) {
 			lo, hi := st.blocksOf(t.ID)
 			for b := lo; b < hi; b++ {
-				t.Compute(st.solverKernel(name, b))
+				t.Compute(ks[b])
 			}
 		})
 	})

@@ -6,17 +6,14 @@ import (
 	"sort"
 
 	"perfknow/internal/analysis"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/power"
 	"perfknow/internal/rules"
 )
 
 // flatEvents returns the non-callpath events in trial order — the candidate
-// set every fact builder walks. Fact extraction computes per-event rows
-// share-nothing in parallel and then asserts sequentially in this order, so
-// fact IDs (and therefore rule activation tie-breaks) stay deterministic
-// regardless of the worker count.
+// set every fact builder walks, asserting as it goes, so fact IDs (and
+// therefore rule activation tie-breaks) follow event order.
 func flatEvents(t *perfdmf.Trial) []*perfdmf.Event {
 	var evs []*perfdmf.Event
 	for _, e := range t.Events {
@@ -39,22 +36,24 @@ const (
 	metricLocal    = "LOCAL_MEMORY_ACCESSES"
 )
 
-// severity returns event's share of total runtime (mean exclusive TIME over
-// the main event's mean inclusive TIME).
-func severity(t *perfdmf.Trial, e *perfdmf.Event) float64 {
+// severityIn returns the function giving an event's share of t's total
+// runtime: mean exclusive TIME over the main event's mean inclusive TIME.
+// The main event is found once, here, not once per event.
+func severityIn(t *perfdmf.Trial) func(e *perfdmf.Event) float64 {
 	metric := perfdmf.TimeMetric
 	if !t.HasMetric(metric) {
 		metric = metricCycles
 	}
-	main := t.MainEvent(metric)
-	if main == nil {
-		return 0
+	total := 0.0
+	if main := t.MainEvent(metric); main != nil {
+		total = perfdmf.Mean(main.Inclusive[metric])
 	}
-	total := perfdmf.Mean(main.Inclusive[metric])
-	if total <= 0 {
-		return 0
+	return func(e *perfdmf.Event) float64 {
+		if total <= 0 {
+			return 0
+		}
+		return perfdmf.Mean(e.Exclusive[metric]) / total
 	}
-	return perfdmf.Mean(e.Exclusive[metric]) / total
 }
 
 // Inefficiency computes the paper's §III-B inefficiency metric for one
@@ -80,39 +79,32 @@ func AssertInefficiencyFacts(eng *rules.Engine, t *perfdmf.Trial) (int, error) {
 	if len(evs) == 0 {
 		return 0, fmt.Errorf("diagnosis: trial %q has no events", t.Name)
 	}
-	type row struct {
-		val float64
-		sev float64
-	}
-	xs := make([]row, len(evs))
-	parallel.Each(len(evs), 0, func(i int) {
-		xs[i] = row{val: Inefficiency(t, evs[i]), sev: severity(t, evs[i])}
-	})
-	// Sum in event order so the average is bit-identical to the sequential
-	// walk regardless of worker count.
+	// The average has to exist before the first fact can say HIGHER or
+	// LOWER, so this builder alone walks the events twice.
+	vals := make([]float64, len(evs))
 	sum := 0.0
-	for _, r := range xs {
-		sum += r.val
+	for i, e := range evs {
+		vals[i] = Inefficiency(t, e)
+		sum += vals[i]
 	}
-	avg := sum / float64(len(xs))
-	n := 0
-	for i, r := range xs {
+	avg := sum / float64(len(vals))
+	severity := severityIn(t)
+	for i, e := range evs {
 		hl := "LOWER"
-		if r.val > avg {
+		if vals[i] > avg {
 			hl = "HIGHER"
-		} else if r.val == avg {
+		} else if vals[i] == avg {
 			hl = "EQUAL"
 		}
 		eng.Assert(rules.NewFact("InefficiencyFact", map[string]any{
-			"eventName":   evs[i].Name,
-			"value":       r.val,
+			"eventName":   e.Name,
+			"value":       vals[i],
 			"average":     avg,
 			"higherLower": hl,
-			"severity":    r.sev,
+			"severity":    severity(e),
 		}))
-		n++
 	}
-	return n, nil
+	return len(evs), nil
 }
 
 // AssertStallSourceFacts implements the second §III-B step: per event, the
@@ -125,38 +117,24 @@ func AssertStallSourceFacts(eng *rules.Engine, t *perfdmf.Trial) (int, error) {
 			return 0, fmt.Errorf("diagnosis: trial %q lacks metric %q", t.Name, m)
 		}
 	}
-	evs := flatEvents(t)
-	facts := make([]*rules.Fact, len(evs))
-	parallel.Each(len(evs), 0, func(i int) {
-		e := evs[i]
+	n, severity := 0, severityIn(t)
+	for _, e := range flatEvents(t) {
 		all := perfdmf.Mean(e.Exclusive[metricStalls])
 		if all <= 0 {
-			return
+			continue
 		}
 		l1d := perfdmf.Mean(e.Exclusive[metricStallL1D]) / all
 		fp := perfdmf.Mean(e.Exclusive[metricStallFP]) / all
-		facts[i] = rules.NewFact("StallSourcesFact", map[string]any{
+		eng.Assert(rules.NewFact("StallSourcesFact", map[string]any{
 			"eventName":    e.Name,
 			"l1dFrac":      l1d,
 			"fpFrac":       fp,
 			"combinedFrac": l1d + fp,
-			"severity":     severity(t, e),
-		})
-	})
-	return assertAll(eng, facts), nil
-}
-
-// assertAll asserts the non-nil facts in slice order, preserving the
-// deterministic fact-ID sequence the sequential builders produced.
-func assertAll(eng *rules.Engine, facts []*rules.Fact) int {
-	n := 0
-	for _, f := range facts {
-		if f != nil {
-			eng.Assert(f)
-			n++
-		}
+			"severity":     severity(e),
+		}))
+		n++
 	}
-	return n
+	return n, nil
 }
 
 // MemoryStalls evaluates the §III-B latency-weighted memory stall formula
@@ -195,24 +173,23 @@ func AssertLocalityFacts(eng *rules.Engine, t *perfdmf.Trial) (int, error) {
 			return 0, fmt.Errorf("diagnosis: trial %q lacks metric %q", t.Name, m)
 		}
 	}
-	evs := flatEvents(t)
-	facts := make([]*rules.Fact, len(evs))
-	parallel.Each(len(evs), 0, func(i int) {
-		e := evs[i]
+	n, severity := 0, severityIn(t)
+	for _, e := range flatEvents(t) {
 		l3 := perfdmf.Mean(e.Exclusive[metricL3Miss])
 		if l3 <= 0 {
-			return
+			continue
 		}
 		remote := perfdmf.Mean(e.Exclusive[metricRemote])
-		facts[i] = rules.NewFact("LocalityFact", map[string]any{
+		eng.Assert(rules.NewFact("LocalityFact", map[string]any{
 			"eventName":   e.Name,
 			"remoteRatio": remote / l3,
 			"l3Misses":    l3,
 			"memoryStall": MemoryStalls(e, AltixCoefficients()),
-			"severity":    severity(t, e),
-		})
-	})
-	return assertAll(eng, facts), nil
+			"severity":    severity(e),
+		}))
+		n++
+	}
+	return n, nil
 }
 
 // AssertScalingFacts compares per-event inclusive times between a baseline
@@ -223,30 +200,29 @@ func AssertLocalityFacts(eng *rules.Engine, t *perfdmf.Trial) (int, error) {
 // by exclusive time hidden in nested events and barrier waits.
 func AssertScalingFacts(eng *rules.Engine, base, scaled *perfdmf.Trial) int {
 	metric := perfdmf.TimeMetric
-	evs := flatEvents(scaled)
-	facts := make([]*rules.Fact, len(evs))
-	parallel.Each(len(evs), 0, func(i int) {
-		e := evs[i]
+	n, severity := 0, severityIn(scaled)
+	for _, e := range flatEvents(scaled) {
 		if e.Name == "main" {
-			return
+			continue
 		}
 		be := base.Event(e.Name)
 		if be == nil {
-			return
+			continue
 		}
 		bv := maxPositive(be.Inclusive[metric])
 		ov := maxPositive(e.Inclusive[metric])
 		if bv <= 0 || ov <= 0 {
-			return
+			continue
 		}
-		facts[i] = rules.NewFact("ScalingFact", map[string]any{
+		eng.Assert(rules.NewFact("ScalingFact", map[string]any{
 			"eventName": e.Name,
 			"speedup":   bv / ov,
 			"threads":   float64(scaled.Threads),
-			"severity":  severity(scaled, e),
-		})
-	})
-	return assertAll(eng, facts)
+			"severity":  severity(e),
+		}))
+		n++
+	}
+	return n
 }
 
 // maxPositive returns the largest value (events only present on some
@@ -269,24 +245,23 @@ func AssertSyncFacts(eng *rules.Engine, t *perfdmf.Trial) (int, error) {
 	if !t.HasMetric(metricCycles) {
 		return 0, fmt.Errorf("diagnosis: trial %q lacks metric %q", t.Name, metricCycles)
 	}
-	evs := flatEvents(t)
-	facts := make([]*rules.Fact, len(evs))
-	parallel.Each(len(evs), 0, func(i int) {
-		e := evs[i]
+	n, severity := 0, severityIn(t)
+	for _, e := range flatEvents(t) {
 		cyc := perfdmf.Mean(e.Exclusive[metricCycles])
 		if cyc <= 0 {
-			return
+			continue
 		}
 		critical := perfdmf.Mean(e.Exclusive["OMP_CRITICAL_CYCLES"])
 		barrier := perfdmf.Mean(e.Exclusive["OMP_BARRIER_CYCLES"])
-		facts[i] = rules.NewFact("SyncFact", map[string]any{
+		eng.Assert(rules.NewFact("SyncFact", map[string]any{
 			"eventName":    e.Name,
 			"criticalFrac": critical / cyc,
 			"barrierFrac":  barrier / cyc,
-			"severity":     severity(t, e),
-		})
-	})
-	return assertAll(eng, facts), nil
+			"severity":     severity(e),
+		}))
+		n++
+	}
+	return n, nil
 }
 
 // AssertClusterFacts runs k-means over the threads of a trial (on per-event

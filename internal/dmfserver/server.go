@@ -11,7 +11,9 @@
 // The service is plain net/http with production hygiene built in:
 //
 //   - a parallel.Limiter caps how many requests may run analysis or
-//     diagnosis at once (the daemon's -j flag); when it saturates, the
+//     diagnosis at once (the daemon's -j flag), and an admitted request
+//     does its work on its own goroutine and starts no other, so -j is
+//     also the bound on goroutines doing analysis; when it saturates, the
 //     server sheds load with 429 + Retry-After after a bounded admission
 //     wait instead of queueing requests until their deadline;
 //   - every request runs under a timeout and a maximum body size; the

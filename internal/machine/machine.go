@@ -18,8 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // CacheConfig describes one level of the cache hierarchy.
@@ -114,7 +112,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Machine is an instantiated ccNUMA platform with page placement state.
+// Machine is an instantiated ccNUMA platform with page placement state. A
+// Machine and its Regions belong to one goroutine — the one driving the
+// sim.Engine built on it; nothing here is synchronised.
 type Machine struct {
 	cfg     Config
 	regions map[string]*Region
@@ -183,12 +183,7 @@ func (m *Machine) Seconds(cycles uint64) float64 {
 }
 
 // Region is a named allocation of simulated memory, tracked page by page.
-// Homes[i] is the node that owns page i, or -1 while the page is untouched.
-//
-// Placement state is maintained with atomic operations so that concurrently
-// simulated threads can Touch and read disjoint (or already-placed) ranges
-// without locks; first-touch claims race through compare-and-swap exactly
-// like the hardware policy they model.
+// homes[i] is the node that owns page i, or -1 while the page is untouched.
 //
 // A page never becomes unplaced again, so once the last one is claimed only
 // Place can change a home. From then on placement queries are answered from
@@ -196,24 +191,18 @@ func (m *Machine) Seconds(cycles uint64) float64 {
 type Region struct {
 	Name  string
 	Bytes int64
-	homes []int32 // atomic; -1 = unplaced
+	homes []int32 // -1 = unplaced
 	page  int64
 	nodes int // the machine's node count: every placed home is in [0, nodes)
 
-	unplaced atomic.Int64 // pages still at -1; never rises
-
-	// index is read without a lock; it is built and dropped under mu, so a
-	// build never overlaps a Place and an index published after a Place
-	// returns was scanned from the homes that Place left.
-	mu    sync.Mutex
-	index atomic.Pointer[runIndex]
+	unplaced int64     // pages still at -1; never rises
+	index    *runIndex // built by the first query of a fully placed region, dropped by Place
 }
 
 // runIndex is the placement of a fully placed region as maximal runs of
 // pages with one home: run i covers pages [starts[i], starts[i+1]) — the
 // last one to the end of the region — and lives on nodes[i]. A sequentially
-// initialised region is one run, a block-parallel one a run per block. It is
-// immutable once published.
+// initialised region is one run, a block-parallel one a run per block.
 type runIndex struct {
 	starts []int64
 	nodes  []int32
@@ -226,11 +215,10 @@ func (m *Machine) AllocRegion(name string, size int64) *Region {
 		panic(fmt.Sprintf("machine: region %q size must be positive, got %d", name, size))
 	}
 	pages := (size + m.cfg.PageBytes - 1) / m.cfg.PageBytes
-	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes, nodes: m.cfg.Nodes}
+	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes, nodes: m.cfg.Nodes, unplaced: pages}
 	for i := range r.homes {
 		r.homes[i] = -1
 	}
-	r.unplaced.Store(pages)
 	m.regions[name] = r
 	return r
 }
@@ -248,31 +236,26 @@ func (r *Region) HomeOf(off int64) int {
 	if p < 0 || p >= int64(len(r.homes)) {
 		panic(fmt.Sprintf("machine: offset %d out of range for region %q (%d bytes)", off, r.Name, r.Bytes))
 	}
-	return int(atomic.LoadInt32(&r.homes[p]))
+	return int(r.homes[p])
 }
 
 // Touch applies the first-touch placement policy to [off, off+length): any
 // unplaced page in the range becomes homed on `node`. Already-placed pages
-// are unaffected. It returns the number of pages newly placed. Claims are
-// compare-and-swap, so concurrent touchers of the same page race exactly as
-// the hardware policy does: one wins, the rest see the page placed.
+// are unaffected. It returns the number of pages newly placed.
 func (r *Region) Touch(off, length int64, node int) int {
 	r.checkNode(node)
 	first, last := r.pageRange(off, length)
-	if r.unplaced.Load() == 0 {
+	if r.unplaced == 0 {
 		return 0
 	}
 	placed := 0
 	for p := first; p <= last; p++ {
-		if atomic.CompareAndSwapInt32(&r.homes[p], -1, int32(node)) {
+		if r.homes[p] < 0 {
+			r.homes[p] = int32(node)
 			placed++
 		}
 	}
-	// One decrement after the walk: the count reaches 0 only when every
-	// claim it stands for has been stored.
-	if placed > 0 {
-		r.unplaced.Add(-int64(placed))
-	}
+	r.unplaced -= int64(placed)
 	return placed
 }
 
@@ -281,16 +264,13 @@ func (r *Region) Touch(off, length int64, node int) int {
 func (r *Region) Place(off, length int64, node int) {
 	r.checkNode(node)
 	first, last := r.pageRange(off, length)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var placed int64
 	for p := first; p <= last; p++ {
-		if atomic.SwapInt32(&r.homes[p], int32(node)) < 0 {
-			placed++
+		if r.homes[p] < 0 {
+			r.unplaced--
 		}
+		r.homes[p] = int32(node)
 	}
-	r.unplaced.Add(-placed)
-	r.index.Store(nil)
+	r.index = nil
 }
 
 // NodeShare returns, for each node, the fraction of placed pages in
@@ -317,22 +297,21 @@ func (r *Region) NodeShare(off, length int64, nodes int) (share []float64, ok bo
 // A fully placed region is answered from the run index in O(runs in range):
 // find the run holding first, add run overlaps until past last. Until then
 // the range is scanned page by page, because unplaced pages must stay out
-// of the counts. The index is built from a state no Touch can change any
-// more, so which path answers cannot change a count.
+// of the counts.
 func (r *Region) histogram(first, last int64, counts []int64) (placed int64) {
-	if r.unplaced.Load() != 0 {
-		for p := first; p <= last; p++ {
-			if h := atomic.LoadInt32(&r.homes[p]); h >= 0 {
+	if r.unplaced != 0 {
+		for _, h := range r.homes[first : last+1] {
+			if h >= 0 {
 				counts[h]++
 				placed++
 			}
 		}
 		return placed
 	}
-	idx := r.index.Load()
-	if idx == nil {
-		idx = r.buildIndex()
+	if r.index == nil {
+		r.index = r.buildIndex()
 	}
+	idx := r.index
 	// The run holding first is the last one starting at or before it.
 	lo := sort.Search(len(idx.starts), func(i int) bool { return idx.starts[i] > first }) - 1
 	for p, run := first, lo; p <= last; run++ {
@@ -346,24 +325,17 @@ func (r *Region) histogram(first, last int64, counts []int64) (placed int64) {
 	return last - first + 1
 }
 
-// buildIndex scans the homes of a fully placed region once and publishes
-// the run index, unless another reader got there first.
+// buildIndex scans the homes of a fully placed region once.
 func (r *Region) buildIndex() *runIndex {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx := r.index.Load(); idx != nil {
-		return idx
-	}
 	idx := &runIndex{}
 	prev := int32(-1)
-	for p := range r.homes {
-		if h := atomic.LoadInt32(&r.homes[p]); h != prev {
+	for p, h := range r.homes {
+		if h != prev {
 			idx.starts = append(idx.starts, int64(p))
 			idx.nodes = append(idx.nodes, h)
 			prev = h
 		}
 	}
-	r.index.Store(idx)
 	return idx
 }
 

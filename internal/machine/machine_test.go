@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -276,8 +275,8 @@ func TestPlacementQueriesMatchPageScan(t *testing.T) {
 				// Whatever is still unplaced is placed now: from here on
 				// the region answers from its index.
 				r.Touch(0, bytes, rng.Intn(cfg.Nodes))
-				if r.unplaced.Load() != 0 {
-					t.Fatalf("trial %d: %d pages unplaced after touching the whole region", trial, r.unplaced.Load())
+				if r.unplaced != 0 {
+					t.Fatalf("trial %d: %d pages unplaced after touching the whole region", trial, r.unplaced)
 				}
 			case k < 3:
 				before := 0
@@ -306,7 +305,7 @@ func TestPlacementQueriesMatchPageScan(t *testing.T) {
 				if want := m.AccessCost(cpu, scanMirror(m, r), off, length, prof); got != want {
 					t.Fatalf("trial %d op %d: AccessCost over [%d,+%d) = %+v, page scan gives %+v", trial, op, off, length, got, want)
 				}
-				if r.index.Load() != nil {
+				if r.index != nil {
 					indexed++
 				}
 			default:
@@ -325,56 +324,6 @@ func TestPlacementQueriesMatchPageScan(t *testing.T) {
 	}
 	if indexed == 0 || wide == 0 {
 		t.Fatalf("%d AccessCost calls answered from an index, %d machines over 64 nodes: the property was not exercised", indexed, wide)
-	}
-}
-
-// Sixteen threads first-touch their own block, meet at a barrier, and then
-// all cost overlapping ranges at once: one of them builds the index while
-// the rest arrive. Every result equals the one-goroutine run's.
-func TestConcurrentReadersBuildOneIndex(t *testing.T) {
-	const threads = 16
-	run := func(concurrent bool) [threads]MemCost {
-		m := New(Altix(16, 2))
-		pageB := m.Config().PageBytes
-		block := 6 * pageB
-		r := m.AllocRegion("fields", threads*block)
-		touch := func(k int) { r.Touch(int64(k)*block, block, m.NodeOf(2*k)) } // thread k on cpu 2k: a node each
-		var out [threads]MemCost
-		cost := func(k int) {
-			// Thread k reads from the middle of its block to the end of the
-			// region: every pair of ranges overlaps.
-			off := int64(k)*block + block/2
-			out[k] = m.AccessCost(2*k, r, off, threads*block-off, MemProfile{Loads: 1 << 20, WorkingSet: 64 << 20, Reuse: 4})
-		}
-		if !concurrent {
-			for k := 0; k < threads; k++ {
-				touch(k)
-			}
-			for k := 0; k < threads; k++ {
-				cost(k)
-			}
-			return out
-		}
-		var touched, done sync.WaitGroup
-		touched.Add(threads)
-		done.Add(threads)
-		for k := 0; k < threads; k++ {
-			go func() {
-				defer done.Done()
-				touch(k)
-				touched.Done()
-				touched.Wait()
-				cost(k)
-			}()
-		}
-		done.Wait()
-		if idx := r.index.Load(); idx == nil || len(idx.starts) != threads {
-			t.Errorf("index after a block-parallel first touch: %+v, want %d runs", idx, threads)
-		}
-		return out
-	}
-	if seq, par := run(false), run(true); seq != par {
-		t.Fatalf("concurrent readers disagree with the sequential run:\n%+v\n%+v", par, seq)
 	}
 }
 

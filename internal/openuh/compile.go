@@ -146,28 +146,15 @@ func (ex *Executable) execNode(eng *sim.Engine, t *sim.Thread, n *Node, resolve 
 			name = "parallel_loop"
 		}
 		// Loop bodies in this IR reference constant byte ranges, so every
-		// iteration of a first-touch statement touches the same pages. Under
-		// sequential semantics the first chunk (logical thread 0) places all
-		// of them; reproduce that placement before fanning the workers out so
-		// that racing goroutines only ever see already-placed pages.
-		ex.preTouch(eng, n.Body, resolve, depth)
-		// One error slot per logical thread: a worker callback only writes
-		// its own slot, keeping the fan-out race-free.
-		errs := make([]error, eng.Threads())
+		// iteration of a first-touch statement touches the same pages:
+		// iteration 0, which logical thread 0 runs first, places them all.
+		var err error
 		eng.ParallelFor(name, int(n.Trip), sched, func(worker *sim.Thread, i int) {
-			if errs[worker.ID] != nil {
-				return
-			}
-			if err := ex.execNodes(eng, worker, n.Body, resolve, depth); err != nil {
-				errs[worker.ID] = err
+			if err == nil {
+				err = ex.execNodes(eng, worker, n.Body, resolve, depth)
 			}
 		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 	case KindCall:
 		callee := ex.Prog.Proc(n.Name)
 		if callee == nil {
@@ -191,48 +178,6 @@ func (ex *Executable) execNode(eng *sim.Engine, t *sim.Thread, n *Node, resolve 
 		return err
 	}
 	return fmt.Errorf("openuh: unknown node kind %d", n.Kind)
-}
-
-// preTouch walks a parallel loop body along the path execution will take
-// (expected branch sides, calls up to the depth bound) and applies
-// first-touch placement for every first-touch compute statement with
-// logical thread 0's node — the placement the sequential schedule produces,
-// since thread 0 always runs the first chunk. Pages already placed are
-// untouched, so the pass is idempotent and exact.
-func (ex *Executable) preTouch(eng *sim.Engine, nodes []*Node, resolve RegionResolver, depth int) {
-	if depth > maxCallDepth {
-		return
-	}
-	node0 := eng.Master().Node()
-	var walk func(nodes []*Node, depth int)
-	walk = func(nodes []*Node, depth int) {
-		if depth > maxCallDepth {
-			return
-		}
-		for _, n := range nodes {
-			switch n.Kind {
-			case KindCompute:
-				if n.Work.FirstTouch && n.Work.Region != "" {
-					if r := resolve(n.Work.Region); r != nil && n.Work.Len > 0 {
-						r.Touch(n.Work.Off, n.Work.Len, node0)
-					}
-				}
-			case KindLoop, KindParallelLoop, KindInstrument:
-				walk(n.Body, depth)
-			case KindBranch:
-				if n.Prob >= 0.5 {
-					walk(n.Then, depth)
-				} else {
-					walk(n.Else, depth)
-				}
-			case KindCall:
-				if callee := ex.Prog.Proc(n.Name); callee != nil {
-					walk(callee.Body, depth+1)
-				}
-			}
-		}
-	}
-	walk(nodes, depth)
 }
 
 // collapseBody reports whether the body is a single compute statement (the

@@ -17,9 +17,10 @@ func TestPoolMetricsRegistered(t *testing.T) {
 
 	beforeFan := fanoutsTotal.Load()
 	beforeWork := workersTotal.Load()
-	Each(64, 4, func(i int) {})
-	if err := ForEach(context.Background(), 64, 4, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 2; round++ {
+		if err := ForEach(context.Background(), 64, 4, func(i int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	snap := reg.Snapshot()
@@ -52,7 +53,9 @@ func TestPoolMetricsConcurrentWithSnapshots(t *testing.T) {
 	}()
 	var total atomic.Int64
 	for round := 0; round < 8; round++ {
-		Each(256, 4, func(i int) { total.Add(1) })
+		if err := ForEach(context.Background(), 256, 4, func(i int) error { total.Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -61,15 +64,15 @@ func TestPoolMetricsConcurrentWithSnapshots(t *testing.T) {
 	}
 }
 
-// BenchmarkEachInstrumented measures the fan-out hot path with the pool
+// BenchmarkForEachInstrumented measures the fan-out hot path with the pool
 // metrics registered and a concurrent snapshot reader — the contention
 // guard for BenchmarkParallelSpeedup. The per-item loop must stay free of
 // instrumentation (counters update once per fan-out / per worker), so this
 // benchmark's per-item cost should match an uninstrumented pool's. Run
 // with -race to prove the instrumentation adds no data races either:
 //
-//	go test -race -run='^$' -bench=BenchmarkEachInstrumented ./internal/parallel
-func BenchmarkEachInstrumented(b *testing.B) {
+//	go test -race -run='^$' -bench=BenchmarkForEachInstrumented ./internal/parallel
+func BenchmarkForEachInstrumented(b *testing.B) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
 	var stop atomic.Bool
@@ -84,7 +87,9 @@ func BenchmarkEachInstrumented(b *testing.B) {
 	b.ResetTimer()
 	var sink atomic.Int64
 	for i := 0; i < b.N; i++ {
-		Each(1024, 8, func(j int) { sink.Add(1) })
+		if err := ForEach(context.Background(), 1024, 8, func(j int) error { sink.Add(1); return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	stop.Store(true)

@@ -5,6 +5,11 @@
 //
 // Design rules, shared by every caller in this repository:
 //
+//   - One grain: an item is something whole and independent — a trial of a
+//     batch, an experiment, an admitted request. A simulation, a fact
+//     builder or an analysis operation runs on the goroutine that called
+//     it; their per-event and per-thread loops are too short to pay for a
+//     hand-off.
 //   - Bounded: never more goroutines than the worker count, which defaults
 //     to GOMAXPROCS and is capped by the item count.
 //   - Deterministic degradation: a worker count of 1 (or a single item)
@@ -37,7 +42,7 @@ import (
 // instrumentation adds nothing to the index-claiming hot path that
 // BenchmarkParallelSpeedup measures.
 var (
-	fanoutsTotal  atomic.Int64 // Each/ForEach invocations
+	fanoutsTotal  atomic.Int64 // ForEach invocations
 	workersTotal  atomic.Int64 // worker goroutines ever started
 	workersActive atomic.Int64 // worker goroutines currently running
 )
@@ -108,66 +113,6 @@ func capped(workers, n int) int {
 
 // panicValue carries a captured worker panic to the calling goroutine.
 type panicValue struct{ v any }
-
-// Each runs fn(i) for every i in [0, n), using at most `workers`
-// goroutines, the calling one included (workers <= 0 means
-// DefaultWorkers). It returns after all calls complete. With one worker or
-// one item the loop runs inline in index order. A panic in fn is re-raised
-// on the calling goroutine after the remaining workers drain.
-func Each(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	fanoutsTotal.Add(1)
-	w := capped(workers, n)
-	if w == 1 {
-		defer workerSpan()()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-		pmu  sync.Mutex
-		pval *panicValue
-	)
-	worker := func() {
-		defer workerSpan()()
-		defer func() {
-			if r := recover(); r != nil {
-				pmu.Lock()
-				if pval == nil {
-					pval = &panicValue{r}
-				}
-				pmu.Unlock()
-			}
-		}()
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	// The caller is one of the w workers: it would otherwise park until
-	// the others finish, and for the microsecond-sized fan-outs of the
-	// simulator a goroutine start and a wake-up cost more than the work.
-	wg.Add(w - 1)
-	for g := 1; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
-	if pval != nil {
-		panic(pval.v)
-	}
-}
 
 // ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
 // and returns the first error by index order. After any error (or context
@@ -270,7 +215,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 
 // Limiter is a counting semaphore bounding concurrent work admitted from
 // outside the pool primitives — e.g. a server capping how many requests may
-// run analysis at once. It complements Each/ForEach (which bound fan-out
+// run analysis at once. It complements ForEach (which bounds fan-out
 // within one call) by bounding concurrency across independent callers.
 type Limiter struct {
 	sem     chan struct{}
@@ -279,8 +224,8 @@ type Limiter struct {
 
 // NewLimiter returns a limiter admitting at most n concurrent holders.
 // n <= 0 falls back to DefaultWorkers, so a server's -j flag (routed
-// through SetDefaultWorkers) caps request-level concurrency the same way
-// it caps analysis fan-out.
+// through SetDefaultWorkers) bounds requests in flight the way a CLI's -j
+// bounds experiments or trials in flight.
 func NewLimiter(n int) *Limiter {
 	if n <= 0 {
 		n = DefaultWorkers()

@@ -33,11 +33,13 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-func TestEachRunsAllItems(t *testing.T) {
+func TestForEachRunsAllItems(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		n := 137
 		hits := make([]int64, n)
-		Each(n, workers, func(i int) { atomic.AddInt64(&hits[i], 1) })
+		if err := ForEach(context.Background(), n, workers, func(i int) error { atomic.AddInt64(&hits[i], 1); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: item %d ran %d times", workers, i, h)
@@ -46,12 +48,15 @@ func TestEachRunsAllItems(t *testing.T) {
 	}
 }
 
-// TestEachWorkerOneIsSequential asserts the pool-size-1 path is the literal
-// sequential loop: same goroutine, strict index order — bit-for-bit the
-// behaviour of the code it replaces.
-func TestEachWorkerOneIsSequential(t *testing.T) {
+// TestForEachWorkerOneIsSequential asserts the pool-size-1 path is the
+// literal sequential loop: same goroutine, strict index order — bit-for-bit
+// the behaviour of the code it replaces.
+func TestForEachWorkerOneIsSequential(t *testing.T) {
 	var order []int
-	Each(50, 1, func(i int) { order = append(order, i) }) // no locking: must be same goroutine
+	// no locking: must be same goroutine
+	if err := ForEach(context.Background(), 50, 1, func(i int) error { order = append(order, i); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != 50 {
 		t.Fatalf("ran %d items, want 50", len(order))
 	}
@@ -62,7 +67,7 @@ func TestEachWorkerOneIsSequential(t *testing.T) {
 	}
 }
 
-func TestEachPanicPropagates(t *testing.T) {
+func TestForEachPanicPropagates(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -72,10 +77,11 @@ func TestEachPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want \"boom\"", r)
 		}
 	}()
-	Each(64, 4, func(i int) {
+	ForEach(context.Background(), 64, 4, func(i int) error {
 		if i == 13 {
 			panic("boom")
 		}
+		return nil
 	})
 }
 
@@ -255,15 +261,11 @@ func TestMapPartialResultsOnError(t *testing.T) {
 	}
 }
 
-func TestEachZeroAndNegativeN(t *testing.T) {
-	ran := false
-	Each(0, 4, func(int) { ran = true })
-	Each(-3, 4, func(int) { ran = true })
-	if ran {
-		t.Fatal("fn ran for n <= 0")
-	}
-	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("x") }); err != nil {
-		t.Fatalf("ForEach(0 items) = %v", err)
+func TestForEachZeroAndNegativeN(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if err := ForEach(context.Background(), n, 4, func(int) error { return errors.New("x") }); err != nil {
+			t.Fatalf("ForEach(%d items) = %v", n, err)
+		}
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 type Engine struct {
 	rules []*Rule
 
-	// mu guards the working memory and result accumulators so that facts
-	// can be asserted from concurrent extraction goroutines. The
-	// match-resolve-act loop itself runs on one goroutine and fires with the
-	// lock released, so rule actions (which Assert/Retract through the same
-	// lock) never deadlock.
+	// mu guards the working memory and result accumulators. Nothing in
+	// this repository asserts from two goroutines — the fact builders run
+	// on their caller — but Engine is exported through the facade, so the
+	// lock stays. The match-resolve-act loop runs on one goroutine and
+	// fires with the lock released, so rule actions (which Assert/Retract
+	// through the same lock) never deadlock.
 	// facts is the working memory in arbitrary storage order: Retract
 	// swap-removes through factPos so retraction is O(1) regardless of
 	// memory size (standing diagnoses retract and re-assert facts on every

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"perfknow/internal/counters"
-	"perfknow/internal/parallel"
 )
 
 // This file models the MPI runtime. Ranks are the engine's logical threads;
@@ -20,13 +19,13 @@ type Message struct {
 	Bytes    int64
 }
 
-// SPMD runs body once per rank. Ranks advance independently (each carries
-// its own clock, counters and profile), so the bodies run on real
-// goroutines; use Exchange/MPIBarrier/AllReduce to couple their clocks.
+// SPMD runs body once per rank, in rank order. Ranks advance independently
+// (each carries its own clock, counters and profile); use
+// Exchange/MPIBarrier/AllReduce to couple their clocks.
 func (e *Engine) SPMD(body func(r *Thread, rank int)) {
-	parallel.Each(len(e.threads), 0, func(i int) {
-		body(e.threads[i], i)
-	})
+	for i, t := range e.threads {
+		body(t, i)
+	}
 }
 
 // Exchange models an asynchronous neighbor exchange: every rank posts its

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"perfknow/internal/counters"
-	"perfknow/internal/parallel"
 )
 
 // ScheduleKind enumerates the OpenMP loop scheduling policies.
@@ -145,11 +144,11 @@ func (tm *Team) Barrier() {
 }
 
 // For workshares iterations [0, n) across the team under sched. Static
-// scheduling fans the per-thread chunk sequences out on real goroutines;
+// scheduling runs each thread's chunk sequence in turn, thread 0 first;
 // dynamic and guided scheduling dispatch each chunk to the thread with the
 // smallest clock — the virtual-time equivalent of "the next free thread
-// grabs the next chunk" — which is a central queue in virtual time and
-// therefore inherently sequential. No implicit
+// grabs the next chunk". Where iterations of different threads first-touch
+// the same page, the lowest thread id homes it. No implicit
 // barrier is taken; call Barrier (or rely on ParallelRegion's join) to
 // close the construct, which lets callers model nowait loops too.
 func (tm *Team) For(n int, sched Schedule, iter func(t *Thread, i int)) {
@@ -163,12 +162,9 @@ func (tm *Team) For(n int, sched Schedule, iter func(t *Thread, i int)) {
 		if chunk <= 0 {
 			chunk = (n + p - 1) / p
 		}
-		// Static assignment is fixed up front (chunk c belongs to thread
-		// c mod p), so the logical threads are share-nothing and can run on
-		// real goroutines: each worker executes exactly the per-thread
-		// subsequence of the sequential interleaving, in the same order.
-		parallel.Each(p, 0, func(k int) {
-			t := tm.threads[k]
+		// Static assignment is fixed up front: chunk c belongs to thread
+		// c mod p.
+		for k, t := range tm.threads {
 			for base := k * chunk; base < n; base += p * chunk {
 				end := base + chunk
 				if end > n {
@@ -178,7 +174,7 @@ func (tm *Team) For(n int, sched Schedule, iter func(t *Thread, i int)) {
 					iter(t, i)
 				}
 			}
-		})
+		}
 	case DynamicSched, GuidedSched:
 		chunk := sched.Chunk
 		if chunk <= 0 {
@@ -240,13 +236,11 @@ func (tm *Team) Critical(body func(t *Thread)) {
 	}
 }
 
-// Each runs f once on every thread (replicated execution). The logical
-// threads are independent — own clock, counters, profile — so the
-// replicated bodies run on real goroutines.
+// Each runs f once on every thread (replicated execution), in id order.
 func (tm *Team) Each(f func(t *Thread)) {
-	parallel.Each(len(tm.threads), 0, func(i int) {
-		f(tm.threads[i])
-	})
+	for _, t := range tm.threads {
+		f(t)
+	}
 }
 
 // MasterOnly runs f on thread 0 only; other threads do not wait (no implied

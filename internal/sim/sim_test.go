@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"runtime"
 	"testing"
 
 	"perfknow/internal/counters"
@@ -100,6 +102,41 @@ func TestComputeFirstTouch(t *testing.T) {
 	}
 	if home := r.HomeOf(5 * mach.Config().PageBytes); home != -1 {
 		t.Fatalf("untouched page home = %d, want -1", home)
+	}
+}
+
+// Sixteen threads of a static loop all first-touch the whole region, and
+// iteration 0 — thread 0's — does not. The lowest thread id touching a page
+// in a construct homes it: thread 1, on node 0. When the threads ran on
+// goroutines the last page came out on node 1 about once in 600 runs.
+func TestOverlappingFirstTouchIsReproducible(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var want [sha256.Size]byte
+	for run := 0; run < 200; run++ {
+		e := newEngine(16)
+		r := e.Machine().AllocRegion("shared", 64*e.Machine().Config().PageBytes)
+		e.ParallelFor("init", 16, Schedule{Kind: StaticSched}, func(th *Thread, i int) {
+			if i == 0 {
+				return
+			}
+			th.Compute(Kernel{Refs: [2]MemRef{{Region: r, Off: 0, Len: r.Bytes, Stores: 1 << 10, FirstTouch: true}}})
+		})
+		if home := r.HomeOf(r.Bytes - 1); home != 0 {
+			t.Fatalf("run %d: last page homed on node %d, want 0", run, home)
+		}
+		tr, err := e.Snapshot("app", "exp", "overlap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := perfdmf.EncodeTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(enc); run == 0 {
+			want = sum
+		} else if sum != want {
+			t.Fatalf("run %d: encoded trial differs from run 0", run)
+		}
 	}
 }
 

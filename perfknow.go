@@ -32,6 +32,12 @@
 //     client-side consistent-hash routing and anti-entropy repair
 //     (internal/cluster, docs/CLUSTER.md) behind the same Store surface.
 //
+// Concurrency has one grain, whole and independent items: the trials of a
+// batch, the experiments of a run, the requests a daemon admits. The CLIs'
+// -j flag bounds how many of those are in flight. A simulation, a fact
+// builder or an analysis operation runs on the goroutine that called it,
+// and a Machine with its Regions and Engine belongs to that one goroutine.
+//
 // Quick start:
 //
 //	repo := perfknow.NewRepository()
@@ -251,7 +257,7 @@ type (
 	// listing failures); register observers with Tracer.OnEvent.
 	TelemetryEvent = obs.Event
 	// MetricsRegistry holds counters, gauges and histograms; shared by the
-	// profile server, the remote client and the parallel engine.
+	// profile server, the remote client and the worker pool.
 	MetricsRegistry = obs.Registry
 	// ServiceMetrics is the versioned typed snapshot served by
 	// GET /api/v1/metrics.
