@@ -33,22 +33,18 @@
 // docs/STREAMING.md.
 //
 // With -peers the daemon joins a cluster: every member is started with
-// the same -peers/-replicas/-ring-epoch/-vnodes/-ring-seed (and
-// -ring-version for the placement hash), serves its current ring
-// descriptor at GET /api/v1/cluster, and publishes cluster_* gauges in
-// /api/v1/metrics. Members are ACTIVE by default (-gossip=true): each
-// daemon runs a gossip agent that probes its peers every -probe-interval,
-// marks them suspect after -suspect-after missed probes and dead after
-// -suspect-timeout of suspicion, accepts hinted writes (durable IOUs kept
-// under -hints-dir and replayed when the owner returns), adopts ring
-// epoch bumps announced to ANY member (POST /api/v1/cluster) without a
-// restart, and — on the lowest-URL alive member — runs an anti-entropy
-// repair pass every -repair-interval that restores the replication factor
-// after permanent node loss. -seed-peers adds gossip contacts beyond the
-// ring (how a freshly configured member finds a running cluster). With
-// -gossip=false the daemon serves the static descriptor only and healing
-// falls back to the operator-driven perfexplorer -rebalance. See
-// docs/CLUSTER.md.
+// the same -peers/-replicas/-ring-epoch/-vnodes/-ring-seed, serves its
+// current ring descriptor at GET /api/v1/cluster, and publishes cluster_*
+// gauges in /api/v1/metrics. Every member runs a gossip agent that probes
+// its peers every -probe-interval, marks them suspect after -suspect-after
+// missed probes and dead after -suspect-timeout of suspicion, accepts
+// hinted writes (durable IOUs kept under -hints-dir and replayed when the
+// owner returns), adopts ring epoch bumps announced to ANY member
+// (POST /api/v1/cluster) without a restart, and — on the lowest-URL alive
+// member — runs an anti-entropy repair pass every -repair-interval that
+// restores the replication factor after permanent node loss. -seed-peers
+// adds gossip contacts beyond the ring (how a freshly configured member
+// finds a running cluster). See docs/CLUSTER.md.
 package main
 
 import (
@@ -83,58 +79,82 @@ func main() {
 // run is main with injectable arguments, streams and a readiness hook, for
 // testing. ready (when non-nil) receives the bound address once the
 // listener is open.
-func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
+// options holds what the flags set.
+type options struct {
+	addr, addrFile, debugAddr, debugFile string
+	repoDir, rulesDir                    string
+	jobs                                 int
+	maxBody                              int64
+	timeout, drain, admission            time.Duration
+	fsck                                 bool
+	streamWindow                         int
+	standingRules                        string
+
+	peers, self, seedPeers, hintsDir string
+	replicas, vnodes, suspectAfter   int
+	ringEpoch, ringSeed              uint64
+	probeInterval, suspectFor        time.Duration
+	repairEvery, repairPause         time.Duration
+}
+
+// newFlagSet registers every flag of the command on o. run parses it; the
+// documentation test walks it.
+func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("perfdmfd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		addr      = fs.String("addr", "127.0.0.1:7360", "listen address (use :0 for an ephemeral port)")
-		addrFile  = fs.String("addr-file", "", "write the bound address to this file once listening")
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		debugFile = fs.String("debug-addr-file", "", "write the bound debug address to this file once listening")
-		repoDir   = fs.String("repo", "perfdata", "profile repository directory")
-		rulesDir  = fs.String("rules", "", "directory holding .prl rule files (default: built-in knowledge base)")
-		jobs      = fs.Int("j", 0, "max concurrent analysis/diagnosis requests, each one goroutine of analysis (0 = GOMAXPROCS)")
-		maxBody   = fs.Int64("max-body", dmfserver.DefaultMaxBodyBytes, "max request body bytes")
-		timeout   = fs.Duration("timeout", dmfserver.DefaultRequestTimeout, "per-request time budget")
-		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		admission = fs.Duration("admission-wait", dmfserver.DefaultAdmissionWait,
-			"how long a request may wait for an analysis slot before being shed with 429 (negative = shed immediately)")
-		fsck = fs.Bool("fsck", false,
-			"verify the repository (recover temp files, quarantine corrupt trials), print the report as JSON and exit: 0 if clean, 1 otherwise")
-		streamWindow = fs.Int("stream-window", dmfserver.DefaultStreamWindow,
-			"default sliding-window size in chunks for standing stream analysis (0 = cumulative; streams may override per-open)")
-		standingRules = fs.String("standing-rules", "",
-			"comma-separated .prl rule names (from -rules) registered as standing diagnoses on every stream that names none")
-		peers = fs.String("peers", "",
-			"comma-separated base URLs of every cluster member (including this one); empty = standalone")
-		replicas    = fs.Int("replicas", 2, "cluster replication factor R (with -peers)")
-		ringEpoch   = fs.Uint64("ring-epoch", 1, "cluster membership epoch; bump when -peers changes (with -peers)")
-		vnodes      = fs.Int("vnodes", 64, "virtual nodes per peer on the placement ring (with -peers)")
-		ringSeed    = fs.Uint64("ring-seed", 0, "placement hash seed; must match on every member (with -peers)")
-		ringVersion = fs.Int("ring-version", 1, "placement hash version: 1 = legacy, 2 = mixed (better dispersion); must match on every member")
-		gossip      = fs.Bool("gossip", true, "run the gossip membership agent (self-healing cluster); false = static descriptor only")
-		self        = fs.String("self", "", "this member's base URL as listed in -peers (default: http://<bound address>)")
-		seedPeers   = fs.String("seed-peers", "",
-			"comma-separated base URLs to gossip with even when absent from the ring (bootstrap contacts for a joining member)")
-		probeInterval = fs.Duration("probe-interval", time.Second, "gossip probe cadence")
-		suspectAfter  = fs.Int("suspect-after", 3, "consecutive missed probes before a peer turns suspect")
-		suspectFor    = fs.Duration("suspect-timeout", 10*time.Second, "how long a peer stays suspect before it is declared dead")
-		repairEvery   = fs.Duration("repair-interval", 30*time.Second, "anti-entropy repair cadence on the leader (0 = disabled)")
-		repairPause   = fs.Duration("repair-throttle", 10*time.Millisecond, "pause between repaired trials, pacing repair behind foreground traffic")
-		hintsDir      = fs.String("hints-dir", "", "durable hinted-handoff directory (default: <repo>.hints; must be outside -repo)")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7360", "listen address (use :0 for an ephemeral port)")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
+	fs.StringVar(&o.debugFile, "debug-addr-file", "", "write the bound debug address to this file once listening")
+	fs.StringVar(&o.repoDir, "repo", "perfdata", "profile repository directory")
+	fs.StringVar(&o.rulesDir, "rules", "", "directory holding .prl rule files (default: built-in knowledge base)")
+	fs.IntVar(&o.jobs, "j", 0, "max concurrent analysis/diagnosis requests, each one goroutine of analysis (0 = GOMAXPROCS)")
+	fs.Int64Var(&o.maxBody, "max-body", dmfserver.DefaultMaxBodyBytes, "max request body bytes")
+	fs.DurationVar(&o.timeout, "timeout", dmfserver.DefaultRequestTimeout, "per-request time budget")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
+	fs.DurationVar(&o.admission, "admission-wait", dmfserver.DefaultAdmissionWait,
+		"how long a request may wait for an analysis slot before being shed with 429 (negative = shed immediately)")
+	fs.BoolVar(&o.fsck, "fsck", false,
+		"verify the repository (recover temp files, quarantine corrupt trials), print the report as JSON and exit: 0 if clean, 1 otherwise")
+	fs.IntVar(&o.streamWindow, "stream-window", dmfserver.DefaultStreamWindow,
+		"default sliding-window size in chunks for standing stream analysis (0 = cumulative; streams may override per-open)")
+	fs.StringVar(&o.standingRules, "standing-rules", "",
+		"comma-separated .prl rule names (from -rules) registered as standing diagnoses on every stream that names none")
+	fs.StringVar(&o.peers, "peers", "",
+		"comma-separated base URLs of every cluster member (including this one); empty = standalone")
+	fs.IntVar(&o.replicas, "replicas", 2, "cluster replication factor R (with -peers)")
+	fs.Uint64Var(&o.ringEpoch, "ring-epoch", 1, "cluster membership epoch; bump when -peers changes (with -peers)")
+	fs.IntVar(&o.vnodes, "vnodes", 64, "virtual nodes per peer on the placement ring (with -peers)")
+	fs.Uint64Var(&o.ringSeed, "ring-seed", 0, "placement hash seed; must match on every member (with -peers)")
+	fs.StringVar(&o.self, "self", "", "this member's base URL as listed in -peers (default: http://<bound address>)")
+	fs.StringVar(&o.seedPeers, "seed-peers", "",
+		"comma-separated base URLs to gossip with even when absent from the ring (bootstrap contacts for a joining member)")
+	fs.DurationVar(&o.probeInterval, "probe-interval", time.Second, "gossip probe cadence")
+	fs.IntVar(&o.suspectAfter, "suspect-after", 3, "consecutive missed probes before a peer turns suspect")
+	fs.DurationVar(&o.suspectFor, "suspect-timeout", 10*time.Second, "how long a peer stays suspect before it is declared dead")
+	fs.DurationVar(&o.repairEvery, "repair-interval", 30*time.Second, "anti-entropy repair cadence on the leader (0 = disabled)")
+	fs.DurationVar(&o.repairPause, "repair-throttle", 10*time.Millisecond, "pause between repaired trials, pacing repair behind foreground traffic")
+	fs.StringVar(&o.hintsDir, "hints-dir", "", "durable hinted-handoff directory (default: <repo>.hints; must be outside -repo)")
+	return fs
+}
+
+// run is main with injectable arguments, streams and a readiness hook, for
+// testing. ready (when non-nil) receives the bound address once the
+// listener is open.
+func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
+	var o options
+	if err := newFlagSet(&o, stderr).Parse(args); err != nil {
 		return 2
 	}
-	parallel.SetDefaultWorkers(*jobs)
+	parallel.SetDefaultWorkers(o.jobs)
 
 	logger := slog.New(slog.NewJSONHandler(stderr, nil))
 
-	repo, err := perfdmf.OpenRepository(*repoDir)
+	repo, err := perfdmf.OpenRepository(o.repoDir)
 	if err != nil {
 		return fail(logger, err)
 	}
-	if *fsck {
+	if o.fsck {
 		rep, err := repo.Verify()
 		if err != nil {
 			return fail(logger, err)
@@ -151,33 +171,29 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	// Listen before building the cluster layer: an active member's self
 	// URL defaults to the address it actually bound.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return fail(logger, err)
 	}
 	bound := ln.Addr().String()
-	selfURL := *self
+	selfURL := o.self
 	if selfURL == "" {
 		selfURL = "http://" + bound
 	}
 
 	// With -peers (or -seed-peers) the daemon is a cluster member. The
-	// descriptor built from flags is only the STARTING point: with
-	// -gossip (the default) the member's agent adopts newer epochs
-	// announced anywhere in the cluster and heals placement on its own;
-	// with -gossip=false the descriptor is static, as in the original
-	// client-routed design.
-	var ring *dmfwire.Ring
+	// descriptor built from flags is only the STARTING point: the member's
+	// agent adopts newer epochs announced anywhere in the cluster and heals
+	// placement on its own.
 	var node *cluster.Agent
 	var reg *obs.Registry
-	if *peers != "" || *seedPeers != "" {
-		rpeers := splitPeers(*peers)
+	if o.peers != "" || o.seedPeers != "" {
+		rpeers := splitPeers(o.peers)
 		r := dmfwire.Ring{
-			Epoch:    *ringEpoch,
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-			Seed:     *ringSeed,
-			Version:  *ringVersion,
+			Epoch:    o.ringEpoch,
+			Replicas: o.replicas,
+			VNodes:   o.vnodes,
+			Seed:     o.ringSeed,
 			Peers:    rpeers,
 		}
 		if len(rpeers) == 0 {
@@ -186,50 +202,42 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			r.Peers = []string{selfURL}
 			r.Replicas = 1
 		}
-		canon := r.Canonical()
-		if err := canon.Validate(); err != nil {
-			return fail(logger, err)
+		hd := o.hintsDir
+		if hd == "" {
+			// Sibling of the repository, NEVER inside it: the
+			// repository walks every subdirectory as profile data.
+			hd = strings.TrimSuffix(o.repoDir, "/") + ".hints"
 		}
-		ring = &canon
-		if *gossip {
-			hd := *hintsDir
-			if hd == "" {
-				// Sibling of the repository, NEVER inside it: the
-				// repository walks every subdirectory as profile data.
-				hd = strings.TrimSuffix(*repoDir, "/") + ".hints"
-			}
-			reg = obs.NewRegistry()
-			node, err = cluster.NewAgent(cluster.AgentConfig{
-				Self:           selfURL,
-				Ring:           canon,
-				SeedPeers:      splitPeers(*seedPeers),
-				ProbeInterval:  *probeInterval,
-				SuspectAfter:   *suspectAfter,
-				SuspectTimeout: *suspectFor,
-				RepairInterval: *repairEvery,
-				RepairThrottle: *repairPause,
-				HintsDir:       hd,
-				Logger:         logger,
-				Registry:       reg,
-			})
-			if err != nil {
-				return fail(logger, err)
-			}
+		reg = obs.NewRegistry()
+		node, err = cluster.NewAgent(cluster.AgentConfig{
+			Self:           selfURL,
+			Ring:           r,
+			SeedPeers:      splitPeers(o.seedPeers),
+			ProbeInterval:  o.probeInterval,
+			SuspectAfter:   o.suspectAfter,
+			SuspectTimeout: o.suspectFor,
+			RepairInterval: o.repairEvery,
+			RepairThrottle: o.repairPause,
+			HintsDir:       hd,
+			Logger:         logger,
+			Registry:       reg,
+		})
+		if err != nil {
+			return fail(logger, err)
 		}
 	}
 
 	cfg := dmfserver.Config{
 		Repo:           repo,
-		RulesDir:       *rulesDir,
-		Jobs:           *jobs,
-		MaxBodyBytes:   *maxBody,
-		RequestTimeout: *timeout,
-		AdmissionWait:  *admission,
+		RulesDir:       o.rulesDir,
+		Jobs:           o.jobs,
+		MaxBodyBytes:   o.maxBody,
+		RequestTimeout: o.timeout,
+		AdmissionWait:  o.admission,
 		Logger:         logger,
-		Ring:           ring,
 		Registry:       reg,
-		StreamWindow:   normalizeStreamWindow(*streamWindow),
-		StandingRules:  splitPeers(*standingRules),
+		StreamWindow:   normalizeStreamWindow(o.streamWindow),
+		StandingRules:  splitPeers(o.standingRules),
 	}
 	if node != nil {
 		cfg.Node = node
@@ -244,32 +252,32 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		defer node.Close()
 		logger.Info("cluster agent running", "self", selfURL,
 			"epoch", node.Ring().Epoch, "peers", len(node.Ring().Peers),
-			"probe", (*probeInterval).String(), "repair", (*repairEvery).String())
+			"probe", o.probeInterval.String(), "repair", o.repairEvery.String())
 	}
 
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
+	if o.addrFile != "" {
+		if err := os.WriteFile(o.addrFile, []byte(bound), 0o644); err != nil {
 			return fail(logger, err)
 		}
 	}
 	if ready != nil {
 		ready <- bound
 	}
-	fmt.Fprintf(stdout, "perfdmfd listening on %s (repo %s)\n", bound, *repoDir)
-	logger.Info("listening", "addr", bound, "repo", *repoDir, "jobs", parallel.Workers(*jobs))
+	fmt.Fprintf(stdout, "perfdmfd listening on %s (repo %s)\n", bound, o.repoDir)
+	logger.Info("listening", "addr", bound, "repo", o.repoDir, "jobs", parallel.Workers(o.jobs))
 
 	httpSrv := srv.HTTPServer(bound)
 
 	// The profiler listens on its own address so operational tooling can
 	// reach /debug/pprof without exposing it beside the public API.
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if o.debugAddr != "" {
+		dln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
 			return fail(logger, err)
 		}
 		dbound := dln.Addr().String()
-		if *debugFile != "" {
-			if err := os.WriteFile(*debugFile, []byte(dbound), 0o644); err != nil {
+		if o.debugFile != "" {
+			if err := os.WriteFile(o.debugFile, []byte(dbound), 0o644); err != nil {
 				return fail(logger, err)
 			}
 		}
@@ -297,8 +305,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			return fail(logger, err)
 		}
 	case <-ctx.Done():
-		logger.Info("shutting down", "drain", (*drain).String())
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+		logger.Info("shutting down", "drain", o.drain.String())
+		drainCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 		defer cancel()
 		if err := httpSrv.Shutdown(drainCtx); err != nil {
 			logger.Warn("drain incomplete, closing", "err", err)

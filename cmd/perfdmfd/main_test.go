@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -219,15 +220,19 @@ func TestDaemonFsck(t *testing.T) {
 	}
 }
 
+// TestDaemonBadFlags: an unknown flag is a usage error, and so are the
+// flags that selected ring version 1 and the static membership mode.
 func TestDaemonBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errb, nil); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	for _, args := range [][]string{{"-no-such-flag"}, {"-ring-version", "2"}, {"-gossip=false"}, {"-gossip"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb, nil); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
 	}
 }
 
-// TestDaemonClusterFlags: -peers turns the daemon into a cluster member
-// that serves its ring at GET /api/v1/cluster and publishes the ring
+// TestDaemonClusterFlags: -peers turns the daemon into a gossiping cluster
+// member that serves its ring at GET /api/v1/cluster and publishes the ring
 // identity gauges; the peer list is canonicalized, so flag order does not
 // matter.
 func TestDaemonClusterFlags(t *testing.T) {
@@ -250,6 +255,18 @@ func TestDaemonClusterFlags(t *testing.T) {
 	want := []string{"http://node-a:7360", "http://node-b:7360"}
 	if len(ring.Peers) != 2 || ring.Peers[0] != want[0] || ring.Peers[1] != want[1] {
 		t.Fatalf("peers = %v, want %v (canonical order)", ring.Peers, want)
+	}
+	resp, err := http.Get(c.BaseURL() + "/api/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.HasPrefix(raw, []byte("%DMFRING2 ")) {
+		t.Fatalf("GET /api/v1/cluster = %q, want a %%DMFRING2 descriptor", raw)
+	}
+	if gv, err := c.ClusterGossipView(context.Background()); err != nil || gv.Self != c.BaseURL() || len(gv.Peers) != 2 {
+		t.Fatalf("GET /api/v1/cluster/gossip = %+v, %v", gv, err)
 	}
 
 	m, err := c.Metrics()

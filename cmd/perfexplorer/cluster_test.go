@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"perfknow/internal/cluster"
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/perfdmf"
@@ -92,7 +94,8 @@ func writeTrialFile(t *testing.T, app, exp, name string) string {
 
 // TestClusterUploadGetListRebalance drives the operational loop end to
 // end: upload through the routing layer, read it back, see it in the
-// union listing, and converge cleanly under -rebalance.
+// union listing, and have a repair pass — run here as the gossip leader runs
+// it — find nothing to move.
 func TestClusterUploadGetListRebalance(t *testing.T) {
 	peers := startCluster(t, 3)
 	trialFile := writeTrialFile(t, "app", "exp", "t1")
@@ -127,15 +130,15 @@ func TestClusterUploadGetListRebalance(t *testing.T) {
 		}
 	}
 
-	out.Reset()
-	if code := run([]string{"-cluster", peers, "-rebalance"}, &out, &errb); code != 0 {
-		t.Fatalf("rebalance exit %d: %s\n%s", code, errb.String(), out.String())
+	store, err := cluster.Dial(dmfwire.Ring{Epoch: 1, Replicas: 2, VNodes: 64, Peers: strings.Split(peers, ",")}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var rep dmfwire.RepairReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("-rebalance output is not a report: %v\n%s", err, out.String())
+	rep, err := store.Rebalance(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.PeersScanned != 3 || rep.Trials != 1 || !rep.Clean() {
+	if rep.PeersScanned != 3 || rep.Trials != 1 || rep.Copied != 0 || rep.Removed != 0 || !rep.Clean() {
 		t.Fatalf("rebalance report: %+v", rep)
 	}
 	// VerifyRing ran against real daemons: all three confirmed.
@@ -178,10 +181,14 @@ func TestClusterScriptMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestRebalanceRequiresCluster(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-repo", t.TempDir(), "-rebalance"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2: %s", code, errb.String())
+// TestRetiredFlagsAreUsageErrors: the flags that selected ring version 1 and
+// the operator repair pass are gone, not ignored.
+func TestRetiredFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-rebalance"}, {"-ring-version", "2"}, {"-ring-version=1"}} {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-repo", t.TempDir(), "-list"}, args...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2: %s", args, code, errb.String())
+		}
 	}
 }
 

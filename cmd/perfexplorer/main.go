@@ -8,7 +8,6 @@
 //	perfexplorer -server URL -script FILE [-rules DIR] [-trace FILE] [arg ...]
 //	perfexplorer -cluster URL1,URL2,... -script FILE [flags] [arg ...]
 //	perfexplorer -repo DIR -list
-//	perfexplorer -cluster URL1,URL2,... -rebalance
 //	perfexplorer -cluster URL1,URL2,... -upload FILE
 //	perfexplorer -cluster URL1,URL2,... -get APP/EXP/TRIAL
 //	perfexplorer -server URL -stream FILE [-stream-chunks N] [-stream-window N] [-stream-rules R1,R2]
@@ -31,13 +30,12 @@
 // (which must match the daemons' flags) compile into the same placement
 // ring the cluster was started with, and every read, write and listing is
 // routed, replicated and unioned client-side — scripts are unchanged.
-// -rebalance runs one anti-entropy repair pass and prints the repair
-// report as JSON (exit 0 if the cluster converged cleanly); -upload sends
-// a trial JSON file through the routing layer; -get fetches one trial and
-// prints it as JSON.
+// -upload sends a trial JSON file through the routing layer; -get fetches
+// one trial and prints it as JSON; -announce posts the descriptor the flags
+// describe to one member, and gossip carries it to the rest.
 //
 // With -stream the trial JSON file is uploaded through the streaming API —
-// opened, appended in -stream-chunks-event chunks, sealed — instead of in
+// opened, appended in chunks of -stream-chunks events, sealed — instead of in
 // one request; standing diagnoses registered with -stream-rules fire
 // alerts as the chunks arrive. -watch subscribes to a stream's alerts over
 // SSE and prints them until the stream seals (watching a recently sealed
@@ -79,71 +77,90 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main with injectable arguments and streams, for testing.
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds what the flags set.
+type options struct {
+	repoDir, serverURL, scriptPath, rulesDir, writeAssets, tracePath string
+	list                                                             bool
+	jobs, retries                                                    int
+
+	clusterFlag, announce, uploadPath, getCoord string
+	replicas, vnodes                            int
+	ringEpoch, ringSeed                         uint64
+
+	watchID, streamFile, streamRules string
+	streamChunk, streamWin           int
+	streamsList                      bool
+}
+
+// newFlagSet registers every flag of the command on o. run parses it; the
+// documentation test walks it.
+func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("perfexplorer", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		repoDir     = fs.String("repo", "perfdata", "profile repository directory")
-		serverURL   = fs.String("server", "", "remote perfdmfd URL (e.g. http://localhost:7360); overrides -repo")
-		scriptPath  = fs.String("script", "", "analysis script (.pes) to run")
-		rulesDir    = fs.String("rules", "assets/rules", "directory holding .prl rule files")
-		list        = fs.Bool("list", false, "list repository contents and exit")
-		writeAssets = fs.String("write-assets", "", "write the bundled rules and scripts under this directory and exit")
-		tracePath   = fs.String("trace", "", "trace the run and write the span tree (incl. server-side spans with -server) as JSON to this file")
-		jobs        = fs.Int("j", 0, "trials of a batch operation in flight; one script is one goroutine of analysis (0 = GOMAXPROCS, 1 = one at a time)")
-		retries     = fs.Int("retries", 0, "max attempts per remote request, incl. the first (0 = client default, 1 = no retries)")
-		clusterFlag = fs.String("cluster", "", "comma-separated perfdmfd peer URLs; route reads/writes across the cluster (overrides -server and -repo)")
-		replicas    = fs.Int("replicas", 2, "cluster replication factor R (with -cluster; must match the daemons)")
-		ringEpoch   = fs.Uint64("ring-epoch", 1, "cluster membership epoch (with -cluster; must match the daemons)")
-		vnodes      = fs.Int("vnodes", 64, "virtual nodes per peer on the placement ring (with -cluster; must match the daemons)")
-		ringSeed    = fs.Uint64("ring-seed", 0, "placement hash seed (with -cluster; must match the daemons)")
-		ringVersion = fs.Int("ring-version", 1, "placement hash version: 1 = legacy, 2 = mixed (with -cluster; must match the daemons)")
-		announce    = fs.String("announce", "", "announce the ring built from -cluster/-ring-* flags to this daemon URL and exit; gossip spreads it to every member")
-		rebalance   = fs.Bool("rebalance", false, "run one anti-entropy repair pass over the cluster, print the report as JSON and exit (0 = converged cleanly); normally unnecessary — gossiping daemons repair themselves")
-		uploadPath  = fs.String("upload", "", "upload this trial JSON file through the store and exit")
-		getCoord    = fs.String("get", "", "fetch one trial (APP/EXP/TRIAL) and print it as JSON")
-		watchID     = fs.String("watch", "", "subscribe to a stream's standing-diagnosis alerts (stream id; with -server) and print them until the stream seals")
-		streamFile  = fs.String("stream", "", "stream-upload this trial JSON file in chunks and seal it (with -server)")
-		streamChunk = fs.Int("stream-chunks", 8, "events per chunk for -stream")
-		streamWin   = fs.Int("stream-window", 0, "sliding-window size in chunks for -stream standing analysis (0 = server default, negative = cumulative)")
-		streamRules = fs.String("stream-rules", "", "comma-separated .prl rule names registered as standing diagnoses for -stream (empty = server default)")
-		streamsList = fs.Bool("streams", false, "list the server's live and recently sealed streams (with -server)")
-	)
+	fs.StringVar(&o.repoDir, "repo", "perfdata", "profile repository directory")
+	fs.StringVar(&o.serverURL, "server", "", "remote perfdmfd URL (e.g. http://localhost:7360); overrides -repo")
+	fs.StringVar(&o.scriptPath, "script", "", "analysis script (.pes) to run")
+	fs.StringVar(&o.rulesDir, "rules", "assets/rules", "directory holding .prl rule files")
+	fs.BoolVar(&o.list, "list", false, "list repository contents and exit")
+	fs.StringVar(&o.writeAssets, "write-assets", "", "write the bundled rules and scripts under this directory and exit")
+	fs.StringVar(&o.tracePath, "trace", "", "trace the run and write the span tree (incl. server-side spans with -server) as JSON to this file")
+	fs.IntVar(&o.jobs, "j", 0, "trials of a batch operation in flight; one script is one goroutine of analysis (0 = GOMAXPROCS, 1 = one at a time)")
+	fs.IntVar(&o.retries, "retries", 0, "max attempts per remote request, incl. the first (0 = client default, 1 = no retries)")
+	fs.StringVar(&o.clusterFlag, "cluster", "", "comma-separated perfdmfd peer URLs; route reads/writes across the cluster (overrides -server and -repo)")
+	fs.IntVar(&o.replicas, "replicas", 2, "cluster replication factor R (with -cluster; must match the daemons)")
+	fs.Uint64Var(&o.ringEpoch, "ring-epoch", 1, "cluster membership epoch (with -cluster; must match the daemons)")
+	fs.IntVar(&o.vnodes, "vnodes", 64, "virtual nodes per peer on the placement ring (with -cluster; must match the daemons)")
+	fs.Uint64Var(&o.ringSeed, "ring-seed", 0, "placement hash seed (with -cluster; must match the daemons)")
+	fs.StringVar(&o.announce, "announce", "", "announce the ring built from -cluster/-ring-* flags to this daemon URL and exit; gossip spreads it to every member")
+	fs.StringVar(&o.uploadPath, "upload", "", "upload this trial JSON file through the store and exit")
+	fs.StringVar(&o.getCoord, "get", "", "fetch one trial (APP/EXP/TRIAL) and print it as JSON")
+	fs.StringVar(&o.watchID, "watch", "", "subscribe to a stream's standing-diagnosis alerts (stream id; with -server) and print them until the stream seals")
+	fs.StringVar(&o.streamFile, "stream", "", "stream-upload this trial JSON file in chunks and seal it (with -server)")
+	fs.IntVar(&o.streamChunk, "stream-chunks", 8, "events per chunk for -stream")
+	fs.IntVar(&o.streamWin, "stream-window", 0, "sliding-window size in chunks for -stream standing analysis (0 = server default, negative = cumulative)")
+	fs.StringVar(&o.streamRules, "stream-rules", "", "comma-separated .prl rule names registered as standing diagnoses for -stream (empty = server default)")
+	fs.BoolVar(&o.streamsList, "streams", false, "list the server's live and recently sealed streams (with -server)")
+	return fs
+}
+
+// run is main with injectable arguments and streams, for testing.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := newFlagSet(&o, stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	parallel.SetDefaultWorkers(*jobs)
+	parallel.SetDefaultWorkers(o.jobs)
 
-	if *writeAssets != "" {
-		if err := diagnosis.WriteAssets(*writeAssets); err != nil {
+	if o.writeAssets != "" {
+		if err := diagnosis.WriteAssets(o.writeAssets); err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintf(stdout, "wrote knowledge base under %s/rules and %s/scripts\n", *writeAssets, *writeAssets)
+		fmt.Fprintf(stdout, "wrote knowledge base under %s/rules and %s/scripts\n", o.writeAssets, o.writeAssets)
 		return 0
 	}
 
+	// The descriptor is built from the same flags a daemon would use.
+	desc := dmfwire.Ring{
+		Epoch:    o.ringEpoch,
+		Replicas: o.replicas,
+		VNodes:   o.vnodes,
+		Seed:     o.ringSeed,
+		Peers:    splitPeers(o.clusterFlag),
+	}.Canonical()
+
 	// -announce: post a new ring descriptor to ONE member and let gossip
-	// spread it — the online way to grow, shrink or re-version a cluster.
-	// The descriptor is built from the same flags a daemon would use; the
-	// epoch must be strictly newer than what the cluster holds.
-	if *announce != "" {
-		if *clusterFlag == "" {
+	// spread it — the online way to grow or shrink a cluster. The epoch must
+	// be strictly newer than what the cluster holds.
+	if o.announce != "" {
+		if o.clusterFlag == "" {
 			fmt.Fprintln(stderr, "perfexplorer: -announce requires -cluster (the new peer list)")
 			return 2
 		}
-		desc := dmfwire.Ring{
-			Epoch:    *ringEpoch,
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-			Seed:     *ringSeed,
-			Version:  *ringVersion,
-			Peers:    splitPeers(*clusterFlag),
-		}.Canonical()
 		if err := desc.Validate(); err != nil {
 			return fail(stderr, err)
 		}
-		c, err := dmfclient.New(*announce)
+		c, err := dmfclient.New(o.announce)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -155,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(dmfwire.AnnounceResponse{Adopted: adopted, Epoch: desc.Epoch})
 		if !adopted {
-			fmt.Fprintf(stderr, "perfexplorer: %s did not adopt epoch %d (it already holds that epoch or newer)\n", *announce, desc.Epoch)
+			fmt.Fprintf(stderr, "perfexplorer: %s did not adopt epoch %d (it already holds that epoch or newer)\n", o.announce, desc.Epoch)
 			return 1
 		}
 		return 0
@@ -165,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// channel on which the client publishes listing errors its Store
 	// signatures had to swallow.
 	var tracer *obs.Tracer
-	if *tracePath != "" || *serverURL != "" || *clusterFlag != "" {
+	if o.tracePath != "" || o.serverURL != "" || o.clusterFlag != "" {
 		tracer = obs.NewTracer()
 		tracer.Service = "perfexplorer"
 	}
@@ -174,18 +191,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var client *dmfclient.Client
 	var sharded *cluster.ShardedStore
 	switch {
-	case *clusterFlag != "":
-		desc := dmfwire.Ring{
-			Epoch:    *ringEpoch,
-			Replicas: *replicas,
-			VNodes:   *vnodes,
-			Seed:     *ringSeed,
-			Version:  *ringVersion,
-			Peers:    splitPeers(*clusterFlag),
-		}
+	case o.clusterFlag != "":
 		opts := []dmfclient.Option{dmfclient.WithTracer(tracer)}
-		if *retries > 0 {
-			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: *retries}))
+		if o.retries > 0 {
+			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: o.retries}))
 		}
 		var err error
 		sharded, err = cluster.Dial(desc, opts, cluster.WithTracer(tracer))
@@ -206,13 +215,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfexplorer: cluster of %d peer(s), replicas=%d, epoch=%d (%d peer(s) confirmed the ring)\n",
 			len(live.Peers), live.Replicas, live.Epoch, confirmed)
 		store = sharded
-	case *serverURL != "":
+	case o.serverURL != "":
 		opts := []dmfclient.Option{dmfclient.WithTracer(tracer)}
-		if *retries > 0 {
-			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: *retries}))
+		if o.retries > 0 {
+			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: o.retries}))
 		}
 		var err error
-		client, err = dmfclient.New(*serverURL, opts...)
+		client, err = dmfclient.New(o.serverURL, opts...)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -221,54 +230,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		store = client
 	default:
-		repo, err := perfdmf.OpenRepository(*repoDir)
+		repo, err := perfdmf.OpenRepository(o.repoDir)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		store = repo
 	}
 
-	if *rebalance {
-		if sharded == nil {
-			fmt.Fprintln(stderr, "perfexplorer: -rebalance requires -cluster")
-			return 2
-		}
-		rep, err := sharded.Rebalance(context.Background())
-		if err != nil {
-			return fail(stderr, err)
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return fail(stderr, err)
-		}
-		if !rep.Clean() {
-			return 1
-		}
-		return 0
+	if o.uploadPath != "" {
+		return uploadTrial(store, o.uploadPath, stdout, stderr)
 	}
-	if *uploadPath != "" {
-		return uploadTrial(store, *uploadPath, stdout, stderr)
+	if o.getCoord != "" {
+		return getTrial(store, o.getCoord, stdout, stderr)
 	}
-	if *getCoord != "" {
-		return getTrial(store, *getCoord, stdout, stderr)
-	}
-	if *watchID != "" || *streamFile != "" || *streamsList {
+	if o.watchID != "" || o.streamFile != "" || o.streamsList {
 		if client == nil {
 			fmt.Fprintln(stderr, "perfexplorer: -watch, -stream and -streams require -server")
 			return 2
 		}
 		switch {
-		case *streamsList:
+		case o.streamsList:
 			return listStreams(client, stdout, stderr)
-		case *streamFile != "":
-			return streamTrial(client, *streamFile, *streamChunk, *streamWin, splitPeers(*streamRules), stdout, stderr)
+		case o.streamFile != "":
+			return streamTrial(client, o.streamFile, o.streamChunk, o.streamWin, splitPeers(o.streamRules), stdout, stderr)
 		default:
-			return watchStream(client, *watchID, stdout, stderr)
+			return watchStream(client, o.watchID, stdout, stderr)
 		}
 	}
 
-	if *list {
+	if o.list {
 		// Remote listings use the error-returning List* variants: an
 		// "empty" repository may really be an unreachable server, so fail
 		// loudly rather than print nothing.
@@ -290,7 +280,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *scriptPath == "" {
+	if o.scriptPath == "" {
 		fmt.Fprintln(stderr, "perfexplorer: -script is required (or -list / -write-assets)")
 		fs.Usage()
 		return 2
@@ -318,23 +308,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	s := core.NewSession(store)
 	s.SetOutput(stdout)
-	diagnosis.Install(s, *rulesDir)
+	diagnosis.Install(s, o.rulesDir)
 	diagnosis.SetArgs(s, fs.Args())
 
 	var root *obs.Span
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		ctx := obs.ContextWithTracer(context.Background(), tracer)
-		ctx, root = obs.StartSpan(ctx, "perfexplorer.run", "script", *scriptPath)
+		ctx, root = obs.StartSpan(ctx, "perfexplorer.run", "script", o.scriptPath)
 		s.SetContext(ctx)
 	}
-	scriptErr := s.RunScriptFile(*scriptPath)
+	scriptErr := s.RunScriptFile(o.scriptPath)
 	root.SetError(scriptErr)
 	root.End()
-	if *tracePath != "" {
-		if err := writeTrace(tracer, root, client, *tracePath, stderr); err != nil {
+	if o.tracePath != "" {
+		if err := writeTrace(tracer, root, client, o.tracePath, stderr); err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintf(stderr, "perfexplorer: trace written to %s\n", *tracePath)
+		fmt.Fprintf(stderr, "perfexplorer: trace written to %s\n", o.tracePath)
 	}
 	if scriptErr != nil {
 		return fail(stderr, scriptErr)

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs      = fs.Bool("instrument-procedures", true, "instrument procedures")
 		callsites  = fs.Bool("instrument-callsites", false, "instrument callsites")
 		selective  = fs.Bool("selective", true, "apply selective-instrumentation scoring")
-		feedback   = fs.String("feedback", "", "trial JSON from a previous run: retune schedules, inlining and cost models before compiling")
+		feedback   = fs.String("feedback", "", "stored trial file from a previous run (-repo writes one): retune schedules, inlining and cost models before compiling")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

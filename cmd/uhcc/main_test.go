@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +11,6 @@ import (
 )
 
 func perfdmfReadTrial(path string) (*perfdmf.Trial, error) { return perfdmf.ReadTrialFile(path) }
-
-func jsonMarshal(t *perfdmf.Trial) ([]byte, error) { return json.MarshalIndent(t, "", " ") }
 
 const testSource = `
 program tdriver
@@ -143,7 +140,7 @@ func doctorTrial(t *testing.T, path string) {
 		e.Inclusive["CPU_CYCLES"][th] = 1.5e6 * f
 		e.Exclusive["CPU_CYCLES"][th] = 1.5e6 * f
 	}
-	data, err := jsonMarshal(tr)
+	data, err := perfdmf.EncodeTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

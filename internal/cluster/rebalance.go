@@ -31,8 +31,7 @@ func (c coord) String() string { return c.app + "/" + c.experiment + "/" + c.tri
 // performed at all in that case. Copies still proceed — adding replicas
 // is always safe. Errors are collected into the report rather than
 // aborting the pass; use RepairReport.Clean to decide whether the cluster
-// converged. Run Rebalance after restarting a failed peer, or after
-// bumping the ring epoch to grow or shrink membership.
+// converged. The gossip leader's repair loop (Agent) is what runs it.
 func (s *ShardedStore) Rebalance(ctx context.Context) (*dmfwire.RepairReport, error) {
 	s.repairScans.Inc()
 	ring, backends := s.topo()

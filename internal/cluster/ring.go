@@ -15,8 +15,8 @@
 // replica set instead of scattering requests across the whole cluster.
 //
 // Placement per epoch is static (the dmfwire.Ring descriptor: peers,
-// replication factor, vnodes, seed, placement version, epoch) and there is
-// no consensus protocol: clients cross-check epochs before routing (see
+// replication factor, vnodes, seed, epoch) and there is no consensus
+// protocol: clients cross-check epochs before routing (see
 // ShardedStore.VerifyRing). What is dynamic is liveness and propagation: a
 // per-daemon Agent gossips a membership view (View) with SWIM-style
 // failure detection (alive → suspect → dead), writes that cannot reach a
@@ -83,44 +83,29 @@ func NewRing(desc dmfwire.Ring) (*Ring, error) {
 	return r, nil
 }
 
-// ringHash is the v1 placement hash: 64-bit FNV-1a over the seed and the
-// label. FNV is stable across Go versions, architectures and processes,
-// which the whole design rests on — never swap it for a randomized hash.
-func ringHash(seed uint64, label string) uint64 {
-	h := fnv.New64a()
+// hash places one label — a node point or a key, the same function for both
+// — on the circle: 64-bit FNV-1a over the seed and the label, then the
+// splitmix64 finalizer. FNV is stable across Go versions, architectures and
+// processes, which the whole design rests on; raw, it avalanches poorly on
+// short, near-identical labels (a one-character difference at the tail
+// perturbs mostly low bits, so the sequentially named experiments of a
+// scaling study clump onto one owner pair), and the multiply/xor-shift
+// cascade spreads every input bit across the whole word. The function and its
+// constants are the placement contract (%DMFRING2): never change them.
+func (r *Ring) hash(label string) uint64 {
+	f := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
+		buf[i] = byte(r.desc.Seed >> (8 * i))
 	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(label))
-	return h.Sum64()
-}
-
-// mix64 is the v2 finalizing mixer (the splitmix64 finalizer): raw FNV-1a
-// avalanches poorly on short, near-identical labels — a one-character
-// difference at the tail perturbs mostly low bits, so sequential
-// experiment names land close together on the circle and clump onto the
-// same owner pair. The multiply/xor-shift cascade spreads every input bit
-// across the whole word. Like FNV itself, these constants are part of the
-// placement contract: never change them.
-func mix64(h uint64) uint64 {
+	_, _ = f.Write(buf[:])
+	_, _ = f.Write([]byte(label))
+	h := f.Sum64()
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return h
-}
-
-// hash places one label on the circle under the descriptor's placement
-// version: v1 is raw FNV-1a, v2 adds the finalizing mixer (to node points
-// and keys alike — the version selects one coherent placement function).
-func (r *Ring) hash(label string) uint64 {
-	h := ringHash(r.desc.Seed, label)
-	if r.desc.PlacementVersion() == 2 {
-		h = mix64(h)
-	}
 	return h
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,10 +15,11 @@ func testDescV2() dmfwire.Ring {
 	return d
 }
 
-// TestRingPlacementGoldenV2 pins concrete v2 placements the same way
-// TestRingPlacementGolden pins v1: the mixer's constants are part of the
-// placement contract, and drift here would strand data on wrong owners in
-// any cluster started with a %DMFRING2 descriptor.
+// TestRingPlacementGoldenV2 pins concrete placements for a fixed descriptor.
+// Client-side routing only works if every process — today's and next
+// year's — places every key identically: FNV-1a and the mixer's constants
+// are the placement contract, and drift here would strand data on wrong
+// owners in every running cluster.
 func TestRingPlacementGoldenV2(t *testing.T) {
 	r, err := NewRing(testDescV2())
 	if err != nil {
@@ -57,31 +59,30 @@ func TestRingV2DispersesSequentialNames(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("np-%03d", i+1)
 	}
-	place := func(d dmfwire.Ring) (pairs map[string]int, primaries map[string]int) {
-		r, err := NewRing(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+	place := func(owners func(app, experiment string) []string) (pairs map[string]int, primaries map[string]int) {
 		pairs, primaries = map[string]int{}, map[string]int{}
 		for _, exp := range keys {
-			o := r.Owners("lu", exp)
+			o := owners("lu", exp)
 			pairs[fmt.Sprint(o)]++
 			primaries[o[0]]++
 		}
 		return pairs, primaries
 	}
 
-	// v1: total clumping — one pair owns the entire study. Pinned so that
-	// if the v1 hash ever improves (it must not — placement contract), the
-	// golden above fails first and loudest.
-	v1Pairs, _ := place(testDesc())
+	// v1 (the retired hash, here through its test oracle): total clumping —
+	// one pair owns the entire study.
+	v1Pairs, _ := place(func(app, experiment string) []string { return ownersV1(testDesc(), app, experiment) })
 	if len(v1Pairs) != 1 {
 		t.Fatalf("v1 clumping changed: %d distinct owner pairs for %d sequential names, expected 1 (placement drift?)", len(v1Pairs), n)
 	}
 
 	// v2: every ordered pair in use, and no peer starved or overloaded as
 	// primary. With 3 peers the fair share is n/3 ≈ 21; accept [n/6, n/2].
-	v2Pairs, v2Primaries := place(testDescV2())
+	r, err := NewRing(testDescV2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Pairs, v2Primaries := place(r.Owners)
 	if len(v2Pairs) != 6 {
 		t.Fatalf("v2 dispersion regressed: %d distinct owner pairs, want all 6: %v", len(v2Pairs), v2Pairs)
 	}
@@ -92,18 +93,12 @@ func TestRingV2DispersesSequentialNames(t *testing.T) {
 	}
 }
 
-// TestRingV1PlacementIndependentOfV2 double-checks the versions are
-// independent functions: compiling the same membership at v1 and v2 gives
-// different placements (the mixer is not a no-op) while v1 stays equal to
-// the unversioned descriptor (Version 0 ≡ 1).
+// TestRingV1PlacementIndependentOfV2: the unversioned descriptor compiles to
+// the version 2 placement (Version 0 ≡ 2), Version 1 does not compile at
+// all, and what version 1 placed — the oracle the upgrade test seeds with —
+// is a different function, so that test moves data.
 func TestRingV1PlacementIndependentOfV2(t *testing.T) {
 	v0, err := NewRing(testDesc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := testDesc()
-	d.Version = 1
-	v1, err := NewRing(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +106,18 @@ func TestRingV1PlacementIndependentOfV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, diff := 0, 0
+	d := testDesc()
+	d.Version = 1
+	if _, err := NewRing(d); !errors.Is(err, dmfwire.ErrRing) {
+		t.Fatalf("NewRing(Version 1) = %v, want ErrRing", err)
+	}
+	diff := 0
 	for i := 0; i < 200; i++ {
 		app, exp := fmt.Sprintf("a%d", i%13), fmt.Sprintf("e%d", i)
-		if !reflect.DeepEqual(v0.Owners(app, exp), v1.Owners(app, exp)) {
-			t.Fatalf("Version 0 and 1 disagree on Owners(%s, %s)", app, exp)
+		if !reflect.DeepEqual(v0.Owners(app, exp), v2.Owners(app, exp)) {
+			t.Fatalf("Version 0 and 2 disagree on Owners(%s, %s)", app, exp)
 		}
-		if reflect.DeepEqual(v1.Owners(app, exp), v2.Owners(app, exp)) {
-			same++
-		} else {
+		if !reflect.DeepEqual(ownersV1(testDesc(), app, exp), v2.Owners(app, exp)) {
 			diff++
 		}
 	}

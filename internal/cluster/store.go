@@ -243,7 +243,8 @@ func (s *ShardedStore) Backend(peer string) Backend {
 // misconfiguration — two processes would place keys differently under one
 // epoch, which nothing can repair — and is a hard error. Peers serving an
 // older epoch are skipped (gossip will catch them up), as are unreachable
-// peers and standalone daemons (404): verification is a best-effort
+// peers and standalone daemons (404); a peer whose answer does not decode
+// (it wraps dmfwire.ErrRing) is a hard error. Verification is a best-effort
 // misconfiguration guard, not a health check — unless NO peer confirms and
 // at least one is behind, which means our epoch is ahead of the entire
 // cluster (a -ring-epoch typo, or an announce that never happened) and
@@ -263,6 +264,12 @@ func (s *ShardedStore) VerifyRing(ctx context.Context) (confirmed int, err error
 			continue
 		}
 		got, err := rf.ClusterRing(ctx)
+		if errors.Is(err, dmfwire.ErrRing) {
+			// The peer answered, with a descriptor this build refuses (a
+			// retired version, a failed checksum): it is up and places keys
+			// some other way, which is not the same as being down.
+			return confirmed, fmt.Errorf("cluster: peer %s: %w", peer, err)
+		}
 		if err != nil {
 			// Down, or standalone daemon without a ring: skip.
 			continue
@@ -281,7 +288,7 @@ func (s *ShardedStore) VerifyRing(ctx context.Context) (confirmed int, err error
 			behind++
 			continue
 		case string(enc) != string(want):
-			return confirmed, fmt.Errorf("cluster: peer %s disagrees on the ring at equal epoch %d (seed/vnodes/peers/version divergence): members must share one descriptor",
+			return confirmed, fmt.Errorf("cluster: peer %s disagrees on the ring at equal epoch %d (seed/vnodes/peers divergence): members must share one descriptor",
 				peer, desc.Epoch)
 		}
 		confirmed++
@@ -296,8 +303,9 @@ func (s *ShardedStore) VerifyRing(ctx context.Context) (confirmed int, err error
 // RefreshRing polls every current peer for the descriptor it holds and
 // adopts the one with the highest epoch, if that is newer than ours.
 // Returns whether a newer descriptor was adopted. Unreachable peers are
-// skipped; an error means a newer descriptor was found but could not be
-// adopted (invalid, or it names peers no backend factory can dial).
+// skipped; an error means a peer answered with a descriptor that does not
+// decode, or a newer descriptor was found but could not be adopted (invalid,
+// or it names peers no backend factory can dial).
 func (s *ShardedStore) RefreshRing(ctx context.Context) (adopted bool, err error) {
 	ring, backends := s.topo()
 	best := ring.Descriptor()
@@ -308,6 +316,9 @@ func (s *ShardedStore) RefreshRing(ctx context.Context) (adopted bool, err error
 			continue
 		}
 		got, err := rf.ClusterRing(ctx)
+		if errors.Is(err, dmfwire.ErrRing) {
+			return false, fmt.Errorf("cluster: peer %s: %w", peer, err) // see VerifyRing
+		}
 		if err != nil || got == nil {
 			continue
 		}

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -293,5 +295,88 @@ func TestRepairThrottlePaces(t *testing.T) {
 	cancel()
 	if _, err := s.Rebalance(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled throttled pass = %v, want context.Canceled", err)
+	}
+}
+
+// rawRingPeer answers ClusterRing the way dmfclient does for a daemon
+// serving raw at GET /api/v1/cluster: it decodes the bytes.
+type rawRingPeer struct {
+	*fakeBackend
+	raw []byte
+}
+
+func (p rawRingPeer) ClusterRing(context.Context) (*dmfwire.Ring, error) {
+	r, err := dmfwire.DecodeRing(p.raw)
+	if err != nil {
+		return nil, fmt.Errorf("GET /api/v1/cluster: %w", err)
+	}
+	return &r, nil
+}
+
+// refusedRings is what one peer of testDesc's cluster may answer that this
+// build cannot decode: the same membership as a version 1 descriptor (a
+// member still running the previous release), and the current descriptor
+// with one checksum digit flipped.
+func refusedRings(t *testing.T) map[string][]byte {
+	t.Helper()
+	good, err := dmfwire.EncodeRing(testDesc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(good, []byte("crc32c=")) + len("crc32c=")
+	flipped := append([]byte(nil), good...)
+	flipped[i] ^= 1
+	return map[string][]byte{
+		"version 1": []byte("%DMFRING1 epoch=1 replicas=2 vnodes=64 seed=42 peers=3 crc32c=c2157147\n" +
+			"http://node-a:7360\nhttp://node-b:7360\nhttp://node-c:7360\n"),
+		"flipped crc": flipped,
+	}
+}
+
+// withRefusedPeer builds testDesc's cluster with the other two peers serving
+// the store's own descriptor and the first answering raw.
+func withRefusedPeer(t *testing.T, raw []byte) *ShardedStore {
+	t.Helper()
+	desc := testDesc()
+	backends := make(map[string]Backend, len(desc.Peers))
+	for i, p := range desc.Peers {
+		fb := newFakeBackend()
+		fb.setRing(desc)
+		backends[p] = fb
+		if i == 0 {
+			backends[p] = rawRingPeer{fb, raw}
+		}
+	}
+	s, err := New(desc, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestVerifyRingRefusedDescriptorIsHard: a peer that answers with a
+// descriptor this build refuses is up and routing by something else. That is
+// not "unreachable": VerifyRing and EnsureRing must fail, not count the
+// peers that do agree and let the client route.
+func TestVerifyRingRefusedDescriptorIsHard(t *testing.T) {
+	for name, raw := range refusedRings(t) {
+		s := withRefusedPeer(t, raw)
+		if n, err := s.VerifyRing(context.Background()); !errors.Is(err, dmfwire.ErrRing) {
+			t.Errorf("%s: VerifyRing = (%d, %v), want an error wrapping ErrRing", name, n, err)
+		}
+		if n, err := s.EnsureRing(context.Background()); !errors.Is(err, dmfwire.ErrRing) {
+			t.Errorf("%s: EnsureRing = (%d, %v), want an error wrapping ErrRing", name, n, err)
+		}
+	}
+}
+
+// TestRefreshRingRefusedDescriptorIsHard: the same answer during a refresh
+// fails it, whatever the peers that do decode have to offer.
+func TestRefreshRingRefusedDescriptorIsHard(t *testing.T) {
+	for name, raw := range refusedRings(t) {
+		s := withRefusedPeer(t, raw)
+		if adopted, err := s.RefreshRing(context.Background()); !errors.Is(err, dmfwire.ErrRing) || adopted {
+			t.Errorf("%s: RefreshRing = (%v, %v), want (false, an error wrapping ErrRing)", name, adopted, err)
+		}
 	}
 }

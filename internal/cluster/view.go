@@ -171,10 +171,9 @@ func (v *View) Snapshot() dmfwire.Membership {
 func (v *View) GossipView() dmfwire.GossipView {
 	m := v.Snapshot()
 	return dmfwire.GossipView{
-		Self:        v.self,
-		Epoch:       m.Ring.Epoch,
-		RingVersion: m.Ring.PlacementVersion(),
-		Peers:       m.Peers,
+		Self:  v.self,
+		Epoch: m.Ring.Epoch,
+		Peers: m.Peers,
 	}
 }
 

@@ -723,48 +723,69 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 }
 
 // --- (d) legacy read-compat through the service -----------------------------
-
+//
+// A %PDMFCOL2 file, as the previous release wrote it, is served in both
+// representations and upgraded by its next save; trial JSON, bare or in the
+// envelope, is two forms back: the read is a 500 that says which release
+// still rewrites it, and the file is set aside intact.
 func TestLegacyFilesThroughService(t *testing.T) {
 	dir := t.TempDir()
-	plain, wrapped := stallTrial("app", "exp", "plain"), stallTrial("app", "exp", "wrapped")
-	plainJSON, _ := json.MarshalIndent(plain, "", " ")
-	wrappedJSON, _ := json.MarshalIndent(wrapped, "", " ")
+	col2, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sparse.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := perfdmf.DecodeTrial(col2) // app/exp/sparse
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainJSON, _ := json.MarshalIndent(stallTrial("app", "exp", "plain"), "", " ")
+	wrappedJSON, _ := json.MarshalIndent(stallTrial("app", "exp", "wrapped"), "", " ")
+	retired := map[string][]byte{"plain": plainJSON, "wrapped": wrapEnvelope(wrappedJSON)}
 	if err := os.MkdirAll(filepath.Join(dir, "app", "exp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "app", "exp", "plain.json"), plainJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "app", "exp", "wrapped.json"), wrapEnvelope(wrappedJSON), 0o644); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string][]byte{"sparse": col2, "plain": retired["plain"], "wrapped": retired["wrapped"]} {
+		if err := os.WriteFile(filepath.Join(dir, "app", "exp", name+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := newEncodedServiceAt(t, dir, Config{})
 
-	for _, want := range []*perfdmf.Trial{plain, wrapped} {
-		canon, _ := perfdmf.EncodeTrial(want)
-		status, hdr, body := s.request(t, "GET", trialURL(want), map[string]string{"Accept": dmfwire.TrialContentType}, nil)
-		if status != http.StatusOK || hdr.Get("Content-Type") != dmfwire.TrialContentType || !bytes.Equal(body, canon) {
-			t.Fatalf("%s: encoded get: HTTP %d, %q, canonical=%v", want.Name, status, hdr.Get("Content-Type"), bytes.Equal(body, canon))
+	canon, _ := perfdmf.EncodeTrial(want)
+	status, hdr, body := s.request(t, "GET", trialURL(want), map[string]string{"Accept": dmfwire.TrialContentType}, nil)
+	if status != http.StatusOK || hdr.Get("Content-Type") != dmfwire.TrialContentType || !bytes.Equal(body, canon) {
+		t.Fatalf("encoded get: HTTP %d, %q, canonical=%v", status, hdr.Get("Content-Type"), bytes.Equal(body, canon))
+	}
+	status, _, body = s.request(t, "GET", trialURL(want), nil, nil)
+	var got perfdmf.Trial
+	if status != http.StatusOK || json.Unmarshal(body, &got) != nil || trialDump(&got) != trialDump(want) {
+		t.Fatalf("JSON get: HTTP %d", status)
+	}
+	file := filepath.Join(dir, "app", "exp", "sparse.json")
+	if data, _ := os.ReadFile(file); !bytes.Equal(data, col2) {
+		t.Fatal("a read rewrote the legacy file")
+	}
+	if err := s.c.Save(want); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(file); !bytes.Equal(data, canon) {
+		t.Fatal("the next save did not upgrade the file")
+	}
+
+	accept := map[string]string{"plain": dmfwire.TrialContentType, "wrapped": "application/json"}
+	for name, data := range retired {
+		status, _, body := s.request(t, "GET", "/api/v1/apps/app/experiments/exp/trials/"+name, map[string]string{"Accept": accept[name]}, nil)
+		if status != http.StatusInternalServerError || !strings.Contains(string(body), "-fsck` of the previous release") {
+			t.Errorf("%s: HTTP %d %s; want 500 naming the previous release's -fsck", name, status, body)
 		}
-		status, _, body = s.request(t, "GET", trialURL(want), nil, nil)
-		var got perfdmf.Trial
-		if status != http.StatusOK || json.Unmarshal(body, &got) != nil || trialDump(&got) != trialDump(want) {
-			t.Fatalf("%s: JSON get: HTTP %d", want.Name, status)
-		}
-		file := filepath.Join(dir, "app", "exp", want.Name+".json")
-		if data, _ := os.ReadFile(file); bytes.Equal(data, canon) {
-			t.Fatalf("%s: a read rewrote the legacy file", want.Name)
-		}
-		if err := s.c.Save(want); err != nil {
-			t.Fatal(err)
-		}
-		if data, _ := os.ReadFile(file); !bytes.Equal(data, canon) {
-			t.Fatalf("%s: the next save did not upgrade the file", want.Name)
+		aside, err := os.ReadFile(filepath.Join(dir, "app", "exp", name+".json.corrupt"))
+		if err != nil || !bytes.Equal(aside, data) {
+			t.Errorf("%s: not set aside byte for byte: %v", name, err)
 		}
 	}
 	rep, err := s.c.Fsck()
-	if err != nil || rep.Trials != 2 || rep.Legacy != 0 || !rep.Clean() {
-		t.Fatalf("fsck after upgrades = %+v, %v", rep, err)
+	if err != nil || rep.Trials != 1 || rep.Legacy != 0 || len(rep.Quarantined) != 2 || rep.Clean() {
+		t.Fatalf("fsck = %+v, %v; want 1 trial, none legacy, the two JSON files quarantined", rep, err)
 	}
 }
 

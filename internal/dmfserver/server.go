@@ -360,14 +360,12 @@ func (s *Server) registerGauges() {
 		s.reg.GaugeFunc("cluster_ring_peers", func() float64 { return float64(len(s.node.Ring().Peers)) })
 		s.reg.GaugeFunc("cluster_ring_replicas", func() float64 { return float64(s.node.Ring().Replicas) })
 		s.reg.GaugeFunc("cluster_ring_vnodes", func() float64 { return float64(s.node.Ring().VNodes) })
-		s.reg.GaugeFunc("cluster_ring_version", func() float64 { return float64(s.node.Ring().PlacementVersion()) })
 	case s.ring != nil:
 		ring := *s.ring
 		s.reg.GaugeFunc("cluster_ring_epoch", func() float64 { return float64(ring.Epoch) })
 		s.reg.GaugeFunc("cluster_ring_peers", func() float64 { return float64(len(ring.Peers)) })
 		s.reg.GaugeFunc("cluster_ring_replicas", func() float64 { return float64(ring.Replicas) })
 		s.reg.GaugeFunc("cluster_ring_vnodes", func() float64 { return float64(ring.VNodes) })
-		s.reg.GaugeFunc("cluster_ring_version", func() float64 { return float64(ring.PlacementVersion()) })
 	}
 }
 

@@ -22,6 +22,9 @@ func FuzzDecodeMembership(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMembership(data)
+		if bytes.Contains(data, []byte("\n%DMFRING1 ")) && err == nil {
+			t.Fatal("a message carrying a version 1 descriptor was accepted")
+		}
 		if err != nil {
 			if !errors.Is(err, ErrMembership) {
 				t.Fatalf("decode error does not wrap ErrMembership: %v", err)

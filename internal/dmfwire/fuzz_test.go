@@ -3,6 +3,7 @@ package dmfwire
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +11,9 @@ import (
 // profile parsers are hardened: a descriptor arrives over the wire from
 // whatever answers GET /api/v1/cluster, so any byte sequence must either
 // decode into a valid, canonical Ring or fail with ErrRing — never panic,
-// hang, or allocate proportionally to a lying length field.
+// hang, or allocate proportionally to a lying length field. The %DMFRING1
+// entries of the corpus, valid and damaged alike, are descriptors of the
+// retired version: each must be refused by name.
 func FuzzDecodeRing(f *testing.F) {
 	if data, err := EncodeRing(testRing()); err == nil {
 		f.Add(data)
@@ -23,6 +26,9 @@ func FuzzDecodeRing(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRing(data)
+		if bytes.HasPrefix(data, []byte("%DMFRING1")) && (err == nil || !strings.Contains(err.Error(), migrationNote)) {
+			t.Fatalf("a version 1 descriptor was not refused by name: %v", err)
+		}
 		if err != nil {
 			// Every decode failure must expose the ErrRing sentinel so
 			// callers can tell a bad descriptor from a transport error.

@@ -161,7 +161,7 @@ func membershipPayload(m Membership, ring []byte) []byte {
 //	http://a:7360 inc=4 state=alive
 //	http://b:7360 inc=2 state=suspect
 //	http://c:7360 inc=1 state=dead
-//	%DMFRING1 epoch=2 replicas=2 vnodes=64 seed=0 peers=3 crc32c=xxxxxxxx
+//	%DMFRING2 epoch=2 replicas=2 vnodes=64 seed=0 peers=3 crc32c=xxxxxxxx
 //	http://a:7360
 //	http://b:7360
 //	http://c:7360
@@ -252,10 +252,8 @@ func DecodeMembership(data []byte) (Membership, error) {
 type GossipView struct {
 	// Self is the daemon's own base URL within the ring.
 	Self string `json:"self"`
-	// Epoch and RingVersion identify the descriptor the daemon currently
-	// holds (RingVersion is the placement version, 1 or 2).
-	Epoch       uint64 `json:"epoch"`
-	RingVersion int    `json:"ring_version"`
+	// Epoch identifies the descriptor the daemon currently holds.
+	Epoch uint64 `json:"epoch"`
 	// Peers is the view, sorted by peer URL.
 	Peers []PeerStatus `json:"peers"`
 	// HintsPending counts durable hinted-handoff records waiting for their

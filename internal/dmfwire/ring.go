@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,17 +21,15 @@ import (
 // with per-peer liveness, so an epoch bump announced to one seed reaches
 // every member and every connected client without restarts.
 
-// RingMagic opens the first line of an encoded ring descriptor using the
-// original (v1) placement hash.
-const RingMagic = "%DMFRING1"
-
-// RingMagicV2 opens a descriptor whose placement hash is the v2 variant:
-// FNV-1a followed by a splitmix64-style finalizing mixer, which fixes the
-// weak avalanche of raw FNV on near-identical short names (see
-// cluster.NewRing). The header layout is otherwise identical to v1; the
-// magic alone selects the placement function, so the two versions can
-// never be confused for one another on the wire.
+// RingMagicV2 opens the first line of an encoded ring descriptor. The 2 is
+// the placement version: FNV-1a followed by a splitmix64-style finalizing
+// mixer (see cluster.NewRing). It is the only one this build speaks.
 const RingMagicV2 = "%DMFRING2"
+
+// ringRetired is how a version 1 descriptor — raw FNV-1a placement, written
+// by earlier releases under another magic — is refused: by name, pointing at
+// the one place that says what to do about it.
+const ringRetired = `ring version 1 is no longer spoken: see "Migrating from ring v1" in docs/CLUSTER.md`
 
 // RingContentType is the media type GET /api/v1/cluster answers with.
 const RingContentType = "application/x-dmfring"
@@ -56,10 +53,8 @@ var ErrRing = errors.New("malformed ring descriptor")
 // that versions this assignment. It is the body of GET /api/v1/cluster
 // (text-encoded, see EncodeRing) and the input to cluster.NewRing.
 type Ring struct {
-	// Version selects the placement hash: 0 or 1 is the original FNV-1a
-	// placement (%DMFRING1), 2 adds a finalizing mixer (%DMFRING2).
-	// Version is part of the placement contract exactly like Seed: every
-	// member and client of one cluster must agree on it.
+	// Version names the placement hash. There is one, version 2; 0 means
+	// the same and Canonical spells it 2. Version 1 is refused.
 	Version int `json:"version,omitempty"`
 	// Epoch versions the membership; peers only cooperate when their
 	// epochs agree. Must be >= 1.
@@ -79,7 +74,7 @@ type Ring struct {
 }
 
 // Canonical returns a copy with the peer list sorted and deduplicated and
-// the version normalized (0 → 1) — the form EncodeRing writes and
+// the version normalized (0 → 2) — the form EncodeRing writes and
 // DecodeRing requires, so that any two processes given the same membership
 // produce byte-identical descriptors.
 func (r Ring) Canonical() Ring {
@@ -88,26 +83,9 @@ func (r Ring) Canonical() Ring {
 	peers = slicesCompact(peers)
 	r.Peers = peers
 	if r.Version == 0 {
-		r.Version = 1
+		r.Version = 2
 	}
 	return r
-}
-
-// PlacementVersion reports which placement hash the descriptor selects:
-// 1 (raw FNV-1a) unless Version is 2 (FNV-1a + finalizing mixer).
-func (r Ring) PlacementVersion() int {
-	if r.Version == 2 {
-		return 2
-	}
-	return 1
-}
-
-// magic returns the header magic for the descriptor's version.
-func (r Ring) magic() string {
-	if r.PlacementVersion() == 2 {
-		return RingMagicV2
-	}
-	return RingMagic
 }
 
 // slicesCompact removes adjacent duplicates from a sorted slice.
@@ -126,8 +104,12 @@ func (r Ring) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("dmfwire: %w: %s", ErrRing, fmt.Sprintf(format, args...))
 	}
-	if r.Version < 0 || r.Version > 2 {
-		return fail("version %d out of range [0, 2]", r.Version)
+	switch r.Version {
+	case 0, 2:
+	case 1:
+		return fail("%s", ringRetired)
+	default:
+		return fail("unknown version %d", r.Version)
 	}
 	if r.Epoch < 1 {
 		return fail("epoch %d < 1", r.Epoch)
@@ -167,15 +149,11 @@ var ringCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ringPayload is the checksummed portion of the encoding: the header fields
 // and the peer lines, without the magic or the checksum itself. The
-// placement version participates in the checksum (as a "version=2" prefix
-// for v2 descriptors; v1 keeps the original payload bytes for backward
-// compatibility), so editing the magic line alone cannot silently switch a
-// cluster's placement function.
+// placement version participates in the checksum as a "version=2" prefix, so
+// a version 1 descriptor with its magic edited does not pass for this one.
 func ringPayload(r Ring) []byte {
 	var b bytes.Buffer
-	if r.PlacementVersion() == 2 {
-		b.WriteString("version=2 ")
-	}
+	b.WriteString("version=2 ")
 	fmt.Fprintf(&b, "epoch=%d replicas=%d vnodes=%d seed=%d peers=%d\n",
 		r.Epoch, r.Replicas, r.VNodes, r.Seed, len(r.Peers))
 	for _, p := range r.Peers {
@@ -187,7 +165,7 @@ func ringPayload(r Ring) []byte {
 
 // EncodeRing renders the descriptor in its canonical text form:
 //
-//	%DMFRING1 epoch=1 replicas=2 vnodes=64 seed=0 peers=3 crc32c=xxxxxxxx
+//	%DMFRING2 epoch=1 replicas=2 vnodes=64 seed=0 peers=3 crc32c=xxxxxxxx
 //	http://host1:7360
 //	http://host2:7360
 //	http://host3:7360
@@ -205,7 +183,7 @@ func EncodeRing(r Ring) ([]byte, error) {
 	crc := crc32.Checksum(payload, ringCRCTable)
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s epoch=%d replicas=%d vnodes=%d seed=%d peers=%d crc32c=%08x\n",
-		r.magic(), r.Epoch, r.Replicas, r.VNodes, r.Seed, len(r.Peers), crc)
+		RingMagicV2, r.Epoch, r.Replicas, r.VNodes, r.Seed, len(r.Peers), crc)
 	for _, p := range r.Peers {
 		b.WriteString(p)
 		b.WriteByte('\n')
@@ -254,9 +232,9 @@ func (f textFormat) uint(tok, name string) (uint64, error) {
 }
 
 // header splits the header line off data, checks its field count and that
-// it opens with one of magics, and parses the closing crc32c field. toks
-// holds every token of the line, the magic first.
-func (f textFormat) header(data []byte, fields int, magics ...string) (toks []string, crc uint32, rest []byte, err error) {
+// it opens with magic, and parses the closing crc32c field. toks holds every
+// token of the line, the magic first.
+func (f textFormat) header(data []byte, fields int, magic string) (toks []string, crc uint32, rest []byte, err error) {
 	head, rest, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok {
 		return nil, 0, nil, f.errorf("missing header line")
@@ -265,7 +243,7 @@ func (f textFormat) header(data []byte, fields int, magics ...string) (toks []st
 	if len(toks) != fields {
 		return nil, 0, nil, f.errorf("header has %d fields, want %d", len(toks), fields)
 	}
-	if !slices.Contains(magics, toks[0]) {
+	if toks[0] != magic {
 		return nil, 0, nil, f.errorf("bad magic %q", toks[0])
 	}
 	crcStr, err := f.field(toks[fields-1], "crc32c")
@@ -290,17 +268,17 @@ func (f textFormat) verify(want uint32, payload []byte) error {
 // DecodeRing parses an encoded descriptor, verifying the magic, the field
 // layout, the declared peer count, and the CRC32-C, then validating the
 // result (which also insists the peer list arrives in canonical order).
-// Every failure wraps ErrRing. A successful decode re-encodes to the exact
-// input bytes.
+// Every failure wraps ErrRing; a descriptor of the retired version 1 is
+// refused by name. A successful decode re-encodes to the exact input bytes.
 func DecodeRing(data []byte) (Ring, error) {
-	toks, wantCRC, rest, err := ringText.header(data, 7, RingMagic, RingMagicV2)
+	if bytes.HasPrefix(data, []byte("%DMFRING1")) {
+		return Ring{}, ringText.errorf("%s", ringRetired)
+	}
+	toks, wantCRC, rest, err := ringText.header(data, 7, RingMagicV2)
 	if err != nil {
 		return Ring{}, err
 	}
-	r := Ring{Version: 1}
-	if toks[0] == RingMagicV2 {
-		r.Version = 2
-	}
+	r := Ring{Version: 2}
 	if r.Epoch, err = ringText.uint(toks[1], "epoch"); err != nil {
 		return Ring{}, err
 	}
@@ -348,7 +326,7 @@ func DecodeRing(data []byte) (Ring, error) {
 
 // RepairReport is the result of one cluster.Rebalance anti-entropy pass:
 // what the scan saw, what it copied to restore placement and replication,
-// and what went wrong. It is printed as JSON by `perfexplorer -rebalance`.
+// and what went wrong. The gossip leader's repair loop logs it.
 type RepairReport struct {
 	// Epoch is the ring epoch the pass ran under.
 	Epoch uint64 `json:"epoch"`

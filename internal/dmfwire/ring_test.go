@@ -34,7 +34,7 @@ func TestRingEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte(RingMagic+" ")) {
+	if !bytes.HasPrefix(data, []byte(RingMagicV2+" ")) {
 		t.Fatalf("encoding does not open with the magic: %q", data)
 	}
 	back, err := DecodeRing(data)
@@ -119,8 +119,8 @@ func TestRingDecodeRejectsDamage(t *testing.T) {
 		data []byte
 	}{
 		{"empty", nil},
-		{"no header newline", []byte(RingMagic + " epoch=1")},
-		{"bad magic", bytes.Replace(good, []byte(RingMagic), []byte("%DMFRING2"), 1)},
+		{"no header newline", []byte(RingMagicV2 + " epoch=1")},
+		{"bad magic", bytes.Replace(good, []byte(RingMagicV2), []byte("%DMFRING3"), 1)},
 		{"truncated peers", good[:len(good)-5]},
 		{"trailing bytes", append(append([]byte{}, good...), "extra\n"...)},
 		{"flipped peer byte", bytes.Replace(good, []byte("host1"), []byte("host9"), 1)},
@@ -144,7 +144,7 @@ func TestRingDecodeRejectsNonCanonicalOrder(t *testing.T) {
 	r.Peers[0], r.Peers[1] = r.Peers[1], r.Peers[0]
 	payload := ringPayload(r)
 	var b strings.Builder
-	b.WriteString(RingMagic)
+	b.WriteString(RingMagicV2)
 	b.WriteString(" epoch=3 replicas=2 vnodes=64 seed=7 peers=3 crc32c=")
 	crc := crcHex(payload)
 	b.WriteString(crc)

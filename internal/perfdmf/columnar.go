@@ -434,8 +434,6 @@ func (c *Columns) cloneTrial() *Trial {
 const (
 	columnarMagic     = "%PDMFCOL3\n"
 	columnarMagicPrev = "%PDMFCOL2\n" // same length: the header sits at one offset in both
-	// columnarFamily starts the magic of every version.
-	columnarFamily = "%PDMFCOL"
 )
 
 // Row kinds above the literal widths 0–8.
@@ -459,20 +457,13 @@ func decodableSize(nEv, threads, nCols int) bool {
 }
 
 // IsColumnar reports whether an envelope payload is a binary columnar
-// trial in the current form, rather than a legacy one (%PDMFCOL2 or trial
-// JSON).
+// trial in the current form, rather than the previous one (%PDMFCOL2).
 func IsColumnar(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagic))
 }
 
 func isColumnarPrev(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagicPrev))
-}
-
-// claimsColumnar reports a payload under a columnar magic of any version:
-// DecodeColumnar's to read or to refuse, never trial JSON.
-func claimsColumnar(payload []byte) bool {
-	return bytes.HasPrefix(payload, []byte(columnarFamily))
 }
 
 type columnarEvent struct {
@@ -859,7 +850,10 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 	kinds := IsColumnar(payload)
 	if !kinds && !isColumnarPrev(payload) {
 		if bytes.HasPrefix(payload, []byte("%PDMFCOL1\n")) {
-			return nil, corruptf("%%PDMFCOL1 is no longer read: rewrite the repository with `perfdmfd -fsck` of the previous release (and drain its hint queues) first")
+			return nil, retiredForm("%PDMFCOL1")
+		}
+		if looksLikeJSON(payload) {
+			return nil, retiredForm("trial JSON inside the envelope")
 		}
 		return nil, corruptf("missing %q magic", columnarMagic[:len(columnarMagic)-1])
 	}
@@ -985,21 +979,13 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 	return c.Trial(), nil
 }
 
-// decodeTrialPayload turns an envelope payload — columnar binary of either
-// version read or, in legacy files, trial JSON — into a validated Trial.
-// Decode and validation failures wrap ErrCorrupt.
+// decodeTrialPayload turns an envelope payload, columnar binary of either
+// version read, into a validated Trial. Decode and validation failures wrap
+// ErrCorrupt.
 func decodeTrialPayload(payload []byte) (*Trial, error) {
-	var t *Trial
-	if claimsColumnar(payload) {
-		var err error
-		if t, err = UnmarshalColumnar(payload); err != nil {
-			return nil, err
-		}
-	} else {
-		t = &Trial{}
-		if err := json.Unmarshal(payload, t); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	t, err := UnmarshalColumnar(payload)
+	if err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -1008,14 +994,12 @@ func decodeTrialPayload(payload []byte) (*Trial, error) {
 }
 
 // decodeColumnsPayload is decodeTrialPayload for the repository, which keeps
-// trials pivoted: the columns of the trial an envelope payload of any form
-// holds, satisfying isPivot. A payload the encoder wrote decodes straight to
-// them; anything else goes through the Trial it holds.
+// trials pivoted: the columns of the trial an envelope payload holds,
+// satisfying isPivot. A payload the encoder wrote decodes straight to them;
+// any other goes through the Trial it holds.
 func decodeColumnsPayload(payload []byte) (*Columns, error) {
-	if claimsColumnar(payload) {
-		if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
-			return c, err
-		}
+	if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
+		return c, err
 	}
 	t, err := decodeTrialPayload(payload)
 	if err != nil {
@@ -1024,27 +1008,22 @@ func decodeColumnsPayload(payload []byte) (*Columns, error) {
 	return ColumnsFromTrial(t)
 }
 
-// decodeTrialHeaderPayload extracts the identifying header from an
-// envelope payload of any format. For columnar payloads this reads only
-// the JSON header, never the value blocks.
+// decodeTrialHeaderPayload extracts the identifying header from a columnar
+// envelope payload: it reads only the JSON header, never the value blocks.
 func decodeTrialHeaderPayload(payload []byte) (trialHeader, bool) {
-	if claimsColumnar(payload) && len(payload) >= len(columnarMagic) {
-		rest := payload[len(columnarMagic):]
-		if len(rest) < 4 {
-			return trialHeader{}, false
-		}
-		hlen := binary.LittleEndian.Uint32(rest)
-		if uint64(hlen) > uint64(len(rest)-4) {
-			return trialHeader{}, false
-		}
-		var h trialHeader
-		if err := json.Unmarshal(rest[4:4+hlen], &h); err != nil {
-			return trialHeader{}, false
-		}
-		return h, true
+	if !IsColumnar(payload) && !isColumnarPrev(payload) {
+		return trialHeader{}, false
+	}
+	rest := payload[len(columnarMagic):]
+	if len(rest) < 4 {
+		return trialHeader{}, false
+	}
+	hlen := binary.LittleEndian.Uint32(rest)
+	if uint64(hlen) > uint64(len(rest)-4) {
+		return trialHeader{}, false
 	}
 	var h trialHeader
-	if err := json.Unmarshal(payload, &h); err != nil {
+	if err := json.Unmarshal(rest[4:4+hlen], &h); err != nil {
 		return trialHeader{}, false
 	}
 	return h, true

@@ -3,7 +3,6 @@ package perfdmf
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -556,7 +555,7 @@ func TestSyntheticShapesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := prevColumnarPayload(t, tr)
-		at := len(columnarFamily)
+		at := len("%PDMFCOL")
 		if cur[at] != '3' || prev[at] != '2' {
 			t.Fatalf("version digits %q and %q, want 3 and 2", cur[at], prev[at])
 		}
@@ -784,9 +783,9 @@ func rawTrialFile(t *testing.T, repo *Repository, app, exp, name string) []byte 
 
 func isColumnarFile(t *testing.T, data []byte) bool {
 	t.Helper()
-	payload, legacy, err := decodeEnvelope(data)
-	if err != nil || legacy {
-		t.Fatalf("trial file not a valid envelope (legacy=%v err=%v)", legacy, err)
+	payload, err := decodeEnvelope(data)
+	if err != nil {
+		t.Fatalf("trial file not a valid envelope: %v", err)
 	}
 	return IsColumnar(payload)
 }
@@ -833,8 +832,8 @@ func TestRepositoryStoresEveryTrialColumnar(t *testing.T) {
 	}
 }
 
-// A pre-envelope plain-JSON trial file is read transparently and upgraded
-// to the columnar envelope on its next save.
+// A trial file in the previous form, %PDMFCOL2, is read transparently and
+// upgraded to the current one on its next save.
 func TestRepositoryLegacyUpgradeToColumnar(t *testing.T) {
 	dir := t.TempDir()
 	repo, err := OpenRepository(dir)
@@ -842,16 +841,15 @@ func TestRepositoryLegacyUpgradeToColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := cellsTrial("legacy", 6, 2)
-	raw, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := repo.path("app", "exp", "legacy")
 	if err := os.MkdirAll(strings.TrimSuffix(p, "/"+lastSegment(p)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p, raw, 0o644); err != nil {
+	if err := os.WriteFile(p, encodeEnvelope(prevColumnarPayload(t, tr)), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if isColumnarFile(t, rawTrialFile(t, repo, "app", "exp", "legacy")) {
+		t.Fatal("the planted file is already in the current form")
 	}
 
 	got, err := repo.GetTrial("app", "exp", "legacy")
@@ -890,9 +888,9 @@ func TestRepositoryQuarantinesCorruptColumnar(t *testing.T) {
 	p := repo.path("app", "exp", "victim")
 	// Truncate the columnar payload, then re-wrap with a FRESH (valid)
 	// envelope so only the columnar decoder can catch it.
-	payload, legacy, err := decodeEnvelope(rawTrialFile(t, repo, "app", "exp", "victim"))
-	if err != nil || legacy {
-		t.Fatalf("decodeEnvelope: legacy=%v err=%v", legacy, err)
+	payload, err := decodeEnvelope(rawTrialFile(t, repo, "app", "exp", "victim"))
+	if err != nil {
+		t.Fatalf("decodeEnvelope: %v", err)
 	}
 	if err := os.WriteFile(p, encodeEnvelope(payload[:len(payload)-5]), 0o644); err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestCheckedInCol2Files(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, _, err := decodeEnvelope(file)
+		payload, err := decodeEnvelope(file)
 		if err != nil || !isColumnarPrev(payload) {
 			t.Fatalf("%s is not a %%PDMFCOL2 envelope (err=%v)", name, err)
 		}
@@ -121,7 +121,7 @@ func TestCheckedInCol2Files(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		curPayload, _, err := decodeEnvelope(cur)
+		curPayload, err := decodeEnvelope(cur)
 		if err != nil || !IsColumnar(curPayload) || len(cur) > len(file) {
 			t.Fatalf("%s re-encodes to %d B from %d B, current form: %v (err=%v)", name, len(cur), len(file), IsColumnar(curPayload), err)
 		}

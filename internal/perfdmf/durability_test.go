@@ -71,17 +71,18 @@ func onlyKey(t *testing.T, m map[string][]byte) string {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	payload := []byte(`{"application":"a","name":"t"}`)
 	env := encodeEnvelope(payload)
-	got, legacy, err := decodeEnvelope(env)
-	if err != nil || legacy || !bytes.Equal(got, payload) {
-		t.Fatalf("decode(encode(p)) = %q, legacy=%v, err=%v", got, legacy, err)
+	got, err := decodeEnvelope(env)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("decode(encode(p)) = %q, err=%v", got, err)
 	}
 }
 
-func TestEnvelopeLegacyPassThrough(t *testing.T) {
-	legacyJSON := []byte("  \n{\"application\":\"a\"}")
-	got, legacy, err := decodeEnvelope(legacyJSON)
-	if err != nil || !legacy || !bytes.Equal(got, legacyJSON) {
-		t.Fatalf("legacy decode = %q, legacy=%v, err=%v", got, legacy, err)
+// TestEnvelopeRefusesBareJSON: trial JSON with no envelope, the oldest stored
+// form, is not passed through any more: it is refused, and by name.
+func TestEnvelopeRefusesBareJSON(t *testing.T) {
+	got, err := decodeEnvelope([]byte("  \n{\"application\":\"a\"}"))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "-fsck` of the previous release") || got != nil {
+		t.Fatalf("decodeEnvelope(bare JSON) = %q, %v", got, err)
 	}
 }
 
@@ -97,7 +98,7 @@ func TestEnvelopeCorruptionDetected(t *testing.T) {
 		"magic only":            []byte(envelopeMagic),
 	}
 	for name, data := range cases {
-		if _, _, err := decodeEnvelope(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeEnvelope(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -111,57 +112,69 @@ func flipByte(b []byte, i int) []byte {
 
 // --- envelope on disk, legacy compatibility ----------------------------
 
-// Save must write the checksummed envelope, and a pre-existing plain-JSON
-// trial file must stay readable and be rewritten into the envelope on the
-// next save.
-func TestLegacyPlainJSONCompatibility(t *testing.T) {
-	dir := t.TempDir()
+// The two stored forms older than the previous one — trial JSON, bare and
+// inside the envelope — are refused by name on every read path, and the file
+// is set aside intact: the previous release's fsck can still rewrite it.
+func TestRetiredJSONFormsRefusedNothingLost(t *testing.T) {
 	tr := miniTrial("app", "exp", "t1", 100)
-
-	// Plant a legacy (pre-envelope) trial file by hand, exactly where the
-	// repository would look for it.
-	data, err := json.MarshalIndent(tr, "", " ")
+	plain, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(dir, safe("app"), safe("exp"), safe("t1")+".json")
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
+	named := func(err error) bool {
+		return errors.Is(err, ErrCorrupt) && strings.Contains(err.Error(), "-fsck` of the previous release")
 	}
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
+	reads := map[string]func(*Repository) error{
+		"GetTrial": func(r *Repository) error {
+			_, err := r.GetTrial("app", "exp", "t1")
+			return err
+		},
+		"GetEncoded": func(r *Repository) error {
+			_, err := r.GetEncoded(context.Background(), "app", "exp", "t1")
+			return err
+		},
+		"Verify": nil, // the scan itself finds the file
 	}
-
-	repo, err := OpenRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := repo.GetTrial("app", "exp", "t1")
-	if err != nil {
-		t.Fatalf("legacy trial unreadable: %v", err)
-	}
-	if got.Events[0].Inclusive[TimeMetric][0] != 100 {
-		t.Fatal("legacy trial decoded wrong")
-	}
-
-	// The next save upgrades the file to the envelope in place.
-	got.Events[0].SetValue(TimeMetric, 0, 200, 200)
-	if err := repo.Save(got); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(onDisk, []byte(envelopeMagic)) {
-		t.Fatal("re-saved trial is not in the checksummed envelope")
-	}
-	rep, err := repo.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trials != 1 || rep.Legacy != 0 {
-		t.Fatalf("post-upgrade Verify = %d trials / %d legacy, want 1/0", rep.Trials, rep.Legacy)
+	for form, file := range map[string][]byte{"plain JSON": plain, "JSON in the envelope": encodeEnvelope(plain)} {
+		if _, err := DecodeTrial(file); !named(err) {
+			t.Errorf("%s: DecodeTrial = %v, want ErrCorrupt naming the previous release's -fsck", form, err)
+		}
+		for name, read := range reads {
+			dir := t.TempDir()
+			p := filepath.Join(dir, safe("app"), safe("exp"), safe("t1")+".json")
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadTrialFile(p); !named(err) {
+				t.Errorf("%s: ReadTrialFile = %v, want ErrCorrupt naming the previous release's -fsck", form, err)
+			}
+			repo, err := OpenRepository(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read != nil {
+				if err := read(repo); !named(err) {
+					t.Errorf("%s: %s = %v, want ErrCorrupt naming the previous release's -fsck", form, name, err)
+				}
+			}
+			rep, err := repo.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Trials != 0 || rep.Legacy != 0 || rep.Upgraded != 0 || rep.Clean() ||
+				len(rep.Quarantined) != 1 || rep.Quarantined[0] != "app/exp/t1.json.corrupt" {
+				t.Errorf("%s: Verify after %s = %+v, want the file under quarantined and nothing else", form, name, rep)
+			}
+			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: %s left the file in place (%v)", form, name, err)
+			}
+			if aside, err := os.ReadFile(p + ".corrupt"); err != nil || !bytes.Equal(aside, file) {
+				t.Errorf("%s: %s: the .corrupt sibling is not the file, byte for byte (%v)", form, name, err)
+			}
+		}
 	}
 }
 
@@ -173,11 +186,11 @@ func TestVerifyRelocatesMisplacedFiles(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	tr := miniTrial("my app", "exp one", "trial 1", 7)
-	data, err := json.MarshalIndent(tr, "", " ")
+	data, err := EncodeTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old scheme: spaces replaced by underscores, plain JSON body.
+	// Old scheme: spaces replaced by underscores.
 	lp := filepath.Join(dir, "my_app", "exp_one", "trial_1.json")
 	if err := os.MkdirAll(filepath.Dir(lp), 0o755); err != nil {
 		t.Fatal(err)

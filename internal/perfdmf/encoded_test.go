@@ -63,30 +63,28 @@ func TestEncodeDecodeTrialRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeTrial still reads every legacy form.
+// DecodeTrial reads the one legacy form, %PDMFCOL2, and refuses the two
+// older than it by name.
 func TestDecodeTrialLegacyForms(t *testing.T) {
 	tr := cellsTrial("legacy", 3, 2)
+	got, err := DecodeTrial(encodeEnvelope(prevColumnarPayload(t, tr)))
+	if err != nil {
+		t.Fatalf("%%PDMFCOL2 in envelope: %v", err)
+	}
+	if canonicalTrialDump(got) != canonicalTrialDump(tr) {
+		t.Error("%PDMFCOL2 in envelope: decoded differently")
+	}
 	plain, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{
-		"plain JSON":            plain,
-		"JSON in envelope":      encodeEnvelope(plain),
-		"%PDMFCOL2 in envelope": encodeEnvelope(prevColumnarPayload(t, tr)),
+		"plain JSON":       plain,
+		"JSON in envelope": encodeEnvelope(plain),
 	} {
-		got, err := DecodeTrial(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, err := DecodeTrial(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "perfdmfd -fsck") {
+			t.Errorf("%s: DecodeTrial = %v; want ErrCorrupt naming perfdmfd -fsck of the previous release", name, err)
 		}
-		if canonicalTrialDump(got) != canonicalTrialDump(tr) {
-			t.Errorf("%s: decoded differently", name)
-		}
-	}
-	// An invalid trial inside an intact envelope is corrupt, not accepted.
-	bad := encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":0}`))
-	if _, err := DecodeTrial(bad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("invalid trial: want ErrCorrupt, got %v", err)
 	}
 }
 
@@ -100,7 +98,7 @@ func TestCheckedInColumnarV1File(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil || !bytes.HasPrefix(payload, []byte(retiredMagic)) {
 		t.Fatalf("testdata/col1_trial.pdmf is not a %%PDMFCOL1 envelope (err=%v)", err)
 	}
@@ -155,7 +153,7 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	if _, err := DecodeTrial(valid); err != nil {
 		t.Fatalf("baseline encoding must decode: %v", err)
 	}
-	payload, _, _ := decodeEnvelope(valid)
+	payload, _ := decodeEnvelope(valid)
 	inflated := strings.Replace(minimalHeader, `"threads":1`, `"threads":1000000000`, 1)
 	bomb := strings.Replace(minimalHeader, `"threads":1`, `"threads":2147483648`, 1)
 	spaced := strings.Replace(minimalHeader, `"threads":1`, `"threads": 1`, 1)
@@ -166,7 +164,7 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	if _, err := DecodeTrial(validPrev); err != nil {
 		t.Fatalf("baseline %%PDMFCOL2 encoding must decode: %v", err)
 	}
-	payloadPrev, _, _ := decodeEnvelope(validPrev)
+	payloadPrev, _ := decodeEnvelope(validPrev)
 	// Behind the magic two versions back nothing is accepted, damaged or not.
 	retired := func(payload []byte) []byte {
 		return encodeEnvelope(append([]byte(retiredMagic), payload[len(columnarMagic):]...))
@@ -440,10 +438,10 @@ func mustOpen(t *testing.T, dir string) *Repository {
 	return repo
 }
 
-// A directory written by older versions — a plain-JSON file under the
-// underscore path scheme, a JSON-in-envelope file, a %PDMFCOL2 file —
-// serves both representations; a file is upgraded by its next save, and
-// whatever is still legacy by one Verify, after which a second finds none.
+// A directory of %PDMFCOL2 files, as the previous release wrote them — one
+// of them under the underscore path scheme — serves both representations; a
+// file is upgraded by its next save, and whatever is still legacy by one
+// Verify, after which a second finds none.
 func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -456,14 +454,12 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plain := miniTrial("my app", "exp", "plain", 1)
-	wrapped := miniTrial("my app", "exp", "wrapped", 2)
+	stray := miniTrial("my app", "exp", "stray", 1)
+	unread := miniTrial("my app", "exp", "unread", 2)
 	col2 := miniTrial("my app", "exp", "col2", 3)
-	plainJSON, _ := json.MarshalIndent(plain, "", " ")
-	wrappedJSON, _ := json.MarshalIndent(wrapped, "", " ")
 	col2File := encodeEnvelope(prevColumnarPayload(t, col2))
-	plant(filepath.Join(dir, "my_app", "exp", "plain.json"), plainJSON) // underscore scheme
-	plant(filepath.Join(dir, safe("my app"), "exp", "wrapped.json"), encodeEnvelope(wrappedJSON))
+	plant(filepath.Join(dir, "my_app", "exp", "stray.json"), encodeEnvelope(prevColumnarPayload(t, stray))) // underscore scheme
+	plant(filepath.Join(dir, safe("my app"), "exp", "unread.json"), encodeEnvelope(prevColumnarPayload(t, unread)))
 	plant(filepath.Join(dir, safe("my app"), "exp", "col2.json"), col2File)
 
 	repo := mustOpen(t, dir)
@@ -477,7 +473,7 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	// The two files at their own paths read in both representations, and
 	// reading rewrites nothing.
-	for _, want := range []*Trial{wrapped, col2} {
+	for _, want := range []*Trial{unread, col2} {
 		data, err := repo.GetEncoded(ctx, want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("%s: GetEncoded: %v", want.Name, err)
@@ -506,12 +502,12 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	if err != nil || rep.Trials != 3 || rep.Legacy != 2 || rep.Upgraded != 2 || len(rep.Relocated) != 1 || !rep.Clean() {
 		t.Fatalf("fsck over legacy files = %+v, %v; want 3 trials, 2 legacy, 2 upgraded, 1 relocated, clean", rep, err)
 	}
-	for _, want := range []*Trial{plain, wrapped, col2} {
+	for _, want := range []*Trial{stray, unread, col2} {
 		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon(want)) {
 			t.Errorf("%s: file is not EncodeTrial's output after fsck", want.Name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "my_app", "exp", "plain.json")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, "my_app", "exp", "stray.json")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("underscore-scheme twin survived the upgrade: %v", err)
 	}
 	if rep, err := repo.Verify(); err != nil || rep.Trials != 3 || rep.Legacy != 0 || rep.Upgraded != 0 || !rep.Clean() {
@@ -603,7 +599,7 @@ func TestSparseTrialsStoreSmallerThanJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, _, _ := decodeEnvelope(data)
+		payload, _ := decodeEnvelope(data)
 		hlen := int(binary.LittleEndian.Uint32(payload[len(columnarMagic):]))
 		compact, err := json.Marshal(tr)
 		if err != nil {

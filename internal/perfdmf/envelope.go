@@ -30,11 +30,11 @@ var ErrCorrupt = errors.New("trial data corrupt")
 // the check. A trailer has one spelling, the one appendEnvelopeTrailer
 // writes (lower-case hex, no sign or leading zero on the length, nothing
 // after the newline), so equal payloads have equal envelopes and replicas
-// can be compared by their trailers. EncodeTrial is the only writer. Three
-// older forms stay readable and are rewritten on their next save or by
-// fsck: a %PDMFCOL2 payload (literal rows only) inside the envelope, trial
-// JSON inside the envelope, and files that do not start with the magic at
-// all, which are treated as plain-JSON trials (the pre-envelope format).
+// can be compared by their trailers. EncodeTrial is the only writer. One
+// older form stays readable and is rewritten on its next save or by fsck: a
+// %PDMFCOL2 payload (literal rows only) inside the envelope. What came
+// before it — trial JSON inside the envelope, and trial JSON with no envelope
+// at all — is refused by name (retiredForm).
 const (
 	envelopeMagic   = "%PDMF1\n"
 	envelopeTrailer = "\n%PDMF1 crc32c="
@@ -85,37 +85,46 @@ func parseEnvelopeTrailer(tail []byte) (sum uint32, n int, ok bool) {
 	return sum, n, true
 }
 
-// decodeEnvelope validates data and returns the enclosed payload.
-// legacy reports that data was not an envelope at all but plausible
-// plain JSON (the pre-envelope on-disk format), returned as-is. Any
+// retiredForm refuses, by name, bytes in a stored form this release no longer
+// reads. The release before it reads them all and rewrites them in one
+// `perfdmfd -fsck`.
+func retiredForm(what string) error {
+	return corruptf("%s is no longer read: rewrite the repository with `perfdmfd -fsck` of the previous release (and drain its hint queues) first", what)
+}
+
+// looksLikeJSON reports bytes that open a JSON object after optional
+// whitespace: how trial JSON, once a stored form, is told from damage.
+func looksLikeJSON(data []byte) bool {
+	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	return len(trimmed) > 0 && trimmed[0] == '{'
+}
+
+// decodeEnvelope validates data and returns the enclosed payload. Any
 // structural or checksum failure wraps ErrCorrupt.
-func decodeEnvelope(data []byte) (payload []byte, legacy bool, err error) {
+func decodeEnvelope(data []byte) (payload []byte, err error) {
 	if !bytes.HasPrefix(data, []byte(envelopeMagic)) {
-		// Legacy plain-JSON file: tolerate leading whitespace, require a
-		// JSON object so arbitrary junk is still flagged as corruption.
-		trimmed := bytes.TrimLeft(data, " \t\r\n")
-		if len(trimmed) > 0 && trimmed[0] == '{' {
-			return data, true, nil
+		if looksLikeJSON(data) {
+			return nil, retiredForm("trial JSON without an envelope")
 		}
-		return nil, false, fmt.Errorf("%w: no envelope magic and not plain JSON", ErrCorrupt)
+		return nil, fmt.Errorf("%w: no envelope magic", ErrCorrupt)
 	}
 	body := data[len(envelopeMagic):]
 	i := bytes.LastIndex(body, []byte(envelopeTrailer))
 	if i < 0 {
-		return nil, false, fmt.Errorf("%w: envelope trailer missing (truncated file?)", ErrCorrupt)
+		return nil, fmt.Errorf("%w: envelope trailer missing (truncated file?)", ErrCorrupt)
 	}
 	payload = body[:i]
 	sum, n, ok := parseEnvelopeTrailer(body[i+len(envelopeTrailer):])
 	if !ok {
-		return nil, false, fmt.Errorf("%w: malformed envelope trailer", ErrCorrupt)
+		return nil, fmt.Errorf("%w: malformed envelope trailer", ErrCorrupt)
 	}
 	if n != len(payload) {
-		return nil, false, fmt.Errorf("%w: envelope length %d, payload has %d bytes", ErrCorrupt, n, len(payload))
+		return nil, fmt.Errorf("%w: envelope length %d, payload has %d bytes", ErrCorrupt, n, len(payload))
 	}
 	if got := crc32.Checksum(payload, envelopeTable); got != sum {
-		return nil, false, fmt.Errorf("%w: crc32c mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
+		return nil, fmt.Errorf("%w: crc32c mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
-	return payload, false, nil
+	return payload, nil
 }
 
 // EncodeTrial renders a trial in its encoded form: the columnar payload
@@ -143,7 +152,7 @@ func (c *Columns) encodeEnveloped() ([]byte, error) {
 // decodeColumns is DecodeTrial for the repository, which keeps trials
 // pivoted: see decodeColumnsPayload.
 func decodeColumns(data []byte) (*Columns, error) {
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +161,11 @@ func decodeColumns(data []byte) (*Columns, error) {
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum, decodes the payload and validates the result. It also accepts
-// the legacy forms (%PDMFCOL2 or trial JSON inside the envelope, plain
-// trial JSON).
-// Checksum, structure and validation failures all wrap ErrCorrupt.
+// the previous payload, %PDMFCOL2. Checksum, structure and validation
+// failures all wrap ErrCorrupt, as does the refusal of trial JSON, bare or
+// inside the envelope.
 func DecodeTrial(data []byte) (*Trial, error) {
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}

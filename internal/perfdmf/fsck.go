@@ -19,9 +19,9 @@ type FsckReport struct {
 	Root string `json:"root"`
 	// Trials counts readable, valid trial files (encoded or legacy).
 	Trials int `json:"trials"`
-	// Legacy counts trials the walk found in one of the older forms (plain
-	// pre-envelope JSON, trial JSON inside the envelope, a %PDMFCOL2
-	// payload).
+	// Legacy counts trials the walk found in the previous form, a %PDMFCOL2
+	// payload. (A file in a form older than that is not readable: it is
+	// quarantined.)
 	Legacy int `json:"legacy"`
 	// Upgraded counts the legacy-form files this scan rewrote into the
 	// encoded form; after a scan that upgraded them all, the next reports
@@ -122,7 +122,7 @@ func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (home string, le
 		return "", false
 	}
 	var c *Columns
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err == nil {
 		c, err = decodeColumnsPayload(payload)
 	}
@@ -153,7 +153,7 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	if err != nil {
 		return
 	}
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil || IsColumnar(payload) {
 		return
 	}

@@ -56,7 +56,8 @@ func FuzzParseGprof(f *testing.F) {
 }
 
 func FuzzDecodeEnvelope(f *testing.F) {
-	// A valid envelope, a legacy plain-JSON body, and near-misses around
+	// A valid envelope, a plain-JSON body (once a stored form, now one more
+	// refusal), and near-misses around
 	// every structural element the decoder checks: magic, trailer, hex
 	// checksum, length field.
 	f.Add(encodeEnvelope([]byte(`{"application":"a"}`)))
@@ -71,19 +72,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297BD0AA len=2\n"))
 	f.Add([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=+2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, legacy, err := decodeEnvelope(data)
+		payload, err := decodeEnvelope(data)
 		if err != nil {
 			// Every decode failure must expose the ErrCorrupt sentinel so
 			// callers can distinguish damage from I/O errors.
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
-			}
-			return
-		}
-		if legacy {
-			// Legacy passthrough returns the input verbatim.
-			if !bytes.Equal(payload, data) {
-				t.Fatal("legacy decode altered the payload")
 			}
 			return
 		}
@@ -108,7 +102,7 @@ func TestEnvelopeTrailerHasOneSpelling(t *testing.T) {
 	if _, err := DecodeTrial(good); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodeEnvelope([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=2\n")); err != nil {
+	if _, err := decodeEnvelope([]byte("%PDMF1\n{}\n%PDMF1 crc32c=297bd0aa len=2\n")); err != nil {
 		t.Fatalf("the fuzz seeds do not carry the checksum of their payload: %v", err)
 	}
 	for name, data := range map[string][]byte{
@@ -217,15 +211,12 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, legacy, err := decodeEnvelope(data)
+		payload, err := decodeEnvelope(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("envelope error does not wrap ErrCorrupt: %v", err)
 			}
 			return
-		}
-		if legacy || !claimsColumnar(payload) {
-			return // JSON bodies are FuzzDecodeEnvelope's territory
 		}
 		c, err := DecodeColumnar(payload)
 		if err != nil {
@@ -369,7 +360,7 @@ func TestColumnarCorpus(t *testing.T) {
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
 		}
-		payload, _, err := decodeEnvelope(data)
+		payload, err := decodeEnvelope(data)
 		if err != nil || IsColumnar(payload) != (name == "col3_valid") || isColumnarPrev(payload) != (name == "col2_valid") {
 			t.Fatalf("%s: wrong form (err=%v)", name, err)
 		}
@@ -397,7 +388,7 @@ func TestColumnarCorpus(t *testing.T) {
 			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
 		}
 		// The damage is where the name says, not in the envelope around it.
-		if _, _, err := decodeEnvelope(data); (err != nil) != strings.HasSuffix(name, "bad_crc") {
+		if _, err := decodeEnvelope(data); (err != nil) != strings.HasSuffix(name, "bad_crc") {
 			t.Errorf("%s: envelope check = %v", name, err)
 		}
 	}
@@ -454,7 +445,7 @@ func FuzzSaveEncoded(f *testing.F) {
 		if bytes.Equal(canon, data) {
 			return
 		}
-		payload, _, _ := decodeEnvelope(data)
+		payload, _ := decodeEnvelope(data)
 		if !isColumnarPrev(payload) {
 			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL2 body")
 		}

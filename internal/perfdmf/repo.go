@@ -64,10 +64,10 @@ const readOnlyAfterENOSPC = 2
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. Files in the legacy forms (a %PDMFCOL2 payload or
-//     trial JSON inside the envelope, plain pre-envelope JSON) remain
-//     readable and are rewritten into the encoded form on next save, or
-//     all at once by Verify.
+//     are unaffected. A file in the previous form (a %PDMFCOL2 payload)
+//     remains readable and is rewritten into the encoded form on its next
+//     save, or all at once by Verify; a file in a form older than that is
+//     refused by name and quarantined like a damaged one.
 //   - Opening runs a recovery sweep that deletes orphaned .tmp files left
 //     by interrupted saves. Verify runs a full fsck on demand.
 //   - Persistent ENOSPC on save flips the repository into read-only
@@ -103,7 +103,7 @@ type Repository struct {
 	fsyncErrors  storeCounter
 }
 
-// trialHeader is the identifying prefix of a trial JSON file.
+// trialHeader is the identifying part of a columnar payload's JSON header.
 type trialHeader struct {
 	App        string `json:"application"`
 	Experiment string `json:"experiment"`
@@ -256,7 +256,7 @@ func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, e
 		sp.SetError(err)
 		sp.End()
 	}()
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return Stored{}, err
 	}
@@ -400,11 +400,10 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 // GetEncoded returns a trial in its encoded form (EncodeTrial output), for
 // callers that ship it on rather than analyse it. A file-backed repository
 // answers with the stored file's bytes after verifying the envelope
-// checksum — nothing is decoded; a file in a legacy form is decoded and
+// checksum — nothing is decoded; a file in the previous form is decoded and
 // re-encoded on the fly (it is upgraded on disk by its next save or by
-// Verify). A failed
-// check quarantines the file exactly as GetTrial does. An in-memory
-// repository encodes from its cache.
+// Verify). A failed check quarantines the file exactly as GetTrial does. An
+// in-memory repository encodes from its cache.
 func (r *Repository) GetEncoded(ctx context.Context, app, experiment, trial string) ([]byte, error) {
 	_, sp := obs.StartSpan(ctx, "perfdmf.get_trial",
 		"app", app, "experiment", experiment, "trial", trial)
@@ -431,7 +430,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 	if err != nil {
 		return fail(err)
 	}
-	payload, _, err := decodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil {
 		r.quarantine(p)
 		return fail(err)
@@ -439,7 +438,12 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 	h, ok := decodeTrialHeaderPayload(payload)
 	if !ok {
 		r.quarantine(p)
-		return fail(corruptf("unreadable trial header"))
+		// Not a payload this release reads, or a damaged one: the decoder
+		// says which.
+		if _, err = DecodeColumnar(payload); err == nil {
+			err = corruptf("unreadable trial header")
+		}
+		return fail(err)
 	}
 	if h.App != app || h.Experiment != experiment || h.Name != trial {
 		return fail(ErrNotFound) // see GetTrial
@@ -647,7 +651,7 @@ func (r *Repository) walkTrialDirs(fn func(dir string, files []os.DirEntry)) {
 }
 
 // ReadTrialFile loads a single trial from a native snapshot (the file
-// format Save writes, or any legacy form), without needing a repository.
+// format Save writes, or the previous one), without needing a repository.
 func ReadTrialFile(path string) (*Trial, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
