@@ -2,6 +2,7 @@ package msa
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,75 @@ func TestGenerateSequencesDeterministic(t *testing.T) {
 	e := GenerateSequences(1, 1, 5, 1)
 	if len(e[0]) < 1 {
 		t.Fatal("length floor violated")
+	}
+}
+
+// sequenceLengths is what Run charges by: it has to be the lengths of the
+// sequences GenerateSequences builds, with no jitter, with a jitter wider than
+// the mean (lengths floored at 1) and at the problem size of the figures.
+func TestSequenceLengthsMatchGenerateSequences(t *testing.T) {
+	def := DefaultParams(1, sim.Schedule{})
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, c := range []struct{ n, mean, jitter int }{
+			{40, 30, 0},
+			{200, 6, 25},
+			{def.Sequences, def.MeanLen, def.LenJitter},
+		} {
+			seqs := GenerateSequences(c.n, c.mean, c.jitter, seed)
+			lengths := sequenceLengths(c.n, c.mean, c.jitter, seed)
+			if len(lengths) != len(seqs) {
+				t.Fatalf("seed %d %+v: %d lengths for %d sequences", seed, c, len(lengths), len(seqs))
+			}
+			floored := 0
+			for i, s := range seqs {
+				if lengths[i] != int64(len(s)) {
+					t.Fatalf("seed %d %+v: sequence %d has length %d, sequenceLengths says %d", seed, c, i, len(s), lengths[i])
+				}
+				if len(s) == 1 {
+					floored++
+				}
+			}
+			if c.jitter > c.mean && floored < 2 {
+				t.Errorf("seed %d %+v: %d sequences floored at length 1, the case is not exercised", seed, c, floored)
+			}
+		}
+	}
+}
+
+// scriptedSource hands out Int63 values from a list and counts them.
+type scriptedSource struct {
+	vals  []int64
+	drawn int
+}
+
+func (s *scriptedSource) Seed(int64) {}
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.drawn%len(s.vals)]
+	s.drawn++
+	return v
+}
+
+// skipResidue consumes what Intn(len(alphabet)) consumes, also around the
+// values Intn rejects — which a seeded generator yields about four times in
+// a billion draws, so the seeds above never get there.
+func TestSkipResidueDrawsWhatIntnDraws(t *testing.T) {
+	int31 := func(v int32) int64 { return int64(v) << 32 }
+	script := []int64{
+		int31(0), int31(residueMax), int31(residueMax + 1), int31(7),
+		int31(1<<31 - 1), int31(1<<31 - 1), int31(residueMax + 1), int31(residueMax - 1),
+		int31(residueMax + 2), int31(19), int31(20),
+	}
+	a, b := &scriptedSource{vals: script}, &scriptedSource{vals: script}
+	ra, rb := rand.New(a), rand.New(b)
+	for i := 0; i < 3*len(script); i++ {
+		ra.Intn(len(alphabet))
+		skipResidue(rb)
+		if a.drawn != b.drawn {
+			t.Fatalf("call %d: Intn has drawn %d values, skipResidue %d", i, a.drawn, b.drawn)
+		}
+	}
+	if a.drawn <= 3*len(script) {
+		t.Fatalf("%d draws in %d calls: no value was rejected", a.drawn, 3*len(script))
 	}
 }
 

@@ -52,28 +52,40 @@ const (
 
 // Run executes the MSAP workload on a fresh machine and returns the trial.
 func Run(cfg machine.Config, p Params) (*perfdmf.Trial, error) {
+	lengths, err := p.lengths()
+	if err != nil {
+		return nil, err
+	}
+	return run(cfg, p, lengths)
+}
+
+// lengths returns the lengths of the problem's sequences, which depend on
+// nothing a thread-count sweep varies.
+func (p Params) lengths() ([]int64, error) {
 	if p.Sequences < 2 {
 		return nil, fmt.Errorf("msa: need at least 2 sequences, got %d", p.Sequences)
 	}
+	return sequenceLengths(p.Sequences, p.MeanLen, p.LenJitter, p.Seed), nil
+}
+
+// run is Run over sequences of the given lengths.
+func run(cfg machine.Config, p Params, lengths []int64) (*perfdmf.Trial, error) {
 	if p.Threads < 1 {
 		return nil, fmt.Errorf("msa: need at least 1 thread, got %d", p.Threads)
 	}
 	mach := machine.New(cfg)
 	eng := sim.NewEngine(mach, sim.Options{Threads: p.Threads, CallpathDepth: 3})
 
-	seqs := GenerateSequences(p.Sequences, p.MeanLen, p.LenJitter, p.Seed)
-	lengths := make([]int64, len(seqs))
 	var totalLen int64
-	for i, s := range seqs {
-		lengths[i] = int64(len(s))
-		totalLen += int64(len(s))
+	for _, n := range lengths {
+		totalLen += n
 	}
 	// suffixLen[i] = sum of lengths of sequences after i: iteration i of the
 	// outer loop aligns sequence i against all later sequences, so its DP
 	// cell count is lengths[i] * suffixLen[i] — the triangular cost profile
 	// behind the static-schedule imbalance.
-	suffixLen := make([]int64, len(seqs)+1)
-	for i := len(seqs) - 1; i >= 0; i-- {
+	suffixLen := make([]int64, len(lengths)+1)
+	for i := len(lengths) - 1; i >= 0; i-- {
 		suffixLen[i] = suffixLen[i+1] + lengths[i]
 	}
 
@@ -157,10 +169,14 @@ func Run(cfg machine.Config, p Params) (*perfdmf.Trial, error) {
 // relative efficiency of each run versus the single-thread baseline — the
 // series behind Fig. 4(b).
 func EfficiencySweep(cfg machine.Config, base Params, threadCounts []int) (map[int]float64, error) {
+	lengths, err := base.lengths()
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[int]float64, len(threadCounts))
 	p1 := base
 	p1.Threads = 1
-	t1, err := Run(cfg, p1)
+	t1, err := run(cfg, p1, lengths)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +187,7 @@ func EfficiencySweep(cfg machine.Config, base Params, threadCounts []int) (map[i
 	for _, tc := range threadCounts {
 		p := base
 		p.Threads = tc
-		tr, err := Run(cfg, p)
+		tr, err := run(cfg, p, lengths)
 		if err != nil {
 			return nil, err
 		}

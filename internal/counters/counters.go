@@ -192,30 +192,3 @@ func (s *Set) Get(id ID) uint64 { return s[id] }
 
 // Inc adds n to the counter id.
 func (s *Set) Inc(id ID, n uint64) { s[id] += n }
-
-// TotalInstructions returns the completed-instruction total implied by the
-// operation-class counters (used by the execution engine to populate
-// InstrCompleted consistently).
-func (s *Set) TotalInstructions() uint64 {
-	return s[FPOps] + s[IntOps] + s[Loads] + s[Stores] + s[Branches]
-}
-
-// NonZero returns the IDs with non-zero counts, in ID order.
-func (s *Set) NonZero() []ID {
-	var out []ID
-	for i := range s {
-		if s[i] != 0 {
-			out = append(out, ID(i))
-		}
-	}
-	return out
-}
-
-// Map renders the set as a name→value map (used when exporting profiles).
-func (s *Set) Map() map[string]uint64 {
-	out := make(map[string]uint64, NumIDs)
-	for i := range s {
-		out[names[i]] = s[i]
-	}
-	return out
-}

@@ -187,7 +187,8 @@ func (m *Machine) Seconds(cycles uint64) float64 {
 //
 // A page never becomes unplaced again, so once the last one is claimed only
 // Place can change a home. From then on placement queries are answered from
-// a run index (see histogram) instead of a scan of homes.
+// a run index (see histogram) instead of a scan of homes, and Epoch tells a
+// caller that kept an answer whether it still holds.
 type Region struct {
 	Name  string
 	Bytes int64
@@ -197,6 +198,7 @@ type Region struct {
 
 	unplaced int64     // pages still at -1; never rises
 	index    *runIndex // built by the first query of a fully placed region, dropped by Place
+	places   uint64    // Place calls so far
 }
 
 // runIndex is the placement of a fully placed region as maximal runs of
@@ -271,6 +273,18 @@ func (r *Region) Place(off, length int64, node int) {
 		r.homes[p] = int32(node)
 	}
 	r.index = nil
+	r.places++
+}
+
+// Epoch names a placement that cannot change without the value changing: it
+// is 0 while any page is unplaced (a Touch may still home one) and from then
+// on moves only when Place runs. Two equal non-zero epochs of one region
+// bracket a span in which every placement query had one answer.
+func (r *Region) Epoch() uint64 {
+	if r.unplaced != 0 {
+		return 0
+	}
+	return r.places + 1
 }
 
 // NodeShare returns, for each node, the fraction of placed pages in

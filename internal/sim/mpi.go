@@ -50,10 +50,9 @@ func (e *Engine) Exchange(msgs []Message) {
 		}
 		cost := ovh.MPILatency + uint64(float64(m.Bytes)*ovh.MPIByteCyc)
 		s := e.threads[m.From]
-		var d counters.Set
-		d.Inc(counters.MPIMessages, 1)
-		d.Inc(counters.MPIBytes, uint64(m.Bytes))
-		s.Advance(cost, &d)
+		s.Advance(cost, nil)
+		s.CS.Inc(counters.MPIMessages, 1)
+		s.CS.Inc(counters.MPIBytes, uint64(m.Bytes))
 		inject[m.From] = s.Clock
 	}
 	for i, t := range e.threads {
@@ -77,9 +76,8 @@ func (e *Engine) Exchange(msgs []Message) {
 	for i, t := range e.threads {
 		if ready[i] > t.Clock {
 			wait := ready[i] - t.Clock
-			var d counters.Set
-			d.Inc(counters.MPIWaitCycles, wait)
-			t.Advance(wait, &d)
+			t.Advance(wait, nil)
+			t.CS.Inc(counters.MPIWaitCycles, wait)
 		}
 	}
 }
@@ -96,9 +94,8 @@ func (e *Engine) MPIBarrier() {
 	max += uint64(math.Ceil(math.Log2(float64(len(e.threads)+1)))) * e.ovh.MPILatency / 2
 	for _, t := range e.threads {
 		wait := max - t.Clock
-		var d counters.Set
-		d.Inc(counters.MPIWaitCycles, wait)
-		t.Advance(wait, &d)
+		t.Advance(wait, nil)
+		t.CS.Inc(counters.MPIWaitCycles, wait)
 	}
 }
 
@@ -117,11 +114,10 @@ func (e *Engine) AllReduce(bytes int64) {
 	max += cost
 	for _, t := range e.threads {
 		wait := max - t.Clock
-		var d counters.Set
-		d.Inc(counters.MPIWaitCycles, wait)
-		d.Inc(counters.MPIMessages, steps)
-		d.Inc(counters.MPIBytes, uint64(bytes)*steps)
-		t.Advance(wait, &d)
+		t.Advance(wait, nil)
+		t.CS.Inc(counters.MPIWaitCycles, wait)
+		t.CS.Inc(counters.MPIMessages, steps)
+		t.CS.Inc(counters.MPIBytes, uint64(bytes)*steps)
 	}
 }
 

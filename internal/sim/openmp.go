@@ -132,14 +132,12 @@ func (tm *Team) Barrier() {
 	}
 	max += tm.e.ovh.BarrierBase
 	for _, t := range tm.threads {
+		// The wait is counted twice on purpose: Advance adds it to Cycles,
+		// the thread's total elapsed time, and OMP_BARRIER_CYCLES is the
+		// part of that total spent waiting here.
 		wait := max - t.Clock
-		var d counters.Set
-		d.Inc(counters.OMPBarrierCycles, wait)
-		t.Advance(wait, &d)
-		// Advance already adds `wait` to Cycles; remove the double count of
-		// barrier cycles appearing both as Cycles and as the wait counter is
-		// intentional: Cycles is total elapsed, OMP_BARRIER_CYCLES is the
-		// waiting subset.
+		t.Advance(wait, nil)
+		t.CS.Inc(counters.OMPBarrierCycles, wait)
 	}
 }
 
@@ -194,9 +192,8 @@ func (tm *Team) For(n int, sched Schedule, iter func(t *Thread, i int)) {
 				size = remaining
 			}
 			t := tm.minClockThread()
-			var d counters.Set
-			d.Inc(counters.OMPSchedDispatch, 1)
-			t.Advance(tm.e.ovh.Dispatch, &d)
+			t.Advance(tm.e.ovh.Dispatch, nil)
+			t.CS.Inc(counters.OMPSchedDispatch, 1)
 			for i := next; i < next+size; i++ {
 				iter(t, i)
 			}
@@ -227,9 +224,8 @@ func (tm *Team) Critical(body func(t *Thread)) {
 	for _, t := range order {
 		if t.Clock < release {
 			wait := release - t.Clock
-			var d counters.Set
-			d.Inc(counters.OMPCriticalCycles, wait)
-			t.Advance(wait, &d)
+			t.Advance(wait, nil)
+			t.CS.Inc(counters.OMPCriticalCycles, wait)
 		}
 		body(t)
 		release = t.Clock

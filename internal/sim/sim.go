@@ -54,11 +54,20 @@ type Options struct {
 // Engine couples a machine, a set of logical threads and a profiler.
 type Engine struct {
 	mach    *machine.Machine
-	cfg     machine.Config // mach.Config(), copied once: Compute reads it per kernel
+	cfg     machine.Config // mach.Config(), copied once: price reads it per kernel
 	prof    *tau.Profiler
 	threads []*Thread
 	ovh     Overheads
+
+	memo    chargeMemo // charges of kernels already priced, see memo.go
+	memoOff bool       // price every execution; only tests set it
+	priced  uint64     // kernels priced so far; tests read it, nothing exports it
 }
+
+// newEngineHook, when a test of this package sets it, sees every engine
+// NewEngine builds before its caller does — the only way to reach an engine
+// that an application's Run creates and never hands out.
+var newEngineHook func(*Engine)
 
 // NewEngine builds an engine with opts.Threads logical threads pinned
 // round-robin to the machine's CPUs (thread i on CPU i mod CPUs).
@@ -87,6 +96,9 @@ func NewEngine(m *machine.Machine, opts Options) *Engine {
 			CPU: i % m.CPUs(),
 			eng: e,
 		})
+	}
+	if newEngineHook != nil {
+		newEngineHook(e)
 	}
 	return e
 }
@@ -173,10 +185,11 @@ type MemRef struct {
 //
 // Refs is a fixed-size array rather than a slice: every kernel in the
 // system carries at most two references (essential traffic plus
-// spill/overhead traffic), and the inline array keeps a Kernel fully
-// stack-allocated on the Compute hot path — kernels are built and
-// discarded millions of times per simulation run. A zero MemRef is
-// skipped by Compute, so unused entries cost nothing.
+// spill/overhead traffic), and the inline array makes a Kernel one flat,
+// comparable value — Compute finds the charge it kept for an equal kernel
+// with ==, and keeping a kernel is a copy with nothing behind it to share.
+// A zero MemRef is skipped when the kernel is priced, so unused entries
+// cost nothing.
 type Kernel struct {
 	FPOps, IntOps, Branches uint64
 	MispredictRate          float64 // fraction of branches mispredicted
@@ -187,12 +200,52 @@ type Kernel struct {
 	Refs                    [2]MemRef
 }
 
-// Compute executes the kernel on the thread: first-touch placement, the
-// analytic cache cascade for each memory reference, the processor model for
-// base issue cycles and the stall decomposition, then a single Advance.
-func (t *Thread) Compute(k Kernel) {
-	cfg := &t.eng.cfg
+// Compute executes the kernel on the thread: it prices the kernel, or finds
+// what an equal kernel was charged on this node under the placement in force
+// (see memo.go), and charges that in a single Advance.
+func (t *Thread) Compute(k Kernel) { t.compute(&k) }
+
+func (t *Thread) compute(k *Kernel) {
+	e := t.eng
+	var epochs [len(k.Refs)]uint64
+	if !e.memoOff && settled(k, &epochs) {
+		if c, fresh := e.memo.lookup(k, t.Node()); c != nil {
+			if fresh || c.epochs != epochs {
+				c.epochs = epochs
+				c.delta = counters.Set{}
+				c.cyc = t.price(k, &c.delta)
+			}
+			t.Advance(c.cyc, &c.delta)
+			return
+		}
+	}
 	var delta counters.Set
+	t.Advance(t.price(k, &delta), &delta)
+}
+
+// settled reports whether the placement of every region k references can no
+// longer change unseen, and stores each one's Epoch in epochs.
+func settled(k *Kernel, epochs *[len(Kernel{}.Refs)]uint64) bool {
+	for i := range k.Refs {
+		if r := k.Refs[i].Region; r != nil {
+			if epochs[i] = r.Epoch(); epochs[i] == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// price works out what executing k on this thread costs: first-touch
+// placement, the analytic cache cascade for each memory reference, the
+// processor model for base issue cycles and the stall decomposition. It
+// returns the cycles and adds the counter deltas to delta, which the caller
+// passes in zeroed; the thread is not charged. Over settled regions the
+// first touch places nothing, the thread enters only through its node, and
+// price is a function of (k, node, placement) — the case Compute keeps.
+func (t *Thread) price(k *Kernel, delta *counters.Set) uint64 {
+	t.eng.priced++
+	cfg := &t.eng.cfg
 
 	var loads, stores uint64
 	var memStall, rawLatency uint64
@@ -232,7 +285,7 @@ func (t *Thread) Compute(k Kernel) {
 
 	instr := k.FPOps + k.IntOps + k.Branches + loads + stores
 	if instr == 0 && memStall == 0 {
-		return
+		return 0
 	}
 	ilp := k.ILP
 	if ilp <= 0 {
@@ -279,7 +332,7 @@ func (t *Thread) Compute(k Kernel) {
 	delta.Inc(counters.StallFEFlush, feFlush)
 	delta.Inc(counters.MemLatency, rawLatency)
 
-	t.Advance(base+stallAll, &delta)
+	return base + stallAll
 }
 
 // Copy models an on-processor memory copy of n bytes from src to dst
@@ -306,17 +359,18 @@ func (t *Thread) CopyHot(dst, src *machine.Region, dstOff, srcOff, n int64, srcH
 		ILP:    0.8,
 	}
 	// Unit-stride copies touch 8 words per cache line: line-level reuse 7.
+	// The references are filled where they lie and the kernel goes to
+	// compute by address: this runs once per copy of every exchange.
+	from, to := &k.Refs[0], &k.Refs[1]
+	from.Loads = words
 	if src != nil {
-		k.Refs[0] = MemRef{Region: src, Off: srcOff, Len: n, Loads: words, Reuse: 7, Hot: srcHot}
-	} else {
-		k.Refs[0] = MemRef{Loads: words}
+		from.Region, from.Off, from.Len, from.Reuse, from.Hot = src, srcOff, n, 7, srcHot
 	}
+	to.Stores = words
 	if dst != nil {
-		k.Refs[1] = MemRef{Region: dst, Off: dstOff, Len: n, Stores: words, Reuse: 7, FirstTouch: true, Hot: dstHot}
-	} else {
-		k.Refs[1] = MemRef{Stores: words}
+		to.Region, to.Off, to.Len, to.Reuse, to.Hot, to.FirstTouch = dst, dstOff, n, 7, dstHot, true
 	}
-	t.Compute(k)
+	t.compute(&k)
 	// Bandwidth floor for the copy engine.
 	floor := uint64(float64(n) * t.eng.ovh.CopyByteCyc)
 	t.Advance(floor, nil)

@@ -245,19 +245,34 @@ func (p *Profiler) Trial(app, experiment, name string) (*perfdmf.Trial, error) {
 		}
 	}
 
+	// Per event, each metric's pair of per-thread rows is fetched once and
+	// filled thread by thread. EnsureEvent made a row for every metric added
+	// above, and a thread that never completed the event keeps its zeros.
 	usecPerCyc := 1e6 / p.opts.ClockHz
+	accums := make([]*accum, len(p.threads))
 	for _, ev := range events {
 		e := t.EnsureEvent(ev)
 		for th, tp := range p.threads {
-			a := tp.accums[ev]
-			if a == nil {
+			accums[th] = tp.accums[ev]
+			if a := accums[th]; a != nil {
+				e.Calls[th] = float64(a.calls)
+			}
+		}
+		incl, excl := e.Inclusive[perfdmf.TimeMetric], e.Exclusive[perfdmf.TimeMetric]
+		for th, a := range accums {
+			if a != nil {
+				incl[th], excl[th] = float64(a.inclCyc)*usecPerCyc, float64(a.exclCyc)*usecPerCyc
+			}
+		}
+		for id := counters.ID(0); id < counters.NumIDs; id++ {
+			if !present[id] {
 				continue
 			}
-			e.Calls[th] = float64(a.calls)
-			e.SetValue(perfdmf.TimeMetric, th, float64(a.inclCyc)*usecPerCyc, float64(a.exclCyc)*usecPerCyc)
-			for id := counters.ID(0); id < counters.NumIDs; id++ {
-				if present[id] {
-					e.SetValue(id.Name(), th, float64(a.incl.Get(id)), float64(a.excl.Get(id)))
+			name := id.Name()
+			incl, excl := e.Inclusive[name], e.Exclusive[name]
+			for th, a := range accums {
+				if a != nil {
+					incl[th], excl[th] = float64(a.incl[id]), float64(a.excl[id])
 				}
 			}
 		}
