@@ -16,7 +16,7 @@ const (
 	memoBits    = 11
 	memoSlots   = 1 << memoBits // open-addressed index into the kept charges
 	memoEntries = memoSlots / 2 // charges kept; the index stays at most half full
-	memoBlock   = 32            // charges per allocation
+	memoBlock   = 64            // charges per allocation
 
 	// A program whose kernels are all different (MSAP: one per sequence)
 	// would pay for keeping each and never be paid back. After memoDry
@@ -41,10 +41,10 @@ type charge struct {
 // more than memoEntries live kernels one pricing each per round and any other
 // program nothing.
 type chargeMemo struct {
-	slots  [memoSlots]uint16    // 0 = empty, else 1 + position of the charge
-	blocks []*[memoBlock]charge // position p is blocks[p/memoBlock][p%memoBlock]: growing copies no charge
-	n      int                  // charges kept
-	dry    int                  // lookups that found nothing since the last that found one
+	slots  [memoSlots]uint16 // 0 = empty, else 1 + position of the charge
+	blocks [memoEntries / memoBlock]*[memoBlock]charge
+	n      int // charges kept; position p is blocks[p/memoBlock][p%memoBlock], so growing copies none
+	dry    int // lookups that found nothing since the last that found one
 }
 
 // memoHash mixes the integer fields that tell a program's kernels apart.
@@ -65,10 +65,10 @@ func memoHash(k *Kernel, node int) uint {
 
 func (m *chargeMemo) at(p int) *charge { return &m.blocks[p/memoBlock][p%memoBlock] }
 
-// lookup returns the charge kept for k on node. If there is none it adds a
-// zero one for the caller to fill and reports it as fresh — or, while new
-// kernels are only sampled, returns nil. The pointer is good until the next
-// lookup.
+// lookup returns the charge kept for k on node. If there is none it adds
+// one, reported as fresh: its kernel and node are set, the rest is for the
+// caller to fill — or, while new kernels are only sampled, it returns nil.
+// The pointer is good until the next lookup.
 func (m *chargeMemo) lookup(k *Kernel, node int) (c *charge, fresh bool) {
 	slot := memoHash(k, node)
 	for ; m.slots[slot] != 0; slot = (slot + 1) % memoSlots {
@@ -87,11 +87,10 @@ func (m *chargeMemo) lookup(k *Kernel, node int) (c *charge, fresh bool) {
 		m.n = 0
 		slot = memoHash(k, node)
 	}
-	if m.n == len(m.blocks)*memoBlock {
-		m.blocks = append(m.blocks, new([memoBlock]charge))
+	if m.blocks[m.n/memoBlock] == nil {
+		m.blocks[m.n/memoBlock] = new([memoBlock]charge)
 	}
 	c = m.at(m.n)
-	*c = charge{}
 	c.k, c.node = *k, node
 	m.n++
 	m.slots[slot] = uint16(m.n)

@@ -90,12 +90,12 @@ func NewEngine(m *machine.Machine, opts Options) *Engine {
 		}),
 		ovh: ovh,
 	}
-	for i := 0; i < opts.Threads; i++ {
-		e.threads = append(e.threads, &Thread{
-			ID:  i,
-			CPU: i % m.CPUs(),
-			eng: e,
-		})
+	// One allocation holds every thread: an engine is built per simulated run.
+	threads := make([]Thread, opts.Threads)
+	e.threads = make([]*Thread, opts.Threads)
+	for i := range threads {
+		threads[i] = Thread{ID: i, CPU: i % m.CPUs(), eng: e}
+		e.threads[i] = &threads[i]
 	}
 	if newEngineHook != nil {
 		newEngineHook(e)
