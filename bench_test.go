@@ -9,6 +9,7 @@ package perfknow_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -407,6 +408,41 @@ for i in range(1000) {
 }
 `
 	for i := 0; i < b.N; i++ {
+		if err := s.RunScript(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScriptHostAPI times the host API from a script: a fresh session
+// with the knowledge base installed runs the Fig. 1 script over a GenIDLEST
+// trial, then makes 1 000 trial-method calls, so what declaring and checking
+// a binding costs shows beside what the analysis costs.
+func BenchmarkScriptHostAPI(b *testing.B) {
+	assets := b.TempDir()
+	if err := perfknow.WriteAssets(assets); err != nil {
+		b.Fatal(err)
+	}
+	tr, err := genidlest.Run(perfknow.AltixConfig(16, 2), genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	repo := perfknow.NewRepository()
+	if err := repo.Save(tr); err != nil {
+		b.Fatal(err)
+	}
+	src := perfknow.ScriptStallsPerCycle + `
+for i in range(1000) {
+    x = trial.meanExclusive("main", "TIME")
+}
+`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := perfknow.NewSession(repo)
+		s.SetOutput(io.Discard)
+		perfknow.InstallKnowledgeBase(s, assets+"/rules")
+		perfknow.SetScriptArgs(s, []string{tr.App, tr.Experiment, tr.Name})
 		if err := s.RunScript(src); err != nil {
 			b.Fatal(err)
 		}

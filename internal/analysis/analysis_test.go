@@ -190,6 +190,9 @@ func TestExtractEventsAndTopN(t *testing.T) {
 	if got := TopN(tr, "TIME", 99); len(got) != 3 {
 		t.Fatalf("TopN overflow = %v", got)
 	}
+	if got := TopN(tr, "TIME", -1); len(got) != 0 {
+		t.Fatalf("TopN(-1) = %v", got)
+	}
 }
 
 func TestStatsAndLoadBalance(t *testing.T) {

@@ -242,8 +242,9 @@ func ExtractEvents(t *perfdmf.Trial, names []string) *perfdmf.Trial {
 }
 
 // TopN returns the n flat events with the largest mean exclusive value of
-// the metric, in descending order.
+// the metric, in descending order; n < 0 asks for none.
 func TopN(t *perfdmf.Trial, metric string, n int) []string {
+	n = max(n, 0)
 	c, err := perfdmf.ColumnsFromTrial(t)
 	if err != nil {
 		return nil

@@ -13,6 +13,9 @@
 //	    MeanEventFact.compareEventToMain(derived, metric, event)
 //	}
 //	ruleHarness.processRules()
+//
+// The API is the tables of this file and trialobject.go, declared once and
+// shared by every session; a row reaches its session through SessionOf.
 package core
 
 import (
@@ -54,9 +57,15 @@ func NewSession(repo perfdmf.Store) *Session {
 		Interp: script.New(),
 	}
 	s.Interp.Stdout = os.Stdout
-	s.install()
+	s.Interp.Host = s
+	s.Interp.Bind(Functions)
+	s.Interp.Bind(Utilities)
+	s.Interp.Bind(MeanEventFact)
 	return s
 }
+
+// SessionOf returns the session whose interpreter runs a row.
+func SessionOf(in *script.Interp) *Session { return in.Host.(*Session) }
 
 // SetOutput redirects script print output.
 func (s *Session) SetOutput(w io.Writer) { s.Interp.Stdout = w }
@@ -80,177 +89,108 @@ func (s *Session) RunScriptFile(path string) error { return s.Interp.RunFile(pat
 // LastResult returns the result of the most recent processRules call, or nil.
 func (s *Session) LastResult() *rules.Result { return s.lastResult }
 
-// install binds the script API.
-func (s *Session) install() {
-	in := s.Interp
-
-	in.SetGlobal("Utilities", &script.Module{Name: "Utilities", Members: map[string]script.Value{
-		"getTrial": script.NewBuiltin("getTrial", func(args []script.Value) (script.Value, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("getTrial(app, experiment, trial) expects 3 arguments")
-			}
-			t, err := perfdmf.GetTrialWithContext(s.Interp.Context(), s.Repo,
-				script.ToString(args[0]), script.ToString(args[1]), script.ToString(args[2]))
-			if err != nil {
-				return nil, err
-			}
-			return &TrialObject{Trial: t}, nil
-		}),
-		"applications": script.NewBuiltin("applications", func(args []script.Value) (script.Value, error) {
-			return stringList(s.Repo.Applications()), nil
-		}),
-		"experiments": script.NewBuiltin("experiments", func(args []script.Value) (script.Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("experiments(app) expects 1 argument")
-			}
-			return stringList(s.Repo.Experiments(script.ToString(args[0]))), nil
-		}),
-		"trials": script.NewBuiltin("trials", func(args []script.Value) (script.Value, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("trials(app, experiment) expects 2 arguments")
-			}
-			return stringList(s.Repo.Trials(script.ToString(args[0]), script.ToString(args[1]))), nil
-		}),
-		"saveTrial": script.NewBuiltin("saveTrial", func(args []script.Value) (script.Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("saveTrial(trial) expects 1 argument")
-			}
-			to, err := asTrial(args[0])
-			if err != nil {
-				return nil, err
-			}
-			return nil, perfdmf.SaveWithContext(s.Interp.Context(), s.Repo, to.Trial)
-		}),
-	}})
-
-	reducer := func(name string, r analysis.Reduction) *script.Builtin {
-		return script.NewBuiltin(name, func(args []script.Value) (script.Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("%s(trial) expects 1 argument", name)
-			}
-			to, err := asTrial(args[0])
-			if err != nil {
-				return nil, err
-			}
-			return &TrialObject{Trial: analysis.Reduce(to.Trial, r)}, nil
-		})
-	}
-	in.SetGlobal("TrialMeanResult", reducer("TrialMeanResult", analysis.ReduceMean))
-	in.SetGlobal("TrialTotalResult", reducer("TrialTotalResult", analysis.ReduceTotal))
-	in.SetGlobal("TrialMaxResult", reducer("TrialMaxResult", analysis.ReduceMax))
-
-	in.SetGlobal("DeriveMetric", script.NewBuiltin("DeriveMetric", func(args []script.Value) (script.Value, error) {
-		if len(args) != 4 {
-			return nil, fmt.Errorf("DeriveMetric(trial, lhs, rhs, op) expects 4 arguments")
-		}
-		to, err := asTrial(args[0])
+// Utilities reaches the profile repository.
+var Utilities = script.NewModule("Utilities",
+	Def("getTrial(app str, experiment str, trial str)", "the stored trial", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		t, err := perfdmf.GetTrialWithContext(in.Context(), SessionOf(in).Repo, a[0].(string), a[1].(string), a[2].(string))
 		if err != nil {
 			return nil, err
 		}
-		op, err := analysis.ParseOp(script.ToString(args[3]))
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := analysis.DeriveMetricCtx(s.Interp.Context(), to.Trial, script.ToString(args[1]), script.ToString(args[2]), op)
-		if err != nil {
-			return nil, err
-		}
-		return &TrialObject{Trial: out}, nil
-	}))
-	in.SetGlobal("DeriveMetricName", script.NewBuiltin("DeriveMetricName", func(args []script.Value) (script.Value, error) {
-		if len(args) != 3 {
-			return nil, fmt.Errorf("DeriveMetricName(lhs, rhs, op) expects 3 arguments")
-		}
-		op, err := analysis.ParseOp(script.ToString(args[2]))
-		if err != nil {
-			return nil, err
-		}
-		return analysis.DeriveMetricName(script.ToString(args[0]), script.ToString(args[1]), op), nil
-	}))
+		return &TrialObject{Trial: t}, nil
+	}),
+	Def("applications()", "the stored applications", func(in *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
+		return stringList(SessionOf(in).Repo.Applications()), nil
+	}),
+	Def("experiments(app str)", "the application's experiments", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return stringList(SessionOf(in).Repo.Experiments(a[0].(string))), nil
+	}),
+	Def("trials(app str, experiment str)", "the experiment's trials", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return stringList(SessionOf(in).Repo.Trials(a[0].(string), a[1].(string))), nil
+	}),
+	Def("saveTrial(trial trial)", "store the trial under its own application, experiment and name", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return nil, perfdmf.SaveWithContext(in.Context(), SessionOf(in).Repo, TrialOf(a[0]))
+	}),
+)
 
-	in.SetGlobal("RuleHarness", script.NewBuiltin("RuleHarness", func(args []script.Value) (script.Value, error) {
-		for _, a := range args {
-			if err := s.Engine.LoadFile(script.ToString(a)); err != nil {
-				return nil, err
-			}
-		}
-		return s.harnessObject(), nil
-	}))
-	in.SetGlobal("RuleHarnessFromSource", script.NewBuiltin("RuleHarnessFromSource", func(args []script.Value) (script.Value, error) {
-		for _, a := range args {
-			if err := s.Engine.LoadString(script.ToString(a)); err != nil {
-				return nil, err
-			}
-		}
-		return s.harnessObject(), nil
-	}))
-
-	in.SetGlobal("MeanEventFact", &script.Module{Name: "MeanEventFact", Members: map[string]script.Value{
-		"compareEventToMain": script.NewBuiltin("compareEventToMain", func(args []script.Value) (script.Value, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("compareEventToMain(trial, metric, event) expects 3 arguments")
-			}
-			to, err := asTrial(args[0])
-			if err != nil {
-				return nil, err
-			}
-			return nil, s.CompareEventToMain(to.Trial, script.ToString(args[1]), script.ToString(args[2]))
+// MeanEventFact holds the paper's Fig. 1 fact builder.
+var MeanEventFact = script.NewModule("MeanEventFact",
+	Def("compareEventToMain(trial trial, metric metric, event event)", "assert a MeanEventFact comparing the event's exclusive metric with the main event's inclusive one",
+		func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+			return nil, SessionOf(in).CompareEventToMain(TrialOf(a[0]), a[1].(string), a[2].(*perfdmf.Event).Name)
 		}),
-	}})
+)
 
-	in.SetGlobal("assertFact", script.NewBuiltin("assertFact", func(args []script.Value) (script.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("assertFact(type, fields) expects 2 arguments")
+// Harness is what RuleHarness returns: the session's rule engine.
+var Harness = script.NewModule("RuleHarness",
+	Def("processRules()", "run the rules to quiescence, print their output and recommendations, and return the output lines", func(in *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
+		s := SessionOf(in)
+		res, err := s.Engine.RunContext(in.Context())
+		if err != nil {
+			return nil, err
 		}
-		m, ok := args[1].(*script.Map)
-		if !ok {
-			return nil, fmt.Errorf("assertFact fields must be a map")
+		s.lastResult = res
+		out := script.NewList()
+		for _, line := range res.Output {
+			out.Items = append(out.Items, line)
+			fmt.Fprintln(in.Stdout, line)
 		}
+		for _, rec := range res.Recommendations {
+			fmt.Fprintf(in.Stdout, "recommendation [%s/%s]: %s\n", rec.Rule, rec.Category, rec.Text)
+		}
+		return out, nil
+	}),
+	Def("reset()", "clear working memory, keeping the rules", func(in *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
+		SessionOf(in).Engine.Reset()
+		return nil, nil
+	}),
+)
+
+// Functions are the session's global functions.
+var Functions = script.NewModule("",
+	reducer("TrialMeanResult", "mean", analysis.ReduceMean),
+	reducer("TrialTotalResult", "sum", analysis.ReduceTotal),
+	reducer("TrialMaxResult", "maximum", analysis.ReduceMax),
+	Def("DeriveMetric(trial trial, lhs metric, rhs metric, op str)", "a copy of the trial with the metric (lhs op rhs) added; op is one of + - * /", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return derive(in, a[0], a[1:])
+	}),
+	Def("DeriveMetricName(lhs str, rhs str, op str)", "the name DeriveMetric gives the metric (lhs op rhs)", func(_ *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		op, err := analysis.ParseOp(a[2].(string))
+		if err != nil {
+			return nil, err
+		}
+		return analysis.DeriveMetricName(a[0].(string), a[1].(string), op), nil
+	}),
+	harness("RuleHarness(files str...)", "load .prl rule files into the session's engine", (*rules.Engine).LoadFile),
+	harness("RuleHarnessFromSource(sources str...)", "load .prl rule text into the session's engine", (*rules.Engine).LoadString),
+	Def("assertFact(type str, fields map)", "assert a fact of the type with the fields", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		m := a[1].(*script.Map)
 		fields := make(map[string]any, len(m.Entries))
 		for k, v := range m.Entries {
 			fields[k] = v
 		}
-		s.Engine.Assert(rules.NewFact(script.ToString(args[0]), fields))
+		SessionOf(in).Engine.Assert(rules.NewFact(a[0].(string), fields))
 		return nil, nil
-	}))
+	}),
+	Def("LoadBalanceFacts(trial trial, metric metric)", "assert the load-imbalance facts of §III-A; returns how many", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return float64(SessionOf(in).AssertLoadBalanceFacts(TrialOf(a[0]), a[1].(string))), nil
+	}),
+)
 
-	in.SetGlobal("LoadBalanceFacts", script.NewBuiltin("LoadBalanceFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("LoadBalanceFacts(trial, metric) expects 2 arguments")
-		}
-		to, err := asTrial(args[0])
-		if err != nil {
-			return nil, err
-		}
-		n := s.AssertLoadBalanceFacts(to.Trial, script.ToString(args[1]))
-		return float64(n), nil
-	}))
+func reducer(name, what string, r analysis.Reduction) *script.Builtin {
+	return Def(name+"(trial trial)", "a one-thread trial holding each value's "+what+" over threads", func(_ *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return &TrialObject{Trial: analysis.Reduce(TrialOf(a[0]), r)}, nil
+	})
 }
 
-// harnessObject exposes the session rule engine to scripts.
-func (s *Session) harnessObject() *script.Module {
-	return &script.Module{Name: "RuleHarness", Members: map[string]script.Value{
-		"processRules": script.NewBuiltin("processRules", func(args []script.Value) (script.Value, error) {
-			res, err := s.Engine.RunContext(s.Interp.Context())
-			if err != nil {
+func harness(sig, doc string, load func(*rules.Engine, string) error) *script.Builtin {
+	return Def(sig, doc+"; returns the harness", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		for _, v := range a {
+			if err := load(SessionOf(in).Engine, v.(string)); err != nil {
 				return nil, err
 			}
-			s.lastResult = res
-			out := script.NewList()
-			for _, line := range res.Output {
-				out.Items = append(out.Items, line)
-				fmt.Fprintln(s.Interp.Stdout, line)
-			}
-			for _, rec := range res.Recommendations {
-				fmt.Fprintf(s.Interp.Stdout, "recommendation [%s/%s]: %s\n", rec.Rule, rec.Category, rec.Text)
-			}
-			return out, nil
-		}),
-		"reset": script.NewBuiltin("reset", func(args []script.Value) (script.Value, error) {
-			s.Engine.Reset()
-			return nil, nil
-		}),
-	}}
+		}
+		return Harness, nil
+	})
 }
 
 // CompareEventToMain asserts the paper's MeanEventFact for one event: its
@@ -361,12 +301,4 @@ func stringList(xs []string) *script.List {
 		out.Items = append(out.Items, x)
 	}
 	return out
-}
-
-func asTrial(v script.Value) (*TrialObject, error) {
-	to, ok := v.(*TrialObject)
-	if !ok {
-		return nil, fmt.Errorf("core: expected a trial, got %T", v)
-	}
-	return to, nil
 }

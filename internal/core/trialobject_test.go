@@ -61,11 +61,9 @@ func TestTrialObjectMetadataAndName(t *testing.T) {
 	if to.TypeName() != "Trial(t1)" {
 		t.Fatalf("TypeName: %s", to.TypeName())
 	}
-	v, ok := to.Member("metadata")
-	if !ok {
+	if to.Members().Lookup("metadata") == nil {
 		t.Fatal("metadata member missing")
 	}
-	_ = v
 	if err := s.RunScript(`
 trial = Utilities.getTrial("app", "exp", "t1")
 if trial.metadata("schedule") != "static" { print("bad") } else { print("good") }
@@ -86,5 +84,36 @@ print(d.mainEvent)
 	}
 	if !strings.Contains(buf.String(), "main") && !strings.Contains(buf.String(), "hot") {
 		t.Fatalf("mainEvent: %s", buf.String())
+	}
+}
+
+// TestAbsentNamesErrorAlike: every row taking an event or a metric reports an
+// absent one the same way, naming the parameter, before it computes anything.
+func TestAbsentNamesErrorAlike(t *testing.T) {
+	s, _ := newTestSession(t)
+	cases := map[string]string{
+		`trial.meanExclusive("ghost", "TIME")`:                     `meanExclusive(event, metric): event: no event "ghost"`,
+		`trial.meanExclusive("hot", "NOPE")`:                       `meanExclusive(event, metric): metric: no metric "NOPE"`,
+		`trial.meanInclusive("hot", "NOPE")`:                       `meanInclusive(event, metric): metric: no metric "NOPE"`,
+		`trial.stddevExclusive("hot", "NOPE")`:                     `stddevExclusive(event, metric): metric: no metric "NOPE"`,
+		`trial.totalExclusive("hot", "NOPE")`:                      `totalExclusive(event, metric): metric: no metric "NOPE"`,
+		`trial.maxExclusive("hot", "NOPE")`:                        `maxExclusive(event, metric): metric: no metric "NOPE"`,
+		`trial.calls("ghost")`:                                     `calls(event): event: no event "ghost"`,
+		`trial.deriveMetric("TIME", "NOPE", "/")`:                  `deriveMetric(lhs, rhs, op): rhs: no metric "NOPE"`,
+		`trial.correlation("hot", "cold", "NOPE")`:                 `correlation(eventA, eventB, metric): metric: no metric "NOPE"`,
+		`trial.isNested("main", "ghost")`:                          `isNested(outer, inner): inner: no event "ghost"`,
+		`trial.topN("NOPE", 3)`:                                    `topN(metric, n): metric: no metric "NOPE"`,
+		`trial.imbalanceRatio("hot", "NOPE")`:                      `imbalanceRatio(event, metric): metric: no metric "NOPE"`,
+		`DeriveMetric(trial, "NOPE", "TIME", "/")`:                 `DeriveMetric(trial, lhs, rhs, op): lhs: no metric "NOPE"`,
+		`LoadBalanceFacts(trial, "NOPE")`:                          `LoadBalanceFacts(trial, metric): metric: no metric "NOPE"`,
+		`MeanEventFact.compareEventToMain(trial, "TIME", "ghost")`: `compareEventToMain(trial, metric, event): event: no event "ghost"`,
+		`trial.topN("TIME", -1)`:                                   `topN(metric, n): n: want a non-negative integer, got -1`,
+		`trial.topN("TIME", 2.5)`:                                  `topN(metric, n): n: want a non-negative integer, got 2.5`,
+	}
+	for src, want := range cases {
+		err := s.RunScript("trial = Utilities.getTrial(\"app\", \"exp\", \"t1\")\n" + src)
+		if want = "script: line 2: " + want; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", src, err, want)
+		}
 	}
 }

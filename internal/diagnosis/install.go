@@ -6,6 +6,7 @@ import (
 	"perfknow/internal/core"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/power"
+	"perfknow/internal/rules"
 	"perfknow/internal/script"
 )
 
@@ -14,106 +15,27 @@ import (
 // files. Scripts additionally receive their arguments through the `args`
 // global (set per run with SetArgs).
 func Install(s *core.Session, rulesDir string) {
-	in := s.Interp
-	in.SetGlobal("rulesdir", rulesDir)
-	in.SetGlobal("args", script.NewList())
+	s.Interp.SetGlobal("rulesdir", rulesDir)
+	s.Interp.SetGlobal("args", script.NewList())
+	s.Interp.Bind(Functions)
+}
 
-	trialArg := func(fn string, v script.Value) (*perfdmf.Trial, error) {
-		to, ok := v.(*core.TrialObject)
-		if !ok {
-			return nil, fmt.Errorf("%s expects a trial, got %T", fn, v)
-		}
-		return to.Trial, nil
-	}
-
-	in.SetGlobal("InefficiencyFacts", script.NewBuiltin("InefficiencyFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("InefficiencyFacts(trial) expects 1 argument")
-		}
-		t, err := trialArg("InefficiencyFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := AssertInefficiencyFacts(s.Engine, t)
+// Functions are the knowledge base's fact builders and the power estimate.
+// A fact builder returns how many facts it asserted.
+var Functions = script.NewModule("",
+	trialFacts("InefficiencyFacts", "assert an InefficiencyFact per flat event (§III-B step 1)", AssertInefficiencyFacts),
+	trialFacts("StallSourceFacts", "assert a StallSourcesFact per flat event (§III-B step 2)", AssertStallSourceFacts),
+	trialFacts("LocalityFacts", "assert a LocalityFact per flat event (§III-B step 3)", AssertLocalityFacts),
+	trialFacts("SyncFacts", "assert a SyncFact per flat event with cycle data", AssertSyncFacts),
+	core.Def("ScalingFacts(base trial, scaled trial)", "assert a ScalingFact per event the two trials share", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		return float64(AssertScalingFacts(core.SessionOf(in).Engine, core.TrialOf(a[0]), core.TrialOf(a[1]))), nil
+	}),
+	core.Def("ClusterFacts(trial trial, metric metric, k count)", "k-means over the threads; assert a ClusterFact per cluster", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		n, err := AssertClusterFacts(core.SessionOf(in).Engine, core.TrialOf(a[0]), a[1].(string), int(a[2].(float64)))
 		return float64(n), err
-	}))
-
-	in.SetGlobal("StallSourceFacts", script.NewBuiltin("StallSourceFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("StallSourceFacts(trial) expects 1 argument")
-		}
-		t, err := trialArg("StallSourceFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := AssertStallSourceFacts(s.Engine, t)
-		return float64(n), err
-	}))
-
-	in.SetGlobal("LocalityFacts", script.NewBuiltin("LocalityFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("LocalityFacts(trial) expects 1 argument")
-		}
-		t, err := trialArg("LocalityFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := AssertLocalityFacts(s.Engine, t)
-		return float64(n), err
-	}))
-
-	in.SetGlobal("SyncFacts", script.NewBuiltin("SyncFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("SyncFacts(trial) expects 1 argument")
-		}
-		t, err := trialArg("SyncFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := AssertSyncFacts(s.Engine, t)
-		return float64(n), err
-	}))
-
-	in.SetGlobal("ScalingFacts", script.NewBuiltin("ScalingFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("ScalingFacts(baseTrial, scaledTrial) expects 2 arguments")
-		}
-		base, err := trialArg("ScalingFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		scaled, err := trialArg("ScalingFacts", args[1])
-		if err != nil {
-			return nil, err
-		}
-		return float64(AssertScalingFacts(s.Engine, base, scaled)), nil
-	}))
-
-	in.SetGlobal("ClusterFacts", script.NewBuiltin("ClusterFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 3 {
-			return nil, fmt.Errorf("ClusterFacts(trial, metric, k) expects 3 arguments")
-		}
-		t, err := trialArg("ClusterFacts", args[0])
-		if err != nil {
-			return nil, err
-		}
-		k, err := script.ToFloat(args[2])
-		if err != nil {
-			return nil, err
-		}
-		n, err := AssertClusterFacts(s.Engine, t, script.ToString(args[1]), int(k))
-		return float64(n), err
-	}))
-
-	in.SetGlobal("PowerEstimate", script.NewBuiltin("PowerEstimate", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("PowerEstimate(trial) expects 1 argument")
-		}
-		t, err := trialArg("PowerEstimate", args[0])
-		if err != nil {
-			return nil, err
-		}
-		rep, err := power.Itanium2().Estimate(t)
+	}),
+	core.Def("PowerEstimate(trial trial)", "the power model's report: watts, totalWatts, joules, flopPerJoule, seconds, ipc", func(_ *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		rep, err := power.Itanium2().Estimate(core.TrialOf(a[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -125,31 +47,31 @@ func Install(s *core.Session, rulesDir string) {
 		m.Entries["seconds"] = rep.Seconds
 		m.Entries["ipc"] = rep.IPC
 		return m, nil
-	}))
-
-	in.SetGlobal("PowerFacts", script.NewBuiltin("PowerFacts", func(args []script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("PowerFacts(levelTrials) expects 1 argument")
-		}
-		m, ok := args[0].(*script.Map)
-		if !ok {
-			return nil, fmt.Errorf("PowerFacts expects a map of level -> trial")
-		}
+	}),
+	core.Def("PowerFacts(levels map)", "assert a PowerFact per optimisation level of a map level -> trial", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		m := a[0].(*script.Map)
 		model := power.Itanium2()
 		reports := make(map[string]*power.Report, len(m.Entries))
 		for level, v := range m.Entries {
-			t, err := trialArg("PowerFacts", v)
-			if err != nil {
-				return nil, err
+			to, ok := v.(*core.TrialObject)
+			if !ok {
+				return nil, fmt.Errorf("level %s is not a trial", level)
 			}
-			rep, err := model.Estimate(t)
+			rep, err := model.Estimate(to.Trial)
 			if err != nil {
 				return nil, fmt.Errorf("level %s: %w", level, err)
 			}
 			reports[level] = rep
 		}
-		return float64(AssertPowerFacts(s.Engine, reports)), nil
-	}))
+		return float64(AssertPowerFacts(core.SessionOf(in).Engine, reports)), nil
+	}),
+)
+
+func trialFacts(name, doc string, build func(*rules.Engine, *perfdmf.Trial) (int, error)) *script.Builtin {
+	return core.Def(name+"(trial trial)", doc, func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
+		n, err := build(core.SessionOf(in).Engine, core.TrialOf(a[0]))
+		return float64(n), err
+	})
 }
 
 // SetArgs sets the `args` global for the next script run.

@@ -21,6 +21,7 @@ import (
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
 	"perfknow/internal/perfdmf"
+	"perfknow/internal/vfs"
 )
 
 // newService builds a server over a file-backed repository and an httptest
@@ -156,6 +157,33 @@ func TestDiagnoseValidation(t *testing.T) {
 	}
 	if _, err := c.Diagnose(DiagnoseRequest{Script: "load_balance", Source: "x = 1"}); err == nil {
 		t.Fatal("script+source together must fail")
+	}
+}
+
+// TestDiagnoseNegativeCountIsAnError: an inline script asking a trial for
+// its top -1 events gets a 400 naming the argument, and the daemon answers
+// the next request. Unchecked, the count reached a slice allocation and the
+// panic dropped the connection.
+func TestDiagnoseNegativeCountIsAnError(t *testing.T) {
+	_, ts, c := durabilityService(t, t.TempDir(), vfs.OS{})
+	if err := c.Save(stallTrial("a", "e", "t")); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"source": "Utilities.getTrial(\"a\", \"e\", \"t\").topN(\"TIME\", -1)"}`
+	resp, err := http.Post(ts.URL+"/api/v1/diagnose", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("diagnose: %v", err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := `n: want a non-negative integer, got -1`
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), want) {
+		t.Fatalf("diagnose: %d %s, want 400 and %q", resp.StatusCode, got, want)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected script: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 

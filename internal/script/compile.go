@@ -604,7 +604,7 @@ func (c *compiler) compileExpr(x expr) cexpr {
 		v := boxFloat(ex.V)
 		return func(*Interp, *frame) (Value, error) { return v, nil }
 	case *strLit:
-		v := ex.V
+		var v Value = ex.V // boxed once, not on every evaluation
 		return func(*Interp, *frame) (Value, error) { return v, nil }
 	case *boolLit:
 		v := ex.V
@@ -659,7 +659,7 @@ func (c *compiler) compileExpr(x expr) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			return attribute(recv, name, line)
+			return in.attribute(recv, name, line)
 		}
 	case *indexExpr:
 		xC := c.compileExpr(ex.X)

@@ -12,7 +12,7 @@ import (
 )
 
 // Value is any script value: float64, string, bool, nil, *List, *Map,
-// *Builtin, *Function, or a host Object.
+// *Builtin, *Module, *Function, or a host Object.
 type Value = any
 
 // List is a mutable ordered collection.
@@ -26,40 +26,6 @@ func NewList(items ...Value) *List { return &List{Items: items} }
 
 // NewMap builds an empty map value.
 func NewMap() *Map { return &Map{Entries: make(map[string]Value)} }
-
-// Object is the interface host types implement to be scriptable: Member
-// resolves attribute access (returning data values or *Builtin methods).
-type Object interface {
-	TypeName() string
-	Member(name string) (Value, bool)
-}
-
-// Builtin is a host function callable from scripts.
-type Builtin struct {
-	Name string
-	Fn   func(args []Value) (Value, error)
-}
-
-// NewBuiltin wraps a Go function as a script callable.
-func NewBuiltin(name string, fn func(args []Value) (Value, error)) *Builtin {
-	return &Builtin{Name: name, Fn: fn}
-}
-
-// Module is a simple namespace Object backed by a map — used to expose API
-// groups like Utilities.getTrial.
-type Module struct {
-	Name    string
-	Members map[string]Value
-}
-
-// TypeName implements Object.
-func (m *Module) TypeName() string { return "module " + m.Name }
-
-// Member implements Object.
-func (m *Module) Member(name string) (Value, bool) {
-	v, ok := m.Members[name]
-	return v, ok
-}
 
 // Function is a user-defined script function: its compiled body plus the
 // frame chain captured at the definition site.
@@ -93,6 +59,9 @@ type Interp struct {
 	// executing, when tracing is on; Context() hands it to host bindings so
 	// their spans (repository I/O, analysis ops) nest under the statement.
 	curCtx context.Context
+	// Host is the embedding application's state, which its row
+	// implementations reach through the interpreter they are handed.
+	Host any
 }
 
 // Steps reports how many statements the last (or current) Run has executed;
@@ -130,10 +99,10 @@ func (in *Interp) checkBudgetAt(line, col int) error {
 	return nil
 }
 
-// New builds an interpreter with the language builtins installed.
+// New builds an interpreter with the language builtins bound.
 func New() *Interp {
 	in := &Interp{globals: make(map[string]Value), Stdout: os.Stdout}
-	in.installBuiltins()
+	in.Bind(Builtins)
 	return in
 }
 
@@ -333,11 +302,9 @@ func applyBin(op string, l, r Value, line int) (Value, error) {
 func (in *Interp) call(fn Value, args []Value, line int) (Value, error) {
 	switch f := fn.(type) {
 	case *Builtin:
-		v, err := f.Fn(args)
-		if err != nil {
-			return nil, errAt(line, "%s: %s", f.Name, err)
-		}
-		return v, nil
+		return in.callHost(f, nil, args, line)
+	case *method:
+		return in.callHost(f.Builtin, f.recv, args, line)
 	case *Function:
 		if len(args) != len(f.Params) {
 			return nil, errAt(line, "%s expects %d arguments, got %d", f.Name, len(f.Params), len(args))
@@ -347,13 +314,26 @@ func (in *Interp) call(fn Value, args []Value, line int) (Value, error) {
 	return nil, errAt(line, "%s is not callable", typeName(fn))
 }
 
-func attribute(recv Value, name string, line int) (Value, error) {
+func (in *Interp) attribute(recv Value, name string, line int) (Value, error) {
 	switch r := recv.(type) {
+	case *Module:
+		if b := r.Lookup(name); b != nil {
+			return b, nil
+		}
+		return nil, errAt(line, "%s has no member %q", typeName(r), name)
 	case Object:
-		if v, ok := r.Member(name); ok {
+		b := r.Members().Lookup(name)
+		switch {
+		case b == nil:
+			return nil, errAt(line, "%s has no member %q", r.TypeName(), name)
+		case b.Prop:
+			v, err := b.Impl(in, r, nil)
+			if err != nil {
+				return nil, errAt(line, "%s: %s", name, err)
+			}
 			return v, nil
 		}
-		return nil, errAt(line, "%s has no member %q", r.TypeName(), name)
+		return &method{b, r}, nil
 	case *Map:
 		if v, ok := r.Entries[name]; ok {
 			return v, nil
@@ -460,8 +440,12 @@ func typeName(v Value) string {
 		return "map"
 	case *Builtin:
 		return "builtin " + x.Name
+	case *method:
+		return "builtin " + x.Name
 	case *Function:
 		return "function " + x.Name
+	case *Module:
+		return "module " + x.Name
 	case Object:
 		return x.TypeName()
 	}
@@ -502,12 +486,8 @@ func ToString(v Value) string {
 			parts[i] = k + ": " + ToString(x.Entries[k])
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
-	case Object:
-		return "<" + x.TypeName() + ">"
-	case *Builtin:
-		return "<builtin " + x.Name + ">"
-	case *Function:
-		return "<function " + x.Name + ">"
+	case *Module, Object, *Builtin, *method, *Function:
+		return "<" + typeName(x) + ">"
 	}
 	return fmt.Sprintf("%v", v)
 }
@@ -532,19 +512,18 @@ func ToFloat(v Value) (float64, error) {
 	return 0, fmt.Errorf("cannot convert %s to number", typeName(v))
 }
 
-func (in *Interp) installBuiltins() {
-	in.SetGlobal("print", NewBuiltin("print", func(args []Value) (Value, error) {
+// Builtins are the language's own functions, bound as globals in every
+// interpreter.
+var Builtins = NewModule("",
+	Def("print(values any...)", "write the values, separated by spaces, and a newline", func(in *Interp, _ Value, args []Value) (Value, error) {
 		parts := make([]string, len(args))
 		for i, a := range args {
 			parts[i] = ToString(a)
 		}
 		fmt.Fprintln(in.Stdout, strings.Join(parts, " "))
 		return nil, nil
-	}))
-	in.SetGlobal("len", NewBuiltin("len", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("len expects 1 argument")
-		}
+	}),
+	Def("len(x any)", "the length of a list, map or string", func(_ *Interp, _ Value, args []Value) (Value, error) {
 		switch x := args[0].(type) {
 		case *List:
 			return float64(len(x.Items)), nil
@@ -554,28 +533,11 @@ func (in *Interp) installBuiltins() {
 			return float64(len(x)), nil
 		}
 		return nil, fmt.Errorf("len of %s", typeName(args[0]))
-	}))
-	in.SetGlobal("range", NewBuiltin("range", func(args []Value) (Value, error) {
-		var lo, hi float64
-		switch len(args) {
-		case 1:
-			v, err := ToFloat(args[0])
-			if err != nil {
-				return nil, err
-			}
-			hi = v
-		case 2:
-			v1, err := ToFloat(args[0])
-			if err != nil {
-				return nil, err
-			}
-			v2, err := ToFloat(args[1])
-			if err != nil {
-				return nil, err
-			}
-			lo, hi = v1, v2
-		default:
-			return nil, fmt.Errorf("range expects 1 or 2 arguments")
+	}),
+	Def("range(a num, b num?)", "the numbers from 0 up to a, or from a up to b, in steps of 1", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		lo, hi := 0.0, args[0].(float64)
+		if len(args) == 2 {
+			lo, hi = hi, args[1].(float64)
 		}
 		out := NewList()
 		if n := hi - lo; n > 0 && n < 1<<24 {
@@ -585,26 +547,14 @@ func (in *Interp) installBuiltins() {
 			out.Items = append(out.Items, boxFloat(i))
 		}
 		return out, nil
-	}))
-	in.SetGlobal("append", NewBuiltin("append", func(args []Value) (Value, error) {
-		if len(args) < 2 {
-			return nil, fmt.Errorf("append expects a list and values")
-		}
-		l, ok := args[0].(*List)
-		if !ok {
-			return nil, fmt.Errorf("append expects a list, got %s", typeName(args[0]))
-		}
+	}),
+	Def("append(list list, values any...)", "add the values to the end of list, and return it", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		l := args[0].(*List)
 		l.Items = append(l.Items, args[1:]...)
 		return l, nil
-	}))
-	in.SetGlobal("keys", NewBuiltin("keys", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("keys expects 1 argument")
-		}
-		m, ok := args[0].(*Map)
-		if !ok {
-			return nil, fmt.Errorf("keys expects a map, got %s", typeName(args[0]))
-		}
+	}),
+	Def("keys(m map)", "the map's keys, sorted", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		m := args[0].(*Map)
 		ks := make([]string, 0, len(m.Entries))
 		for k := range m.Entries {
 			ks = append(ks, k)
@@ -615,48 +565,21 @@ func (in *Interp) installBuiltins() {
 			out.Items = append(out.Items, k)
 		}
 		return out, nil
-	}))
-	in.SetGlobal("str", NewBuiltin("str", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("str expects 1 argument")
-		}
+	}),
+	Def("str(x any)", "x as display text", func(_ *Interp, _ Value, args []Value) (Value, error) {
 		return ToString(args[0]), nil
-	}))
-	in.SetGlobal("num", NewBuiltin("num", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("num expects 1 argument")
-		}
+	}),
+	Def("num(x any)", "x as a number: a number, a boolean (1 or 0) or a numeric string", func(_ *Interp, _ Value, args []Value) (Value, error) {
 		return ToFloat(args[0])
-	}))
-	in.SetGlobal("abs", NewBuiltin("abs", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("abs expects 1 argument")
-		}
-		f, err := ToFloat(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return math.Abs(f), nil
-	}))
-	in.SetGlobal("sqrt", NewBuiltin("sqrt", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("sqrt expects 1 argument")
-		}
-		f, err := ToFloat(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return math.Sqrt(f), nil
-	}))
-	in.SetGlobal("sorted", NewBuiltin("sorted", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("sorted expects 1 argument")
-		}
-		l, ok := args[0].(*List)
-		if !ok {
-			return nil, fmt.Errorf("sorted expects a list, got %s", typeName(args[0]))
-		}
-		out := append([]Value{}, l.Items...)
+	}),
+	Def("abs(x num)", "the absolute value of x", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		return math.Abs(args[0].(float64)), nil
+	}),
+	Def("sqrt(x num)", "the square root of x", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		return math.Sqrt(args[0].(float64)), nil
+	}),
+	Def("sorted(l list)", "a sorted copy of l: numbers ascending, then anything else by its text", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		out := append([]Value{}, args[0].(*List).Items...)
 		sort.SliceStable(out, func(i, j int) bool {
 			li, lok := out[i].(float64)
 			lj, jok := out[j].(float64)
@@ -666,27 +589,16 @@ func (in *Interp) installBuiltins() {
 			return ToString(out[i]) < ToString(out[j])
 		})
 		return &List{Items: out}, nil
-	}))
-	in.SetGlobal("min", NewBuiltin("min", minMax(true)))
-	in.SetGlobal("max", NewBuiltin("max", minMax(false)))
-	in.SetGlobal("format", NewBuiltin("format", func(args []Value) (Value, error) {
-		if len(args) < 1 {
-			return nil, fmt.Errorf("format expects a format string")
-		}
-		f, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("format expects a string, got %s", typeName(args[0]))
-		}
-		rest := make([]any, len(args)-1)
-		for i, a := range args[1:] {
-			rest[i] = a
-		}
-		return fmt.Sprintf(f, rest...), nil
-	}))
-}
+	}),
+	Def("min(values any...)", "the smallest of the values, or of the items of one list", minMax(true)),
+	Def("max(values any...)", "the largest of the values, or of the items of one list", minMax(false)),
+	Def("format(f str, values any...)", "the values formatted by the Go fmt verbs in f", func(_ *Interp, _ Value, args []Value) (Value, error) {
+		return fmt.Sprintf(args[0].(string), args[1:]...), nil
+	}),
+)
 
-func minMax(min bool) func(args []Value) (Value, error) {
-	return func(args []Value) (Value, error) {
+func minMax(min bool) Impl {
+	return func(_ *Interp, _ Value, args []Value) (Value, error) {
 		vals := args
 		if len(args) == 1 {
 			if l, ok := args[0].(*List); ok {

@@ -188,19 +188,17 @@ print(format("%.2f|%s", 3.14159, "pi"))
 
 type fakeObject struct{ hits int }
 
+var fakeMembers = NewModule("Fake",
+	Def("touch()", "count a touch", func(_ *Interp, recv Value, _ []Value) (Value, error) {
+		f := recv.(*fakeObject)
+		f.hits++
+		return float64(f.hits), nil
+	}),
+	Def("label", "a constant", func(*Interp, Value, []Value) (Value, error) { return "fake-label", nil }),
+)
+
 func (f *fakeObject) TypeName() string { return "Fake" }
-func (f *fakeObject) Member(name string) (Value, bool) {
-	switch name {
-	case "touch":
-		return NewBuiltin("touch", func(args []Value) (Value, error) {
-			f.hits++
-			return float64(f.hits), nil
-		}), true
-	case "label":
-		return "fake-label", true
-	}
-	return nil, false
-}
+func (f *fakeObject) Members() *Module { return fakeMembers }
 
 func TestHostObjectsAndModules(t *testing.T) {
 	in := New()
@@ -208,13 +206,13 @@ func TestHostObjectsAndModules(t *testing.T) {
 	in.Stdout = &buf
 	obj := &fakeObject{}
 	in.SetGlobal("thing", obj)
-	in.SetGlobal("Utilities", &Module{Name: "Utilities", Members: map[string]Value{
-		"version": "2.0",
-		"double":  NewBuiltin("double", func(args []Value) (Value, error) { f, _ := ToFloat(args[0]); return f * 2, nil }),
-	}})
+	in.Bind(NewModule("Utilities",
+		Def("version()", "a constant", func(*Interp, Value, []Value) (Value, error) { return "2.0", nil }),
+		Def("double(x num)", "twice x", func(_ *Interp, _ Value, args []Value) (Value, error) { return args[0].(float64) * 2, nil }),
+	))
 	src := `
 print(thing.label, thing.touch(), thing.touch())
-print(Utilities.version, Utilities.double(21))
+print(Utilities.version(), Utilities.double(21))
 `
 	if err := in.Run(src); err != nil {
 		t.Fatal(err)
@@ -229,7 +227,7 @@ print(Utilities.version, Utilities.double(21))
 
 func TestHostErrorsCarryLineNumbers(t *testing.T) {
 	in := New()
-	in.SetGlobal("boom", NewBuiltin("boom", func(args []Value) (Value, error) {
+	in.SetGlobal("boom", Def("boom()", "fail", func(*Interp, Value, []Value) (Value, error) {
 		return nil, fmt.Errorf("kaboom")
 	}))
 	err := in.Run("x = 1\nboom()\n")
@@ -401,31 +399,30 @@ func TestFig1StyleScript(t *testing.T) {
 	in := New()
 	var buf bytes.Buffer
 	in.Stdout = &buf
-	in.SetGlobal("RuleHarness", NewBuiltin("RuleHarness", func(args []Value) (Value, error) {
-		return &Module{Name: "harness", Members: map[string]Value{
-			"processRules": NewBuiltin("processRules", func([]Value) (Value, error) { return "processed", nil }),
-		}}, nil
-	}))
-	in.SetGlobal("Utilities", &Module{Name: "Utilities", Members: map[string]Value{
-		"getTrial": NewBuiltin("getTrial", func(args []Value) (Value, error) {
+	harness := NewModule("harness",
+		Def("processRules()", "stub", func(*Interp, Value, []Value) (Value, error) { return "processed", nil }),
+	)
+	in.Bind(NewModule("",
+		Def("RuleHarness(files str...)", "stub", func(*Interp, Value, []Value) (Value, error) { return harness, nil }),
+		Def("compareEventToMain(event str)", "stub", func(_ *Interp, _ Value, args []Value) (Value, error) {
+			compared = append(compared, args[0].(string))
+			return nil, nil
+		}),
+	))
+	in.Bind(NewModule("Utilities",
+		Def("getTrial(app str, experiment str, trial str)", "stub", func(*Interp, Value, []Value) (Value, error) {
 			evList := NewList()
 			for _, e := range events {
 				evList.Items = append(evList.Items, e.name)
 			}
-			return &Module{Name: "trial", Members: map[string]Value{
-				"events": evList,
-			}}, nil
+			return NewModule("trial", Def("events()", "stub", func(*Interp, Value, []Value) (Value, error) { return evList, nil })), nil
 		}),
-	}})
-	in.SetGlobal("compareEventToMain", NewBuiltin("compareEventToMain", func(args []Value) (Value, error) {
-		compared = append(compared, ToString(args[0]))
-		return nil, nil
-	}))
+	))
 
 	src := `
 ruleHarness = RuleHarness("openuh/OpenUHRules.prl")
 trial = Utilities.getTrial("Fluid Dynamic", "rib 45", "1_8")
-for event in trial.events {
+for event in trial.events() {
     compareEventToMain(event)
 }
 print(ruleHarness.processRules())

@@ -270,7 +270,7 @@ func (tw *treeWalker) eval(x expr, e *env) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return attribute(recv, ex.Name, ex.Line)
+		return tw.in.attribute(recv, ex.Name, ex.Line)
 	case *indexExpr:
 		c, err := tw.eval(ex.X, e)
 		if err != nil {
