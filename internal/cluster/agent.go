@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
-	"perfknow/internal/dmfclient"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
-	"perfknow/internal/vfs"
 )
 
 // AgentPeer is what the Agent needs from one remote daemon: the Backend
@@ -48,10 +45,6 @@ type AgentConfig struct {
 	// HintsDir is the durable hint directory. It must NOT be inside the
 	// trial repository (the repository walks every subdirectory).
 	HintsDir string
-	// FS is the filesystem for hints (default vfs.OS).
-	FS vfs.FS
-	// Dial opens a connection to a peer (default: dmfclient.New).
-	Dial func(peer string) (AgentPeer, error)
 	// Logger receives state transitions and repair reports (default: drop).
 	Logger *slog.Logger
 	// Registry receives the agent's cluster_* metrics (default: private).
@@ -93,7 +86,7 @@ type Agent struct {
 	repairInterval time.Duration
 	repairThrottle time.Duration
 	seeds          []string
-	dial           func(peer string) (AgentPeer, error)
+	env            env
 	logger         *slog.Logger
 	reg            *obs.Registry
 
@@ -108,25 +101,31 @@ type Agent struct {
 	handoffFailures *obs.Counter
 	repairPasses    *obs.Counter
 
-	stop chan struct{}
-	done sync.WaitGroup
+	// stop is cancelled by Close; the loops and the tick they are running
+	// watch it.
+	stop   context.Context
+	cancel context.CancelFunc
+	loops  sync.WaitGroup
 }
 
 // NewAgent builds an agent (no goroutines yet; call Start).
-func NewAgent(cfg AgentConfig) (*Agent, error) {
-	view, err := NewView(ViewConfig{
+func NewAgent(cfg AgentConfig) (*Agent, error) { return newAgent(cfg, productionEnv()) }
+
+// newAgent is NewAgent over a given env.
+func newAgent(cfg AgentConfig, e env) (*Agent, error) {
+	view, err := newView(ViewConfig{
 		Self:           cfg.Self,
 		Ring:           cfg.Ring,
 		SuspectAfter:   cfg.SuspectAfter,
 		SuspectTimeout: cfg.SuspectTimeout,
-	})
+	}, e.now)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.HintsDir == "" {
 		return nil, fmt.Errorf("cluster: agent needs a hints directory")
 	}
-	hints, err := OpenHintStore(cfg.FS, cfg.HintsDir)
+	hints, err := OpenHintStore(e.fs, cfg.HintsDir)
 	if err != nil {
 		return nil, err
 	}
@@ -138,17 +137,14 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		repairInterval: cfg.RepairInterval,
 		repairThrottle: cfg.RepairThrottle,
 		seeds:          append([]string(nil), cfg.SeedPeers...),
-		dial:           cfg.Dial,
+		env:            e,
 		logger:         cfg.Logger,
 		reg:            cfg.Registry,
 		peers:          make(map[string]AgentPeer),
-		stop:           make(chan struct{}),
 	}
+	a.stop, a.cancel = context.WithCancel(context.Background())
 	if a.probeInterval <= 0 {
 		a.probeInterval = DefaultProbeInterval
-	}
-	if a.dial == nil {
-		a.dial = func(peer string) (AgentPeer, error) { return dmfclient.New(peer) }
 	}
 	if a.logger == nil {
 		a.logger = slog.New(slog.DiscardHandler)
@@ -231,55 +227,41 @@ func (a *Agent) AnnounceRing(desc dmfwire.Ring) (bool, error) {
 // Start launches the gossip/handoff loop and, when RepairInterval > 0,
 // the repair loop.
 func (a *Agent) Start() {
-	a.done.Add(1)
-	go func() {
-		defer a.done.Done()
-		a.loop(a.probeInterval, a.gossipTick)
-	}()
+	a.loops.Add(1)
+	go a.loop(a.probeInterval, a.gossipTick)
 	if a.repairInterval > 0 {
-		a.done.Add(1)
-		go func() {
-			defer a.done.Done()
-			a.loop(a.repairInterval, a.repairTick)
-		}()
+		a.loops.Add(1)
+		go a.loop(a.repairInterval, a.repairTick)
 	}
 }
 
-// Close stops the loops and waits for them.
+// Close stops the loops and waits for them: a tick in flight sees its
+// context cancelled and returns.
 func (a *Agent) Close() {
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	a.done.Wait()
+	a.cancel()
+	a.loops.Wait()
 }
 
-// loop runs fn every interval, jittered ±25% so a fleet started together
-// does not probe (or repair) in lockstep.
-func (a *Agent) loop(interval time.Duration, fn func(context.Context)) {
+// loop runs tick every interval, jittered ±25% so a fleet started together
+// does not probe (or repair) in lockstep. The tick runs on the loop itself,
+// under the context Close cancels.
+func (a *Agent) loop(interval time.Duration, tick func(context.Context)) {
+	defer a.loops.Done()
 	for {
-		jittered := interval/2 + time.Duration(rand.Int63n(int64(interval)))
 		select {
-		case <-a.stop:
+		case <-a.stop.Done():
 			return
-		case <-time.After(jittered):
+		case <-a.env.after(a.jitter(interval)):
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			fn(ctx)
-		}()
-		select {
-		case <-a.stop:
-			cancel()
-			<-done
-			return
-		case <-done:
-			cancel()
-		}
+		tick(a.stop)
 	}
+}
+
+// jitter draws a wait from [3·interval/4, 5·interval/4).
+func (a *Agent) jitter(interval time.Duration) time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return interval*3/4 + time.Duration(a.env.rand.Int64N(max(int64(interval/2), 1)))
 }
 
 // peer returns (dialing and caching as needed) the connection to one peer.
@@ -289,7 +271,7 @@ func (a *Agent) peer(url string) (AgentPeer, error) {
 	if p, ok := a.peers[url]; ok {
 		return p, nil
 	}
-	p, err := a.dial(url)
+	p, err := a.env.dial(url)
 	if err != nil {
 		return nil, err
 	}
@@ -420,6 +402,7 @@ func (a *Agent) repairTick(ctx context.Context) {
 		a.logger.Warn("cluster repair skipped", "err", err)
 		return
 	}
+	store.env = a.env
 	a.repairPasses.Inc()
 	rep, err := store.Rebalance(ctx)
 	if err != nil {

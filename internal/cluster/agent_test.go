@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"math/rand/v2"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -46,24 +48,32 @@ func (p *fakePeer) replayCount() int {
 	return len(p.replayed)
 }
 
+// fakeEnv is productionEnv with a fixed seed and dialing only the given
+// in-memory peers; any other peer refuses the connection.
+func fakeEnv(peers map[string]*fakePeer) env {
+	e := productionEnv()
+	e.rand = rand.New(rand.NewPCG(1, 2))
+	e.dial = func(peer string) (AgentPeer, error) {
+		p, ok := peers[peer]
+		if !ok {
+			return nil, errPeerDown
+		}
+		return p, nil
+	}
+	return e
+}
+
 // newTestAgent builds an agent over in-memory peers, with loops NOT
 // started — tests drive gossipOnce/handoffOnce/repairTick directly.
 func newTestAgent(t *testing.T, self string, peers map[string]*fakePeer) *Agent {
 	t.Helper()
-	a, err := NewAgent(AgentConfig{
+	a, err := newAgent(AgentConfig{
 		Self:           self,
 		Ring:           testDesc(),
 		SuspectAfter:   3,
 		SuspectTimeout: 10 * time.Second,
 		HintsDir:       filepath.Join(t.TempDir(), "hints"),
-		Dial: func(peer string) (AgentPeer, error) {
-			p, ok := peers[peer]
-			if !ok {
-				return nil, errPeerDown
-			}
-			return p, nil
-		},
-	})
+	}, fakeEnv(peers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,19 +298,13 @@ func TestAgentStartClose(t *testing.T) {
 		reply := liveView.Snapshot()
 		return &reply, nil
 	}
-	a, err := NewAgent(AgentConfig{
+	a, err := newAgent(AgentConfig{
 		Self:           self,
 		Ring:           testDesc(),
 		ProbeInterval:  2 * time.Millisecond,
 		RepairInterval: 5 * time.Millisecond,
 		HintsDir:       filepath.Join(t.TempDir(), "hints"),
-		Dial: func(p string) (AgentPeer, error) {
-			if p == desc.Peers[1] {
-				return peer, nil
-			}
-			return nil, errPeerDown
-		},
-	})
+	}, fakeEnv(map[string]*fakePeer{desc.Peers[1]: peer}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,5 +344,65 @@ func TestAgentAnnounceRing(t *testing.T) {
 	}
 	if a.Ring().Epoch != 3 {
 		t.Fatal("failed announce changed the ring")
+	}
+}
+
+// TestAgentJitterBounds: loop waits are drawn from [3/4, 5/4) of the
+// interval (±25%), and the draws cover that band.
+func TestAgentJitterBounds(t *testing.T) {
+	a := newTestAgent(t, testDesc().Canonical().Peers[0], nil)
+	const interval = time.Second
+	lo, hi := interval*3/4, interval*5/4
+	least, most := hi, lo
+	for i := 0; i < 10_000; i++ {
+		d := a.jitter(interval)
+		if d < lo || d >= hi {
+			t.Fatalf("draw %d: jitter(%v) = %v, outside [%v, %v)", i, interval, d, lo, hi)
+		}
+		least, most = min(least, d), max(most, d)
+	}
+	if least > lo+interval/100 || most < hi-interval/100 {
+		t.Fatalf("10000 draws spanned only [%v, %v] of [%v, %v)", least, most, lo, hi)
+	}
+}
+
+// TestAgentCloseDuringHungTick: Close while a tick is blocked on a peer that
+// never answers returns once the tick's context is cancelled, and leaves
+// no goroutine behind.
+func TestAgentCloseDuringHungTick(t *testing.T) {
+	desc := testDesc().Canonical()
+	entered := make(chan struct{}, 1)
+	hung := newFakePeer()
+	hung.gossip = func(ctx context.Context, _ dmfwire.Membership) (*dmfwire.Membership, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	e := fakeEnv(map[string]*fakePeer{desc.Peers[1]: hung, desc.Peers[2]: hung})
+	e.after = func(time.Duration) <-chan time.Time { // every wait is over at once
+		fired := make(chan time.Time, 1)
+		fired <- time.Time{}
+		return fired
+	}
+	a, err := newAgent(AgentConfig{
+		Self:           desc.Peers[0],
+		Ring:           desc,
+		RepairInterval: time.Hour,
+		HintsDir:       filepath.Join(t.TempDir(), "hints"),
+	}, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	a.Start()
+	<-entered
+	a.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Start", runtime.NumGoroutine(), before)
+		}
 	}
 }

@@ -40,9 +40,6 @@ const (
 // counted and reported but left in place for inspection — they will fail
 // replay loudly rather than vanish silently.
 func OpenHintStore(fsys vfs.FS, dir string) (*HintStore, error) {
-	if fsys == nil {
-		fsys = vfs.OS{}
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: hint store: %w", err)
 	}

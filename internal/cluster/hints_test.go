@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"perfknow/internal/dmfwire"
+	"perfknow/internal/vfs"
 )
 
 func testHint(owner, trial string, body string) dmfwire.Hint {
@@ -21,7 +22,7 @@ func testHint(owner, trial string, body string) dmfwire.Hint {
 
 func TestHintStorePutAllRemove(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hints")
-	h, err := OpenHintStore(nil, dir)
+	h, err := OpenHintStore(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestHintStorePutAllRemove(t *testing.T) {
 
 func TestHintStoreSurvivesReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hints")
-	h, err := OpenHintStore(nil, dir)
+	h, err := OpenHintStore(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestHintStoreSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, err := OpenHintStore(nil, dir)
+	h2, err := OpenHintStore(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestHintStoreSurvivesReopen(t *testing.T) {
 
 func TestHintStoreKeepsCorruptRecordsVisible(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hints")
-	h, err := OpenHintStore(nil, dir)
+	h, err := OpenHintStore(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestHintStoreKeepsCorruptRecordsVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, err := OpenHintStore(nil, dir)
+	h2, err := OpenHintStore(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
@@ -83,7 +82,7 @@ func (s *ShardedStore) Rebalance(ctx context.Context) (*dmfwire.RepairReport, er
 		// large pass trickles along behind foreground traffic.
 		if s.throttle > 0 && i > 0 {
 			select {
-			case <-time.After(s.throttle):
+			case <-s.env.after(s.throttle):
 			case <-ctx.Done():
 				return rep, ctx.Err()
 			}

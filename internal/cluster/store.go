@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -86,6 +87,10 @@ type ShardedStore struct {
 	// foreground traffic.
 	throttle time.Duration
 
+	// env is the clock, timer and fan-out (productionEnv unless a test or
+	// the repairing agent installs its own).
+	env env
+
 	tracer *obs.Tracer
 	reg    *obs.Registry
 
@@ -148,7 +153,7 @@ func New(desc dmfwire.Ring, backends map[string]Backend, opts ...Option) (*Shard
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedStore{ring: ring, backends: make(map[string]Backend, len(backends))}
+	s := &ShardedStore{ring: ring, backends: make(map[string]Backend, len(backends)), env: productionEnv()}
 	for _, peer := range ring.Peers() {
 		b, ok := backends[peer]
 		if !ok || b == nil {
@@ -436,50 +441,34 @@ func (s *ShardedStore) SaveContext(ctx context.Context, t *perfdmf.Trial) error 
 	pref := ring.Preference(t.App, t.Experiment)
 	r := ring.Replicas()
 
-	type ack struct {
-		peer string
-		err  error
-		at   time.Time
-	}
-	results := make(chan ack, r)
-	for _, peer := range pref[:r] {
-		go func(peer string) {
-			err := backends[peer].SaveContext(ctx, t)
-			results <- ack{peer: peer, err: err, at: time.Now()}
-		}(peer)
-	}
-	var (
-		errs          []error
-		failedOwners  []string
-		acks          int
-		first, last   time.Time
-		recordSuccess = func(at time.Time) {
-			acks++
-			if first.IsZero() || at.Before(first) {
-				first = at
-			}
-			if at.After(last) {
-				last = at
-			}
+	failed := make([]error, r)
+	acked := make([]time.Time, r)
+	s.env.fanout(ctx, r, func(ctx context.Context, i int) {
+		if failed[i] = backends[pref[i]].SaveContext(ctx, t); failed[i] == nil {
+			acked[i] = s.env.now()
 		}
+	}, nil)
+	var (
+		errs         []error
+		failedOwners []string
+		acks         []time.Time // when each replica acknowledged
 	)
-	for i := 0; i < r; i++ {
-		a := <-results
-		if a.err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", a.peer, a.err))
-			failedOwners = append(failedOwners, a.peer)
+	for i, err := range failed {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", pref[i], err))
+			failedOwners = append(failedOwners, pref[i])
 			continue
 		}
-		recordSuccess(a.at)
+		acks = append(acks, acked[i])
 	}
-	// Owners answer in completion order; hint for them in preference order
-	// so repeated re-routes of one coordinate are deterministic.
+	// Hint for failed owners in URL order so repeated re-routes of one
+	// coordinate are deterministic.
 	sort.Strings(failedOwners)
 	// Re-route failed replica writes to ring successors, in preference
 	// order, until the trial is fully replicated or peers run out. Each
 	// successful re-route consumes one failed owner as its hint target.
 	for _, peer := range pref[r:] {
-		if acks >= r {
+		if len(acks) >= r {
 			break
 		}
 		var err error
@@ -506,22 +495,23 @@ func (s *ShardedStore) SaveContext(ctx context.Context, t *perfdmf.Trial) error 
 			s.writesHinted.Inc()
 		}
 		s.writesRerouted.Inc()
-		recordSuccess(time.Now())
+		acks = append(acks, s.env.now())
 	}
-	s.writeReplicas.Add(int64(acks))
-	if acks == 0 {
+	s.writeReplicas.Add(int64(len(acks)))
+	if len(acks) == 0 {
 		return fmt.Errorf("cluster: save %s/%s/%s failed on every peer: %w",
 			t.App, t.Experiment, t.Name, errors.Join(errs...))
 	}
+	first, last := slices.MinFunc(acks, time.Time.Compare), slices.MaxFunc(acks, time.Time.Compare)
 	s.replLag.Observe(float64(last.Sub(first)) / float64(time.Millisecond))
-	if acks < r {
+	if len(acks) < r {
 		s.writesUnder.Inc()
 		s.emit(ctx, obs.Event{
 			Name: "cluster.write_underreplicated",
 			Err:  errors.Join(errs...),
 			Attrs: map[string]string{
 				"trial":    t.App + "/" + t.Experiment + "/" + t.Name,
-				"replicas": fmt.Sprintf("%d/%d", acks, r),
+				"replicas": fmt.Sprintf("%d/%d", len(acks), r),
 			},
 		})
 	}
@@ -549,38 +539,30 @@ func (s *ShardedStore) GetTrialContext(ctx context.Context, app, experiment, tri
 	pref := ring.Preference(app, experiment)
 	r := ring.Replicas()
 
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		peer string
-		t    *perfdmf.Trial
-		err  error
-	}
-	results := make(chan res, r)
-	for _, peer := range pref[:r] {
-		go func(peer string) {
-			t, err := backends[peer].GetTrialContext(fanCtx, app, experiment, trial)
-			results <- res{peer: peer, t: t, err: err}
-		}(peer)
-	}
-	notFound := 0
-	var errs []error
-	for i := 0; i < r; i++ {
-		got := <-results
-		if got.err == nil {
-			return got.t, nil
-		}
+	var (
+		won      *perfdmf.Trial
+		got      = make([]*perfdmf.Trial, r)
+		gotErr   = make([]error, r)
+		notFound int
+		errs     []error
+	)
+	s.env.fanout(ctx, r, func(ctx context.Context, i int) {
+		got[i], gotErr[i] = backends[pref[i]].GetTrialContext(ctx, app, experiment, trial)
+	}, func(i int) bool {
+		err := gotErr[i]
 		switch {
-		case errors.Is(got.err, perfdmf.ErrNotFound):
-			notFound++
-		case errors.Is(got.err, context.Canceled) && ctx.Err() == nil:
-			// A loser cancelled after another owner already won cannot
-			// reach here (we return on the first success), but a racing
-			// cancellation error must not masquerade as a peer failure.
+		case err == nil:
+			won = got[i]
+			return false // the losers are cancelled
+		case errors.Is(err, perfdmf.ErrNotFound):
 			notFound++
 		default:
-			errs = append(errs, fmt.Errorf("%s: %w", got.peer, got.err))
+			errs = append(errs, fmt.Errorf("%s: %w", pref[i], err))
 		}
+		return true
+	})
+	if won != nil {
+		return won, nil
 	}
 	// Every owner failed: fall back to the remaining peers in ring order.
 	for _, peer := range pref[r:] {
@@ -621,27 +603,13 @@ func (s *ShardedStore) DeleteContext(ctx context.Context, app, experiment, trial
 	ring, backends := s.topo()
 	peers := ring.Peers()
 	errs := make([]error, len(peers))
-	done := make(chan int, len(peers))
-	for i, peer := range peers {
-		go func(i int, peer string) {
-			if err := backends[peer].DeleteContext(ctx, app, experiment, trial); err != nil {
-				errs[i] = fmt.Errorf("%s: %w", peer, err)
-			}
-			done <- i
-		}(i, peer)
-	}
-	for range peers {
-		<-done
-	}
-	var failed []error
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
+	s.env.fanout(ctx, len(peers), func(ctx context.Context, i int) {
+		if err := backends[peers[i]].DeleteContext(ctx, app, experiment, trial); err != nil {
+			errs[i] = fmt.Errorf("%s: %w", peers[i], err)
 		}
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("cluster: delete %s/%s/%s incomplete: %w",
-			app, experiment, trial, errors.Join(failed...))
+	}, nil)
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("cluster: delete %s/%s/%s incomplete: %w", app, experiment, trial, err)
 	}
 	return nil
 }
@@ -656,35 +624,21 @@ func (s *ShardedStore) DeleteContext(ctx context.Context, app, experiment, trial
 func (s *ShardedStore) fanListing(ctx context.Context, what string, list func(Backend) ([]string, error)) ([]string, error) {
 	ring, backends := s.topo()
 	peers := ring.Peers()
-	type res struct {
-		peer  string
-		names []string
-		err   error
-	}
-	results := make(chan res, len(peers))
-	for _, peer := range peers {
-		go func(peer string) {
-			names, err := list(backends[peer])
-			results <- res{peer: peer, names: names, err: err}
-		}(peer)
-	}
-	seen := make(map[string]bool)
+	names := make([][]string, len(peers))
+	listErr := make([]error, len(peers))
+	s.env.fanout(ctx, len(peers), func(_ context.Context, i int) {
+		names[i], listErr[i] = list(backends[peers[i]])
+	}, nil)
 	var union []string
 	var errs []error
 	ok := 0
-	for range peers {
-		got := <-results
-		if got.err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", got.peer, got.err))
+	for i, err := range listErr {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", peers[i], err))
 			continue
 		}
 		ok++
-		for _, n := range got.names {
-			if !seen[n] {
-				seen[n] = true
-				union = append(union, n)
-			}
-		}
+		union = append(union, names[i]...)
 	}
 	if ok == 0 {
 		return nil, fmt.Errorf("cluster: list %s failed on every peer: %w", what, errors.Join(errs...))
@@ -696,8 +650,8 @@ func (s *ShardedStore) fanListing(ctx context.Context, what string, list func(Ba
 			Attrs: map[string]string{"listing": what, "peers_answered": fmt.Sprintf("%d/%d", ok, len(peers))},
 		})
 	}
-	sort.Strings(union)
-	return union, nil
+	slices.Sort(union)
+	return slices.Compact(union), nil
 }
 
 // ListApplications lists application names cluster-wide, with transport

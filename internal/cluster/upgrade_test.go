@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 	"testing"
 
@@ -52,18 +51,6 @@ func ownersV1(desc dmfwire.Ring, app, experiment string) []string {
 	return owners
 }
 
-// holders lists, repository by repository, the live peers holding the trial.
-func holders(peers map[string]*healPeer, tr *perfdmf.Trial) []string {
-	var out []string
-	for url, p := range peers {
-		if !p.down.Load() && slices.Contains(p.repo.Trials(tr.App, tr.Experiment), tr.Name) {
-			out = append(out, url)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestUpgradeFromRingV1WithoutMigration: members of this build come up over
 // repositories whose trials sit where ring version 1 put them — the upgrade
 // docs/CLUSTER.md says to migrate before, done without migrating. Nothing
@@ -71,9 +58,8 @@ func holders(peers map[string]*healPeer, tr *perfdmf.Trial) []string {
 // move each onto its version 2 owners, and on the way no trial is ever held
 // by fewer peers than at the start.
 func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
-	tm := fastHeal()
-	tm.repair = 0 // no repair loop: the test runs the leader's passes itself
-	s, peers, urls := newHealingCluster(t, 3, 2, tm)
+	c := newSimCluster(t, 4, 3, 2)
+	s := c.store
 	desc := s.Ring().Descriptor()
 
 	// A scaling study's sequentially named experiments, two trials each,
@@ -89,7 +75,7 @@ func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
 		for _, name := range []string{"base", "tuned"} {
 			tr := trial("lu", exp, name)
 			for _, owner := range v1 {
-				if err := peers[owner].repo.Save(tr); err != nil {
+				if err := c.members[owner].repo.Save(tr); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -103,14 +89,14 @@ func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
 	noneLost := func(when string) {
 		t.Helper()
 		for _, tr := range trials {
-			if n := liveCopies(peers, tr); n < desc.Replicas {
+			if n := len(c.holders(tr)); n < desc.Replicas {
 				t.Fatalf("%s: %s/%s/%s is held by %d peer(s), %d at the start", when, tr.App, tr.Experiment, tr.Name, n, desc.Replicas)
 			}
 		}
 	}
 	placed := func() bool {
 		for _, tr := range trials {
-			if fmt.Sprint(holders(peers, tr)) != fmt.Sprint(sortedCopy(s.Ring().Owners(tr.App, tr.Experiment))) {
+			if fmt.Sprint(c.holders(tr)) != fmt.Sprint(sortedCopy(s.Ring().Owners(tr.App, tr.Experiment))) {
 				return false
 			}
 		}
@@ -135,28 +121,18 @@ func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
 	}
 
 	// The leader is the lowest-URL alive member; the others' passes do
-	// nothing. Copies are observed while a pass runs and after each.
-	sort.Strings(urls)
-	for _, u := range urls[1:] {
-		peers[u].agent.repairTick(context.Background())
+	// nothing. Copies are observed after every request a pass makes and
+	// after each pass.
+	for _, u := range c.urls[1:] {
+		c.members[u].agent.repairTick(context.Background())
 	}
 	if placed() {
 		t.Fatal("a member that is not the leader repaired")
 	}
 	for pass := 1; pass <= 3 && !placed(); pass++ {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			peers[urls[0]].agent.repairTick(context.Background())
-		}()
-		for running := true; running; {
-			select {
-			case <-done:
-				running = false
-			default:
-			}
-			noneLost(fmt.Sprintf("during pass %d", pass))
-		}
+		c.afterRequest = func() { noneLost(fmt.Sprintf("during pass %d", pass)) }
+		c.members[c.urls[0]].agent.repairTick(context.Background())
+		c.afterRequest = nil
 	}
 	if !placed() {
 		t.Fatal("three repair passes did not put every trial on exactly its version 2 owners")

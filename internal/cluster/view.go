@@ -65,8 +65,6 @@ type ViewConfig struct {
 	// SuspectTimeout is how long a peer stays suspect before it is
 	// declared dead (default 10s).
 	SuspectTimeout time.Duration
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
 }
 
 // DefaultSuspectAfter and DefaultSuspectTimeout are the detector defaults:
@@ -80,7 +78,10 @@ const (
 // incarnation 0 — except self, which starts at incarnation 1 so that a
 // restarted member immediately outranks stale rumors about its previous
 // life.
-func NewView(cfg ViewConfig) (*View, error) {
+func NewView(cfg ViewConfig) (*View, error) { return newView(cfg, productionEnv().now) }
+
+// newView is NewView on a given clock (the agent's env).
+func newView(cfg ViewConfig, clock func() time.Time) (*View, error) {
 	desc := cfg.Ring.Canonical()
 	if err := desc.Validate(); err != nil {
 		return nil, err
@@ -94,16 +95,13 @@ func NewView(cfg ViewConfig) (*View, error) {
 		peers:          make(map[string]*peerEntry, len(desc.Peers)),
 		suspectAfter:   cfg.SuspectAfter,
 		suspectTimeout: cfg.SuspectTimeout,
-		clock:          cfg.Clock,
+		clock:          clock,
 	}
 	if v.suspectAfter <= 0 {
 		v.suspectAfter = DefaultSuspectAfter
 	}
 	if v.suspectTimeout <= 0 {
 		v.suspectTimeout = DefaultSuspectTimeout
-	}
-	if v.clock == nil {
-		v.clock = time.Now
 	}
 	now := v.clock()
 	for _, p := range desc.Peers {

@@ -29,13 +29,12 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func newTestView(t *testing.T, self string, clk *fakeClock) *View {
 	t.Helper()
-	v, err := NewView(ViewConfig{
+	v, err := newView(ViewConfig{
 		Self:           self,
 		Ring:           testDesc(),
 		SuspectAfter:   3,
 		SuspectTimeout: 10 * time.Second,
-		Clock:          clk.now,
-	})
+	}, clk.now)
 	if err != nil {
 		t.Fatal(err)
 	}

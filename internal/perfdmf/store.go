@@ -6,10 +6,11 @@ import "context"
 // tools and services program against: saving, loading, deleting and
 // browsing trials in the Application → Experiment → Trial hierarchy.
 //
-// Two implementations exist: *Repository (in-process, optionally
-// file-backed) and dmfclient.Client (the same API spoken over HTTP to a
-// perfdmfd server), so analysis code is oblivious to whether the profile
-// store is local or remote.
+// Three implementations exist: *Repository (in-process, optionally
+// file-backed), dmfclient.Client (the same API spoken over HTTP to a
+// perfdmfd server) and cluster.ShardedStore (routed and replicated over
+// several perfdmfd servers), so analysis code is oblivious to whether the
+// profile store is local, remote or a cluster.
 //
 // Implementations must enforce copy-on-read: a Trial returned by GetTrial
 // is the caller's to mutate and never aliases internal state.
