@@ -216,22 +216,15 @@ func (c *Client) endpoint(path string, query url.Values) string {
 	return u.String()
 }
 
-// trialPath renders the resource-style route for one trial, escaping each
-// coordinate as a path segment.
-func trialPath(app, experiment, trial string) string {
-	return "/api/v1/apps/" + url.PathEscape(app) +
-		"/experiments/" + url.PathEscape(experiment) +
-		"/trials/" + url.PathEscape(trial)
-}
-
-// reqMeta classifies one request for the retry loop.
-type reqMeta struct {
-	// idemKey, when set, is sent as the Idempotency-Key header; the server
-	// deduplicates it, which is what makes upload POSTs safe to retry.
-	idemKey string
-	// idempotent marks the request as safe to repeat. Non-idempotent
-	// requests get exactly one attempt.
-	idempotent bool
+// request is one call of a dmfwire route.
+type request struct {
+	route dmfwire.Route
+	// args fill the route's wildcards, in order (dmfwire.Route.Path).
+	args  []string
+	query url.Values
+	// body is sent as it is; in, when set instead, is sent JSON-encoded.
+	body []byte
+	in   any
 	// contentType overrides the body media type (default application/json)
 	// for the checksummed wire payloads (ring, membership, encoded trial).
 	contentType string
@@ -240,34 +233,43 @@ type reqMeta struct {
 	// hintFor, when set, is sent as the Dmf-Hint-For header: "this write
 	// belongs to that peer too — keep a durable hint and replay it there".
 	hintFor string
+	// idemKey is minted by doCtx for a dmfwire.Keyed route and sent as the
+	// Idempotency-Key header on every attempt.
+	idemKey string
 }
 
-// do issues the request with retries and decodes the JSON response into
-// out (skipped when out is nil).
-func (c *Client) do(method, path string, query url.Values, body []byte, meta reqMeta, out any) error {
-	return c.doCtx(context.Background(), method, path, query, body, meta, out)
-}
-
-// doCtx is the retry loop: it issues up to RetryPolicy.MaxAttempts
-// attempts for idempotent requests (one otherwise), backing off between
-// attempts with deterministic jitter, honoring Retry-After, and never
-// sleeping past ctx's deadline — when the next backoff cannot fit it gives
-// up immediately with an error wrapping context.DeadlineExceeded.
-func (c *Client) doCtx(ctx context.Context, method, path string, query url.Values, body []byte, meta reqMeta, out any) error {
+// doCtx issues req and decodes the response into out (skipped when out is
+// nil). It is the retry loop: a route's dmfwire.Retry class decides whether
+// a failed attempt may be repeated, up to RetryPolicy.MaxAttempts attempts,
+// backing off between them with deterministic jitter, honoring Retry-After,
+// and never sleeping past ctx's deadline — when the next backoff cannot fit
+// it gives up immediately with an error wrapping context.DeadlineExceeded.
+func (c *Client) doCtx(ctx context.Context, req request, out any) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx = c.traceCtx(ctx)
+	if req.in != nil {
+		data, err := json.Marshal(req.in)
+		if err != nil {
+			return fmt.Errorf("dmfclient: encode request: %w", err)
+		}
+		req.body = data
+	}
+	method, path := req.route.Method, req.route.Path(req.args...)
 	attempts := c.retry.MaxAttempts
-	if attempts < 1 || !meta.idempotent {
+	if attempts < 1 || req.route.Retry == dmfwire.Once {
 		attempts = 1
+	}
+	if req.route.Retry == dmfwire.Keyed {
+		req.idemKey = c.nextIdempotencyKey()
 	}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
 		}
 		c.attempts.Inc()
-		err, retryable, retryAfter := c.attempt(ctx, method, path, query, body, meta, attempt, out)
+		err, retryable, retryAfter := c.attempt(ctx, req, path, attempt, out)
 		if err == nil {
 			return nil
 		}
@@ -292,7 +294,8 @@ func (c *Client) doCtx(ctx context.Context, method, path string, query url.Value
 // visible as sibling spans in the trace; the attempt span's context is
 // injected as the Traceparent, so the server's spans parent under the
 // exact attempt that reached it.
-func (c *Client) attempt(ctx context.Context, method, path string, query url.Values, body []byte, meta reqMeta, attempt int, out any) (err error, retryable bool, retryAfter time.Duration) {
+func (c *Client) attempt(ctx context.Context, r request, path string, attempt int, out any) (err error, retryable bool, retryAfter time.Duration) {
+	method := r.route.Method
 	_, sp := obs.StartSpan(ctx, "dmfclient "+method+" "+path,
 		"attempt", strconv.Itoa(attempt))
 	defer func() {
@@ -300,28 +303,28 @@ func (c *Client) attempt(ctx context.Context, method, path string, query url.Val
 		sp.End()
 	}()
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if r.body != nil {
+		rd = bytes.NewReader(r.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.endpoint(path, query), rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.endpoint(path, r.query), rd)
 	if err != nil {
 		return fmt.Errorf("dmfclient: build request: %w", err), false, 0
 	}
-	if body != nil {
-		ct := meta.contentType
+	if r.body != nil {
+		ct := r.contentType
 		if ct == "" {
 			ct = "application/json"
 		}
 		req.Header.Set("Content-Type", ct)
 	}
-	if meta.accept != "" {
-		req.Header.Set("Accept", meta.accept)
+	if r.accept != "" {
+		req.Header.Set("Accept", r.accept)
 	}
-	if meta.hintFor != "" {
-		req.Header.Set(dmfwire.HeaderHintFor, meta.hintFor)
+	if r.hintFor != "" {
+		req.Header.Set(dmfwire.HeaderHintFor, r.hintFor)
 	}
-	if meta.idemKey != "" {
-		req.Header.Set(dmfwire.HeaderIdempotencyKey, meta.idemKey)
+	if r.idemKey != "" {
+		req.Header.Set(dmfwire.HeaderIdempotencyKey, r.idemKey)
 	}
 	req.Header.Set(faults.HeaderRetryAttempt, strconv.Itoa(attempt))
 	obs.Inject(req.Header, sp)
@@ -334,23 +337,8 @@ func (c *Client) attempt(ctx context.Context, method, path string, query url.Val
 	defer resp.Body.Close()
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	if resp.StatusCode >= 400 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = fmt.Sprintf("%s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		// A 404 wraps perfdmf.ErrNotFound so errors.Is works identically
-		// against remote and local repositories.
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("dmfclient: %s %s: %s: %w", method, path, msg, perfdmf.ErrNotFound), false, 0
-		}
-		// 429 (shed load) and 5xx are transient; other 4xx are the
-		// caller's bug and retrying would not change the answer.
-		retryable = resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
-		return fmt.Errorf("dmfclient: %s %s: %s", method, path, msg), retryable, parseRetryAfter(resp.Header)
+		err, retryable := statusError(method+" "+path, resp)
+		return err, retryable, parseRetryAfter(resp.Header)
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -380,6 +368,26 @@ func (c *Client) attempt(ctx context.Context, method, path string, query url.Val
 		}
 	}
 	return nil, false, 0
+}
+
+// statusError is the error an answer other than success stands for, and
+// whether a repeat may be answered differently: 429 (shed load) and 5xx are
+// transient, other 4xx are the caller's bug. A 404 wraps
+// perfdmf.ErrNotFound, so errors.Is works identically against remote and
+// local repositories.
+func statusError(what string, resp *http.Response) (err error, retryable bool) {
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		msg = fmt.Sprintf("%s (HTTP %d)", e.Error, resp.StatusCode)
+	}
+	if resp.StatusCode == http.StatusNotFound {
+		return fmt.Errorf("dmfclient: %s: %s: %w", what, msg, perfdmf.ErrNotFound), false
+	}
+	return fmt.Errorf("dmfclient: %s: %s", what, msg), resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
 }
 
 // maxControlBody bounds the raw ring and membership bodies — a few lines
@@ -424,12 +432,32 @@ func readTrial(resp *http.Response) (*perfdmf.Trial, error) {
 	return t, nil
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, query url.Values, in any, meta reqMeta, out any) error {
-	data, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("dmfclient: encode request: %w", err)
+// fetch is doCtx decoding the response into a new T.
+func fetch[T any](ctx context.Context, c *Client, req request) (*T, error) {
+	var out T
+	if err := c.doCtx(ctx, req, &out); err != nil {
+		return nil, err
 	}
-	return c.doCtx(ctx, http.MethodPost, path, query, data, meta, out)
+	return &out, nil
+}
+
+// list is doCtx for a listing, answered as {"<key>": [names]}.
+func (c *Client) list(key string, req request) ([]string, error) {
+	resp, err := fetch[map[string][]string](context.Background(), c, req)
+	if err != nil {
+		return nil, err
+	}
+	return (*resp)[key], nil
+}
+
+// requireCoords refuses a trial with an empty coordinate before any
+// request: no route can address it, since a path segment cannot be empty,
+// and the daemon refuses to store one.
+func requireCoords(op, app, experiment, trial string) error {
+	if app == "" || experiment == "" || trial == "" {
+		return fmt.Errorf("dmfclient: %s: app, experiment and trial are required", op)
+	}
+	return nil
 }
 
 func coordQuery(app, experiment, trial string) url.Values {
@@ -464,6 +492,9 @@ func (c *Client) SaveContext(ctx context.Context, t *perfdmf.Trial) error {
 // saveEncoded posts the trial's encoded form; a non-empty hintFor makes it
 // a hinted write (see SaveHintedContext).
 func (c *Client) saveEncoded(ctx context.Context, t *perfdmf.Trial, hintFor string) error {
+	if err := requireCoords("save trial", t.App, t.Experiment, t.Name); err != nil {
+		return err
+	}
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -477,11 +508,11 @@ func (c *Client) saveEncoded(ctx context.Context, t *perfdmf.Trial, hintFor stri
 // postTrial posts a serialized trial, picking the media type from the
 // body's magic: the encoded form, else trial JSON.
 func (c *Client) postTrial(ctx context.Context, body []byte, hintFor string) error {
-	meta := reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true, hintFor: hintFor}
+	req := request{route: dmfwire.UploadTrial, body: body, hintFor: hintFor}
 	if perfdmf.IsEncodedTrial(body) {
-		meta.contentType = dmfwire.TrialContentType
+		req.contentType = dmfwire.TrialContentType
 	}
-	return c.doCtx(ctx, http.MethodPost, "/api/v1/trials", nil, body, meta, nil)
+	return c.doCtx(ctx, req, nil)
 }
 
 // GetTrial fetches one trial. The returned trial is a private copy by
@@ -495,12 +526,12 @@ func (c *Client) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error)
 // the trial's encoded form and decodes whatever the daemon answers with,
 // so it still reads a JSON-only daemon.
 func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
-	if app == "" || experiment == "" || trial == "" {
-		return nil, fmt.Errorf("dmfclient: get trial: app, experiment and trial are required")
+	if err := requireCoords("get trial", app, experiment, trial); err != nil {
+		return nil, err
 	}
 	var t *perfdmf.Trial
-	err := c.doCtx(ctx, http.MethodGet, trialPath(app, experiment, trial), nil, nil,
-		reqMeta{idempotent: true, accept: dmfwire.TrialContentType}, &t)
+	err := c.doCtx(ctx, request{route: dmfwire.GetTrial, args: []string{app, experiment, trial},
+		accept: dmfwire.TrialContentType}, &t)
 	if err != nil {
 		return nil, err
 	}
@@ -517,46 +548,27 @@ func (c *Client) Delete(app, experiment, trial string) error {
 
 // DeleteContext is Delete bounded by ctx, on the resource-style route.
 func (c *Client) DeleteContext(ctx context.Context, app, experiment, trial string) error {
-	if app == "" || experiment == "" || trial == "" {
-		return fmt.Errorf("dmfclient: delete trial: app, experiment and trial are required")
+	if err := requireCoords("delete trial", app, experiment, trial); err != nil {
+		return err
 	}
-	return c.doCtx(ctx, http.MethodDelete, trialPath(app, experiment, trial), nil, nil,
-		reqMeta{idempotent: true}, nil)
+	return c.doCtx(ctx, request{route: dmfwire.DeleteTrial, args: []string{app, experiment, trial}}, nil)
 }
 
 // ListApplications lists application names, with transport errors.
 func (c *Client) ListApplications() ([]string, error) {
-	var resp struct {
-		Applications []string `json:"applications"`
-	}
-	if err := c.do(http.MethodGet, "/api/v1/applications", nil, nil, reqMeta{idempotent: true}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Applications, nil
+	return c.list("applications", request{route: dmfwire.ListApplications})
 }
 
 // ListExperiments lists experiment names for an application, with
 // transport errors.
 func (c *Client) ListExperiments(app string) ([]string, error) {
-	var resp struct {
-		Experiments []string `json:"experiments"`
-	}
-	if err := c.do(http.MethodGet, "/api/v1/experiments", coordQuery(app, "", ""), nil, reqMeta{idempotent: true}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Experiments, nil
+	return c.list("experiments", request{route: dmfwire.ListExperiments, query: coordQuery(app, "", "")})
 }
 
 // ListTrials lists trial names for an (application, experiment) pair, with
 // transport errors.
 func (c *Client) ListTrials(app, experiment string) ([]string, error) {
-	var resp struct {
-		Trials []string `json:"trials"`
-	}
-	if err := c.do(http.MethodGet, "/api/v1/trials", coordQuery(app, experiment, ""), nil, reqMeta{idempotent: true}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Trials, nil
+	return c.list("trials", request{route: dmfwire.ListTrials, query: coordQuery(app, experiment, "")})
 }
 
 // emitListError publishes a swallowed listing failure as an event, so
@@ -609,13 +621,7 @@ func (c *Client) UploadGprof(r io.Reader, app, experiment, trial string) (*dmfwi
 	}
 	q := coordQuery(app, experiment, trial)
 	q.Set("format", "gprof")
-	var sum dmfwire.UploadSummary
-	err = c.do(http.MethodPost, "/api/v1/trials", q, data,
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, &sum)
-	if err != nil {
-		return nil, err
-	}
-	return &sum, nil
+	return fetch[dmfwire.UploadSummary](context.Background(), c, request{route: dmfwire.UploadTrial, query: q, body: data})
 }
 
 // UploadTAUDir reads a TAU text profile tree (MULTI__<metric> directories
@@ -656,17 +662,8 @@ func (c *Client) UploadTAUDir(dir, app, experiment, trial string) (*dmfwire.Uplo
 func (c *Client) UploadTAU(files map[string]string, app, experiment, trial string) (*dmfwire.UploadSummary, error) {
 	q := url.Values{}
 	q.Set("format", "tau")
-	var sum dmfwire.UploadSummary
-	err := c.postJSON(context.Background(), "/api/v1/trials", q, dmfwire.TAUUpload{
-		App:        app,
-		Experiment: experiment,
-		Trial:      trial,
-		Files:      files,
-	}, reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, &sum)
-	if err != nil {
-		return nil, err
-	}
-	return &sum, nil
+	return fetch[dmfwire.UploadSummary](context.Background(), c, request{route: dmfwire.UploadTrial, query: q,
+		in: dmfwire.TAUUpload{App: app, Experiment: experiment, Trial: trial, Files: files}})
 }
 
 // --- analysis and diagnosis -------------------------------------------
@@ -679,11 +676,7 @@ func (c *Client) Analyze(req dmfwire.AnalyzeRequest) (*dmfwire.AnalyzeResponse, 
 // AnalyzeContext is Analyze bounded by ctx. Analysis of a stored trial is
 // read-only server-side, so it retries like a GET.
 func (c *Client) AnalyzeContext(ctx context.Context, req dmfwire.AnalyzeRequest) (*dmfwire.AnalyzeResponse, error) {
-	var resp dmfwire.AnalyzeResponse
-	if err := c.postJSON(ctx, "/api/v1/analyze", nil, req, reqMeta{idempotent: true}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[dmfwire.AnalyzeResponse](ctx, c, request{route: dmfwire.Analyze, in: req})
 }
 
 // Diagnose runs a diagnosis script server-side. The response's Stdout is
@@ -696,11 +689,7 @@ func (c *Client) Diagnose(req dmfwire.DiagnoseRequest) (*dmfwire.DiagnoseRespons
 // DiagnoseContext is Diagnose bounded by ctx. Diagnosis scripts read the
 // repository and return text, so like Analyze they retry automatically.
 func (c *Client) DiagnoseContext(ctx context.Context, req dmfwire.DiagnoseRequest) (*dmfwire.DiagnoseResponse, error) {
-	var resp dmfwire.DiagnoseResponse
-	if err := c.postJSON(ctx, "/api/v1/diagnose", nil, req, reqMeta{idempotent: true}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[dmfwire.DiagnoseResponse](ctx, c, request{route: dmfwire.Diagnose, in: req})
 }
 
 // --- service introspection --------------------------------------------
@@ -710,7 +699,7 @@ func (c *Client) Health() error {
 	var resp struct {
 		Status string `json:"status"`
 	}
-	if err := c.do(http.MethodGet, "/healthz", nil, nil, reqMeta{idempotent: true}, &resp); err != nil {
+	if err := c.doCtx(context.Background(), request{route: dmfwire.GetHealth}, &resp); err != nil {
 		return err
 	}
 	if resp.Status != "ok" {
@@ -722,11 +711,7 @@ func (c *Client) Health() error {
 // Metrics fetches the server's typed telemetry snapshot from
 // GET /api/v1/metrics.
 func (c *Client) Metrics() (*dmfwire.Metrics, error) {
-	var m dmfwire.Metrics
-	if err := c.do(http.MethodGet, "/api/v1/metrics", nil, nil, reqMeta{idempotent: true}, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return fetch[dmfwire.Metrics](context.Background(), c, request{route: dmfwire.GetMetrics})
 }
 
 // Fsck asks the server to run a full consistency scan of its repository
@@ -739,17 +724,13 @@ func (c *Client) Fsck() (*dmfwire.FsckReport, error) {
 
 // FsckContext is Fsck bounded by ctx.
 func (c *Client) FsckContext(ctx context.Context) (*dmfwire.FsckReport, error) {
-	var rep dmfwire.FsckReport
-	if err := c.doCtx(ctx, http.MethodGet, "/api/v1/fsck", nil, nil, reqMeta{idempotent: true}, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	return fetch[dmfwire.FsckReport](ctx, c, request{route: dmfwire.RunFsck})
 }
 
 // Traces lists the server's completed traces (GET /api/v1/traces).
 func (c *Client) Traces() ([]obs.TraceSummary, error) {
 	var resp dmfwire.TraceList
-	if err := c.do(http.MethodGet, "/api/v1/traces", nil, nil, reqMeta{idempotent: true}, &resp); err != nil {
+	if err := c.doCtx(context.Background(), request{route: dmfwire.ListTraces}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Traces, nil
@@ -766,7 +747,6 @@ func (c *Client) Trace(id string) (obs.Trace, error) {
 // grow the tree it is fetching.
 func (c *Client) TraceContext(ctx context.Context, id string) (obs.Trace, error) {
 	var tr obs.Trace
-	err := c.doCtx(ctx, http.MethodGet, "/api/v1/traces/"+url.PathEscape(id), nil, nil,
-		reqMeta{idempotent: true}, &tr)
+	err := c.doCtx(ctx, request{route: dmfwire.GetTrace, args: []string{id}}, &tr)
 	return tr, err
 }

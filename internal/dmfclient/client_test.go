@@ -1,6 +1,7 @@
 package dmfclient
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -101,6 +102,34 @@ func TestNotFoundSentinel(t *testing.T) {
 	_, err = c.GetTrial("a", "e", "t")
 	if !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("remote 404 does not wrap perfdmf.ErrNotFound: %v", err)
+	}
+}
+
+// TestSaveRefusesEmptyCoordinate: a trial missing a coordinate is refused
+// before any request is sent, as a get or delete of one is — the daemon
+// would refuse it too, since no route could read it back.
+func TestSaveRefusesEmptyCoordinate(t *testing.T) {
+	c, err := New("http://127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, set := range []func(*perfdmf.Trial){
+		func(tr *perfdmf.Trial) { tr.App = "" },
+		func(tr *perfdmf.Trial) { tr.Experiment = "" },
+		func(tr *perfdmf.Trial) { tr.Name = "" },
+	} {
+		tr := minimalTrial()
+		set(tr)
+		for _, err := range []error{c.SaveContext(ctx, tr), c.SaveHintedContext(ctx, tr, "http://owner:7360")} {
+			const want = "dmfclient: save trial: app, experiment and trial are required"
+			if err == nil || err.Error() != want {
+				t.Errorf("save of %q/%q/%q = %v, want %q", tr.App, tr.Experiment, tr.Name, err, want)
+			}
+		}
+	}
+	if n := c.Stats().Attempts; n != 0 {
+		t.Fatalf("refused saves sent %d requests", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package dmfclient
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/perfdmf"
@@ -17,12 +16,12 @@ import (
 // checksum or validation wraps dmfwire.ErrRing.
 func (c *Client) ClusterRing(ctx context.Context) (*dmfwire.Ring, error) {
 	var raw []byte
-	if err := c.doCtx(ctx, http.MethodGet, "/api/v1/cluster", nil, nil, reqMeta{idempotent: true}, &raw); err != nil {
+	if err := c.doCtx(ctx, request{route: dmfwire.GetRing}, &raw); err != nil {
 		return nil, err
 	}
 	r, err := dmfwire.DecodeRing(raw)
 	if err != nil {
-		return nil, fmt.Errorf("dmfclient: GET /api/v1/cluster: %w", err)
+		return nil, fmt.Errorf("dmfclient: %s: %w", dmfwire.GetRing, err)
 	}
 	return &r, nil
 }
@@ -38,9 +37,7 @@ func (c *Client) AnnounceRing(ctx context.Context, desc dmfwire.Ring) (bool, err
 	if err != nil {
 		return false, err
 	}
-	var resp dmfwire.AnnounceResponse
-	err = c.doCtx(ctx, http.MethodPost, "/api/v1/cluster", nil, data,
-		reqMeta{idempotent: true, contentType: dmfwire.RingContentType}, &resp)
+	resp, err := fetch[dmfwire.AnnounceResponse](ctx, c, request{route: dmfwire.AnnounceRing, body: data, contentType: dmfwire.RingContentType})
 	if err != nil {
 		return false, err
 	}
@@ -58,14 +55,12 @@ func (c *Client) Gossip(ctx context.Context, m dmfwire.Membership) (*dmfwire.Mem
 		return nil, err
 	}
 	var raw []byte
-	err = c.doCtx(ctx, http.MethodPost, "/api/v1/cluster/gossip", nil, data,
-		reqMeta{contentType: dmfwire.MembershipContentType}, &raw)
-	if err != nil {
+	if err := c.doCtx(ctx, request{route: dmfwire.ExchangeGossip, body: data, contentType: dmfwire.MembershipContentType}, &raw); err != nil {
 		return nil, err
 	}
 	reply, err := dmfwire.DecodeMembership(raw)
 	if err != nil {
-		return nil, fmt.Errorf("dmfclient: POST /api/v1/cluster/gossip: %w", err)
+		return nil, fmt.Errorf("dmfclient: %s: %w", dmfwire.ExchangeGossip, err)
 	}
 	return &reply, nil
 }
@@ -74,11 +69,7 @@ func (c *Client) Gossip(ctx context.Context, m dmfwire.Membership) (*dmfwire.Mem
 // (GET /api/v1/cluster/gossip): per-peer incarnations and states, the
 // current epoch, and the pending-hint backlog.
 func (c *Client) ClusterGossipView(ctx context.Context) (*dmfwire.GossipView, error) {
-	var gv dmfwire.GossipView
-	if err := c.doCtx(ctx, http.MethodGet, "/api/v1/cluster/gossip", nil, nil, reqMeta{idempotent: true}, &gv); err != nil {
-		return nil, err
-	}
-	return &gv, nil
+	return fetch[dmfwire.GossipView](ctx, c, request{route: dmfwire.GetGossipView})
 }
 
 // SaveHintedContext stores a trial on this daemon AND asks it to keep a

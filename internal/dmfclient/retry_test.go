@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"perfknow/internal/dmfwire"
 	"perfknow/internal/faults"
 	"perfknow/internal/perfdmf"
 )
@@ -199,6 +200,64 @@ func TestUploadRetryKeepsIdempotencyKey(t *testing.T) {
 	if records[0].attempt != "0" || records[1].attempt != "1" || records[2].attempt != "0" {
 		t.Errorf("retry-attempt headers = %q, %q, %q; want 0, 1, 0",
 			records[0].attempt, records[1].attempt, records[2].attempt)
+	}
+}
+
+// TestRetryClassFromRoute: against a daemon that always answers 503, each
+// call makes as many attempts as its route's dmfwire.Retry class allows,
+// and only a Keyed route's attempts carry an Idempotency-Key — one key
+// across them.
+func TestRetryClassFromRoute(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		keys []string
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		keys = append(keys, r.Header.Get("Idempotency-Key"))
+		mu.Unlock()
+		http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL, fastRetry(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	self := "http://127.0.0.1:7461"
+	m := dmfwire.Membership{
+		From:  self,
+		Ring:  dmfwire.Ring{Epoch: 1, Replicas: 1, VNodes: 8, Peers: []string{self}},
+		Peers: []dmfwire.PeerStatus{{Peer: self, Incarnation: 1, State: dmfwire.StateAlive}},
+	}
+	for _, tc := range []struct {
+		name     string
+		call     func() error
+		attempts int
+		keyed    bool
+	}{
+		{"Gossip (Once)", func() error { _, err := c.Gossip(ctx, m); return err }, 1, false},
+		{"ClusterGossipView (Idempotent)", func() error { _, err := c.ClusterGossipView(ctx); return err }, 3, false},
+		{"OpenStream (Keyed)", func() error { _, err := c.OpenStream(ctx, "a", "e", "t", 1, []string{"TIME"}); return err }, 3, true},
+	} {
+		mu.Lock()
+		keys = nil
+		mu.Unlock()
+		if err := tc.call(); err == nil {
+			t.Fatalf("%s succeeded against a 503", tc.name)
+		}
+		mu.Lock()
+		got := append([]string(nil), keys...)
+		mu.Unlock()
+		if len(got) != tc.attempts {
+			t.Errorf("%s: %d attempts, want %d", tc.name, len(got), tc.attempts)
+		}
+		for _, k := range got {
+			if (k != "") != tc.keyed || k != got[0] {
+				t.Errorf("%s: idempotency keys %q", tc.name, got)
+				break
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/faults"
 	"perfknow/internal/obs"
-	"perfknow/internal/perfdmf"
 )
 
 // Streaming ingestion: OpenStream starts a server-side stream, Append
@@ -55,14 +53,6 @@ func WithStreamMetric(metric string) StreamOption {
 	return func(o *dmfwire.StreamOpen) { o.Metric = metric }
 }
 
-func streamPath(id string, parts ...string) string {
-	p := "/api/v1/streams/" + url.PathEscape(id)
-	for _, part := range parts {
-		p += "/" + part
-	}
-	return p
-}
-
 // OpenStream opens a streaming upload for the trial at the given
 // coordinates. The open is idempotent per call (a retried request does not
 // open two streams).
@@ -77,56 +67,32 @@ func (c *Client) OpenStream(ctx context.Context, app, experiment, trial string, 
 	for _, o := range opts {
 		o(&open)
 	}
-	var info dmfwire.StreamInfo
-	err := c.postJSON(ctx, "/api/v1/streams", nil, open,
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, &info)
-	if err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return fetch[dmfwire.StreamInfo](ctx, c, request{route: dmfwire.OpenStream, in: open})
 }
 
 // Append pushes one chunk onto the stream. Seqs start at 1 and must be
 // dense; the call is idempotent — a retry whose original ack was lost
 // replays it (Duplicate set) without re-applying the data.
 func (c *Client) Append(ctx context.Context, streamID string, seq int64, events []dmfwire.ChunkEvent) (*dmfwire.AppendAck, error) {
-	var ack dmfwire.AppendAck
-	err := c.postJSON(ctx, streamPath(streamID, "chunks"), nil,
-		dmfwire.StreamChunk{Seq: seq, Events: events},
-		reqMeta{idemKey: c.nextIdempotencyKey(), idempotent: true}, &ack)
-	if err != nil {
-		return nil, err
-	}
-	return &ack, nil
+	return fetch[dmfwire.AppendAck](ctx, c, request{route: dmfwire.AppendChunk, args: []string{streamID},
+		in: dmfwire.StreamChunk{Seq: seq, Events: events}})
 }
 
 // Seal closes the stream: the accumulated data becomes a stored trial,
 // byte-identical to uploading it whole. Sealing is idempotent.
 func (c *Client) Seal(ctx context.Context, streamID string) (*dmfwire.UploadSummary, error) {
-	var sum dmfwire.UploadSummary
-	err := c.postJSON(ctx, streamPath(streamID, "seal"), nil, struct{}{},
-		reqMeta{idempotent: true}, &sum)
-	if err != nil {
-		return nil, err
-	}
-	return &sum, nil
+	return fetch[dmfwire.UploadSummary](ctx, c, request{route: dmfwire.SealStream, args: []string{streamID}, in: struct{}{}})
 }
 
 // Stream fetches one stream's info. Unknown ids wrap perfdmf.ErrNotFound.
 func (c *Client) Stream(ctx context.Context, streamID string) (*dmfwire.StreamInfo, error) {
-	var info dmfwire.StreamInfo
-	err := c.doCtx(ctx, http.MethodGet, streamPath(streamID), nil, nil,
-		reqMeta{idempotent: true}, &info)
-	if err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return fetch[dmfwire.StreamInfo](ctx, c, request{route: dmfwire.GetStream, args: []string{streamID}})
 }
 
 // Streams lists the server's live and recently sealed streams.
 func (c *Client) Streams(ctx context.Context) ([]dmfwire.StreamInfo, error) {
 	var resp dmfwire.StreamList
-	if err := c.doCtx(ctx, http.MethodGet, "/api/v1/streams", nil, nil, reqMeta{idempotent: true}, &resp); err != nil {
+	if err := c.doCtx(ctx, request{route: dmfwire.ListStreams}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Streams, nil
@@ -134,8 +100,7 @@ func (c *Client) Streams(ctx context.Context) ([]dmfwire.StreamInfo, error) {
 
 // AbortStream deletes an open stream without sealing it; nothing is stored.
 func (c *Client) AbortStream(ctx context.Context, streamID string) error {
-	return c.doCtx(ctx, http.MethodDelete, streamPath(streamID), nil, nil,
-		reqMeta{idempotent: true}, nil)
+	return c.doCtx(ctx, request{route: dmfwire.AbortStream, args: []string{streamID}}, nil)
 }
 
 // SubscribeOption customizes SubscribeAlerts.
@@ -241,7 +206,7 @@ func (c *Client) SubscribeAlerts(ctx context.Context, streamID string, opts ...S
 		cancel: cancel,
 		lastID: cfg.lastEventID,
 	}
-	go sub.run(ctx, c, streamPath(streamID, "alerts"))
+	go sub.run(ctx, c, dmfwire.SubscribeAlerts.Path(streamID))
 	return sub, nil
 }
 
@@ -332,22 +297,11 @@ func (s *AlertSubscription) consume(ctx context.Context, c *Client, path string,
 	defer resp.Body.Close()
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var e struct {
-			Error string `json:"error"`
+		err, retryable := statusError("subscribe "+path, resp)
+		if !retryable {
+			err = &permanentSubError{err}
 		}
-		msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = fmt.Sprintf("%s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		ferr := fmt.Errorf("dmfclient: subscribe %s: %s", path, msg)
-		if resp.StatusCode == http.StatusNotFound {
-			return false, &permanentSubError{fmt.Errorf("%w: %w", ferr, perfdmf.ErrNotFound)}
-		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			return false, ferr
-		}
-		return false, &permanentSubError{ferr}
+		return false, err
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, dmfwire.SSEContentType) {
 		return false, fmt.Errorf("dmfclient: subscribe %s: unexpected content type %q", path, ct)

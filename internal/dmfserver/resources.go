@@ -1,40 +1,43 @@
 package dmfserver
 
 import (
+	"errors"
 	"net/http"
 
 	"perfknow/internal/dmfwire"
 )
 
-// Resource-style v1 routes: the Application → Experiment → Trial hierarchy
-// addressed by path instead of query parameters:
-//
-//	GET    /api/v1/apps
-//	GET    /api/v1/apps/{app}/experiments
-//	GET    /api/v1/apps/{app}/experiments/{exp}/trials
-//	GET    /api/v1/apps/{app}/experiments/{exp}/trials/{trial}
-//	DELETE /api/v1/apps/{app}/experiments/{exp}/trials/{trial}
-//
-// Path segments are percent-escaped by clients and decoded by the router,
-// so names containing '/' round-trip. The listings also answer on the older
-// query-param routes (/api/v1/applications|experiments|trials), with
-// byte-identical bodies.
+// The Application → Experiment → Trial hierarchy. Its routes are the trial
+// rows of the dmfwire route table (internal/dmfwire/routes.go). Each
+// listing handler serves a query-param route and a resource route alike
+// (coords reads either), so the two answer with byte-identical bodies.
 
-func (s *Server) handleResourceExperiments(w http.ResponseWriter, r *http.Request) {
-	app := r.PathValue("app")
+func (s *Server) handleApplications(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string][]string{"applications": s.repo.Applications()})
+}
+
+func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
+	app, _, _ := coords(r)
+	if app == "" {
+		writeError(w, http.StatusBadRequest, errors.New("missing app parameter"))
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string][]string{"experiments": s.repo.Experiments(app)})
 }
 
-func (s *Server) handleResourceTrialList(w http.ResponseWriter, r *http.Request) {
-	app, exp := r.PathValue("app"), r.PathValue("exp")
+func (s *Server) handleTrialList(w http.ResponseWriter, r *http.Request) {
+	app, exp, _ := coords(r)
+	if app == "" || exp == "" {
+		writeError(w, http.StatusBadRequest, errors.New("missing app or experiment parameter"))
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string][]string{"trials": s.repo.Trials(app, exp)})
 }
 
-// handleResourceTrialGet answers a get whose Accept names
-// dmfwire.TrialContentType with the stored bytes as they are; any other
-// get with trial JSON.
-func (s *Server) handleResourceTrialGet(w http.ResponseWriter, r *http.Request) {
-	app, exp, name := r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial")
+// handleTrialGet answers a get whose Accept names dmfwire.TrialContentType
+// with the stored bytes as they are; any other get with trial JSON.
+func (s *Server) handleTrialGet(w http.ResponseWriter, r *http.Request) {
+	app, exp, name := coords(r)
 	if acceptsEncodedTrial(r) {
 		data, err := s.repo.GetEncoded(r.Context(), app, exp, name)
 		if err != nil {
@@ -54,8 +57,8 @@ func (s *Server) handleResourceTrialGet(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, t)
 }
 
-func (s *Server) handleResourceTrialDelete(w http.ResponseWriter, r *http.Request) {
-	app, exp, name := r.PathValue("app"), r.PathValue("exp"), r.PathValue("trial")
+func (s *Server) handleTrialDelete(w http.ResponseWriter, r *http.Request) {
+	app, exp, name := coords(r)
 	if err := s.repo.DeleteContext(r.Context(), app, exp, name); err != nil {
 		writeServiceError(w, err)
 		return

@@ -410,40 +410,45 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 	}
 }
 
+// routes registers every row of the dmfwire route table with its handler.
+// A row without one panics here, in New.
 func (s *Server) routes() {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /api/v1/fsck", s.handleFsck)
-	mux.HandleFunc("GET /api/v1/traces", s.handleTraceList)
-	mux.HandleFunc("GET /api/v1/traces/{id}", s.handleTraceGet)
-	mux.HandleFunc("GET /api/v1/applications", s.handleApplications)
-	mux.HandleFunc("GET /api/v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /api/v1/trials", s.handleTrialList)
-	mux.HandleFunc("POST /api/v1/trials", s.handleUpload)
-	mux.HandleFunc("POST /api/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /api/v1/diagnose", s.handleDiagnose)
-	mux.HandleFunc("GET /api/v1/cluster", s.handleCluster)
-	// Self-healing cluster (cluster.go): operator ring announce plus the
-	// gossip exchange and its JSON operator view.
-	mux.HandleFunc("POST /api/v1/cluster", s.handleAnnounce)
-	mux.HandleFunc("POST /api/v1/cluster/gossip", s.handleGossipPost)
-	mux.HandleFunc("GET /api/v1/cluster/gossip", s.handleGossipGet)
-	// Resource-style hierarchy routes (resources.go).
-	mux.HandleFunc("GET /api/v1/apps", s.handleApplications)
-	mux.HandleFunc("GET /api/v1/apps/{app}/experiments", s.handleResourceExperiments)
-	mux.HandleFunc("GET /api/v1/apps/{app}/experiments/{exp}/trials", s.handleResourceTrialList)
-	mux.HandleFunc("GET /api/v1/apps/{app}/experiments/{exp}/trials/{trial}", s.handleResourceTrialGet)
-	mux.HandleFunc("DELETE /api/v1/apps/{app}/experiments/{exp}/trials/{trial}", s.handleResourceTrialDelete)
-	// Streaming ingestion (stream.go): resource-style only.
-	mux.HandleFunc("POST /api/v1/streams", s.handleStreamOpen)
-	mux.HandleFunc("GET /api/v1/streams", s.handleStreamList)
-	mux.HandleFunc("GET /api/v1/streams/{id}", s.handleStreamGet)
-	mux.HandleFunc("DELETE /api/v1/streams/{id}", s.handleStreamDelete)
-	mux.HandleFunc("POST /api/v1/streams/{id}/chunks", s.handleStreamAppend)
-	mux.HandleFunc("POST /api/v1/streams/{id}/seal", s.handleStreamSeal)
-	mux.HandleFunc("GET /api/v1/streams/{id}/alerts", s.handleStreamAlerts)
-	s.mux = mux
+	handlers := map[dmfwire.Route]http.HandlerFunc{
+		dmfwire.GetHealth:  s.handleHealthz,
+		dmfwire.GetMetrics: s.handleMetrics,
+		dmfwire.RunFsck:    s.handleFsck,
+		dmfwire.ListTraces: s.handleTraceList,
+		dmfwire.GetTrace:   s.handleTraceGet,
+		// The hierarchy (resources.go).
+		dmfwire.ListApplications:     s.handleApplications,
+		dmfwire.ListApps:             s.handleApplications,
+		dmfwire.ListExperiments:      s.handleExperiments,
+		dmfwire.ListAppExperiments:   s.handleExperiments,
+		dmfwire.ListTrials:           s.handleTrialList,
+		dmfwire.ListExperimentTrials: s.handleTrialList,
+		dmfwire.GetTrial:             s.handleTrialGet,
+		dmfwire.DeleteTrial:          s.handleTrialDelete,
+		dmfwire.UploadTrial:          s.handleUpload,
+		dmfwire.Analyze:              s.handleAnalyze,
+		dmfwire.Diagnose:             s.handleDiagnose,
+		// Self-healing cluster (cluster.go).
+		dmfwire.GetRing:        s.handleCluster,
+		dmfwire.AnnounceRing:   s.handleAnnounce,
+		dmfwire.ExchangeGossip: s.handleGossipPost,
+		dmfwire.GetGossipView:  s.handleGossipGet,
+		// Streaming ingestion (stream.go).
+		dmfwire.OpenStream:      s.handleStreamOpen,
+		dmfwire.ListStreams:     s.handleStreamList,
+		dmfwire.GetStream:       s.handleStreamGet,
+		dmfwire.AbortStream:     s.handleStreamDelete,
+		dmfwire.AppendChunk:     s.handleStreamAppend,
+		dmfwire.SealStream:      s.handleStreamSeal,
+		dmfwire.SubscribeAlerts: s.handleStreamAlerts,
+	}
+	s.mux = http.NewServeMux()
+	for _, rt := range dmfwire.Routes() {
+		s.mux.HandleFunc(rt.String(), handlers[rt])
+	}
 }
 
 // handleCluster serves the ring descriptor this daemon currently holds,
@@ -622,9 +627,26 @@ func (s *Server) gated(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 	}
 }
 
+// coords reads a request's trial coordinates: the path wildcards on a
+// resource route, else the app, experiment and trial query parameters. The
+// router redirects a path with an empty segment, so a wildcard that matched
+// is never empty.
 func coords(r *http.Request) (app, experiment, trial string) {
+	if app = r.PathValue("app"); app != "" {
+		return app, r.PathValue("exp"), r.PathValue("trial")
+	}
 	q := r.URL.Query()
 	return q.Get("app"), q.Get("experiment"), q.Get("trial")
+}
+
+// requireCoords refuses a trial missing a coordinate. The repository would
+// store it, but no route could reach it again: a path segment cannot be
+// empty.
+func requireCoords(what, app, experiment, trial string) error {
+	if app == "" || experiment == "" || trial == "" {
+		return fmt.Errorf("%s: app, experiment and trial are required (got %q/%q/%q)", what, app, experiment, trial)
+	}
+	return nil
 }
 
 // --- health and metrics -----------------------------------------------
@@ -697,30 +719,6 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tr)
 }
 
-// --- browsing ---------------------------------------------------------
-
-func (s *Server) handleApplications(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"applications": s.repo.Applications()})
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	app, _, _ := coords(r)
-	if app == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing app parameter"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string][]string{"experiments": s.repo.Experiments(app)})
-}
-
-func (s *Server) handleTrialList(w http.ResponseWriter, r *http.Request) {
-	app, exp, _ := coords(r)
-	if app == "" || exp == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing app or experiment parameter"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string][]string{"trials": s.repo.Trials(app, exp)})
-}
-
 // --- uploads ----------------------------------------------------------
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
@@ -786,6 +784,11 @@ func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http
 		if err != nil {
 			return perfdmf.Stored{}, err
 		}
+		if app, exp, name, ok := perfdmf.EncodedCoordinates(data); ok {
+			if err := requireCoords("upload", app, exp, name); err != nil {
+				return perfdmf.Stored{}, err
+			}
+		}
 		st, err := s.repo.SaveEncoded(ctx, data)
 		if errors.Is(err, perfdmf.ErrCorrupt) {
 			// The damage is in what the client sent, not in the store:
@@ -795,6 +798,9 @@ func (s *Server) storeUpload(ctx context.Context, w http.ResponseWriter, r *http
 		return st, err
 	}
 	t, err := s.parseUpload(w, r)
+	if err == nil {
+		err = requireCoords("upload", t.App, t.Experiment, t.Name)
+	}
 	if err == nil {
 		err = s.repo.SaveContext(ctx, t)
 	}
@@ -823,9 +829,6 @@ func (s *Server) parseUpload(w http.ResponseWriter, r *http.Request) (*perfdmf.T
 		}
 	case "gprof":
 		app, exp, name := coords(r)
-		if app == "" || exp == "" || name == "" {
-			return nil, errors.New("gprof upload needs app, experiment and trial parameters")
-		}
 		var err error
 		t, err = perfdmf.ParseGprof(http.MaxBytesReader(w, r.Body, s.maxBody), app, exp, name)
 		if err != nil {
@@ -835,9 +838,6 @@ func (s *Server) parseUpload(w http.ResponseWriter, r *http.Request) (*perfdmf.T
 		var up TAUUpload
 		if err := s.decodeBody(w, r, &up); err != nil {
 			return nil, err
-		}
-		if up.App == "" || up.Experiment == "" || up.Trial == "" {
-			return nil, errors.New("tau upload needs app, experiment and trial fields")
 		}
 		dir, err := os.MkdirTemp("", "perfdmfd-tau-")
 		if err != nil {

@@ -11,16 +11,8 @@ import "perfknow/internal/rules"
 // window of recent chunks, and their findings are delivered as alerts over
 // an SSE subscription (GET /api/v1/streams/{id}/alerts).
 //
-// The stream API is resource-oriented only — there are no query-parameter
-// twins:
-//
-//	POST   /api/v1/streams               open  (body: StreamOpen)
-//	GET    /api/v1/streams               list  (StreamList)
-//	GET    /api/v1/streams/{id}          info  (StreamInfo)
-//	POST   /api/v1/streams/{id}/chunks   append (body: StreamChunk → AppendAck)
-//	POST   /api/v1/streams/{id}/seal     seal  (→ UploadSummary)
-//	DELETE /api/v1/streams/{id}          abort
-//	GET    /api/v1/streams/{id}/alerts   SSE subscription (Last-Event-ID resume)
+// Its routes are the stream rows of routes.go: open takes a StreamOpen,
+// append a StreamChunk (→ AppendAck), and seal answers an UploadSummary.
 
 // HeaderLastEventID is the standard SSE resume header: a subscriber that
 // reconnects sends the id of the last alert it received, and the server

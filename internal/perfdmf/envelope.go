@@ -177,3 +177,13 @@ func DecodeTrial(data []byte) (*Trial, error) {
 func IsEncodedTrial(data []byte) bool {
 	return bytes.HasPrefix(data, []byte(envelopeMagic))
 }
+
+// EncodedCoordinates reads the coordinates of an encoded trial from its
+// payload header alone, checking nothing else; ok is false without one.
+func EncodedCoordinates(data []byte) (app, experiment, trial string, ok bool) {
+	if !IsEncodedTrial(data) {
+		return "", "", "", false
+	}
+	h, ok := decodeTrialHeaderPayload(data[len(envelopeMagic):])
+	return h.App, h.Experiment, h.Name, ok
+}
