@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"perfknow"
 	"perfknow/internal/apps/genidlest"
 	"perfknow/internal/apps/msa"
+	"perfknow/internal/diagnosis"
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/experiments"
 	"perfknow/internal/parallel"
@@ -248,13 +248,10 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 // events); the design claim — append cost proportional to the chunk delta,
 // not the window — holds when their ns/op stay in the same band.
 func BenchmarkStandingDiagnosis(b *testing.B) {
-	src, err := os.ReadFile("assets/rules/LoadBalanceRules.prl")
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := diagnosis.RuleFiles()["LoadBalanceRules.prl"]
 	for _, windowEvents := range []int{128, 2048} {
 		b.Run(fmt.Sprintf("windowEvents=%d", windowEvents), func(b *testing.B) {
-			benchStandingDiagnosis(b, string(src), windowEvents)
+			benchStandingDiagnosis(b, src, windowEvents)
 		})
 	}
 }

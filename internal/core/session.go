@@ -251,48 +251,29 @@ func (s *Session) CompareEventToMain(t *perfdmf.Trial, metric, event string) err
 }
 
 // AssertLoadBalanceFacts asserts the facts the load-imbalance rule joins
-// over (§III-A): per-event Imbalance facts (stddev/mean ratio and runtime
-// share), Nesting facts derived from callpath events, and per-pair
-// Correlation facts for nested pairs. It returns the number of facts
-// asserted.
+// over (§III-A) for one trial, as LoadBalanceFacts derives them, and
+// returns how many it asserted. The trial is fed once into a cumulative
+// window: its callpaths first, then the flat events with a nonzero mean in
+// analysis.LoadBalanceAnalysis order (most imbalanced first), which is
+// therefore the order the Imbalance facts and the nested pairs come in.
+// Severity is an event's share of the main event's mean inclusive value.
 func (s *Session) AssertLoadBalanceFacts(t *perfdmf.Trial, metric string) int {
-	n := 0
 	lbs := analysis.LoadBalanceAnalysisCtx(s.Interp.Context(), t, metric)
-	for _, lb := range lbs {
-		s.Engine.Assert(rules.NewFact("Imbalance", map[string]any{
-			"eventName": lb.Event,
-			"ratio":     lb.Ratio,
-			"severity":  lb.FractionOfTotal,
-			"mean":      lb.Mean,
-			"stddev":    lb.StdDev,
-		}))
-		n++
-	}
-	// Nesting from callpaths, correlation for each nested pair.
-	for _, outer := range lbs {
-		for _, inner := range lbs {
-			if outer.Event == inner.Event {
-				continue
-			}
-			if !analysis.IsNested(t, outer.Event, inner.Event) {
-				continue
-			}
-			s.Engine.Assert(rules.NewFact("Nesting", map[string]any{
-				"outer": outer.Event,
-				"inner": inner.Event,
-			}))
-			n++
-			if corr, err := analysis.EventCorrelation(t, metric, inner.Event, outer.Event); err == nil {
-				s.Engine.Assert(rules.NewFact("Correlation", map[string]any{
-					"innerEvent": inner.Event,
-					"outerEvent": outer.Event,
-					"value":      corr,
-				}))
-				n++
-			}
+	samples := make([]perfdmf.WindowSample, 0, len(t.Events))
+	for _, e := range t.Events {
+		if e.IsCallpath() {
+			samples = append(samples, perfdmf.WindowSample{Event: e.Name})
 		}
 	}
-	return n
+	for _, lb := range lbs {
+		samples = append(samples, perfdmf.WindowSample{Event: lb.Event, Values: t.Event(lb.Event).Exclusive[metric]})
+	}
+	mainVal := 0.0
+	if main := t.MainEvent(metric); main != nil {
+		mainVal = perfdmf.Mean(main.Inclusive[metric])
+	}
+	window := perfdmf.NewColumnWindow(t.Threads, 0)
+	return NewLoadBalanceFacts(s.Engine, window, func(*perfdmf.ColumnWindow) float64 { return mainVal }).Append(samples)
 }
 
 func stringList(xs []string) *script.List {

@@ -2,6 +2,8 @@ package diagnosis
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,6 +53,38 @@ func TestWriteAssets(t *testing.T) {
 	}
 }
 
+// TestAssetsEmbedded: RuleFiles and ScriptFiles hold exactly the files of
+// assets/rules and assets/scripts, byte for byte, so a file the embed
+// pattern skips, or one added to the build but not the tree, fails here.
+func TestAssetsEmbedded(t *testing.T) {
+	for dir, embedded := range map[string]map[string]string{"rules": RuleFiles(), "scripts": ScriptFiles()} {
+		entries, err := os.ReadDir(filepath.Join("..", "..", "assets", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk := make(map[string]bool, len(entries))
+		for _, e := range entries {
+			onDisk[e.Name()] = true
+			data, err := os.ReadFile(filepath.Join("..", "..", "assets", dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, ok := embedded[e.Name()]
+			switch {
+			case !ok:
+				t.Errorf("assets/%s/%s is not embedded", dir, e.Name())
+			case src != string(data):
+				t.Errorf("assets/%s/%s differs from its embedded copy", dir, e.Name())
+			}
+		}
+		for name := range embedded {
+			if !onDisk[name] {
+				t.Errorf("embedded %s/%s is not in assets/%s", dir, name, dir)
+			}
+		}
+	}
+}
+
 // --- Case study A: MSA load imbalance ---------------------------------
 
 func TestCaseStudyA_LoadImbalance(t *testing.T) {
@@ -68,7 +102,7 @@ func TestCaseStudyA_LoadImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{static.App, static.Experiment, static.Name})
-	if err := s.RunScript(ScriptLoadBalance); err != nil {
+	if err := s.RunScript(ScriptFiles()["load_balance.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -103,7 +137,7 @@ func TestCaseStudyA_DynamicIsQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{dynamic.App, dynamic.Experiment, dynamic.Name})
-	if err := s.RunScript(ScriptLoadBalance); err != nil {
+	if err := s.RunScript(ScriptFiles()["load_balance.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "Load imbalance detected") {
@@ -132,7 +166,7 @@ func TestCaseStudyB_StallsAndInefficiency(t *testing.T) {
 	}
 
 	SetArgs(s, []string{unopt.App, unopt.Experiment, unopt.Name})
-	if err := s.RunScript(ScriptInefficiency); err != nil {
+	if err := s.RunScript(ScriptFiles()["inefficiency.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -151,7 +185,7 @@ func TestCaseStudyB_StallsAndInefficiency(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := s.RunScript(ScriptStallDecomposition); err != nil {
+	if err := s.RunScript(ScriptFiles()["stall_decomposition.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()
@@ -176,7 +210,7 @@ func TestCaseStudyB_LocalityAndSequentialBottleneck(t *testing.T) {
 	}
 
 	SetArgs(s, []string{unopt.App, unopt.Experiment, unopt.Name, "base_1"})
-	if err := s.RunScript(ScriptMemoryAnalysis); err != nil {
+	if err := s.RunScript(ScriptFiles()["memory_analysis.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -205,7 +239,7 @@ func TestCaseStudyB_OptimizedIsQuieter(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{opt.App, opt.Experiment, opt.Name})
-	if err := s.RunScript(ScriptMemoryAnalysis); err != nil {
+	if err := s.RunScript(ScriptFiles()["memory_analysis.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	// The optimized version must not trigger the locality diagnosis for the
@@ -234,7 +268,7 @@ func TestCaseStudyC_PowerRules(t *testing.T) {
 		}
 	}
 	SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
-	if err := s.RunScript(ScriptPowerLevels); err != nil {
+	if err := s.RunScript(ScriptFiles()["power_levels.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -284,7 +318,7 @@ func TestSyncOverheadRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := s.Engine
-	if err := eng.LoadString(OpenUHRules); err != nil {
+	if err := eng.LoadString(RuleFiles()["OpenUHRules.prl"]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := AssertSyncFacts(eng, tr); err != nil {
@@ -325,7 +359,7 @@ func TestThreadClusterOutlierRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{unopt.App, unopt.Experiment, unopt.Name, "2"})
-	if err := s.RunScript(ScriptThreadClusters); err != nil {
+	if err := s.RunScript(ScriptFiles()["thread_clusters.pes"]); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

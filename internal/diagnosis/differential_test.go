@@ -127,22 +127,22 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return ScriptLoadBalance
+		return ScriptFiles()["load_balance.pes"]
 	}},
 	{"Inefficiency", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return ScriptInefficiency
+		return ScriptFiles()["inefficiency.pes"]
 	}},
 	{"StallDecomposition", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return ScriptStallDecomposition
+		return ScriptFiles()["stall_decomposition.pes"]
 	}},
 	{"StallsPerCycle", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return ScriptStallsPerCycle
+		return ScriptFiles()["stalls_per_cycle.pes"]
 	}},
 	{"MemoryAnalysisWithBaseline", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
@@ -152,7 +152,7 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
-		return ScriptMemoryAnalysis
+		return ScriptFiles()["memory_analysis.pes"]
 	}},
 	{"PowerLevels", func(t *testing.T, s *core.Session) string {
 		for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
@@ -168,7 +168,7 @@ var assetScenarios = []struct {
 			}
 		}
 		SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
-		return ScriptPowerLevels
+		return ScriptFiles()["power_levels.pes"]
 	}},
 	{"Synchronization", func(t *testing.T, s *core.Session) string {
 		tr := perfdmf.NewTrial("app", "sync", "t", 4)
@@ -188,12 +188,12 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{"app", "sync", "t"})
-		return ScriptSynchronization
+		return ScriptFiles()["synchronization.pes"]
 	}},
 	{"ThreadClusters", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "2"})
-		return ScriptThreadClusters
+		return ScriptFiles()["thread_clusters.pes"]
 	}},
 }
 
@@ -210,7 +210,7 @@ func TestDifferentialAssetScriptsNonEmpty(t *testing.T) {
 	o := runScenario(t, func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return ScriptInefficiency
+		return ScriptFiles()["inefficiency.pes"]
 	})
 	if o.err != "" {
 		t.Fatalf("inefficiency script failed: %s", o.err)

@@ -4,205 +4,70 @@
 // memory bottlenecks, data-locality defects, sequential bottlenecks, and
 // power/energy trade-offs; the fact builders that derive those rules'
 // working-memory facts from parallel profiles; and the PerfExplorer analysis
-// scripts that drive the whole process. WriteAssets materializes the
-// knowledge base under an assets/ directory for the command-line tools.
+// scripts that drive the whole process. The rule and script text is the
+// files under assets/, embedded at build time (package perfknow/assets);
+// WriteAssets copies them out for the command-line tools.
+//
+// Each script expects the host to define `rulesdir` (directory holding the
+// .prl files) and `args` (a list of script arguments, usually
+// [application, experiment, trial...]).
 package diagnosis
 
 import (
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
+	"path"
 	"path/filepath"
+
+	"perfknow/assets"
 )
 
-// OpenUHRules is the compiler-integration rule base (§III-B and Fig. 2):
-// stall-rate outliers, the Jarp stall-source concentration test, the
-// inefficiency metric, data-locality defects and sequential bottlenecks.
-const OpenUHRules = `# OpenUH integration rules (see Fig. 2 of the paper).
+var ruleFiles, scriptFiles = embedded("rules"), embedded("scripts")
 
-rule "Stalls per Cycle"
-when
-    f : MeanEventFact ( m : metric == "(BACK_END_BUBBLE_ALL / CPU_CYCLES)",
-                        higherLower == HIGHER,
-                        s : severity > 0.10,
-                        e : eventName,
-                        a : mainValue, v : eventValue,
-                        factType == "Compared to Main" )
-then
-    println("Event " + e + " has a higher than average stall / cycle rate")
-    println("        Average stall / cycle: " + a)
-    println("        Event stall / cycle: " + v)
-    println("        Percentage of total runtime: " + s)
-    recommend("processor", "focus optimization on " + e + ": reduce pipeline stalls (cost model: pipeline_stalls)")
-end
-
-rule "High Inefficiency"
-when
-    f : InefficiencyFact ( e : eventName, v : value, higherLower == HIGHER,
-                           s : severity > 0.05 )
-then
-    println("Event " + e + " has higher than average inefficiency (" + v + ")")
-    recommend("inefficiency", "event " + e + " is a primary optimization target")
-end
-
-rule "Stall Source Concentration"
-salience 5
-when
-    f : StallSourcesFact ( e : eventName, c : combinedFrac >= 0.9,
-                           l : l1dFrac, p : fpFrac, severity > 0.05 )
-then
-    println("Event " + e + " has " + (c * 100) + "% of stalls from L1D misses (" + (l * 100) + "%) and FP stalls (" + (p * 100) + "%)")
-    println("        Remaining stall sources can be ignored (90% guideline)")
-    assert MemoryBoundFact ( eventName = e, l1dFrac = l, fpFrac = p )
-end
-
-rule "Memory Bound Event"
-when
-    m : MemoryBoundFact ( e : eventName, l : l1dFrac > 0.5 )
-then
-    println("Event " + e + " is memory bound: proceed to the memory analysis metrics")
-    recommend("memory", "collect memory analysis metrics for " + e + " (L3 misses, local/remote ratio)")
-end
-
-rule "Poor Data Locality"
-when
-    f : LocalityFact ( e : eventName, r : remoteRatio > 0.5, s : severity > 0.05 )
-then
-    println("Event " + e + " has a low ratio of local to remote memory references (remote ratio " + r + ")")
-    recommend("locality", "parallelize the initialization of data touched by " + e + " so first-touch placement distributes pages")
-    recommend("compiler", "feed array region analysis: data for " + e + " must be initialized and accessed consistently across procedures")
-end
-
-rule "Sequential Bottleneck"
-when
-    f : ScalingFact ( e : eventName, sp : speedup < 2.0, th : threads >= 8,
-                      s : severity > 0.10 )
-then
-    println("Event " + e + " is scaling very poorly (speedup " + sp + " at " + th + " threads, " + (s * 100) + "% of runtime)")
-    recommend("parallelism", "parallelize " + e + ": its on-processor copies are serialized on the master thread")
-end
-
-rule "Synchronization Overhead"
-when
-    f : SyncFact ( e : eventName, c : criticalFrac > 0.10, s : severity > 0.05 )
-then
-    println("Event " + e + " spends " + (c * 100) + "% of its cycles waiting on critical sections or locks")
-    recommend("synchronization", "shrink or eliminate the critical section in " + e + " (consider a reduction or privatization)")
-end
-
-rule "Barrier Wait"
-when
-    f : SyncFact ( e : eventName, b : barrierFrac > 0.25, s : severity > 0.05 )
-    not Imbalance ( eventName == e, ratio > 0.25 )
-then
-    println("Event " + e + " spends " + (b * 100) + "% of its cycles in barrier waits without measured imbalance")
-    recommend("synchronization", "check for serialized work before the barrier in " + e)
-end
-
-rule "Thread Behavior Outlier"
-when
-    c : ClusterFact ( singleton == true, th : memberThread, d : dominantEvent,
-                      n : totalThreads >= 4 )
-then
-    println("Thread " + th + " behaves unlike the other " + (n - 1) + " threads (cluster of one, dominated by " + d + ")")
-    recommend("clustering", "inspect " + d + " on thread " + th + ": it is doing different work than its peers")
-end
-`
-
-// LoadBalanceRules is the MSA case-study rule (§III-A): imbalance ratio,
-// severity, nesting, and negative correlation must all hold before the rule
-// fires and suggests a scheduling change.
-const LoadBalanceRules = `# Load-imbalance diagnosis for OpenMP worksharing loops (§III-A).
-
-rule "Load Imbalance"
-when
-    i : Imbalance ( e : eventName, r : ratio > 0.25, s : severity > 0.05 )
-    n : Nesting ( inner == e, o : outer )
-    c : Correlation ( innerEvent == e, outerEvent == o, v : value < -0.9 )
-then
-    println("Load imbalance detected: " + e + " (stddev/mean " + r + ") inside " + o)
-    println("        Per-thread times in " + e + " and " + o + " are negatively correlated (" + v + ")")
-    println("        Threads finishing " + e + " early wait at the barrier in " + o)
-    recommend("scheduling", "use a dynamic schedule with a small chunk size (dynamic,1) for " + e)
-end
-
-rule "Balanced Loop"
-salience -10
-when
-    i : Imbalance ( e : eventName, r : ratio <= 0.25, s : severity > 0.25 )
-    n : Nesting ( inner == e )
-then
-    println("Loop " + e + " is well balanced (stddev/mean " + r + ")")
-end
-`
-
-// PowerRules recommends compiler optimization levels from the power/energy
-// study (§III-C): O0-like levels minimize power, the most aggressive level
-// minimizes energy, and the level flagged `balanced` is best for both.
-const PowerRules = `# Power and energy recommendations (§III-C, Table I).
-
-rule "Low Power Level"
-when
-    p : PowerFact ( l : level, lowestPower == true, w : watts )
-then
-    println("Optimization level " + l + " dissipates the least power (" + w + " W per processor)")
-    recommend("power", "compile with " + l + " when minimizing power dissipation (reliability, cooling)")
-end
-
-rule "Low Energy Level"
-when
-    p : PowerFact ( l : level, lowestEnergy == true, j : joules )
-then
-    println("Optimization level " + l + " consumes the least energy (" + j + " J)")
-    recommend("energy", "compile with " + l + " when minimizing energy consumption")
-end
-
-rule "Balanced Power/Energy Level"
-when
-    p : PowerFact ( l : level, balanced == true )
-then
-    println("Optimization level " + l + " balances power and energy efficiency")
-    recommend("power-energy", "compile with " + l + " for combined power and energy efficiency")
-end
-
-rule "Energy Efficiency Scales With Optimization"
-salience -5
-when
-    a : PowerFact ( la : level, fa : flopPerJoule )
-    b : PowerFact ( lb : level != la, fb : flopPerJoule > fa )
-    not PowerFact ( flopPerJoule > fb )
-then
-    println("Most energy-efficient level: " + lb + " (" + fb + " FLOP/J); least: check " + la)
-end
-`
-
-// RuleFiles maps asset file names to rule sources.
-func RuleFiles() map[string]string {
-	return map[string]string{
-		"OpenUHRules.prl":      OpenUHRules,
-		"LoadBalanceRules.prl": LoadBalanceRules,
-		"PowerRules.prl":       PowerRules,
+// embedded reads one directory of the embedded knowledge base, once.
+func embedded(dir string) map[string]string {
+	entries, err := assets.FS.ReadDir(dir)
+	if err != nil {
+		panic(err) // the embed pattern names both directories
 	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := assets.FS.ReadFile(path.Join(dir, e.Name()))
+		if err != nil {
+			panic(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }
 
-// WriteAssets materializes the rule files and analysis scripts under dir
-// (creating dir/rules and dir/scripts).
+// RuleFiles maps asset file names ("OpenUHRules.prl") to rule sources.
+func RuleFiles() map[string]string { return maps.Clone(ruleFiles) }
+
+// ScriptFiles maps asset file names ("load_balance.pes") to script sources.
+func ScriptFiles() map[string]string { return maps.Clone(scriptFiles) }
+
+// WriteAssets copies the embedded knowledge base out under dir (creating
+// dir/rules and dir/scripts), overwriting files of the same name.
 func WriteAssets(dir string) error {
-	rulesDir := filepath.Join(dir, "rules")
-	scriptsDir := filepath.Join(dir, "scripts")
-	for _, d := range []string{rulesDir, scriptsDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return fmt.Errorf("diagnosis: write assets: %w", err)
+	err := fs.WalkDir(assets.FS, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-	}
-	for name, src := range RuleFiles() {
-		if err := os.WriteFile(filepath.Join(rulesDir, name), []byte(src), 0o644); err != nil {
-			return fmt.Errorf("diagnosis: write assets: %w", err)
+		target := filepath.Join(dir, filepath.FromSlash(p))
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
 		}
-	}
-	for name, src := range ScriptFiles() {
-		if err := os.WriteFile(filepath.Join(scriptsDir, name), []byte(src), 0o644); err != nil {
-			return fmt.Errorf("diagnosis: write assets: %w", err)
+		data, err := assets.FS.ReadFile(p)
+		if err != nil {
+			return err
 		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		return fmt.Errorf("diagnosis: write assets: %w", err)
 	}
 	return nil
 }

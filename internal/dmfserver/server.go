@@ -221,6 +221,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Repo == nil {
 		return nil, errors.New("dmfserver: Config.Repo is required")
 	}
+	// Everything that can refuse the config runs before the assets
+	// directory exists: a failed New returns no Server to remove it.
+	var ring *dmfwire.Ring
+	var ringBytes []byte
+	if cfg.Ring != nil {
+		canon := cfg.Ring.Canonical()
+		data, err := dmfwire.EncodeRing(canon)
+		if err != nil {
+			return nil, fmt.Errorf("dmfserver: cluster ring: %w", err)
+		}
+		ring, ringBytes = &canon, data
+	}
 	rulesDir := cfg.RulesDir
 	ownedAssets := ""
 	if rulesDir == "" {
@@ -283,6 +295,8 @@ func New(cfg Config) (*Server, error) {
 		repo:          cfg.Repo,
 		rulesDir:      rulesDir,
 		ownedAssets:   ownedAssets,
+		ring:          ring,
+		ringBytes:     ringBytes,
 		limiter:       parallel.NewLimiter(cfg.Jobs),
 		maxBody:       maxBody,
 		timeout:       timeout,
@@ -306,15 +320,6 @@ func New(cfg Config) (*Server, error) {
 		streamAlerts:  reg.Counter("stream_alerts_total"),
 	}
 	s.node = cfg.Node
-	if cfg.Ring != nil {
-		canon := cfg.Ring.Canonical()
-		data, err := dmfwire.EncodeRing(canon)
-		if err != nil {
-			return nil, fmt.Errorf("dmfserver: cluster ring: %w", err)
-		}
-		s.ring = &canon
-		s.ringBytes = data
-	}
 	s.registerGauges()
 	s.routes()
 	return s, nil

@@ -110,7 +110,7 @@ func TestRemoteDiagnosisByteIdentical(t *testing.T) {
 	session.SetOutput(&buf)
 	diagnosis.Install(session, assets+"/rules")
 	diagnosis.SetArgs(session, []string{"app", "exp", "t1"})
-	if err := session.RunScript(diagnosis.ScriptStallsPerCycle); err != nil {
+	if err := session.RunScript(diagnosis.ScriptFiles()["stalls_per_cycle.pes"]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -604,6 +604,23 @@ func TestCloseRemovesOwnedAssets(t *testing.T) {
 	}
 	if _, err := os.Stat(rules); err != nil {
 		t.Fatalf("caller-supplied rules dir removed by Close: %v", err)
+	}
+}
+
+// TestFailedNewLeavesNoAssets: a config New refuses leaves no temporary
+// assets directory behind — there is no Server whose Close could remove it.
+func TestFailedNewLeavesNoAssets(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	if _, err := New(Config{Repo: perfdmf.NewRepository(), Ring: &dmfwire.Ring{}}); err == nil {
+		t.Fatal("New accepted an empty cluster ring")
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("failed New left %s in the temporary directory", e.Name())
 	}
 }
 

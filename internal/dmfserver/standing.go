@@ -2,34 +2,25 @@ package dmfserver
 
 import (
 	"context"
-	"strings"
 
+	"perfknow/internal/core"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/rules"
 )
 
-// StandingDiagnosis is the incremental twin of the batch load-balance
-// diagnosis (core.Session.AssertLoadBalanceFacts): a long-lived rule engine
-// whose working memory mirrors a sliding window of streamed chunks. Each
-// Append updates the window in O(chunk delta), re-derives facts only for
-// the events the delta touched (retract old, assert new — which is what
-// keeps the Rete network's work proportional to the change), and fires
-// whatever standing rules newly activate.
+// StandingDiagnosis is the batch load-balance diagnosis kept current over
+// a stream: a long-lived rule engine whose working memory holds the
+// core.LoadBalanceFacts of a sliding window of streamed chunks — the same
+// derivation core.Session.AssertLoadBalanceFacts feeds a whole trial
+// through. Each Append updates the window in O(chunk delta), re-derives
+// the facts of the rows the delta changed (retract old, assert new — which
+// is what keeps the Rete network's work proportional to the change), and
+// fires whatever standing rules newly activate.
 //
-// Fact semantics over a window:
-//
-//   - Imbalance{eventName, ratio, severity, mean, stddev}: per flat event,
-//     from the windowed per-thread exclusive values of the diagnosis
-//     metric. severity is the event's share of the windowed grand total
-//     (batch diagnosis divides by the main event's mean inclusive instead;
-//     a window has no main event, so the grand total stands in).
-//   - Nesting{outer, inner}: asserted once per (outer, inner) pair
-//     discovered from callpath event names ("outer => inner" chains,
-//     including transitive pairs), as soon as both flat events exist.
-//   - Correlation{innerEvent, outerEvent, value}: per nested pair,
-//     refreshed whenever either side's windowed values change.
-//
-// Facts for untouched events are deliberately left stale (their severity
+// A window has no main event, so an Imbalance fact's severity is the
+// event's mean over the windowed grand total per thread (batch diagnosis
+// divides by the main event's mean inclusive value instead). Facts for
+// untouched events are deliberately left stale (their severity
 // denominators drift as the total moves) — recomputing them would make
 // append cost O(window), defeating the point. docs/STREAMING.md spells out
 // the resulting delivery guarantees.
@@ -37,19 +28,9 @@ import (
 // StandingDiagnosis is not self-synchronizing: the caller (the stream
 // registry, or a benchmark) serializes Append calls per instance.
 type StandingDiagnosis struct {
-	window   *perfdmf.ColumnWindow
+	facts    *core.LoadBalanceFacts
 	standing *rules.Standing
-
-	imbalance   map[int]*rules.Fact // flat row → live Imbalance fact
-	pairs       map[evPair]*rules.Fact
-	pairsByRow  map[int][]evPair
-	seenPairs   map[string]bool // "outer\x00inner" discovered via a callpath
-	pendingWork []namePair      // discovered pairs waiting for both rows to exist
 }
-
-type evPair struct{ outer, inner int }
-
-type namePair struct{ outer, inner string }
 
 // NewStandingDiagnosis builds a standing diagnosis over threads-wide rows
 // with a window of windowChunks chunks (0 = cumulative), loading each rule
@@ -62,17 +43,14 @@ func NewStandingDiagnosis(threads, windowChunks int, ruleSources ...string) (*St
 		}
 	}
 	return &StandingDiagnosis{
-		window:     perfdmf.NewColumnWindow(threads, windowChunks),
-		standing:   rules.NewStanding(eng),
-		imbalance:  make(map[int]*rules.Fact),
-		pairs:      make(map[evPair]*rules.Fact),
-		pairsByRow: make(map[int][]evPair),
-		seenPairs:  make(map[string]bool),
+		facts:    core.NewLoadBalanceFacts(eng, perfdmf.NewColumnWindow(threads, windowChunks), perThreadTotal),
+		standing: rules.NewStanding(eng),
 	}, nil
 }
 
-// Window exposes the sliding window (read-only use).
-func (d *StandingDiagnosis) Window() *perfdmf.ColumnWindow { return d.window }
+// perThreadTotal is the standing severity denominator: the windowed grand
+// total divided by the thread count.
+func perThreadTotal(w *perfdmf.ColumnWindow) float64 { return w.Total() / float64(w.Threads()) }
 
 // Rules returns the loaded rule names.
 func (d *StandingDiagnosis) Rules() []string { return d.standing.Engine().Rules() }
@@ -81,116 +59,6 @@ func (d *StandingDiagnosis) Rules() []string { return d.standing.Engine().Rules(
 // the delta produced. Samples with callpath names ("a => b") feed nesting
 // discovery; flat samples feed the window.
 func (d *StandingDiagnosis) Append(ctx context.Context, samples []perfdmf.WindowSample) ([]rules.Firing, error) {
-	flat := samples[:0:0]
-	for _, s := range samples {
-		if strings.Contains(s.Event, perfdmf.CallpathSeparator) {
-			d.discoverPairs(s.Event)
-			continue
-		}
-		flat = append(flat, s)
-	}
-	touched := d.window.Append(flat)
-
-	// Register discovered pairs whose rows both exist now.
-	if len(d.pendingWork) > 0 {
-		still := d.pendingWork[:0]
-		for _, p := range d.pendingWork {
-			if !d.registerPair(p) {
-				still = append(still, p)
-			}
-		}
-		d.pendingWork = still
-	}
-
-	eng := d.standing.Engine()
-	dirty := make(map[evPair]bool)
-	for _, row := range touched {
-		vals := d.window.Values(row)
-		mean := perfdmf.Mean(vals)
-		if old := d.imbalance[row]; old != nil {
-			eng.Retract(old)
-			delete(d.imbalance, row)
-		}
-		if mean != 0 {
-			stddev := perfdmf.StdDev(vals)
-			severity := 0.0
-			if total := d.window.Total(); total > 0 {
-				severity = mean * float64(d.window.Threads()) / total
-			}
-			d.imbalance[row] = eng.Assert(rules.NewFact("Imbalance", map[string]any{
-				"eventName": d.window.EventName(row),
-				"ratio":     stddev / mean,
-				"severity":  severity,
-				"mean":      mean,
-				"stddev":    stddev,
-			}))
-		}
-		for _, p := range d.pairsByRow[row] {
-			dirty[p] = true
-		}
-	}
-
-	for p := range dirty {
-		d.refreshCorrelation(p)
-	}
+	d.facts.Append(samples)
 	return d.standing.Step(ctx)
-}
-
-// discoverPairs records every (outer, inner) ordering along one callpath
-// chain — transitive pairs included, matching analysis.IsNested.
-func (d *StandingDiagnosis) discoverPairs(callpath string) {
-	segs := strings.Split(callpath, perfdmf.CallpathSeparator)
-	for i := 0; i < len(segs); i++ {
-		for j := i + 1; j < len(segs); j++ {
-			if segs[i] == segs[j] {
-				continue
-			}
-			key := segs[i] + "\x00" + segs[j]
-			if d.seenPairs[key] {
-				continue
-			}
-			d.seenPairs[key] = true
-			p := namePair{outer: segs[i], inner: segs[j]}
-			if !d.registerPair(p) {
-				d.pendingWork = append(d.pendingWork, p)
-			}
-		}
-	}
-}
-
-// registerPair asserts the Nesting fact and indexes the pair once both
-// flat events have window rows. Returns false if either row is missing.
-func (d *StandingDiagnosis) registerPair(p namePair) bool {
-	outer, ok := d.window.EventIndex(p.outer)
-	if !ok {
-		return false
-	}
-	inner, ok := d.window.EventIndex(p.inner)
-	if !ok {
-		return false
-	}
-	eng := d.standing.Engine()
-	eng.Assert(rules.NewFact("Nesting", map[string]any{
-		"outer": p.outer,
-		"inner": p.inner,
-	}))
-	pair := evPair{outer: outer, inner: inner}
-	d.pairsByRow[outer] = append(d.pairsByRow[outer], pair)
-	d.pairsByRow[inner] = append(d.pairsByRow[inner], pair)
-	d.refreshCorrelation(pair)
-	return true
-}
-
-// refreshCorrelation replaces the pair's Correlation fact with one computed
-// from the current windowed values.
-func (d *StandingDiagnosis) refreshCorrelation(p evPair) {
-	eng := d.standing.Engine()
-	if old := d.pairs[p]; old != nil {
-		eng.Retract(old)
-	}
-	d.pairs[p] = eng.Assert(rules.NewFact("Correlation", map[string]any{
-		"innerEvent": d.window.EventName(p.inner),
-		"outerEvent": d.window.EventName(p.outer),
-		"value":      perfdmf.Correlation(d.window.Values(p.inner), d.window.Values(p.outer)),
-	}))
 }

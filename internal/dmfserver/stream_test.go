@@ -3,11 +3,15 @@ package dmfserver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"perfknow/internal/core"
+	"perfknow/internal/diagnosis"
 	"perfknow/internal/dmfclient"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/perfdmf"
@@ -404,10 +408,12 @@ func TestStandingDiagnosisFiresAlert(t *testing.T) {
 }
 
 // TestStandingDiagnosisMatchesBatch: the standing rule firing over a
-// cumulative window must produce the same rule, output shape and
-// recommendation as the batch load-balance diagnosis of the sealed trial.
+// cumulative window must produce the same rule, output and recommendation
+// as the batch load-balance diagnosis (LoadBalanceFacts, then
+// processRules) of the trial the samples describe.
 func TestStandingDiagnosisMatchesBatch(t *testing.T) {
-	diag, err := NewStandingDiagnosis(4, 0, mustReadRule(t, "LoadBalanceRules"))
+	rule := diagnosis.RuleFiles()["LoadBalanceRules.prl"]
+	diag, err := NewStandingDiagnosis(4, 0, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,16 +437,36 @@ func TestStandingDiagnosisMatchesBatch(t *testing.T) {
 	if len(firings[0].Output) == 0 || !strings.Contains(firings[0].Output[0], "inner_loop") {
 		t.Fatalf("output = %q", firings[0].Output)
 	}
-}
 
-func mustReadRule(t *testing.T, name string) string {
-	t.Helper()
-	for _, dir := range []string{"../../assets/rules", "assets/rules"} {
-		data, err := os.ReadFile(filepath.Join(dir, name+".prl"))
-		if err == nil {
-			return string(data)
-		}
+	// The trial: outer_loop encloses inner_loop, whose time the other
+	// threads spend waiting in outer_loop.
+	tm := perfdmf.TimeMetric
+	tr := perfdmf.NewTrial("app", "exp", "t", 4)
+	tr.AddMetric(tm)
+	outer, inner := tr.EnsureEvent("outer_loop"), tr.EnsureEvent("inner_loop")
+	path := tr.EnsureEvent("outer_loop" + perfdmf.CallpathSeparator + "inner_loop")
+	for th, v := range samples[1].Values {
+		outer.SetValue(tm, th, 40, samples[0].Values[th])
+		inner.SetValue(tm, th, v, v)
+		path.SetValue(tm, th, v, v)
 	}
-	t.Fatalf("rule set %s not found", name)
-	return ""
+	s := core.NewSession(nil)
+	s.SetOutput(io.Discard)
+	if err := s.Repo.Save(tr); err != nil {
+		t.Fatal(err)
+	}
+	s.Interp.SetGlobal("rule", rule)
+	if err := s.RunScript(`harness = RuleHarnessFromSource(rule)
+LoadBalanceFacts(Utilities.getTrial("app", "exp", "t"), "TIME")
+harness.processRules()
+`); err != nil {
+		t.Fatal(err)
+	}
+	batch := s.LastResult()
+	if got, want := strings.Join(firings[0].Output, "\n"), strings.Join(batch.Output, "\n"); got != want {
+		t.Fatalf("standing output\n%s\nbatch output\n%s", got, want)
+	}
+	if got, want := fmt.Sprintf("%q", firings[0].Recommendations), fmt.Sprintf("%q", batch.Recommendations); got != want {
+		t.Fatalf("standing recommendations %s, batch %s", got, want)
+	}
 }

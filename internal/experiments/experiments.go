@@ -216,7 +216,7 @@ func runF1() (*Result, error) {
 		return nil, err
 	}
 	diagnosis.SetArgs(s, []string{trial.App, trial.Experiment, trial.Name})
-	if err := s.RunScript(diagnosis.ScriptStallsPerCycle); err != nil {
+	if err := s.RunScript(diagnosis.ScriptFiles()["stalls_per_cycle.pes"]); err != nil {
 		return nil, err
 	}
 	res := &Result{}
@@ -233,7 +233,7 @@ func runF1() (*Result, error) {
 
 func runF2() (*Result, error) {
 	eng := rules.NewEngine()
-	if err := eng.LoadString(diagnosis.OpenUHRules); err != nil {
+	if err := eng.LoadString(diagnosis.RuleFiles()["OpenUHRules.prl"]); err != nil {
 		return nil, err
 	}
 	mk := func(event string, severity, mainVal, eventVal float64, hl string) *rules.Fact {
@@ -316,7 +316,7 @@ func runF3() (*Result, error) {
 	}
 	res.addf("stage 4: stored trial %s/%s/%s in PerfDMF", trial.App, trial.Experiment, trial.Name)
 	diagnosis.SetArgs(s, []string{trial.App, trial.Experiment, trial.Name})
-	if err := s.RunScript(diagnosis.ScriptStallsPerCycle); err != nil {
+	if err := s.RunScript(diagnosis.ScriptFiles()["stalls_per_cycle.pes"]); err != nil {
 		return nil, err
 	}
 	res.addf("stage 5: PerfExplorer analysis output:")
@@ -628,7 +628,7 @@ func runMetricScript(script string, extraArg bool) (*Result, *core.Session, erro
 }
 
 func runM1() (*Result, error) {
-	res, s, err := runMetricScript(diagnosis.ScriptInefficiency, false)
+	res, s, err := runMetricScript(diagnosis.ScriptFiles()["inefficiency.pes"], false)
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +638,7 @@ func runM1() (*Result, error) {
 }
 
 func runM2() (*Result, error) {
-	res, s, err := runMetricScript(diagnosis.ScriptStallDecomposition, false)
+	res, s, err := runMetricScript(diagnosis.ScriptFiles()["stall_decomposition.pes"], false)
 	if err != nil {
 		return nil, err
 	}
@@ -648,7 +648,7 @@ func runM2() (*Result, error) {
 }
 
 func runM3() (*Result, error) {
-	res, s, err := runMetricScript(diagnosis.ScriptMemoryAnalysis, true)
+	res, s, err := runMetricScript(diagnosis.ScriptFiles()["memory_analysis.pes"], true)
 	if err != nil {
 		return nil, err
 	}
@@ -814,7 +814,7 @@ func runA3() (*Result, error) {
 		return nil, err
 	}
 	diagnosis.SetArgs(s, []string{first.App, first.Experiment, first.Name})
-	if err := s.RunScript(diagnosis.ScriptLoadBalance); err != nil {
+	if err := s.RunScript(diagnosis.ScriptFiles()["load_balance.pes"]); err != nil {
 		return nil, err
 	}
 	_ = buf

@@ -70,22 +70,22 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return diagnosis.ScriptLoadBalance
+		return diagnosis.ScriptFiles()["load_balance.pes"]
 	}},
 	{"Inefficiency", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return diagnosis.ScriptInefficiency
+		return diagnosis.ScriptFiles()["inefficiency.pes"]
 	}},
 	{"StallDecomposition", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return diagnosis.ScriptStallDecomposition
+		return diagnosis.ScriptFiles()["stall_decomposition.pes"]
 	}},
 	{"StallsPerCycle", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
-		return diagnosis.ScriptStallsPerCycle
+		return diagnosis.ScriptFiles()["stalls_per_cycle.pes"]
 	}},
 	{"MemoryAnalysisWithBaseline", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
@@ -95,7 +95,7 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
-		return diagnosis.ScriptMemoryAnalysis
+		return diagnosis.ScriptFiles()["memory_analysis.pes"]
 	}},
 	{"PowerLevels", func(t *testing.T, s *core.Session) string {
 		for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
@@ -111,7 +111,7 @@ var assetScenarios = []struct {
 			}
 		}
 		diagnosis.SetArgs(s, []string{"Fluid Dynamic", "rib 90rib"})
-		return diagnosis.ScriptPowerLevels
+		return diagnosis.ScriptFiles()["power_levels.pes"]
 	}},
 	{"Synchronization", func(t *testing.T, s *core.Session) string {
 		tr := perfdmf.NewTrial("app", "sync", "t", 4)
@@ -131,12 +131,12 @@ var assetScenarios = []struct {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{"app", "sync", "t"})
-		return diagnosis.ScriptSynchronization
+		return diagnosis.ScriptFiles()["synchronization.pes"]
 	}},
 	{"ThreadClusters", func(t *testing.T, s *core.Session) string {
 		tr := saveGen(t, s, 16, false)
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "2"})
-		return diagnosis.ScriptThreadClusters
+		return diagnosis.ScriptFiles()["thread_clusters.pes"]
 	}},
 }
 

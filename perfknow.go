@@ -152,17 +152,17 @@ func InstallKnowledgeBase(s *core.Session, rulesDir string) { diagnosis.Install(
 // SetScriptArgs sets the `args` global for the next script run.
 func SetScriptArgs(s *core.Session, args []string) { diagnosis.SetArgs(s, args) }
 
-// WriteAssets materializes the knowledge base (rules/ and scripts/) under dir.
+// WriteAssets copies the knowledge base (rules/ and scripts/) out under dir.
 func WriteAssets(dir string) error { return diagnosis.WriteAssets(dir) }
 
-// The captured analysis scripts (see internal/diagnosis).
-const (
-	ScriptStallsPerCycle     = diagnosis.ScriptStallsPerCycle
-	ScriptInefficiency       = diagnosis.ScriptInefficiency
-	ScriptStallDecomposition = diagnosis.ScriptStallDecomposition
-	ScriptMemoryAnalysis     = diagnosis.ScriptMemoryAnalysis
-	ScriptLoadBalance        = diagnosis.ScriptLoadBalance
-	ScriptPowerLevels        = diagnosis.ScriptPowerLevels
+// The captured analysis scripts: the text of assets/scripts/*.pes.
+var (
+	ScriptStallsPerCycle     = diagnosis.ScriptFiles()["stalls_per_cycle.pes"]
+	ScriptInefficiency       = diagnosis.ScriptFiles()["inefficiency.pes"]
+	ScriptStallDecomposition = diagnosis.ScriptFiles()["stall_decomposition.pes"]
+	ScriptMemoryAnalysis     = diagnosis.ScriptFiles()["memory_analysis.pes"]
+	ScriptLoadBalance        = diagnosis.ScriptFiles()["load_balance.pes"]
+	ScriptPowerLevels        = diagnosis.ScriptFiles()["power_levels.pes"]
 )
 
 // AltixConfig returns the SGI Altix configuration used throughout the paper
