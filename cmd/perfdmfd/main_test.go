@@ -93,13 +93,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 		e.Calls[th] = 1
 		e.SetValue(perfdmf.TimeMetric, th, 100, 100)
 	}
-	if err := c.Save(tr); err != nil {
+	if err := c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if apps := c.Applications(); len(apps) != 1 || apps[0] != "app" {
-		t.Fatalf("Applications = %v", apps)
+	if apps, err := c.ListApplications(); err != nil || len(apps) != 1 || apps[0] != "app" {
+		t.Fatalf("Applications = %v, %v", apps, err)
 	}
-	got, err := c.GetTrial("app", "exp", "t1")
+	got, err := c.GetTrialContext(context.Background(), "app", "exp", "t1")
 	if err != nil {
 		t.Fatalf("GetTrial: %v", err)
 	}

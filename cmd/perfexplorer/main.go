@@ -60,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"time"
 
 	"perfknow/internal/cluster"
@@ -178,26 +177,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// One tracer serves both jobs: the -trace span tree, and the event
-	// channel on which the client publishes listing errors its Store
-	// signatures had to swallow.
 	var tracer *obs.Tracer
-	if o.tracePath != "" || o.serverURL != "" || o.clusterFlag != "" {
+	if o.tracePath != "" {
 		tracer = obs.NewTracer()
 		tracer.Service = "perfexplorer"
 	}
 
 	var store perfdmf.Store
 	var client *dmfclient.Client
-	var sharded *cluster.ShardedStore
 	switch {
 	case o.clusterFlag != "":
 		opts := []dmfclient.Option{dmfclient.WithTracer(tracer)}
 		if o.retries > 0 {
 			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: o.retries}))
 		}
-		var err error
-		sharded, err = cluster.Dial(desc, opts, cluster.WithTracer(tracer))
+		sharded, err := cluster.Dial(desc, opts, cluster.WithTracer(tracer))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -259,51 +253,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if o.list {
-		// Remote listings use the error-returning List* variants: an
-		// "empty" repository may really be an unreachable server, so fail
-		// loudly rather than print nothing.
-		if client != nil {
-			return listRemote(client, stdout, stderr)
-		}
-		if sharded != nil {
-			return listRemote(sharded, stdout, stderr)
-		}
-		for _, app := range store.Applications() {
-			fmt.Fprintln(stdout, app)
-			for _, exp := range store.Experiments(app) {
-				fmt.Fprintf(stdout, "  %s\n", exp)
-				for _, tr := range store.Trials(app, exp) {
-					fmt.Fprintf(stdout, "    %s\n", tr)
-				}
-			}
-		}
-		return 0
+		return list(store, stdout, stderr)
 	}
 
 	if o.scriptPath == "" {
 		fmt.Fprintln(stderr, "perfexplorer: -script is required (or -list / -write-assets)")
 		fs.Usage()
 		return 2
-	}
-
-	// Mid-script listings go through the Store signatures and cannot
-	// return transport errors; the client publishes those failures as
-	// events, which we collect here to warn after the run.
-	var (
-		listErrMu sync.Mutex
-		listErr   error
-	)
-	if tracer != nil {
-		tracer.OnEvent(func(ev obs.Event) {
-			if (ev.Name != "dmfclient.list_error" && ev.Name != "cluster.list_error") || ev.Err == nil {
-				return
-			}
-			listErrMu.Lock()
-			if listErr == nil {
-				listErr = ev.Err
-			}
-			listErrMu.Unlock()
-		})
 	}
 
 	s := core.NewSession(store)
@@ -329,44 +285,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if scriptErr != nil {
 		return fail(stderr, scriptErr)
 	}
-	// A listing that failed mid-script silently looked empty to the
-	// script; tell the user the results may be based on missing data.
-	listErrMu.Lock()
-	warn := listErr
-	listErrMu.Unlock()
-	if warn != nil {
-		fmt.Fprintf(stderr, "perfexplorer: warning: a remote listing failed during the run (results may be incomplete): %v\n", warn)
-	}
 	if res := s.LastResult(); res != nil && len(res.Recommendations) > 0 {
 		fmt.Fprintf(stdout, "\n%d recommendation(s) produced.\n", len(res.Recommendations))
 	}
 	return 0
 }
 
-// lister is the error-returning listing surface shared by a single remote
-// client and the cluster routing layer.
-type lister interface {
-	ListApplications() ([]string, error)
-	ListExperiments(app string) ([]string, error)
-	ListTrials(app, experiment string) ([]string, error)
-}
-
-// listRemote prints the remote repository tree, surfacing transport errors
-// in-band instead of printing a misleading empty listing.
-func listRemote(client lister, stdout, stderr io.Writer) int {
-	apps, err := client.ListApplications()
+// list prints the store's tree. A listing that fails (an unreachable server
+// or cluster) is an error, never a misleading empty tree.
+func list(store perfdmf.Store, stdout, stderr io.Writer) int {
+	apps, err := store.ListApplications()
 	if err != nil {
 		return fail(stderr, err)
 	}
 	for _, app := range apps {
 		fmt.Fprintln(stdout, app)
-		exps, err := client.ListExperiments(app)
+		exps, err := store.ListExperiments(app)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		for _, exp := range exps {
 			fmt.Fprintf(stdout, "  %s\n", exp)
-			trs, err := client.ListTrials(app, exp)
+			trs, err := store.ListTrials(app, exp)
 			if err != nil {
 				return fail(stderr, err)
 			}
@@ -438,7 +378,7 @@ func uploadTrial(store perfdmf.Store, path string, stdout, stderr io.Writer) int
 	if err := tr.Validate(); err != nil {
 		return fail(stderr, err)
 	}
-	if err := store.Save(&tr); err != nil {
+	if err := store.SaveContext(context.Background(), &tr); err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "uploaded %s/%s/%s\n", tr.App, tr.Experiment, tr.Name)
@@ -452,7 +392,7 @@ func getTrial(store perfdmf.Store, coord string, stdout, stderr io.Writer) int {
 	if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
 		return fail(stderr, fmt.Errorf("-get wants APP/EXP/TRIAL, got %q", coord))
 	}
-	tr, err := store.GetTrial(parts[0], parts[1], parts[2])
+	tr, err := store.GetTrialContext(context.Background(), parts[0], parts[1], parts[2])
 	if err != nil {
 		return fail(stderr, err)
 	}

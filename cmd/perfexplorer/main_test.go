@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -148,7 +149,7 @@ func startServer(t *testing.T) string {
 		hot.SetValue("BACK_END_BUBBLE_ALL", th, 700, 700)
 		hot.SetValue("CPU_CYCLES", th, 1000, 1000)
 	}
-	if err := c.Save(tr); err != nil {
+	if err := c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	return ts.URL

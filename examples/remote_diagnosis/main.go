@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("perfdmfd serving on http://%s\n", ln.Addr())
 
 	// 3. Upload the trial through the client library. The client implements
-	// the same Store interface as a local repository, so Save is Save.
+	// the same Store interface as a local repository.
 	// Idempotent requests retry with exponential backoff; the upload carries
 	// an idempotency key the server deduplicates, so even a retried POST
 	// stores the trial exactly once.
@@ -95,17 +95,22 @@ func main() {
 	if err := client.Health(); err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Save(trial); err != nil {
+	ctx := context.Background()
+	if err := client.SaveContext(ctx, trial); err != nil {
+		log.Fatal(err)
+	}
+	apps, err := client.ListApplications()
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("uploaded %s/%s/%s; server now holds %v\n",
-		trial.App, trial.Experiment, trial.Name, client.Applications())
+		trial.App, trial.Experiment, trial.Name, apps)
 
 	// 4. Run the Fig. 1 analysis script server-side: the service spins up a
 	// PerfExplorer session over the shared repository, runs the script plus
 	// inference rules, and returns the output and recommendations.
 	fmt.Println("\nrunning stalls_per_cycle.pes remotely:")
-	resp, err := client.Diagnose(perfknow.DiagnoseRequest{
+	resp, err := client.DiagnoseContext(ctx, perfknow.DiagnoseRequest{
 		Script: "stalls_per_cycle",
 		Args:   []string{trial.App, trial.Experiment, trial.Name},
 	})

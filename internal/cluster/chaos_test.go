@@ -84,8 +84,7 @@ func newChaosCluster(t *testing.T, n, replicas int) (*ShardedStore, map[string]*
 	// Tight retry budget: a dead peer should fail fast, and the cluster
 	// layer — not the per-peer client — owns availability.
 	clientOpts := []dmfclient.Option{
-		dmfclient.WithMaxAttempts(2),
-		dmfclient.WithBackoff(time.Millisecond, 5*time.Millisecond),
+		dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
 		dmfclient.WithTimeout(10 * time.Second),
 	}
 	s, err := Dial(desc, clientOpts)
@@ -164,7 +163,7 @@ func TestClusterChaos(t *testing.T) {
 	// (2) Every trial reads back byte-identical to its source, replica
 	// death notwithstanding.
 	for _, want := range workload {
-		got, err := s.GetTrial(want.App, want.Experiment, want.Name)
+		got, err := s.GetTrialContext(context.Background(), want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("read %s/%s/%s with a replica down: %v", want.App, want.Experiment, want.Name, err)
 		}
@@ -260,12 +259,12 @@ print(trial.meanInclusive("main", "TIME"))
 func TestClusterExactlyOncePerReplica(t *testing.T) {
 	s, peers := newChaosCluster(t, 3, 2)
 	tr := trial("sweep3d", "weak-scaling", "np64")
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	// Save the same trial again (a new logical upload): replicas simply
 	// overwrite — still exactly one copy per owner.
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	for url := range peers {

@@ -12,7 +12,7 @@ func TestRebalanceNoopOnHealthyCluster(t *testing.T) {
 		{"sweep3d", "weak-scaling", "np64"},
 		{"namd", "apoa1", "run1"},
 	} {
-		if err := s.Save(trial(tr.app, tr.exp, tr.name)); err != nil {
+		if err := s.SaveContext(context.Background(), trial(tr.app, tr.exp, tr.name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestRebalanceRepairsReroutedWrite(t *testing.T) {
 	// Write with the primary owner dead: copies land on pref[1] (owner)
 	// and pref[2] (re-routed, a non-owner).
 	fakes[pref[0]].setDown(true)
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	fakes[pref[0]].setDown(false)
@@ -90,7 +90,7 @@ func TestRebalanceRepairsUnderReplication(t *testing.T) {
 	// Only one peer survives the write: the trial is under-replicated.
 	fakes[pref[0]].setDown(true)
 	fakes[pref[2]].setDown(true)
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	fakes[pref[0]].setDown(false)
@@ -120,7 +120,7 @@ func TestRebalanceHoldsRemovalsWhileAPeerIsUnscanned(t *testing.T) {
 
 	// Manufacture a misplaced copy.
 	fakes[pref[0]].setDown(true)
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	fakes[pref[0]].setDown(false)
@@ -159,7 +159,7 @@ func TestRebalanceHoldsRemovalsWhileAPeerIsUnscanned(t *testing.T) {
 
 func TestRebalanceRespectsContext(t *testing.T) {
 	s, _ := newTestCluster(t, testDesc())
-	if err := s.Save(trial("a", "b", "c")); err != nil {
+	if err := s.SaveContext(context.Background(), trial("a", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -57,7 +57,7 @@ func TestSelfHealingRepair(t *testing.T) {
 
 	// Reads stay byte-identical to the source after the heal.
 	for _, want := range workload {
-		got, err := c.store.GetTrial(want.App, want.Experiment, want.Name)
+		got, err := c.store.GetTrialContext(context.Background(), want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("read %s/%s/%s after heal: %v", want.App, want.Experiment, want.Name, err)
 		}
@@ -222,7 +222,7 @@ func TestEpochBumpPropagates(t *testing.T) {
 	if got := len(s.Ring().Peers()); got != 3 {
 		t.Fatalf("client ring has %d peers, want 3", got)
 	}
-	if err := s.Save(trial("sweep3d", "weak-scaling", "np64")); err != nil {
+	if err := s.SaveContext(context.Background(), trial("sweep3d", "weak-scaling", "np64")); err != nil {
 		t.Fatalf("save through the refreshed ring: %v", err)
 	}
 

@@ -160,7 +160,7 @@ func (c *simCluster) tracer() *obs.Tracer {
 
 // client is a one-attempt dmfclient over the in-process network.
 func (c *simCluster) client(peer string) (*dmfclient.Client, error) {
-	return dmfclient.New(peer, dmfclient.WithTransport(simTransport{c}), dmfclient.WithMaxAttempts(1))
+	return dmfclient.New(peer, dmfclient.WithTransport(simTransport{c}), dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: 1}))
 }
 
 func (c *simCluster) backends(peers []string) map[string]Backend {

@@ -15,15 +15,9 @@ import (
 	"perfknow/internal/perfdmf"
 )
 
-// Backend is what the ShardedStore needs from one peer: the context-aware
-// Store surface plus the error-returning listings. *dmfclient.Client
-// satisfies it; tests substitute in-process fakes.
-type Backend interface {
-	perfdmf.ContextStore
-	ListApplications() ([]string, error)
-	ListExperiments(app string) ([]string, error)
-	ListTrials(app, experiment string) ([]string, error)
-}
+// Backend is what the ShardedStore needs from one peer: the Store surface.
+// *dmfclient.Client satisfies it; tests substitute in-process fakes.
+type Backend = perfdmf.Store
 
 // RingFetcher is the optional Backend extension for peers that can report
 // the ring descriptor they currently hold (GET /api/v1/cluster);
@@ -57,10 +51,9 @@ var ErrRingStale = errors.New("cluster: ring descriptor is stale")
 // are the union of all reachable peers' listings (complete as long as no
 // more than R-1 peers are down).
 //
-// ShardedStore implements perfdmf.Store and perfdmf.ContextStore, so it
-// drops into core.NewSession and every other Store consumer unchanged: a
-// PerfExplorer script routed through it reads and writes a cluster the
-// way it would one repository.
+// ShardedStore implements perfdmf.Store, so it drops into core.NewSession
+// and every other Store consumer unchanged: a PerfExplorer script routed
+// through it reads and writes a cluster the way it would one repository.
 //
 // Routing, replication and repair are instrumented on the store's
 // obs.Registry (share one with WithRegistry): cluster_reads_total,
@@ -110,10 +103,7 @@ type ShardedStore struct {
 	replLag        *obs.Histogram
 }
 
-var (
-	_ perfdmf.Store        = (*ShardedStore)(nil)
-	_ perfdmf.ContextStore = (*ShardedStore)(nil)
-)
+var _ perfdmf.Store = (*ShardedStore)(nil)
 
 // Option customizes a ShardedStore.
 type Option func(*ShardedStore)
@@ -414,15 +404,11 @@ func (s *ShardedStore) emit(ctx context.Context, ev obs.Event) {
 
 // --- writes -----------------------------------------------------------
 
-// Save replicates the trial to its R ring owners. See SaveContext.
-func (s *ShardedStore) Save(t *perfdmf.Trial) error {
-	return s.SaveContext(context.Background(), t)
-}
-
-// SaveContext validates the trial once, then writes it to the R owners of
-// its (application, experiment) coordinate concurrently. Each per-peer
-// write is one dmfclient upload with its own idempotency key, so replays
-// under that peer's retries stay exactly-once per replica. Owners that
+// SaveContext replicates the trial: it validates the trial once, then
+// writes it to the R owners of its (application, experiment) coordinate
+// concurrently. Each per-peer write is one dmfclient upload with its own
+// idempotency key, so replays under that peer's retries stay exactly-once
+// per replica. Owners that
 // fail are re-routed to ring successors until R copies exist or peers run
 // out; a re-routed write carries a hint naming the failed owner when the
 // successor supports it (HintedBackend), so the owner's copy is restored
@@ -520,14 +506,9 @@ func (s *ShardedStore) SaveContext(ctx context.Context, t *perfdmf.Trial) error 
 
 // --- reads ------------------------------------------------------------
 
-// GetTrial reads one trial from the cluster. See GetTrialContext.
-func (s *ShardedStore) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error) {
-	return s.GetTrialContext(context.Background(), app, experiment, trial)
-}
-
-// GetTrialContext fans the read out to the coordinate's R owners
-// concurrently; the first successful response wins and the losers are
-// cancelled. If every owner fails — not found or unreachable — the
+// GetTrialContext reads one trial from the cluster. It fans the read out
+// to the coordinate's R owners concurrently; the first successful response
+// wins and the losers are cancelled. If every owner fails — not found or unreachable — the
 // remaining peers are tried in ring order, because a write may have been
 // re-routed past its owners while they were down. The read reports
 // ErrNotFound only when every peer positively reported the trial absent;
@@ -587,14 +568,10 @@ func (s *ShardedStore) GetTrialContext(ctx context.Context, app, experiment, tri
 
 // --- deletes ----------------------------------------------------------
 
-// Delete removes the trial cluster-wide. See DeleteContext.
-func (s *ShardedStore) Delete(app, experiment, trial string) error {
-	return s.DeleteContext(context.Background(), app, experiment, trial)
-}
-
-// DeleteContext deletes from every peer, not just the owners: re-routed
-// writes and ring changes can leave copies anywhere, and a delete that
-// misses one would let the trial resurface at the next repair pass.
+// DeleteContext removes the trial cluster-wide. It deletes from every
+// peer, not just the owners: re-routed writes and ring changes can leave
+// copies anywhere, and a delete that misses one would let the trial
+// resurface at the next repair pass.
 // Deleting an absent trial is not an error; an unreachable peer is,
 // because its copy survives — the caller can retry, deletes are
 // idempotent.
@@ -657,9 +634,7 @@ func (s *ShardedStore) fanListing(ctx context.Context, what string, list func(Ba
 // ListApplications lists application names cluster-wide, with transport
 // errors when no peer could answer.
 func (s *ShardedStore) ListApplications() ([]string, error) {
-	return s.fanListing(context.Background(), "applications", func(b Backend) ([]string, error) {
-		return b.ListApplications()
-	})
+	return s.fanListing(context.Background(), "applications", Backend.ListApplications)
 }
 
 // ListExperiments lists experiment names for an application cluster-wide.
@@ -672,45 +647,9 @@ func (s *ShardedStore) ListExperiments(app string) ([]string, error) {
 // ListTrials lists trial names for an (application, experiment) pair
 // cluster-wide. With replication this usually needs only the owners, but
 // the union over all peers also finds re-routed and misplaced copies, so
-// listings agree with what GetTrial can actually fetch.
+// listings agree with what GetTrialContext can actually fetch.
 func (s *ShardedStore) ListTrials(app, experiment string) ([]string, error) {
 	return s.fanListing(context.Background(), "trials", func(b Backend) ([]string, error) {
 		return b.ListTrials(app, experiment)
 	})
-}
-
-// emitListError mirrors dmfclient: the Store listing signatures cannot
-// return transport errors, so total listing failures surface as events.
-func (s *ShardedStore) emitListError(what string, err error) {
-	if err == nil {
-		return
-	}
-	s.emit(context.Background(), obs.Event{
-		Name:  "cluster.list_error",
-		Err:   err,
-		Attrs: map[string]string{"listing": what},
-	})
-}
-
-// Applications implements perfdmf.Store; cluster-wide failures yield an
-// empty listing and a "cluster.list_error" event (use ListApplications to
-// observe the error directly).
-func (s *ShardedStore) Applications() []string {
-	out, err := s.ListApplications()
-	s.emitListError("applications", err)
-	return out
-}
-
-// Experiments implements perfdmf.Store; see Applications.
-func (s *ShardedStore) Experiments(app string) []string {
-	out, err := s.ListExperiments(app)
-	s.emitListError("experiments", err)
-	return out
-}
-
-// Trials implements perfdmf.Store; see Applications.
-func (s *ShardedStore) Trials(app, experiment string) []string {
-	out, err := s.ListTrials(app, experiment)
-	s.emitListError("trials", err)
-	return out
 }

@@ -64,8 +64,6 @@ func (f *fakeBackend) SaveContext(_ context.Context, t *perfdmf.Trial) error {
 	return nil
 }
 
-func (f *fakeBackend) Save(t *perfdmf.Trial) error { return f.SaveContext(context.Background(), t) }
-
 func (f *fakeBackend) GetTrialContext(_ context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -79,10 +77,6 @@ func (f *fakeBackend) GetTrialContext(_ context.Context, app, experiment, trial 
 	return t.Clone(), nil
 }
 
-func (f *fakeBackend) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error) {
-	return f.GetTrialContext(context.Background(), app, experiment, trial)
-}
-
 func (f *fakeBackend) DeleteContext(_ context.Context, app, experiment, trial string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -91,10 +85,6 @@ func (f *fakeBackend) DeleteContext(_ context.Context, app, experiment, trial st
 	}
 	delete(f.trials, fkey(app, experiment, trial))
 	return nil
-}
-
-func (f *fakeBackend) Delete(app, experiment, trial string) error {
-	return f.DeleteContext(context.Background(), app, experiment, trial)
 }
 
 func (f *fakeBackend) list(pick func(app, exp, trial string) (string, bool)) ([]string, error) {
@@ -125,21 +115,6 @@ func (f *fakeBackend) ListExperiments(app string) ([]string, error) {
 
 func (f *fakeBackend) ListTrials(app, experiment string) ([]string, error) {
 	return f.list(func(a, e, trial string) (string, bool) { return trial, a == app && e == experiment })
-}
-
-func (f *fakeBackend) Applications() []string {
-	out, _ := f.ListApplications()
-	return out
-}
-
-func (f *fakeBackend) Experiments(app string) []string {
-	out, _ := f.ListExperiments(app)
-	return out
-}
-
-func (f *fakeBackend) Trials(app, experiment string) []string {
-	out, _ := f.ListTrials(app, experiment)
-	return out
 }
 
 func (f *fakeBackend) ClusterRing(context.Context) (*dmfwire.Ring, error) {
@@ -184,7 +159,7 @@ func trial(app, experiment, name string) *perfdmf.Trial {
 func TestSaveReplicatesToOwners(t *testing.T) {
 	s, fakes := newTestCluster(t, testDesc())
 	tr := trial("sweep3d", "weak-scaling", "np64")
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	owners := s.Ring().Owners(tr.App, tr.Experiment)
@@ -212,7 +187,7 @@ func TestSaveReroutesAroundDeadOwner(t *testing.T) {
 	pref := s.Ring().Preference(tr.App, tr.Experiment)
 	fakes[pref[0]].setDown(true) // primary owner dies
 
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	// The surviving owner and the first successor both hold a copy: still
@@ -241,7 +216,7 @@ func TestSaveUnderReplicatedStillSucceeds(t *testing.T) {
 	fakes[pref[0]].setDown(true)
 	fakes[pref[2]].setDown(true) // only one peer survives
 
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatalf("a single surviving replica should still accept the write: %v", err)
 	}
 	if !fakes[pref[1]].has(tr.App, tr.Experiment, tr.Name) {
@@ -257,7 +232,7 @@ func TestSaveFailsWhenAllPeersDown(t *testing.T) {
 	for _, fb := range fakes {
 		fb.setDown(true)
 	}
-	err := s.Save(trial("sweep3d", "weak-scaling", "np64"))
+	err := s.SaveContext(context.Background(), trial("sweep3d", "weak-scaling", "np64"))
 	if err == nil {
 		t.Fatal("Save succeeded with every peer down")
 	}
@@ -268,7 +243,7 @@ func TestSaveFailsWhenAllPeersDown(t *testing.T) {
 
 func TestSaveRejectsInvalidTrial(t *testing.T) {
 	s, fakes := newTestCluster(t, testDesc())
-	if err := s.Save(&perfdmf.Trial{}); err == nil {
+	if err := s.SaveContext(context.Background(), &perfdmf.Trial{}); err == nil {
 		t.Fatal("Save accepted an invalid trial")
 	}
 	for peer, fb := range fakes {
@@ -281,10 +256,10 @@ func TestSaveRejectsInvalidTrial(t *testing.T) {
 func TestGetTrialReadsFromOwners(t *testing.T) {
 	s, _ := newTestCluster(t, testDesc())
 	tr := trial("gtc", "baseline", "run1")
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetTrial(tr.App, tr.Experiment, tr.Name)
+	got, err := s.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +271,12 @@ func TestGetTrialReadsFromOwners(t *testing.T) {
 func TestGetTrialSurvivesDeadOwner(t *testing.T) {
 	s, fakes := newTestCluster(t, testDesc())
 	tr := trial("gtc", "baseline", "run1")
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	owners := s.Ring().Owners(tr.App, tr.Experiment)
 	fakes[owners[0]].setDown(true)
-	got, err := s.GetTrial(tr.App, tr.Experiment, tr.Name)
+	got, err := s.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name)
 	if err != nil {
 		t.Fatalf("read should survive one dead owner at R=2: %v", err)
 	}
@@ -318,7 +293,7 @@ func TestGetTrialFallsBackToReroutedCopy(t *testing.T) {
 	// Write while the primary owner is down: copies land on pref[1] and
 	// the successor pref[2].
 	fakes[pref[0]].setDown(true)
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	// Primary comes back empty; the other owner dies. Only the re-routed
@@ -326,7 +301,7 @@ func TestGetTrialFallsBackToReroutedCopy(t *testing.T) {
 	fakes[pref[0]].setDown(false)
 	fakes[pref[1]].setDown(true)
 
-	got, err := s.GetTrial(tr.App, tr.Experiment, tr.Name)
+	got, err := s.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name)
 	if err != nil {
 		t.Fatalf("read should fall back to the re-routed copy: %v", err)
 	}
@@ -340,7 +315,7 @@ func TestGetTrialFallsBackToReroutedCopy(t *testing.T) {
 
 func TestGetTrialNotFound(t *testing.T) {
 	s, _ := newTestCluster(t, testDesc())
-	_, err := s.GetTrial("nope", "nope", "nope")
+	_, err := s.GetTrialContext(context.Background(), "nope", "nope", "nope")
 	if !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("GetTrial on an absent trial = %v, want ErrNotFound", err)
 	}
@@ -351,7 +326,7 @@ func TestGetTrialUnreachableIsNotNotFound(t *testing.T) {
 	for _, fb := range fakes {
 		fb.setDown(true)
 	}
-	_, err := s.GetTrial("nope", "nope", "nope")
+	_, err := s.GetTrialContext(context.Background(), "nope", "nope", "nope")
 	if err == nil {
 		t.Fatal("GetTrial succeeded with every peer down")
 	}
@@ -366,11 +341,11 @@ func TestDeleteRemovesEveryCopy(t *testing.T) {
 	pref := s.Ring().Preference(tr.App, tr.Experiment)
 	// Create a misplaced copy via re-routing, then revive the owner.
 	fakes[pref[0]].setDown(true)
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	fakes[pref[0]].setDown(false)
-	if err := s.Delete(tr.App, tr.Experiment, tr.Name); err != nil {
+	if err := s.DeleteContext(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil {
 		t.Fatal(err)
 	}
 	for peer, fb := range fakes {
@@ -379,7 +354,7 @@ func TestDeleteRemovesEveryCopy(t *testing.T) {
 		}
 	}
 	// Deleting an absent trial is idempotent.
-	if err := s.Delete(tr.App, tr.Experiment, tr.Name); err != nil {
+	if err := s.DeleteContext(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil {
 		t.Fatalf("repeat delete should be a no-op: %v", err)
 	}
 }
@@ -387,12 +362,12 @@ func TestDeleteRemovesEveryCopy(t *testing.T) {
 func TestDeleteReportsUnreachablePeer(t *testing.T) {
 	s, fakes := newTestCluster(t, testDesc())
 	tr := trial("gtc", "baseline", "run1")
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	owners := s.Ring().Owners(tr.App, tr.Experiment)
 	fakes[owners[0]].setDown(true)
-	if err := s.Delete(tr.App, tr.Experiment, tr.Name); err == nil {
+	if err := s.DeleteContext(context.Background(), tr.App, tr.Experiment, tr.Name); err == nil {
 		t.Fatal("Delete must fail while a copy may survive on an unreachable peer")
 	}
 }
@@ -401,11 +376,14 @@ func TestListingsUnionAcrossPeers(t *testing.T) {
 	s, fakes := newTestCluster(t, testDesc())
 	for i := 0; i < 12; i++ {
 		tr := trial(fmt.Sprintf("app%d", i%3), fmt.Sprintf("exp%d", i%4), fmt.Sprintf("t%d", i))
-		if err := s.Save(tr); err != nil {
+		if err := s.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	apps := s.Applications()
+	apps, err := s.ListApplications()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := []string{"app0", "app1", "app2"}; !reflect.DeepEqual(apps, want) {
 		t.Fatalf("Applications = %v, want %v", apps, want)
 	}
@@ -413,8 +391,8 @@ func TestListingsUnionAcrossPeers(t *testing.T) {
 	// still complete.
 	for _, fb := range fakes {
 		fb.setDown(true)
-		if got := s.Applications(); !reflect.DeepEqual(got, apps) {
-			t.Fatalf("Applications with one peer down = %v, want %v", got, apps)
+		if got, err := s.ListApplications(); err != nil || !reflect.DeepEqual(got, apps) {
+			t.Fatalf("Applications with one peer down = %v, %v, want %v", got, err, apps)
 		}
 		fb.setDown(false)
 	}
@@ -437,10 +415,6 @@ func TestListingsFailWhenAllPeersDown(t *testing.T) {
 	}
 	if _, err := s.ListApplications(); err == nil {
 		t.Fatal("ListApplications succeeded with every peer down")
-	}
-	// The Store-shaped signature degrades to an empty listing.
-	if got := s.Applications(); len(got) != 0 {
-		t.Fatalf("Applications = %v, want empty", got)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestRefreshRingDialsNewPeers(t *testing.T) {
 	if s.Backend("http://node-d:7360") == nil {
 		t.Fatal("new peer was not dialed through the factory")
 	}
-	if err := s.Save(trial("sweep3d", "weak-scaling", "np64")); err != nil {
+	if err := s.SaveContext(context.Background(), trial("sweep3d", "weak-scaling", "np64")); err != nil {
 		t.Fatalf("save after refresh: %v", err)
 	}
 }
@@ -240,7 +240,7 @@ func TestSaveLeavesHintOnReroute(t *testing.T) {
 	dead, successor := pref[0], pref[2] // R=2: owners pref[0:2], first successor pref[2]
 	fakes[dead].setDown(true)
 
-	if err := s.Save(tr); err != nil {
+	if err := s.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	if !fakes[successor].has(tr.App, tr.Experiment, tr.Name) {

@@ -106,7 +106,7 @@ func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
 	// Before any repair: a client routing by version 2 finds every trial,
 	// on an owner both versions share or by walking past the owners.
 	for _, want := range trials {
-		got, err := s.GetTrial(want.App, want.Experiment, want.Name)
+		got, err := s.GetTrialContext(context.Background(), want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("read %s/%s/%s before repair: %v", want.App, want.Experiment, want.Name, err)
 		}
@@ -139,7 +139,7 @@ func TestUpgradeFromRingV1WithoutMigration(t *testing.T) {
 	}
 	noneLost("after repair")
 	for _, tr := range trials {
-		if _, err := s.GetTrial(tr.App, tr.Experiment, tr.Name); err != nil {
+		if _, err := s.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil {
 			t.Fatalf("read %s/%s/%s after repair: %v", tr.App, tr.Experiment, tr.Name, err)
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -96,6 +98,39 @@ print(Utilities.trials("app", "exp"))
 	}
 }
 
+// failingListings is a store whose listings fail, as those of an
+// unreachable remote store or of a cluster with every peer down do.
+type failingListings struct{ *perfdmf.Repository }
+
+var errUnreachable = errors.New("store unreachable")
+
+func (failingListings) ListApplications() ([]string, error)      { return nil, errUnreachable }
+func (failingListings) ListExperiments(string) ([]string, error) { return nil, errUnreachable }
+func (failingListings) ListTrials(string, string) ([]string, error) {
+	return nil, errUnreachable
+}
+
+// TestScriptListingFailureIsAnError: a listing that fails stops the script
+// with the store's error; it never reads as an empty list.
+func TestScriptListingFailureIsAnError(t *testing.T) {
+	for _, call := range []string{
+		`Utilities.applications()`,
+		`Utilities.experiments("a")`,
+		`Utilities.trials("a", "e")`,
+	} {
+		s := NewSession(failingListings{perfdmf.NewRepository()})
+		var buf bytes.Buffer
+		s.SetOutput(&buf)
+		err := s.RunScript("print(" + call + ")")
+		if err == nil || !strings.HasSuffix(err.Error(), ": "+errUnreachable.Error()) {
+			t.Errorf("%s: RunScript = %v, want the listing's error", call, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: printed %q", call, buf.String())
+		}
+	}
+}
+
 func TestFig1ScriptEndToEnd(t *testing.T) {
 	s, buf := newTestSession(t)
 	s.Interp.SetGlobal("ruleSource", `
@@ -137,7 +172,7 @@ harness.processRules()
 
 func TestCompareEventToMainFacts(t *testing.T) {
 	s, _ := newTestSession(t)
-	trial, err := s.Repo.GetTrial("app", "exp", "t1")
+	trial, err := s.Repo.GetTrialContext(context.Background(), "app", "exp", "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +202,7 @@ func TestCompareEventToMainFacts(t *testing.T) {
 
 func TestAssertLoadBalanceFacts(t *testing.T) {
 	s, _ := newTestSession(t)
-	trial, _ := s.Repo.GetTrial("app", "exp", "t1")
+	trial, _ := s.Repo.GetTrialContext(context.Background(), "app", "exp", "t1")
 	n := s.AssertLoadBalanceFacts(trial, perfdmf.TimeMetric)
 	if n == 0 {
 		t.Fatal("no facts asserted")
@@ -255,7 +290,7 @@ Utilities.saveTrial(mean)
 	if err := s.RunScript(src); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Repo.GetTrial("app", "exp", "t1")
+	got, err := s.Repo.GetTrialContext(context.Background(), "app", "exp", "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +331,7 @@ func TestProgrammaticRuleWithSessionFacts(t *testing.T) {
 			return nil
 		},
 	})
-	trial, _ := s.Repo.GetTrial("app", "exp", "t1")
+	trial, _ := s.Repo.GetTrialContext(context.Background(), "app", "exp", "t1")
 	if err := s.CompareEventToMain(trial, "CPU_CYCLES", "hot"); err != nil {
 		t.Fatal(err)
 	}

@@ -92,23 +92,23 @@ func (s *Session) LastResult() *rules.Result { return s.lastResult }
 // Utilities reaches the profile repository.
 var Utilities = script.NewModule("Utilities",
 	Def("getTrial(app str, experiment str, trial str)", "the stored trial", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
-		t, err := perfdmf.GetTrialWithContext(in.Context(), SessionOf(in).Repo, a[0].(string), a[1].(string), a[2].(string))
+		t, err := SessionOf(in).Repo.GetTrialContext(in.Context(), a[0].(string), a[1].(string), a[2].(string))
 		if err != nil {
 			return nil, err
 		}
 		return &TrialObject{Trial: t}, nil
 	}),
 	Def("applications()", "the stored applications", func(in *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return stringList(SessionOf(in).Repo.Applications()), nil
+		return listing(SessionOf(in).Repo.ListApplications())
 	}),
 	Def("experiments(app str)", "the application's experiments", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
-		return stringList(SessionOf(in).Repo.Experiments(a[0].(string))), nil
+		return listing(SessionOf(in).Repo.ListExperiments(a[0].(string)))
 	}),
 	Def("trials(app str, experiment str)", "the experiment's trials", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
-		return stringList(SessionOf(in).Repo.Trials(a[0].(string), a[1].(string))), nil
+		return listing(SessionOf(in).Repo.ListTrials(a[0].(string), a[1].(string)))
 	}),
 	Def("saveTrial(trial trial)", "store the trial under its own application, experiment and name", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
-		return nil, perfdmf.SaveWithContext(in.Context(), SessionOf(in).Repo, TrialOf(a[0]))
+		return nil, SessionOf(in).Repo.SaveContext(in.Context(), TrialOf(a[0]))
 	}),
 )
 
@@ -274,6 +274,15 @@ func (s *Session) AssertLoadBalanceFacts(t *perfdmf.Trial, metric string) int {
 	}
 	window := perfdmf.NewColumnWindow(t.Threads, 0)
 	return NewLoadBalanceFacts(s.Engine, window, func(*perfdmf.ColumnWindow) float64 { return mainVal }).Append(samples)
+}
+
+// listing is a store listing as a script value; a listing that failed (an
+// unreachable remote store, a cluster with every peer down) fails the call.
+func listing(names []string, err error) (script.Value, error) {
+	if err != nil {
+		return nil, err
+	}
+	return stringList(names), nil
 }
 
 func stringList(xs []string) *script.List {

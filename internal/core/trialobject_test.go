@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -55,7 +56,7 @@ func TestTrialObjectErrors(t *testing.T) {
 
 func TestTrialObjectMetadataAndName(t *testing.T) {
 	s, _ := newTestSession(t)
-	trial, _ := s.Repo.GetTrial("app", "exp", "t1")
+	trial, _ := s.Repo.GetTrialContext(context.Background(), "app", "exp", "t1")
 	trial.Metadata["schedule"] = "static"
 	to := &TrialObject{Trial: trial}
 	if to.TypeName() != "Trial(t1)" {

@@ -8,6 +8,7 @@ package diagnosis
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -163,7 +164,7 @@ var validCalls = map[string]string{
 func TestScriptAPIValidCalls(t *testing.T) {
 	s, _, _ := session(t)
 	tr := genTrial(t, genidlest.OpenMP, 4, false)
-	if err := s.Repo.Save(tr); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})

@@ -2,6 +2,7 @@ package diagnosis
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,7 +99,7 @@ func TestCaseStudyA_LoadImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Repo.Save(static); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), static); err != nil {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{static.App, static.Experiment, static.Name})
@@ -133,7 +134,7 @@ func TestCaseStudyA_DynamicIsQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Repo.Save(dynamic); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), dynamic); err != nil {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{dynamic.App, dynamic.Experiment, dynamic.Name})
@@ -161,7 +162,7 @@ func genTrial(t *testing.T, mode genidlest.Mode, threads int, opt bool) *perfdmf
 func TestCaseStudyB_StallsAndInefficiency(t *testing.T) {
 	s, buf, _ := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
-	if err := s.Repo.Save(unopt); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,11 +202,11 @@ func TestCaseStudyB_LocalityAndSequentialBottleneck(t *testing.T) {
 	s, buf, _ := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
 	base := genTrial(t, genidlest.OpenMP, 1, false)
-	if err := s.Repo.Save(unopt); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
 		t.Fatal(err)
 	}
 	base.Name = "base_1"
-	if err := s.Repo.Save(base); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +236,7 @@ func TestCaseStudyB_LocalityAndSequentialBottleneck(t *testing.T) {
 func TestCaseStudyB_OptimizedIsQuieter(t *testing.T) {
 	s, buf, _ := session(t)
 	opt := genTrial(t, genidlest.OpenMP, 16, true)
-	if err := s.Repo.Save(opt); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{opt.App, opt.Experiment, opt.Name})
@@ -263,7 +264,7 @@ func TestCaseStudyC_PowerRules(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Name = lvl.String()
-		if err := s.Repo.Save(tr); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +315,7 @@ func TestSyncOverheadRule(t *testing.T) {
 		locky.SetValue("CPU_CYCLES", th, 900000, 900000)
 		locky.SetValue("OMP_CRITICAL_CYCLES", th, 360000, 360000)
 	}
-	if err := s.Repo.Save(tr); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	eng := s.Engine
@@ -355,7 +356,7 @@ func TestThreadClusterOutlierRule(t *testing.T) {
 	// isolate thread 0 and the outlier rule must name it.
 	s, buf, _ := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
-	if err := s.Repo.Save(unopt); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
 		t.Fatal(err)
 	}
 	SetArgs(s, []string{unopt.App, unopt.Experiment, unopt.Name, "2"})

@@ -11,6 +11,7 @@ package diagnosis
 // only for a deliberate change of a script, a rule file or the simulator.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -100,7 +101,7 @@ func checkGolden(t *testing.T, o diffOutcome) {
 func saveGen(t *testing.T, s *core.Session, threads int, opt bool) *perfdmf.Trial {
 	t.Helper()
 	tr := genTrial(t, genidlest.OpenMP, threads, opt)
-	if err := s.Repo.Save(tr); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -123,7 +124,7 @@ var assetScenarios = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Repo.Save(tr); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
@@ -148,7 +149,7 @@ var assetScenarios = []struct {
 		tr := saveGen(t, s, 16, false)
 		base := genTrial(t, genidlest.OpenMP, 1, false)
 		base.Name = "base_1"
-		if err := s.Repo.Save(base); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), base); err != nil {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
@@ -163,7 +164,7 @@ var assetScenarios = []struct {
 				t.Fatal(err)
 			}
 			tr.Name = lvl.String()
-			if err := s.Repo.Save(tr); err != nil {
+			if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,7 +185,7 @@ var assetScenarios = []struct {
 			locky.SetValue("CPU_CYCLES", th, 900000, 900000)
 			locky.SetValue("OMP_CRITICAL_CYCLES", th, 360000, 360000)
 		}
-		if err := s.Repo.Save(tr); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		SetArgs(s, []string{"app", "sync", "t"})

@@ -1,5 +1,5 @@
 // Package dmfclient is the Go client for the perfdmfd profile service
-// (internal/dmfserver): it mirrors the perfdmf.Repository API over HTTP —
+// (internal/dmfserver): it speaks the perfdmf.Store API over HTTP —
 // JSON for requests and listings, the repository's own encoded form
 // (dmfwire.TrialContentType) for trial bodies — so that PerfExplorer
 // sessions and command-line tools can run against a remote repository
@@ -19,14 +19,9 @@
 // and the request context's deadline. See RetryPolicy; Stats reports the
 // retry activity.
 //
-// The Store listing methods (Applications, Experiments, Trials) mirror the
-// Repository signatures and therefore cannot return transport errors; the
-// error-returning ListApplications/ListExperiments/ListTrials variants are
-// the API for callers that need to distinguish "empty" from "unreachable".
-// When a signature-constrained listing does fail, the failure is published
-// as an obs.Event on the client's tracer (see WithTracer and
-// obs.Tracer.OnEvent), so embedders can observe swallowed errors without a
-// mutable last-error slot.
+// The listings (ListApplications, ListExperiments, ListTrials) return the
+// transport error, so a caller can tell an empty repository from an
+// unreachable one.
 //
 // The client is observable end to end: every HTTP attempt runs under an
 // obs span (retries appear as sibling spans) whose context is injected
@@ -66,8 +61,8 @@ type Client struct {
 	http  *http.Client
 	retry RetryPolicy
 
-	// tracer receives request spans and swallowed-listing events when the
-	// caller's context carries no tracer of its own.
+	// tracer receives request spans when the caller's context carries no
+	// tracer of its own.
 	tracer *obs.Tracer
 	// reg holds the client's counters; private by default, shared when
 	// installed with WithRegistry.
@@ -86,7 +81,7 @@ type Option func(*Client)
 
 // WithTimeout sets the per-request timeout (default 60s). With retries
 // enabled this bounds each attempt; bound the whole operation with a
-// context deadline on the *Context call variants.
+// deadline on the call's context.
 func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.http.Timeout = d }
 }
@@ -99,8 +94,7 @@ func WithTransport(rt http.RoundTripper) Option {
 }
 
 // WithTracer installs the tracer used when a call's context does not carry
-// one: every HTTP attempt records a span (retries as siblings) and
-// swallowed listing errors surface as events on tr (see obs.Tracer.OnEvent).
+// one: every HTTP attempt records a span (retries as siblings).
 func WithTracer(tr *obs.Tracer) Option {
 	return func(c *Client) { c.tracer = tr }
 }
@@ -163,17 +157,10 @@ func newTransport() http.RoundTripper {
 	return tr
 }
 
-var (
-	_ perfdmf.Store        = (*Client)(nil)
-	_ perfdmf.ContextStore = (*Client)(nil)
-)
+var _ perfdmf.Store = (*Client)(nil)
 
 // BaseURL reports the server address this client talks to.
 func (c *Client) BaseURL() string { return c.base.String() }
-
-// Tracer returns the tracer installed with WithTracer (nil without one) —
-// register event observers on it with OnEvent.
-func (c *Client) Tracer() *obs.Tracer { return c.tracer }
 
 // traceCtx gives the call a tracer: the context's own when present, else
 // the client's (from WithTracer), else none (spans no-op).
@@ -182,18 +169,6 @@ func (c *Client) traceCtx(ctx context.Context) context.Context {
 		ctx = obs.ContextWithTracer(ctx, c.tracer)
 	}
 	return ctx
-}
-
-// emit publishes a client event to the context's tracer or the client's
-// own; without either it is dropped.
-func (c *Client) emit(ctx context.Context, ev obs.Event) {
-	tr := obs.TracerFrom(ctx)
-	if tr == nil {
-		tr = c.tracer
-	}
-	if tr != nil {
-		tr.Emit(ev)
-	}
 }
 
 // --- transport --------------------------------------------------------
@@ -476,15 +451,10 @@ func coordQuery(app, experiment, trial string) url.Values {
 
 // --- perfdmf.Store ----------------------------------------------------
 
-// Save uploads the trial in its encoded form (dmfwire.TrialContentType).
-// The upload carries an idempotency key, so a retry after a lost response
-// stores it exactly once.
-func (c *Client) Save(t *perfdmf.Trial) error {
-	return c.SaveContext(context.Background(), t)
-}
-
-// SaveContext is Save bounded by ctx (deadline and cancellation cover the
-// whole retry loop, not just one attempt).
+// SaveContext uploads the trial in its encoded form
+// (dmfwire.TrialContentType). The upload carries an idempotency key, so a
+// retry after a lost response stores it exactly once; ctx's deadline and
+// cancellation cover the whole retry loop, not just one attempt.
 func (c *Client) SaveContext(ctx context.Context, t *perfdmf.Trial) error {
 	return c.saveEncoded(ctx, t, "")
 }
@@ -515,16 +485,11 @@ func (c *Client) postTrial(ctx context.Context, body []byte, hintFor string) err
 	return c.doCtx(ctx, req, nil)
 }
 
-// GetTrial fetches one trial. The returned trial is a private copy by
-// construction (it was decoded off the wire).
-func (c *Client) GetTrial(app, experiment, trial string) (*perfdmf.Trial, error) {
-	return c.GetTrialContext(context.Background(), app, experiment, trial)
-}
-
-// GetTrialContext is GetTrial bounded by ctx. It speaks the resource-style
-// route (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}). It asks for
-// the trial's encoded form and decodes whatever the daemon answers with,
-// so it still reads a JSON-only daemon.
+// GetTrialContext fetches one trial on the resource-style route
+// (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}). The returned
+// trial is a private copy by construction (it was decoded off the wire).
+// It asks for the trial's encoded form and decodes whatever the daemon
+// answers with, so it still reads a JSON-only daemon.
 func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
 	if err := requireCoords("get trial", app, experiment, trial); err != nil {
 		return nil, err
@@ -541,12 +506,8 @@ func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial str
 	return t, nil
 }
 
-// Delete removes a trial from the remote repository.
-func (c *Client) Delete(app, experiment, trial string) error {
-	return c.DeleteContext(context.Background(), app, experiment, trial)
-}
-
-// DeleteContext is Delete bounded by ctx, on the resource-style route.
+// DeleteContext removes a trial from the remote repository, on the
+// resource-style route.
 func (c *Client) DeleteContext(ctx context.Context, app, experiment, trial string) error {
 	if err := requireCoords("delete trial", app, experiment, trial); err != nil {
 		return err
@@ -569,44 +530,6 @@ func (c *Client) ListExperiments(app string) ([]string, error) {
 // transport errors.
 func (c *Client) ListTrials(app, experiment string) ([]string, error) {
 	return c.list("trials", request{route: dmfwire.ListTrials, query: coordQuery(app, experiment, "")})
-}
-
-// emitListError publishes a swallowed listing failure as an event, so
-// observers registered on the tracer (obs.Tracer.OnEvent) can tell a
-// genuinely empty repository from a mid-session outage. Callers that need
-// the error in-band use the List* variants instead.
-func (c *Client) emitListError(what string, err error) {
-	if err == nil {
-		return
-	}
-	c.emit(context.Background(), obs.Event{
-		Name:  "dmfclient.list_error",
-		Err:   err,
-		Attrs: map[string]string{"listing": what},
-	})
-}
-
-// Applications implements perfdmf.Store; transport failures yield an empty
-// listing and are published as events on the client's tracer (use
-// ListApplications to observe the error directly).
-func (c *Client) Applications() []string {
-	out, err := c.ListApplications()
-	c.emitListError("applications", err)
-	return out
-}
-
-// Experiments implements perfdmf.Store; see Applications.
-func (c *Client) Experiments(app string) []string {
-	out, err := c.ListExperiments(app)
-	c.emitListError("experiments", err)
-	return out
-}
-
-// Trials implements perfdmf.Store; see Applications.
-func (c *Client) Trials(app, experiment string) []string {
-	out, err := c.ListTrials(app, experiment)
-	c.emitListError("trials", err)
-	return out
 }
 
 // --- uploads beyond native JSON ---------------------------------------
@@ -668,26 +591,16 @@ func (c *Client) UploadTAU(files map[string]string, app, experiment, trial strin
 
 // --- analysis and diagnosis -------------------------------------------
 
-// Analyze runs one server-side analysis operation.
-func (c *Client) Analyze(req dmfwire.AnalyzeRequest) (*dmfwire.AnalyzeResponse, error) {
-	return c.AnalyzeContext(context.Background(), req)
-}
-
-// AnalyzeContext is Analyze bounded by ctx. Analysis of a stored trial is
-// read-only server-side, so it retries like a GET.
+// AnalyzeContext runs one server-side analysis operation. Analysis of a
+// stored trial is read-only server-side, so it retries like a GET.
 func (c *Client) AnalyzeContext(ctx context.Context, req dmfwire.AnalyzeRequest) (*dmfwire.AnalyzeResponse, error) {
 	return fetch[dmfwire.AnalyzeResponse](ctx, c, request{route: dmfwire.Analyze, in: req})
 }
 
-// Diagnose runs a diagnosis script server-side. The response's Stdout is
-// byte-identical to the output of the same script run in-process against
-// the same repository state.
-func (c *Client) Diagnose(req dmfwire.DiagnoseRequest) (*dmfwire.DiagnoseResponse, error) {
-	return c.DiagnoseContext(context.Background(), req)
-}
-
-// DiagnoseContext is Diagnose bounded by ctx. Diagnosis scripts read the
-// repository and return text, so like Analyze they retry automatically.
+// DiagnoseContext runs a diagnosis script server-side. The response's
+// Stdout is byte-identical to the output of the same script run in-process
+// against the same repository state. Diagnosis scripts read the repository
+// and return text, so like AnalyzeContext it retries automatically.
 func (c *Client) DiagnoseContext(ctx context.Context, req dmfwire.DiagnoseRequest) (*dmfwire.DiagnoseResponse, error) {
 	return fetch[dmfwire.DiagnoseResponse](ctx, c, request{route: dmfwire.Diagnose, in: req})
 }
@@ -714,15 +627,10 @@ func (c *Client) Metrics() (*dmfwire.Metrics, error) {
 	return fetch[dmfwire.Metrics](context.Background(), c, request{route: dmfwire.GetMetrics})
 }
 
-// Fsck asks the server to run a full consistency scan of its repository
-// (GET /api/v1/fsck) and returns the report: readable trials, legacy-
-// format trials, quarantined files, recovered temp files, scan errors and
-// whether the store is in read-only degraded mode.
-func (c *Client) Fsck() (*dmfwire.FsckReport, error) {
-	return c.FsckContext(context.Background())
-}
-
-// FsckContext is Fsck bounded by ctx.
+// FsckContext asks the server to run a full consistency scan of its
+// repository (GET /api/v1/fsck) and returns the report: readable trials,
+// legacy-format trials, quarantined files, recovered temp files, scan
+// errors and whether the store is in read-only degraded mode.
 func (c *Client) FsckContext(ctx context.Context) (*dmfwire.FsckReport, error) {
 	return fetch[dmfwire.FsckReport](ctx, c, request{route: dmfwire.RunFsck})
 }
@@ -736,15 +644,10 @@ func (c *Client) Traces() ([]obs.TraceSummary, error) {
 	return resp.Traces, nil
 }
 
-// Trace fetches one completed trace by id (GET /api/v1/traces/{id}).
-// Unknown ids wrap perfdmf.ErrNotFound.
-func (c *Client) Trace(id string) (obs.Trace, error) {
-	return c.TraceContext(context.Background(), id)
-}
-
-// TraceContext is Trace bounded by ctx. Pass an untraced context when
-// collecting a trace you are about to export, or the fetch itself will
-// grow the tree it is fetching.
+// TraceContext fetches one completed trace by id (GET
+// /api/v1/traces/{id}). Unknown ids wrap perfdmf.ErrNotFound. Pass an
+// untraced context when collecting a trace you are about to export, or the
+// fetch itself will grow the tree it is fetching.
 func (c *Client) TraceContext(ctx context.Context, id string) (obs.Trace, error) {
 	var tr obs.Trace
 	err := c.doCtx(ctx, request{route: dmfwire.GetTrace, args: []string{id}}, &tr)

@@ -13,11 +13,9 @@ import (
 	"perfknow/internal/perfdmf"
 )
 
-// TestListingFailuresEmitEvents: the Store listing methods cannot return
-// errors, so a failing transport must surface as a dmfclient.list_error
-// event on the client's tracer — and the error-returning List* variants
-// must report the same failure in-band.
-func TestListingFailuresEmitEvents(t *testing.T) {
+// TestListingFailuresAreReturned: a failing transport surfaces in-band from
+// the listings, and a listing after recovery succeeds again.
+func TestListingFailuresAreReturned(t *testing.T) {
 	var fail atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fail.Load() {
@@ -29,57 +27,20 @@ func TestListingFailuresEmitEvents(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	tracer := obs.NewTracer()
-	var (
-		mu     sync.Mutex
-		events []obs.Event
-	)
-	tracer.OnEvent(func(ev obs.Event) {
-		if ev.Name != "dmfclient.list_error" {
-			return
-		}
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-
-	c, err := New(ts.URL, WithTracer(tracer), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	c, err := New(ts.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if apps := c.Applications(); len(apps) != 1 {
-		t.Fatalf("applications = %v", apps)
-	}
-	mu.Lock()
-	n := len(events)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatalf("events after success = %d, want 0", n)
+	if apps, err := c.ListApplications(); err != nil || len(apps) != 1 {
+		t.Fatalf("applications = %v, %v", apps, err)
 	}
 
 	fail.Store(true)
-	if apps := c.Applications(); len(apps) != 0 {
-		t.Fatalf("failing listing returned %v", apps)
-	}
-	if trials := c.Trials("a", "e"); len(trials) != 0 {
-		t.Fatalf("failing listing returned %v", trials)
-	}
-	mu.Lock()
-	got := append([]obs.Event(nil), events...)
-	mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("events after two failing listings = %d, want 2", len(got))
-	}
-	if got[0].Attrs["listing"] != "applications" || got[0].Err == nil {
-		t.Fatalf("first event = %+v", got[0])
-	}
-	if got[1].Attrs["listing"] != "trials" {
-		t.Fatalf("second event = %+v", got[1])
-	}
-
-	// The same failure is available in-band through the List* variants.
 	if _, err := c.ListApplications(); err == nil {
 		t.Fatal("ListApplications swallowed the transport error")
+	}
+	if _, err := c.ListTrials("a", "e"); err == nil {
+		t.Fatal("ListTrials swallowed the transport error")
 	}
 	fail.Store(false)
 	if _, err := c.ListExperiments("a"); err != nil {
@@ -99,7 +60,7 @@ func TestNotFoundSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.GetTrial("a", "e", "t")
+	_, err = c.GetTrialContext(context.Background(), "a", "e", "t")
 	if !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("remote 404 does not wrap perfdmf.ErrNotFound: %v", err)
 	}
@@ -167,9 +128,9 @@ func TestListingConcurrentAccess(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					fail.Store(j%2 == 0)
-					_ = c.Applications()
+					_, _ = c.ListApplications()
 				case 1:
-					_ = c.Experiments("a")
+					_, _ = c.ListExperiments("a")
 				default:
 					_ = c.Stats()
 				}

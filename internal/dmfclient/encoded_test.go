@@ -107,7 +107,7 @@ func TestGetTrialReadsJSONOnlyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.GetTrial("a", "e", "t")
+	got, err := c.GetTrialContext(context.Background(), "a", "e", "t")
 	if err != nil {
 		t.Fatalf("get from a JSON-only server: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestGarbledEncodedBodyIsATransportFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.GetTrial("a", "e", "t")
+		got, err := c.GetTrialContext(context.Background(), "a", "e", "t")
 		ts.Close()
 		if heal {
 			if err != nil || got.Name != "t" {

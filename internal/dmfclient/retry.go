@@ -43,35 +43,9 @@ func DefaultRetryPolicy() RetryPolicy {
 
 // WithRetryPolicy overrides the client's retry behavior wholesale. Zero
 // fields fall back to the defaults; set MaxAttempts to 1 to disable
-// retries entirely. The granular WithMaxAttempts/WithBackoff/WithRetrySeed
-// options compose with it in application order.
+// retries entirely.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p.withDefaults() }
-}
-
-// WithMaxAttempts bounds total tries including the first (1 disables
-// retries).
-func WithMaxAttempts(n int) Option {
-	return func(c *Client) {
-		c.retry.MaxAttempts = n
-		c.retry = c.retry.withDefaults()
-	}
-}
-
-// WithBackoff sets the exponential backoff's base delay and per-step cap
-// (zero values keep the defaults: 50ms and 2s).
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Client) {
-		c.retry.BaseDelay = base
-		c.retry.MaxDelay = max
-		c.retry = c.retry.withDefaults()
-	}
-}
-
-// WithRetrySeed seeds the deterministic retry jitter, decorrelating retry
-// storms across clients while keeping each client's schedule reproducible.
-func WithRetrySeed(seed uint64) Option {
-	return func(c *Client) { c.retry.Seed = seed }
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {

@@ -63,7 +63,7 @@ func TestRetryStatusTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = c.Delete("a", "e", "t")
+			err = c.DeleteContext(context.Background(), "a", "e", "t")
 			if err == nil {
 				t.Fatal("expected error")
 			}
@@ -176,10 +176,10 @@ func TestUploadRetryKeepsIdempotencyKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(minimalTrial()); err != nil {
+	if err := c.SaveContext(context.Background(), minimalTrial()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(minimalTrial()); err != nil {
+	if err := c.SaveContext(context.Background(), minimalTrial()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package dmfserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -73,7 +74,7 @@ func TestFsckEndpoint(t *testing.T) {
 	}
 	_, ts, c := durabilityService(t, root, vfs.OS{})
 
-	rep, err := c.Fsck()
+	rep, err := c.FsckContext(context.Background())
 	if err != nil {
 		t.Fatalf("fsck on clean store: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestFsckEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err = c.Fsck()
+	rep, err = c.FsckContext(context.Background())
 	if err != nil {
 		t.Fatalf("fsck on damaged store: %v", err)
 	}
@@ -120,7 +121,7 @@ func TestFsckEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("corrupt trial GET = %d, want 404", resp.StatusCode)
 	}
-	if _, err := c.GetTrial("app", "exp", "good"); err != nil {
+	if _, err := c.GetTrialContext(context.Background(), "app", "exp", "good"); err != nil {
 		t.Fatalf("sibling trial unreadable beside corrupt one: %v", err)
 	}
 
@@ -174,7 +175,7 @@ func TestReadOnlyDegradedService(t *testing.T) {
 	}
 
 	// Reads keep working; readiness reports the degradation.
-	if _, err := c.GetTrial("app", "exp", "t1"); err != nil {
+	if _, err := c.GetTrialContext(context.Background(), "app", "exp", "t1"); err != nil {
 		t.Fatalf("read during read-only mode: %v", err)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -203,14 +204,14 @@ func TestReadOnlyDegradedService(t *testing.T) {
 
 	// Free the space; fsck's write probe clears the mode end to end.
 	f.Clear()
-	rep, err := c.Fsck()
+	rep, err := c.FsckContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ReadOnly {
 		t.Fatalf("fsck did not clear read-only mode: %+v", rep)
 	}
-	if err := c.Save(flatTrial("app", "exp", "t4")); err != nil {
+	if err := c.SaveContext(context.Background(), flatTrial("app", "exp", "t4")); err != nil {
 		t.Fatalf("save after recovery: %v", err)
 	}
 	if err := c.Health(); err != nil {

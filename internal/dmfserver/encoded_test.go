@@ -256,7 +256,7 @@ func TestWireDifferential(t *testing.T) {
 		}
 		// Upload: the encoded form through the client; JSON by hand, as
 		// curl or a pre-upgrade client would. JSON cannot carry NaN/Inf.
-		if err := viaEncoded.c.Save(tr); err != nil {
+		if err := viaEncoded.c.SaveContext(context.Background(), tr); err != nil {
 			t.Fatalf("trial %d: encoded upload: %v", i, err)
 		}
 		services := []*encodedService{viaEncoded}
@@ -277,7 +277,7 @@ func TestWireDifferential(t *testing.T) {
 		for _, s := range services {
 			// Get, encoded: through the client, and the raw body must be
 			// the stored file itself.
-			got, err := s.c.GetTrial(tr.App, tr.Experiment, tr.Name)
+			got, err := s.c.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name)
 			if err != nil {
 				t.Fatalf("trial %d: encoded get: %v", i, err)
 			}
@@ -345,7 +345,7 @@ func TestWholeUploadsAndSealedStreamStoreSameBytes(t *testing.T) {
 	if status, _, resp := viaJSON.request(t, "POST", "/api/v1/trials", nil, body); status != http.StatusCreated {
 		t.Fatalf("JSON upload: HTTP %d: %s", status, resp)
 	}
-	if err := viaEncoded.c.Save(tr); err != nil {
+	if err := viaEncoded.c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -380,7 +380,7 @@ func TestJSONGetOfNonFiniteTrialIs500(t *testing.T) {
 	tr := stallTrial("app", "exp", "nan")
 	tr.Event("hot").Exclusive[perfdmf.TimeMetric][0] = math.Float64frombits(0x7ff8_0000_0000_1234)
 	tr.Event("hot").Inclusive[perfdmf.TimeMetric][1] = math.Inf(-1)
-	if err := s.c.Save(tr); err != nil {
+	if err := s.c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	status, _, body := s.request(t, "GET", trialURL(tr), nil, nil)
@@ -388,7 +388,7 @@ func TestJSONGetOfNonFiniteTrialIs500(t *testing.T) {
 	if status != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "unsupported value") {
 		t.Fatalf("JSON get of a trial holding NaN: HTTP %d, body %q; want 500 naming the unsupported value", status, body)
 	}
-	got, err := s.c.GetTrial("app", "exp", "nan")
+	got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "nan")
 	if err != nil {
 		t.Fatalf("encoded get of the same trial: %v", err)
 	}
@@ -479,7 +479,7 @@ func TestPreviousColumnarUploadIsStoredReencoded(t *testing.T) {
 	if got := files["app/exp/t1.json"]; len(files) != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("stored %d files; app/exp/t1.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
 	}
-	if got, err := s.c.GetTrial("app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
+	if got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
 		t.Fatalf("trial uploaded as %%PDMFCOL2 reads back differently (err=%v)", err)
 	}
 }
@@ -662,7 +662,7 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 		if err := s.repo.Save(tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.c.GetTrial("app", "exp", "t1")
+		got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1")
 		if err != nil {
 			t.Fatalf("get under truncate, truncate, slow body: %v", err)
 		}
@@ -685,7 +685,7 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40; i++ {
-			got, err := s.c.GetTrial("app", "exp", "t1")
+			got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1")
 			if err != nil {
 				t.Fatalf("get %d: %v", i, err)
 			}
@@ -709,7 +709,7 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 		if err := s.repo.Save(tr); err != nil {
 			t.Fatal(err)
 		}
-		_, err := s.c.GetTrial("app", "exp", "t1")
+		_, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1")
 		if err == nil || errors.Is(err, perfdmf.ErrCorrupt) || errors.Is(err, perfdmf.ErrNotFound) {
 			t.Fatalf("get with every response cut: %v; want a transport error", err)
 		}
@@ -765,7 +765,7 @@ func TestLegacyFilesThroughService(t *testing.T) {
 	if data, _ := os.ReadFile(file); !bytes.Equal(data, col2) {
 		t.Fatal("a read rewrote the legacy file")
 	}
-	if err := s.c.Save(want); err != nil {
+	if err := s.c.SaveContext(context.Background(), want); err != nil {
 		t.Fatal(err)
 	}
 	if data, _ := os.ReadFile(file); !bytes.Equal(data, canon) {
@@ -783,7 +783,7 @@ func TestLegacyFilesThroughService(t *testing.T) {
 			t.Errorf("%s: not set aside byte for byte: %v", name, err)
 		}
 	}
-	rep, err := s.c.Fsck()
+	rep, err := s.c.FsckContext(context.Background())
 	if err != nil || rep.Trials != 1 || rep.Legacy != 0 || len(rep.Quarantined) != 2 || rep.Clean() {
 		t.Fatalf("fsck = %+v, %v; want 1 trial, none legacy, the two JSON files quarantined", rep, err)
 	}
@@ -794,7 +794,7 @@ func TestLegacyFilesThroughService(t *testing.T) {
 func TestTrialContentNegotiation(t *testing.T) {
 	s := newEncodedService(t, Config{})
 	tr := stallTrial("app", "exp", "t1")
-	if err := s.c.Save(tr); err != nil {
+	if err := s.c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	encoded := func(accept string) bool {

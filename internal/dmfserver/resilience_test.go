@@ -1,6 +1,7 @@
 package dmfserver
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -64,7 +65,7 @@ func TestUploadExactlyOnceUnderRetry(t *testing.T) {
 			BaseDelay:   time.Millisecond,
 		}))
 
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatalf("upload did not converge: %v", err)
 	}
 	if !truncated {
@@ -111,10 +112,10 @@ type clientRun struct {
 // results for comparison.
 func runWorkload(c *dmfclient.Client, trial string) (clientRun, error) {
 	var out clientRun
-	if err := c.Save(stallTrial("chaos", "exp", trial)); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("chaos", "exp", trial)); err != nil {
 		return out, fmt.Errorf("save: %w", err)
 	}
-	sum, err := c.GetTrial("chaos", "exp", trial)
+	sum, err := c.GetTrialContext(context.Background(), "chaos", "exp", trial)
 	if err != nil {
 		return out, fmt.Errorf("get: %w", err)
 	}
@@ -124,7 +125,7 @@ func runWorkload(c *dmfclient.Client, trial string) (clientRun, error) {
 	}
 	out.upload = string(b)
 
-	stats, err := c.Analyze(AnalyzeRequest{
+	stats, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{
 		App: "chaos", Experiment: "exp", Trial: trial,
 		Op: "stats", Metric: perfdmf.TimeMetric,
 	})
@@ -136,7 +137,7 @@ func runWorkload(c *dmfclient.Client, trial string) (clientRun, error) {
 	}
 	out.stats = string(b)
 
-	topn, err := c.Analyze(AnalyzeRequest{
+	topn, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{
 		App: "chaos", Experiment: "exp", Trial: trial,
 		Op: "topn", Metric: perfdmf.TimeMetric, N: 2,
 	})
@@ -148,7 +149,7 @@ func runWorkload(c *dmfclient.Client, trial string) (clientRun, error) {
 	}
 	out.topn = string(b)
 
-	diag, err := c.Diagnose(DiagnoseRequest{
+	diag, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{
 		Script: "stalls_per_cycle",
 		Args:   []string{"chaos", "exp", trial},
 	})

@@ -60,7 +60,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // 404.
 func TestResourceTrialRouteGolden(t *testing.T) {
 	ts, c := rawService(t)
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,10 +96,10 @@ func TestResourceTrialRouteGolden(t *testing.T) {
 
 func TestResourceListings(t *testing.T) {
 	ts, c := rawService(t)
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(stallTrial("app", "exp", "t2")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,10 +141,10 @@ func TestResourceListings(t *testing.T) {
 // retired query-param route answers 404 and deletes nothing.
 func TestResourceTrialDelete(t *testing.T) {
 	ts, c := rawService(t)
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(stallTrial("app", "exp", "t2")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +157,7 @@ func TestResourceTrialDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resource delete status = %d", resp.StatusCode)
 	}
-	if _, err := c.GetTrial("app", "exp", "t1"); !errors.Is(err, perfdmf.ErrNotFound) {
+	if _, err := c.GetTrialContext(context.Background(), "app", "exp", "t1"); !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("t1 still present: %v", err)
 	}
 
@@ -170,7 +170,7 @@ func TestResourceTrialDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("retired query-param delete status = %d, want 404", resp.StatusCode)
 	}
-	if _, err := c.GetTrial("app", "exp", "t2"); err != nil {
+	if _, err := c.GetTrialContext(context.Background(), "app", "exp", "t2"); err != nil {
 		t.Fatalf("t2 deleted through a retired route: %v", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestResourceRouteEscaping(t *testing.T) {
 	_, c := rawService(t)
 	ctx := context.Background()
 	tr := stallTrial("my app", "exp one", "trial/1")
-	if err := c.Save(tr); err != nil {
+	if err := c.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetTrialContext(ctx, "my app", "exp one", "trial/1")

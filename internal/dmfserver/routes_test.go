@@ -2,6 +2,7 @@ package dmfserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,7 +45,7 @@ func do(t *testing.T, method, url string, hdr map[string]string, body []byte) (i
 func TestRoutesServed(t *testing.T) {
 	ts, c := rawService(t)
 	values := map[string]string{"app": "a/b", "exp": "50% c", "trial": "ü t", "id": "x/y %z ü"}
-	if err := c.Save(stallTrial(values["app"], values["exp"], values["trial"])); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial(values["app"], values["exp"], values["trial"])); err != nil {
 		t.Fatal(err)
 	}
 	wildcard := regexp.MustCompile(`\{(\w+)\}`)
@@ -92,7 +93,7 @@ func TestRoutesServed(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.GetTrial(values["app"], values["exp"], values["trial"]); err == nil {
+	if _, err := c.GetTrialContext(context.Background(), values["app"], values["exp"], values["trial"]); err == nil {
 		t.Errorf("%s left the trial in place", dmfwire.DeleteTrial)
 	}
 

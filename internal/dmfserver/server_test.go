@@ -79,10 +79,10 @@ func stallTrial(app, experiment, name string) *perfdmf.Trial {
 func TestRemoteDiagnosisByteIdentical(t *testing.T) {
 	_, c := newService(t, Config{})
 
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
-	remote, err := c.Diagnose(DiagnoseRequest{
+	remote, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{
 		Script: "stalls_per_cycle",
 		Args:   []string{"app", "exp", "t1"},
 	})
@@ -132,10 +132,10 @@ func TestRemoteDiagnosisByteIdentical(t *testing.T) {
 
 func TestDiagnoseInlineSource(t *testing.T) {
 	_, c := newService(t, Config{})
-	if err := c.Save(stallTrial("a", "e", "t")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("a", "e", "t")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Diagnose(DiagnoseRequest{
+	resp, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{
 		Source: `print("trials: " + str(len(Utilities.trials(args[0], args[1]))))`,
 		Args:   []string{"a", "e"},
 	})
@@ -149,13 +149,13 @@ func TestDiagnoseInlineSource(t *testing.T) {
 
 func TestDiagnoseValidation(t *testing.T) {
 	_, c := newService(t, Config{})
-	if _, err := c.Diagnose(DiagnoseRequest{}); err == nil {
+	if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{}); err == nil {
 		t.Fatal("empty diagnose request must fail")
 	}
-	if _, err := c.Diagnose(DiagnoseRequest{Script: "nope"}); err == nil {
+	if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Script: "nope"}); err == nil {
 		t.Fatal("unknown script must fail")
 	}
-	if _, err := c.Diagnose(DiagnoseRequest{Script: "load_balance", Source: "x = 1"}); err == nil {
+	if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Script: "load_balance", Source: "x = 1"}); err == nil {
 		t.Fatal("script+source together must fail")
 	}
 }
@@ -166,7 +166,7 @@ func TestDiagnoseValidation(t *testing.T) {
 // panic dropped the connection.
 func TestDiagnoseNegativeCountIsAnError(t *testing.T) {
 	_, ts, c := durabilityService(t, t.TempDir(), vfs.OS{})
-	if err := c.Save(stallTrial("a", "e", "t")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("a", "e", "t")); err != nil {
 		t.Fatal(err)
 	}
 	body := `{"source": "Utilities.getTrial(\"a\", \"e\", \"t\").topN(\"TIME\", -1)"}`
@@ -193,7 +193,7 @@ func TestUploadFormats(t *testing.T) {
 	_, c := newService(t, Config{})
 
 	// Native JSON.
-	if err := c.Save(stallTrial("japp", "jexp", "jt")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("japp", "jexp", "jt")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +235,7 @@ Each sample counts as 0.01 seconds.
 	if fmt.Sprint(apps) != "[gapp japp tapp]" {
 		t.Fatalf("applications = %v", apps)
 	}
-	got, err := c.GetTrial("tapp", "texp", "tt")
+	got, err := c.GetTrialContext(context.Background(), "tapp", "texp", "tt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,43 +261,43 @@ func TestUploadRejectsBadInput(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("trial should be invalid")
 	}
-	if err := c.Save(bad); err == nil {
+	if err := c.SaveContext(context.Background(), bad); err == nil {
 		t.Fatal("invalid trial must be rejected")
 	}
 }
 
 func TestBrowseAndDelete(t *testing.T) {
 	_, c := newService(t, Config{})
-	if err := c.Save(stallTrial("my app", "exp one", "trial 1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("my app", "exp one", "trial 1")); err != nil {
 		t.Fatal(err)
 	}
-	if exps := c.Experiments("my app"); len(exps) != 1 || exps[0] != "exp one" {
-		t.Fatalf("experiments = %v", exps)
+	if exps, err := c.ListExperiments("my app"); err != nil || len(exps) != 1 || exps[0] != "exp one" {
+		t.Fatalf("experiments = %v, %v", exps, err)
 	}
-	if trials := c.Trials("my app", "exp one"); len(trials) != 1 || trials[0] != "trial 1" {
-		t.Fatalf("trials = %v", trials)
+	if trials, err := c.ListTrials("my app", "exp one"); err != nil || len(trials) != 1 || trials[0] != "trial 1" {
+		t.Fatalf("trials = %v, %v", trials, err)
 	}
-	if err := c.Delete("my app", "exp one", "trial 1"); err != nil {
+	if err := c.DeleteContext(context.Background(), "my app", "exp one", "trial 1"); err != nil {
 		t.Fatal(err)
 	}
-	if apps := c.Applications(); len(apps) != 0 {
-		t.Fatalf("applications after delete = %v", apps)
+	if apps, err := c.ListApplications(); err != nil || len(apps) != 0 {
+		t.Fatalf("applications after delete = %v, %v", apps, err)
 	}
-	if _, err := c.GetTrial("my app", "exp one", "trial 1"); err == nil {
+	if _, err := c.GetTrialContext(context.Background(), "my app", "exp one", "trial 1"); err == nil {
 		t.Fatal("deleted trial still fetchable")
 	}
-	if !strings.Contains(fmt.Sprint(c.Delete("my app", "exp one", "trial 1")), "<nil>") {
+	if !strings.Contains(fmt.Sprint(c.DeleteContext(context.Background(), "my app", "exp one", "trial 1")), "<nil>") {
 		t.Fatal("double delete should be idempotent")
 	}
 }
 
 func TestAnalyzeOperations(t *testing.T) {
 	_, c := newService(t, Config{})
-	if err := c.Save(stallTrial("a", "e", "t")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("a", "e", "t")); err != nil {
 		t.Fatal(err)
 	}
 
-	stats, err := c.Analyze(AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "stats", Metric: perfdmf.TimeMetric})
+	stats, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "stats", Metric: perfdmf.TimeMetric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAnalyzeOperations(t *testing.T) {
 		t.Fatalf("stats = %+v", stats.Stats)
 	}
 
-	derived, err := c.Analyze(AnalyzeRequest{
+	derived, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{
 		App: "a", Experiment: "e", Trial: "t",
 		Op: "derive", Lhs: "BACK_END_BUBBLE_ALL", Rhs: "CPU_CYCLES", Operator: "/",
 	})
@@ -319,7 +319,7 @@ func TestAnalyzeOperations(t *testing.T) {
 		t.Fatal("derived trial lacks the derived metric")
 	}
 
-	clust, err := c.Analyze(AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "cluster", Metric: perfdmf.TimeMetric, K: 2})
+	clust, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "cluster", Metric: perfdmf.TimeMetric, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestAnalyzeOperations(t *testing.T) {
 		t.Fatalf("cluster = %+v", clust)
 	}
 
-	top, err := c.Analyze(AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "topn", Metric: perfdmf.TimeMetric, N: 1})
+	top, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "topn", Metric: perfdmf.TimeMetric, N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAnalyzeOperations(t *testing.T) {
 		t.Fatalf("topn = %v", top.Events)
 	}
 
-	lb, err := c.Analyze(AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "loadbalance", Metric: perfdmf.TimeMetric})
+	lb, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "loadbalance", Metric: perfdmf.TimeMetric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +343,10 @@ func TestAnalyzeOperations(t *testing.T) {
 		t.Fatal("loadbalance empty")
 	}
 
-	if _, err := c.Analyze(AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "nope"}); err == nil {
+	if _, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "a", Experiment: "e", Trial: "t", Op: "nope"}); err == nil {
 		t.Fatal("unknown op must fail")
 	}
-	if _, err := c.Analyze(AnalyzeRequest{App: "missing", Experiment: "e", Trial: "t", Op: "stats"}); err == nil {
+	if _, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{App: "missing", Experiment: "e", Trial: "t", Op: "stats"}); err == nil {
 		t.Fatal("missing trial must fail")
 	}
 }
@@ -356,10 +356,10 @@ func TestHealthAndMetrics(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(stallTrial("a", "e", "t")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("a", "e", "t")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetTrial("a", "e", "t"); err != nil {
+	if _, err := c.GetTrialContext(context.Background(), "a", "e", "t"); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := c.Metrics()
@@ -449,7 +449,7 @@ func TestMaxBodyEnforced(t *testing.T) {
 			e.SetValue(perfdmf.TimeMetric, th, 1, 1)
 		}
 	}
-	err := c.Save(big)
+	err := c.SaveContext(context.Background(), big)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized upload: %v", err)
 	}
@@ -533,7 +533,7 @@ func TestRunawayScriptCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Diagnose(DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"a", "e", "t"}}); err != nil {
+	if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"a", "e", "t"}}); err != nil {
 		t.Fatalf("slot not released, follow-up diagnosis failed: %v", err)
 	}
 }
@@ -542,7 +542,7 @@ func TestRunawayScriptCancelled(t *testing.T) {
 // waiting out the request timeout.
 func TestScriptStepBudget(t *testing.T) {
 	_, c := newService(t, Config{MaxScriptSteps: 100})
-	_, err := c.Diagnose(DiagnoseRequest{Source: "while true { x = 1 }"})
+	_, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Source: "while true { x = 1 }"})
 	if err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("step budget not enforced: %v", err)
 	}
@@ -626,7 +626,7 @@ func TestFailedNewLeavesNoAssets(t *testing.T) {
 
 func TestNotFoundStatus(t *testing.T) {
 	_, c := newService(t, Config{})
-	_, err := c.GetTrial("a", "b", "c")
+	_, err := c.GetTrialContext(context.Background(), "a", "b", "c")
 	if err == nil || !strings.Contains(err.Error(), "HTTP 404") {
 		t.Fatalf("missing trial error = %v", err)
 	}
@@ -637,7 +637,7 @@ func TestNotFoundStatus(t *testing.T) {
 // Run under -race in CI.
 func TestConcurrentClients(t *testing.T) {
 	_, c := newService(t, Config{Jobs: 4})
-	if err := c.Save(stallTrial("shared", "exp", "base")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("shared", "exp", "base")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -651,11 +651,11 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				name := fmt.Sprintf("t_%d_%d", w, i)
-				if err := c.Save(stallTrial("shared", "exp", name)); err != nil {
+				if err := c.SaveContext(context.Background(), stallTrial("shared", "exp", name)); err != nil {
 					errc <- fmt.Errorf("save %s: %w", name, err)
 					return
 				}
-				if _, err := c.GetTrial("shared", "exp", name); err != nil {
+				if _, err := c.GetTrialContext(context.Background(), "shared", "exp", name); err != nil {
 					errc <- fmt.Errorf("get %s: %w", name, err)
 					return
 				}
@@ -663,14 +663,14 @@ func TestConcurrentClients(t *testing.T) {
 					errc <- fmt.Errorf("list: %v (%d)", err, len(trials))
 					return
 				}
-				if _, err := c.Analyze(AnalyzeRequest{
+				if _, err := c.AnalyzeContext(context.Background(), AnalyzeRequest{
 					App: "shared", Experiment: "exp", Trial: name,
 					Op: "stats", Metric: perfdmf.TimeMetric,
 				}); err != nil {
 					errc <- fmt.Errorf("analyze %s: %w", name, err)
 					return
 				}
-				if _, err := c.Diagnose(DiagnoseRequest{
+				if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{
 					Script: "stalls_per_cycle",
 					Args:   []string{"shared", "exp", name},
 				}); err != nil {
@@ -722,7 +722,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	resc := make(chan error, 1)
 	go func() {
-		_, err := c.Diagnose(DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"a", "e", "t"}})
+		_, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"a", "e", "t"}})
 		resc <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the request get in flight

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,8 @@ func (r *streamRegistry) add(st *stream) string {
 	return st.id
 }
 
+// remove forgets a stream: it leaves the listing and, when sealed, the
+// retention queue, so it no longer counts against the sealed bound.
 func (r *streamRegistry) remove(id string) *stream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -105,34 +108,34 @@ func (r *streamRegistry) remove(id string) *stream {
 		return nil
 	}
 	delete(r.streams, id)
-	for i, x := range r.order {
-		if x == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
+	r.order = without(r.order, id)
+	r.sealed = without(r.sealed, id)
 	return st
 }
 
 // noteSealed records a seal and evicts the oldest sealed streams beyond the
-// retention bound.
+// retention bound. A stream removed while it was sealing is not recorded.
 func (r *streamRegistry) noteSealed(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.streams[id] == nil {
+		return
+	}
 	r.sealed = append(r.sealed, id)
 	for len(r.sealed) > DefaultSealedStreamRetention {
 		victim := r.sealed[0]
 		r.sealed = r.sealed[1:]
-		if st := r.streams[victim]; st != nil {
-			delete(r.streams, victim)
-			for i, x := range r.order {
-				if x == victim {
-					r.order = append(r.order[:i], r.order[i+1:]...)
-					break
-				}
-			}
-		}
+		delete(r.streams, victim)
+		r.order = without(r.order, victim)
 	}
+}
+
+// without returns ids with its one occurrence of id, if any, removed.
+func without(ids []string, id string) []string {
+	if i := slices.Index(ids, id); i >= 0 {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
 }
 
 func (r *streamRegistry) active() (open, subscribers int) {

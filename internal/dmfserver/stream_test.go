@@ -58,7 +58,7 @@ func TestStreamSealByteIdentical(t *testing.T) {
 	_, streamed := newService(t, Config{Repo: streamRepo})
 
 	tr := stallTrial("app", "exp", "t1")
-	if err := whole.Save(tr); err != nil {
+	if err := whole.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,11 +98,11 @@ func TestStreamSealByteIdentical(t *testing.T) {
 
 	// And server-side diagnosis of the two must print identical bytes.
 	req := DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"app", "exp", "t1"}}
-	wantDiag, err := whole.Diagnose(req)
+	wantDiag, err := whole.DiagnoseContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDiag, err := streamed.Diagnose(req)
+	gotDiag, err := streamed.DiagnoseContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStreamSeqProtocol(t *testing.T) {
 	}
 
 	// Two chunks applied the same event twice: values accumulated.
-	tr, err := c.GetTrial("a", "e", "t")
+	tr, err := c.GetTrialContext(context.Background(), "a", "e", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestStreamListAndAbort(t *testing.T) {
 		t.Fatalf("aborted stream still visible: %v", err)
 	}
 	// Nothing was stored for the aborted stream.
-	if _, err := c.GetTrial("a", "e", "t1"); !errors.Is(err, perfdmf.ErrNotFound) {
+	if _, err := c.GetTrialContext(context.Background(), "a", "e", "t1"); !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("aborted stream stored a trial: %v", err)
 	}
 	// An open default-window stream reports the server default.
@@ -298,6 +298,52 @@ func TestStreamListAndAbort(t *testing.T) {
 	}
 	if got := snap.Gauges["streams_active"]; got != 1 {
 		t.Fatalf("streams_active = %v, want 1", got)
+	}
+}
+
+// TestDeletedSealedStreamLeavesRetention: deleting a sealed stream frees
+// its place in the sealed-stream retention, so a later seal does not evict
+// a stream the bound still has room for.
+func TestDeletedSealedStreamLeavesRetention(t *testing.T) {
+	_, c := newService(t, Config{Repo: perfdmf.NewRepository()})
+	ctx := context.Background()
+	chunk := []dmfwire.ChunkEvent{{
+		Name:      "main",
+		Calls:     []float64{1, 1},
+		Inclusive: map[string][]float64{perfdmf.TimeMetric: {10, 20}},
+		Exclusive: map[string][]float64{perfdmf.TimeMetric: {10, 20}},
+	}}
+	seal := func(i int) string {
+		t.Helper()
+		info, err := c.OpenStream(ctx, "a", "e", fmt.Sprintf("t%d", i), 2, []string{perfdmf.TimeMetric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Append(ctx, info.ID, 1, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Seal(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		return info.ID
+	}
+	var newest string
+	for i := 0; i < DefaultSealedStreamRetention; i++ {
+		newest = seal(i)
+	}
+	if err := c.AbortStream(ctx, newest); err != nil {
+		t.Fatal(err)
+	}
+	seal(DefaultSealedStreamRetention)
+	streams, err := c.Streams(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streams) != DefaultSealedStreamRetention {
+		t.Fatalf("%d sealed streams listed, want %d (the retention bound)", len(streams), DefaultSealedStreamRetention)
+	}
+	if streams[0].ID != "s1" {
+		t.Fatalf("oldest listed stream = %s, want s1: it was evicted with room to spare", streams[0].ID)
 	}
 }
 
@@ -452,7 +498,7 @@ func TestStandingDiagnosisMatchesBatch(t *testing.T) {
 	}
 	s := core.NewSession(nil)
 	s.SetOutput(io.Discard)
-	if err := s.Repo.Save(tr); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	s.Interp.SetGlobal("rule", rule)

@@ -87,7 +87,7 @@ func TestTracePropagationThroughRetry(t *testing.T) {
 	}}
 	srv, c, clientTracer := tracedService(t, inj)
 
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestTracePropagationThroughRetry(t *testing.T) {
 func TestTracesEndpoint(t *testing.T) {
 	_, c, clientTracer := tracedService(t, nil)
 
-	if err := c.Save(stallTrial("app", "exp", "t1")); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, root := obs.StartSpan(obs.ContextWithTracer(context.Background(), clientTracer), "test.root")
@@ -211,14 +211,14 @@ func TestTracesEndpoint(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	tr, err := c.Trace(root.TraceID())
+	tr, err := c.TraceContext(context.Background(), root.TraceID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.TraceID != root.TraceID() || len(tr.Spans) == 0 {
 		t.Fatalf("trace fetch = %+v", tr)
 	}
-	if _, err := c.Trace("00000000000000000000000000000000"); !errors.Is(err, perfdmf.ErrNotFound) {
+	if _, err := c.TraceContext(context.Background(), "00000000000000000000000000000000"); !errors.Is(err, perfdmf.ErrNotFound) {
 		t.Fatalf("unknown trace id error = %v, want ErrNotFound", err)
 	}
 }

@@ -212,7 +212,7 @@ func runF1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Repo.Save(trial); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), trial); err != nil {
 		return nil, err
 	}
 	diagnosis.SetArgs(s, []string{trial.App, trial.Experiment, trial.Name})
@@ -311,7 +311,7 @@ func runF3() (*Result, error) {
 		return nil, err
 	}
 	defer cleanup()
-	if err := s.Repo.Save(trial); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), trial); err != nil {
 		return nil, err
 	}
 	res.addf("stage 4: stored trial %s/%s/%s in PerfDMF", trial.App, trial.Experiment, trial.Name)
@@ -601,7 +601,7 @@ func runMetricScript(script string, extraArg bool) (*Result, *core.Session, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.Repo.Save(trial); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), trial); err != nil {
 		return nil, nil, err
 	}
 	args := []string{trial.App, trial.Experiment, trial.Name}
@@ -611,7 +611,7 @@ func runMetricScript(script string, extraArg bool) (*Result, *core.Session, erro
 			return nil, nil, err
 		}
 		base.Name = "baseline_1"
-		if err := s.Repo.Save(base); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), base); err != nil {
 			return nil, nil, err
 		}
 		args = append(args, "baseline_1")
@@ -810,7 +810,7 @@ func runA3() (*Result, error) {
 		return nil, err
 	}
 	defer cleanup()
-	if err := s.Repo.Save(first); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), first); err != nil {
 		return nil, err
 	}
 	diagnosis.SetArgs(s, []string{first.App, first.Experiment, first.Name})

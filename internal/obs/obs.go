@@ -72,8 +72,8 @@ type TraceSummary struct {
 }
 
 // Event is an out-of-band observation emitted by instrumented components —
-// for example a listing call that swallowed a transport error, or a span
-// that ended with an error. Register an observer with Tracer.OnEvent.
+// for example a cluster write that reached fewer replicas than asked, or a
+// span that ended with an error. Register an observer with Tracer.OnEvent.
 type Event struct {
 	Time    time.Time
 	Name    string

@@ -51,7 +51,7 @@ func crashSeed(t *testing.T, dir string) {
 // afterwards.
 func crashWorkload(repo *Repository) {
 	_ = repo.Save(miniTrial("crash app", "exp 1", "tr A", 10))
-	_ = repo.Delete("crash app", "exp 1", "tr B")
+	_ = repo.DeleteContext(context.Background(), "crash app", "exp 1", "tr B")
 	if data, err := EncodeTrial(miniTrial("crash app", "exp 1", "tr C", 30)); err == nil {
 		_, _ = repo.SaveEncoded(context.Background(), data)
 	}

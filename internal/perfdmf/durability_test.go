@@ -639,7 +639,7 @@ func TestReadOnlyDegradedMode(t *testing.T) {
 	if _, err := repo.GetTrial("app", "exp", "t1"); err != nil {
 		t.Fatalf("read in degraded mode: %v", err)
 	}
-	if err := repo.Delete("app", "exp", "t1"); err != nil {
+	if err := repo.DeleteContext(context.Background(), "app", "exp", "t1"); err != nil {
 		t.Fatalf("delete in degraded mode: %v", err)
 	}
 	rep, err := repo.Verify()
@@ -718,7 +718,7 @@ func TestDurabilityConcurrency(t *testing.T) {
 				_ = repo.Save(miniTrial("app", "exp", name, float64(i)))
 				_, _ = repo.GetTrial("app", "exp", name)
 				if i%7 == 0 {
-					_ = repo.Delete("app", "exp", name)
+					_ = repo.DeleteContext(context.Background(), "app", "exp", name)
 				}
 				if i%9 == 0 {
 					_, _ = repo.Verify()

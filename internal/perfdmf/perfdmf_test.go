@@ -2,6 +2,7 @@ package perfdmf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -198,7 +199,7 @@ func TestRepositoryInMemory(t *testing.T) {
 	if trials := repo.Trials("Fluid Dynamic", "rib 90"); len(trials) != 1 || trials[0] != "1_16" {
 		t.Fatalf("Trials = %v", trials)
 	}
-	if err := repo.Delete("Fluid Dynamic", "rib 90", "1_16"); err != nil {
+	if err := repo.DeleteContext(context.Background(), "Fluid Dynamic", "rib 90", "1_16"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := repo.GetTrial("Fluid Dynamic", "rib 90", "1_16"); err == nil {
@@ -237,7 +238,7 @@ func TestRepositoryFileBacked(t *testing.T) {
 		}
 	}
 
-	if err := repo2.Delete("Fluid Dynamic", "rib 90", "1_16"); err != nil {
+	if err := repo2.DeleteContext(context.Background(), "Fluid Dynamic", "rib 90", "1_16"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := OpenRepository(filepath.Join(dir, "sub")); err != nil {

@@ -387,7 +387,7 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	if c.App != app || c.Experiment != experiment || c.Name != trial {
 		return fail(ErrNotFound)
 	}
-	// The file was read outside the lock: a Save or Delete since then may
+	// The file was read outside the lock: a save or delete since then may
 	// have replaced what it held, and must not be undone in the cache.
 	r.mu.Lock()
 	if _, ok := r.cache[k]; !ok && r.gen == gen {
@@ -482,10 +482,17 @@ func (r *Repository) quarantine(path string) {
 	}
 }
 
-// Delete removes a trial from the cache and, when file-backed, from disk.
-// Emptied experiment and application directories are pruned. Delete works
-// in read-only degraded mode: it releases space.
-func (r *Repository) Delete(app, experiment, trial string) error {
+// DeleteContext removes a trial from the cache and, when file-backed, from
+// disk, under a `perfdmf.delete` span. Emptied experiment and application
+// directories are pruned. It works in read-only degraded mode: it releases
+// space.
+func (r *Repository) DeleteContext(ctx context.Context, app, experiment, trial string) (err error) {
+	_, sp := obs.StartSpan(ctx, "perfdmf.delete",
+		"app", app, "experiment", experiment, "trial", trial)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
@@ -551,6 +558,18 @@ func (r *Repository) Trials(app, experiment string) []string {
 		return r.cachedNames(func(a, exp, name string) (string, bool) { return name, a == app && exp == experiment })
 	}
 	return r.diskNames(filepath.Join(r.root, safe(app), safe(experiment)), false)
+}
+
+// ListApplications implements Store. A repository listing cannot fail, so
+// it is Applications with a nil error.
+func (r *Repository) ListApplications() ([]string, error) { return r.Applications(), nil }
+
+// ListExperiments implements Store; see ListApplications.
+func (r *Repository) ListExperiments(app string) ([]string, error) { return r.Experiments(app), nil }
+
+// ListTrials implements Store; see ListApplications.
+func (r *Repository) ListTrials(app, experiment string) ([]string, error) {
+	return r.Trials(app, experiment), nil
 }
 
 // Size reports the number of applications, experiments and trials in the

@@ -1,6 +1,7 @@
 package perfdmf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -88,7 +89,7 @@ func TestDeletePrunesEmptyDirectories(t *testing.T) {
 	if err := repo.Save(tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Delete("my app", "exp one", "trial 1"); err != nil {
+	if err := repo.DeleteContext(context.Background(), "my app", "exp one", "trial 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, safe("my app"))); !os.IsNotExist(err) {
@@ -122,7 +123,7 @@ func TestDeleteKeepsNonEmptyDirectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := repo.Delete("my app", "exp one", "trial 1"); err != nil {
+	if err := repo.DeleteContext(context.Background(), "my app", "exp one", "trial 1"); err != nil {
 		t.Fatal(err)
 	}
 	if trials := repo.Trials("my app", "exp one"); len(trials) != 1 || trials[0] != "trial 2" {

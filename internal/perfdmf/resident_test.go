@@ -419,7 +419,7 @@ func TestColdReadDoesNotRecacheReplacedTrial(t *testing.T) {
 		mutate func(repo *Repository) error
 		after  func(t *testing.T, repo *Repository)
 	}{
-		{"delete", func(repo *Repository) error { return repo.Delete("app", "exp", "t1") },
+		{"delete", func(repo *Repository) error { return repo.DeleteContext(context.Background(), "app", "exp", "t1") },
 			func(t *testing.T, repo *Repository) {
 				if _, err := repo.GetTrial("app", "exp", "t1"); !errors.Is(err, ErrNotFound) {
 					t.Fatalf("deleted trial still served: err=%v", err)
@@ -507,7 +507,7 @@ func TestRepositoryConcurrentReaders(t *testing.T) {
 							t.Errorf("Save: %v", err)
 						}
 					case 1:
-						if err := repo.Delete(tr.App, tr.Experiment, tr.Name); err != nil {
+						if err := repo.DeleteContext(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil {
 							t.Errorf("Delete: %v", err)
 						}
 					case 2, 3:

@@ -9,10 +9,8 @@ import (
 	"perfknow/internal/obs"
 )
 
-// Context-aware repository operations: the same semantics as the plain
-// methods, wrapped in obs spans so repository I/O shows up in traces of a
-// diagnosis run. The plain Store methods remain the uninstrumented
-// fallback for callers without a context.
+// The Store operations of a repository: Save and GetTrial wrapped in obs
+// spans, so repository I/O shows up in traces of a diagnosis run.
 
 // SaveContext stores the trial under a `perfdmf.save` span.
 func (r *Repository) SaveContext(ctx context.Context, t *Trial) error {
@@ -32,16 +30,6 @@ func (r *Repository) GetTrialContext(ctx context.Context, app, experiment, trial
 	sp.SetError(err)
 	sp.End()
 	return t, err
-}
-
-// DeleteContext removes a trial under a `perfdmf.delete` span.
-func (r *Repository) DeleteContext(ctx context.Context, app, experiment, trial string) error {
-	_, sp := obs.StartSpan(ctx, "perfdmf.delete",
-		"app", app, "experiment", experiment, "trial", trial)
-	err := r.Delete(app, experiment, trial)
-	sp.SetError(err)
-	sp.End()
-	return err
 }
 
 // TrialFromTrace re-ingests a completed trace as a parallel profile: every

@@ -78,13 +78,13 @@ func TestRepositoryContextSpans(t *testing.T) {
 	ev.Inclusive[TimeMetric][0] = 10
 	ev.Exclusive[TimeMetric][0] = 10
 
-	if err := SaveWithContext(ctx, repo, trial); err != nil {
+	if err := repo.SaveContext(ctx, trial); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GetTrialWithContext(ctx, repo, "app", "exp", "t1"); err != nil {
+	if _, err := repo.GetTrialContext(ctx, "app", "exp", "t1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := DeleteWithContext(ctx, repo, "app", "exp", "t1"); err != nil {
+	if err := repo.DeleteContext(ctx, "app", "exp", "t1"); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -12,6 +12,7 @@ package script_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,7 +46,7 @@ func genTrial(t *testing.T, mode genidlest.Mode, threads int, opt bool) *perfdmf
 func saveGen(t *testing.T, s *core.Session, threads int, opt bool) *perfdmf.Trial {
 	t.Helper()
 	tr := genTrial(t, genidlest.OpenMP, threads, opt)
-	if err := s.Repo.Save(tr); err != nil {
+	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -66,7 +67,7 @@ var assetScenarios = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Repo.Save(tr); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name})
@@ -91,7 +92,7 @@ var assetScenarios = []struct {
 		tr := saveGen(t, s, 16, false)
 		base := genTrial(t, genidlest.OpenMP, 1, false)
 		base.Name = "base_1"
-		if err := s.Repo.Save(base); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), base); err != nil {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{tr.App, tr.Experiment, tr.Name, "base_1"})
@@ -106,7 +107,7 @@ var assetScenarios = []struct {
 				t.Fatal(err)
 			}
 			tr.Name = lvl.String()
-			if err := s.Repo.Save(tr); err != nil {
+			if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,7 +128,7 @@ var assetScenarios = []struct {
 			locky.SetValue("CPU_CYCLES", th, 900000, 900000)
 			locky.SetValue("OMP_CRITICAL_CYCLES", th, 360000, 360000)
 		}
-		if err := s.Repo.Save(tr); err != nil {
+		if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		diagnosis.SetArgs(s, []string{"app", "sync", "t"})
