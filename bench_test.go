@@ -22,7 +22,6 @@ import (
 	"perfknow/internal/diagnosis"
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/experiments"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/sim"
 )
@@ -67,17 +66,15 @@ func BenchmarkFeedbackDirectedLoop(b *testing.B)        { regen(b, "A3") }
 func BenchmarkHybridMPIOpenMP(b *testing.B)             { regen(b, "A4") }
 
 // BenchmarkParallelSpeedup runs the full evaluation suite sequentially
-// (-j 1) and with the default worker pool, reports the wall-clock speedup
+// (-j 1) and at -j 0 (GOMAXPROCS workers), reports the wall-clock speedup
 // as a custom metric, and requires byte-identical results from both runs.
 // On machines with at least 4 cores the concurrent run must be at least
 // twice as fast; on smaller machines the ratio is reported but not
 // enforced (a 1-core box legitimately measures ~1x).
 func BenchmarkParallelSpeedup(b *testing.B) {
-	defer parallel.SetDefaultWorkers(0)
-	measure := func(workers int) (time.Duration, []*experiments.Result) {
-		parallel.SetDefaultWorkers(workers)
+	measure := func(jobs int) (time.Duration, []*experiments.Result) {
 		start := time.Now()
-		res, err := experiments.RunAll("")
+		res, err := experiments.RunAll("", jobs)
 		if err != nil {
 			b.Fatal(err)
 		}

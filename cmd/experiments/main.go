@@ -7,7 +7,8 @@
 //	experiments            # run everything
 //	experiments -run F5b   # run experiments whose ID starts with F5b
 //	experiments -list      # list experiment IDs
-//	experiments -j 4       # fan experiments out over 4 workers
+//	experiments -j 4       # run 4 experiments at a time (0 = GOMAXPROCS)
+//	experiments -j 1       # one at a time, in order; output is byte-identical at any -j
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"os"
 
 	"perfknow/internal/experiments"
-	"perfknow/internal/parallel"
 )
 
 func main() {
@@ -26,7 +26,6 @@ func main() {
 		jobs = flag.Int("j", 0, "experiments in flight, each one goroutine of simulation and analysis (0 = GOMAXPROCS, 1 = one at a time)")
 	)
 	flag.Parse()
-	parallel.SetDefaultWorkers(*jobs)
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -35,7 +34,7 @@ func main() {
 		return
 	}
 
-	results, err := experiments.RunAll(*run)
+	results, err := experiments.RunAll(*run, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -60,6 +60,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -68,7 +69,6 @@ import (
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -146,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if err := newFlagSet(&o, stderr).Parse(args); err != nil {
 		return 2
 	}
-	parallel.SetDefaultWorkers(o.jobs)
 
 	logger := slog.New(slog.NewJSONHandler(stderr, nil))
 
@@ -227,6 +226,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 	}
 
+	if o.jobs <= 0 {
+		o.jobs = runtime.GOMAXPROCS(0) // what dmfserver.New makes of it; the log line reports it
+	}
 	cfg := dmfserver.Config{
 		Repo:           repo,
 		RulesDir:       o.rulesDir,
@@ -264,7 +266,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ready <- bound
 	}
 	fmt.Fprintf(stdout, "perfdmfd listening on %s (repo %s)\n", bound, o.repoDir)
-	logger.Info("listening", "addr", bound, "repo", o.repoDir, "jobs", parallel.Workers(o.jobs))
+	logger.Info("listening", "addr", bound, "repo", o.repoDir, "jobs", o.jobs)
 
 	httpSrv := srv.HTTPServer(bound)
 

@@ -68,7 +68,6 @@ import (
 	"perfknow/internal/dmfclient"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -80,7 +79,7 @@ func main() {
 type options struct {
 	repoDir, serverURL, scriptPath, rulesDir, writeAssets, tracePath string
 	list                                                             bool
-	jobs, retries                                                    int
+	retries                                                          int
 
 	clusterFlag, announce, uploadPath, getCoord string
 	replicas, vnodes                            int
@@ -103,7 +102,6 @@ func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.list, "list", false, "list repository contents and exit")
 	fs.StringVar(&o.writeAssets, "write-assets", "", "write the bundled rules and scripts under this directory and exit")
 	fs.StringVar(&o.tracePath, "trace", "", "trace the run and write the span tree (incl. server-side spans with -server) as JSON to this file")
-	fs.IntVar(&o.jobs, "j", 0, "trials of a batch operation in flight; one script is one goroutine of analysis (0 = GOMAXPROCS, 1 = one at a time)")
 	fs.IntVar(&o.retries, "retries", 0, "max attempts per remote request, incl. the first (0 = client default, 1 = no retries)")
 	fs.StringVar(&o.clusterFlag, "cluster", "", "comma-separated perfdmfd peer URLs; route reads/writes across the cluster (overrides -server and -repo)")
 	fs.IntVar(&o.replicas, "replicas", 2, "cluster replication factor R (with -cluster; must match the daemons)")
@@ -129,8 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	parallel.SetDefaultWorkers(o.jobs)
-
 	if o.writeAssets != "" {
 		if err := diagnosis.WriteAssets(o.writeAssets); err != nil {
 			return fail(stderr, err)

@@ -1,86 +1,75 @@
 package perfknow_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	"perfknow/internal/analysis"
-	"perfknow/internal/apps/genidlest"
-	"perfknow/internal/apps/msa"
-	"perfknow/internal/diagnosis"
-	"perfknow/internal/experiments"
-	"perfknow/internal/machine"
-	"perfknow/internal/obs"
-	"perfknow/internal/parallel"
-	"perfknow/internal/perfdmf"
-	"perfknow/internal/rules"
-	"perfknow/internal/sim"
 )
 
-// One grain of concurrency: a simulation, a fact builder and an analysis
-// operation run on their caller and leave the worker pool's counter where
-// it was at any -j; a batch of experiments moves it.
+// goStatements names every go statement of the program, by file and
+// enclosing function, with the reason it exists. Nothing else starts a
+// goroutine: a simulation, a fact builder, an analysis operation and an
+// admitted daemon request all run on their caller.
+var goStatements = map[string]string{
+	"internal/experiments/experiments.go RunAll":   "the -j workers of the experiment fan-out",
+	"internal/cluster/env.go goFanout":             "one call per peer, so a replicated write or a fan-out read waits for the slowest peer, not the sum",
+	"internal/cluster/agent.go Start":              "the gossip and repair loops of a cluster member",
+	"internal/dmfclient/stream.go SubscribeAlerts": "the SSE reader behind an alert subscription",
+	"cmd/perfdmfd/main.go run":                     "the API and debug listeners",
+	"examples/remote_diagnosis/main.go main":       "the example's in-process daemon",
+}
+
+// TestEnginesStartNoGoroutines holds the one grain of concurrency
+// statically: it parses every non-test Go file outside bench/ and fails on
+// a go statement goStatements does not name, and on a name it no longer
+// finds.
 func TestEnginesStartNoGoroutines(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
-	parallel.SetDefaultWorkers(8)
-	reg := obs.NewRegistry()
-	parallel.RegisterMetrics(reg)
-	workers := func() float64 { return reg.Snapshot().Gauges["parallel_workers_total"] }
-
-	mcfg := machine.Altix(8, 2)
-	var base, scaled *perfdmf.Trial
-	eng := rules.NewEngine()
-	steps := []struct {
-		name string
-		run  func() error
-	}{
-		{"genidlest.Run 1 thread", func() (err error) {
-			base, err = genidlest.Run(mcfg, genidlest.DefaultConfig(genidlest.Rib45(), genidlest.OpenMP, 1))
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
-		}},
-		{"genidlest.Run", func() (err error) {
-			scaled, err = genidlest.Run(mcfg, genidlest.DefaultConfig(genidlest.Rib45(), genidlest.OpenMP, 8))
-			return err
-		}},
-		{"genidlest.Run MPI", func() error {
-			_, err := genidlest.Run(mcfg, genidlest.DefaultConfig(genidlest.Rib45(), genidlest.MPI, 8))
-			return err
-		}},
-		{"msa.Run", func() error {
-			_, err := msa.Run(mcfg, msa.DefaultParams(8, sim.Schedule{Kind: sim.StaticSched}))
-			return err
-		}},
-		{"AssertInefficiencyFacts", func() error { _, err := diagnosis.AssertInefficiencyFacts(eng, scaled); return err }},
-		{"AssertStallSourceFacts", func() error { _, err := diagnosis.AssertStallSourceFacts(eng, scaled); return err }},
-		{"AssertLocalityFacts", func() error { _, err := diagnosis.AssertLocalityFacts(eng, scaled); return err }},
-		{"AssertSyncFacts", func() error { _, err := diagnosis.AssertSyncFacts(eng, scaled); return err }},
-		{"AssertScalingFacts", func() error { diagnosis.AssertScalingFacts(eng, base, scaled); return nil }},
-		{"AssertClusterFacts", func() error {
-			_, err := diagnosis.AssertClusterFacts(eng, scaled, perfdmf.TimeMetric, 2)
-			return err
-		}},
-		{"ExclusiveStats", func() error { analysis.ExclusiveStats(scaled, perfdmf.TimeMetric); return nil }},
-		{"InclusiveStats", func() error { analysis.InclusiveStats(scaled, perfdmf.TimeMetric); return nil }},
-		{"KMeans", func() error { _, err := analysis.KMeans(scaled, perfdmf.TimeMetric, 3, 0); return err }},
-	}
-	for _, s := range steps {
-		before := workers()
-		if err := s.run(); err != nil {
-			t.Fatalf("%s: %v", s.name, err)
 		}
-		if got := workers(); got != before {
-			t.Errorf("%s: parallel_workers_total %v -> %v, want unchanged", s.name, before, got)
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
 		}
-	}
-	if n := len(eng.Facts()); n == 0 {
-		t.Fatal("the fact builders asserted nothing")
-	}
-
-	parallel.SetDefaultWorkers(2)
-	before := workers()
-	if _, err := experiments.RunAll("F4"); err != nil {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			where := filepath.ToSlash(path)
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where += " " + fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if _, ok := goStatements[where]; !ok {
+						t.Errorf("%s: go statement in %s, which goStatements does not name", fset.Position(g.Pos()), where)
+					}
+					seen[where] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := workers(); got < before+2 {
-		t.Errorf("RunAll at -j 2: parallel_workers_total %v -> %v, want at least 2 more", before, got)
+	for where := range goStatements {
+		if !seen[where] {
+			t.Errorf("goStatements names %s, which starts no goroutine", where)
+		}
 	}
 }

@@ -72,15 +72,14 @@ func TestInvalidTrials(t *testing.T) {
 
 			// Operations with an error result return Validate's message.
 			errOps := map[string]func() error{
-				"DeriveMetric":      func() error { _, _, err := DeriveMetric(bad, m, m2, OpDivide); return err },
-				"DeriveMetricCtx":   func() error { _, _, err := DeriveMetricCtx(ctx, bad, m, m2, OpDivide); return err },
-				"DeriveMetricBatch": func() error { _, _, err := DeriveMetricBatch([]*perfdmf.Trial{valid, bad}, m, m, OpAdd); return err },
-				"DeriveScaled":      func() error { _, _, err := DeriveScaled(bad, m, 2); return err },
-				"DeriveSum":         func() error { _, _, err := DeriveSum(bad, []string{m, m2}); return err },
-				"KMeans":            func() error { _, err := KMeans(bad, m, 1, 5); return err },
-				"KMeansCtx":         func() error { _, err := KMeansCtx(ctx, bad, m, 1, 5); return err },
-				"DiffTrials a":      func() error { _, err := DiffTrials(bad, bad); return err },
-				"MergeTrials":       func() error { _, err := MergeTrials([]*perfdmf.Trial{bad, bad}); return err },
+				"DeriveMetric":    func() error { _, _, err := DeriveMetric(bad, m, m2, OpDivide); return err },
+				"DeriveMetricCtx": func() error { _, _, err := DeriveMetricCtx(ctx, bad, m, m2, OpDivide); return err },
+				"DeriveScaled":    func() error { _, _, err := DeriveScaled(bad, m, 2); return err },
+				"DeriveSum":       func() error { _, _, err := DeriveSum(bad, []string{m, m2}); return err },
+				"KMeans":          func() error { _, err := KMeans(bad, m, 1, 5); return err },
+				"KMeansCtx":       func() error { _, err := KMeansCtx(ctx, bad, m, 1, 5); return err },
+				"DiffTrials a":    func() error { _, err := DiffTrials(bad, bad); return err },
+				"MergeTrials":     func() error { _, err := MergeTrials([]*perfdmf.Trial{bad, bad}); return err },
 			}
 			if bad.Threads == valid.Threads { // else the thread-count check answers first
 				errOps["DiffTrials b"] = func() error { _, err := DiffTrials(valid, bad); return err }

@@ -8,11 +8,9 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -77,25 +75,6 @@ func (o Op) apply(a, b float64) float64 {
 // "(LHS / RHS)" convention PerfExplorer scripts and rules use.
 func DeriveMetricName(lhs, rhs string, op Op) string {
 	return "(" + lhs + " " + op.String() + " " + rhs + ")"
-}
-
-// DeriveMetricBatch applies the same derivation to several trials
-// concurrently — the multi-trial parametric-study path. It returns the
-// derived trials in input order plus the metric name; on any failure the
-// first error (by trial index) is returned.
-func DeriveMetricBatch(trials []*perfdmf.Trial, lhs, rhs string, op Op) ([]*perfdmf.Trial, string, error) {
-	if len(trials) == 0 {
-		return nil, "", fmt.Errorf("analysis: DeriveMetricBatch needs at least one trial")
-	}
-	name := DeriveMetricName(lhs, rhs, op)
-	out, err := parallel.Map(context.Background(), len(trials), 0, func(i int) (*perfdmf.Trial, error) {
-		d, _, err := DeriveMetric(trials[i], lhs, rhs, op)
-		return d, err
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return out, name, nil
 }
 
 func at(xs []float64, i int) float64 {

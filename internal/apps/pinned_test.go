@@ -19,7 +19,6 @@ import (
 	"perfknow/internal/apps/genidlest"
 	"perfknow/internal/apps/msa"
 	"perfknow/internal/machine"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/sim"
 )
@@ -224,28 +223,24 @@ func pinnedRuns() []pinnedRun {
 }
 
 func TestSimulatorOutputsPinned(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
 	runs := pinnedRuns()
 	if len(runs) != len(pinnedTrials) || len(runs) != len(pinnedValues) {
 		t.Errorf("%d runs, %d pinned hashes, %d pinned value digests", len(runs), len(pinnedTrials), len(pinnedValues))
 	}
-	for _, workers := range []int{1, 0} {
-		parallel.SetDefaultWorkers(workers)
-		for _, r := range runs {
-			trial, err := r.run()
-			if err != nil {
-				t.Fatalf("%s: %v", r.name, err)
-			}
-			enc, err := perfdmf.EncodeTrial(trial)
-			if err != nil {
-				t.Fatalf("%s: %v", r.name, err)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[r.name] {
-				t.Errorf("workers=%d %q: %q, pinned %q", workers, r.name, got, pinnedTrials[r.name])
-			}
-			if got, err := valueDigest(trial); err != nil || got != pinnedValues[r.name] {
-				t.Errorf("workers=%d values %q: %q, pinned %q (err=%v)", workers, r.name, got, pinnedValues[r.name], err)
-			}
+	for _, r := range runs {
+		trial, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		enc, err := perfdmf.EncodeTrial(trial)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[r.name] {
+			t.Errorf("%q: %q, pinned %q", r.name, got, pinnedTrials[r.name])
+		}
+		if got, err := valueDigest(trial); err != nil || got != pinnedValues[r.name] {
+			t.Errorf("values %q: %q, pinned %q (err=%v)", r.name, got, pinnedValues[r.name], err)
 		}
 	}
 }

@@ -239,6 +239,7 @@ func TestRetryClassFromRoute(t *testing.T) {
 		{"Gossip (Once)", func() error { _, err := c.Gossip(ctx, m); return err }, 1, false},
 		{"ClusterGossipView (Idempotent)", func() error { _, err := c.ClusterGossipView(ctx); return err }, 3, false},
 		{"OpenStream (Keyed)", func() error { _, err := c.OpenStream(ctx, "a", "e", "t", 1, []string{"TIME"}); return err }, 3, true},
+		{"Append (Idempotent: the seq is the dedup key)", func() error { _, err := c.Append(ctx, "s1", 1, nil); return err }, 3, false},
 	} {
 		mu.Lock()
 		keys = nil

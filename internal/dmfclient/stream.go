@@ -71,8 +71,9 @@ func (c *Client) OpenStream(ctx context.Context, app, experiment, trial string, 
 }
 
 // Append pushes one chunk onto the stream. Seqs start at 1 and must be
-// dense; the call is idempotent — a retry whose original ack was lost
-// replays it (Duplicate set) without re-applying the data.
+// dense; the call is idempotent — the seq is the dedup key, so a retry
+// whose original ack was lost is acknowledged with Duplicate set and the
+// data is not re-applied.
 func (c *Client) Append(ctx context.Context, streamID string, seq int64, events []dmfwire.ChunkEvent) (*dmfwire.AppendAck, error) {
 	return fetch[dmfwire.AppendAck](ctx, c, request{route: dmfwire.AppendChunk, args: []string{streamID},
 		in: dmfwire.StreamChunk{Seq: seq, Events: events}})

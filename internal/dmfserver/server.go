@@ -10,7 +10,7 @@
 //
 // The service is plain net/http with production hygiene built in:
 //
-//   - a parallel.Limiter caps how many requests may run analysis or
+//   - an admission semaphore caps how many requests may run analysis or
 //     diagnosis at once (the daemon's -j flag), and an admitted request
 //     does its work on its own goroutine and starts no other, so -j is
 //     also the bound on goroutines doing analysis; when it saturates, the
@@ -19,7 +19,7 @@
 //   - every request runs under a timeout and a maximum body size; the
 //     timeout reaches into script execution (a diagnosis script is
 //     cancelled at the request deadline and additionally bounded by a
-//     statement budget), so a looping script cannot pin a limiter slot;
+//     statement budget), so a looping script cannot pin an analysis slot;
 //   - uploads carrying an Idempotency-Key header are deduplicated: a
 //     retried POST whose response was lost replays the original response
 //     instead of storing the trial again;
@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -63,7 +64,6 @@ import (
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/faults"
 	"perfknow/internal/obs"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 )
 
@@ -110,7 +110,7 @@ type Config struct {
 	// the built-in knowledge base under a temporary directory".
 	RulesDir string
 	// Jobs caps how many requests may run analysis/diagnosis concurrently
-	// (<= 0: the parallel package default, i.e. GOMAXPROCS or -j).
+	// (<= 0: GOMAXPROCS).
 	Jobs int
 	// MaxBodyBytes bounds request bodies (<= 0: DefaultMaxBodyBytes).
 	MaxBodyBytes int64
@@ -176,7 +176,7 @@ type Server struct {
 	// Config.RulesDir was empty; removed by Close. Empty when the caller
 	// supplied the rules directory.
 	ownedAssets   string
-	limiter       *parallel.Limiter
+	slots         *admission
 	maxBody       int64
 	timeout       time.Duration
 	maxSteps      int
@@ -262,6 +262,10 @@ func New(cfg Config) (*Server, error) {
 	case maxSteps < 0:
 		maxSteps = 0 // explicit opt-out: unlimited
 	}
+	jobs := cfg.Jobs
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	admissionWait := cfg.AdmissionWait
 	switch {
 	case admissionWait == 0:
@@ -297,7 +301,7 @@ func New(cfg Config) (*Server, error) {
 		ownedAssets:   ownedAssets,
 		ring:          ring,
 		ringBytes:     ringBytes,
-		limiter:       parallel.NewLimiter(cfg.Jobs),
+		slots:         newAdmission(jobs),
 		maxBody:       maxBody,
 		timeout:       timeout,
 		maxSteps:      maxSteps,
@@ -325,9 +329,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// registerGauges wires the instantaneous values — repository size, limiter
-// state, trace-buffer depth, worker-pool utilization — into the registry
-// as functions evaluated at snapshot time.
+// registerGauges wires the instantaneous values — repository size,
+// analysis slots, trace-buffer depth, streams — into the registry as
+// functions evaluated at snapshot time.
 func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("repository_applications", func() float64 {
 		apps, _, _ := s.repo.Size()
@@ -341,9 +345,9 @@ func (s *Server) registerGauges() {
 		_, _, trials := s.repo.Size()
 		return float64(trials)
 	})
-	s.reg.GaugeFunc("analysis_slots_cap", func() float64 { return float64(s.limiter.Cap()) })
-	s.reg.GaugeFunc("analysis_slots_in_use", func() float64 { return float64(s.limiter.InUse()) })
-	s.reg.GaugeFunc("analysis_slots_waiting", func() float64 { return float64(s.limiter.Waiting()) })
+	s.reg.GaugeFunc("analysis_slots_cap", func() float64 { return float64(cap(s.slots.sem)) })
+	s.reg.GaugeFunc("analysis_slots_in_use", func() float64 { return float64(len(s.slots.sem)) })
+	s.reg.GaugeFunc("analysis_slots_waiting", func() float64 { return float64(s.slots.waiting.Load()) })
 	s.reg.GaugeFunc("traces_buffered", func() float64 { return float64(s.tracer.Len()) })
 	s.reg.GaugeFunc("streams_active", func() float64 {
 		open, _ := s.streams.active()
@@ -356,7 +360,6 @@ func (s *Server) registerGauges() {
 	// Durability health: store_quarantined / store_recovered_tmp /
 	// store_fsync_errors counters and the store_readonly gauge.
 	s.repo.Instrument(s.reg)
-	parallel.RegisterMetrics(s.reg)
 	switch {
 	case s.node != nil:
 		// Live values from the gossip agent: an epoch bump adopted at
@@ -608,7 +611,7 @@ func acceptsEncodedTrial(r *http.Request) bool {
 	return false
 }
 
-// gated admits the request through the analysis limiter and runs fn under
+// gated admits the request to an analysis slot and runs fn under
 // the request timeout. It centralizes the service's back-pressure
 // mechanisms so every heavy endpoint behaves identically: a request waits
 // at most admissionWait for a slot, then is shed with 429 + Retry-After —
@@ -616,8 +619,8 @@ func acceptsEncodedTrial(r *http.Request) bool {
 func (s *Server) gated(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) error) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	if err := s.limiter.AcquireTimeout(ctx, s.admissionWait); err != nil {
-		if errors.Is(err, parallel.ErrSaturated) {
+	if err := s.slots.acquire(ctx, s.admissionWait); err != nil {
+		if errors.Is(err, errSaturated) {
 			s.shed.Inc()
 			w.Header().Set("Retry-After", shedRetryAfter)
 			writeError(w, http.StatusTooManyRequests, fmt.Errorf("server saturated, retry later: %w", err))
@@ -626,7 +629,7 @@ func (s *Server) gated(w http.ResponseWriter, r *http.Request, fn func(ctx conte
 		}
 		return
 	}
-	defer s.limiter.Release()
+	defer s.slots.release()
 	if err := fn(ctx); err != nil {
 		writeServiceError(w, err)
 	}
@@ -674,7 +677,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleFsck runs a full consistency scan of the repository and serves the
 // report. The scan walks and checksums every trial file, so it is gated
-// through the analysis limiter like the other heavy endpoints.
+// through an analysis slot like the other heavy endpoints.
 func (s *Server) handleFsck(w http.ResponseWriter, r *http.Request) {
 	s.gated(w, r, func(ctx context.Context) error {
 		rep, err := s.repo.Verify()
@@ -979,7 +982,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // same session wiring, same knowledge-base installation, same output path —
 // except that execution is bounded by the request context and a statement
 // budget, so an inline `while true` script ends at the request deadline
-// (mapped to 504) instead of holding a limiter slot forever.
+// (mapped to 504) instead of holding an analysis slot forever.
 func (s *Server) runDiagnosis(ctx context.Context, src string, args []string) (*DiagnoseResponse, error) {
 	session := core.NewSession(s.repo)
 	session.SetContext(ctx)

@@ -474,10 +474,10 @@ func TestBusyServerSheds(t *testing.T) {
 	defer ts.Close()
 
 	// Hold the only slot.
-	if err := srv.limiter.Acquire(context.Background()); err != nil {
+	if err := srv.slots.acquire(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.limiter.Release()
+	defer srv.slots.release()
 
 	resp, err := http.Post(ts.URL+"/api/v1/diagnose", "application/json",
 		strings.NewReader(`{"script":"load_balance","args":[]}`))
@@ -524,7 +524,7 @@ func TestRunawayScriptCancelled(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("runaway script status = %d, want 504", resp.StatusCode)
 	}
-	if n := srv.limiter.InUse(); n != 0 {
+	if n := len(srv.slots.sem); n != 0 {
 		t.Fatalf("limiter slots still held after timeout: %d", n)
 	}
 

@@ -40,8 +40,6 @@ const (
 	// (for late alert subscribers and duplicate seal requests) before the
 	// registry forgets the oldest.
 	DefaultSealedStreamRetention = 64
-	// streamAckEntries bounds the per-stream replay cache of append acks.
-	streamAckEntries = 64
 	// sseHeartbeat paces keep-alive comments on an idle subscription so
 	// intermediaries don't reap the connection.
 	sseHeartbeat = 15 * time.Second
@@ -167,10 +165,6 @@ type stream struct {
 	trial   *perfdmf.Trial // full accumulation; becomes the stored trial
 	diag    *StandingDiagnosis
 	lastSeq int64
-
-	// acks replays recent append acks for retried seqs, FIFO-bounded.
-	acks     map[int64][]byte
-	ackOrder []int64
 
 	// alerts is the retained tail; ids are 1-based and monotonic, so
 	// alerts[0].ID == nextAlert-len(alerts)+1.
@@ -315,7 +309,6 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 			state:  streamOpen,
 			trial:  t,
 			diag:   diag,
-			acks:   make(map[int64][]byte),
 			notify: make(chan struct{}),
 		}
 		s.streams.add(st)
@@ -476,12 +469,8 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		if chunk.Seq <= st.lastSeq {
-			// Retried append: replay the cached ack, or synthesize a
-			// duplicate ack if it aged out — either way nothing re-applies.
-			if body, ok := st.acks[chunk.Seq]; ok {
-				writeRaw(w, http.StatusOK, body)
-				return nil
-			}
+			// Retried append: acknowledged as a duplicate with the stream's
+			// current counts; nothing re-applies.
 			writeJSON(w, http.StatusOK, dmfwire.AppendAck{
 				Stream: st.id, Seq: chunk.Seq, Duplicate: true,
 				Events: len(st.trial.Events), Alerts: st.nextAlert,
@@ -528,20 +517,10 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		span.SetAttr("alerts", strconv.Itoa(len(firings)))
 
-		body, err := encodeJSON(dmfwire.AppendAck{
+		writeJSON(w, http.StatusOK, dmfwire.AppendAck{
 			Stream: st.id, Seq: chunk.Seq,
 			Events: len(st.trial.Events), Alerts: st.nextAlert,
 		})
-		if err != nil {
-			return err
-		}
-		st.acks[chunk.Seq] = body
-		st.ackOrder = append(st.ackOrder, chunk.Seq)
-		for len(st.ackOrder) > streamAckEntries {
-			delete(st.acks, st.ackOrder[0])
-			st.ackOrder = st.ackOrder[1:]
-		}
-		writeRaw(w, http.StatusOK, body)
 		return nil
 	})
 }
@@ -628,7 +607,7 @@ func writeSSE(w io.Writer, id int64, event string, data any) error {
 // SSE response replaying every retained alert after the subscriber's
 // Last-Event-ID, then pushing new alerts as chunks produce them, ending
 // with a terminal `sealed` event. It deliberately bypasses the analysis
-// limiter (a subscription parks, it doesn't compute) and clears the
+// slots (a subscription parks, it doesn't compute) and clears the
 // connection's write deadline, which the daemon's http.Server sizes for
 // request/response exchanges, not for subscriptions.
 func (s *Server) handleStreamAlerts(w http.ResponseWriter, r *http.Request) {

@@ -146,8 +146,8 @@ func TestStreamSeqProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ackDup.Seq != 1 || ackDup.Events != 1 {
-		t.Fatalf("replayed ack = %+v", ackDup)
+	if ackDup.Seq != 1 || ackDup.Events != ack1.Events || !ackDup.Duplicate {
+		t.Fatalf("replayed ack = %+v, want seq 1 marked duplicate with %d events", ackDup, ack1.Events)
 	}
 
 	// A gap is a protocol error the producer must not paper over.

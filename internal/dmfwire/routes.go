@@ -91,7 +91,7 @@ var (
 	ListStreams     = route("GET", "/api/v1/streams", Idempotent)
 	GetStream       = route("GET", "/api/v1/streams/{id}", Idempotent)
 	AbortStream     = route("DELETE", "/api/v1/streams/{id}", Idempotent)
-	AppendChunk     = route("POST", "/api/v1/streams/{id}/chunks", Keyed)
+	AppendChunk     = route("POST", "/api/v1/streams/{id}/chunks", Idempotent)
 	SealStream      = route("POST", "/api/v1/streams/{id}/seal", Idempotent)
 	SubscribeAlerts = route("GET", "/api/v1/streams/{id}/alerts", Idempotent)
 )

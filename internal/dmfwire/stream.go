@@ -116,8 +116,9 @@ type StreamChunk struct {
 type AppendAck struct {
 	Stream string `json:"stream"`
 	Seq    int64  `json:"seq"`
-	// Duplicate marks a replayed seq: the chunk had already been applied
-	// and was NOT re-applied.
+	// Duplicate marks a retried seq (seq <= the last applied): the chunk
+	// had already been applied and was NOT re-applied; Events and Alerts
+	// are the stream's counts at the time of the retry.
 	Duplicate bool `json:"duplicate,omitempty"`
 	// Events is the number of distinct events accumulated so far.
 	Events int `json:"events"`

@@ -11,8 +11,11 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"perfknow/internal/apps/genidlest"
 	"perfknow/internal/apps/msa"
@@ -20,7 +23,6 @@ import (
 	"perfknow/internal/diagnosis"
 	"perfknow/internal/machine"
 	"perfknow/internal/openuh"
-	"perfknow/internal/parallel"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/power"
 	"perfknow/internal/rules"
@@ -122,13 +124,15 @@ func Run(id string) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// RunAll executes every experiment whose ID has the given prefix ("" = all).
-// Experiments are fully independent — each builds its own session, machine
-// and temporary assets — so they fan out across parallel.DefaultWorkers
-// goroutines. Results come back in registry order; on failure the returned
-// slice holds the results of every experiment before the (lowest-index)
-// failing one, matching the partial output of the sequential loop.
-func RunAll(prefix string) ([]*Result, error) {
+// RunAll executes every experiment whose ID has the given prefix ("" = all)
+// on up to jobs goroutines (<= 0: GOMAXPROCS; 1: in registry order on the
+// caller). Experiments are fully independent — each builds its own session,
+// machine and temporary assets — so any jobs gives the same results. Workers
+// claim experiments in registry order and stop claiming after a failure;
+// results come back in registry order. On failure RunAll returns the results
+// before the lowest-index failing experiment and that experiment's error:
+// the partial output of the sequential loop.
+func RunAll(prefix string, jobs int) ([]*Result, error) {
 	var ids []string
 	for _, e := range registry {
 		if prefix != "" && !strings.HasPrefix(e.id, prefix) {
@@ -139,18 +143,43 @@ func RunAll(prefix string) ([]*Result, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("experiments: no experiment matches %q", prefix)
 	}
-	results, err := parallel.Map(context.Background(), len(ids), 0, func(i int) (*Result, error) {
-		return Run(ids[i])
-	})
-	if err != nil {
-		var out []*Result
-		for _, r := range results {
-			if r == nil {
-				break
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*Result, len(ids))
+	errs := make([]error, len(ids))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(ids) {
+				return
 			}
-			out = append(out, r)
+			if results[i], errs[i] = Run(ids[i]); errs[i] != nil {
+				failed.Store(true)
+			}
 		}
-		return out, err
+	}
+	if jobs = min(jobs, len(ids)); jobs == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(jobs)
+		for range jobs {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return results[:i], err
+		}
 	}
 	return results, nil
 }

@@ -22,7 +22,7 @@ func TestUnknownID(t *testing.T) {
 	if _, err := Run("Z9"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if _, err := RunAll("Z"); err == nil {
+	if _, err := RunAll("Z", 1); err == nil {
 		t.Fatal("unmatched prefix accepted")
 	}
 }

@@ -34,11 +34,12 @@
 //     client-side consistent-hash routing and anti-entropy repair
 //     (internal/cluster, docs/CLUSTER.md) behind the same Store surface.
 //
-// Concurrency has one grain, whole and independent items: the trials of a
-// batch, the experiments of a run, the requests a daemon admits. The CLIs'
-// -j flag bounds how many of those are in flight. A simulation, a fact
-// builder or an analysis operation runs on the goroutine that called it,
-// and a Machine with its Regions and Engine belongs to that one goroutine.
+// Concurrency has one grain, whole and independent items: the experiments
+// of a run and the requests a daemon admits. The -j flag of cmd/experiments
+// and of cmd/perfdmfd bounds how many of those are in flight. A
+// simulation, a fact builder or an analysis operation runs on the
+// goroutine that called it, and a Machine with its Regions and Engine
+// belongs to that one goroutine.
 //
 // Quick start:
 //
