@@ -413,10 +413,6 @@ for i in range(1000) {
 // trial, then makes 1 000 trial-method calls, so what declaring and checking
 // a binding costs shows beside what the analysis costs.
 func BenchmarkScriptHostAPI(b *testing.B) {
-	assets := b.TempDir()
-	if err := perfknow.WriteAssets(assets); err != nil {
-		b.Fatal(err)
-	}
 	tr, err := genidlest.Run(perfknow.AltixConfig(16, 2), genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16))
 	if err != nil {
 		b.Fatal(err)
@@ -435,7 +431,7 @@ for i in range(1000) {
 	for i := 0; i < b.N; i++ {
 		s := perfknow.NewSession(repo)
 		s.SetOutput(io.Discard)
-		perfknow.InstallKnowledgeBase(s, assets+"/rules")
+		perfknow.InstallKnowledgeBase(s, "")
 		perfknow.SetScriptArgs(s, []string{tr.App, tr.Experiment, tr.Name})
 		if err := s.RunScript(src); err != nil {
 			b.Fatal(err)

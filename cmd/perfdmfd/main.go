@@ -119,7 +119,7 @@ func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.IntVar(&o.streamWindow, "stream-window", dmfserver.DefaultStreamWindow,
 		"default sliding-window size in chunks for standing stream analysis (0 = cumulative; streams may override per-open)")
 	fs.StringVar(&o.standingRules, "standing-rules", "",
-		"comma-separated .prl rule names (from -rules) registered as standing diagnoses on every stream that names none")
+		"comma-separated .prl rule names (built-in, or under -rules) registered as standing diagnoses on every stream that names none")
 	fs.StringVar(&o.peers, "peers", "",
 		"comma-separated base URLs of every cluster member (including this one); empty = standalone")
 	fs.IntVar(&o.replicas, "replicas", 2, "cluster replication factor R (with -peers)")
@@ -248,7 +248,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if err != nil {
 		return fail(logger, err)
 	}
-	defer srv.Close() // removes the owned temp assets dir, if any
+	defer srv.Close()
 	if node != nil {
 		node.Start()
 		defer node.Close()

@@ -16,8 +16,12 @@
 //	perfexplorer -write-assets DIR
 //
 // Script arguments (usually application, experiment and trial names) are
-// visible to the script as the `args` list. The bundled analysis scripts
-// live under assets/scripts and the rule files under assets/rules.
+// visible to the script as the `args` list. RuleHarness("OpenUHRules.prl")
+// reads a rule file of the built-in knowledge base (embedded from
+// assets/rules, so the command runs from any directory), or of the
+// directory -rules DIR names. The bundled analysis scripts are
+// assets/scripts/*.pes; -write-assets DIR copies the built-in rules and
+// scripts out for editing.
 //
 // With -server URL the script runs against a remote perfdmfd profile
 // service instead of a local directory: Utilities.getTrial, listings and
@@ -98,7 +102,7 @@ func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.repoDir, "repo", "perfdata", "profile repository directory")
 	fs.StringVar(&o.serverURL, "server", "", "remote perfdmfd URL (e.g. http://localhost:7360); overrides -repo")
 	fs.StringVar(&o.scriptPath, "script", "", "analysis script (.pes) to run")
-	fs.StringVar(&o.rulesDir, "rules", "assets/rules", "directory holding .prl rule files")
+	fs.StringVar(&o.rulesDir, "rules", "", "directory holding .prl rule files (default: built-in knowledge base)")
 	fs.BoolVar(&o.list, "list", false, "list repository contents and exit")
 	fs.StringVar(&o.writeAssets, "write-assets", "", "write the bundled rules and scripts under this directory and exit")
 	fs.StringVar(&o.tracePath, "trace", "", "trace the run and write the span tree (incl. server-side spans with -server) as JSON to this file")
@@ -187,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if o.retries > 0 {
 			opts = append(opts, dmfclient.WithRetryPolicy(dmfclient.RetryPolicy{MaxAttempts: o.retries}))
 		}
-		sharded, err := cluster.Dial(desc, opts, cluster.WithTracer(tracer))
+		sharded, err := cluster.Dial(desc, opts)
 		if err != nil {
 			return fail(stderr, err)
 		}

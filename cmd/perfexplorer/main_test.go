@@ -98,6 +98,21 @@ func TestRunScriptEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunOutsideRepositoryRoot: without -rules the rules come from the
+// built-in knowledge base, so a bundled script runs from any directory.
+func TestRunOutsideRepositoryRoot(t *testing.T) {
+	repo := seedRepo(t)
+	script, err := filepath.Abs(filepath.Join("..", "..", "assets", "scripts", "load_balance.pes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir())
+	var out, errb bytes.Buffer
+	if code := run([]string{"-repo", repo, "-script", script, "app", "exp", "t1"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+}
+
 func TestScriptRequired(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-repo", t.TempDir()}, &out, &errb); code != 2 {

@@ -16,7 +16,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"perfknow"
 )
@@ -63,16 +62,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	assets, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(assets)
-	if err := perfknow.WriteAssets(assets); err != nil {
-		log.Fatal(err)
-	}
 	s := perfknow.NewSession(repo)
-	perfknow.InstallKnowledgeBase(s, assets+"/rules")
+	perfknow.InstallKnowledgeBase(s, "")
 
 	steps := []struct {
 		title, script string

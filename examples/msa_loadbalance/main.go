@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"perfknow"
 )
@@ -51,16 +50,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	assets, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(assets)
-	if err := perfknow.WriteAssets(assets); err != nil {
-		log.Fatal(err)
-	}
 	s := perfknow.NewSession(repo)
-	perfknow.InstallKnowledgeBase(s, assets+"/rules")
+	perfknow.InstallKnowledgeBase(s, "")
 	perfknow.SetScriptArgs(s, []string{static.App, static.Experiment, static.Name})
 
 	fmt.Println("\ndiagnosing the static-even run (load_balance.pes):")

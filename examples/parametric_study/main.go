@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"strconv"
 
 	"perfknow"
@@ -68,16 +67,8 @@ func main() {
 	}
 
 	// Diagnose the imbalanced point straight out of the study repository.
-	assets, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(assets)
-	if err := perfknow.WriteAssets(assets); err != nil {
-		log.Fatal(err)
-	}
 	s := perfknow.NewSession(repo)
-	perfknow.InstallKnowledgeBase(s, assets+"/rules")
+	perfknow.InstallKnowledgeBase(s, "")
 	perfknow.SetScriptArgs(s, []string{"MSAP", "schedule x threads", "schedule=static,threads=16"})
 	fmt.Println("\ndiagnosing point schedule=static,threads=16:")
 	if err := s.RunScript(perfknow.ScriptLoadBalance); err != nil {

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"perfknow"
 )
@@ -64,16 +63,8 @@ func main() {
 		base.WattsPerProc, base.Seconds, base.Joules)
 
 	// Let the power rules recommend levels.
-	assets, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(assets)
-	if err := perfknow.WriteAssets(assets); err != nil {
-		log.Fatal(err)
-	}
 	s := perfknow.NewSession(repo)
-	perfknow.InstallKnowledgeBase(s, assets+"/rules")
+	perfknow.InstallKnowledgeBase(s, "")
 	perfknow.SetScriptArgs(s, []string{app, experiment})
 	fmt.Println("recommendations from assets/rules/PowerRules.prl:")
 	if err := s.RunScript(perfknow.ScriptPowerLevels); err != nil {

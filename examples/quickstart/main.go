@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"perfknow"
 )
@@ -60,16 +59,8 @@ func main() {
 	if err := repo.Save(trial); err != nil {
 		log.Fatal(err)
 	}
-	assets, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(assets)
-	if err := perfknow.WriteAssets(assets); err != nil {
-		log.Fatal(err)
-	}
 	s := perfknow.NewSession(repo)
-	perfknow.InstallKnowledgeBase(s, assets+"/rules")
+	perfknow.InstallKnowledgeBase(s, "")
 	perfknow.SetScriptArgs(s, []string{trial.App, trial.Experiment, trial.Name})
 	fmt.Println("\nrunning assets/scripts/stalls_per_cycle.pes:")
 	if err := s.RunScript(perfknow.ScriptStallsPerCycle); err != nil {

@@ -109,6 +109,11 @@ func runHistory(t *testing.T, seed uint64, ops int) (digest, log string) {
 		}
 	}
 
+	// What the store counted of degraded writes and listings closes the log.
+	for _, name := range []string{"cluster_writes_underreplicated_total", "cluster_partial_listings_total"} {
+		fmt.Fprintf(&c.log, "%s %d\n", name, c.store.reg.Counter(name).Value())
+	}
+
 	h := sha256.New()
 	for _, u := range c.urls {
 		m := c.members[u]

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"perfknow/internal/dmfwire"
-	"perfknow/internal/obs"
 	"perfknow/internal/perfdmf"
 )
 
@@ -93,17 +92,6 @@ func (s *ShardedStore) Rebalance(ctx context.Context) (*dmfwire.RepairReport, er
 	sort.Strings(rep.Copies)
 	sort.Strings(rep.Removals)
 	s.repairErrors.Add(int64(len(rep.Errors)))
-	s.emit(ctx, obs.Event{
-		Name: "cluster.rebalance",
-		Attrs: map[string]string{
-			"epoch":   fmt.Sprintf("%d", rep.Epoch),
-			"scanned": fmt.Sprintf("%d/%d", rep.PeersScanned, rep.Peers),
-			"trials":  fmt.Sprintf("%d", rep.Trials),
-			"copied":  fmt.Sprintf("%d", rep.Copied),
-			"removed": fmt.Sprintf("%d", rep.Removed),
-			"errors":  fmt.Sprintf("%d", len(rep.Errors)),
-		},
-	})
 	return rep, nil
 }
 

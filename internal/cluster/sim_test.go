@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"perfknow/internal/dmfclient"
 	"perfknow/internal/dmfserver"
 	"perfknow/internal/dmfwire"
-	"perfknow/internal/obs"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/vfs"
 )
@@ -42,8 +40,9 @@ type simCluster struct {
 	urls    []string              // canonical order
 	store   *ShardedStore
 
-	// log is the history's event log: operations and their outcomes, the
-	// store's cluster events and every agent log line, without timestamps.
+	// log is the history's event log: operations and their outcomes, every
+	// agent log line without timestamps, and the store's degraded-write and
+	// partial-listing counts at the end.
 	log    strings.Builder
 	logger *slog.Logger
 
@@ -78,7 +77,7 @@ func newSimCluster(t *testing.T, seed uint64, n, replicas int) *simCluster {
 	for _, u := range urls {
 		c.start(u, c.desc, nil)
 	}
-	store, err := New(c.desc, c.backends(c.desc.Peers), WithTracer(c.tracer()),
+	store, err := New(c.desc, c.backends(c.desc.Peers),
 		WithBackendFactory(func(peer string) (Backend, error) { return c.client(peer) }))
 	if err != nil {
 		t.Fatal(err)
@@ -138,24 +137,6 @@ func (c *simCluster) fanout(ctx context.Context, n int, call func(context.Contex
 			return
 		}
 	}
-}
-
-// tracer records the store's cluster events into the log.
-func (c *simCluster) tracer() *obs.Tracer {
-	tr := obs.NewTracer()
-	tr.OnEvent(func(ev obs.Event) {
-		keys := make([]string, 0, len(ev.Attrs))
-		for k := range ev.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&c.log, "event %s", ev.Name)
-		for _, k := range keys {
-			fmt.Fprintf(&c.log, " %s=%s", k, ev.Attrs[k])
-		}
-		fmt.Fprintf(&c.log, " err=%v\n", ev.Err)
-	})
-	return tr
 }
 
 // client is a one-attempt dmfclient over the in-process network.

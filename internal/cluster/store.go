@@ -59,8 +59,9 @@ var ErrRingStale = errors.New("cluster: ring descriptor is stale")
 // obs.Registry (share one with WithRegistry): cluster_reads_total,
 // cluster_read_fallbacks_total, cluster_writes_total,
 // cluster_write_replicas_total, cluster_writes_rerouted_total,
-// cluster_writes_underreplicated_total, cluster_repair_*_total, and the
-// cluster_replication_lag_ms histogram (first ack to last ack per write).
+// cluster_writes_underreplicated_total, cluster_partial_listings_total,
+// cluster_repair_*_total, and the cluster_replication_lag_ms histogram
+// (first ack to last ack per write).
 type ShardedStore struct {
 	// mu guards the topology (ring + backends); every operation snapshots
 	// both at entry via topo(), so one call routes consistently even while
@@ -84,23 +85,23 @@ type ShardedStore struct {
 	// the repairing agent installs its own).
 	env env
 
-	tracer *obs.Tracer
-	reg    *obs.Registry
+	reg *obs.Registry
 
-	reads          *obs.Counter
-	readFallbacks  *obs.Counter
-	writes         *obs.Counter
-	writeReplicas  *obs.Counter
-	writesRerouted *obs.Counter
-	writesHinted   *obs.Counter
-	writesUnder    *obs.Counter
-	deletes        *obs.Counter
-	repairScans    *obs.Counter
-	repairCopied   *obs.Counter
-	repairRemoved  *obs.Counter
-	repairErrors   *obs.Counter
-	ringRefreshes  *obs.Counter
-	replLag        *obs.Histogram
+	reads           *obs.Counter
+	readFallbacks   *obs.Counter
+	writes          *obs.Counter
+	writeReplicas   *obs.Counter
+	writesRerouted  *obs.Counter
+	writesHinted    *obs.Counter
+	writesUnder     *obs.Counter
+	partialListings *obs.Counter
+	deletes         *obs.Counter
+	repairScans     *obs.Counter
+	repairCopied    *obs.Counter
+	repairRemoved   *obs.Counter
+	repairErrors    *obs.Counter
+	ringRefreshes   *obs.Counter
+	replLag         *obs.Histogram
 }
 
 var _ perfdmf.Store = (*ShardedStore)(nil)
@@ -112,12 +113,6 @@ type Option func(*ShardedStore)
 // cluster_* counters into the embedder's metrics surface.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *ShardedStore) { s.reg = reg }
-}
-
-// WithTracer installs the tracer that receives cluster events (partial
-// listings, under-replicated writes) when a call's context carries none.
-func WithTracer(tr *obs.Tracer) Option {
-	return func(s *ShardedStore) { s.tracer = tr }
 }
 
 // WithBackendFactory installs the dialer AdoptRing uses for peers that
@@ -164,6 +159,7 @@ func New(desc dmfwire.Ring, backends map[string]Backend, opts ...Option) (*Shard
 	s.writesRerouted = s.reg.Counter("cluster_writes_rerouted_total")
 	s.writesHinted = s.reg.Counter("cluster_writes_hinted_total")
 	s.writesUnder = s.reg.Counter("cluster_writes_underreplicated_total")
+	s.partialListings = s.reg.Counter("cluster_partial_listings_total")
 	s.deletes = s.reg.Counter("cluster_deletes_total")
 	s.repairScans = s.reg.Counter("cluster_repair_scans_total")
 	s.repairCopied = s.reg.Counter("cluster_repair_copied_total")
@@ -390,18 +386,6 @@ func (s *ShardedStore) AdoptRing(desc dmfwire.Ring) error {
 	return nil
 }
 
-// emit publishes a cluster event to the context's tracer or the store's
-// own; without either it is dropped.
-func (s *ShardedStore) emit(ctx context.Context, ev obs.Event) {
-	tr := obs.TracerFrom(ctx)
-	if tr == nil {
-		tr = s.tracer
-	}
-	if tr != nil {
-		tr.Emit(ev)
-	}
-}
-
 // --- writes -----------------------------------------------------------
 
 // SaveContext replicates the trial: it validates the trial once, then
@@ -415,9 +399,8 @@ func (s *ShardedStore) emit(ctx context.Context, ev obs.Event) {
 // by handoff the moment it returns instead of waiting for the next
 // anti-entropy pass. The write succeeds if at least one replica
 // acknowledged — the trial is durable somewhere the read path will find
-// it — and under-replication is surfaced through
-// cluster_writes_underreplicated_total and a
-// "cluster.write_underreplicated" event for the repair loop to fix.
+// it — and under-replication is counted in
+// cluster_writes_underreplicated_total for the repair loop to fix.
 func (s *ShardedStore) SaveContext(ctx context.Context, t *perfdmf.Trial) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -492,14 +475,6 @@ func (s *ShardedStore) SaveContext(ctx context.Context, t *perfdmf.Trial) error 
 	s.replLag.Observe(float64(last.Sub(first)) / float64(time.Millisecond))
 	if len(acks) < r {
 		s.writesUnder.Inc()
-		s.emit(ctx, obs.Event{
-			Name: "cluster.write_underreplicated",
-			Err:  errors.Join(errs...),
-			Attrs: map[string]string{
-				"trial":    t.App + "/" + t.Experiment + "/" + t.Name,
-				"replicas": fmt.Sprintf("%d/%d", len(acks), r),
-			},
-		})
 	}
 	return nil
 }
@@ -597,7 +572,7 @@ func (s *ShardedStore) DeleteContext(ctx context.Context, app, experiment, trial
 // least one peer answers; with replication factor R the union over any
 // N-(R-1) surviving peers is still complete, so a partial fan-out is a
 // degraded-but-correct listing as long as no more than R-1 peers are
-// down. Partial results are surfaced as "cluster.partial_listing" events.
+// down. A partial result is counted in cluster_partial_listings_total.
 func (s *ShardedStore) fanListing(ctx context.Context, what string, list func(Backend) ([]string, error)) ([]string, error) {
 	ring, backends := s.topo()
 	peers := ring.Peers()
@@ -621,11 +596,7 @@ func (s *ShardedStore) fanListing(ctx context.Context, what string, list func(Ba
 		return nil, fmt.Errorf("cluster: list %s failed on every peer: %w", what, errors.Join(errs...))
 	}
 	if len(errs) > 0 {
-		s.emit(ctx, obs.Event{
-			Name:  "cluster.partial_listing",
-			Err:   errors.Join(errs...),
-			Attrs: map[string]string{"listing": what, "peers_answered": fmt.Sprintf("%d/%d", ok, len(peers))},
-		})
+		s.partialListings.Inc()
 	}
 	slices.Sort(union)
 	return slices.Compact(union), nil

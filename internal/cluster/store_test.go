@@ -396,6 +396,10 @@ func TestListingsUnionAcrossPeers(t *testing.T) {
 		}
 		fb.setDown(false)
 	}
+	// Each of those listings was partial, and only those.
+	if got := s.reg.Counter("cluster_partial_listings_total").Value(); got != int64(len(fakes)) {
+		t.Fatalf("cluster_partial_listings_total = %d, want %d", got, len(fakes))
+	}
 	exps, err := s.ListExperiments("app1")
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -313,6 +316,35 @@ func TestScriptErrorPropagation(t *testing.T) {
 	for _, src := range cases {
 		if err := s.RunScript(src); err == nil {
 			t.Errorf("no error for %q", src)
+		}
+	}
+}
+
+// TestRuleHarness: RuleHarness loads a file of the session's rule source by
+// name. A missing name, an absolute path (even to the file itself) and a
+// path climbing out with ".." fail with an error naming what was asked
+// for, and without a rule source every name fails.
+func TestRuleHarness(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r.prl")
+	if err := os.WriteFile(path, []byte(`rule "r" when f : T ( v : v > 1 ) then println(v) end`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestSession(t)
+	if err := s.RunScript(`RuleHarness("r.prl")`); err == nil {
+		t.Fatal("RuleHarness loaded a file with no rule source installed")
+	}
+	s.Rules = os.DirFS(dir)
+	if err := s.RunScript(`RuleHarness("r.prl")`); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Engine.Rules(); len(got) != 1 || got[0] != "r" {
+		t.Fatalf("rules: %v", got)
+	}
+	for _, name := range []string{"missing.prl", path, "../" + filepath.Base(dir) + "/r.prl"} {
+		err := s.RunScript(fmt.Sprintf("RuleHarness(%q)", name))
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("RuleHarness(%q): %v, want an error naming it", name, err)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // analysis processes are captured as reusable scripts in the style of
 // Fig. 1 of the paper:
 //
-//	ruleHarness = RuleHarness("rules/OpenUHRules.prl")
+//	ruleHarness = RuleHarness("OpenUHRules.prl")
 //	trial = TrialMeanResult(Utilities.getTrial("Fluid Dynamic", "rib 45", "1_8"))
 //	derived = DeriveMetric(trial, "BACK_END_BUBBLE_ALL", "CPU_CYCLES", "/")
 //	metric = DeriveMetricName("BACK_END_BUBBLE_ALL", "CPU_CYCLES", "/")
@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"perfknow/internal/analysis"
@@ -38,6 +39,9 @@ type Session struct {
 	Repo   perfdmf.Store
 	Engine *rules.Engine
 	Interp *script.Interp
+	// Rules is the knowledge base RuleHarness reads rule files from, by
+	// name relative to its root. Nil until diagnosis.Install sets it.
+	Rules fs.FS
 
 	lastResult *rules.Result
 }
@@ -160,8 +164,8 @@ var Functions = script.NewModule("",
 		}
 		return analysis.DeriveMetricName(a[0].(string), a[1].(string), op), nil
 	}),
-	harness("RuleHarness(files str...)", "load .prl rule files into the session's engine", (*rules.Engine).LoadFile),
-	harness("RuleHarnessFromSource(sources str...)", "load .prl rule text into the session's engine", (*rules.Engine).LoadString),
+	harness("RuleHarness(files str...)", "load .prl rule files of the knowledge base into the session's engine", (*Session).loadRuleFile),
+	harness("RuleHarnessFromSource(sources str...)", "load .prl rule text into the session's engine", func(s *Session, src string) error { return s.Engine.LoadString(src) }),
 	Def("assertFact(type str, fields map)", "assert a fact of the type with the fields", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
 		m := a[1].(*script.Map)
 		fields := make(map[string]any, len(m.Entries))
@@ -182,15 +186,33 @@ func reducer(name, what string, r analysis.Reduction) *script.Builtin {
 	})
 }
 
-func harness(sig, doc string, load func(*rules.Engine, string) error) *script.Builtin {
+func harness(sig, doc string, load func(*Session, string) error) *script.Builtin {
 	return Def(sig, doc+"; returns the harness", func(in *script.Interp, _ script.Value, a []script.Value) (script.Value, error) {
 		for _, v := range a {
-			if err := load(SessionOf(in).Engine, v.(string)); err != nil {
+			if err := load(SessionOf(in), v.(string)); err != nil {
 				return nil, err
 			}
 		}
 		return Harness, nil
 	})
+}
+
+// loadRuleFile loads one rule file of the session's knowledge base. The
+// name is a slash-separated path inside it: an absolute path or one with
+// ".." is refused before anything is opened, so a script never reads a file
+// outside the knowledge base. An open error names the path as requested.
+func (s *Session) loadRuleFile(name string) error {
+	if s.Rules == nil {
+		return fmt.Errorf("rules: %s: no knowledge base installed", name)
+	}
+	data, err := fs.ReadFile(s.Rules, name)
+	if err != nil {
+		return fmt.Errorf("rules: %w", err)
+	}
+	if err := s.Engine.LoadString(string(data)); err != nil {
+		return fmt.Errorf("rules: %s: %w", name, err)
+	}
+	return nil
 }
 
 // CompareEventToMain asserts the paper's MeanEventFact for one event: its

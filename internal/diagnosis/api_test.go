@@ -124,7 +124,7 @@ var validCalls = map[string]string{
 
 	"TrialMeanResult": `TrialMeanResult(trial)`, "TrialTotalResult": `TrialTotalResult(trial)`,
 	"TrialMaxResult": `TrialMaxResult(trial)`, "DeriveMetric": `DeriveMetric(trial, "CPU_CYCLES", "TIME", "/")`,
-	"DeriveMetricName": `DeriveMetricName("A", "B", "*")`, "RuleHarness": `RuleHarness(rulesdir + "/OpenUHRules.prl")`,
+	"DeriveMetricName": `DeriveMetricName("A", "B", "*")`, "RuleHarness": `RuleHarness("OpenUHRules.prl")`,
 	"RuleHarnessFromSource": `RuleHarnessFromSource('rule "r" when f : T ( v : v > 1 ) then println(v) end')`, "assertFact": `assertFact("T", {"v": 1})`,
 	"LoadBalanceFacts": `LoadBalanceFacts(trial, "TIME")`,
 
@@ -162,7 +162,7 @@ var validCalls = map[string]string{
 }
 
 func TestScriptAPIValidCalls(t *testing.T) {
-	s, _, _ := session(t)
+	s, _ := session(t)
 	tr := genTrial(t, genidlest.OpenMP, 4, false)
 	if err := s.Repo.SaveContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestScriptAPIDocumented(t *testing.T) {
 }
 
 func TestClusterFactsArguments(t *testing.T) {
-	s, _, _ := session(t)
+	s, _ := session(t)
 	tr := genTrial(t, genidlest.OpenMP, 4, false)
 	s.Interp.SetGlobal("trial", &core.TrialObject{Trial: tr})
 	for src, want := range map[string]string{

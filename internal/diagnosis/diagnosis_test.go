@@ -3,6 +3,7 @@ package diagnosis
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,29 +22,30 @@ import (
 
 func altix() machine.Config { return machine.Altix(16, 2) }
 
-// session builds a core session with the knowledge base installed and the
-// assets written to a temp dir.
-func session(t *testing.T) (*core.Session, *bytes.Buffer, string) {
+// session builds a core session with the built-in knowledge base installed.
+func session(t *testing.T) (*core.Session, *bytes.Buffer) {
 	t.Helper()
+	s := core.NewSession(nil)
+	var buf bytes.Buffer
+	s.SetOutput(&buf)
+	Install(s, "")
+	return s, &buf
+}
+
+// TestWriteAssets: the copy WriteAssets makes is a rule source of its own,
+// and every rule file in it parses to at least one rule.
+func TestWriteAssets(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteAssets(dir); err != nil {
 		t.Fatal(err)
 	}
-	s := core.NewSession(nil)
-	var buf bytes.Buffer
-	s.SetOutput(&buf)
-	Install(s, dir+"/rules")
-	return s, &buf, dir
-}
-
-func TestWriteAssets(t *testing.T) {
-	_, _, dir := session(t)
 	for name := range RuleFiles() {
-		eng := rules.NewEngine()
-		if err := eng.LoadFile(dir + "/rules/" + name); err != nil {
-			t.Fatalf("rule file %s does not parse: %v", name, err)
+		s := core.NewSession(nil)
+		Install(s, filepath.Join(dir, "rules"))
+		if err := s.RunScript(fmt.Sprintf("RuleHarness(%q)", name)); err != nil {
+			t.Fatalf("rule file %s does not load: %v", name, err)
 		}
-		if len(eng.Rules()) == 0 {
+		if len(s.Engine.Rules()) == 0 {
 			t.Fatalf("rule file %s has no rules", name)
 		}
 	}
@@ -89,7 +91,7 @@ func TestAssetsEmbedded(t *testing.T) {
 // --- Case study A: MSA load imbalance ---------------------------------
 
 func TestCaseStudyA_LoadImbalance(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 
 	// Static scheduling: the rule must fire and recommend dynamic.
 	static, err := msa.Run(altix(), msa.Params{
@@ -126,7 +128,7 @@ func TestCaseStudyA_LoadImbalance(t *testing.T) {
 }
 
 func TestCaseStudyA_DynamicIsQuiet(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	dynamic, err := msa.Run(altix(), msa.Params{
 		Sequences: 64, MeanLen: 120, LenJitter: 60, Seed: 42,
 		Threads: 16, Schedule: sim.Schedule{Kind: sim.DynamicSched, Chunk: 1},
@@ -160,7 +162,7 @@ func genTrial(t *testing.T, mode genidlest.Mode, threads int, opt bool) *perfdmf
 }
 
 func TestCaseStudyB_StallsAndInefficiency(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
 	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
 		t.Fatal(err)
@@ -199,7 +201,7 @@ func TestCaseStudyB_StallsAndInefficiency(t *testing.T) {
 }
 
 func TestCaseStudyB_LocalityAndSequentialBottleneck(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
 	base := genTrial(t, genidlest.OpenMP, 1, false)
 	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
@@ -234,7 +236,7 @@ func TestCaseStudyB_LocalityAndSequentialBottleneck(t *testing.T) {
 }
 
 func TestCaseStudyB_OptimizedIsQuieter(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	opt := genTrial(t, genidlest.OpenMP, 16, true)
 	if err := s.Repo.SaveContext(context.Background(), opt); err != nil {
 		t.Fatal(err)
@@ -255,7 +257,7 @@ func TestCaseStudyB_OptimizedIsQuieter(t *testing.T) {
 // --- Case study C: power ------------------------------------------------
 
 func TestCaseStudyC_PowerRules(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	for _, lvl := range []openuh.OptLevel{openuh.O0, openuh.O1, openuh.O2, openuh.O3} {
 		cfg := genidlest.DefaultConfig(genidlest.Rib90(), genidlest.MPI, 16)
 		cfg.OptLevel = lvl
@@ -299,7 +301,7 @@ func TestCaseStudyC_PowerRules(t *testing.T) {
 }
 
 func TestSyncOverheadRule(t *testing.T) {
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	// Synthetic trial: a region that burns 40% of its cycles in a critical
 	// section.
 	tr := perfdmf.NewTrial("app", "sync", "t", 4)
@@ -354,7 +356,7 @@ func TestThreadClusterOutlierRule(t *testing.T) {
 	// The unoptimized GenIDLEST OpenMP run has a master thread doing the
 	// serialized exchange copies while workers wait: k-means with k=2 must
 	// isolate thread 0 and the outlier rule must name it.
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	unopt := genTrial(t, genidlest.OpenMP, 16, false)
 	if err := s.Repo.SaveContext(context.Background(), unopt); err != nil {
 		t.Fatal(err)

@@ -29,6 +29,9 @@ import (
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/asset_outcomes/*.golden")
 
+// goldenDir is absolute, resolved before any test changes directory.
+var goldenDir, _ = filepath.Abs(filepath.Join("testdata", "asset_outcomes"))
+
 // diffOutcome captures everything observable from one script run.
 type diffOutcome struct {
 	out   string
@@ -59,7 +62,7 @@ func (o diffOutcome) golden() string {
 // returns, and captures the observable outcome.
 func runScenario(t *testing.T, scenario func(t *testing.T, s *core.Session) string) diffOutcome {
 	t.Helper()
-	s, buf, _ := session(t)
+	s, buf := session(t)
 	err := s.RunScript(scenario(t, s))
 	o := diffOutcome{out: buf.String()}
 	if err != nil {
@@ -79,7 +82,7 @@ func runScenario(t *testing.T, scenario func(t *testing.T, s *core.Session) stri
 func checkGolden(t *testing.T, o diffOutcome) {
 	t.Helper()
 	name := t.Name()[strings.LastIndexByte(t.Name(), '/')+1:]
-	path := filepath.Join("testdata", "asset_outcomes", name+".golden")
+	path := filepath.Join(goldenDir, name+".golden")
 	if *updateGoldens {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -198,7 +201,10 @@ var assetScenarios = []struct {
 	}},
 }
 
+// TestDifferentialAssetScripts runs the scenarios from an empty working
+// directory: on the built-in knowledge base a script reads nothing from it.
 func TestDifferentialAssetScripts(t *testing.T) {
+	t.Chdir(t.TempDir())
 	for _, sc := range assetScenarios {
 		t.Run(sc.name, func(t *testing.T) { checkGolden(t, runScenario(t, sc.setup)) })
 	}

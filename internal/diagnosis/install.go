@@ -2,6 +2,8 @@ package diagnosis
 
 import (
 	"fmt"
+	"io/fs"
+	"os"
 
 	"perfknow/internal/core"
 	"perfknow/internal/perfdmf"
@@ -11,13 +13,24 @@ import (
 )
 
 // Install binds the knowledge base's fact builders into a session's script
-// interpreter and points `rulesdir` at the directory holding the .prl
-// files. Scripts additionally receive their arguments through the `args`
-// global (set per run with SetArgs).
+// interpreter and gives RuleHarness its rule source, RuleSource(rulesDir).
+// Scripts receive their arguments through the `args` global (set per run
+// with SetArgs).
 func Install(s *core.Session, rulesDir string) {
-	s.Interp.SetGlobal("rulesdir", rulesDir)
+	s.Rules = RuleSource(rulesDir)
 	s.Interp.SetGlobal("args", script.NewList())
 	s.Interp.Bind(Functions)
+}
+
+// RuleSource is the one place a rule source is chosen: the embedded rules/
+// directory when dir is empty, else the directory dir, read in place.
+// Names inside it are bare file names ("OpenUHRules.prl"); like every
+// fs.FS it refuses absolute paths and "..".
+func RuleSource(dir string) fs.FS {
+	if dir == "" {
+		return builtinRules
+	}
+	return os.DirFS(dir)
 }
 
 // Functions are the knowledge base's fact builders and the power estimate.

@@ -5,11 +5,12 @@
 // power/energy trade-offs; the fact builders that derive those rules'
 // working-memory facts from parallel profiles; and the PerfExplorer analysis
 // scripts that drive the whole process. The rule and script text is the
-// files under assets/, embedded at build time (package perfknow/assets);
-// WriteAssets copies them out for the command-line tools.
+// files under assets/, embedded at build time (package perfknow/assets) and
+// read there; WriteAssets copies them out for an operator to edit.
 //
-// Each script expects the host to define `rulesdir` (directory holding the
-// .prl files) and `args` (a list of script arguments, usually
+// Each script loads its rules by file name through RuleHarness, from the
+// rule source Install gives the session, and expects the host to define
+// `args` (a list of script arguments, usually
 // [application, experiment, trial...]).
 package diagnosis
 
@@ -25,6 +26,10 @@ import (
 )
 
 var ruleFiles, scriptFiles = embedded("rules"), embedded("scripts")
+
+// builtinRules is the embedded rules/ directory, the default RuleSource
+// (fs.Sub fails only on an invalid path).
+var builtinRules, _ = fs.Sub(assets.FS, "rules")
 
 // embedded reads one directory of the embedded knowledge base, once.
 func embedded(dir string) map[string]string {

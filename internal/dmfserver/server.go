@@ -105,9 +105,9 @@ const (
 type Config struct {
 	// Repo is the shared profile repository. Required.
 	Repo *perfdmf.Repository
-	// RulesDir is the directory holding the .prl rule files that diagnosis
-	// scripts load through the `rulesdir` global. Empty means "materialize
-	// the built-in knowledge base under a temporary directory".
+	// RulesDir is the directory holding the .prl rule files diagnosis
+	// scripts and standing diagnoses load by name, read in place. Empty
+	// means the built-in knowledge base (diagnosis.RuleSource).
 	RulesDir string
 	// Jobs caps how many requests may run analysis/diagnosis concurrently
 	// (<= 0: GOMAXPROCS).
@@ -170,12 +170,8 @@ type Config struct {
 
 // Server is the perfdmfd HTTP service.
 type Server struct {
-	repo     *perfdmf.Repository
-	rulesDir string
-	// ownedAssets is the temporary assets directory created when
-	// Config.RulesDir was empty; removed by Close. Empty when the caller
-	// supplied the rules directory.
-	ownedAssets   string
+	repo          *perfdmf.Repository
+	rulesDir      string
 	slots         *admission
 	maxBody       int64
 	timeout       time.Duration
@@ -215,14 +211,12 @@ type Server struct {
 	node      ClusterNode
 }
 
-// New builds a Server. When cfg.RulesDir is empty the built-in knowledge
-// base is written under a temporary directory owned by the process.
+// New builds a Server. It writes nothing to disk: the knowledge base is
+// read where it lives, embedded or under cfg.RulesDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.Repo == nil {
 		return nil, errors.New("dmfserver: Config.Repo is required")
 	}
-	// Everything that can refuse the config runs before the assets
-	// directory exists: a failed New returns no Server to remove it.
 	var ring *dmfwire.Ring
 	var ringBytes []byte
 	if cfg.Ring != nil {
@@ -232,20 +226,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("dmfserver: cluster ring: %w", err)
 		}
 		ring, ringBytes = &canon, data
-	}
-	rulesDir := cfg.RulesDir
-	ownedAssets := ""
-	if rulesDir == "" {
-		dir, err := os.MkdirTemp("", "perfdmfd-assets-")
-		if err != nil {
-			return nil, fmt.Errorf("dmfserver: assets dir: %w", err)
-		}
-		if err := diagnosis.WriteAssets(dir); err != nil {
-			_ = os.RemoveAll(dir)
-			return nil, err
-		}
-		rulesDir = filepath.Join(dir, "rules")
-		ownedAssets = dir
 	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
@@ -297,8 +277,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		repo:          cfg.Repo,
-		rulesDir:      rulesDir,
-		ownedAssets:   ownedAssets,
+		rulesDir:      cfg.RulesDir,
 		ring:          ring,
 		ringBytes:     ringBytes,
 		slots:         newAdmission(jobs),
@@ -384,17 +363,10 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close releases resources the Server owns — today the temporary assets
-// directory materialized when Config.RulesDir was empty. It is safe to call
-// multiple times and on servers that never owned one.
-func (s *Server) Close() error {
-	if s.ownedAssets == "" {
-		return nil
-	}
-	dir := s.ownedAssets
-	s.ownedAssets = ""
-	return os.RemoveAll(dir)
-}
+// Close returns nil: a Server owns nothing that outlives it (the knowledge
+// base is read in place, never copied to disk). It is kept so embedding
+// processes can release a Server the same way whatever it holds.
+func (s *Server) Close() error { return nil }
 
 // Handler returns the fully wired HTTP handler (routing, logging, metrics,
 // timeouts, body limits, and — when configured — fault injection between

@@ -3,6 +3,7 @@ package dmfserver
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -101,14 +103,10 @@ func TestRemoteDiagnosisByteIdentical(t *testing.T) {
 	if err := localRepo.Save(stallTrial("app", "exp", "t1")); err != nil {
 		t.Fatal(err)
 	}
-	assets := t.TempDir()
-	if err := diagnosis.WriteAssets(assets); err != nil {
-		t.Fatal(err)
-	}
 	session := core.NewSession(localRepo)
 	var buf bytes.Buffer
 	session.SetOutput(&buf)
-	diagnosis.Install(session, assets+"/rules")
+	diagnosis.Install(session, "")
 	diagnosis.SetArgs(session, []string{"app", "exp", "t1"})
 	if err := session.RunScript(diagnosis.ScriptFiles()["stalls_per_cycle.pes"]); err != nil {
 		t.Fatal(err)
@@ -562,9 +560,12 @@ func TestErrStatusSentinel(t *testing.T) {
 	}
 }
 
-// TestCloseRemovesOwnedAssets: a server that materialized the built-in
-// knowledge base under a temp dir cleans it up on Close.
-func TestCloseRemovesOwnedAssets(t *testing.T) {
+// TestServerWritesNoAssets: a server on the built-in knowledge base reads
+// it in place. Booting it and running a diagnosis leave the temporary
+// directory as empty as they found it, before Close and after.
+func TestServerWritesNoAssets(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	srv, err := New(Config{
 		Repo:   perfdmf.NewRepository(),
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -572,38 +573,74 @@ func TestCloseRemovesOwnedAssets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := srv.ownedAssets
-	if dir == "" {
-		t.Fatal("server did not record its owned assets dir")
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("assets dir missing before Close: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("assets dir still present after Close: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-
-	// A caller-supplied rules dir is never owned, never removed.
-	rules := t.TempDir()
-	srv2, err := New(Config{
-		Repo:     perfdmf.NewRepository(),
-		RulesDir: rules,
-		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c, err := dmfclient.New(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv2.Close(); err != nil {
+	if err := c.SaveContext(context.Background(), stallTrial("a", "e", "t")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(rules); err != nil {
-		t.Fatalf("caller-supplied rules dir removed by Close: %v", err)
+	resp, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Script: "stalls_per_cycle", Args: []string{"a", "e", "t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Recommendations) == 0 {
+		t.Fatal("diagnosis on the built-in knowledge base recommended nothing")
+	}
+	empty := func(when string) {
+		left, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("%s, the temporary directory holds %s", when, e.Name())
+		}
+	}
+	empty("before Close") // a daemon killed with -9 never closes
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty("after Close")
+}
+
+// TestDiagnoseCannotReadOutsideKnowledgeBase: RuleHarness resolves names
+// inside the rule source only. An absolute path or one climbing out with
+// ".." is refused with a 400 that quotes nothing of the file it named
+// (the rule parser would echo its first word, "secret"), whether the server
+// reads the built-in knowledge base or a -rules dir.
+func TestDiagnoseCannotReadOutsideKnowledgeBase(t *testing.T) {
+	outside := t.TempDir()
+	secret := filepath.Join(outside, "x.prl")
+	if err := os.WriteFile(secret, []byte("secret-token\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rulesDir := filepath.Join(outside, "rules")
+	if err := os.Mkdir(rulesDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ rulesDir, name string }{
+		{"", secret},
+		{rulesDir, secret},
+		{rulesDir, "../x.prl"},
+	} {
+		srv, err := New(Config{Repo: perfdmf.NewRepository(), RulesDir: tc.rulesDir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		body, _ := json.Marshal(DiagnoseRequest{Source: fmt.Sprintf("RuleHarness(%q)", tc.name)})
+		resp, err := http.Post(ts.URL+"/api/v1/diagnose", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(got), "secret") {
+			t.Errorf("rules %q, RuleHarness(%q): %d %s, want 400 without the file's content", tc.rulesDir, tc.name, resp.StatusCode, got)
+		}
 	}
 }
 

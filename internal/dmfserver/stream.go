@@ -6,15 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"perfknow/internal/diagnosis"
 	"perfknow/internal/dmfwire"
 	"perfknow/internal/obs"
 	"perfknow/internal/perfdmf"
@@ -212,9 +212,9 @@ func (st *stream) info() dmfwire.StreamInfo {
 
 // --- handlers ---------------------------------------------------------
 
-// loadStandingRules reads the named .prl files from the rules directory.
-// Names are bare file names — path separators are rejected so a stream
-// cannot read outside the rules dir.
+// loadStandingRules reads the named .prl files from the server's rule
+// source. Names are bare file names — path separators are rejected so a
+// stream names only files at the knowledge base's top level.
 func (s *Server) loadStandingRules(names []string) ([]string, []string, error) {
 	resolved := make([]string, 0, len(names))
 	sources := make([]string, 0, len(names))
@@ -228,7 +228,7 @@ func (s *Server) loadStandingRules(names []string) ([]string, []string, error) {
 		if !strings.HasSuffix(name, ".prl") {
 			name += ".prl"
 		}
-		data, err := os.ReadFile(filepath.Join(s.rulesDir, name))
+		data, err := fs.ReadFile(diagnosis.RuleSource(s.rulesDir), name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rule file %q: %w", name, err)
 		}

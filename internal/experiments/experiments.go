@@ -10,7 +10,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -126,8 +125,8 @@ func Run(id string) (*Result, error) {
 
 // RunAll executes every experiment whose ID has the given prefix ("" = all)
 // on up to jobs goroutines (<= 0: GOMAXPROCS; 1: in registry order on the
-// caller). Experiments are fully independent — each builds its own session,
-// machine and temporary assets — so any jobs gives the same results. Workers
+// caller). Experiments are fully independent — each builds its own session
+// and machine — so any jobs gives the same results. Workers
 // claim experiments in registry order and stop claiming after a failure;
 // results come back in registry order. On failure RunAll returns the results
 // before the lowest-index failing experiment and that experiment's error:
@@ -210,33 +209,19 @@ func genRun(p genidlest.Problem, mode genidlest.Mode, threads int, opt bool) (*p
 	return genidlest.Run(altix(), cfg)
 }
 
-// scriptSession builds a session with the knowledge base installed against
-// a throwaway assets directory.
-func scriptSession() (*core.Session, *strings.Builder, func(), error) {
-	dir, err := os.MkdirTemp("", "perfknow-assets-")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cleanup := func() { os.RemoveAll(dir) }
-	if err := diagnosis.WriteAssets(dir); err != nil {
-		cleanup()
-		return nil, nil, nil, err
-	}
+// scriptSession builds a session with the built-in knowledge base installed.
+func scriptSession() (*core.Session, *strings.Builder) {
 	s := core.NewSession(nil)
 	var buf strings.Builder
 	s.SetOutput(&buf)
-	diagnosis.Install(s, dir+"/rules")
-	return s, &buf, cleanup, nil
+	diagnosis.Install(s, "")
+	return s, &buf
 }
 
 // --- F1: Fig. 1 sample script -------------------------------------------
 
 func runF1() (*Result, error) {
-	s, buf, cleanup, err := scriptSession()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
+	s, buf := scriptSession()
 	trial, err := genRun(genidlest.Rib90(), genidlest.OpenMP, 16, false)
 	if err != nil {
 		return nil, err
@@ -335,11 +320,7 @@ func runF3() (*Result, error) {
 	}
 	res.addf("stage 3: executed on 8 simulated threads: main = %.3f ms", mainTime(trial)*1e3)
 
-	s, buf, cleanup, err := scriptSession()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
+	s, buf := scriptSession()
 	if err := s.Repo.SaveContext(context.Background(), trial); err != nil {
 		return nil, err
 	}
@@ -621,11 +602,7 @@ func maxDev(v [4]float64) float64 {
 // --- M1/M2/M3: the §III-B metric scripts ----------------------------------
 
 func runMetricScript(script string, extraArg bool) (*Result, *core.Session, error) {
-	s, buf, cleanup, err := scriptSession()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
+	s, buf := scriptSession()
 	trial, err := genRun(genidlest.Rib90(), genidlest.OpenMP, 16, false)
 	if err != nil {
 		return nil, nil, err
@@ -834,11 +811,7 @@ func runA3() (*Result, error) {
 	res.addf("run 1: schedule static           → %.2f s", t1)
 
 	// Diagnose with the knowledge base.
-	s, buf, cleanup, err := scriptSession()
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
+	s, buf := scriptSession()
 	if err := s.Repo.SaveContext(context.Background(), first); err != nil {
 		return nil, err
 	}

@@ -71,18 +71,6 @@ type TraceSummary struct {
 	DurationMicros float64 `json:"duration_us"`
 }
 
-// Event is an out-of-band observation emitted by instrumented components —
-// for example a cluster write that reached fewer replicas than asked, or a
-// span that ended with an error. Register an observer with Tracer.OnEvent.
-type Event struct {
-	Time    time.Time
-	Name    string
-	TraceID string
-	SpanID  string
-	Err     error
-	Attrs   map[string]string
-}
-
 // Defaults for the trace ring buffer.
 const (
 	DefaultMaxTraces        = 128
@@ -106,7 +94,6 @@ type Tracer struct {
 	order   []string // active trace ids, oldest first
 	done    []*Trace // completed traces, oldest first
 	dropped map[string]int
-	hooks   []func(Event)
 
 	maxTraces int
 	maxSpans  int
@@ -135,29 +122,6 @@ func (t *Tracer) SetLimits(maxTraces, maxSpansPerTrace int) {
 	}
 	if maxSpansPerTrace > 0 {
 		t.maxSpans = maxSpansPerTrace
-	}
-}
-
-// OnEvent registers an observer for events (span errors and explicit
-// Emit calls). Observers run synchronously on the emitting goroutine and
-// must be fast and non-blocking.
-func (t *Tracer) OnEvent(fn func(Event)) {
-	t.mu.Lock()
-	t.hooks = append(t.hooks, fn)
-	t.mu.Unlock()
-}
-
-// Emit publishes an event to every observer registered with OnEvent.
-func (t *Tracer) Emit(ev Event) {
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	t.mu.Lock()
-	hooks := make([]func(Event), len(t.hooks))
-	copy(hooks, t.hooks)
-	t.mu.Unlock()
-	for _, fn := range hooks {
-		fn(ev)
 	}
 }
 
@@ -329,7 +293,6 @@ type Span struct {
 
 	mu    sync.Mutex
 	ended bool
-	err   error
 }
 
 // TraceID returns the span's trace id ("" on a nil span).
@@ -368,7 +331,6 @@ func (s *Span) SetError(err error) {
 		return
 	}
 	s.mu.Lock()
-	s.err = err
 	s.data.Error = err.Error()
 	s.mu.Unlock()
 }
@@ -387,18 +349,8 @@ func (s *Span) End() {
 	s.ended = true
 	s.data.DurationMicros = float64(time.Since(s.start).Nanoseconds()) / 1e3
 	sd := s.data
-	err := s.err
 	s.mu.Unlock()
 	s.tracer.record(sd, s.localRoot)
-	if err != nil {
-		s.tracer.Emit(Event{
-			Name:    sd.Name,
-			TraceID: sd.TraceID,
-			SpanID:  sd.SpanID,
-			Err:     err,
-			Attrs:   sd.Attrs,
-		})
-	}
 }
 
 // --- context plumbing --------------------------------------------------

@@ -174,28 +174,6 @@ func TestMergeRemoteSpans(t *testing.T) {
 	}
 }
 
-func TestEvents(t *testing.T) {
-	tr := NewTracer()
-	var events []Event
-	tr.OnEvent(func(ev Event) { events = append(events, ev) })
-
-	ctx := ContextWithTracer(context.Background(), tr)
-	_, sp := StartSpan(ctx, "fails")
-	sp.SetError(errors.New("kaput"))
-	sp.End()
-	tr.Emit(Event{Name: "custom", Attrs: map[string]string{"k": "v"}})
-
-	if len(events) != 2 {
-		t.Fatalf("want 2 events, got %d", len(events))
-	}
-	if events[0].Name != "fails" || events[0].Err == nil {
-		t.Errorf("span-error event = %+v", events[0])
-	}
-	if events[1].Name != "custom" || events[1].Time.IsZero() {
-		t.Errorf("emitted event = %+v", events[1])
-	}
-}
-
 func TestSummaries(t *testing.T) {
 	tr := NewTracer()
 	ctx := ContextWithTracer(context.Background(), tr)

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"unicode"
@@ -243,18 +242,6 @@ func (e *Engine) LoadString(src string) error {
 	}
 	for _, r := range rs {
 		e.AddRule(r)
-	}
-	return nil
-}
-
-// LoadFile parses a .prl file and adds the rules to the engine.
-func (e *Engine) LoadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("rules: %w", err)
-	}
-	if err := e.LoadString(string(data)); err != nil {
-		return fmt.Errorf("rules: %s: %w", path, err)
 	}
 	return nil
 }

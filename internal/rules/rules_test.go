@@ -1,8 +1,6 @@
 package rules
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -439,24 +437,6 @@ func TestResetKeepsRules(t *testing.T) {
 	}
 	if len(res.Fired) != 1 {
 		t.Fatal("rule did not fire after Reset")
-	}
-}
-
-func TestLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.prl")
-	if err := os.WriteFile(path, []byte(stallRule), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine()
-	if err := e.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Rules()) != 1 || e.Rules()[0] != "Stalls per Cycle" {
-		t.Fatalf("rules: %v", e.Rules())
-	}
-	if err := e.LoadFile(filepath.Join(dir, "missing.prl")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

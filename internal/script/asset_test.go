@@ -144,14 +144,10 @@ var assetScenarios = []struct {
 func TestTreeWalkerAssetScripts(t *testing.T) {
 	for _, sc := range assetScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := diagnosis.WriteAssets(dir); err != nil {
-				t.Fatal(err)
-			}
 			s := core.NewSession(nil)
 			var out bytes.Buffer
 			s.SetOutput(&out)
-			diagnosis.Install(s, dir+"/rules")
+			diagnosis.Install(s, "")
 			err := script.RunTreeWalk(s.Interp, sc.setup(t, s))
 
 			// The rendering of internal/diagnosis's diffOutcome.golden.

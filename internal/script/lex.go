@@ -7,13 +7,13 @@
 //
 // Syntax is expression-oriented with C-style blocks:
 //
-//	rules = RuleHarness("assets/rules/OpenUHRules.prl")
-//	trial = Utilities.getTrial("Fluid Dynamic", "rib_90", "1_16")
+//	harness = RuleHarness("OpenUHRules.prl")
+//	trial = Utilities.getTrial("Fluid Dynamic", "rib 90", "1_16")
 //	derived = trial.deriveMetric("BACK_END_BUBBLE_ALL", "CPU_CYCLES", "/")
-//	for event in derived.events() {
-//	    if derived.exclusive(event) > 0.1 { print("hot:", event) }
+//	for event in derived.events {
+//	    MeanEventFact.compareEventToMain(derived, "(BACK_END_BUBBLE_ALL / CPU_CYCLES)", event)
 //	}
-//	rules.process()
+//	harness.processRules()
 //
 // Statements end at newline or ';'. Comments run from '#' to end of line.
 package script

@@ -147,13 +147,15 @@ func NewFact(factType string, fields map[string]any) *rules.Fact {
 }
 
 // InstallKnowledgeBase binds the diagnosis fact builders into a session and
-// points scripts at the directory holding the .prl rule files.
+// gives RuleHarness its rule files: the built-in knowledge base when
+// rulesDir is empty, else the .prl files under rulesDir, read in place.
 func InstallKnowledgeBase(s *core.Session, rulesDir string) { diagnosis.Install(s, rulesDir) }
 
 // SetScriptArgs sets the `args` global for the next script run.
 func SetScriptArgs(s *core.Session, args []string) { diagnosis.SetArgs(s, args) }
 
-// WriteAssets copies the knowledge base (rules/ and scripts/) out under dir.
+// WriteAssets copies the knowledge base (rules/ and scripts/) out under dir,
+// for an operator to edit and pass back as rulesDir.
 func WriteAssets(dir string) error { return diagnosis.WriteAssets(dir) }
 
 // The captured analysis scripts: the text of assets/scripts/*.pes.
