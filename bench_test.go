@@ -233,6 +233,35 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 				get(b, repo)
 			}
 		})
+		// The codec alone, and the read that ships a stored file on without
+		// decoding its values.
+		loop := func(b *testing.B, f func() error) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		run("encode", func(b *testing.B) {
+			loop(b, func() error { _, err := perfdmf.EncodeTrial(tr); return err })
+		})
+		run("decode", func(b *testing.B) {
+			loop(b, func() error { _, err := perfdmf.DecodeTrial(enc); return err })
+		})
+		run("decode_columnar", func(b *testing.B) {
+			payload, err := perfdmf.MarshalColumnar(tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			loop(b, func() error { _, err := perfdmf.DecodeColumnar(payload); return err })
+		})
+		run("get_encoded", func(b *testing.B) {
+			_, repo := stored(b)
+			ctx := context.Background()
+			loop(b, func() error { _, err := repo.GetEncoded(ctx, tr.App, tr.Experiment, tr.Name); return err })
+		})
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"perfknow/internal/apps/genidlest"
@@ -24,54 +26,54 @@ import (
 )
 
 // pinnedTrials maps a simulated run to the SHA-256 of its encoded trial.
-// The hashes were last recorded with the encoding, %PDMFCOL3. A change that
+// The hashes were last recorded with the encoding, %PDMFCOL4. A change that
 // moves one of them and not the encoding has changed what the simulator
 // computes: that is a new model and needs its own PR, not a new hash in a PR
 // about something else. A change of encoding moves all of them and none of
 // pinnedValues.
 var pinnedTrials = map[string]string{
-	"msa/seed1/static/4":                  "55195ce9e5e6231452ee774d0ab7cfe298db6aa3a99b893d0824fce3acedc2ca",
-	"msa/seed1/static/16":                 "5b89043568c1d8b17c2245987e6d53fb50b996ac72dabc2f2294ebf27cfadd98",
-	"msa/seed1/dynamic,1/4":               "7fca522e12844b0c361ad8d070a737f26c44d9a138a73a39d292efd4733e0ea9",
-	"msa/seed1/dynamic,1/16":              "1cea031dbc0ada012eedce4e8c9c3b9370d8d4a3245bb132a722b1e72b010421",
-	"msa/seed1/guided/4":                  "fd5c49460299e606ecd628bf7d053f41d2daf967eadaa6d1e0f2bc3f9f8e8eb7",
-	"msa/seed1/guided/16":                 "bf31736d23db2479020e98746fb8b8fdb27f88bb30f5a282ef113a7bd312a3dd",
-	"msa/seed2/static/4":                  "3b1a5f2d67e541fc7dc85f84dacfbf7a478317ace3fbc190d8c9c11267c79fa9",
-	"msa/seed2/static/16":                 "19f2d850b7867a050cc36964191c2b8c1a2749745284a9cd40345c441bf65150",
-	"msa/seed2/dynamic,1/4":               "f6e4bd89889af1ed035d52a0464e096038ab5cdc8105f316559c308daffcb282",
-	"msa/seed2/dynamic,1/16":              "a4209323bb5606c6334868851cf3562f5d122a68fa2dc257e9a430a99bb31053",
-	"msa/seed2/guided/4":                  "82ade220382145765de73e39601c58ff2fe3b13603553b715fea1f8d0427d939",
-	"msa/seed2/guided/16":                 "bb88cd2ac617465f2657d037238a60ba7c95b5b5f4f4da3873e786f5a5b485b2",
-	"msa/seed3/static/4":                  "82baef3720ad0bb950af7ca5e5baf76598b34164bb986e5a811320422bee932d",
-	"msa/seed3/static/16":                 "2d8d15622f5fb36b2fb7065c9e6eb91d9cdd52a51c6841a2a7ff636cc439f546",
-	"msa/seed3/dynamic,1/4":               "74b999ec28fc94fa0d4552ace3356dbb583877b1b08bde66bb27c04cf7a84108",
-	"msa/seed3/dynamic,1/16":              "023f3879860b70d6fe40eaa554130fc78d27202f7183a4f3d6d1597e61de7526",
-	"msa/seed3/guided/4":                  "57752569aa9916f0205b2fafc5bf8e11c455d8ada6a3641c41f06e3facce35b1",
-	"msa/seed3/guided/16":                 "49faef43e960b1c8258a8cb9c829cd4eb8220c28245412a604def0d68dd16018",
-	"genidlest/45rib/OpenMP/opt=false/4":  "ff0dd68315b195d851ff37ba9ec4d1e4e834709fbbca3728a4700deed8604617",
-	"genidlest/45rib/OpenMP/opt=false/8":  "b85ef547342b7137921048b15843804fabe0fa2f5f77fc9284462a8dec4088f5",
-	"genidlest/45rib/OpenMP/opt=true/4":   "5cfaf3f200ff3ad5eddca79fa1f58e367ff3ac8be31d784cb87df277415b20ba",
-	"genidlest/45rib/OpenMP/opt=true/8":   "6b2aa3abc66fa1f97d6e618a82db885baea282ec2a1fecea8cfccefa54ed9b69",
-	"genidlest/45rib/MPI/opt=false/4":     "ef5b93d87c654053d1786194339855e51497e475a579221aac05e6594fe89741",
-	"genidlest/45rib/MPI/opt=false/8":     "c6bf4de5f33b11ae48e351defd4de2dcfbd929701a597e90e2dd67ef5aa804cc",
-	"genidlest/45rib/MPI/opt=true/4":      "d6bc516bf30921c200ba5b8012e3420a443e0a5d797bcb9a1038d932b38c0d2a",
-	"genidlest/45rib/MPI/opt=true/8":      "10c96b41df491cbd2aa1651082424ca6b1d132e0a6a5fbde64595758b336012e",
-	"genidlest/45rib/Hybrid/opt=false/4":  "5c1836acbbd3c4931fedeb60d98a61c13115a13a7040e656ad14b2bc79ee0309",
-	"genidlest/45rib/Hybrid/opt=false/8":  "18460a80a7e4de77ee335f12d8bfb0050f236c9c08348a6a9ed0901aa276d32d",
-	"genidlest/45rib/Hybrid/opt=true/4":   "30b241e1be7aa8f8e1f767fb985a410c7f4ea642c7c13b7e64740064ec4e0684",
-	"genidlest/45rib/Hybrid/opt=true/8":   "a9100712c5e90735e56195b990794e8207d25b1e28f70c471b1e5b8bab6bff5a",
-	"genidlest/90rib/OpenMP/opt=false/16": "5a620fc6903ffc17c8cb1e39f773749f4031651a0b4ae43f431b5d746e4a4f12",
-	"genidlest/90rib/OpenMP/opt=false/32": "581cd8ab1c8d2e7ada70c137a4fbc25d1a360fdf1c5db68370cd64a5d2488d0c",
-	"genidlest/90rib/OpenMP/opt=true/16":  "4d338a3732abfb032a78b96aa61fe099dfa9ee2f2bec454dda64a4c0ecfcbfbe",
-	"genidlest/90rib/OpenMP/opt=true/32":  "de44a971aa84b77ae05cabb26171b0ca63a8f04b4753cb92c57bac13e5dd47bb",
-	"genidlest/90rib/MPI/opt=false/16":    "13d3d7cd2670e5142c62a1c112b5d065f0d899f5135660ad698350f411cb49ea",
-	"genidlest/90rib/MPI/opt=false/32":    "1d1796c0640125ba1c278c6663d4c0056c3f384e6065390debd00737bb58c334",
-	"genidlest/90rib/MPI/opt=true/16":     "f620c1d6788ad451e9305effcf32c358793c001886f8de0cdac09ff1f1b73a5f",
-	"genidlest/90rib/MPI/opt=true/32":     "1677d80a8cc7e58a607ee0f625d8ac08400d89d1793e03104b7c55f8a10d8fd7",
-	"genidlest/90rib/Hybrid/opt=false/16": "53422bf7eefb95564334a16d4a97c5a408b9ceb00e770e22db309611f072bc8f",
-	"genidlest/90rib/Hybrid/opt=false/32": "53fda4ae9925a52e1830c63216f72faa1141dee40577a1559a277de85a64a10d",
-	"genidlest/90rib/Hybrid/opt=true/16":  "7ddd1bee9af09c83cacb2ae52d941c05d8402d5555f98a866a37728c0d74eb51",
-	"genidlest/90rib/Hybrid/opt=true/32":  "34fc6dc4d7c2b9c85da6185a9cb7be1ef0997bab3775a7150b5a6c67bb8a2d36",
+	"msa/seed1/static/4":                  "371c925eb70145c0a38bc8b0cfdad3122e29fbddcbe1c35746cd595cb2c26093",
+	"msa/seed1/static/16":                 "5db3b65fb872d584d805c93355445bb25461ac9e1b55b41775ebc62c9ef54c29",
+	"msa/seed1/dynamic,1/4":               "15bb60982bcc0e9b36612e0901666c447c1299566932b183d1c87333a6487677",
+	"msa/seed1/dynamic,1/16":              "ec92e69d083467d363c143ef3f2636caffb41bf169d5fe891f8a707ce46d8ba4",
+	"msa/seed1/guided/4":                  "e7479e05041baf6f6f0b3ce1c01a49cfc57e73383fd32c31ecfa0cf78f121415",
+	"msa/seed1/guided/16":                 "2bc9bffd6e26e07cbaba10839fe30e65494567535ac38d2c43bc102172d7b4fc",
+	"msa/seed2/static/4":                  "8086e07541e081c3ba80ec8b51f6afbbed67230569e954b1f446210a7580a40d",
+	"msa/seed2/static/16":                 "277090fa394d149c1a97958211d41eeef0974feb6daec498336e9e7cb5cd0f26",
+	"msa/seed2/dynamic,1/4":               "c698ed730762d787252d1737830fd2d3bbcc071633cfedfd3e3ecaca324c4c49",
+	"msa/seed2/dynamic,1/16":              "b198dda70a885db2577fd458e36ca51f9b42ba566ff5454799695f03f31c2292",
+	"msa/seed2/guided/4":                  "696ca09f916d08891feb006238abc02468448f3def829619f51fe261a5231ae5",
+	"msa/seed2/guided/16":                 "0fbd4da49bafde4620035e4c58a85300842a4a86bb75b2c0be63a89d49707ed3",
+	"msa/seed3/static/4":                  "593a2c059ca4b49b18f2f08dd4c0212f7bcf2d02fbf6a83b083eac18a461ed3f",
+	"msa/seed3/static/16":                 "9f79d886e9c4e209dc2a9721b1df17642d527803c4401c9addc217e279554c00",
+	"msa/seed3/dynamic,1/4":               "f30193eade12e0cdab54f56341f9f672baed6d1ef17f2d5d1dbf5e7fa417f318",
+	"msa/seed3/dynamic,1/16":              "76181dd4e038046704226d0ce4d2739f0e8fe95031987e24770b9d1030c952d7",
+	"msa/seed3/guided/4":                  "2d4e5621cacee1122d819f0ff306b64f8319223a8fc71b2703d65555aa50bb7b",
+	"msa/seed3/guided/16":                 "c03ce826ef8a00db853307a53b5994b730639709c705f543adaa115a7715316b",
+	"genidlest/45rib/OpenMP/opt=false/4":  "b1c35a4d49f2c16a28d419e3cea2d08a0a36ca86e57c9fdbbbeec4fb195c9253",
+	"genidlest/45rib/OpenMP/opt=false/8":  "8062905098dda14967db6360bfa9437aeb9e6a2822b37c8f5c556db3be8c3ced",
+	"genidlest/45rib/OpenMP/opt=true/4":   "9955266c328a0c9586e1139e5f0ff0f3041b043a508d90595bd19a47d30861f0",
+	"genidlest/45rib/OpenMP/opt=true/8":   "e4386debd13053b1b3463725f4239a8244bbb001bc201b6c8e413ff1dc326f5a",
+	"genidlest/45rib/MPI/opt=false/4":     "7ad77e615ae4be00ca4b948c7442a4d6b149654cd118b8a183aa449563d32ddc",
+	"genidlest/45rib/MPI/opt=false/8":     "8a89900a5ed616be839674e997d665b7a76999f2ac479c567d77266b4de9932b",
+	"genidlest/45rib/MPI/opt=true/4":      "e64d0d68b0cdb20409f46fe356a1d5d64a9c1dd541fd5ced2c6107b2c0c2142a",
+	"genidlest/45rib/MPI/opt=true/8":      "516a5ea9e0fa5cdc9f044a0281955dc3fc15eea9826a3a186f3c252f61a06307",
+	"genidlest/45rib/Hybrid/opt=false/4":  "3b47c921160b1d3ef18a8863f19e249acba2daa046056baf99ca145425d1f33b",
+	"genidlest/45rib/Hybrid/opt=false/8":  "ae52ff9d0e2b6a322304abe1df1f89ce761e839b16f770f61731c3beebda5560",
+	"genidlest/45rib/Hybrid/opt=true/4":   "54c98c55960c0cebb867f679d8bc3504339f38af457f7b67590e7e558cc69113",
+	"genidlest/45rib/Hybrid/opt=true/8":   "de2f239be69c202d95c2e8ac3c4958e87cb92bbaeb87ff5ce4e8e6e8fc77271e",
+	"genidlest/90rib/OpenMP/opt=false/16": "9daa06297404164fdd807ecaa86a6bafeadca7730ed312172893f33e4b76c732",
+	"genidlest/90rib/OpenMP/opt=false/32": "6b430f90a1a978fc4590b94fe49a77fb4cd460463ee07f97c29bac0789ba7115",
+	"genidlest/90rib/OpenMP/opt=true/16":  "7e2277f14fca1b1c5b0e2da5b911d1f6c52ace0b10e6b2755aef9631c8d59e65",
+	"genidlest/90rib/OpenMP/opt=true/32":  "ff06750fb83afe2c9d2e6b059d1bd5ac53e3d506aa3cf04a6cc72fd302049c09",
+	"genidlest/90rib/MPI/opt=false/16":    "753ff35df1191ec96d6eb99b41eff7e02af498d53c8363bcd73b75a6a8478329",
+	"genidlest/90rib/MPI/opt=false/32":    "32b64945d257c5d7d350f3ee2b69c69c20cfdd26224b169165e68b43e85dd1bf",
+	"genidlest/90rib/MPI/opt=true/16":     "efce2a444802cf782f5f5393bd381bafd7d7826d5b2a4341bcc80a686bca8d9f",
+	"genidlest/90rib/MPI/opt=true/32":     "f5152abf8ee079d8a61c84da438dba855799c899bdf23d47f2a736a6f91f3883",
+	"genidlest/90rib/Hybrid/opt=false/16": "28fe2d76ab72cd0897b66d4b3aa7e50c6bb559c9c83970b82012d5baf4f71fd1",
+	"genidlest/90rib/Hybrid/opt=false/32": "a18a34f8b2fb8aa432804f347a2bdf5e9f54ad0e7ce636ae24f3fbadbbad99a4",
+	"genidlest/90rib/Hybrid/opt=true/16":  "ccd34dca085a108531af8e150b61deada4f55a97ecd809cd970a1e6653dc2c76",
+	"genidlest/90rib/Hybrid/opt=true/32":  "348466fe1c27f5ef20d7ba28e637be52e7c669c26079b5fcd9381b2c592774cb",
 }
 
 // pinnedValues maps the same runs to valueDigest of their trial: what the
@@ -245,33 +247,42 @@ func TestSimulatorOutputsPinned(t *testing.T) {
 	}
 }
 
-// simFixture is the run checked in as a %PDMFCOL2 file, written by the last
-// encoder that wrote that form (commit 2565d7f).
+// simFixture is the run checked in as a %PDMFCOL3 file, written by the last
+// encoder that wrote that form (commit 57258a4), and as a %PDMFCOL2 file,
+// written by the one before it (commit 2565d7f).
 const simFixture = "genidlest/45rib/OpenMP/opt=false/4"
 
 // The checked-in simulator trial, in the previous encoding, still decodes to
 // what the simulator computes for the run it names — value for value — and
-// encodes, in the current form, to the bytes pinned for that run.
+// encodes, in the current form, to the bytes pinned for that run. Two
+// versions back, it is refused by name.
 func TestSimulatorFixture(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sim.pdmf"))
+	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col3_sim.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(file[:32], []byte("%PDMFCOL2\n")) {
-		t.Fatal("col2_sim.pdmf is not in the previous encoding")
+	if !bytes.Contains(file[:32], []byte("%PDMFCOL3\n")) {
+		t.Fatal("col3_sim.pdmf is not in the previous encoding")
 	}
 	trial, err := perfdmf.DecodeTrial(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := valueDigest(trial); err != nil || got != pinnedValues[simFixture] {
-		t.Errorf("col2_sim.pdmf holds %q, %s is pinned at %q (err=%v)", got, simFixture, pinnedValues[simFixture], err)
+		t.Errorf("col3_sim.pdmf holds %q, %s is pinned at %q (err=%v)", got, simFixture, pinnedValues[simFixture], err)
 	}
 	enc, err := perfdmf.EncodeTrial(trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[simFixture] || len(enc) >= len(file) {
-		t.Errorf("col2_sim.pdmf re-encodes to %q, %d B from %d B; pinned %q", got, len(enc), len(file), pinnedTrials[simFixture])
+		t.Errorf("col3_sim.pdmf re-encodes to %q, %d B from %d B; pinned %q", got, len(enc), len(file), pinnedTrials[simFixture])
+	}
+	old, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sim.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := perfdmf.DecodeTrial(old); !errors.Is(err, perfdmf.ErrCorrupt) || !strings.Contains(err.Error(), "%PDMFCOL2 is no longer read") {
+		t.Errorf("col2_sim.pdmf: DecodeTrial = %v; want it refused by name", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -406,50 +405,48 @@ func wrapEnvelope(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%%PDMF1\n%s\n%%PDMF1 crc32c=%08x len=%d\n", payload, sum, len(payload)))
 }
 
-// columnarPrev is the %PDMFCOL2 payload of c, the encoding before
-// %PDMFCOL3, written from its documentation: the same JSON header, then,
-// between the presence bitmaps, every row of every value block as a width
-// byte and the top width bytes of each value, at the narrowest width that
-// drops only zero bytes.
+// columnarPrev is the %PDMFCOL3 payload of c, the encoding before
+// %PDMFCOL4, written from its documentation: header, a JSON object, then
+// the value blocks, which did not change, cut from c's current encoding.
 func columnarPrev(header string, c *perfdmf.Columns) []byte {
-	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL2\n"), uint32(len(header)))
-	p = append(p, header...)
-	rows := func(xs []float64) {
-		for lo := 0; lo < len(xs); lo += c.Threads {
-			row, or := xs[lo:lo+c.Threads], uint64(0)
-			for _, x := range row {
-				or |= math.Float64bits(x)
-			}
-			w := 8 - bits.TrailingZeros64(or)/8
-			p = append(p, byte(w))
-			for _, x := range row {
-				p = append(p, binary.BigEndian.AppendUint64(nil, math.Float64bits(x))[:w]...)
-			}
-		}
+	cur, err := c.Encode()
+	if err != nil {
+		panic(err)
 	}
-	bitmap := func(bs []bool) {
-		b := make([]byte, (len(bs)+7)/8)
-		for i, on := range bs {
-			if on {
-				b[i/8] |= 1 << (i % 8)
-			}
-		}
-		p = append(p, b...)
-	}
-	rows(c.Calls)
-	for _, col := range c.Cols {
-		bitmap(col.IncPresent)
-		bitmap(col.ExcPresent)
-		rows(col.Inc)
-		rows(col.Exc)
-	}
-	return p
+	const at = len("%PDMFCOL4\n")
+	blocks := cur[at+4+int(binary.LittleEndian.Uint32(cur[at:])):]
+	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL3\n"), uint32(len(header)))
+	return append(append(p, header...), blocks...)
 }
 
-// columnarHeader cuts the JSON header out of an EncodeTrial envelope.
-func columnarHeader(enc []byte) string {
-	const at = len("%PDMF1\n") + len("%PDMFCOL3\n")
-	return string(enc[at+4 : at+4+int(binary.LittleEndian.Uint32(enc[at:]))])
+// jsonHeader is the %PDMFCOL3 header of c, as the encoder of that version
+// wrote it: json.Marshal of these fields.
+func jsonHeader(c *perfdmf.Columns) string {
+	type event struct {
+		Name   string   `json:"name"`
+		Groups []string `json:"groups,omitempty"`
+	}
+	h := struct {
+		App        string            `json:"application"`
+		Experiment string            `json:"experiment"`
+		Name       string            `json:"name"`
+		Threads    int               `json:"threads"`
+		Metrics    []string          `json:"metrics"`
+		Events     []event           `json:"events"`
+		Columns    []string          `json:"columns"`
+		Metadata   map[string]string `json:"metadata,omitempty"`
+	}{App: c.App, Experiment: c.Experiment, Name: c.Name, Threads: c.Threads, Metrics: c.Metrics, Metadata: c.Metadata}
+	for i, name := range c.EventNames {
+		h.Events = append(h.Events, event{name, c.Groups[i]})
+	}
+	for _, col := range c.Cols {
+		h.Columns = append(h.Columns, col.Metric)
+	}
+	b, err := json.Marshal(h)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
 
 // A body in the previous encoding — what a hint queued before the upgrade
@@ -467,20 +464,20 @@ func TestPreviousColumnarUploadIsStoredReencoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := map[string]string{"Content-Type": dmfwire.TrialContentType}
-	prev := wrapEnvelope(columnarPrev(columnarHeader(want), c))
+	prev := wrapEnvelope(columnarPrev(jsonHeader(c), c))
 	if len(prev) <= len(want) {
-		t.Fatalf("the previous encoding of a trial of repeating rows is %d B, the current %d B", len(prev), len(want))
+		t.Fatalf("the previous encoding of a trial, with its JSON header, is %d B, the current %d B", len(prev), len(want))
 	}
 	status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, prev)
 	if status != http.StatusCreated {
-		t.Fatalf("%%PDMFCOL2 upload: HTTP %d: %s", status, body)
+		t.Fatalf("%%PDMFCOL3 upload: HTTP %d: %s", status, body)
 	}
 	files := storedFiles(t, s.dir)
 	if got := files["app/exp/t1.json"]; len(files) != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("stored %d files; app/exp/t1.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
 	}
 	if got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
-		t.Fatalf("trial uploaded as %%PDMFCOL2 reads back differently (err=%v)", err)
+		t.Fatalf("trial uploaded as %%PDMFCOL3 reads back differently (err=%v)", err)
 	}
 }
 
@@ -496,9 +493,13 @@ func TestHostileEncodedUploads(t *testing.T) {
 	if !bytes.Equal(wrapEnvelope(payload), valid) {
 		t.Fatal("wrapEnvelope does not reproduce EncodeTrial's envelope")
 	}
-	const colMagic = len("%PDMFCOL3\n")
+	const colMagic = len("%PDMFCOL4\n")
 	hlen := int(binary.LittleEndian.Uint32(payload[colMagic:]))
 	header, blocks := string(payload[colMagic+4:colMagic+4+hlen]), payload[colMagic+4+hlen:]
+	// The binary header opens with the coordinates, three literals (a zero,
+	// the length, the bytes: "app", "exp", "t1"), then the thread count.
+	const threadsAt = 2 + 3 + 2 + 3 + 2 + 2
+	respell := func(with ...byte) string { return header[:threadsAt] + string(with) + header[threadsAt+1:] }
 	withHeader := func(h string) []byte {
 		p := append([]byte(nil), payload[:colMagic]...)
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(h)))
@@ -517,20 +518,24 @@ func TestHostileEncodedUploads(t *testing.T) {
 	// The previous encoding is accepted
 	// (TestPreviousColumnarUploadIsStoredReencoded) without a canonical check,
 	// so a damaged one must fall to the checksum, the structural decode or
-	// Validate — and may not use the row kinds of the current one.
+	// Validate.
 	cols, err := perfdmf.ColumnsFromTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevPayload := columnarPrev(header, cols)
+	prevHeader := jsonHeader(cols)
+	prevPayload := columnarPrev(prevHeader, cols)
 	validPrev := wrapEnvelope(prevPayload)
 	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
-	invalidPrev := columnarPrev(header, cols)
-	// The encoding before that is refused whatever follows its magic.
-	retired := func(payload []byte) []byte {
-		return wrapEnvelope(append([]byte("%PDMFCOL1\n"), payload[colMagic:]...))
+	invalidPrev := columnarPrev(prevHeader, cols)
+	// The encodings before that are refused whatever follows their magic.
+	retiredAs := func(magic string) func(payload []byte) []byte {
+		return func(payload []byte) []byte {
+			return wrapEnvelope(append([]byte(magic), payload[colMagic:]...))
+		}
 	}
-	validV1 := retired(prevPayload)
+	retired, col2 := retiredAs("%PDMFCOL1\n"), retiredAs("%PDMFCOL2\n")
+	validV1, validCol2 := retired(prevPayload), col2(prevPayload)
 	// Checksummed, decodable and Validate-clean, yet not the bytes EncodeTrial
 	// writes for the trial held: only the canonical check can refuse these.
 	reencoded := func(perturb func(c *perfdmf.Columns)) []byte {
@@ -553,10 +558,12 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"truncated to half", valid[:len(valid)/2]},
 		{"flipped payload bit", flip(head + len(payload)/2)},
 		{"flipped CRC digit", flip(trailer + len("\n%PDMF1 crc32c=") + 3)},
-		{"dimension-inflated header", withHeader(strings.Replace(header, `"threads":2`, `"threads":2000000000`, 1))},
+		{"dimension-inflated header", withHeader(respell(binary.AppendUvarint(nil, 2000000000)...))},
 		{"trailing bytes in payload", wrapEnvelope(append(append([]byte(nil), payload...), 0, 0))},
 		{"trailing bytes after envelope", append(append([]byte(nil), valid...), "junk"...)},
-		{"non-canonical header JSON", withHeader(strings.Replace(header, `"threads":2`, `"threads" : 2`, 1))},
+		{"non-canonical header JSON", withHeader(prevHeader)}, // the previous version's header behind the current magic
+		{"non-minimal varint in the header", withHeader(respell(0x82, 0x00))},
+		{"literal repeating a table entry", withHeader(strings.Replace(header, "\x00\x03exp", "\x00\x03app", 1))},
 		{"trial JSON under the encoded media type", mustJSON(t, tr)},
 		{"body over -max-body", append(append([]byte(nil), valid...), make([]byte, 64<<10)...)},
 		{"over-wide row", wrapEnvelope(overwide(payload, colMagic+4+hlen))},
@@ -564,18 +571,21 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"%PDMFCOL1 with a bad CRC", flipIn(validV1, bytes.LastIndex(validV1, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
 		{"%PDMFCOL1 holding an invalid trial", retired(invalidPrev)},
 		{"%PDMFCOL1, well-formed", validV1},
-		{"%PDMFCOL2 with a flipped bit", flipIn(validPrev, head+len(validPrev)/2)},
-		{"%PDMFCOL2 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
-		{"%PDMFCOL2 holding an invalid trial", wrapEnvelope(invalidPrev)},
-		{"%PDMFCOL2 with the row kinds of %PDMFCOL3", wrapEnvelope(append([]byte("%PDMFCOL2\n"), payload[colMagic:]...))},
+		{"%PDMFCOL2 with a flipped bit", flipIn(validCol2, head+len(validCol2)/2)},
+		{"%PDMFCOL2 with a bad CRC", flipIn(validCol2, bytes.LastIndex(validCol2, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL2 holding an invalid trial", col2(invalidPrev)},
+		{"%PDMFCOL2 with the row kinds of %PDMFCOL3", validCol2},
+		{"%PDMFCOL3 with a flipped bit", flipIn(validPrev, head+len(validPrev)/2)},
+		{"%PDMFCOL3 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL3 holding an invalid trial", wrapEnvelope(invalidPrev)},
 		{"trailer in upper-case hex", upperSum},
 		{"trailer with a signed length", []byte(strings.Replace(string(valid), " len=", " len=+", 1))},
 		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
 		{"registered metric without a column", reencoded(func(c *perfdmf.Columns) { c.Cols = c.Cols[:2] })},
 		{"values under a clear presence bit", reencoded(func(c *perfdmf.Columns) { c.Cols[2].IncPresent[1], c.Cols[2].ExcPresent[1] = false, false })},
 	}
-	if !strings.Contains(header, `"threads":2`) || blocks[0] != 0x12 {
-		t.Fatalf("header or calls-row layout changed, the table needs updating: %s, kind %#x", header, blocks[0])
+	if !strings.HasPrefix(header, "\x00\x03app\x00\x03exp\x00\x02t1\x02") || blocks[0] != 0x12 {
+		t.Fatalf("header or calls-row layout changed, the table needs updating: %q, kind %#x", header, blocks[0])
 	}
 	if bytes.Equal(upperSum, valid) {
 		t.Fatalf("the checksum %s has no letter to respell; pick another trial", valid[sumAt:sumAt+8])
@@ -724,17 +734,17 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 
 // --- (d) legacy read-compat through the service -----------------------------
 //
-// A %PDMFCOL2 file, as the previous release wrote it, is served in both
+// A %PDMFCOL3 file, as the previous release wrote it, is served in both
 // representations and upgraded by its next save; trial JSON, bare or in the
 // envelope, is two forms back: the read is a 500 that says which release
 // still rewrites it, and the file is set aside intact.
 func TestLegacyFilesThroughService(t *testing.T) {
 	dir := t.TempDir()
-	col2, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sparse.pdmf"))
+	prev, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col3_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := perfdmf.DecodeTrial(col2) // app/exp/sparse
+	want, err := perfdmf.DecodeTrial(prev) // app/exp/sparse
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +754,7 @@ func TestLegacyFilesThroughService(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "app", "exp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"sparse": col2, "plain": retired["plain"], "wrapped": retired["wrapped"]} {
+	for name, data := range map[string][]byte{"sparse": prev, "plain": retired["plain"], "wrapped": retired["wrapped"]} {
 		if err := os.WriteFile(filepath.Join(dir, "app", "exp", name+".json"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -762,7 +772,7 @@ func TestLegacyFilesThroughService(t *testing.T) {
 		t.Fatalf("JSON get: HTTP %d", status)
 	}
 	file := filepath.Join(dir, "app", "exp", "sparse.json")
-	if data, _ := os.ReadFile(file); !bytes.Equal(data, col2) {
+	if data, _ := os.ReadFile(file); !bytes.Equal(data, prev) {
 		t.Fatal("a read rewrote the legacy file")
 	}
 	if err := s.c.SaveContext(context.Background(), want); err != nil {

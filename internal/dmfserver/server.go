@@ -504,7 +504,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // a script or rule error that merely mentions "not found" stays a 400.
 // Read-only degraded mode (the volume stopped accepting writes) is 503 —
 // the request is valid, the server is temporarily unable to honour it —
-// and a corrupt stored trial is 500: the damage is server-side.
+// a write from a diagnose script is 403, and a corrupt stored trial is 500:
+// the damage is server-side.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -513,6 +514,8 @@ func errStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, perfdmf.ErrReadOnly):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errDiagnoseReadOnly):
+		return http.StatusForbidden
 	case errors.Is(err, perfdmf.ErrCorrupt):
 		return http.StatusInternalServerError
 	default:
@@ -950,13 +953,30 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errDiagnoseReadOnly refuses a write from a script run by a diagnose
+// request (answered 403): a client's script reads the daemon's trials and
+// writes none. Trials arrive through the upload route, under its
+// idempotency key; a diagnose request is retried as a read.
+var errDiagnoseReadOnly = errors.New("a remote diagnosis cannot write to the repository")
+
+// readOnlyStore is the store a remote diagnosis runs over: the daemon's
+// repository with SaveContext and DeleteContext refused.
+type readOnlyStore struct{ perfdmf.Store }
+
+func (readOnlyStore) SaveContext(context.Context, *perfdmf.Trial) error { return errDiagnoseReadOnly }
+
+func (readOnlyStore) DeleteContext(context.Context, string, string, string) error {
+	return errDiagnoseReadOnly
+}
+
 // runDiagnosis executes script source exactly as cmd/perfexplorer would:
 // same session wiring, same knowledge-base installation, same output path —
-// except that execution is bounded by the request context and a statement
-// budget, so an inline `while true` script ends at the request deadline
-// (mapped to 504) instead of holding an analysis slot forever.
+// except that the session's store refuses writes (errDiagnoseReadOnly), and
+// execution is bounded by the request context and a statement budget, so an
+// inline `while true` script ends at the request deadline (mapped to 504)
+// instead of holding an analysis slot forever.
 func (s *Server) runDiagnosis(ctx context.Context, src string, args []string) (*DiagnoseResponse, error) {
-	session := core.NewSession(s.repo)
+	session := core.NewSession(readOnlyStore{s.repo})
 	session.SetContext(ctx)
 	session.SetMaxSteps(s.maxSteps)
 	var buf strings.Builder

@@ -644,6 +644,68 @@ func TestDiagnoseCannotReadOutsideKnowledgeBase(t *testing.T) {
 	}
 }
 
+// TestDiagnoseCannotWrite: a script run by a diagnose request reads the
+// daemon's trials and writes none. Saving a trial from it is a 403 naming
+// the refusal, through the client too, and the stored file keeps its bytes;
+// the same script in a perfexplorer session, over its own store, writes.
+func TestDiagnoseCannotWrite(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := perfdmf.OpenRepository(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Repo: repo, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c, err := dmfclient.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.SaveContext(ctx, stallTrial("a", "e", "t")); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "a", "e", "t.json")
+	before, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `Utilities.saveTrial(Utilities.getTrial("a", "e", "t").extract([]))`
+	body, _ := json.Marshal(DiagnoseRequest{Source: src})
+	resp, err := http.Post(ts.URL+"/api/v1/diagnose", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden || !strings.Contains(string(got), errDiagnoseReadOnly.Error()) {
+		t.Errorf("saveTrial from a diagnose request: %d %s, want 403 naming the refusal", resp.StatusCode, got)
+	}
+	if _, err := c.DiagnoseContext(ctx, DiagnoseRequest{Source: src}); err == nil || !strings.Contains(err.Error(), errDiagnoseReadOnly.Error()) {
+		t.Errorf("client Diagnose = %v, want the refusal", err)
+	}
+	if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the stored trial changed under a refused write (err=%v)", err)
+	}
+
+	local := perfdmf.NewRepository()
+	if err := local.Save(stallTrial("a", "e", "t")); err != nil {
+		t.Fatal(err)
+	}
+	session := core.NewSession(local)
+	session.SetOutput(io.Discard)
+	if err := session.RunScript(src); err != nil {
+		t.Fatalf("the same script in a local session: %v", err)
+	}
+	if tr, err := local.GetTrialContext(ctx, "a", "e", "t"); err != nil || len(tr.Events) != 0 {
+		t.Fatalf("a local session's saveTrial did not write (err=%v)", err)
+	}
+}
+
 // TestFailedNewLeavesNoAssets: a config New refuses leaves no temporary
 // assets directory behind — there is no Server whose Close could remove it.
 func TestFailedNewLeavesNoAssets(t *testing.T) {

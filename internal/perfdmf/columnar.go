@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // This file implements the columnar (struct-of-arrays) representation of a
@@ -190,6 +192,9 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 		}
 	}
 	for _, e := range t.Events {
+		if coveredBy(e.Inclusive, order) && coveredBy(e.Exclusive, order) {
+			continue
+		}
 		var extras []string
 		for m := range e.Inclusive {
 			if !seen[m] {
@@ -206,24 +211,30 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 		sort.Strings(extras)
 		order = append(order, extras...)
 	}
+	// Every column's blocks and flags in two allocations, each cut off at its
+	// own end so an append to one cannot run into the next.
+	n := nEv * th
+	values, flags := make([]float64, 2*len(order)*n), make([]bool, 2*len(order)*nEv)
 	c.Cols = make([]MetricColumn, len(order))
 	for i, m := range order {
+		v, f := values[2*i*n:], flags[2*i*nEv:]
 		c.Cols[i] = MetricColumn{
 			Metric:     m,
-			Inc:        make([]float64, nEv*th),
-			Exc:        make([]float64, nEv*th),
-			IncPresent: make([]bool, nEv),
-			ExcPresent: make([]bool, nEv),
+			Inc:        v[:n:n],
+			Exc:        v[n : 2*n : 2*n],
+			IncPresent: f[:nEv:nEv],
+			ExcPresent: f[nEv : 2*nEv : 2*nEv],
 		}
 	}
-	seenEv := make(map[string]bool, nEv)
+	seenEv := newStringTable(nEv)
 	for ev, e := range t.Events {
 		// The dictionary requires unique names (Validate does too); other
 		// trials are refused, here and so by every analysis operation.
-		if seenEv[e.Name] {
+		ref, slot := seenEv.find(e.Name)
+		if ref > 0 {
 			return nil, fmt.Errorf("perfdmf: duplicate event %q in trial %q", e.Name, t.Name)
 		}
-		seenEv[e.Name] = true
+		seenEv.add(e.Name, slot)
 		c.EventNames[ev] = e.Name
 		if len(e.Groups) > 0 {
 			c.Groups[ev] = append([]string(nil), e.Groups...)
@@ -253,6 +264,21 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 		}
 	}
 	return c, nil
+}
+
+// coveredBy reports whether every key of m is one of keys, by looking keys
+// up: cheaper than ranging over a map of a few metrics.
+func coveredBy(m map[string][]float64, keys []string) bool {
+	if len(m) > len(keys) {
+		return false
+	}
+	n := 0
+	for _, k := range keys {
+		if _, ok := m[k]; ok {
+			n++
+		}
+	}
+	return n == len(m)
 }
 
 // Trial materializes the columnar view as a row-oriented Trial. The
@@ -382,17 +408,38 @@ func (c *Columns) cloneTrial() *Trial {
 // payload carried inside the standard %PDMF1 envelope (which contributes
 // the CRC32-C integrity check, so the payload itself carries none):
 //
-//	%PDMFCOL3\n
+//	%PDMFCOL4\n
 //	u32 (LE)  header length
-//	header    JSON: application/experiment/name/threads, registered
-//	          metrics, event dictionary (name+groups), column metric
-//	          order, metadata
+//	header    see below
 //	calls     value block
 //	per column, in header order:
 //	    inc-presence bitmap   ceil(NEvents/8) bytes, LSB-first
 //	    exc-presence bitmap   ceil(NEvents/8) bytes
 //	    inclusive value block
 //	    exclusive value block
+//
+// The header names everything the value blocks are laid out by. Every
+// integer in it is a minimal uvarint, and every string is a reference r into
+// a table the header builds as it goes: r = 0 is followed by a literal
+// (length, then bytes) that becomes the next table entry, r ≥ 1 names entry
+// r−1. So each distinct string is written once, where it is first used, and
+// every later use costs a byte or two, the way a relational store keys an
+// event or metric name once. In order:
+//
+//	application, experiment, name   one reference each
+//	threads
+//	metric count, one reference per registered metric
+//	event count; per event: its segment count and one reference per
+//	    CallpathSeparator segment of its name, its group count and one
+//	    reference per group
+//	column count, one reference per column metric
+//	metadata count, key and value reference per entry, keys ascending
+//
+// Callpath events share their parents' segments: "main => phase_00 =>
+// loop_000" costs three references once "main" and "phase_00" are known, and
+// a column metric that is registered, as columns usually are, costs one byte.
+// The coordinates come first so a reader that wants only them
+// (decodeTrialHeaderPayload) stops after three references.
 //
 // A value block holds NEvents rows, one per event in dictionary order. A
 // row is one kind byte and what that kind says follows:
@@ -413,28 +460,40 @@ func (c *Columns) cloneTrial() *Trial {
 // floats — which the JSON form cannot represent at all. Each row has exactly
 // one spelling, by precedence: a zero row is 0, else a row equal to its
 // inclusive row is 9, else a one-valued row is 0x10+w at its narrowest w, else
-// the narrowest literal. The decoder rejects every other spelling row by row,
-// so the encoding of a given Columns value stays canonical — byte-for-byte
-// reproducible, decode → encode a fixed point — which is what lets SaveEncoded
-// and the differential test harness compare whole trials by comparing
-// encodings.
+// the narrowest literal.
+//
+// The whole payload has exactly one spelling too. The decoder refuses a
+// non-minimal varint, a literal equal to an existing table entry, a reference
+// past the table, an event whose segments are not what splitting its name
+// gives (a segment holding the separator, no segment at all), metadata keys
+// out of order, any count larger than the header bytes left (checked before
+// anything is sized by it), and every row in a spelling but the writer's. So
+// decode → encode reproduces every payload the decoder accepts, byte for
+// byte, which is what lets SaveEncoded and the differential test harness
+// compare whole trials by comparing encodings. The header's size depends on
+// the strings' lengths and on which of them are equal, never on the bytes
+// they hold (JSON escaped every "=>" of a callpath as "=\u003e").
 //
 // Because a zero row expands 1 byte to 8×Threads (and a repeated or one-valued
-// row as much), the payload length does not bound what a payload decodes to;
-// maxDecodedBytes does, checked against the header's dimensions before any
-// block is allocated. Encode refuses the same size, so nothing can be written
-// that cannot be read.
+// row as much), and a reference to a long segment costs a byte or two in
+// every callpath that repeats it, the payload length does not bound what a
+// payload decodes to; maxDecodedBytes does, for the value blocks and for the
+// callpath names each, checked before either is allocated. Encode refuses the
+// same sizes, so nothing can be written that cannot be read.
 //
-// The previous payload, %PDMFCOL2, is the same with literal rows only (a kind
-// above 8 is corrupt, a repeating row is spelled out) and stays readable as a
-// legacy form: DecodeColumnar reads both through one row loop, only %PDMFCOL3
-// is written. The version before that is refused by name (see
-// DecodeColumnar).
+// The previous payload, %PDMFCOL3, has the same value blocks behind a JSON
+// header (application/experiment/name/threads, metrics, events as name and
+// groups, columns, metadata) and stays readable as a legacy form:
+// DecodeColumnar reads both through one row loop, only %PDMFCOL4 is written.
+// The versions before it are refused by name (see DecodeColumnar).
 
 const (
-	columnarMagic     = "%PDMFCOL3\n"
-	columnarMagicPrev = "%PDMFCOL2\n" // same length: the header sits at one offset in both
+	columnarMagic     = "%PDMFCOL4\n"
+	columnarMagicPrev = "%PDMFCOL3\n" // same length: the header sits at one offset in both
 )
+
+// retiredColumnarMagics are the payload versions before the previous one.
+var retiredColumnarMagics = []string{"%PDMFCOL1\n", "%PDMFCOL2\n"}
 
 // Row kinds above the literal widths 0–8.
 const (
@@ -442,9 +501,10 @@ const (
 	rowConst     = 0x10 // rowConst+w: one w-byte value on every thread
 )
 
-// maxDecodedBytes bounds the value blocks a payload may decode to: 8× the
-// largest body the service accepts (dmfwire.MaxTrialBody), so any upload
-// whose rows average a stored byte per value or more fits.
+// maxDecodedBytes bounds the value blocks a payload may decode to, and the
+// callpath names its header spells out: 8× the largest body the service
+// accepts (dmfwire.MaxTrialBody), so any upload whose rows average a stored
+// byte per value or more fits.
 const maxDecodedBytes = 1 << 28
 
 // decodableSize reports whether value blocks of these dimensions stay
@@ -457,7 +517,7 @@ func decodableSize(nEv, threads, nCols int) bool {
 }
 
 // IsColumnar reports whether an envelope payload is a binary columnar
-// trial in the current form, rather than the previous one (%PDMFCOL2).
+// trial in the current form, rather than the previous one (%PDMFCOL3).
 func IsColumnar(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagic))
 }
@@ -466,6 +526,7 @@ func isColumnarPrev(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagicPrev))
 }
 
+// columnarEvent and columnarHeader are the JSON header of %PDMFCOL3.
 type columnarEvent struct {
 	Name   string   `json:"name"`
 	Groups []string `json:"groups,omitempty"`
@@ -503,19 +564,6 @@ func (c *Columns) encode(prefix string, room int) ([]byte, error) {
 	if len(c.Calls) != block || len(c.Groups) != nEv {
 		return nil, fmt.Errorf("perfdmf: encode columnar %q: inconsistent dimensions", c.Name)
 	}
-	hdr := columnarHeader{
-		App:        c.App,
-		Experiment: c.Experiment,
-		Name:       c.Name,
-		Threads:    th,
-		Metrics:    c.Metrics,
-		Events:     make([]columnarEvent, nEv),
-		Columns:    make([]string, len(c.Cols)),
-		Metadata:   c.Metadata,
-	}
-	for i, name := range c.EventNames {
-		hdr.Events[i] = columnarEvent{Name: name, Groups: c.Groups[i]}
-	}
 	for i := range c.Cols {
 		col := &c.Cols[i]
 		if len(col.Inc) != block || len(col.Exc) != block ||
@@ -523,20 +571,28 @@ func (c *Columns) encode(prefix string, room int) ([]byte, error) {
 			return nil, fmt.Errorf("perfdmf: encode columnar %q: column %q has inconsistent dimensions",
 				c.Name, col.Metric)
 		}
-		hdr.Columns[i] = col.Metric
-	}
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("perfdmf: encode columnar %q: %w", c.Name, err)
 	}
 	bitmap := (nEv + 7) / 8
 	kinds, valueBytes := c.rowKinds()
-	size := len(prefix) + len(columnarMagic) + 4 + len(hb) + len(c.Cols)*2*bitmap + len(kinds) + valueBytes
-	buf := make([]byte, 0, size+room)
+	blocks := len(c.Cols)*2*bitmap + len(kinds) + valueBytes
+	// The header is written in place, into room guessed from the names; the
+	// blocks are written into capacity sized exactly, so that is made sure of
+	// once the header is in.
+	guess := 64 + 2*len(c.EventNames)
+	for _, name := range c.EventNames {
+		guess += len(name)
+	}
+	if guess > maxDecodedBytes {
+		return nil, fmt.Errorf("perfdmf: encode columnar %q: event names of %d bytes exceed the %d-byte decode bound",
+			c.Name, guess, maxDecodedBytes)
+	}
+	buf := make([]byte, 0, len(prefix)+len(columnarMagic)+4+guess+blocks+room)
 	buf = append(buf, prefix...)
 	buf = append(buf, columnarMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hb)))
-	buf = append(buf, hb...)
+	at := len(buf)
+	buf = c.appendHeader(append(buf, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	buf = slices.Grow(buf, blocks+room)
 	buf = appendPackedBlock(buf, c.Calls, kinds[:nEv])
 	for i := range c.Cols {
 		col := &c.Cols[i]
@@ -547,6 +603,125 @@ func (c *Columns) encode(prefix string, room int) ([]byte, error) {
 		buf = appendPackedBlock(buf, col.Exc, ks[nEv:2*nEv])
 	}
 	return buf, nil
+}
+
+// appendHeader appends the binary header of c: see the format comment.
+func (c *Columns) appendHeader(buf []byte) []byte {
+	w := headerWriter{buf: buf, table: newStringTable(8 + len(c.Metrics) + len(c.EventNames) + 2*len(c.Metadata))}
+	w.str(c.App)
+	w.str(c.Experiment)
+	w.str(c.Name)
+	w.uint(c.Threads)
+	w.uint(len(c.Metrics))
+	for _, m := range c.Metrics {
+		w.str(m)
+	}
+	w.uint(len(c.EventNames))
+	var segs [8]string // most callpaths are no deeper
+	for i, name := range c.EventNames {
+		parts := segs[:0]
+		for more := true; more; {
+			var seg string
+			seg, name, more = strings.Cut(name, CallpathSeparator)
+			parts = append(parts, seg)
+		}
+		w.uint(len(parts))
+		for _, seg := range parts {
+			w.str(seg)
+		}
+		w.uint(len(c.Groups[i]))
+		for _, g := range c.Groups[i] {
+			w.str(g)
+		}
+	}
+	w.uint(len(c.Cols))
+	for i := range c.Cols {
+		w.str(c.Cols[i].Metric)
+	}
+	keys := make([]string, 0, len(c.Metadata))
+	for k := range c.Metadata {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w.uint(len(keys))
+	for _, k := range keys {
+		w.str(k)
+		w.str(c.Metadata[k])
+	}
+	return w.buf
+}
+
+// headerWriter appends header integers and string references.
+type headerWriter struct {
+	buf   []byte
+	table stringTable
+}
+
+func (w *headerWriter) uint(n int) {
+	w.buf = binary.AppendUvarint(w.buf, uint64(n))
+}
+
+// str appends the reference of s, a literal if s is new.
+func (w *headerWriter) str(s string) {
+	ref, slot := w.table.find(s)
+	if ref > 0 {
+		w.buf = binary.AppendUvarint(w.buf, ref)
+		return
+	}
+	w.table.add(s, slot)
+	w.buf = append(w.buf, 0)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+// stringTable numbers distinct strings in the order they are added, as the
+// header's string table does on both sides: a string's reference is its
+// index + 1. An open-addressing index over maphash makes a lookup one hash
+// and, mostly, one comparison, with no allocation per string.
+type stringTable struct {
+	strs  []string
+	slots []uint32 // a power of two, at most half full: 0 or a reference
+}
+
+var stringTableSeed = maphash.MakeSeed()
+
+// newStringTable returns a table sized for about n strings.
+func newStringTable(n int) stringTable {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	return stringTable{strs: make([]string, 0, n), slots: make([]uint32, size)}
+}
+
+// find returns the reference of s, 0 when the table does not hold it, and
+// the slot where it is or, for add, would go.
+func (t *stringTable) find(s string) (ref uint64, slot int) {
+	mask := len(t.slots) - 1
+	for i := int(maphash.String(stringTableSeed, s)) & mask; ; i = (i + 1) & mask {
+		r := t.slots[i]
+		if r == 0 || t.strs[r-1] == s {
+			return uint64(r), i
+		}
+	}
+}
+
+// add enters s, which find did not hold, at the slot find returned.
+func (t *stringTable) add(s string, slot int) {
+	t.strs = append(t.strs, s)
+	t.slots[slot] = uint32(len(t.strs))
+	if 2*len(t.strs) <= len(t.slots) {
+		return
+	}
+	t.slots = make([]uint32, 2*len(t.slots))
+	mask := len(t.slots) - 1
+	for r, s := range t.strs {
+		i := int(maphash.String(stringTableSeed, s)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = uint32(r + 1)
+	}
 }
 
 // rowWidth is the narrowest byte width that keeps every set bit of a row
@@ -740,7 +915,6 @@ func corruptf(format string, args ...any) error {
 type blockReader struct {
 	rest    []byte
 	nEv, th int
-	kinds   bool // %PDMFCOL3 row kinds; false: %PDMFCOL2, literal rows only
 }
 
 func (r *blockReader) take(n int) ([]byte, bool) {
@@ -793,14 +967,9 @@ func (r *blockReader) block(inc []float64) ([]float64, error) {
 			if need := rowWidth(or); need != k {
 				return nil, corruptf("row %d stored at width %d needs %d", ev, k, need)
 			}
-			if !r.kinds {
-				continue
-			}
 			if th >= 2 && oneValued(row) {
 				return nil, corruptf("row %d holds one value and is spelled out", ev)
 			}
-		case !r.kinds:
-			return nil, corruptf("row %d has width %d", ev, k)
 		case k == rowSameAsInc:
 			if incRow == nil {
 				return nil, corruptf("row %d repeats an inclusive row outside an exclusive block", ev)
@@ -840,73 +1009,64 @@ func (r *blockReader) block(inc []float64) ([]float64, error) {
 	return xs, nil
 }
 
-// DecodeColumnar parses a binary columnar payload, %PDMFCOL3 or the legacy
-// %PDMFCOL2. Any structural problem — bad magic, truncated blocks,
-// dimension/length mismatch, a row not in its one spelling, duplicate names,
-// presence inconsistent with Trial validity — wraps ErrCorrupt. A successful
-// decode always yields a Columns whose Trial() passes Validate, and
-// re-encoding a decoded %PDMFCOL3 payload reproduces the input bytes.
+// DecodeColumnar parses a binary columnar payload, %PDMFCOL4 or the legacy
+// %PDMFCOL3. Any structural problem — bad magic, a header not in its one
+// spelling, truncated blocks, dimension/length mismatch, a row not in its one
+// spelling, duplicate names, presence inconsistent with Trial validity —
+// wraps ErrCorrupt. A successful decode always yields a Columns whose Trial()
+// passes Validate, and re-encoding a decoded %PDMFCOL4 payload reproduces the
+// input bytes.
 func DecodeColumnar(payload []byte) (*Columns, error) {
-	kinds := IsColumnar(payload)
-	if !kinds && !isColumnarPrev(payload) {
-		if bytes.HasPrefix(payload, []byte("%PDMFCOL1\n")) {
-			return nil, retiredForm("%PDMFCOL1")
+	cur := IsColumnar(payload)
+	if !cur && !isColumnarPrev(payload) {
+		for _, m := range retiredColumnarMagics {
+			if bytes.HasPrefix(payload, []byte(m)) {
+				return nil, retiredForm(m[:len(m)-1])
+			}
 		}
 		if looksLikeJSON(payload) {
 			return nil, retiredForm("trial JSON inside the envelope")
 		}
 		return nil, corruptf("missing %q magic", columnarMagic[:len(columnarMagic)-1])
 	}
-	rest := payload[len(columnarMagic):]
-	if len(rest) < 4 {
-		return nil, corruptf("truncated header length")
+	hb, blocks, err := splitHeader(payload)
+	if err != nil {
+		return nil, err
 	}
-	hlen := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if uint64(hlen) > uint64(len(rest)) {
-		return nil, corruptf("header length %d exceeds payload", hlen)
+	var (
+		c       *Columns
+		columns []string
+	)
+	if cur {
+		c, columns, err = decodeHeader(hb)
+	} else {
+		c, columns, err = decodeJSONHeader(hb)
 	}
-	var hdr columnarHeader
-	if err := json.Unmarshal(rest[:hlen], &hdr); err != nil {
-		return nil, corruptf("bad header: %v", err)
+	if err != nil {
+		return nil, err
 	}
-	if hdr.Threads <= 0 {
-		return nil, corruptf("non-positive threads %d", hdr.Threads)
-	}
-	nEv := len(hdr.Events)
+	nEv := len(c.EventNames)
 	// Size sanity before any dimension-proportional allocation.
-	if !decodableSize(nEv, hdr.Threads, len(hdr.Columns)) {
+	if !decodableSize(nEv, c.Threads, len(columns)) {
 		return nil, corruptf("dimensions %d×%d in %d columns decode to more than %d bytes",
-			nEv, hdr.Threads, len(hdr.Columns), maxDecodedBytes)
+			nEv, c.Threads, len(columns), maxDecodedBytes)
 	}
-	r := &blockReader{rest: rest[hlen:], nEv: nEv, th: hdr.Threads, kinds: kinds}
-	bitmap := (nEv + 7) / 8
-	seenEv := make(map[string]bool, nEv)
-	c := &Columns{
-		App:        hdr.App,
-		Experiment: hdr.Experiment,
-		Name:       hdr.Name,
-		Threads:    hdr.Threads,
-		Metrics:    hdr.Metrics,
-		EventNames: make([]string, nEv),
-		Groups:     make([][]string, nEv),
-		Metadata:   hdr.Metadata,
-	}
-	for i, e := range hdr.Events {
-		if seenEv[e.Name] {
-			return nil, corruptf("duplicate event %q", e.Name)
+	seenEv := newStringTable(nEv)
+	for _, name := range c.EventNames {
+		ref, slot := seenEv.find(name)
+		if ref > 0 {
+			return nil, corruptf("duplicate event %q", name)
 		}
-		seenEv[e.Name] = true
-		c.EventNames[i] = e.Name
-		c.Groups[i] = e.Groups
+		seenEv.add(name, slot)
 	}
-	var err error
+	r := &blockReader{rest: blocks, nEv: nEv, th: c.Threads}
+	bitmap := (nEv + 7) / 8
 	if c.Calls, err = r.block(nil); err != nil {
 		return nil, fmt.Errorf("%w (calls block)", err)
 	}
-	seenCol := make(map[string]bool, len(hdr.Columns))
-	c.Cols = make([]MetricColumn, len(hdr.Columns))
-	for i, m := range hdr.Columns {
+	seenCol := make(map[string]bool, len(columns))
+	c.Cols = make([]MetricColumn, len(columns))
+	for i, m := range columns {
 		if seenCol[m] {
 			return nil, corruptf("duplicate column %q", m)
 		}
@@ -943,6 +1103,251 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 		return nil, corruptf("%d trailing bytes", len(r.rest))
 	}
 	return c, nil
+}
+
+// splitHeader cuts a payload of either version read after its magic into
+// the header and the bytes that follow it.
+func splitHeader(payload []byte) (header, rest []byte, err error) {
+	rest = payload[len(columnarMagic):]
+	if len(rest) < 4 {
+		return nil, nil, corruptf("truncated header length")
+	}
+	hlen := binary.LittleEndian.Uint32(rest)
+	rest = rest[4:]
+	if uint64(hlen) > uint64(len(rest)) {
+		return nil, nil, corruptf("header length %d exceeds payload", hlen)
+	}
+	return rest[:hlen], rest[hlen:], nil
+}
+
+// decodeHeader reads a %PDMFCOL4 header: a Columns holding everything but the
+// value blocks, and the column metrics in order. It refuses every spelling
+// appendHeader does not write. The strings it returns share two
+// allocations: the header's bytes and the callpaths' joined names.
+func decodeHeader(hb []byte) (*Columns, []string, error) {
+	r := newHeaderReader(hb, min(len(hb)/8, 1024))
+	c := &Columns{App: r.str(), Experiment: r.str(), Name: r.str()}
+	if th := r.uint(); r.err == nil && (th == 0 || th > math.MaxInt) {
+		r.fail("threads %d out of range", th)
+	} else {
+		c.Threads = int(th)
+	}
+	c.Metrics = r.strs()
+	// A count only says how many items follow, each still to be read: what
+	// is allocated for them grows with what is read.
+	nEv := r.count()
+	c.EventNames, c.Groups = make([]string, 0, min(nEv, 1024)), make([][]string, 0, min(nEv, 1024))
+	var (
+		multi  []int    // the events of more than one segment
+		counts []int    // their segment counts
+		segs   []string // their segments, back to back
+		size   int      // the length of their names
+	)
+	for i := 0; i < nEv && r.err == nil; i++ {
+		name := "" // a callpath's is joined below
+		switch n := r.count(); {
+		case r.err != nil:
+		case n == 0:
+			r.fail("event %d has no segments", i)
+		case n == 1:
+			if name = r.str(); strings.Contains(name, CallpathSeparator) {
+				r.fail("segment %q holds the separator", name)
+			}
+		default:
+			multi, counts = append(multi, i), append(counts, n)
+			size += (n - 1) * len(CallpathSeparator)
+			for j := 0; j < n && r.err == nil; j++ {
+				seg := r.str()
+				segs, size = append(segs, seg), size+len(seg)
+			}
+			// A reference costs a byte or two however long its string is,
+			// so the names the segments spell out are bounded like the
+			// value blocks, by their total before any is joined.
+			if size > maxDecodedBytes {
+				r.fail("event names spell out more than %d bytes", maxDecodedBytes)
+			}
+		}
+		c.EventNames, c.Groups = append(c.EventNames, name), append(c.Groups, r.strs())
+	}
+	if len(multi) > 0 && r.err == nil {
+		// Joined once all are read and their total is in bounds: one
+		// allocation, each name a substring of it.
+		var names strings.Builder
+		names.Grow(size)
+		for k, i := range multi {
+			start := names.Len()
+			r.segEnds = r.segEnds[:0]
+			for j, seg := range segs[:counts[k]] {
+				if j > 0 {
+					names.WriteString(CallpathSeparator)
+				}
+				names.WriteString(seg)
+				r.segEnds = append(r.segEnds, names.Len()-start)
+			}
+			segs = segs[counts[k]:]
+			c.EventNames[i] = names.String()[start:]
+			r.checkSplit(c.EventNames[i])
+		}
+	}
+	columns := r.strs()
+	if n := r.count(); n > 0 {
+		c.Metadata = make(map[string]string, min(n, 1024))
+		prev := ""
+		for i := 0; i < n && r.err == nil; i++ {
+			k, v := r.str(), r.str()
+			if i > 0 && k <= prev {
+				r.fail("metadata key %q after %q", k, prev)
+			}
+			c.Metadata[k], prev = v, k
+		}
+	}
+	if r.err == nil && r.off != len(r.src) {
+		r.fail("%d bytes after the header's last field", len(r.src)-r.off)
+	}
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	return c, columns, nil
+}
+
+// headerReader reads what headerWriter writes, from hb at off. src is the
+// same bytes as a string: literals are substrings of it, so the strings of a
+// header share its one allocation. The first failure sticks in err; every
+// read after it returns a zero value.
+type headerReader struct {
+	hb      []byte
+	src     string
+	off     int
+	table   stringTable
+	segEnds []int // where each segment of the event being read ends in its name
+	err     error
+}
+
+// newHeaderReader reads hb, its table sized for about n strings.
+func newHeaderReader(hb []byte, n int) headerReader {
+	return headerReader{hb: hb, src: string(hb), table: newStringTable(n)}
+}
+
+func (r *headerReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = corruptf("header: "+format, args...)
+	}
+}
+
+// uint reads a minimal uvarint.
+func (r *headerReader) uint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(r.hb[r.off:])
+	switch {
+	case n == 0:
+		r.fail("truncated")
+	case n < 0:
+		r.fail("varint overflows 64 bits")
+	case n > 1 && r.hb[r.off+n-1] == 0:
+		r.fail("non-minimal varint")
+	default:
+		r.off += n
+		return x
+	}
+	return 0
+}
+
+// count reads the number of items that follow. Each takes at least one more
+// byte, so a count larger than the bytes left is refused before anything is
+// sized by it.
+func (r *headerReader) count() int {
+	n := r.uint()
+	if left := len(r.src) - r.off; n > uint64(left) {
+		r.fail("count %d exceeds the %d bytes left", n, left)
+		return 0
+	}
+	return int(n)
+}
+
+// strs reads a count and that many string references; nil for none.
+func (r *headerReader) strs() []string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, min(n, 1024))
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.str())
+	}
+	return out
+}
+
+// str reads a string reference.
+func (r *headerReader) str() string {
+	ref := r.uint()
+	switch {
+	case r.err != nil:
+		return ""
+	case ref > uint64(len(r.table.strs)):
+		r.fail("string reference %d past a table of %d", ref, len(r.table.strs))
+		return ""
+	case ref > 0:
+		return r.table.strs[ref-1]
+	}
+	n := r.uint()
+	if left := len(r.src) - r.off; n > uint64(left) {
+		r.fail("string of %d bytes exceeds the %d left", n, left)
+		return ""
+	}
+	s := r.src[r.off : r.off+int(n)]
+	r.off += int(n)
+	ref, slot := r.table.find(s)
+	if ref > 0 {
+		r.fail("literal %q repeats table entry %d", s, ref)
+		return ""
+	}
+	r.table.add(s, slot)
+	return s
+}
+
+// checkSplit refuses a callpath whose segments, joined into name and ending
+// at segEnds, are not what splitting name gives back: a segment holding the
+// separator, or one whose end starts one ("x =>" then "y" join to
+// "x => => y", which splits as "x", "=> y"). Split takes the leftmost
+// separator each time, so one must start right where each segment but the
+// last ends, and none inside the last.
+func (r *headerReader) checkSplit(name string) {
+	off := 0
+	for j, end := range r.segEnds {
+		at := strings.Index(name[off:], CallpathSeparator)
+		if j == len(r.segEnds)-1 && at >= 0 || j < len(r.segEnds)-1 && off+at != end {
+			r.fail("segments of %q do not split back from it", name)
+			return
+		}
+		off = end + len(CallpathSeparator)
+	}
+}
+
+// decodeJSONHeader reads a %PDMFCOL3 header into what decodeHeader returns.
+func decodeJSONHeader(hb []byte) (*Columns, []string, error) {
+	var hdr columnarHeader
+	if err := json.Unmarshal(hb, &hdr); err != nil {
+		return nil, nil, corruptf("bad header: %v", err)
+	}
+	if hdr.Threads <= 0 {
+		return nil, nil, corruptf("non-positive threads %d", hdr.Threads)
+	}
+	c := &Columns{
+		App:        hdr.App,
+		Experiment: hdr.Experiment,
+		Name:       hdr.Name,
+		Threads:    hdr.Threads,
+		Metrics:    hdr.Metrics,
+		EventNames: make([]string, len(hdr.Events)),
+		Groups:     make([][]string, len(hdr.Events)),
+		Metadata:   hdr.Metadata,
+	}
+	for i, e := range hdr.Events {
+		c.EventNames[i], c.Groups[i] = e.Name, e.Groups
+	}
+	return c, hdr.Columns, nil
 }
 
 func decodeBitmap(raw []byte, n int) ([]bool, error) {
@@ -1008,23 +1413,30 @@ func decodeColumnsPayload(payload []byte) (*Columns, error) {
 	return ColumnsFromTrial(t)
 }
 
-// decodeTrialHeaderPayload extracts the identifying header from a columnar
-// envelope payload: it reads only the JSON header, never the value blocks.
-func decodeTrialHeaderPayload(payload []byte) (trialHeader, bool) {
+// decodeTrialHeaderPayload reads the coordinates of the trial a columnar
+// envelope payload holds and nothing after them: three references of a
+// %PDMFCOL4 header, the JSON header of a %PDMFCOL3 one. It checks nothing
+// else; ok is false without them.
+func decodeTrialHeaderPayload(payload []byte) (app, experiment, name string, ok bool) {
 	if !IsColumnar(payload) && !isColumnarPrev(payload) {
-		return trialHeader{}, false
+		return "", "", "", false
 	}
-	rest := payload[len(columnarMagic):]
-	if len(rest) < 4 {
-		return trialHeader{}, false
+	hb, _, err := splitHeader(payload)
+	if err != nil {
+		return "", "", "", false
 	}
-	hlen := binary.LittleEndian.Uint32(rest)
-	if uint64(hlen) > uint64(len(rest)-4) {
-		return trialHeader{}, false
+	if IsColumnar(payload) {
+		r := newHeaderReader(hb, 3)
+		app, experiment, name = r.str(), r.str(), r.str()
+		return app, experiment, name, r.err == nil
 	}
-	var h trialHeader
-	if err := json.Unmarshal(rest[4:4+hlen], &h); err != nil {
-		return trialHeader{}, false
+	var h struct {
+		App        string `json:"application"`
+		Experiment string `json:"experiment"`
+		Name       string `json:"name"`
 	}
-	return h, true
+	if err := json.Unmarshal(hb, &h); err != nil {
+		return "", "", "", false
+	}
+	return h.App, h.Experiment, h.Name, true
 }

@@ -3,6 +3,7 @@ package perfdmf
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -220,18 +221,65 @@ func TestColumnsFromTrialErrors(t *testing.T) {
 
 // --- decode rejection table ---------------------------------------------
 
-// craftColumnar assembles magic + length-prefixed header + body.
+// craftColumnar assembles the current form: magic, the length-prefixed
+// binary header holding what headerJSON, a header in the JSON of %PDMFCOL3,
+// says, and body.
 func craftColumnar(headerJSON string, body []byte) []byte {
-	return craftColumnarAs(columnarMagic, headerJSON, body)
+	var h columnarHeader
+	if err := json.Unmarshal([]byte(headerJSON), &h); err != nil {
+		panic(err)
+	}
+	c := &Columns{App: h.App, Experiment: h.Experiment, Name: h.Name, Threads: h.Threads, Metrics: h.Metrics, Metadata: h.Metadata}
+	for _, e := range h.Events {
+		c.EventNames = append(c.EventNames, e.Name)
+		c.Groups = append(c.Groups, e.Groups)
+	}
+	for _, m := range h.Columns {
+		c.Cols = append(c.Cols, MetricColumn{Metric: m})
+	}
+	return craftColumnarAs(columnarMagic, string(c.appendHeader(nil)), body)
 }
 
-func craftColumnarAs(magic, headerJSON string, body []byte) []byte {
+// craftColumnarAs assembles magic + length-prefixed header + body.
+func craftColumnarAs(magic, header string, body []byte) []byte {
 	buf := []byte(magic)
 	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(headerJSON)))
+	binary.LittleEndian.PutUint32(l[:], uint32(len(header)))
 	buf = append(buf, l[:]...)
-	buf = append(buf, headerJSON...)
+	buf = append(buf, header...)
 	return append(buf, body...)
+}
+
+// hdr writes a %PDMFCOL4 header by hand, field by field, from the format
+// comment rather than the encoder. Every method returns a new header and
+// leaves the one it extends as it was, so one prefix can start many.
+type hdr []byte
+
+// n appends an integer.
+func (h hdr) n(x uint64) hdr { return binary.AppendUvarint(h[:len(h):len(h)], x) }
+
+// lit appends a string as a literal, the next table entry.
+func (h hdr) lit(s string) hdr { return append(h.n(0).n(uint64(len(s))), s...) }
+
+// raw appends bytes as they are.
+func (h hdr) raw(b ...byte) hdr { return append(h[:len(h):len(h)], b...) }
+
+// ref appends a reference to table entry r−1.
+func (h hdr) ref(r uint64) hdr { return h.n(r) }
+
+// minimalHdr is minimalHeader in the current form: the table is a, e, n,
+// TIME, and event "e" is the experiment's string.
+func minimalHdr() hdr {
+	h := hdr{}.lit("a").lit("e").lit("n").n(1) // coordinates, threads
+	h = h.n(1).lit("TIME")                     // metrics
+	h = h.n(1).n(1).ref(2).n(0)                // event "e", no groups
+	h = h.n(1).ref(4)                          // columns
+	return h.n(0)                              // metadata
+}
+
+// craftHdr assembles the current form from a handwritten header.
+func craftHdr(h hdr, body []byte) []byte {
+	return craftColumnarAs(columnarMagic, string(h), body)
 }
 
 // minimalHeader describes 1 thread, 1 event "e", 1 column TIME.
@@ -252,9 +300,12 @@ func minimalBody(incBits, excBits byte) []byte {
 	return minimalBodyWith(callsOne, incBits, excBits)
 }
 
-// retiredMagic is the magic two versions back, which DecodeColumnar refuses
-// by name whatever follows it.
-const retiredMagic = "%PDMFCOL1\n"
+// retiredMagic and col2Magic are the magics three and two versions back,
+// which DecodeColumnar refuses by name whatever follows them.
+const (
+	retiredMagic = "%PDMFCOL1\n"
+	col2Magic    = "%PDMFCOL2\n"
+)
 
 // twoThreadHeader is minimalHeader with two threads, the least that can hold
 // a one-valued row.
@@ -277,13 +328,15 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	if re, err := c.Encode(); err != nil || !bytes.Equal(re, valid) {
 		t.Fatalf("handcrafted minimal payload is not what Encode writes (err=%v)", err)
 	}
-	// The minimal payload has literal rows only: it is the same bytes in the
-	// previous version.
+	if !bytes.Equal(valid, craftHdr(minimalHdr(), minimalBody(0x01, 0x01))) {
+		t.Fatal("the header Encode writes is not the one the format comment describes")
+	}
+	// The previous version holds the same blocks behind its JSON header.
 	validPrev := craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01))
 	if c1, err := DecodeColumnar(validPrev); err != nil {
-		t.Fatalf("handcrafted %%PDMFCOL2 payload must decode, got %v", err)
+		t.Fatalf("handcrafted %%PDMFCOL3 payload must decode, got %v", err)
 	} else if canonicalTrialDump(c1.Trial()) != canonicalTrialDump(c.Trial()) {
-		t.Fatal("the %PDMFCOL2 and %PDMFCOL3 payloads of one trial decode differently")
+		t.Fatal("the %PDMFCOL3 and %PDMFCOL4 payloads of one trial decode differently")
 	}
 	// Both new kinds, one thread and two: calls 1.0, inclusive 1.0, exclusive
 	// the same row.
@@ -320,7 +373,7 @@ func TestDecodeColumnarRejections(t *testing.T) {
 			b := append([]byte(columnarMagic), 0xff, 0xff, 0xff, 0x7f)
 			return append(b, []byte("{}")...)
 		}()},
-		{"bad header JSON", craftColumnar(`{"threads":`, nil)},
+		{"bad header JSON", craftColumnarAs(columnarMagicPrev, `{"threads":`, nil)},
 		{"zero threads", craftColumnar(`{"threads":0,"events":[],"columns":[]}`, nil)},
 		{"negative threads", craftColumnar(`{"threads":-4,"events":[],"columns":[]}`, nil)},
 		{"huge dimensions", craftColumnar(
@@ -358,12 +411,51 @@ func TestDecodeColumnarRejections(t *testing.T) {
 		{"kind between the families", craftColumnar(minimalHeader, rowsBody([]byte{10}, []byte{0}, []byte{0}))},
 		{"truncated inside a one-valued row", craftColumnar(twoThreadHeader, []byte{rowConst + 2, 0x3f})},
 		{"one-valued-row bomb", craftColumnar(bombHeader, oneEverywhere)},
-		{"%PDMFCOL2 with a same-as-inclusive row", craftColumnarAs(columnarMagicPrev, minimalHeader, sameBody)},
-		{"%PDMFCOL2 with a one-valued row", craftColumnarAs(columnarMagicPrev, twoThreadHeader,
-			rowsBody(oneEverywhere, []byte{0}, []byte{0}))},
-		{"huge dimensions, %PDMFCOL2", craftColumnarAs(columnarMagicPrev,
+		// The binary header has one spelling; each case is minimalHdr with one
+		// field spelled another way (the first: threads 1 in two bytes).
+		{"non-minimal varint", craftHdr(hdr{}.lit("a").lit("e").lit("n").raw(0x81, 0x00).
+			n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		{"varint past 64 bits", craftHdr(hdr{}.lit("a").lit("e").lit("n").
+			raw(bytes.Repeat([]byte{0xff}, 10)...).raw(0x01), nil)},
+		{"literal repeating a table entry", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1).n(1).lit("e").n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		{"reference past the table", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(5).n(0), minimalBody(0x01, 0x01))},
+		{"event of no segments", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1).n(0).n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		{"separator inside a segment", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1).n(1).lit("x => y").n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		// "x =>" + " => " + "y" splits as "x", "=> y".
+		{"segments splitting otherwise", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1).n(2).lit("x =>").lit("y").n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		{"metadata keys out of order", craftHdr(minimalHdr()[:len(minimalHdr())-1].
+			n(2).lit("k2").lit("v").lit("k1").ref(6), minimalBody(0x01, 0x01))},
+		{"metadata key repeated", craftHdr(minimalHdr()[:len(minimalHdr())-1].
+			n(2).lit("k").lit("v").ref(5).ref(6), minimalBody(0x01, 0x01))},
+		{"event count past the header", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1).
+			n(1).lit("TIME").n(1000).n(1).ref(2).n(0).n(1).ref(4).n(0), minimalBody(0x01, 0x01))},
+		{"literal past the header", craftHdr(hdr{}.lit("a").lit("e").n(0).n(100), nil)},
+		{"header cut short", craftHdr(minimalHdr()[:len(minimalHdr())-1], minimalBody(0x01, 0x01))},
+		{"bytes after the header's last field", craftHdr(minimalHdr().n(0), minimalBody(0x01, 0x01))},
+		{"threads past int", craftHdr(hdr{}.lit("a").lit("e").lit("n").n(1<<63).n(0).n(0).n(0).n(0), nil)},
+		{"JSON header behind the current magic", craftColumnarAs(columnarMagic, minimalHeader, minimalBody(0x01, 0x01))},
+		// The previous version's JSON header is read, the rows after it as
+		// strictly as the current version's.
+		{"literal row of one value, %PDMFCOL3", craftColumnarAs(columnarMagicPrev, twoThreadHeader,
+			rowsBody([]byte{2, 0x3f, 0xf0, 0x3f, 0xf0}, []byte{0}, []byte{0}))},
+		{"huge dimensions, %PDMFCOL3", craftColumnarAs(columnarMagicPrev,
 			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
-		{"trailing bytes, %PDMFCOL2", append(append([]byte(nil), validPrev...), 0x00)},
+		{"duplicate event, %PDMFCOL3", craftColumnarAs(columnarMagicPrev,
+			`{"threads":1,"events":[{"name":"a"},{"name":"a"}],"columns":[]}`, make([]byte, 2))},
+		{"trailing bytes, %PDMFCOL3", append(append([]byte(nil), validPrev...), 0x00)},
+		// Behind the magic two versions back nothing is read, well-formed or not.
+		{"%PDMFCOL2 with a same-as-inclusive row", craftColumnarAs(col2Magic, minimalHeader, sameBody)},
+		{"%PDMFCOL2 with a one-valued row", craftColumnarAs(col2Magic, twoThreadHeader,
+			rowsBody(oneEverywhere, []byte{0}, []byte{0}))},
+		{"huge dimensions, %PDMFCOL2", craftColumnarAs(col2Magic,
+			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
+		{"trailing bytes, %PDMFCOL2", append(craftColumnarAs(col2Magic, minimalHeader, minimalBody(0x01, 0x01)), 0x00)},
+		{"well-formed, %PDMFCOL2", craftColumnarAs(col2Magic, minimalHeader, minimalBody(0x01, 0x01))},
 		// Behind the retired magic nothing is read, well-formed or not.
 		{"huge dimensions, v1", craftColumnarAs(retiredMagic,
 			`{"threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}`, nil)},
@@ -380,8 +472,9 @@ func TestDecodeColumnarRejections(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
-			if strings.HasPrefix(string(tc.payload), retiredMagic) && !strings.Contains(err.Error(), "perfdmfd -fsck") {
-				t.Fatalf("refusal of the retired version does not name the way out: %v", err)
+			retired := strings.HasPrefix(string(tc.payload), retiredMagic) || strings.HasPrefix(string(tc.payload), col2Magic)
+			if retired && !strings.Contains(err.Error(), "perfdmfd -fsck") {
+				t.Fatalf("refusal of a retired version does not name the way out: %v", err)
 			}
 		})
 	}
@@ -398,16 +491,28 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	}
 
 	// The bombs — payloads of about 100 bytes whose one row, of zeros or of
-	// one value, claims 2³¹ threads, 16 GiB decoded — and the over-claiming
-	// body behind the retired magic are refused before anything proportional
-	// to the claim is allocated.
+	// one value, claims 2³¹ threads, 16 GiB decoded; a header of 80 KiB whose
+	// callpaths repeat one 64 KiB segment until their names would spell out
+	// 512 MiB; a header whose event count is as large as its bytes allow and
+	// whose events are not there — and the over-claiming body behind the
+	// retired magic are refused before anything proportional to the claim is
+	// allocated: what refusing them costs is bounded by their own size.
 	bomb := craftColumnar(bombHeader, []byte{0})
 	if len(bomb) > 100 {
 		t.Fatalf("bomb payload is %d bytes, want at most 100", len(bomb))
 	}
+	names := hdr{}.lit("a").lit("e").lit("n").n(1).n(0).n(4096).n(1).lit(strings.Repeat("x", 64<<10)).n(0)
+	for i := 1; i < 4096; i++ {
+		names = append(names, 2, 4, 4, 0) // two segments, both the long one; no groups
+	}
+	namesBomb := craftHdr(names.n(0).n(0), nil)
+	// 64 Ki events claimed, each taking a byte of the header, none there.
+	claim := craftHdr(append(hdr{}.lit("a").lit("e").lit("n").n(1).n(0).n(1<<16), make([]byte, 1<<16)...), nil)
 	for name, payload := range map[string][]byte{
 		"zero-row bomb":                 bomb,
 		"one-valued-row bomb":           craftColumnar(bombHeader, oneEverywhere),
+		"callpath-name bomb":            namesBomb,
+		"event-count claim":             claim,
 		"claims more than it holds, v1": overclaimV1,
 	} {
 		var before, after runtime.MemStats
@@ -418,7 +523,7 @@ func TestDecodeColumnarRejections(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 16<<10 {
+		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 16<<10+16*uint64(len(payload)) {
 			t.Errorf("%s: refusing it allocated %d bytes", name, per)
 		}
 	}
@@ -439,10 +544,10 @@ func TestEncodeRefusesUndecodableSize(t *testing.T) {
 	}
 }
 
-// prevColumnarPayload renders a trial as the %PDMFCOL2 payload the previous
-// version wrote, from that format's documentation: the same header, then
-// every row as a width byte and the top width bytes of each value, at the
-// narrowest width that drops only zero bytes.
+// prevColumnarPayload renders a trial as the %PDMFCOL3 payload the previous
+// version wrote, from that format's documentation: the JSON json.Marshal
+// gives its header, then the value blocks, which did not change (the
+// checked-in col3_ files hold them byte for byte, TestCheckedInCol3Files).
 func prevColumnarPayload(t testing.TB, tr *Trial) []byte {
 	t.Helper()
 	c, err := ColumnsFromTrial(tr)
@@ -460,29 +565,23 @@ func prevColumnsPayload(t testing.TB, c *Columns) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hlen := int(binary.LittleEndian.Uint32(cur[len(columnarMagic):]))
-	literal := func(buf []byte, xs []float64) []byte {
-		for lo := 0; lo < len(xs); lo += c.Threads {
-			row := bitsOf(xs[lo : lo+c.Threads])
-			w := literalWidth(row)
-			buf = append(buf, byte(w))
-			for _, b := range row {
-				for k := 0; k < w; k++ {
-					buf = append(buf, byte(b>>(56-8*k)))
-				}
-			}
-		}
-		return buf
+	_, blocks, err := splitHeader(cur)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf := append([]byte(columnarMagicPrev), cur[len(columnarMagic):len(columnarMagic)+4+hlen]...)
-	buf = literal(buf, c.Calls)
+	h := columnarHeader{App: c.App, Experiment: c.Experiment, Name: c.Name, Threads: c.Threads,
+		Metrics: c.Metrics, Events: make([]columnarEvent, len(c.EventNames)), Columns: make([]string, len(c.Cols)), Metadata: c.Metadata}
+	for i, name := range c.EventNames {
+		h.Events[i] = columnarEvent{Name: name, Groups: c.Groups[i]}
+	}
 	for i := range c.Cols {
-		col := &c.Cols[i]
-		buf = appendBitmap(buf, col.IncPresent)
-		buf = appendBitmap(buf, col.ExcPresent)
-		buf = literal(literal(buf, col.Inc), col.Exc)
+		h.Columns[i] = c.Cols[i].Metric
 	}
-	return buf
+	hb, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return craftColumnarAs(columnarMagicPrev, string(hb), blocks)
 }
 
 func bitsOf(xs []float64) []uint64 {
@@ -507,8 +606,8 @@ func literalWidth(row []uint64) int {
 	return w
 }
 
-// A %PDMFCOL2 payload decodes to the trial it was written from, bit for
-// bit, through the same decoder.
+// A %PDMFCOL3 payload decodes to the trial it was written from, bit for
+// bit, through the same row loop.
 func TestDecodeColumnarReadsPreviousVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 60; i++ {
@@ -522,14 +621,16 @@ func TestDecodeColumnarReadsPreviousVersion(t *testing.T) {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		if canonicalTrialDump(back) != canonicalTrialDump(tr) {
-			t.Fatalf("trial %d: %%PDMFCOL2 round trip lost information", i)
+			t.Fatalf("trial %d: %%PDMFCOL3 round trip lost information", i)
 		}
 	}
 }
 
 // A trial with no row that repeats — random measurements, inclusive above
-// exclusive, as the service benchmark's S and L shapes generate — encodes to
-// the bytes of the previous version but for the magic's version digit.
+// exclusive, as the service benchmark's S and L shapes generate — has the
+// value blocks of %PDMFCOL3 byte for byte, every row a literal at its
+// narrowest width: only the magic and the header differ, and the header is
+// the smaller.
 func TestSyntheticShapesUnchanged(t *testing.T) {
 	for _, sh := range []struct {
 		events, threads int
@@ -550,21 +651,58 @@ func TestSyntheticShapesUnchanged(t *testing.T) {
 				}
 			}
 		}
-		cur, err := MarshalColumnar(tr)
+		c, err := ColumnsFromTrial(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := prevColumnarPayload(t, tr)
-		at := len("%PDMFCOL")
-		if cur[at] != '3' || prev[at] != '2' {
-			t.Fatalf("version digits %q and %q, want 3 and 2", cur[at], prev[at])
+		cur, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev[at] = cur[at]
-		if !bytes.Equal(cur, prev) {
-			t.Errorf("%d×%d×%d: the payload differs from the previous version's in more than the version digit (%d B against %d B)",
-				sh.events, sh.threads, len(sh.metrics), len(cur), len(prev))
+		prev := prevColumnsPayload(t, c)
+		curHeader, curBlocks, err := splitHeader(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prevHeader, _, err := splitHeader(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(curBlocks, literalBlocks(c)) {
+			t.Errorf("%d×%d×%d: the value blocks are not every row a literal at its narrowest width", sh.events, sh.threads, len(sh.metrics))
+		}
+		if len(curHeader) >= len(prevHeader) {
+			t.Errorf("%d×%d×%d: header of %d B against the JSON header's %d B", sh.events, sh.threads, len(sh.metrics), len(curHeader), len(prevHeader))
 		}
 	}
+}
+
+// literalBlocks writes the value blocks of c as %PDMFCOL2 did, from the
+// format's documentation: every row a width byte and the top width bytes of
+// each value, at the narrowest width that drops only zero bytes. They are
+// the blocks of the later versions for any trial with no row that repeats.
+func literalBlocks(c *Columns) []byte {
+	literal := func(buf []byte, xs []float64) []byte {
+		for lo := 0; lo < len(xs); lo += c.Threads {
+			row := bitsOf(xs[lo : lo+c.Threads])
+			w := literalWidth(row)
+			buf = append(buf, byte(w))
+			for _, b := range row {
+				for k := 0; k < w; k++ {
+					buf = append(buf, byte(b>>(56-8*k)))
+				}
+			}
+		}
+		return buf
+	}
+	buf := literal(nil, c.Calls)
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		buf = appendBitmap(buf, col.IncPresent)
+		buf = appendBitmap(buf, col.ExcPresent)
+		buf = literal(literal(buf, col.Inc), col.Exc)
+	}
+	return buf
 }
 
 // --- packed rows -------------------------------------------------------
@@ -832,7 +970,7 @@ func TestRepositoryStoresEveryTrialColumnar(t *testing.T) {
 	}
 }
 
-// A trial file in the previous form, %PDMFCOL2, is read transparently and
+// A trial file in the previous form, %PDMFCOL3, is read transparently and
 // upgraded to the current one on its next save.
 func TestRepositoryLegacyUpgradeToColumnar(t *testing.T) {
 	dir := t.TempDir()
@@ -908,8 +1046,8 @@ func TestRepositoryQuarantinesCorruptColumnar(t *testing.T) {
 	}
 }
 
-// Listings over columnar files use the header fast path (JSON header only,
-// no value-block decode) and must report the original coordinates.
+// Listings over columnar files open no file, and a read reports the
+// original coordinates.
 func TestRepositoryListsColumnarTrials(t *testing.T) {
 	dir := t.TempDir()
 	repo, err := OpenRepository(dir)

@@ -12,15 +12,17 @@ import (
 	"testing"
 )
 
-// testdata/col2_*.pdmf are trials in the %PDMFCOL2 encoding, written by the
-// last encoder that wrote that form (commit 2565d7f). They are the oracle
-// across a payload version: what a later decoder reads from them must be the
-// trial they were written from, bit for bit. col2_sim.pdmf is a simulator
-// trial and has its own check in internal/apps; the three below are built
-// here.
+// testdata/col3_*.pdmf are trials in the %PDMFCOL3 encoding, written by the
+// last encoder that wrote that form (commit 57258a4); testdata/col2_*.pdmf
+// are the same trials in %PDMFCOL2, written by the encoder before it (commit
+// 2565d7f). The col3_ files are the oracle across a payload version: what a
+// later decoder reads from them must be the trial they were written from, bit
+// for bit. The col2_ files are two versions back and refused by name.
+// col{2,3}_sim.pdmf is a simulator trial and has its own check in
+// internal/apps; the three below are built here.
 
-// col2FixtureTrials returns file name → the trial the file was written from.
-func col2FixtureTrials() map[string]*Trial {
+// fixtureTrials returns fixture name → the trial its files were written from.
+func fixtureTrials() map[string]*Trial {
 	// The service benchmark's S shape: random 15-digit measurements,
 	// inclusive above exclusive, random call counts — no two rows alike.
 	r := rand.New(rand.NewSource(17))
@@ -86,29 +88,31 @@ func col2FixtureTrials() map[string]*Trial {
 	}
 	delete(edge.Event("e0").Inclusive, "PAPI_FP_OPS") // exclusive-only
 	return map[string]*Trial{
-		"col2_synthetic.pdmf": synthetic,
-		"col2_sparse.pdmf":    sparse,
-		"col2_edge.pdmf":      edge,
+		"synthetic": synthetic,
+		"sparse":    sparse,
+		"edge":      edge,
 	}
 }
 
-// Each checked-in file is still in the previous form, decodes to the trial it
-// was written from, re-encodes in the current form, and decodes from that to
-// the same columns — every value with the bits it had. Stored, it is counted
-// legacy and rewritten by fsck; uploaded or replayed from a hint queued before
-// the upgrade, it is stored re-encoded.
-func TestCheckedInCol2Files(t *testing.T) {
+// Each checked-in col3_ file is still in the previous form, decodes to the
+// trial it was written from, re-encodes in the current form — the same value
+// blocks, only the magic and the header differ — and decodes from that to
+// the same columns, every value with the bits it had. Stored, it is counted
+// legacy and rewritten by fsck; uploaded or replayed from a hint queued
+// before the upgrade, it is stored re-encoded.
+func TestCheckedInCol3Files(t *testing.T) {
 	ctx := context.Background()
-	trials := col2FixtureTrials()
-	trials["col2_sim.pdmf"] = nil // held to the simulator's output by internal/apps
-	for name, tr := range trials {
+	trials := fixtureTrials()
+	trials["sim"] = nil // held to the simulator's output by internal/apps
+	for short, tr := range trials {
+		name := "col3_" + short + ".pdmf"
 		file, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload, err := decodeEnvelope(file)
 		if err != nil || !isColumnarPrev(payload) {
-			t.Fatalf("%s is not a %%PDMFCOL2 envelope (err=%v)", name, err)
+			t.Fatalf("%s is not a %%PDMFCOL3 envelope (err=%v)", name, err)
 		}
 		old, err := DecodeColumnar(payload)
 		if err != nil {
@@ -122,8 +126,13 @@ func TestCheckedInCol2Files(t *testing.T) {
 			t.Fatal(err)
 		}
 		curPayload, err := decodeEnvelope(cur)
-		if err != nil || !IsColumnar(curPayload) || len(cur) > len(file) {
+		if err != nil || !IsColumnar(curPayload) || len(cur) >= len(file) {
 			t.Fatalf("%s re-encodes to %d B from %d B, current form: %v (err=%v)", name, len(cur), len(file), IsColumnar(curPayload), err)
+		}
+		_, oldBlocks, _ := splitHeader(payload)
+		_, curBlocks, _ := splitHeader(curPayload)
+		if !bytes.Equal(oldBlocks, curBlocks) {
+			t.Errorf("%s: the value blocks changed", name)
 		}
 		back, err := DecodeColumnar(curPayload)
 		if err != nil {
@@ -164,6 +173,24 @@ func TestCheckedInCol2Files(t *testing.T) {
 		if stored := rawTrialFile(t, replayed, old.App, old.Experiment, old.Name); !bytes.Equal(stored, cur) {
 			t.Errorf("%s: the previous form was not stored re-encoded", name)
 		}
+	}
+}
+
+// The checked-in col2_ files are two versions back: each is still the
+// %PDMFCOL2 envelope it was written as, and is refused by name everywhere,
+// as the %PDMFCOL1 file is (TestCheckedInColumnarV1File).
+func TestCheckedInCol2Files(t *testing.T) {
+	for short, tr := range fixtureTrials() {
+		name := "col2_" + short + ".pdmf"
+		file, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := decodeEnvelope(file)
+		if err != nil || !bytes.HasPrefix(payload, []byte(col2Magic)) {
+			t.Fatalf("%s is not a %%PDMFCOL2 envelope (err=%v)", name, err)
+		}
+		checkRetiredFile(t, name, file, tr.App, tr.Experiment, tr.Name)
 	}
 }
 

@@ -63,16 +63,16 @@ func TestEncodeDecodeTrialRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeTrial reads the one legacy form, %PDMFCOL2, and refuses the two
-// older than it by name.
+// DecodeTrial reads the one legacy form, %PDMFCOL3, and refuses trial JSON,
+// bare or in the envelope, by name.
 func TestDecodeTrialLegacyForms(t *testing.T) {
 	tr := cellsTrial("legacy", 3, 2)
 	got, err := DecodeTrial(encodeEnvelope(prevColumnarPayload(t, tr)))
 	if err != nil {
-		t.Fatalf("%%PDMFCOL2 in envelope: %v", err)
+		t.Fatalf("%%PDMFCOL3 in envelope: %v", err)
 	}
 	if canonicalTrialDump(got) != canonicalTrialDump(tr) {
-		t.Error("%PDMFCOL2 in envelope: decoded differently")
+		t.Error("%PDMFCOL3 in envelope: decoded differently")
 	}
 	plain, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
@@ -89,11 +89,8 @@ func TestDecodeTrialLegacyForms(t *testing.T) {
 }
 
 // The checked-in %PDMFCOL1 file — the `valid` seed of the fuzz corpus as a
-// raw file — is two versions back and no longer read: every entry point
-// answers ErrCorrupt and says which release still rewrites it, a stored file
-// is quarantined rather than served or destroyed, and fsck reports it.
+// raw file — is three versions back and no longer read.
 func TestCheckedInColumnarV1File(t *testing.T) {
-	ctx := context.Background()
 	data, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf"))
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +99,24 @@ func TestCheckedInColumnarV1File(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(payload, []byte(retiredMagic)) {
 		t.Fatalf("testdata/col1_trial.pdmf is not a %%PDMFCOL1 envelope (err=%v)", err)
 	}
-	refused := func(what string, err error) {
+	checkRetiredFile(t, "col1_trial.pdmf", data, "app", "exp", "seed")
+}
+
+// checkRetiredFile holds a file in a form this release no longer reads, of
+// trial app/exp/name, to its refusal: every entry point answers ErrCorrupt
+// and says which release still rewrites it, a stored file is quarantined
+// rather than served or destroyed, and fsck reports it.
+func checkRetiredFile(t *testing.T, what string, data []byte, app, exp, name string) {
+	t.Helper()
+	ctx := context.Background()
+	payload, err := decodeEnvelope(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(call string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "perfdmfd -fsck") {
-			t.Errorf("%s of a %%PDMFCOL1 body = %v; want ErrCorrupt naming perfdmfd -fsck of the previous release", what, err)
+			t.Errorf("%s of %s = %v; want ErrCorrupt naming perfdmfd -fsck of the previous release", call, what, err)
 		}
 	}
 	_, err = DecodeTrial(data)
@@ -117,14 +128,14 @@ func TestCheckedInColumnarV1File(t *testing.T) {
 	_, err = repo.SaveEncoded(ctx, data)
 	refused("SaveEncoded", err)
 	if files := trialFiles(t, dir, ""); len(files) != 0 {
-		t.Fatalf("refused body left files behind: %v", files)
+		t.Fatalf("refused %s left files behind: %v", what, files)
 	}
-	for name, read := range map[string]func(r *Repository) error{
-		"GetTrial":   func(r *Repository) error { _, err := r.GetTrial("app", "exp", "seed"); return err },
-		"GetEncoded": func(r *Repository) error { _, err := r.GetEncoded(ctx, "app", "exp", "seed"); return err },
+	for call, read := range map[string]func(r *Repository) error{
+		"GetTrial":   func(r *Repository) error { _, err := r.GetTrial(app, exp, name); return err },
+		"GetEncoded": func(r *Repository) error { _, err := r.GetEncoded(ctx, app, exp, name); return err },
 	} {
 		dir := t.TempDir()
-		p := filepath.Join(dir, "app", "exp", "seed.json")
+		p := filepath.Join(dir, safe(app), safe(exp), safe(name)+".json")
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +143,13 @@ func TestCheckedInColumnarV1File(t *testing.T) {
 			t.Fatal(err)
 		}
 		repo := mustOpen(t, dir)
-		refused(name, read(repo))
+		refused(call, read(repo))
 		if kept, err := os.ReadFile(p + ".corrupt"); err != nil || !bytes.Equal(kept, data) {
-			t.Errorf("%s: the file was not set aside intact (err=%v)", name, err)
+			t.Errorf("%s of %s: the file was not set aside intact (err=%v)", call, what, err)
 		}
 		rep, err := repo.Verify()
 		if err != nil || rep.Clean() || len(rep.Quarantined) != 1 || rep.Trials != 0 || rep.Upgraded != 0 {
-			t.Errorf("fsck after %s = %+v, %v; want the one file reported quarantined", name, rep, err)
+			t.Errorf("fsck after %s of %s = %+v, %v; want the one file reported quarantined", call, what, rep, err)
 		}
 	}
 }
@@ -156,20 +167,30 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	payload, _ := decodeEnvelope(valid)
 	inflated := strings.Replace(minimalHeader, `"threads":1`, `"threads":1000000000`, 1)
 	bomb := strings.Replace(minimalHeader, `"threads":1`, `"threads":2147483648`, 1)
-	spaced := strings.Replace(minimalHeader, `"threads":1`, `"threads": 1`, 1)
-	reordered := `{"experiment":"e","application":"a",` + strings.TrimPrefix(minimalHeader, `{"application":"a","experiment":"e",`)
-	// %PDMFCOL2 bodies are accepted without comparing bytes, so each of
+	// The binary header has one spelling: each of these is minimalHdr with
+	// one field spelled another way, which the decoder refuses before any
+	// comparison of bytes.
+	body := minimalBody(0x01, 0x01)
+	head := hdr{}.lit("a").lit("e").lit("n")
+	header := func(h hdr) []byte { return encodeEnvelope(craftHdr(h, body)) }
+	spaced := header(head.raw(0x81, 0x00).n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(4).n(0)) // threads in two bytes
+	reordered := header(minimalHdr()[:len(minimalHdr())-1].n(2).lit("k2").lit("v").lit("k1").ref(6))
+	// %PDMFCOL3 bodies are accepted without comparing bytes, so each of
 	// these has to fall to the checksum, the structural decode or Validate.
 	validPrev := encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01)))
 	if _, err := DecodeTrial(validPrev); err != nil {
-		t.Fatalf("baseline %%PDMFCOL2 encoding must decode: %v", err)
+		t.Fatalf("baseline %%PDMFCOL3 encoding must decode: %v", err)
 	}
 	payloadPrev, _ := decodeEnvelope(validPrev)
-	// Behind the magic two versions back nothing is accepted, damaged or not.
-	retired := func(payload []byte) []byte {
-		return encodeEnvelope(append([]byte(retiredMagic), payload[len(columnarMagic):]...))
+	// Behind the magics two and three versions back nothing is accepted,
+	// damaged or not.
+	retiredAs := func(magic string) func(payload []byte) []byte {
+		return func(payload []byte) []byte {
+			return encodeEnvelope(append([]byte(magic), payload[len(columnarMagic):]...))
+		}
 	}
-	validV1 := retired(payload)
+	retired, col2 := retiredAs(retiredMagic), retiredAs(col2Magic)
+	validV1, validCol2 := retired(payload), col2(payloadPrev)
 	// Checksummed, decodable, Validate-clean and a fixed point of decode →
 	// encode, but not how ColumnsFromTrial pivots the trial held: these fall
 	// to isPivot alone, in either payload version.
@@ -204,43 +225,59 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	ghost := notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }) // EXTRA is absent on "main"
 	emptyMetrics := notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil })
 	return map[string][]byte{
-		"empty":                         nil,
-		"truncated envelope":            valid[:len(valid)-9],
-		"flipped payload bit":           flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
-		"flipped CRC digit":             flipByte(valid, len(valid)-12),
-		"dimension-inflated header":     encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
-		"zero-row bomb":                 encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
-		"width 9":                       encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"over-wide row":                 encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"truncated inside a row":        encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
-		"trailing bytes in payload":     encodeEnvelope(append(append([]byte(nil), payload...), 0)),
-		"trailing bytes after":          append(append([]byte(nil), valid...), '\n'),
-		"non-canonical header spaces":   encodeEnvelope(craftColumnar(spaced, minimalBody(0x01, 0x01))),
-		"non-canonical header order":    encodeEnvelope(craftColumnar(reordered, minimalBody(0x01, 0x01))),
-		"legacy plain JSON":             []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
-		"legacy JSON in envelope":       encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
-		"col2 flipped payload bit":      flipByte(validPrev, len(envelopeMagic)+len(columnarMagicPrev)+30),
-		"col2 flipped CRC digit":        flipByte(validPrev, len(validPrev)-12),
-		"col2 dimension-inflated":       encodeEnvelope(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
-		"col2 cut short":                encodeEnvelope(payloadPrev[:len(payloadPrev)-3]),
-		"col2 trailing bytes":           encodeEnvelope(append(append([]byte(nil), payloadPrev...), 0)),
-		"col2 invalid trial":            encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))), // inclusive without exclusive
-		"col2 with a row kind":          encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, rowsBody(callsOne, callsOne, []byte{rowSameAsInc}))),
-		"v1 well-formed":                validV1,
-		"v1 flipped payload bit":        flipByte(validV1, len(envelopeMagic)+len(retiredMagic)+30),
-		"v1 flipped CRC digit":          flipByte(validV1, len(validV1)-12),
-		"v1 dimension-inflated":         retired(craftColumnar(inflated, minimalBody(0x01, 0x01))),
-		"v1 cut short":                  retired(payload[:len(payload)-3]),
-		"v1 trailing bytes":             retired(append(append([]byte(nil), payload...), 0)),
-		"v1 invalid trial":              retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
-		"columns swapped":               v2(swapped),
-		"unregistered column first":     v2(extraFirst),
-		"registered metric no column":   v2(missing),
-		"column nobody has":             v2(nobody),
-		"values under a clear bit":      v2(ghost),
-		"empty metric list not null":    v2(emptyMetrics),
-		"col2 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
-		"col2 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
+		"empty":                        nil,
+		"truncated envelope":           valid[:len(valid)-9],
+		"flipped payload bit":          flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
+		"flipped CRC digit":            flipByte(valid, len(valid)-12),
+		"dimension-inflated header":    encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"zero-row bomb":                encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
+		"width 9":                      encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"over-wide row":                encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"truncated inside a row":       encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
+		"trailing bytes in payload":    encodeEnvelope(append(append([]byte(nil), payload...), 0)),
+		"trailing bytes after":         append(append([]byte(nil), valid...), '\n'),
+		"non-canonical header spaces":  spaced,
+		"non-canonical header order":   reordered,
+		"duplicate literal":            header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("e").n(0).n(1).ref(4).n(0)),
+		"reference past the table":     header(head.n(1).n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(5).n(0)),
+		"separator inside a segment":   header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("x => y").n(0).n(1).ref(4).n(0)),
+		"segments splitting otherwise": header(head.n(1).n(1).lit("TIME").n(1).n(2).lit("x =>").lit("y").n(0).n(1).ref(4).n(0)),
+		"count past the header":        header(head.n(1).n(1).lit("TIME").n(200).n(1).ref(2).n(0).n(1).ref(4).n(0)),
+		"legacy plain JSON":            []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
+		"legacy JSON in envelope":      encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
+		"col3 flipped payload bit":     flipByte(validPrev, len(envelopeMagic)+len(columnarMagicPrev)+30),
+		"col3 flipped CRC digit":       flipByte(validPrev, len(validPrev)-12),
+		"col3 bad header JSON":         encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader[:20], minimalBody(0x01, 0x01))),
+		"col3 dimension-inflated":      encodeEnvelope(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
+		"col3 cut short":               encodeEnvelope(payloadPrev[:len(payloadPrev)-3]),
+		"col3 trailing bytes":          encodeEnvelope(append(append([]byte(nil), payloadPrev...), 0)),
+		"col3 invalid trial":           encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))), // inclusive without exclusive
+		"col2 well-formed":             validCol2,
+		"col2 flipped payload bit":     flipByte(validCol2, len(envelopeMagic)+len(col2Magic)+30),
+		"col2 flipped CRC digit":       flipByte(validCol2, len(validCol2)-12),
+		"col2 dimension-inflated":      col2(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
+		"col2 cut short":               col2(payloadPrev[:len(payloadPrev)-3]),
+		"col2 trailing bytes":          col2(append(append([]byte(nil), payloadPrev...), 0)),
+		"col2 invalid trial":           col2(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))),
+		"col2 with a row kind":         col2(craftColumnarAs(columnarMagicPrev, minimalHeader, rowsBody(callsOne, callsOne, []byte{rowSameAsInc}))),
+		"v1 well-formed":               validV1,
+		"v1 flipped payload bit":       flipByte(validV1, len(envelopeMagic)+len(retiredMagic)+30),
+		"v1 flipped CRC digit":         flipByte(validV1, len(validV1)-12),
+		"v1 dimension-inflated":        retired(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"v1 cut short":                 retired(payload[:len(payload)-3]),
+		"v1 trailing bytes":            retired(append(append([]byte(nil), payload...), 0)),
+		"v1 invalid trial":             retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
+		"columns swapped":              v2(swapped),
+		"unregistered column first":    v2(extraFirst),
+		"registered metric no column":  v2(missing),
+		"column nobody has":            v2(nobody),
+		"values under a clear bit":     v2(ghost),
+		// The binary header spells an empty list one way; JSON had two.
+		"empty metric list not null":    encodeEnvelope(prevColumnsPayload(t, emptyMetrics)),
+		"col3 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
+		"col3 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
+		"col2 columns swapped":          col2(prevColumnsPayload(t, swapped)),
+		"col2 values under a clear bit": col2(prevColumnsPayload(t, ghost)),
 		"v1 columns swapped":            retired(prevColumnsPayload(t, swapped)),
 		"v1 values under a clear bit":   retired(prevColumnsPayload(t, ghost)),
 	}
@@ -315,7 +352,7 @@ func TestSaveEncodedMatchesSave(t *testing.T) {
 	}
 }
 
-// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL2
+// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL3
 // encoding is stored as the re-encoding of the trial it holds.
 func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
@@ -324,7 +361,7 @@ func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 		tr := genColTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(4))
 		got, err := repo.SaveEncoded(context.Background(), encodeEnvelope(prevColumnarPayload(t, tr)))
 		if err != nil {
-			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL2 body: %v", i, err)
+			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL3 body: %v", i, err)
 		}
 		want, err := EncodeTrial(tr)
 		if err != nil {
@@ -334,7 +371,7 @@ func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 			t.Fatalf("trial %d: SaveEncoded stored or returned a different trial (err=%v)", i, err)
 		}
 		if file := rawTrialFile(t, repo, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, want) || !isColumnarFile(t, file) {
-			t.Fatalf("trial %d: %%PDMFCOL2 body not stored as EncodeTrial's output", i)
+			t.Fatalf("trial %d: %%PDMFCOL3 body not stored as EncodeTrial's output", i)
 		}
 	}
 }
@@ -438,7 +475,7 @@ func mustOpen(t *testing.T, dir string) *Repository {
 	return repo
 }
 
-// A directory of %PDMFCOL2 files, as the previous release wrote them — one
+// A directory of %PDMFCOL3 files, as the previous release wrote them — one
 // of them under the underscore path scheme — serves both representations; a
 // file is upgraded by its next save, and whatever is still legacy by one
 // Verify, after which a second finds none.
@@ -456,11 +493,11 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	stray := miniTrial("my app", "exp", "stray", 1)
 	unread := miniTrial("my app", "exp", "unread", 2)
-	col2 := miniTrial("my app", "exp", "col2", 3)
-	col2File := encodeEnvelope(prevColumnarPayload(t, col2))
+	prev := miniTrial("my app", "exp", "prev", 3)
+	prevFile := encodeEnvelope(prevColumnarPayload(t, prev))
 	plant(filepath.Join(dir, "my_app", "exp", "stray.json"), encodeEnvelope(prevColumnarPayload(t, stray))) // underscore scheme
 	plant(filepath.Join(dir, safe("my app"), "exp", "unread.json"), encodeEnvelope(prevColumnarPayload(t, unread)))
-	plant(filepath.Join(dir, safe("my app"), "exp", "col2.json"), col2File)
+	plant(filepath.Join(dir, safe("my app"), "exp", "prev.json"), prevFile)
 
 	repo := mustOpen(t, dir)
 	canon := func(tr *Trial) []byte {
@@ -473,7 +510,7 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	}
 	// The two files at their own paths read in both representations, and
 	// reading rewrites nothing.
-	for _, want := range []*Trial{unread, col2} {
+	for _, want := range []*Trial{unread, prev} {
 		data, err := repo.GetEncoded(ctx, want.App, want.Experiment, want.Name)
 		if err != nil {
 			t.Fatalf("%s: GetEncoded: %v", want.Name, err)
@@ -486,23 +523,23 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 			t.Errorf("%s: GetTrial: err=%v", want.Name, err)
 		}
 	}
-	if file := rawTrialFile(t, repo, col2.App, col2.Experiment, col2.Name); !bytes.Equal(file, col2File) {
-		t.Error("reading a %PDMFCOL2 file rewrote it")
+	if file := rawTrialFile(t, repo, prev.App, prev.Experiment, prev.Name); !bytes.Equal(file, prevFile) {
+		t.Error("reading a %PDMFCOL3 file rewrote it")
 	}
-	// The next save upgrades a file — here the old bytes of col2, as a hint
+	// The next save upgrades a file — here the old bytes of prev, as a hint
 	// queued before the upgrade would replay them.
-	if _, err := repo.SaveEncoded(ctx, col2File); err != nil {
-		t.Fatalf("SaveEncoded of the %%PDMFCOL2 bytes: %v", err)
+	if _, err := repo.SaveEncoded(ctx, prevFile); err != nil {
+		t.Fatalf("SaveEncoded of the %%PDMFCOL3 bytes: %v", err)
 	}
-	if file := rawTrialFile(t, repo, col2.App, col2.Experiment, col2.Name); !bytes.Equal(file, canon(col2)) {
-		t.Error("col2: file not upgraded to the encoded form by its save")
+	if file := rawTrialFile(t, repo, prev.App, prev.Experiment, prev.Name); !bytes.Equal(file, canon(prev)) {
+		t.Error("prev: file not upgraded to the encoded form by its save")
 	}
 	// Verify moves the underscore-scheme file home and upgrades the rest.
 	rep, err := repo.Verify()
 	if err != nil || rep.Trials != 3 || rep.Legacy != 2 || rep.Upgraded != 2 || len(rep.Relocated) != 1 || !rep.Clean() {
 		t.Fatalf("fsck over legacy files = %+v, %v; want 3 trials, 2 legacy, 2 upgraded, 1 relocated, clean", rep, err)
 	}
-	for _, want := range []*Trial{stray, unread, col2} {
+	for _, want := range []*Trial{stray, unread, prev} {
 		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon(want)) {
 			t.Errorf("%s: file is not EncodeTrial's output after fsck", want.Name)
 		}
@@ -529,7 +566,7 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 // old file.
 func TestVerifyUpgradeReadOnlyAndFailure(t *testing.T) {
 	dir := t.TempDir()
-	old, err := os.ReadFile(filepath.Join("testdata", "col2_sparse.pdmf"))
+	old, err := os.ReadFile(filepath.Join("testdata", "col3_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // ErrCorrupt is the sentinel wrapped by trial reads that hit a damaged
@@ -20,7 +21,7 @@ var ErrCorrupt = errors.New("trial data corrupt")
 // are detected instead of silently parsed:
 //
 //	%PDMF1\n
-//	<payload: %PDMFCOL3 columnar trial, byte-exact>
+//	<payload: %PDMFCOL4 columnar trial, byte-exact>
 //	\n%PDMF1 crc32c=XXXXXXXX len=NNN\n
 //
 // The trailer repeats the magic, then carries the CRC32-C of the payload
@@ -32,9 +33,10 @@ var ErrCorrupt = errors.New("trial data corrupt")
 // after the newline), so equal payloads have equal envelopes and replicas
 // can be compared by their trailers. EncodeTrial is the only writer. One
 // older form stays readable and is rewritten on its next save or by fsck: a
-// %PDMFCOL2 payload (literal rows only) inside the envelope. What came
-// before it — trial JSON inside the envelope, and trial JSON with no envelope
-// at all — is refused by name (retiredForm).
+// %PDMFCOL3 payload (the same value blocks behind a JSON header) inside the
+// envelope. What came before it — %PDMFCOL2 and %PDMFCOL1 payloads, trial
+// JSON inside the envelope, and trial JSON with no envelope at all — is
+// refused by name (retiredForm).
 const (
 	envelopeMagic   = "%PDMF1\n"
 	envelopeTrailer = "\n%PDMF1 crc32c="
@@ -50,7 +52,13 @@ var envelopeTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendEnvelopeTrailer appends the trailer that seals payload.
 func appendEnvelopeTrailer(buf, payload []byte) []byte {
-	return fmt.Appendf(buf, "%s%08x%s%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), envelopeLenTag, len(payload))
+	sum := crc32.Checksum(payload, envelopeTable)
+	buf = append(buf, envelopeTrailer...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		buf = append(buf, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	buf = append(buf, envelopeLenTag...)
+	return append(strconv.AppendInt(buf, int64(len(payload)), 10), '\n')
 }
 
 // parseEnvelopeTrailer reads what follows envelopeTrailer to the end of the
@@ -161,7 +169,7 @@ func decodeColumns(data []byte) (*Columns, error) {
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum, decodes the payload and validates the result. It also accepts
-// the previous payload, %PDMFCOL2. Checksum, structure and validation
+// the previous payload, %PDMFCOL3. Checksum, structure and validation
 // failures all wrap ErrCorrupt, as does the refusal of trial JSON, bare or
 // inside the envelope.
 func DecodeTrial(data []byte) (*Trial, error) {
@@ -184,6 +192,5 @@ func EncodedCoordinates(data []byte) (app, experiment, trial string, ok bool) {
 	if !IsEncodedTrial(data) {
 		return "", "", "", false
 	}
-	h, ok := decodeTrialHeaderPayload(data[len(envelopeMagic):])
-	return h.App, h.Experiment, h.Name, ok
+	return decodeTrialHeaderPayload(data[len(envelopeMagic):])
 }

@@ -19,7 +19,7 @@ type FsckReport struct {
 	Root string `json:"root"`
 	// Trials counts readable, valid trial files (encoded or legacy).
 	Trials int `json:"trials"`
-	// Legacy counts trials the walk found in the previous form, a %PDMFCOL2
+	// Legacy counts trials the walk found in the previous form, a %PDMFCOL3
 	// payload. (A file in a form older than that is not readable: it is
 	// quarantined.)
 	Legacy int `json:"legacy"`

@@ -199,14 +199,15 @@ func FuzzParseCSV(f *testing.F) {
 // FuzzDecodeColumnarEnvelope drives the full trial-file read path over the
 // columnar binary format, current and legacy: envelope decode, columnar
 // payload decode, trial validation. The invariants: every failure wraps
-// ErrCorrupt; every decode that succeeds yields a Validate-clean trial; and
-// the encoding is a fixed point after one canonicalization round (the
-// fuzzer can supply headers whose JSON is legal but non-canonical — key
-// order, whitespace — and %PDMFCOL2 payloads, so encode(decode(b)) may
-// differ from b, but it must then be stable). The checked-in corpus entries
-// without a prefix predate %PDMFCOL2, are kept byte for byte and are all
-// refused now; the col2_ entries are the previous form, the col3_ ones the
-// current.
+// ErrCorrupt; every decode that succeeds yields a Validate-clean trial; a
+// %PDMFCOL4 payload the decoder accepts is exactly what encoding the decoded
+// columns writes; and a %PDMFCOL3 one reaches that fixed point after one
+// canonicalization round (its JSON header may be legal but non-canonical —
+// key order, whitespace — so encode(decode(b)) may differ from b, but it
+// must then be stable). The checked-in corpus entries without a prefix
+// predate %PDMFCOL2, are kept byte for byte and are all refused now, as the
+// col2_ entries are; the col3_ entries are the previous form, the col4_ ones
+// the current.
 func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
 
@@ -229,10 +230,15 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("decoded columnar trial fails Validate: %v", err)
 		}
-		// One canonicalization round reaches a fixed point.
 		e1, err := c.Encode()
 		if err != nil {
 			t.Fatalf("re-encoding decoded payload: %v", err)
+		}
+		if IsColumnar(payload) {
+			if !bytes.Equal(e1, payload) {
+				t.Fatal("a %PDMFCOL4 payload the decoder accepts is not what encoding its columns writes")
+			}
+			return
 		}
 		if !IsColumnar(e1) {
 			t.Fatal("re-encoding is not in the current form")
@@ -281,15 +287,11 @@ func fuzzKindsTrial() *Trial {
 	return tr
 }
 
-// fuzzKindsSeeds are the encoding of fuzzKindsTrial, that encoding cut inside
-// its last one-valued row, and with that row stored a byte wider than it
-// needs — each in a valid envelope.
-func fuzzKindsSeeds(t testing.TB) (valid, truncated, overwide []byte) {
+// fuzzKindsSeeds are p, a payload of fuzzKindsTrial in either version read,
+// p cut inside its last one-valued row, and p with that row stored a byte
+// wider than it needs — each in a valid envelope.
+func fuzzKindsSeeds(t testing.TB, p []byte) (valid, truncated, overwide []byte) {
 	t.Helper()
-	p, err := MarshalColumnar(fuzzKindsTrial())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The payload ends: inclusive row {rowConst+2, 0x40, 0x08}, exclusive
 	// row {rowSameAsInc}.
 	n := len(p)
@@ -300,10 +302,71 @@ func fuzzKindsSeeds(t testing.TB) (valid, truncated, overwide []byte) {
 	return encodeEnvelope(p), encodeEnvelope(p[:n-2]), encodeEnvelope(wide)
 }
 
+// fuzzHeaderTrial fills every field of the header: a callpath sharing its
+// parent's segment, a group, metadata.
+func fuzzHeaderTrial() *Trial {
+	tr := NewTrial("app", "exp", "header", 2)
+	tr.AddMetric(TimeMetric)
+	tr.Metadata["a"], tr.Metadata["b"] = "1", "2"
+	for _, name := range []string{"main", "main => loop"} {
+		e := tr.EnsureEvent(name)
+		for th := 0; th < 2; th++ {
+			e.Calls[th] = 1
+			e.SetValue(TimeMetric, th, float64(th+2), float64(th+1))
+		}
+	}
+	tr.Event("main => loop").Groups = []string{"LOOP"}
+	return tr
+}
+
+// fuzzHeaderSeedNames orders fuzzHeaderSeeds: the `col4_` corpus entries.
+var fuzzHeaderSeedNames = []string{
+	"col4_valid", "col4_truncated_header", "col4_overlong_varint", "col4_duplicate_literal",
+	"col4_reference_past_table", "col4_separator_in_segment", "col4_unsorted_metadata", "col4_count_past_end",
+}
+
+// fuzzHeaderSeeds are the encoding of fuzzHeaderTrial and, each in a valid
+// envelope before the same value blocks, its header spelled every way the
+// decoder must refuse: cut short, a varint in more bytes than it needs, a
+// literal the table holds, a reference past the table, a callpath as one
+// segment, metadata keys out of order, a count no header that size can hold.
+func fuzzHeaderSeeds(t testing.TB) map[string][]byte {
+	t.Helper()
+	p, err := MarshalColumnar(fuzzHeaderTrial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, blocks, err := splitHeader(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Table: app, exp, header, TIME, then main, loop, LOOP, a, 1, b, 2.
+	coords := hdr{}.lit("app").lit("exp").lit("header")
+	metrics := func(h hdr) hdr { return h.n(1).lit("TIME") }
+	events := func(h hdr) hdr { return h.n(2).n(1).lit("main").n(0).n(2).ref(5).lit("loop").n(1).lit("LOOP") }
+	rest := func(h hdr) hdr { return h.n(1).ref(4).n(2).lit("a").lit("1").lit("b").lit("2") }
+	whole := rest(events(metrics(coords.n(2))))
+	if !bytes.Equal(whole, header) {
+		t.Fatalf("the header Encode writes is not the one the format comment describes:\n% x\n% x", header, whole)
+	}
+	seed := func(h hdr) []byte { return encodeEnvelope(craftHdr(h, blocks)) }
+	return map[string][]byte{
+		"col4_valid":                encodeEnvelope(p),
+		"col4_truncated_header":     seed(whole[:len(whole)-1]),
+		"col4_overlong_varint":      seed(rest(events(metrics(coords.raw(0x82, 0x00))))),
+		"col4_duplicate_literal":    seed(rest(metrics(coords.n(2)).n(2).n(1).lit("main").n(0).n(2).lit("main").lit("loop").n(1).lit("LOOP"))),
+		"col4_reference_past_table": seed(events(metrics(coords.n(2))).n(1).ref(8).n(2).lit("a").lit("1").lit("b").lit("2")),
+		"col4_separator_in_segment": seed(rest(metrics(coords.n(2)).n(2).n(1).lit("main").n(0).n(1).lit("main => loop").n(1).lit("LOOP"))),
+		"col4_unsorted_metadata":    seed(events(metrics(coords.n(2))).n(1).ref(4).n(2).lit("b").lit("2").lit("a").lit("1")),
+		"col4_count_past_end":       seed(rest(metrics(coords.n(2)).n(200).n(1).lit("main").n(0).n(2).ref(5).lit("loop").n(1).lit("LOOP"))),
+	}
+}
+
 // addColumnarEnvelopeSeeds seeds a fuzz target with encoded trials: one
 // valid, the rest damaged in the ways the decoders must survive, the same
-// trial as a %PDMFCOL2 body, and a trial whose rows take the kinds above 8,
-// whole and damaged.
+// trial as a %PDMFCOL3 body, a trial whose rows take the kinds above 8 in
+// both versions read, whole and damaged, and a trial that fills every header
+// field, whole and with its header in each spelling the decoder refuses.
 func addColumnarEnvelopeSeeds(f *testing.F) {
 	valid, err := MarshalColumnar(fuzzSeedTrial())
 	if err != nil {
@@ -314,14 +377,24 @@ func addColumnarEnvelopeSeeds(f *testing.F) {
 	badCRC := encodeEnvelope(valid)
 	badCRC[len(envelopeMagic)+3] ^= 0x40 // flip a payload bit under the CRC
 	f.Add(badCRC)
-	f.Add(encodeEnvelope([]byte(columnarMagic + "\x60\x00\x00\x00" +
+	f.Add(encodeEnvelope([]byte(columnarMagicPrev + "\x60\x00\x00\x00" +
 		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
 	f.Add(encodeEnvelope([]byte(columnarMagic)))
 	f.Add(encodeEnvelope(prevColumnarPayload(f, fuzzSeedTrial())))
-	valid, truncated, overwide := fuzzKindsSeeds(f)
-	f.Add(valid)
-	f.Add(truncated)
-	f.Add(overwide)
+	kinds, err := MarshalColumnar(fuzzKindsTrial())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range [][]byte{prevColumnarPayload(f, fuzzKindsTrial()), kinds} {
+		valid, truncated, overwide := fuzzKindsSeeds(f, p)
+		f.Add(valid)
+		f.Add(truncated)
+		f.Add(overwide)
+	}
+	headers := fuzzHeaderSeeds(f)
+	for _, name := range fuzzHeaderSeedNames {
+		f.Add(headers[name])
+	}
 }
 
 // columnarCorpus returns the checked-in corpus of
@@ -349,19 +422,21 @@ func columnarCorpus(t testing.TB) map[string][]byte {
 	return out
 }
 
-// The corpus holds what its names say, in all three forms: the entries
-// without a prefix are %PDMFCOL1 bodies, refused whatever their state; the
-// col2_ entries are the previous form, read through the legacy path; the
-// col3_ entries are the current form with rows of the kinds above 8.
+// The corpus holds what its names say, in all four forms: the entries
+// without a prefix are %PDMFCOL1 bodies and the col2_ entries %PDMFCOL2
+// ones, refused whatever their state; the col3_ entries are the previous
+// form with rows of the kinds above 8, read through the legacy path; the
+// col4_ entries are the current form, one valid and the rest with a header
+// the decoder refuses.
 func TestColumnarCorpus(t *testing.T) {
 	corpus := columnarCorpus(t)
-	for name, want := range map[string]*Trial{"col2_valid": fuzzSeedTrial(), "col3_valid": fuzzKindsTrial()} {
+	for name, want := range map[string]*Trial{"col3_valid": fuzzKindsTrial(), "col4_valid": fuzzHeaderTrial()} {
 		data, ok := corpus[name]
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
 		}
 		payload, err := decodeEnvelope(data)
-		if err != nil || IsColumnar(payload) != (name == "col3_valid") || isColumnarPrev(payload) != (name == "col2_valid") {
+		if err != nil || IsColumnar(payload) != (name == "col4_valid") || isColumnarPrev(payload) != (name == "col3_valid") {
 			t.Fatalf("%s: wrong form (err=%v)", name, err)
 		}
 		if got, err := DecodeTrial(data); err != nil || canonicalTrialDump(got) != canonicalTrialDump(want) {
@@ -371,15 +446,22 @@ func TestColumnarCorpus(t *testing.T) {
 	if raw, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf")); err != nil || !bytes.Equal(raw, corpus["valid"]) {
 		t.Errorf("testdata/col1_trial.pdmf is not the corpus's valid seed (err=%v)", err)
 	}
-	valid, truncated, overwide := fuzzKindsSeeds(t)
-	for name, want := range map[string][]byte{"col3_valid": valid, "col3_truncated_const": truncated, "col3_overwide_const": overwide} {
+	if payload, err := decodeEnvelope(corpus["col2_valid"]); err != nil || !bytes.HasPrefix(payload, []byte(col2Magic)) {
+		t.Errorf("col2_valid: not a %%PDMFCOL2 envelope (err=%v)", err)
+	}
+	valid, truncated, overwide := fuzzKindsSeeds(t, prevColumnarPayload(t, fuzzKindsTrial()))
+	seeds := fuzzHeaderSeeds(t)
+	seeds["col3_valid"], seeds["col3_truncated_const"], seeds["col3_overwide_const"] = valid, truncated, overwide
+	for name, want := range seeds {
 		if !bytes.Equal(corpus[name], want) {
 			t.Errorf("corpus entry %s is not the seed of that name", name)
 		}
 	}
-	for _, name := range []string{"valid", "truncated", "bad_crc", "huge_dimension",
-		"col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row",
-		"col3_truncated_const", "col3_overwide_const"} {
+	refused := []string{"valid", "truncated", "bad_crc", "huge_dimension",
+		"col2_valid", "col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row",
+		"col3_truncated_const", "col3_overwide_const"}
+	refused = append(refused, fuzzHeaderSeedNames[1:]...)
+	for _, name := range refused {
 		data, ok := corpus[name]
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
@@ -399,7 +481,7 @@ func TestColumnarCorpus(t *testing.T) {
 // checked-in corpus of FuzzDecodeColumnarEnvelope. The invariants: a
 // refusal wraps ErrCorrupt and stores nothing; an accepted body holds a
 // Validate-clean trial that reads back, and is its canonical encoding — or
-// is a %PDMFCOL2 body, and the file stored for it is the canonical encoding
+// is a %PDMFCOL3 body, and the file stored for it is the canonical encoding
 // of the same trial.
 func FuzzSaveEncoded(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
@@ -447,7 +529,7 @@ func FuzzSaveEncoded(f *testing.F) {
 		}
 		payload, _ := decodeEnvelope(data)
 		if !isColumnarPrev(payload) {
-			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL2 body")
+			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL3 body")
 		}
 		disk, err := OpenRepository(t.TempDir())
 		if err != nil {
@@ -457,7 +539,7 @@ func FuzzSaveEncoded(f *testing.F) {
 			t.Fatalf("file-backed SaveEncoded refused what the in-memory one took: %v", err)
 		}
 		if file := rawTrialFile(t, disk, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, canon) {
-			t.Fatal("file stored for a %PDMFCOL2 body is not the canonical encoding of its trial")
+			t.Fatal("file stored for a %PDMFCOL3 body is not the canonical encoding of its trial")
 		}
 	})
 }

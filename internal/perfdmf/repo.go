@@ -64,7 +64,7 @@ const readOnlyAfterENOSPC = 2
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. A file in the previous form (a %PDMFCOL2 payload)
+//     are unaffected. A file in the previous form (a %PDMFCOL3 payload)
 //     remains readable and is rewritten into the encoded form on its next
 //     save, or all at once by Verify; a file in a form older than that is
 //     refused by name and quarantined like a damaged one.
@@ -101,13 +101,6 @@ type Repository struct {
 	quarantined  storeCounter
 	recoveredTmp storeCounter
 	fsyncErrors  storeCounter
-}
-
-// trialHeader is the identifying part of a columnar payload's JSON header.
-type trialHeader struct {
-	App        string `json:"application"`
-	Experiment string `json:"experiment"`
-	Name       string `json:"name"`
 }
 
 // NewRepository returns an in-memory repository.
@@ -244,7 +237,7 @@ type Stored struct {
 // — envelope checksum, full structural decode, the decoder's validity
 // checks — and additionally requires data to be the canonical encoding of
 // the trial it decodes to, so the file written is byte for byte what Save of
-// that trial would write. The one other body accepted is a %PDMFCOL2
+// that trial would write. The one other body accepted is a %PDMFCOL3
 // encoding (a hint queued before the upgrade, a client one version behind),
 // which passes the same checks and is stored as its re-encoding; trial JSON,
 // bare or in the envelope, is not an encoded trial. Rejected input wraps
@@ -400,7 +393,8 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 // GetEncoded returns a trial in its encoded form (EncodeTrial output), for
 // callers that ship it on rather than analyse it. A file-backed repository
 // answers with the stored file's bytes after verifying the envelope
-// checksum — nothing is decoded; a file in the previous form is decoded and
+// checksum and reading the coordinates at the head of the payload header —
+// nothing else is decoded; a file in the previous form is decoded and
 // re-encoded on the fly (it is upgraded on disk by its next save or by
 // Verify). A failed check quarantines the file exactly as GetTrial does. An
 // in-memory repository encodes from its cache.
@@ -435,7 +429,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		r.quarantine(p)
 		return fail(err)
 	}
-	h, ok := decodeTrialHeaderPayload(payload)
+	hApp, hExp, hName, ok := decodeTrialHeaderPayload(payload)
 	if !ok {
 		r.quarantine(p)
 		// Not a payload this release reads, or a damaged one: the decoder
@@ -445,7 +439,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		}
 		return fail(err)
 	}
-	if h.App != app || h.Experiment != experiment || h.Name != trial {
+	if hApp != app || hExp != experiment || hName != trial {
 		return fail(ErrNotFound) // see GetTrial
 	}
 	if IsColumnar(payload) {

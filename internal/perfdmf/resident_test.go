@@ -348,9 +348,9 @@ func TestIsPivotMatchesReencoding(t *testing.T) {
 // trials. A change to the encoding changes TestSimulatorOutputsPinned too;
 // this one holds the repository's own path to the file. Do not edit either
 // hash to make the test pass — want moves only in a PR that changes the
-// encoding (last: %PDMFCOL3), wantValues never.
+// encoding (last: %PDMFCOL4), wantValues never.
 func TestStoredBytesPinned(t *testing.T) {
-	const want = "eb23260b93603a8bfd26e32b6e3e696289cfa0c09220b6785c900dc6037a2ae3"
+	const want = "41f8d9156671b7e7b960845e594489f57f1d5ab9a727e8a305e85d6389e2e200"
 	// wantValues is over what the files decode to (canonicalTrialDump: every
 	// name, presence and float bit), whatever the encoding. A PR that changes
 	// the encoding re-records want and must leave wantValues untouched in its

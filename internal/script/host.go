@@ -173,7 +173,7 @@ func (in *Interp) callHost(b *Builtin, recv Value, args []Value, line int) (Valu
 	}
 	v, err := b.Impl(in, recv, args)
 	if err != nil {
-		return nil, errAt(line, "%s: %s", b.Name, err)
+		return nil, hostErrAt(line, b.Name, err)
 	}
 	return v, nil
 }

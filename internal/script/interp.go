@@ -329,7 +329,7 @@ func (in *Interp) attribute(recv Value, name string, line int) (Value, error) {
 		case b.Prop:
 			v, err := b.Impl(in, r, nil)
 			if err != nil {
-				return nil, errAt(line, "%s: %s", name, err)
+				return nil, hostErrAt(line, name, err)
 			}
 			return v, nil
 		}
@@ -382,6 +382,13 @@ func index(c, i Value, line int) (Value, error) {
 
 func errAt(line int, format string, args ...any) error {
 	return fmt.Errorf("script: line %d: %s", line, fmt.Sprintf(format, args...))
+}
+
+// hostErrAt is the error of a host callable that failed: errAt's text, and
+// err still reachable through errors.Is, so a host can tell its own
+// sentinels (a missing trial, a refused write) from a script's mistakes.
+func hostErrAt(line int, name string, err error) error {
+	return fmt.Errorf("script: line %d: %s: %w", line, name, err)
 }
 
 func truthy(v Value) bool {

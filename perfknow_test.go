@@ -250,9 +250,9 @@ func TestRepositoryOnDiskPublic(t *testing.T) {
 // every thread stored once, so every shape the simulator, the compiler
 // pipeline and the examples produce — mostly zeros, call counts, counter
 // totals, leaf events and SPMD threads — stores well below its compact JSON,
-// the denominator of the benchmark's disk_bytes_per_user_byte: between 0.20
-// and 0.42 of it as measured with %PDMFCOL3 (0.25–0.60 with %PDMFCOL2), held
-// here to 0.45.
+// the denominator of the benchmark's disk_bytes_per_user_byte: between 0.16
+// and 0.39 of it as measured with %PDMFCOL4 (0.20–0.42 with %PDMFCOL3,
+// 0.25–0.60 with %PDMFCOL2), held here to 0.45.
 func TestStoredTrialsNoLargerThanJSON(t *testing.T) {
 	cfg := perfknow.AltixConfig(16, 2)
 	var (
