@@ -496,7 +496,9 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	// 512 MiB; a header whose event count is as large as its bytes allow and
 	// whose events are not there — and the over-claiming body behind the
 	// retired magic are refused before anything proportional to the claim is
-	// allocated: what refusing them costs is bounded by their own size.
+	// allocated. The small ones cost at most 16 KiB to refuse; the two header
+	// bombs are read up to where they fail, so what refusing them costs grows
+	// with their own size, never with their claim.
 	bomb := craftColumnar(bombHeader, []byte{0})
 	if len(bomb) > 100 {
 		t.Fatalf("bomb payload is %d bytes, want at most 100", len(bomb))
@@ -508,23 +510,26 @@ func TestDecodeColumnarRejections(t *testing.T) {
 	namesBomb := craftHdr(names.n(0).n(0), nil)
 	// 64 Ki events claimed, each taking a byte of the header, none there.
 	claim := craftHdr(append(hdr{}.lit("a").lit("e").lit("n").n(1).n(0).n(1<<16), make([]byte, 1<<16)...), nil)
-	for name, payload := range map[string][]byte{
-		"zero-row bomb":                 bomb,
-		"one-valued-row bomb":           craftColumnar(bombHeader, oneEverywhere),
-		"callpath-name bomb":            namesBomb,
-		"event-count claim":             claim,
-		"claims more than it holds, v1": overclaimV1,
+	for name, tc := range map[string]struct {
+		payload []byte
+		limit   uint64 // bytes a refusal may allocate
+	}{
+		"zero-row bomb":                 {bomb, 16 << 10},
+		"one-valued-row bomb":           {craftColumnar(bombHeader, oneEverywhere), 16 << 10},
+		"callpath-name bomb":            {namesBomb, 16<<10 + 16*uint64(len(namesBomb))},
+		"event-count claim":             {claim, 16<<10 + 16*uint64(len(claim))},
+		"claims more than it holds, v1": {overclaimV1, 16 << 10},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 10; i++ {
-			if _, err := DecodeColumnar(payload); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodeColumnar(tc.payload); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 16<<10+16*uint64(len(payload)) {
-			t.Errorf("%s: refusing it allocated %d bytes", name, per)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > tc.limit {
+			t.Errorf("%s: refusing it allocated %d bytes, want at most %d", name, per, tc.limit)
 		}
 	}
 }
@@ -536,6 +541,19 @@ func TestEncodeRefusesUndecodableSize(t *testing.T) {
 	c.EventNames, c.Groups = []string{"e"}, [][]string{nil}
 	if _, err := c.Encode(); err == nil || !strings.Contains(err.Error(), "decode bound") {
 		t.Fatalf("Encode of an over-bound trial = %v, want the decode-bound refusal", err)
+	}
+	// Callpath names spelling out more than the bound (200 of about 2 MiB,
+	// each a substring of one string) are refused as decodeHeader refuses
+	// them, by their total length.
+	step := len("x" + CallpathSeparator)
+	path := strings.Repeat("x"+CallpathSeparator, 2<<20/step) + "x"
+	c = NewColumns("a", "e", "n", 1)
+	for i := 0; i < 200; i++ {
+		c.EventNames, c.Groups = append(c.EventNames, path[i*step:]), append(c.Groups, nil)
+	}
+	c.Calls = make([]float64, len(c.EventNames))
+	if _, err := c.Encode(); err == nil || !strings.Contains(err.Error(), "callpath names") {
+		t.Fatalf("Encode of over-bound callpath names = %v, want the decode-bound refusal", err)
 	}
 	if !decodableSize(1, maxDecodedBytes/8, 0) || decodableSize(1, maxDecodedBytes/8+1, 0) ||
 		!decodableSize(2, maxDecodedBytes/8/6, 1) || decodableSize(2, maxDecodedBytes/8/6+1, 1) ||

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"strconv"
 )
 
 // ErrCorrupt is the sentinel wrapped by trial reads that hit a damaged
@@ -52,13 +51,7 @@ var envelopeTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendEnvelopeTrailer appends the trailer that seals payload.
 func appendEnvelopeTrailer(buf, payload []byte) []byte {
-	sum := crc32.Checksum(payload, envelopeTable)
-	buf = append(buf, envelopeTrailer...)
-	for shift := 28; shift >= 0; shift -= 4 {
-		buf = append(buf, "0123456789abcdef"[sum>>shift&0xf])
-	}
-	buf = append(buf, envelopeLenTag...)
-	return append(strconv.AppendInt(buf, int64(len(payload)), 10), '\n')
+	return fmt.Appendf(buf, "%s%08x%s%d\n", envelopeTrailer, crc32.Checksum(payload, envelopeTable), envelopeLenTag, len(payload))
 }
 
 // parseEnvelopeTrailer reads what follows envelopeTrailer to the end of the
