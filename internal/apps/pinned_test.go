@@ -26,54 +26,54 @@ import (
 )
 
 // pinnedTrials maps a simulated run to the SHA-256 of its encoded trial.
-// The hashes were last recorded with the encoding, %PDMFCOL4. A change that
+// The hashes were last recorded with the encoding, %PDMFCOL5. A change that
 // moves one of them and not the encoding has changed what the simulator
 // computes: that is a new model and needs its own PR, not a new hash in a PR
 // about something else. A change of encoding moves all of them and none of
 // pinnedValues.
 var pinnedTrials = map[string]string{
-	"msa/seed1/static/4":                  "371c925eb70145c0a38bc8b0cfdad3122e29fbddcbe1c35746cd595cb2c26093",
-	"msa/seed1/static/16":                 "5db3b65fb872d584d805c93355445bb25461ac9e1b55b41775ebc62c9ef54c29",
-	"msa/seed1/dynamic,1/4":               "15bb60982bcc0e9b36612e0901666c447c1299566932b183d1c87333a6487677",
-	"msa/seed1/dynamic,1/16":              "ec92e69d083467d363c143ef3f2636caffb41bf169d5fe891f8a707ce46d8ba4",
-	"msa/seed1/guided/4":                  "e7479e05041baf6f6f0b3ce1c01a49cfc57e73383fd32c31ecfa0cf78f121415",
-	"msa/seed1/guided/16":                 "2bc9bffd6e26e07cbaba10839fe30e65494567535ac38d2c43bc102172d7b4fc",
-	"msa/seed2/static/4":                  "8086e07541e081c3ba80ec8b51f6afbbed67230569e954b1f446210a7580a40d",
-	"msa/seed2/static/16":                 "277090fa394d149c1a97958211d41eeef0974feb6daec498336e9e7cb5cd0f26",
-	"msa/seed2/dynamic,1/4":               "c698ed730762d787252d1737830fd2d3bbcc071633cfedfd3e3ecaca324c4c49",
-	"msa/seed2/dynamic,1/16":              "b198dda70a885db2577fd458e36ca51f9b42ba566ff5454799695f03f31c2292",
-	"msa/seed2/guided/4":                  "696ca09f916d08891feb006238abc02468448f3def829619f51fe261a5231ae5",
-	"msa/seed2/guided/16":                 "0fbd4da49bafde4620035e4c58a85300842a4a86bb75b2c0be63a89d49707ed3",
-	"msa/seed3/static/4":                  "593a2c059ca4b49b18f2f08dd4c0212f7bcf2d02fbf6a83b083eac18a461ed3f",
-	"msa/seed3/static/16":                 "9f79d886e9c4e209dc2a9721b1df17642d527803c4401c9addc217e279554c00",
-	"msa/seed3/dynamic,1/4":               "f30193eade12e0cdab54f56341f9f672baed6d1ef17f2d5d1dbf5e7fa417f318",
-	"msa/seed3/dynamic,1/16":              "76181dd4e038046704226d0ce4d2739f0e8fe95031987e24770b9d1030c952d7",
-	"msa/seed3/guided/4":                  "2d4e5621cacee1122d819f0ff306b64f8319223a8fc71b2703d65555aa50bb7b",
-	"msa/seed3/guided/16":                 "c03ce826ef8a00db853307a53b5994b730639709c705f543adaa115a7715316b",
-	"genidlest/45rib/OpenMP/opt=false/4":  "b1c35a4d49f2c16a28d419e3cea2d08a0a36ca86e57c9fdbbbeec4fb195c9253",
-	"genidlest/45rib/OpenMP/opt=false/8":  "8062905098dda14967db6360bfa9437aeb9e6a2822b37c8f5c556db3be8c3ced",
-	"genidlest/45rib/OpenMP/opt=true/4":   "9955266c328a0c9586e1139e5f0ff0f3041b043a508d90595bd19a47d30861f0",
-	"genidlest/45rib/OpenMP/opt=true/8":   "e4386debd13053b1b3463725f4239a8244bbb001bc201b6c8e413ff1dc326f5a",
-	"genidlest/45rib/MPI/opt=false/4":     "7ad77e615ae4be00ca4b948c7442a4d6b149654cd118b8a183aa449563d32ddc",
-	"genidlest/45rib/MPI/opt=false/8":     "8a89900a5ed616be839674e997d665b7a76999f2ac479c567d77266b4de9932b",
-	"genidlest/45rib/MPI/opt=true/4":      "e64d0d68b0cdb20409f46fe356a1d5d64a9c1dd541fd5ced2c6107b2c0c2142a",
-	"genidlest/45rib/MPI/opt=true/8":      "516a5ea9e0fa5cdc9f044a0281955dc3fc15eea9826a3a186f3c252f61a06307",
-	"genidlest/45rib/Hybrid/opt=false/4":  "3b47c921160b1d3ef18a8863f19e249acba2daa046056baf99ca145425d1f33b",
-	"genidlest/45rib/Hybrid/opt=false/8":  "ae52ff9d0e2b6a322304abe1df1f89ce761e839b16f770f61731c3beebda5560",
-	"genidlest/45rib/Hybrid/opt=true/4":   "54c98c55960c0cebb867f679d8bc3504339f38af457f7b67590e7e558cc69113",
-	"genidlest/45rib/Hybrid/opt=true/8":   "de2f239be69c202d95c2e8ac3c4958e87cb92bbaeb87ff5ce4e8e6e8fc77271e",
-	"genidlest/90rib/OpenMP/opt=false/16": "9daa06297404164fdd807ecaa86a6bafeadca7730ed312172893f33e4b76c732",
-	"genidlest/90rib/OpenMP/opt=false/32": "6b430f90a1a978fc4590b94fe49a77fb4cd460463ee07f97c29bac0789ba7115",
-	"genidlest/90rib/OpenMP/opt=true/16":  "7e2277f14fca1b1c5b0e2da5b911d1f6c52ace0b10e6b2755aef9631c8d59e65",
-	"genidlest/90rib/OpenMP/opt=true/32":  "ff06750fb83afe2c9d2e6b059d1bd5ac53e3d506aa3cf04a6cc72fd302049c09",
-	"genidlest/90rib/MPI/opt=false/16":    "753ff35df1191ec96d6eb99b41eff7e02af498d53c8363bcd73b75a6a8478329",
-	"genidlest/90rib/MPI/opt=false/32":    "32b64945d257c5d7d350f3ee2b69c69c20cfdd26224b169165e68b43e85dd1bf",
-	"genidlest/90rib/MPI/opt=true/16":     "efce2a444802cf782f5f5393bd381bafd7d7826d5b2a4341bcc80a686bca8d9f",
-	"genidlest/90rib/MPI/opt=true/32":     "f5152abf8ee079d8a61c84da438dba855799c899bdf23d47f2a736a6f91f3883",
-	"genidlest/90rib/Hybrid/opt=false/16": "28fe2d76ab72cd0897b66d4b3aa7e50c6bb559c9c83970b82012d5baf4f71fd1",
-	"genidlest/90rib/Hybrid/opt=false/32": "a18a34f8b2fb8aa432804f347a2bdf5e9f54ad0e7ce636ae24f3fbadbbad99a4",
-	"genidlest/90rib/Hybrid/opt=true/16":  "ccd34dca085a108531af8e150b61deada4f55a97ecd809cd970a1e6653dc2c76",
-	"genidlest/90rib/Hybrid/opt=true/32":  "348466fe1c27f5ef20d7ba28e637be52e7c669c26079b5fcd9381b2c592774cb",
+	"msa/seed1/static/4":                  "4816d2b588851cfaef40bdea6067a769c1724217ecc3ad6e1b8664c101e42f2d",
+	"msa/seed1/static/16":                 "9c7eb6c0d3c6bce080f548ea28be789853258c6da4ce563c56846abc64200efc",
+	"msa/seed1/dynamic,1/4":               "d2e086850dc868b4fdd136f0a36ad3ae70503f74e21aa6b1cb6ea34f9fbc044f",
+	"msa/seed1/dynamic,1/16":              "b28c4e541cf61a8a0bba0dae9e0c1d643e6ce592dda986b7321600ecb0e30c26",
+	"msa/seed1/guided/4":                  "bc816ec17609032400626577a60b7deda15f3bb5a98392e4ac2966ea2eee8aa2",
+	"msa/seed1/guided/16":                 "fa6526cf81f9afccc3f44838dea9582f4b1066292a507cb022ca661d8b22355e",
+	"msa/seed2/static/4":                  "00e340dee31fb4d847448993e6910cb8eb81e97271efdfda8f4d34ebcd0efea8",
+	"msa/seed2/static/16":                 "4863580f5bb801128e21f21a3da4ab20f952a7b20e90ef8d81275f4724a0a071",
+	"msa/seed2/dynamic,1/4":               "dfbbc9047614973a1ec0cf03b191af802e890d54da18f32471f0846904df5c6b",
+	"msa/seed2/dynamic,1/16":              "dce8046552dad9ada758ee7d49ae862745d9f13413f82bdc0602cc6e8760d025",
+	"msa/seed2/guided/4":                  "29e258e0587a64e8a0ab20f732671f49c643264e63bbac18dbb07b43470d6695",
+	"msa/seed2/guided/16":                 "62895e7384b44be664a9bb26bf46638c4626ef799621434de42989d147577c9c",
+	"msa/seed3/static/4":                  "701935acb0625f47610634fa9130acb207597b5c96f65edd1526a3b9c7e0b5c5",
+	"msa/seed3/static/16":                 "3343cfda5a29059b2c817afb0d4497a77d5a12b9c7c01c6027f0bbb4e033a46e",
+	"msa/seed3/dynamic,1/4":               "b7a652c6fb91fd673092aefc4dc11ddd7fa537856b8c8b1740eb6eb0be4edc40",
+	"msa/seed3/dynamic,1/16":              "e754399803bde6e80efac8036b058363d68a25aff7968f2106fa533ab6d456a6",
+	"msa/seed3/guided/4":                  "f52c8b1bdce329f8a584bbfbc5d5ad74503a66a3782720ce561a7edb5547ac01",
+	"msa/seed3/guided/16":                 "a014906159dbf10cff956bf2f3a365731debbf39625d19f7692d3c14bcbd1876",
+	"genidlest/45rib/OpenMP/opt=false/4":  "962be39730f49b9e858b894a45d13805e838254135dfd607207f186e403ef5e1",
+	"genidlest/45rib/OpenMP/opt=false/8":  "a1ba6a8871194dcf84820af5a5fc0048e09a8d563e739b6b839763096d7529a3",
+	"genidlest/45rib/OpenMP/opt=true/4":   "324fc7a31ccba663558af257dc8862d7dbef18c28a7069901f71196efe607e46",
+	"genidlest/45rib/OpenMP/opt=true/8":   "684bdb51e2d18a68c0f3a34449fa1d85fa3fc6d73ef74e45dd38a5ac0d7aadcf",
+	"genidlest/45rib/MPI/opt=false/4":     "460b4ef439bd0e789b2361a836a5dfd8e14f89be4de050a4cca29d7045587144",
+	"genidlest/45rib/MPI/opt=false/8":     "462036db2beb076fa5cf447ca7dc15148374665ebf2cc06a727024cfc91cc24a",
+	"genidlest/45rib/MPI/opt=true/4":      "cfac66a971bb10fc6d463fb1b7ebc2ed0165d025ee0f177e0833bf71d10f3c50",
+	"genidlest/45rib/MPI/opt=true/8":      "8a4f420b36cefd27dd047973f8e329b63ce5e78c3376f8f8a19c36d515d172f0",
+	"genidlest/45rib/Hybrid/opt=false/4":  "6d47570f583a4c64d48fe6a00fee92639184906aacd1c1e4088a8c53bb979ca2",
+	"genidlest/45rib/Hybrid/opt=false/8":  "90a0360d142332fc68d126596812fc3aa3105de20da3ecb33e9d480bbafbc5c6",
+	"genidlest/45rib/Hybrid/opt=true/4":   "ccbfa3b58d0b412257fbb4e11e966858a14e9f24ec8033df1749eff38bb555f6",
+	"genidlest/45rib/Hybrid/opt=true/8":   "4568f888d38f9c2812f41c145581a31213aa3d39ebb19e76108e1bc729dc8ac8",
+	"genidlest/90rib/OpenMP/opt=false/16": "9e37cf4c70cf4da2787e2b9d343cdaedf579dbd0413e18f81fa3ae2fd3c3617a",
+	"genidlest/90rib/OpenMP/opt=false/32": "22a1f2f8e4c1f5c83f76f00f66893549d0ca6a78560b60ec25381fb850b42da6",
+	"genidlest/90rib/OpenMP/opt=true/16":  "4c872d87eae870e485206fa574cebb50a7f817fa7ac4bb04d3857121e33c8671",
+	"genidlest/90rib/OpenMP/opt=true/32":  "aac691ec3c4c61b4914858ce73ead897aa17f9b81ee1bc4d4a892ed0af8879dd",
+	"genidlest/90rib/MPI/opt=false/16":    "e2de764014c89ce4ae4d6f0f5b2bcb0b93d6f5f410f5bc111a34fc23bccc1430",
+	"genidlest/90rib/MPI/opt=false/32":    "9081595db5f9158d587591653bd66929e7be4b17605b7213fd7c57510e67c46c",
+	"genidlest/90rib/MPI/opt=true/16":     "5af125f17a08b49aa947519477657d63a2668bf917b7b2408fba883aa4701f14",
+	"genidlest/90rib/MPI/opt=true/32":     "b10b35a5e4e4840b277dfe9d54e17f9cf95c5edaa837315993ea9552703584d8",
+	"genidlest/90rib/Hybrid/opt=false/16": "14b987b04b42ce4b278a07680b7bb0eb9acd07b2b50ea3d38522a7ecacb82ac1",
+	"genidlest/90rib/Hybrid/opt=false/32": "c321dd32d8638b65b5316010ebeb6b45b4da82897b4742b2f65c5b8fdf756963",
+	"genidlest/90rib/Hybrid/opt=true/16":  "29e13d8332a64a180dcf2737f23b493da3cb49b6f4fa4b9b0df125013866880e",
+	"genidlest/90rib/Hybrid/opt=true/32":  "58fd856c027f2e25e19170a1f4502d3c9fb74c65de5f2ce8c89eafbf7a233ae8",
 }
 
 // pinnedValues maps the same runs to valueDigest of their trial: what the
@@ -247,42 +247,45 @@ func TestSimulatorOutputsPinned(t *testing.T) {
 	}
 }
 
-// simFixture is the run checked in as a %PDMFCOL3 file, written by the last
-// encoder that wrote that form (commit 57258a4), and as a %PDMFCOL2 file,
-// written by the one before it (commit 2565d7f).
+// simFixture is the run checked in as a %PDMFCOL4 file, written by the last
+// encoder that wrote that form (commit c556ee4), as a %PDMFCOL3 file, written
+// by the one before it (commit 57258a4), and as a %PDMFCOL2 file (commit
+// 2565d7f).
 const simFixture = "genidlest/45rib/OpenMP/opt=false/4"
 
 // The checked-in simulator trial, in the previous encoding, still decodes to
 // what the simulator computes for the run it names — value for value — and
-// encodes, in the current form, to the bytes pinned for that run. Two
-// versions back, it is refused by name.
+// encodes, in the current form, to the bytes pinned for that run. Two and
+// three versions back, it is refused by name.
 func TestSimulatorFixture(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col3_sim.pdmf"))
+	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col4_sim.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(file[:32], []byte("%PDMFCOL3\n")) {
-		t.Fatal("col3_sim.pdmf is not in the previous encoding")
+	if !bytes.Contains(file[:32], []byte("%PDMFCOL4\n")) {
+		t.Fatal("col4_sim.pdmf is not in the previous encoding")
 	}
 	trial, err := perfdmf.DecodeTrial(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := valueDigest(trial); err != nil || got != pinnedValues[simFixture] {
-		t.Errorf("col3_sim.pdmf holds %q, %s is pinned at %q (err=%v)", got, simFixture, pinnedValues[simFixture], err)
+		t.Errorf("col4_sim.pdmf holds %q, %s is pinned at %q (err=%v)", got, simFixture, pinnedValues[simFixture], err)
 	}
 	enc, err := perfdmf.EncodeTrial(trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != pinnedTrials[simFixture] || len(enc) >= len(file) {
-		t.Errorf("col3_sim.pdmf re-encodes to %q, %d B from %d B; pinned %q", got, len(enc), len(file), pinnedTrials[simFixture])
+		t.Errorf("col4_sim.pdmf re-encodes to %q, %d B from %d B; pinned %q", got, len(enc), len(file), pinnedTrials[simFixture])
 	}
-	old, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col2_sim.pdmf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := perfdmf.DecodeTrial(old); !errors.Is(err, perfdmf.ErrCorrupt) || !strings.Contains(err.Error(), "%PDMFCOL2 is no longer read") {
-		t.Errorf("col2_sim.pdmf: DecodeTrial = %v; want it refused by name", err)
+	for _, v := range []string{"3", "2"} {
+		old, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col"+v+"_sim.pdmf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := perfdmf.DecodeTrial(old); !errors.Is(err, perfdmf.ErrCorrupt) || !strings.Contains(err.Error(), "%PDMFCOL"+v+" is no longer read") {
+			t.Errorf("col%s_sim.pdmf: DecodeTrial = %v; want it refused by name", v, err)
+		}
 	}
 }

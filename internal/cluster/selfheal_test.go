@@ -113,16 +113,16 @@ func TestHintedHandoffDrains(t *testing.T) {
 	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: old.App, Experiment: old.Experiment, Trial: old.Name, Body: oldBody}); err != nil {
 		t.Fatal(err)
 	}
-	// A hint queued before the %PDMFCOL4 upgrade holds the trial's
-	// %PDMFCOL3 encoding; replay posts it as an encoded trial and the owner
+	// A hint queued before the %PDMFCOL5 upgrade holds the trial's
+	// %PDMFCOL4 encoding; replay posts it as an encoded trial and the owner
 	// must take it, or the hint is stranded for good.
-	prevBody, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col3_sparse.pdmf"))
+	prevBody, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col4_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev, err := perfdmf.DecodeTrial(prevBody)
-	if err != nil || !bytes.Contains(prevBody[:32], []byte("%PDMFCOL3\n")) {
-		t.Fatalf("testdata is not a %%PDMFCOL3 trial (err=%v)", err)
+	if err != nil || !bytes.Contains(prevBody[:32], []byte("%PDMFCOL4\n")) {
+		t.Fatalf("testdata is not a %%PDMFCOL4 trial (err=%v)", err)
 	}
 	if err := holder.agent.Hints().Put(dmfwire.Hint{Owner: owner, App: prev.App, Experiment: prev.Experiment, Trial: prev.Name, Body: prevBody}); err != nil {
 		t.Fatal(err)
@@ -144,14 +144,14 @@ func TestHintedHandoffDrains(t *testing.T) {
 	if got, err := restarted.repo.GetEncoded(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("replayed trial is not stored as the encoded bytes the hint held (err=%v)", err)
 	}
-	// The %PDMFCOL3 hint landed as the current encoding of the same trial.
+	// The %PDMFCOL4 hint landed as the current encoding of the same trial.
 	wantPrev, err := perfdmf.EncodeTrial(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stored, err := os.ReadFile(filepath.Join(restarted.dir, prev.App, prev.Experiment, prev.Name+".json"))
-	if err != nil || !bytes.Equal(stored, wantPrev) || !bytes.Contains(stored[:32], []byte("%PDMFCOL4\n")) {
-		t.Fatalf("replayed %%PDMFCOL3 hint is not stored as EncodeTrial's bytes (err=%v)", err)
+	if err != nil || !bytes.Equal(stored, wantPrev) || !bytes.Contains(stored[:32], []byte("%PDMFCOL5\n")) {
+		t.Fatalf("replayed %%PDMFCOL4 hint is not stored as EncodeTrial's bytes (err=%v)", err)
 	}
 }
 

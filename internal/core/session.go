@@ -136,10 +136,14 @@ var Harness = script.NewModule("RuleHarness",
 		out := script.NewList()
 		for _, line := range res.Output {
 			out.Items = append(out.Items, line)
-			fmt.Fprintln(in.Stdout, line)
+			if _, err := fmt.Fprintln(in.Stdout, line); err != nil {
+				return nil, err
+			}
 		}
 		for _, rec := range res.Recommendations {
-			fmt.Fprintf(in.Stdout, "recommendation [%s/%s]: %s\n", rec.Rule, rec.Category, rec.Text)
+			if _, err := fmt.Fprintf(in.Stdout, "recommendation [%s/%s]: %s\n", rec.Rule, rec.Category, rec.Text); err != nil {
+				return nil, err
+			}
 		}
 		return out, nil
 	}),

@@ -405,15 +405,16 @@ func wrapEnvelope(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%%PDMF1\n%s\n%%PDMF1 crc32c=%08x len=%d\n", payload, sum, len(payload)))
 }
 
-// columnarPrev is the %PDMFCOL3 payload of c, the encoding before
-// %PDMFCOL4, written from its documentation: header, a JSON object, then
-// the value blocks, which did not change, cut from c's current encoding.
-func columnarPrev(header string, c *perfdmf.Columns) []byte {
+// columnarCol3 is the %PDMFCOL3 payload of c, the encoding two versions
+// back, written from its documentation: header, a JSON object, then value
+// blocks, cut from c's current encoding. It is refused by name whatever its
+// blocks hold.
+func columnarCol3(header string, c *perfdmf.Columns) []byte {
 	cur, err := c.Encode()
 	if err != nil {
 		panic(err)
 	}
-	const at = len("%PDMFCOL4\n")
+	const at = len("%PDMFCOL5\n")
 	blocks := cur[at+4+int(binary.LittleEndian.Uint32(cur[at:])):]
 	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL3\n"), uint32(len(header)))
 	return append(append(p, header...), blocks...)
@@ -451,33 +452,37 @@ func jsonHeader(c *perfdmf.Columns) string {
 
 // A body in the previous encoding — what a hint queued before the upgrade
 // replays and a client one version behind uploads — is accepted and stored
-// as its re-encoding, so the repository still holds one form.
+// as its re-encoding, so the repository still holds one form. The body is a
+// checked-in file written by the last encoder of that version, whose integer
+// rows it spells as literals.
 func TestPreviousColumnarUploadIsStoredReencoded(t *testing.T) {
 	s := newEncodedService(t, Config{})
-	tr := stallTrial("app", "exp", "t1")
+	prev, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col4_synthetic.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := perfdmf.DecodeTrial(prev)
+	if err != nil || !bytes.Contains(prev[:32], []byte("%PDMFCOL4\n")) {
+		t.Fatalf("testdata is not a %%PDMFCOL4 trial (err=%v)", err)
+	}
 	want, err := perfdmf.EncodeTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := perfdmf.ColumnsFromTrial(tr)
-	if err != nil {
-		t.Fatal(err)
+	if len(prev) <= len(want) {
+		t.Fatalf("the previous encoding of a trial of integers is %d B, the current %d B", len(prev), len(want))
 	}
 	hdr := map[string]string{"Content-Type": dmfwire.TrialContentType}
-	prev := wrapEnvelope(columnarPrev(jsonHeader(c), c))
-	if len(prev) <= len(want) {
-		t.Fatalf("the previous encoding of a trial, with its JSON header, is %d B, the current %d B", len(prev), len(want))
-	}
 	status, _, body := s.request(t, "POST", "/api/v1/trials", hdr, prev)
 	if status != http.StatusCreated {
-		t.Fatalf("%%PDMFCOL3 upload: HTTP %d: %s", status, body)
+		t.Fatalf("%%PDMFCOL4 upload: HTTP %d: %s", status, body)
 	}
 	files := storedFiles(t, s.dir)
-	if got := files["app/exp/t1.json"]; len(files) != 1 || !bytes.Equal(got, want) {
-		t.Fatalf("stored %d files; app/exp/t1.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
+	if got := files["dmfload/exp-00/trial-0000.json"]; len(files) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("stored %d files; dmfload/exp-00/trial-0000.json equals EncodeTrial output: %v", len(files), bytes.Equal(got, want))
 	}
-	if got, err := s.c.GetTrialContext(context.Background(), "app", "exp", "t1"); err != nil || trialDump(got) != trialDump(tr) {
-		t.Fatalf("trial uploaded as %%PDMFCOL3 reads back differently (err=%v)", err)
+	if got, err := s.c.GetTrialContext(context.Background(), tr.App, tr.Experiment, tr.Name); err != nil || trialDump(got) != trialDump(tr) {
+		t.Fatalf("trial uploaded as %%PDMFCOL4 reads back differently (err=%v)", err)
 	}
 }
 
@@ -493,7 +498,7 @@ func TestHostileEncodedUploads(t *testing.T) {
 	if !bytes.Equal(wrapEnvelope(payload), valid) {
 		t.Fatal("wrapEnvelope does not reproduce EncodeTrial's envelope")
 	}
-	const colMagic = len("%PDMFCOL4\n")
+	const colMagic = len("%PDMFCOL5\n")
 	hlen := int(binary.LittleEndian.Uint32(payload[colMagic:]))
 	header, blocks := string(payload[colMagic+4:colMagic+4+hlen]), payload[colMagic+4+hlen:]
 	// The binary header opens with the coordinates, three literals (a zero,
@@ -518,24 +523,34 @@ func TestHostileEncodedUploads(t *testing.T) {
 	// The previous encoding is accepted
 	// (TestPreviousColumnarUploadIsStoredReencoded) without a canonical check,
 	// so a damaged one must fall to the checksum, the structural decode or
-	// Validate.
+	// Validate. The rows of this trial are all one-valued, so its %PDMFCOL4
+	// payload is its current one behind the previous magic.
+	as := func(magic string) func(payload []byte) []byte {
+		return func(payload []byte) []byte {
+			return wrapEnvelope(append([]byte(magic), payload[colMagic:]...))
+		}
+	}
+	prev := as("%PDMFCOL4\n")
+	validPrev := prev(payload)
 	cols, err := perfdmf.ColumnsFromTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prevHeader := jsonHeader(cols)
-	prevPayload := columnarPrev(prevHeader, cols)
-	validPrev := wrapEnvelope(prevPayload)
+	col3Payload := columnarCol3(prevHeader, cols)
 	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
-	invalidPrev := columnarPrev(prevHeader, cols)
-	// The encodings before that are refused whatever follows their magic.
-	retiredAs := func(magic string) func(payload []byte) []byte {
-		return func(payload []byte) []byte {
-			return wrapEnvelope(append([]byte(magic), payload[colMagic:]...))
-		}
+	invalid, err := cols.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	retired, col2 := retiredAs("%PDMFCOL1\n"), retiredAs("%PDMFCOL2\n")
-	validV1, validCol2 := retired(prevPayload), col2(prevPayload)
+	invalidCol3 := columnarCol3(prevHeader, cols)
+	// The encodings before that are refused whatever follows their magic.
+	retired, col2 := as("%PDMFCOL1\n"), as("%PDMFCOL2\n")
+	validV1, validCol2, validCol3 := retired(col3Payload), col2(col3Payload), wrapEnvelope(col3Payload)
+	// A row of 1 and 2, an offset row in the current encoding, in the
+	// previous one, which has no such kind: the calls row of "main" respelled.
+	offsetRow := append(append([]byte(nil), payload[:colMagic+4+hlen]...), 0x21, 1, 0, 1)
+	offsetRow = append(offsetRow, blocks[3:]...)
 	// Checksummed, decodable and Validate-clean, yet not the bytes EncodeTrial
 	// writes for the trial held: only the canonical check can refuse these.
 	reencoded := func(perturb func(c *perfdmf.Columns)) []byte {
@@ -569,15 +584,20 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"over-wide row", wrapEnvelope(overwide(payload, colMagic+4+hlen))},
 		{"%PDMFCOL1 with a flipped bit", flipIn(validV1, head+len(validV1)/2)},
 		{"%PDMFCOL1 with a bad CRC", flipIn(validV1, bytes.LastIndex(validV1, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
-		{"%PDMFCOL1 holding an invalid trial", retired(invalidPrev)},
+		{"%PDMFCOL1 holding an invalid trial", retired(invalidCol3)},
 		{"%PDMFCOL1, well-formed", validV1},
 		{"%PDMFCOL2 with a flipped bit", flipIn(validCol2, head+len(validCol2)/2)},
 		{"%PDMFCOL2 with a bad CRC", flipIn(validCol2, bytes.LastIndex(validCol2, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
-		{"%PDMFCOL2 holding an invalid trial", col2(invalidPrev)},
+		{"%PDMFCOL2 holding an invalid trial", col2(invalidCol3)},
 		{"%PDMFCOL2 with the row kinds of %PDMFCOL3", validCol2},
-		{"%PDMFCOL3 with a flipped bit", flipIn(validPrev, head+len(validPrev)/2)},
-		{"%PDMFCOL3 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
-		{"%PDMFCOL3 holding an invalid trial", wrapEnvelope(invalidPrev)},
+		{"%PDMFCOL3 with a flipped bit", flipIn(validCol3, head+len(validCol3)/2)},
+		{"%PDMFCOL3 with a bad CRC", flipIn(validCol3, bytes.LastIndex(validCol3, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL3 holding an invalid trial", wrapEnvelope(invalidCol3)},
+		{"%PDMFCOL3, well-formed", validCol3},
+		{"%PDMFCOL4 with a flipped bit", flipIn(validPrev, head+len(validPrev)/2)},
+		{"%PDMFCOL4 with a bad CRC", flipIn(validPrev, bytes.LastIndex(validPrev, []byte("\n%PDMF1 crc32c="))+len("\n%PDMF1 crc32c=")+3)},
+		{"%PDMFCOL4 holding an invalid trial", prev(invalid)},
+		{"%PDMFCOL4 with an offset row", prev(offsetRow)},
 		{"trailer in upper-case hex", upperSum},
 		{"trailer with a signed length", []byte(strings.Replace(string(valid), " len=", " len=+", 1))},
 		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
@@ -734,13 +754,13 @@ func TestEncodedGetUnderFaults(t *testing.T) {
 
 // --- (d) legacy read-compat through the service -----------------------------
 //
-// A %PDMFCOL3 file, as the previous release wrote it, is served in both
+// A %PDMFCOL4 file, as the previous release wrote it, is served in both
 // representations and upgraded by its next save; trial JSON, bare or in the
-// envelope, is two forms back: the read is a 500 that says which release
+// envelope, is forms back: the read is a 500 that says which release
 // still rewrites it, and the file is set aside intact.
 func TestLegacyFilesThroughService(t *testing.T) {
 	dir := t.TempDir()
-	prev, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col3_sparse.pdmf"))
+	prev, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col4_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}

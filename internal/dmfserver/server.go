@@ -969,9 +969,28 @@ func (readOnlyStore) DeleteContext(context.Context, string, string, string) erro
 	return errDiagnoseReadOnly
 }
 
+// errDiagnoseOutput refuses script output past what a diagnose response
+// carries (answered 400): the script's print fails, and so does the request.
+var errDiagnoseOutput = fmt.Errorf("a remote diagnosis cannot print more than %d bytes", dmfwire.MaxTrialBody)
+
+// boundedOutput is a diagnose session's output: it takes writes while their
+// total stays within max, and refuses, whole, the write that would pass it.
+type boundedOutput struct {
+	strings.Builder
+	max int
+}
+
+func (b *boundedOutput) Write(p []byte) (int, error) {
+	if b.Len()+len(p) > b.max {
+		return 0, errDiagnoseOutput
+	}
+	return b.Builder.Write(p)
+}
+
 // runDiagnosis executes script source exactly as cmd/perfexplorer would:
 // same session wiring, same knowledge-base installation, same output path —
-// except that the session's store refuses writes (errDiagnoseReadOnly), and
+// except that the session's store refuses writes (errDiagnoseReadOnly), its
+// output stops at dmfwire.MaxTrialBody bytes (errDiagnoseOutput), and
 // execution is bounded by the request context and a statement budget, so an
 // inline `while true` script ends at the request deadline (mapped to 504)
 // instead of holding an analysis slot forever.
@@ -979,7 +998,7 @@ func (s *Server) runDiagnosis(ctx context.Context, src string, args []string) (*
 	session := core.NewSession(readOnlyStore{s.repo})
 	session.SetContext(ctx)
 	session.SetMaxSteps(s.maxSteps)
-	var buf strings.Builder
+	buf := boundedOutput{max: dmfwire.MaxTrialBody}
 	session.SetOutput(&buf)
 	diagnosis.Install(session, s.rulesDir)
 	diagnosis.SetArgs(session, args)

@@ -706,6 +706,48 @@ func TestDiagnoseCannotWrite(t *testing.T) {
 	}
 }
 
+// TestDiagnoseOutputBounded: what a diagnose script prints is held to the
+// largest body the service handles. A script printing a MiB forty times fails
+// at the print that passes the bound, with a 400 naming the refusal, and the
+// daemon holds at most the bound of its output; within the bound, its output
+// comes back whole.
+func TestDiagnoseOutputBounded(t *testing.T) {
+	srv, err := New(Config{Repo: perfdmf.NewRepository(), Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c, err := dmfclient.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mib = `s = "x"
+while len(s) < 1048576 { s = s + s }
+`
+	const src = mib + `i = 0
+while i < 40 { print(s)
+i = i + 1 }`
+	body, _ := json.Marshal(DiagnoseRequest{Source: src})
+	resp, err := http.Post(ts.URL+"/api/v1/diagnose", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), errDiagnoseOutput.Error()) {
+		t.Errorf("a diagnose printing 40 MiB: %d %.200s, want 400 naming the refusal", resp.StatusCode, got)
+	}
+	if _, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Source: src}); err == nil || !strings.Contains(err.Error(), errDiagnoseOutput.Error()) {
+		t.Errorf("client Diagnose = %v, want the refusal", err)
+	}
+	out, err := c.DiagnoseContext(context.Background(), DiagnoseRequest{Source: mib + `print(len(s))`})
+	if err != nil || out.Stdout != "1048576\n" {
+		t.Errorf("a diagnose within the bound: %v, %q", err, out.Stdout)
+	}
+}
+
 // TestFailedNewLeavesNoAssets: a config New refuses leaves no temporary
 // assets directory behind — there is no Server whose Close could remove it.
 func TestFailedNewLeavesNoAssets(t *testing.T) {

@@ -200,12 +200,12 @@ func TestCrashTornPublishedFileIsQuarantined(t *testing.T) {
 }
 
 // The same sweep over the format migration: a repository holding the one
-// checked-in %PDMFCOL3 file, crashed at every filesystem operation of open +
+// checked-in %PDMFCOL4 file, crashed at every filesystem operation of open +
 // Verify. After the restart the file is bytewise the old bytes or
 // EncodeTrial's, nothing else exists, fsck is clean — and, having run, has
 // finished the upgrade.
 func TestCrashPointSweepFsckUpgrade(t *testing.T) {
-	oldBytes, err := os.ReadFile(filepath.Join("testdata", "col3_sparse.pdmf"))
+	oldBytes, err := os.ReadFile(filepath.Join("testdata", "col4_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,16 +63,16 @@ func TestEncodeDecodeTrialRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeTrial reads the one legacy form, %PDMFCOL3, and refuses trial JSON,
+// DecodeTrial reads the one legacy form, %PDMFCOL4, and refuses trial JSON,
 // bare or in the envelope, by name.
 func TestDecodeTrialLegacyForms(t *testing.T) {
 	tr := cellsTrial("legacy", 3, 2)
 	got, err := DecodeTrial(encodeEnvelope(prevColumnarPayload(t, tr)))
 	if err != nil {
-		t.Fatalf("%%PDMFCOL3 in envelope: %v", err)
+		t.Fatalf("%%PDMFCOL4 in envelope: %v", err)
 	}
 	if canonicalTrialDump(got) != canonicalTrialDump(tr) {
-		t.Error("%PDMFCOL3 in envelope: decoded differently")
+		t.Error("%PDMFCOL4 in envelope: decoded differently")
 	}
 	plain, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
@@ -175,22 +175,24 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	header := func(h hdr) []byte { return encodeEnvelope(craftHdr(h, body)) }
 	spaced := header(head.raw(0x81, 0x00).n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(4).n(0)) // threads in two bytes
 	reordered := header(minimalHdr()[:len(minimalHdr())-1].n(2).lit("k2").lit("v").lit("k1").ref(6))
-	// %PDMFCOL3 bodies are accepted without comparing bytes, so each of
+	// %PDMFCOL4 bodies are accepted without comparing bytes, so each of
 	// these has to fall to the checksum, the structural decode or Validate.
-	validPrev := encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01)))
+	validPrev := encodeEnvelope(craftColumnarIn(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x01)))
 	if _, err := DecodeTrial(validPrev); err != nil {
-		t.Fatalf("baseline %%PDMFCOL3 encoding must decode: %v", err)
+		t.Fatalf("baseline %%PDMFCOL4 encoding must decode: %v", err)
 	}
 	payloadPrev, _ := decodeEnvelope(validPrev)
-	// Behind the magics two and three versions back nothing is accepted,
-	// damaged or not.
+	// Behind the magics two, three and four versions back nothing is
+	// accepted, damaged or not. A %PDMFCOL3 body is the JSON header its
+	// version had.
 	retiredAs := func(magic string) func(payload []byte) []byte {
 		return func(payload []byte) []byte {
 			return encodeEnvelope(append([]byte(magic), payload[len(columnarMagic):]...))
 		}
 	}
-	retired, col2 := retiredAs(retiredMagic), retiredAs(col2Magic)
-	validV1, validCol2 := retired(payload), col2(payloadPrev)
+	retired, col2, col3 := retiredAs(retiredMagic), retiredAs(col2Magic), retiredAs(col3Magic)
+	payloadCol3 := craftColumnarAs(col3Magic, minimalHeader, minimalBody(0x01, 0x01))
+	validV1, validCol2, validCol3 := retired(payload), col2(payloadCol3), encodeEnvelope(payloadCol3)
 	// Checksummed, decodable, Validate-clean and a fixed point of decode →
 	// encode, but not how ColumnsFromTrial pivots the trial held: these fall
 	// to isPivot alone, in either payload version.
@@ -225,57 +227,70 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	ghost := notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }) // EXTRA is absent on "main"
 	emptyMetrics := notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil })
 	return map[string][]byte{
-		"empty":                        nil,
-		"truncated envelope":           valid[:len(valid)-9],
-		"flipped payload bit":          flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
-		"flipped CRC digit":            flipByte(valid, len(valid)-12),
-		"dimension-inflated header":    encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
-		"zero-row bomb":                encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
-		"width 9":                      encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"over-wide row":                encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
-		"truncated inside a row":       encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
-		"trailing bytes in payload":    encodeEnvelope(append(append([]byte(nil), payload...), 0)),
-		"trailing bytes after":         append(append([]byte(nil), valid...), '\n'),
-		"non-canonical header spaces":  spaced,
-		"non-canonical header order":   reordered,
-		"duplicate literal":            header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("e").n(0).n(1).ref(4).n(0)),
-		"reference past the table":     header(head.n(1).n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(5).n(0)),
-		"separator inside a segment":   header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("x => y").n(0).n(1).ref(4).n(0)),
-		"segments splitting otherwise": header(head.n(1).n(1).lit("TIME").n(1).n(2).lit("x =>").lit("y").n(0).n(1).ref(4).n(0)),
-		"count past the header":        header(head.n(1).n(1).lit("TIME").n(200).n(1).ref(2).n(0).n(1).ref(4).n(0)),
-		"legacy plain JSON":            []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
-		"legacy JSON in envelope":      encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
-		"col3 flipped payload bit":     flipByte(validPrev, len(envelopeMagic)+len(columnarMagicPrev)+30),
-		"col3 flipped CRC digit":       flipByte(validPrev, len(validPrev)-12),
-		"col3 bad header JSON":         encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader[:20], minimalBody(0x01, 0x01))),
-		"col3 dimension-inflated":      encodeEnvelope(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
-		"col3 cut short":               encodeEnvelope(payloadPrev[:len(payloadPrev)-3]),
-		"col3 trailing bytes":          encodeEnvelope(append(append([]byte(nil), payloadPrev...), 0)),
-		"col3 invalid trial":           encodeEnvelope(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))), // inclusive without exclusive
-		"col2 well-formed":             validCol2,
-		"col2 flipped payload bit":     flipByte(validCol2, len(envelopeMagic)+len(col2Magic)+30),
-		"col2 flipped CRC digit":       flipByte(validCol2, len(validCol2)-12),
-		"col2 dimension-inflated":      col2(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
-		"col2 cut short":               col2(payloadPrev[:len(payloadPrev)-3]),
-		"col2 trailing bytes":          col2(append(append([]byte(nil), payloadPrev...), 0)),
-		"col2 invalid trial":           col2(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))),
-		"col2 with a row kind":         col2(craftColumnarAs(columnarMagicPrev, minimalHeader, rowsBody(callsOne, callsOne, []byte{rowSameAsInc}))),
-		"v1 well-formed":               validV1,
-		"v1 flipped payload bit":       flipByte(validV1, len(envelopeMagic)+len(retiredMagic)+30),
-		"v1 flipped CRC digit":         flipByte(validV1, len(validV1)-12),
-		"v1 dimension-inflated":        retired(craftColumnar(inflated, minimalBody(0x01, 0x01))),
-		"v1 cut short":                 retired(payload[:len(payload)-3]),
-		"v1 trailing bytes":            retired(append(append([]byte(nil), payload...), 0)),
-		"v1 invalid trial":             retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
-		"columns swapped":              v2(swapped),
-		"unregistered column first":    v2(extraFirst),
-		"registered metric no column":  v2(missing),
-		"column nobody has":            v2(nobody),
-		"values under a clear bit":     v2(ghost),
-		// The binary header spells an empty list one way; JSON had two.
-		"empty metric list not null":    encodeEnvelope(prevColumnsPayload(t, emptyMetrics)),
-		"col3 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
-		"col3 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
+		"empty":                          nil,
+		"truncated envelope":             valid[:len(valid)-9],
+		"flipped payload bit":            flipByte(valid, len(envelopeMagic)+len(columnarMagic)+30),
+		"flipped CRC digit":              flipByte(valid, len(valid)-12),
+		"dimension-inflated header":      encodeEnvelope(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"zero-row bomb":                  encodeEnvelope(craftColumnar(bomb, []byte{0, 0x01, 0x01, 0, 0})),
+		"width 9":                        encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"over-wide row":                  encodeEnvelope(craftColumnar(minimalHeader, minimalBodyWith([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}, 0x01, 0x01))),
+		"truncated inside a row":         encodeEnvelope(craftColumnar(minimalHeader, []byte{2, 0x3f})),
+		"offset row stored wide":         encodeEnvelope(craftColumnar(twoThreadHeader, rowsBody([]byte{rowOffset + 2, 0, 1, 0, 0, 0, 1}, []byte{0}, []byte{0}))),
+		"literal row smaller as offsets": encodeEnvelope(craftColumnar(twoThreadHeader, rowsBody([]byte{2, 0x3f, 0xf0, 0x40, 0x00}, []byte{0}, []byte{0}))),
+		"trailing bytes in payload":      encodeEnvelope(append(append([]byte(nil), payload...), 0)),
+		"trailing bytes after":           append(append([]byte(nil), valid...), '\n'),
+		"non-canonical header spaces":    spaced,
+		"non-canonical header order":     reordered,
+		"duplicate literal":              header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("e").n(0).n(1).ref(4).n(0)),
+		"reference past the table":       header(head.n(1).n(1).lit("TIME").n(1).n(1).ref(2).n(0).n(1).ref(5).n(0)),
+		"separator inside a segment":     header(head.n(1).n(1).lit("TIME").n(1).n(1).lit("x => y").n(0).n(1).ref(4).n(0)),
+		"segments splitting otherwise":   header(head.n(1).n(1).lit("TIME").n(1).n(2).lit("x =>").lit("y").n(0).n(1).ref(4).n(0)),
+		"count past the header":          header(head.n(1).n(1).lit("TIME").n(200).n(1).ref(2).n(0).n(1).ref(4).n(0)),
+		"legacy plain JSON":              []byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`),
+		"legacy JSON in envelope":        encodeEnvelope([]byte(`{"application":"a","experiment":"e","name":"n","threads":1,"metrics":null,"events":[]}`)),
+		"col4 flipped payload bit":       flipByte(validPrev, len(envelopeMagic)+len(columnarMagicPrev)+30),
+		"col4 flipped CRC digit":         flipByte(validPrev, len(validPrev)-12),
+		"col4 dimension-inflated":        encodeEnvelope(craftColumnarIn(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
+		"col4 cut short":                 encodeEnvelope(payloadPrev[:len(payloadPrev)-3]),
+		"col4 trailing bytes":            encodeEnvelope(append(append([]byte(nil), payloadPrev...), 0)),
+		"col4 invalid trial":             encodeEnvelope(craftColumnarIn(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))), // inclusive without exclusive
+		"col4 with an offset row":        encodeEnvelope(craftColumnarIn(columnarMagicPrev, twoThreadHeader, rowsBody([]byte{rowOffset + 1, 1, 0, 1}, []byte{0}, []byte{0}))),
+		"col3 well-formed":               validCol3,
+		"col3 flipped payload bit":       flipByte(validCol3, len(envelopeMagic)+len(col3Magic)+30),
+		"col3 flipped CRC digit":         flipByte(validCol3, len(validCol3)-12),
+		"col3 bad header JSON":           encodeEnvelope(craftColumnarAs(col3Magic, minimalHeader[:20], minimalBody(0x01, 0x01))),
+		"col3 dimension-inflated":        encodeEnvelope(craftColumnarAs(col3Magic, inflated, minimalBody(0x01, 0x01))),
+		"col3 cut short":                 encodeEnvelope(payloadCol3[:len(payloadCol3)-3]),
+		"col3 trailing bytes":            encodeEnvelope(append(append([]byte(nil), payloadCol3...), 0)),
+		"col3 invalid trial":             encodeEnvelope(craftColumnarAs(col3Magic, minimalHeader, minimalBody(0x01, 0x00))),
+		"col2 well-formed":               validCol2,
+		"col2 flipped payload bit":       flipByte(validCol2, len(envelopeMagic)+len(col2Magic)+30),
+		"col2 flipped CRC digit":         flipByte(validCol2, len(validCol2)-12),
+		"col2 dimension-inflated":        col2(craftColumnarAs(columnarMagicPrev, inflated, minimalBody(0x01, 0x01))),
+		"col2 cut short":                 col2(payloadPrev[:len(payloadPrev)-3]),
+		"col2 trailing bytes":            col2(append(append([]byte(nil), payloadPrev...), 0)),
+		"col2 invalid trial":             col2(craftColumnarAs(columnarMagicPrev, minimalHeader, minimalBody(0x01, 0x00))),
+		"col2 with a row kind":           col2(craftColumnarAs(columnarMagicPrev, minimalHeader, rowsBody(callsOne, callsOne, []byte{rowSameAsInc}))),
+		"v1 well-formed":                 validV1,
+		"v1 flipped payload bit":         flipByte(validV1, len(envelopeMagic)+len(retiredMagic)+30),
+		"v1 flipped CRC digit":           flipByte(validV1, len(validV1)-12),
+		"v1 dimension-inflated":          retired(craftColumnar(inflated, minimalBody(0x01, 0x01))),
+		"v1 cut short":                   retired(payload[:len(payload)-3]),
+		"v1 trailing bytes":              retired(append(append([]byte(nil), payload...), 0)),
+		"v1 invalid trial":               retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
+		"columns swapped":                v2(swapped),
+		"unregistered column first":      v2(extraFirst),
+		"registered metric no column":    v2(missing),
+		"column nobody has":              v2(nobody),
+		"values under a clear bit":       v2(ghost),
+		// The binary header spells an empty list one way; the JSON of
+		// %PDMFCOL3 had two, and that version is refused by name.
+		"empty metric list not null":    col3(prevColumnsPayload(t, emptyMetrics)),
+		"col4 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
+		"col4 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
+		"col3 columns swapped":          col3(prevColumnsPayload(t, swapped)),
+		"col3 values under a clear bit": col3(prevColumnsPayload(t, ghost)),
 		"col2 columns swapped":          col2(prevColumnsPayload(t, swapped)),
 		"col2 values under a clear bit": col2(prevColumnsPayload(t, ghost)),
 		"v1 columns swapped":            retired(prevColumnsPayload(t, swapped)),
@@ -352,16 +367,16 @@ func TestSaveEncodedMatchesSave(t *testing.T) {
 	}
 }
 
-// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL3
+// The one body SaveEncoded accepts that is not canonical: a %PDMFCOL4
 // encoding is stored as the re-encoding of the trial it holds.
 func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	repo := mustOpen(t, t.TempDir())
 	for i := 0; i < 40; i++ {
-		tr := genColTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(4))
+		tr := genIntTrial(r, "t"+strconv.Itoa(i), 1+r.Intn(4))
 		got, err := repo.SaveEncoded(context.Background(), encodeEnvelope(prevColumnarPayload(t, tr)))
 		if err != nil {
-			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL3 body: %v", i, err)
+			t.Fatalf("trial %d: SaveEncoded of a %%PDMFCOL4 body: %v", i, err)
 		}
 		want, err := EncodeTrial(tr)
 		if err != nil {
@@ -371,7 +386,7 @@ func TestSaveEncodedReencodesPreviousVersion(t *testing.T) {
 			t.Fatalf("trial %d: SaveEncoded stored or returned a different trial (err=%v)", i, err)
 		}
 		if file := rawTrialFile(t, repo, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, want) || !isColumnarFile(t, file) {
-			t.Fatalf("trial %d: %%PDMFCOL3 body not stored as EncodeTrial's output", i)
+			t.Fatalf("trial %d: %%PDMFCOL4 body not stored as EncodeTrial's output", i)
 		}
 	}
 }
@@ -475,7 +490,7 @@ func mustOpen(t *testing.T, dir string) *Repository {
 	return repo
 }
 
-// A directory of %PDMFCOL3 files, as the previous release wrote them — one
+// A directory of %PDMFCOL4 files, as the previous release wrote them — one
 // of them under the underscore path scheme — serves both representations; a
 // file is upgraded by its next save, and whatever is still legacy by one
 // Verify, after which a second finds none.
@@ -524,12 +539,12 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 		}
 	}
 	if file := rawTrialFile(t, repo, prev.App, prev.Experiment, prev.Name); !bytes.Equal(file, prevFile) {
-		t.Error("reading a %PDMFCOL3 file rewrote it")
+		t.Error("reading a %PDMFCOL4 file rewrote it")
 	}
 	// The next save upgrades a file — here the old bytes of prev, as a hint
 	// queued before the upgrade would replay them.
 	if _, err := repo.SaveEncoded(ctx, prevFile); err != nil {
-		t.Fatalf("SaveEncoded of the %%PDMFCOL3 bytes: %v", err)
+		t.Fatalf("SaveEncoded of the %%PDMFCOL4 bytes: %v", err)
 	}
 	if file := rawTrialFile(t, repo, prev.App, prev.Experiment, prev.Name); !bytes.Equal(file, canon(prev)) {
 		t.Error("prev: file not upgraded to the encoded form by its save")
@@ -566,7 +581,7 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 // old file.
 func TestVerifyUpgradeReadOnlyAndFailure(t *testing.T) {
 	dir := t.TempDir()
-	old, err := os.ReadFile(filepath.Join("testdata", "col3_sparse.pdmf"))
+	old, err := os.ReadFile(filepath.Join("testdata", "col4_sparse.pdmf"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,14 +200,12 @@ func FuzzParseCSV(f *testing.F) {
 // columnar binary format, current and legacy: envelope decode, columnar
 // payload decode, trial validation. The invariants: every failure wraps
 // ErrCorrupt; every decode that succeeds yields a Validate-clean trial; a
-// %PDMFCOL4 payload the decoder accepts is exactly what encoding the decoded
-// columns writes; and a %PDMFCOL3 one reaches that fixed point after one
-// canonicalization round (its JSON header may be legal but non-canonical —
-// key order, whitespace — so encode(decode(b)) may differ from b, but it
-// must then be stable). The checked-in corpus entries without a prefix
-// predate %PDMFCOL2, are kept byte for byte and are all refused now, as the
-// col2_ entries are; the col3_ entries are the previous form, the col4_ ones
-// the current.
+// %PDMFCOL5 payload the decoder accepts is exactly what encoding the decoded
+// columns writes; and a %PDMFCOL4 one is exactly what the previous version's
+// writer writes for them, and re-encodes to the same columns in the current
+// form. The checked-in corpus entries without a prefix predate %PDMFCOL2, are
+// kept byte for byte and are all refused now, as the col2_ and col3_ entries
+// are; the col4_ entries are the previous form, the col5_ ones the current.
 func FuzzDecodeColumnarEnvelope(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
 
@@ -236,26 +234,19 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 		}
 		if IsColumnar(payload) {
 			if !bytes.Equal(e1, payload) {
-				t.Fatal("a %PDMFCOL4 payload the decoder accepts is not what encoding its columns writes")
+				t.Fatal("a %PDMFCOL5 payload the decoder accepts is not what encoding its columns writes")
 			}
 			return
 		}
-		if !IsColumnar(e1) {
-			t.Fatal("re-encoding is not in the current form")
+		if !bytes.Equal(prevColumnsPayload(t, c), payload) {
+			t.Fatal("a %PDMFCOL4 payload the decoder accepts is not what that version's writer writes for its columns")
 		}
 		c2, err := DecodeColumnar(e1)
 		if err != nil {
-			t.Fatalf("canonical encoding does not decode: %v", err)
+			t.Fatalf("current encoding does not decode: %v", err)
 		}
-		if canonicalTrialDump(c2.Trial()) != canonicalTrialDump(tr) {
-			t.Fatal("re-encoding changed the trial")
-		}
-		e2, err := c2.Encode()
-		if err != nil {
-			t.Fatalf("second encode: %v", err)
-		}
-		if !bytes.Equal(e1, e2) {
-			t.Fatal("columnar encoding is not a fixed point after one round")
+		if !equalColumnBits(c2, c) {
+			t.Fatal("re-encoding changed the columns")
 		}
 	})
 }
@@ -275,7 +266,7 @@ func fuzzSeedTrial() *Trial {
 
 // fuzzKindsTrial is a leaf event whose threads did the same work: its calls
 // and inclusive rows are one-valued, its exclusive row repeats the inclusive.
-// It is behind the `col3_` corpus entries.
+// It was behind the `col3_` corpus entries, when that version was current.
 func fuzzKindsTrial() *Trial {
 	tr := NewTrial("app", "exp", "kinds", 2)
 	tr.AddMetric(TimeMetric)
@@ -325,17 +316,16 @@ var fuzzHeaderSeedNames = []string{
 	"col4_reference_past_table", "col4_separator_in_segment", "col4_unsorted_metadata", "col4_count_past_end",
 }
 
-// fuzzHeaderSeeds are the encoding of fuzzHeaderTrial and, each in a valid
-// envelope before the same value blocks, its header spelled every way the
-// decoder must refuse: cut short, a varint in more bytes than it needs, a
-// literal the table holds, a reference past the table, a callpath as one
-// segment, metadata keys out of order, a count no header that size can hold.
+// fuzzHeaderSeeds are the %PDMFCOL4 encoding of fuzzHeaderTrial, written
+// when that version was current, and, each in a valid envelope before the
+// same value blocks, its header spelled every way the decoder must refuse:
+// cut short, a varint in more bytes than it needs, a literal the table holds,
+// a reference past the table, a callpath as one segment, metadata keys out of
+// order, a count no header that size can hold. The current version has the
+// same header.
 func fuzzHeaderSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
-	p, err := MarshalColumnar(fuzzHeaderTrial())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prevColumnarPayload(t, fuzzHeaderTrial())
 	header, blocks, err := splitHeader(p)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +339,7 @@ func fuzzHeaderSeeds(t testing.TB) map[string][]byte {
 	if !bytes.Equal(whole, header) {
 		t.Fatalf("the header Encode writes is not the one the format comment describes:\n% x\n% x", header, whole)
 	}
-	seed := func(h hdr) []byte { return encodeEnvelope(craftHdr(h, blocks)) }
+	seed := func(h hdr) []byte { return encodeEnvelope(craftColumnarAs(columnarMagicPrev, string(h), blocks)) }
 	return map[string][]byte{
 		"col4_valid":                encodeEnvelope(p),
 		"col4_truncated_header":     seed(whole[:len(whole)-1]),
@@ -362,11 +352,75 @@ func fuzzHeaderSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
+// fuzzOffsetTrial is one event of four threads whose rows are all offset
+// rows: call counts 3–6, inclusive counts 1000–1010, exclusive 100–110.
+func fuzzOffsetTrial() *Trial {
+	tr := NewTrial("app", "exp", "offsets", 4)
+	tr.AddMetric(TimeMetric)
+	e := tr.EnsureEvent("loop")
+	for th, d := range []float64{0, 1, 3, 10} {
+		e.Calls[th] = 3 + float64(th)
+		e.SetValue(TimeMetric, th, 1000+d, 100+d)
+	}
+	return tr
+}
+
+// fuzzOffsetSeedNames orders fuzzOffsetSeeds: the `col5_` corpus entries.
+var fuzzOffsetSeedNames = []string{
+	"col5_valid", "col5_overwide_offset", "col5_base_below_least", "col5_reaching_2_53", "col5_all_offsets_zero",
+	"col5_exclusive_same_offsets", "col5_offset_not_smaller", "col5_literal_not_offset", "col5_offset_in_col4",
+	"col5_truncated_offset",
+}
+
+// fuzzOffsetSeeds are the encoding of fuzzOffsetTrial, its rows written by
+// hand from the format comment, and, each in a valid envelope behind the same
+// header, one of its rows spelled every way the decoder must refuse: wider
+// than it needs, a base below the least value, a value at 2^53, one value
+// throughout, an exclusive row repeating its inclusive one, an offset row no
+// smaller than the literal, a literal where the offset row is smaller, the
+// whole in the previous version, and cut inside the last row.
+func fuzzOffsetSeeds(t testing.TB) map[string][]byte {
+	t.Helper()
+	p, err := MarshalColumnar(fuzzOffsetTrial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, err := splitHeader(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []byte{rowOffset + 1, 3, 0, 1, 2, 3}                     // base 3, offsets 0–3
+	inc := []byte{rowOffset + 2, 0x03, 0xe8, 0, 0, 0, 1, 0, 3, 0, 10} // base 1000
+	exc := []byte{rowOffset + 1, 100, 0, 1, 3, 10}
+	body := func(calls, inc, exc []byte) []byte { return rowsBody(calls, inc, exc) }
+	seed := func(magic string, b []byte) []byte { return encodeEnvelope(craftColumnarAs(magic, string(header), b)) }
+	if valid := seed(columnarMagic, body(calls, inc, exc)); !bytes.Equal(valid, encodeEnvelope(p)) {
+		t.Fatalf("the offset rows Encode writes are not the ones the format comment describes:\n% x\n% x", p, valid)
+	}
+	whole := body(calls, inc, exc)
+	return map[string][]byte{
+		"col5_valid":            encodeEnvelope(p),
+		"col5_overwide_offset":  seed(columnarMagic, body([]byte{rowOffset + 2, 0, 3, 0, 0, 0, 1, 0, 2, 0, 3}, inc, exc)),
+		"col5_base_below_least": seed(columnarMagic, body([]byte{rowOffset + 1, 2, 1, 2, 3, 4}, inc, exc)),
+		"col5_reaching_2_53": seed(columnarMagic, body(append([]byte{rowOffset + 7, 0x1f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfd},
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 3), inc, exc)),
+		"col5_all_offsets_zero":       seed(columnarMagic, body([]byte{rowOffset + 1, 3, 0, 0, 0, 0}, inc, exc)),
+		"col5_exclusive_same_offsets": seed(columnarMagic, body(calls, inc, inc)),
+		// 2, 2, 2 and 131072 are a literal byte each, 3 bytes each as offsets.
+		"col5_offset_not_smaller": seed(columnarMagic, body([]byte{rowOffset + 3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0xff, 0xfe}, inc, exc)),
+		"col5_literal_not_offset": seed(columnarMagic, body([]byte{2, 0x40, 0x08, 0x40, 0x10, 0x40, 0x14, 0x40, 0x18}, inc, exc)),
+		"col5_offset_in_col4":     seed(columnarMagicPrev, whole),
+		"col5_truncated_offset":   seed(columnarMagic, whole[:len(whole)-2]),
+	}
+}
+
 // addColumnarEnvelopeSeeds seeds a fuzz target with encoded trials: one
-// valid, the rest damaged in the ways the decoders must survive, the same
-// trial as a %PDMFCOL3 body, a trial whose rows take the kinds above 8 in
-// both versions read, whole and damaged, and a trial that fills every header
-// field, whole and with its header in each spelling the decoder refuses.
+// valid, the rest damaged in the ways the decoders must survive, a %PDMFCOL3
+// body, the valid trial as a %PDMFCOL4 body, a trial whose rows take the
+// kinds 9 and 0x10+w in both versions read, whole and damaged, a trial that
+// fills every header field, whole and with its header in each spelling the
+// decoder refuses, and a trial of offset rows, whole and with a row in each
+// spelling the decoder refuses.
 func addColumnarEnvelopeSeeds(f *testing.F) {
 	valid, err := MarshalColumnar(fuzzSeedTrial())
 	if err != nil {
@@ -377,7 +431,7 @@ func addColumnarEnvelopeSeeds(f *testing.F) {
 	badCRC := encodeEnvelope(valid)
 	badCRC[len(envelopeMagic)+3] ^= 0x40 // flip a payload bit under the CRC
 	f.Add(badCRC)
-	f.Add(encodeEnvelope([]byte(columnarMagicPrev + "\x60\x00\x00\x00" +
+	f.Add(encodeEnvelope([]byte(col3Magic + "\x60\x00\x00\x00" +
 		`{"name":"huge","threads":1000000000,"events":[{"name":"a"},{"name":"b"}],"columns":[]}    `)))
 	f.Add(encodeEnvelope([]byte(columnarMagic)))
 	f.Add(encodeEnvelope(prevColumnarPayload(f, fuzzSeedTrial())))
@@ -394,6 +448,10 @@ func addColumnarEnvelopeSeeds(f *testing.F) {
 	headers := fuzzHeaderSeeds(f)
 	for _, name := range fuzzHeaderSeedNames {
 		f.Add(headers[name])
+	}
+	offsets := fuzzOffsetSeeds(f)
+	for _, name := range fuzzOffsetSeedNames {
+		f.Add(offsets[name])
 	}
 }
 
@@ -422,21 +480,21 @@ func columnarCorpus(t testing.TB) map[string][]byte {
 	return out
 }
 
-// The corpus holds what its names say, in all four forms: the entries
-// without a prefix are %PDMFCOL1 bodies and the col2_ entries %PDMFCOL2
-// ones, refused whatever their state; the col3_ entries are the previous
-// form with rows of the kinds above 8, read through the legacy path; the
-// col4_ entries are the current form, one valid and the rest with a header
-// the decoder refuses.
+// The corpus holds what its names say, in all five forms: the entries
+// without a prefix are %PDMFCOL1 bodies, the col2_ entries %PDMFCOL2 ones and
+// the col3_ entries %PDMFCOL3 ones, refused whatever their state; the col4_
+// entries are the previous form, one valid and the rest with a header the
+// decoder refuses; the col5_ entries are the current form, one valid and the
+// rest with a row the decoder refuses.
 func TestColumnarCorpus(t *testing.T) {
 	corpus := columnarCorpus(t)
-	for name, want := range map[string]*Trial{"col3_valid": fuzzKindsTrial(), "col4_valid": fuzzHeaderTrial()} {
+	for name, want := range map[string]*Trial{"col4_valid": fuzzHeaderTrial(), "col5_valid": fuzzOffsetTrial()} {
 		data, ok := corpus[name]
 		if !ok {
 			t.Fatalf("corpus entry %s missing", name)
 		}
 		payload, err := decodeEnvelope(data)
-		if err != nil || IsColumnar(payload) != (name == "col4_valid") || isColumnarPrev(payload) != (name == "col3_valid") {
+		if err != nil || IsColumnar(payload) != (name == "col5_valid") || isColumnarPrev(payload) != (name == "col4_valid") {
 			t.Fatalf("%s: wrong form (err=%v)", name, err)
 		}
 		if got, err := DecodeTrial(data); err != nil || canonicalTrialDump(got) != canonicalTrialDump(want) {
@@ -446,12 +504,15 @@ func TestColumnarCorpus(t *testing.T) {
 	if raw, err := os.ReadFile(filepath.Join("testdata", "col1_trial.pdmf")); err != nil || !bytes.Equal(raw, corpus["valid"]) {
 		t.Errorf("testdata/col1_trial.pdmf is not the corpus's valid seed (err=%v)", err)
 	}
-	if payload, err := decodeEnvelope(corpus["col2_valid"]); err != nil || !bytes.HasPrefix(payload, []byte(col2Magic)) {
-		t.Errorf("col2_valid: not a %%PDMFCOL2 envelope (err=%v)", err)
+	for name, magic := range map[string]string{"col2_valid": col2Magic, "col3_valid": col3Magic, "col3_truncated_const": col3Magic} {
+		if payload, err := decodeEnvelope(corpus[name]); err != nil || !bytes.HasPrefix(payload, []byte(magic)) {
+			t.Errorf("%s: not a %s envelope (err=%v)", name, magic[:len(magic)-1], err)
+		}
 	}
-	valid, truncated, overwide := fuzzKindsSeeds(t, prevColumnarPayload(t, fuzzKindsTrial()))
 	seeds := fuzzHeaderSeeds(t)
-	seeds["col3_valid"], seeds["col3_truncated_const"], seeds["col3_overwide_const"] = valid, truncated, overwide
+	for name, seed := range fuzzOffsetSeeds(t) {
+		seeds[name] = seed
+	}
 	for name, want := range seeds {
 		if !bytes.Equal(corpus[name], want) {
 			t.Errorf("corpus entry %s is not the seed of that name", name)
@@ -459,8 +520,9 @@ func TestColumnarCorpus(t *testing.T) {
 	}
 	refused := []string{"valid", "truncated", "bad_crc", "huge_dimension",
 		"col2_valid", "col2_truncated", "col2_bad_crc", "col2_huge_dimension", "col2_overwide_row",
-		"col3_truncated_const", "col3_overwide_const"}
+		"col3_valid", "col3_truncated_const", "col3_overwide_const"}
 	refused = append(refused, fuzzHeaderSeedNames[1:]...)
+	refused = append(refused, fuzzOffsetSeedNames[1:]...)
 	for _, name := range refused {
 		data, ok := corpus[name]
 		if !ok {
@@ -481,7 +543,7 @@ func TestColumnarCorpus(t *testing.T) {
 // checked-in corpus of FuzzDecodeColumnarEnvelope. The invariants: a
 // refusal wraps ErrCorrupt and stores nothing; an accepted body holds a
 // Validate-clean trial that reads back, and is its canonical encoding — or
-// is a %PDMFCOL3 body, and the file stored for it is the canonical encoding
+// is a %PDMFCOL4 body, and the file stored for it is the canonical encoding
 // of the same trial.
 func FuzzSaveEncoded(f *testing.F) {
 	addColumnarEnvelopeSeeds(f)
@@ -529,7 +591,7 @@ func FuzzSaveEncoded(f *testing.F) {
 		}
 		payload, _ := decodeEnvelope(data)
 		if !isColumnarPrev(payload) {
-			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL3 body")
+			t.Fatal("accepted body is neither the canonical encoding of its trial nor a %PDMFCOL4 body")
 		}
 		disk, err := OpenRepository(t.TempDir())
 		if err != nil {
@@ -539,7 +601,7 @@ func FuzzSaveEncoded(f *testing.F) {
 			t.Fatalf("file-backed SaveEncoded refused what the in-memory one took: %v", err)
 		}
 		if file := rawTrialFile(t, disk, tr.App, tr.Experiment, tr.Name); !bytes.Equal(file, canon) {
-			t.Fatal("file stored for a %PDMFCOL3 body is not the canonical encoding of its trial")
+			t.Fatal("file stored for a %PDMFCOL4 body is not the canonical encoding of its trial")
 		}
 	})
 }

@@ -527,8 +527,8 @@ var Builtins = NewModule("",
 		for i, a := range args {
 			parts[i] = ToString(a)
 		}
-		fmt.Fprintln(in.Stdout, strings.Join(parts, " "))
-		return nil, nil
+		_, err := fmt.Fprintln(in.Stdout, strings.Join(parts, " "))
+		return nil, err
 	}),
 	Def("len(x any)", "the length of a list, map or string", func(_ *Interp, _ Value, args []Value) (Value, error) {
 		switch x := args[0].(type) {
