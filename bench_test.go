@@ -10,7 +10,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -24,6 +26,7 @@ import (
 	"perfknow/internal/experiments"
 	"perfknow/internal/perfdmf"
 	"perfknow/internal/sim"
+	"perfknow/internal/vfs"
 )
 
 // regen runs one experiment per benchmark iteration and fails the benchmark
@@ -134,8 +137,10 @@ func BenchmarkColumnarConvert(b *testing.B) {
 // events and SPMD threads, the rows the synthetic shapes never contain): an
 // overwriting Save on the real file system with real fsync and in memory, a
 // GetTrial served from the cache, and one served by a repository that has
-// not read the file yet. Every sub-benchmark also reports the size of the
-// stored file.
+// not read the file yet. save_nosync is the file-backed Save with the
+// fsyncs left out, as the service benchmark preloads its repositories: the
+// encode, the write and the rename. Every sub-benchmark also reports the
+// size of the stored file.
 func BenchmarkRepositorySaveGet(b *testing.B) {
 	synthetic := func(name string, events, threads int, metrics ...string) *perfknow.Trial {
 		rng := rand.New(rand.NewSource(17))
@@ -210,9 +215,17 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 			_, repo := stored(b)
 			save(b, repo)
 		})
+		run("save_nosync", func(b *testing.B) {
+			repo, err := perfdmf.OpenRepositoryFS(b.TempDir(), noSyncFS{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			save(b, repo)
+		})
 		run("save_mem", func(b *testing.B) { save(b, perfdmf.NewRepository()) })
 		run("get_warm", func(b *testing.B) {
 			_, repo := stored(b)
+			get(b, repo) // a write fills no cache: the first read does
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -264,6 +277,15 @@ func BenchmarkRepositorySaveGet(b *testing.B) {
 		})
 	}
 }
+
+// noSyncFS is vfs.OS without the durability barriers.
+type noSyncFS struct{ vfs.OS }
+
+func (noSyncFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
+	return os.WriteFile(path, data, perm)
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }
 
 // --- streaming / standing-diagnosis benchmarks --------------------------
 

@@ -247,6 +247,38 @@ func TestSimulatorOutputsPinned(t *testing.T) {
 	}
 }
 
+// Every pinned run, and the checked-in simulator trial, encodes straight
+// from its rows (EncodeTrial) to the envelope around the payload its pivot
+// encodes to (MarshalColumnar: ColumnsFromTrial, then the columns' encoder).
+func TestSimulatorTrialsEncodeAsPivot(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", "col4_sim.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := perfdmf.DecodeTrial(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := append(pinnedRuns(), pinnedRun{"col4_sim.pdmf", func() (*perfdmf.Trial, error) { return fixture, nil }})
+	for _, r := range runs {
+		trial, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		payload, err := perfdmf.MarshalColumnar(trial)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		enc, err := perfdmf.EncodeTrial(trial)
+		if err != nil || !bytes.HasPrefix(enc, append([]byte("%PDMF1\n"), payload...)) {
+			t.Fatalf("%s: EncodeTrial is not the envelope around the pivot's payload (err=%v)", r.name, err)
+		}
+		if _, err := perfdmf.DecodeTrial(enc); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+}
+
 // simFixture is the run checked in as a %PDMFCOL4 file, written by the last
 // encoder that wrote that form (commit c556ee4), as a %PDMFCOL3 file, written
 // by the one before it (commit 57258a4), and as a %PDMFCOL2 file (commit

@@ -11,6 +11,7 @@ package diagnosis
 // only for a deliberate change of a script, a rule file or the simulator.
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -226,4 +227,44 @@ func TestDifferentialAssetScriptsNonEmpty(t *testing.T) {
 		t.Fatalf("inefficiency scenario fired nothing:\n%s", o.out)
 	}
 	t.Logf("fired=%d", len(o.fired))
+}
+
+// pivotCheckStore holds every trial saved through it to the pivot's
+// encoding before storing it: EncodeTrial, which writes straight from the
+// trial's rows, must give the envelope around MarshalColumnar, the payload
+// ColumnsFromTrial's columns encode to.
+type pivotCheckStore struct {
+	perfdmf.Store
+	t     *testing.T
+	saved int
+}
+
+func (p *pivotCheckStore) SaveContext(ctx context.Context, tr *perfdmf.Trial) error {
+	payload, err := perfdmf.MarshalColumnar(tr)
+	if err != nil {
+		p.t.Fatalf("%s: MarshalColumnar: %v", tr.Name, err)
+	}
+	enc, err := perfdmf.EncodeTrial(tr)
+	if err != nil || !bytes.HasPrefix(enc, append([]byte("%PDMF1\n"), payload...)) {
+		p.t.Fatalf("%s: EncodeTrial is not the envelope around the pivot's payload (err=%v)", tr.Name, err)
+	}
+	if _, err := perfdmf.DecodeTrial(enc); err != nil {
+		p.t.Fatalf("%s: %v", tr.Name, err)
+	}
+	p.saved++
+	return p.Store.SaveContext(ctx, tr)
+}
+
+// The trials the asset scripts read encode from their rows to the bytes
+// their pivot encodes to.
+func TestAssetTrialsEncodeAsPivot(t *testing.T) {
+	for _, sc := range assetScenarios {
+		s, _ := session(t)
+		store := &pivotCheckStore{Store: s.Repo, t: t}
+		s.Repo = store
+		sc.setup(t, s)
+		if store.saved == 0 {
+			t.Errorf("%s saved no trial", sc.name)
+		}
+	}
 }

@@ -295,8 +295,9 @@ func TestWireDifferential(t *testing.T) {
 				t.Fatalf("trial %d: encoded get body is not the canonical encoding", i)
 			}
 			// Get, JSON: what a local repository hands out for the same
-			// trial (both serve their cached copy), or a 500 that names
-			// the value when JSON cannot represent the trial.
+			// trial (both serve the columns their first read of it
+			// cached), or a 500 that names the value when JSON cannot
+			// represent the trial.
 			status, hdr, raw = s.request(t, "GET", trialURL(tr), nil, nil)
 			if hdr.Get("Content-Type") != "application/json" {
 				t.Fatalf("trial %d: JSON get Content-Type %q", i, hdr.Get("Content-Type"))

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // This file implements the columnar (struct-of-arrays) representation of a
@@ -159,7 +160,8 @@ func allTrue(n int) []bool {
 // fresh blocks — it shares nothing with t. Column order is deterministic:
 // registered metrics first (in Metrics order), then unregistered metrics
 // found on events, first-seen in event order (sorted within one event).
-// Trials with per-thread slices of the wrong length are rejected.
+// Trials with duplicate event names or per-thread slices of the wrong length
+// are rejected.
 func ColumnsFromTrial(t *Trial) (*Columns, error) {
 	if t.Threads <= 0 {
 		return nil, fmt.Errorf("perfdmf: trial %q has %d threads", t.Name, t.Threads)
@@ -182,34 +184,7 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 			c.Metadata[k] = v
 		}
 	}
-	order := make([]string, 0, len(t.Metrics))
-	seen := make(map[string]bool, len(t.Metrics))
-	for _, m := range t.Metrics {
-		if !seen[m] {
-			seen[m] = true
-			order = append(order, m)
-		}
-	}
-	for _, e := range t.Events {
-		if coveredBy(e.Inclusive, order) && coveredBy(e.Exclusive, order) {
-			continue
-		}
-		var extras []string
-		for m := range e.Inclusive {
-			if !seen[m] {
-				seen[m] = true
-				extras = append(extras, m)
-			}
-		}
-		for m := range e.Exclusive {
-			if !seen[m] {
-				seen[m] = true
-				extras = append(extras, m)
-			}
-		}
-		sort.Strings(extras)
-		order = append(order, extras...)
-	}
+	order := columnOrder(t)
 	// Every column's blocks and flags in two allocations, each cut off at its
 	// own end so an append to one cannot run into the next.
 	n := nEv * th
@@ -263,6 +238,42 @@ func ColumnsFromTrial(t *Trial) (*Columns, error) {
 		}
 	}
 	return c, nil
+}
+
+// columnOrder is the order of a trial's columns, in ColumnsFromTrial and in
+// the payload written from the trial: registered metrics first (in Metrics
+// order, each once), then unregistered metrics found on events, first-seen
+// in event order (sorted within one event).
+func columnOrder(t *Trial) []string {
+	order := make([]string, 0, len(t.Metrics))
+	seen := make(map[string]bool, len(t.Metrics))
+	for _, m := range t.Metrics {
+		if !seen[m] {
+			seen[m] = true
+			order = append(order, m)
+		}
+	}
+	for _, e := range t.Events {
+		if coveredBy(e.Inclusive, order) && coveredBy(e.Exclusive, order) {
+			continue
+		}
+		var extras []string
+		for m := range e.Inclusive {
+			if !seen[m] {
+				seen[m] = true
+				extras = append(extras, m)
+			}
+		}
+		for m := range e.Exclusive {
+			if !seen[m] {
+				seen[m] = true
+				extras = append(extras, m)
+			}
+		}
+		sort.Strings(extras)
+		order = append(order, extras...)
+	}
+	return order
 }
 
 // coveredBy reports whether every key of m is one of keys, by looking keys
@@ -469,6 +480,10 @@ func (c *Columns) cloneTrial() *Trial {
 // else a one-valued row is 0x10+w at its narrowest w, else an offset row
 // 0x20+w where that is strictly smaller than the literal, else the narrowest
 // literal.
+// The writer settles each row in one pass, its kind and then its bytes
+// (appendRow), whether it reads the row from a Columns' block or straight
+// from a Trial's per-event slice, so the payload's size is known only once
+// it is written.
 //
 // The whole payload has exactly one spelling too. The decoder refuses a
 // non-minimal varint, a literal equal to an existing table entry, a reference
@@ -515,8 +530,12 @@ const (
 )
 
 // maxOffsetValue bounds the values of an offset row: every integer below it
-// is a float64 exactly.
-const maxOffsetValue = 1 << 53
+// is a float64 exactly. maxOffsetBits is its bit pattern: biased exponent
+// 1023+53, fraction zero.
+const (
+	maxOffsetValue = 1 << 53
+	maxOffsetBits  = (1023 + 53) << 52
+)
 
 // maxDecodedBytes bounds the value blocks a payload may decode to, and the
 // callpath names its header spells out: 8× the largest body the service
@@ -545,47 +564,169 @@ func isColumnarPrev(payload []byte) bool {
 
 // Encode serializes the columnar trial into the binary payload format.
 func (c *Columns) Encode() ([]byte, error) {
-	return c.encode(nil, "", 0)
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.columns("", c); err != nil {
+		return nil, err
+	}
+	return exactCopy(e.buf), nil
 }
 
-// encode returns prefix followed by the binary payload, in a buffer with
-// room spare bytes of capacity left — so EncodeTrial builds envelope magic,
-// payload and trailer in one allocation. The buffer is buf when its capacity
-// is enough, else a new one.
-func (c *Columns) encode(buf []byte, prefix string, room int) ([]byte, error) {
+// encoder writes payloads, each row in one pass: its kind picked and its
+// bytes written at once (appendRow). Two front ends feed it the rows:
+// columns, from a Columns' blocks, and trial, straight from a Trial's
+// per-event slices (trialRows). The trial front end writes the bytes
+// ColumnsFromTrial followed by Encode would, without the copy.
+type encoder struct {
+	buf  []byte
+	ints []uint64 // the row appendRow is testing for an offset row, as integers
+}
+
+// encoders holds the encoders every payload is written with. Save drops a
+// trial's encoding once it is persisted and the others copy it out
+// (exactCopy), so the next one writes into the same memory instead of
+// growing a fresh buffer that the collector then frees.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// exactCopy returns b in one allocation of its exact size.
+func exactCopy(b []byte) []byte {
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// columns writes prefix and the payload of c into e.buf, replacing what it
+// held.
+func (e *encoder) columns(prefix string, c *Columns) error {
 	nEv, th := len(c.EventNames), c.Threads
-	if th <= 0 {
-		return nil, fmt.Errorf("perfdmf: encode columnar %q: non-positive threads %d", c.Name, th)
-	}
-	if !decodableSize(nEv, th, len(c.Cols)) {
-		return nil, fmt.Errorf("perfdmf: encode columnar %q: %d×%d values in %d columns exceed the %d-byte decode bound",
-			c.Name, nEv, th, len(c.Cols), maxDecodedBytes)
+	if err := c.encodable(); err != nil {
+		return err
 	}
 	block := nEv * th
 	if len(c.Calls) != block || len(c.Groups) != nEv {
-		return nil, fmt.Errorf("perfdmf: encode columnar %q: inconsistent dimensions", c.Name)
+		return fmt.Errorf("perfdmf: encode columnar %q: inconsistent dimensions", c.Name)
 	}
 	for i := range c.Cols {
 		col := &c.Cols[i]
 		if len(col.Inc) != block || len(col.Exc) != block ||
 			len(col.IncPresent) != nEv || len(col.ExcPresent) != nEv {
-			return nil, fmt.Errorf("perfdmf: encode columnar %q: column %q has inconsistent dimensions",
+			return fmt.Errorf("perfdmf: encode columnar %q: column %q has inconsistent dimensions",
 				c.Name, col.Metric)
 		}
 	}
-	bitmap := (nEv + 7) / 8
-	kinds, bases, valueBytes := c.rowKinds()
-	blocks := len(c.Cols)*2*bitmap + len(kinds) + valueBytes
-	// The header is written in place, into room guessed from the names; the
-	// blocks are written into capacity sized exactly, so that is made sure of
-	// once the header is in.
-	guess := 64 + 2*len(c.EventNames)
-	for _, name := range c.EventNames {
-		guess += len(name)
+	e.start(prefix, c)
+	for lo := 0; lo < block; lo += th {
+		e.appendRow(c.Calls[lo:lo+th], nil)
+	}
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		e.buf = appendBitmap(e.buf, col.IncPresent)
+		e.buf = appendBitmap(e.buf, col.ExcPresent)
+		for lo := 0; lo < block; lo += th {
+			e.appendRow(col.Inc[lo:lo+th], nil)
+		}
+		for lo := 0; lo < block; lo += th {
+			e.appendRow(col.Exc[lo:lo+th], col.Inc[lo:lo+th])
+		}
+	}
+	return nil
+}
+
+// trialRows reads from t what the trial front end writes: its header
+// fields and columns, in ColumnsFromTrial's order, into h (no value
+// blocks), and its rows, sharing t's slices, block after block in write
+// order — calls, then per column its inclusive and its exclusive rows — nil
+// where the event has no such metric. It refuses every trial ColumnsFromTrial
+// refuses, with the same error, found in the same order.
+func trialRows(t *Trial) (h *Columns, rows [][]float64, err error) {
+	if t.Threads <= 0 {
+		return nil, nil, fmt.Errorf("perfdmf: trial %q has %d threads", t.Name, t.Threads)
+	}
+	th, nEv := t.Threads, len(t.Events)
+	h = &Columns{App: t.App, Experiment: t.Experiment, Name: t.Name, Threads: th, Metrics: t.Metrics,
+		EventNames: make([]string, nEv), Groups: make([][]string, nEv), Metadata: t.Metadata}
+	for _, m := range columnOrder(t) {
+		h.Cols = append(h.Cols, MetricColumn{Metric: m})
+	}
+	rows = make([][]float64, nEv*(1+2*len(h.Cols)))
+	seenEv := newStringTable(nEv)
+	for ev, event := range t.Events {
+		ref, slot := seenEv.find(event.Name)
+		if ref > 0 {
+			return nil, nil, fmt.Errorf("perfdmf: duplicate event %q in trial %q", event.Name, t.Name)
+		}
+		seenEv.add(event.Name, slot)
+		h.EventNames[ev], h.Groups[ev] = event.Name, event.Groups
+		if len(event.Calls) != th {
+			return nil, nil, fmt.Errorf("perfdmf: event %q has %d call entries, want %d", event.Name, len(event.Calls), th)
+		}
+		rows[ev] = event.Calls
+		for ci := range h.Cols {
+			m := h.Cols[ci].Metric
+			inc, incOK := event.Inclusive[m]
+			if incOK && len(inc) != th {
+				return nil, nil, fmt.Errorf("perfdmf: event %q metric %q has %d inclusive entries, want %d",
+					event.Name, m, len(inc), th)
+			}
+			exc, excOK := event.Exclusive[m]
+			if excOK && len(exc) != th {
+				return nil, nil, fmt.Errorf("perfdmf: event %q metric %q has %d exclusive entries, want %d",
+					event.Name, m, len(exc), th)
+			}
+			// th ≥ 1, so a present row is never nil.
+			rows[(1+2*ci)*nEv+ev], rows[(2+2*ci)*nEv+ev] = inc, exc
+		}
+	}
+	return h, rows, nil
+}
+
+// trial writes prefix and the payload of the trial trialRows read into
+// e.buf, replacing what it held: the bytes columns writes for
+// ColumnsFromTrial of it. An absent row is a row of zeros, and presence is
+// whether the row is there.
+func (e *encoder) trial(prefix string, h *Columns, rows [][]float64) error {
+	if err := h.encodable(); err != nil {
+		return err
+	}
+	e.start(prefix, h)
+	nEv := len(h.EventNames)
+	for _, row := range rows[:nEv] {
+		e.appendRow(row, nil)
+	}
+	for i := range h.Cols {
+		inc, exc := rows[(1+2*i)*nEv:(2+2*i)*nEv], rows[(2+2*i)*nEv:(3+2*i)*nEv]
+		e.buf = appendPresence(e.buf, inc)
+		e.buf = appendPresence(e.buf, exc)
+		for _, row := range inc {
+			e.appendRow(row, nil)
+		}
+		for ev, row := range exc {
+			e.appendRow(row, inc[ev])
+		}
+	}
+	return nil
+}
+
+// seal appends the envelope trailer to a payload written behind
+// envelopeMagic and returns the whole encoding, which aliases e.buf.
+func (e *encoder) seal() []byte {
+	e.buf = appendEnvelopeTrailer(e.buf, e.buf[len(envelopeMagic):])
+	return e.buf
+}
+
+// encodable refuses what the decoder would refuse to read back: a
+// non-positive thread count, value blocks past maxDecodedBytes, and callpath
+// names spelling out more than it.
+func (c *Columns) encodable() error {
+	nEv, th := len(c.EventNames), c.Threads
+	if th <= 0 {
+		return fmt.Errorf("perfdmf: encode columnar %q: non-positive threads %d", c.Name, th)
+	}
+	if !decodableSize(nEv, th, len(c.Cols)) {
+		return fmt.Errorf("perfdmf: encode columnar %q: %d×%d values in %d columns exceed the %d-byte decode bound",
+			c.Name, nEv, th, len(c.Cols), maxDecodedBytes)
 	}
 	// The callpath names, those of more than one segment, are held to the
 	// bound the decoder holds them to; only names this long can pass it.
-	if guess > maxDecodedBytes {
+	if nameBytes(c.EventNames) > maxDecodedBytes {
 		spelled := 0
 		for _, name := range c.EventNames {
 			if strings.Contains(name, CallpathSeparator) {
@@ -593,30 +734,36 @@ func (c *Columns) encode(buf []byte, prefix string, room int) ([]byte, error) {
 			}
 		}
 		if spelled > maxDecodedBytes {
-			return nil, fmt.Errorf("perfdmf: encode columnar %q: callpath names of %d bytes exceed the %d-byte decode bound",
+			return fmt.Errorf("perfdmf: encode columnar %q: callpath names of %d bytes exceed the %d-byte decode bound",
 				c.Name, spelled, maxDecodedBytes)
 		}
 	}
-	if need := len(prefix) + len(columnarMagic) + 4 + guess + blocks + room; cap(buf) < need {
-		buf = make([]byte, 0, need)
+	return nil
+}
+
+func nameBytes(names []string) int {
+	n := 0
+	for _, name := range names {
+		n += len(name)
 	}
-	buf = buf[:0]
-	buf = append(buf, prefix...)
-	buf = append(buf, columnarMagic...)
-	at := len(buf)
-	buf = c.appendHeader(append(buf, 0, 0, 0, 0))
-	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-	buf = slices.Grow(buf, blocks+room)
-	buf = appendPackedBlock(buf, c.Calls, kinds[:nEv], bases[:nEv])
-	for i := range c.Cols {
-		col := &c.Cols[i]
-		at := nEv * (1 + 2*i)
-		buf = appendBitmap(buf, col.IncPresent)
-		buf = appendBitmap(buf, col.ExcPresent)
-		buf = appendPackedBlock(buf, col.Inc, kinds[at:at+nEv], bases[at:at+nEv])
-		buf = appendPackedBlock(buf, col.Exc, kinds[at+nEv:at+2*nEv], bases[at+nEv:at+2*nEv])
+	return n
+}
+
+// start replaces what e.buf held with prefix, the magic and the header of c,
+// in a buffer with room for the header guessed from the names and a kind
+// byte a row: the rows grow it as they are written. It sizes e.ints for c's
+// rows.
+func (e *encoder) start(prefix string, c *Columns) {
+	e.ints = slices.Grow(e.ints[:0], c.Threads)[:c.Threads]
+	nEv := len(c.EventNames)
+	if need := len(prefix) + len(columnarMagic) + 4 + 64 + 2*nEv + nameBytes(c.EventNames) + nEv*(1+2*len(c.Cols)); cap(e.buf) < need {
+		e.buf = make([]byte, 0, need)
 	}
-	return buf, nil
+	e.buf = append(e.buf[:0], prefix...)
+	e.buf = append(e.buf, columnarMagic...)
+	at := len(e.buf)
+	e.buf = c.appendHeader(append(e.buf, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(e.buf[at:], uint32(len(e.buf)-at-4))
 }
 
 // appendHeader appends the binary header of c: see the format comment.
@@ -747,78 +894,80 @@ func rowWidth(or uint64) int {
 	return 8 - bits.TrailingZeros64(or)/8
 }
 
-// rowKinds is the pre-pass of encode: the kind of every row of every block,
-// block after block in write order, the base of every offset row at its
-// row's index, and the bytes that follow all those kind bytes — with the
-// kinds themselves, the exact size of the value blocks. The comparisons
+// appendRow appends one row of a value block to e.buf: the kind byte the
+// format comment's precedence picks, then what that kind says follows. inc
+// is the inclusive row of the same event and column when row is an
+// exclusive one, else nil; a nil row is a row of zeros. The comparisons
 // behind the kinds above 8 each stop at the first value that differs, or for
 // an offset row the first that is not an integer, which in a row of
-// measurements is the first.
-func (c *Columns) rowKinds() (kinds []byte, bases []uint64, valueBytes int) {
-	th := c.Threads
-	kinds = make([]byte, 0, len(c.EventNames)*(1+2*len(c.Cols)))
-	bases = make([]uint64, cap(kinds))
-	block := func(xs, inc []float64) {
-		for lo := 0; lo < len(xs); lo += th {
-			row := xs[lo : lo+th]
-			w := widthOf(row)
-			switch {
-			case w == 0:
-			case inc != nil && sameBits(row, inc[lo:lo+th]):
-				kinds = append(kinds, rowSameAsInc)
-				continue
-			case th >= 2 && oneValued(row):
-				kinds = append(kinds, rowConst+byte(w))
-				valueBytes += w
-				continue
-			case th >= 2 && w >= 2: // an offset row takes at least 1 + (1+Threads) bytes
-				if ow, base := offsetWidth(row); ow > 0 && (1+th)*ow < th*w {
-					bases[len(kinds)] = base
-					kinds = append(kinds, rowOffset+byte(ow))
-					valueBytes += (1 + th) * ow
-					continue
+// measurements is the first. Every value is written as a whole 8-byte word,
+// w bytes after the one before it: the low 8−w bytes are zero by the width
+// rule, and the next value or row overwrites them. So the buffer grows row by
+// row, keeping room for the widest row and the 7 bytes past its end the last
+// word writes.
+func (e *encoder) appendRow(row, inc []float64) {
+	w := widthOf(row)
+	if w == 0 {
+		e.buf = append(e.buf, 0)
+		return
+	}
+	th, n := len(row), len(e.buf)
+	if room := 1 + 8*th + 7; cap(e.buf)-n < room {
+		e.buf = slices.Grow(e.buf, max(room, cap(e.buf))) // double: a payload is written in one go
+	}
+	out := e.buf[n:cap(e.buf)]
+	size := 1
+	switch {
+	case inc != nil && sameBits(row, inc):
+		out[0] = rowSameAsInc
+	case th >= 2 && oneValued(row):
+		out[0] = byte(rowConst + w)
+		binary.BigEndian.PutUint64(out[1:], math.Float64bits(row[0]))
+		size += w
+	default:
+		// An offset row takes at least 1 + (1+Threads) bytes, so only a
+		// literal of width 2 or more can lose to one.
+		if th >= 2 && w >= 2 {
+			if base, span, ok := offsetInts(e.ints, row); ok {
+				if ow := offsetBytes(base, span); (1+th)*ow < th*w {
+					out[0] = byte(rowOffset + ow)
+					putOffsets(out[1:], e.ints, base, ow)
+					e.buf = e.buf[:n+1+(1+th)*ow]
+					return
 				}
 			}
-			kinds = append(kinds, byte(w))
-			valueBytes += w * th
 		}
+		out[0] = byte(w)
+		for i, x := range row {
+			binary.BigEndian.PutUint64(out[1+i*w:], math.Float64bits(x))
+		}
+		size += th * w
 	}
-	block(c.Calls, nil)
-	for i := range c.Cols {
-		block(c.Cols[i].Inc, nil)
-		block(c.Cols[i].Exc, c.Cols[i].Inc)
-	}
-	return kinds, bases, valueBytes
+	e.buf = e.buf[:n+size]
 }
 
-// offsetRange returns the least and greatest value of row as integers, and
-// whether every value is a non-negative integer below maxOffsetValue, which
-// is what an offset row can hold. It stops at the first value that is not.
-// It reads bit patterns alone: a value other than +0 is such an integer when
-// its biased exponent e is 1023–1075 (1 ≤ x < 2^53, sign bit clear) and the
-// 1075 − e fraction bits below its units are zero, and among patterns with
-// the sign bit clear the least and greatest are those of the least and
-// greatest value.
-func offsetRange(row []float64) (lo, hi uint64, ok bool) {
-	lo = math.MaxUint64
-	for _, x := range row {
+// offsetInts converts row to integers in ints and returns the least of them
+// and the greatest less the least, when every value of row is a
+// non-negative integer below maxOffsetValue — which is what an offset row
+// can hold. It stops at the first value that is not. Among bit patterns
+// with the sign bit clear the order is that of the values, so one integer
+// comparison refuses −0 and every negative value, NaN, ±Inf and 2^53 or
+// more; the conversion back refuses a value that is not whole.
+func offsetInts(ints []uint64, row []float64) (base, span uint64, ok bool) {
+	ints = ints[:len(row)]
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i, x := range row {
 		b := math.Float64bits(x)
-		if e := b >> 52; b != 0 && (e-1023 > 52 || uint64(bits.TrailingZeros64(b))+e < 1075) {
+		if b >= maxOffsetBits {
 			return 0, 0, false
 		}
-		lo, hi = min(lo, b), max(hi, b)
+		v := int64(x) // exact below 2^53; a signed conversion is the cheaper
+		if math.Float64bits(float64(v)) != b {
+			return 0, 0, false
+		}
+		ints[i], lo, hi = uint64(v), min(lo, uint64(v)), max(hi, uint64(v))
 	}
-	return uint64(math.Float64frombits(lo)), uint64(math.Float64frombits(hi)), true
-}
-
-// offsetWidth is the width of row stored as an offset row, 0 if it cannot be,
-// and its base.
-func offsetWidth(row []float64) (w int, base uint64) {
-	lo, hi, ok := offsetRange(row)
-	if !ok {
-		return 0, 0
-	}
-	return offsetBytes(lo, hi-lo), lo
+	return lo, hi - lo, true
 }
 
 // offsetBytes is the width of an offset row of this base and greatest
@@ -864,66 +1013,7 @@ func widthOf(row []float64) int {
 	return rowWidth(or)
 }
 
-// appendPackedBlock appends a value block: per row its kind byte, then what
-// the kind says follows — the top w bytes of each value, most significant
-// first, of one value, a base and the offsets from it, or nothing. bases
-// holds the base of each offset row at its index in kinds. buf must have the
-// capacity for it (encode sizes it from the same kinds).
-func appendPackedBlock(buf []byte, xs []float64, kinds []byte, bases []uint64) []byte {
-	if len(kinds) == 0 {
-		return buf
-	}
-	th := len(xs) / len(kinds)
-	for ev, kb := range kinds {
-		row := xs[ev*th : (ev+1)*th]
-		buf = append(buf, kb)
-		switch k := int(kb); {
-		case k == 0, k == rowSameAsInc:
-		case k == 8:
-			for _, x := range row {
-				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		case k > rowOffset:
-			n, w := len(buf), k-rowOffset
-			packOffsets(buf[n:cap(buf)], row, int64(bases[ev]), w)
-			buf = buf[:n+w*(1+th)]
-		case k > rowConst:
-			b := math.Float64bits(row[0])
-			for w := k - rowConst; w > 0; w-- {
-				buf = append(buf, byte(b>>56))
-				b <<= 8
-			}
-		default:
-			n := len(buf)
-			packRow(buf[n:cap(buf)], row, k)
-			buf = buf[:n+k*th]
-		}
-	}
-	return buf
-}
-
-// packRow writes the top w bytes (1–7) of each of row's values to the front
-// of out, which may extend past the row. It stores whole 8-byte words: the
-// low 8−w bytes of a value are zero by the width rule and the next store
-// (or the next row) overwrites them. Byte by byte only where a word no
-// longer fits out — the last values of a buffer sized exactly.
-func packRow(out []byte, row []float64, w int) {
-	fast := fullWordValues(len(out), w, len(row))
-	off := 0
-	for _, x := range row[:fast] {
-		binary.BigEndian.PutUint64(out[off:off+8], math.Float64bits(x))
-		off += w
-	}
-	for _, x := range row[fast:] {
-		b := math.Float64bits(x)
-		for k := 0; k < w; k++ {
-			out[off+k] = byte(b >> (56 - 8*k))
-		}
-		off += w
-	}
-}
-
-// unpackRow is the inverse of packRow: it fills row from the w-byte (1–7)
+// unpackRow is the inverse of a literal row's writer: it fills row from the w-byte (1–7)
 // values at the front of src, which may extend past the row, by masked
 // 8-byte loads, and returns the OR of the bit patterns it read.
 func unpackRow(row []float64, src []byte, w int) (or uint64) {
@@ -949,43 +1039,20 @@ func unpackRow(row []float64, src []byte, w int) (or uint64) {
 	return or
 }
 
-// packOffsets writes row, which offsetWidth gives width w (1–7) and base, as
-// an offset row to the front of out, which may extend past it: the base,
-// then each value's offset from it, w bytes each. Like packRow it stores
-// whole words, each integer shifted to the word's top, so the zero bytes
-// below it are overwritten by the next; byte by byte only where a word no
-// longer fits.
-func packOffsets(out []byte, row []float64, base int64, w int) {
+// putOffsets writes an offset row of width w (1–7) after its kind byte to
+// the front of out, which has 8−w bytes of room past it: base, then each of
+// ints less base, each integer shifted to the top of its 8-byte word so the
+// zero bytes below it are overwritten by the next.
+func putOffsets(out []byte, ints []uint64, base uint64, w int) {
 	shift := uint(64-8*w) & 63
-	fast := fullWordValues(len(out), w, 1+len(row)) // the base is value 0
-	if fast > 0 {
-		binary.BigEndian.PutUint64(out, uint64(base)<<shift)
-		putOffsets(out[w:], row[:fast-1], base, w)
-	}
-	// Byte by byte from the first value that no longer fits a word: value
-	// 0 is the base, value i+1 thread i's offset.
-	for i := fast; i <= len(row); i++ {
-		v := uint64(base)
-		if i > 0 {
-			v = uint64(int64(row[i-1]) - base)
-		}
-		for k := w - 1; k >= 0; k-- {
-			out[i*w+k] = byte(v)
-			v >>= 8
-		}
+	binary.BigEndian.PutUint64(out, base<<shift)
+	out = out[w:]
+	for i, v := range ints {
+		binary.BigEndian.PutUint64(out[i*w:], (v-base)<<shift)
 	}
 }
 
-// putOffsets is the word loop of packOffsets, on its own so that its few
-// variables stay in registers.
-func putOffsets(out []byte, row []float64, base int64, w int) {
-	shift := uint(64-8*w) & 63
-	for i, x := range row {
-		binary.BigEndian.PutUint64(out[i*w:], uint64(int64(x)-base)<<shift)
-	}
-}
-
-// unpackOffsets is the inverse of packOffsets: it fills row from the offset
+// unpackOffsets is the inverse of putOffsets: it fills row from the offset
 // row of width w (1–7) at the front of src, which may extend past it, by
 // 8-byte loads shifted down to the integer at their top, and returns the
 // base and the least and greatest offset it read.
@@ -1033,6 +1100,19 @@ func fullWordValues(n, w, th int) int {
 	return (n-8)/w + 1
 }
 
+// appendPresence is appendBitmap of which rows are there.
+func appendPresence(buf []byte, rows [][]float64) []byte {
+	n := (len(rows) + 7) / 8
+	start := len(buf)
+	buf = append(buf, make([]byte, n)...)
+	for i, row := range rows {
+		if row != nil {
+			buf[start+i/8] |= 1 << (i % 8)
+		}
+	}
+	return buf
+}
+
 func appendBitmap(buf []byte, bs []bool) []byte {
 	n := (len(bs) + 7) / 8
 	start := len(buf)
@@ -1052,11 +1132,12 @@ func corruptf(format string, args ...any) error {
 // blockReader walks the bytes after the header of a columnar payload.
 // offsets is whether the payload's version has offset rows (%PDMFCOL5): in
 // %PDMFCOL4 their kind is refused and a literal is never held to be larger
-// than one.
+// than one. ints is where offsetInts puts a row's integers.
 type blockReader struct {
 	rest    []byte
 	nEv, th int
 	offsets bool
+	ints    []uint64
 }
 
 func (r *blockReader) take(n int) ([]byte, bool) {
@@ -1113,7 +1194,10 @@ func (r *blockReader) block(inc []float64) ([]float64, error) {
 				return nil, corruptf("row %d holds one value and is spelled out", ev)
 			}
 			if r.offsets && th >= 2 && k >= 2 {
-				if ow, _ := offsetWidth(row); ow > 0 && (1+th)*ow < th*k {
+				if r.ints == nil {
+					r.ints = make([]uint64, th)
+				}
+				if base, span, ok := offsetInts(r.ints, row); ok && (1+th)*offsetBytes(base, span) < th*k {
 					return nil, corruptf("row %d is spelled out where an offset row is smaller", ev)
 				}
 			}

@@ -722,26 +722,41 @@ func prevColumnsPayload(t testing.TB, c *Columns) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds, _, _ := c.rowKinds()
-	nEv, th := len(c.EventNames), c.Threads
+	th := c.Threads
 	var blocks []byte
-	block := func(xs []float64) {
-		ks := kinds[:nEv]
-		kinds = kinds[nEv:]
-		for ev, k := range ks {
-			if k > rowOffset {
-				ks[ev] = byte(literalWidth(bitsOf(xs[ev*th : (ev+1)*th])))
+	block := func(xs, inc []float64) {
+		for lo := 0; lo < len(xs); lo += th {
+			row := bitsOf(xs[lo : lo+th])
+			var incRow []uint64
+			if inc != nil {
+				incRow = bitsOf(inc[lo : lo+th])
+			}
+			kind, _ := wantRow(row, incRow)
+			if kind > rowOffset {
+				kind = byte(literalWidth(row))
+			}
+			blocks = append(blocks, kind)
+			switch {
+			case kind > rowConst:
+				row = row[:1]
+				kind -= rowConst
+			case kind == rowSameAsInc:
+				row = nil
+			}
+			for _, b := range row {
+				for k := 0; k < int(kind); k++ {
+					blocks = append(blocks, byte(b>>(56-8*k)))
+				}
 			}
 		}
-		blocks = appendPackedBlock(slices.Grow(blocks, nEv+8*len(xs)), xs, ks, nil)
 	}
-	block(c.Calls)
+	block(c.Calls, nil)
 	for i := range c.Cols {
 		col := &c.Cols[i]
 		blocks = appendBitmap(blocks, col.IncPresent)
 		blocks = appendBitmap(blocks, col.ExcPresent)
-		block(col.Inc)
-		block(col.Exc)
+		block(col.Inc, nil)
+		block(col.Exc, col.Inc)
 	}
 	return craftColumnarAs(columnarMagicPrev, string(header), blocks)
 }
@@ -1093,6 +1108,9 @@ func excVariants(inc []uint64, threads int) [][]uint64 {
 }
 
 func TestPackedRows(t *testing.T) {
+	if math.Float64bits(maxOffsetValue) != maxOffsetBits {
+		t.Fatalf("maxOffsetBits is %#x, the bit pattern of 2^53 %#x", uint64(maxOffsetBits), math.Float64bits(maxOffsetValue))
+	}
 	for _, threads := range []int{1, 2, 3, 7, 8, 64} {
 		// One row per value, every other slot zero, then every slot that
 		// value: each width on its own, literal and one-valued.

@@ -126,7 +126,7 @@ func TestCheckedInCol4Files(t *testing.T) {
 		if !bytes.Equal(prevColumnsPayload(t, old), payload) {
 			t.Errorf("%s is not what the previous version's writer writes for its columns", name)
 		}
-		cur, err := old.encodeEnveloped(nil)
+		cur, err := old.encodeEnveloped()
 		if err != nil {
 			t.Fatal(err)
 		}

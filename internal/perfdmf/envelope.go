@@ -42,9 +42,6 @@ const (
 	envelopeLenTag  = " len="
 	// envelopeLenDigits bounds the decimal length: what fits an int64.
 	envelopeLenDigits = 18
-	// envelopeTrailerMax bounds a trailer: 8 hex digits, the length and the
-	// newline after the fixed part.
-	envelopeTrailerMax = len(envelopeTrailer) + 8 + len(envelopeLenTag) + envelopeLenDigits + 1
 )
 
 var envelopeTable = crc32.MakeTable(crc32.Castagnoli)
@@ -131,24 +128,29 @@ func decodeEnvelope(data []byte) (payload []byte, err error) {
 // EncodeTrial renders a trial in its encoded form: the columnar payload
 // inside the checksummed envelope. The encoding is canonical — equal trials
 // give equal bytes — so stored files, hint bodies and wire bodies of one
-// trial are interchangeable.
+// trial are interchangeable. It is written straight from the trial's rows
+// into a reused buffer and returned in one allocation of its exact size.
 func EncodeTrial(t *Trial) ([]byte, error) {
-	c, err := ColumnsFromTrial(t)
+	h, rows, err := trialRows(t)
 	if err != nil {
 		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
-	return c.encodeEnveloped(nil)
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.trial(envelopeMagic, h, rows); err != nil {
+		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
+	}
+	return exactCopy(e.seal()), nil
 }
 
-// encodeEnveloped is EncodeTrial for a trial already pivoted: magic, payload
-// and trailer in the one buffer the payload is sized for, buf if it is large
-// enough.
-func (c *Columns) encodeEnveloped(buf []byte) ([]byte, error) {
-	buf, err := c.encode(buf, envelopeMagic, envelopeTrailerMax)
-	if err != nil {
+// encodeEnveloped is EncodeTrial for a trial already pivoted.
+func (c *Columns) encodeEnveloped() ([]byte, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.columns(envelopeMagic, c); err != nil {
 		return nil, fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
-	return appendEnvelopeTrailer(buf, buf[len(envelopeMagic):]), nil
+	return exactCopy(e.seal()), nil
 }
 
 // decodeColumns is DecodeTrial for the repository, which keeps trials

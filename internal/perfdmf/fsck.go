@@ -161,7 +161,7 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
 		return
 	}
-	enc, err := c.encodeEnveloped(nil)
+	enc, err := c.encodeEnveloped()
 	if err == nil {
 		if err = r.persist(c.App, c.Experiment, c.Name, enc); err != nil {
 			r.noteWriteError(err)

@@ -38,13 +38,17 @@ const readOnlyAfterENOSPC = 2
 // hierarchy. A repository may be purely in-memory (root == "") or backed by
 // a directory tree with one file per trial, root/<app>/<experiment>/<trial>.json
 // (the names percent-escaped, the contents EncodeTrial's output whatever the
-// extension says); file-backed repositories keep an in-memory cache of
-// everything loaded or saved.
+// extension says); file-backed repositories keep an in-memory cache of the
+// trials they have read.
 //
-// A trial is resident in one form, the Columns it was encoded from or
-// decoded to: Save pivots the caller's trial once, encodes those columns and
-// caches them; SaveEncoded checks, re-encodes and caches the columns it
-// decoded and builds no Trial at all; a cold read caches what it decoded.
+// A trial is resident in one form, the Columns it was decoded to or, in an
+// in-memory repository, pivoted to: there the cache is the store, so Save
+// pivots the caller's trial once and caches the columns, and SaveEncoded
+// caches the columns it decoded. On a file-backed repository reads fill the
+// cache and writes only empty it: Save writes the trial's encoding straight
+// from its rows, SaveEncoded writes the body it checked, and both, like
+// Delete, drop the cached copy; a cold read caches what it decoded.
+//
 // Cached columns are immutable — nothing writes to them once they are in
 // the map, not even their lazily built lookup tables — so any number of
 // readers share them without a lock, and GetTrial materializes a private
@@ -57,10 +61,9 @@ const readOnlyAfterENOSPC = 2
 //     columnar payload in a checksummed envelope, see envelope.go), first to
 //     a temp file that is fsynced, then atomically renamed into place, then
 //     the parent directory is fsynced — so after a crash every trial file
-//     is bytewise either its old or its new version, never a blend. The
-//     in-memory cache is updated only after the bytes are durable, so a
-//     failed save never makes GetTrial serve data that would vanish on
-//     restart.
+//     is bytewise either its old or its new version, never a blend. A
+//     write drops the trial's cached copy and only a read of the file fills
+//     it again, so GetTrial never serves data that would vanish on restart.
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
 //     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
@@ -86,11 +89,14 @@ const readOnlyAfterENOSPC = 2
 //
 // Repository is safe for concurrent use.
 type Repository struct {
-	mu    sync.RWMutex
-	root  string
-	fsys  vfs.FS
-	cache map[string]*Columns // key: app/experiment/trial; values satisfy isPivot and are never written again
-	// gen counts Saves and Deletes. A cold read decodes its file outside
+	mu   sync.RWMutex
+	root string
+	fsys vfs.FS
+	// cache holds, by key(app, experiment, trial), every trial an in-memory
+	// repository stores, and the trials a file-backed one has read since
+	// their last write. Values satisfy isPivot and are never written again.
+	cache map[string]*Columns
+	// gen counts writes and Deletes. A cold read decodes its file outside
 	// mu; it caches the result only if gen has not moved since it looked.
 	gen uint64
 
@@ -198,49 +204,45 @@ func (r *Repository) path(app, experiment, trial string) string {
 func (r *Repository) ReadOnly() bool { return r.readOnly.Load() }
 
 // Save stores the trial (validating first) and persists it when the
-// repository is file-backed. The repository keeps the trial's columns, which
-// share nothing with t, so mutating t after Save does not affect what later
+// repository is file-backed. The repository keeps nothing that shares
+// memory with t, so mutating t after Save does not affect what later
 // GetTrial calls observe.
 //
-// Persistence is crash-safe (temp file + fsync + atomic rename + directory
-// fsync) and the cache is only updated after the bytes are durable: a
-// failed save leaves GetTrial serving the previous version, never a trial
-// that would vanish on restart.
+// A file-backed Save writes the trial's encoding straight from its rows
+// (EncodeTrial's bytes, into a buffer reused from one save to the next),
+// crash-safely (temp file + fsync + atomic rename + directory fsync), and
+// drops any cached copy: the next GetTrial reads the file. An in-memory
+// Save pivots the trial into the columns it keeps.
 func (r *Repository) Save(t *Trial) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	c, err := ColumnsFromTrial(t)
+	if r.root == "" {
+		c, err := ColumnsFromTrial(t)
+		if err != nil {
+			return err
+		}
+		return r.store(c, nil)
+	}
+	h, rows, err := trialRows(t)
 	if err != nil {
 		return err
 	}
-	var data []byte
-	if r.root != "" {
-		buf, _ := saveBufs.Get().(*[]byte)
-		if buf == nil {
-			buf = new([]byte)
-		}
-		defer saveBufs.Put(buf)
-		if data, err = c.encodeEnveloped(*buf); err != nil {
-			return err
-		}
-		*buf = data
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.trial(envelopeMagic, h, rows); err != nil {
+		return fmt.Errorf("perfdmf: encode trial: %w", err)
 	}
-	return r.store(c, data)
+	return r.store(h, e.seal())
 }
-
-// saveBufs holds the buffers Save encodes into. Save drops a trial's
-// encoding once it is persisted, so the next Save writes into the same
-// memory instead of clearing a fresh allocation that the collector then
-// frees.
-var saveBufs sync.Pool
 
 // Stored describes a trial SaveEncoded has stored: what an upload is
 // answered with, and the bytes a hint for it carries.
 type Stored struct {
 	App, Experiment, Name    string
 	Threads, Events, Metrics int
-	// Encoded is the trial's canonical encoding, as written.
+	// Encoded is the trial's canonical encoding, as written: the body given
+	// to SaveEncoded itself unless that was a %PDMFCOL4 encoding.
 	Encoded []byte
 }
 
@@ -254,7 +256,10 @@ type Stored struct {
 // which passes the same checks and is stored as its re-encoding; trial JSON,
 // bare or in the envelope, is not an encoded trial. Rejected input wraps
 // ErrCorrupt and leaves the repository untouched. No Trial is built: the
-// decoded columns are what is checked, encoded and cached.
+// decoded columns are what is checked and encoded, and what an in-memory
+// repository keeps; a file-backed one writes data itself and caches nothing.
+// A canonical data is returned as Stored.Encoded, not copied: the caller
+// must not modify it afterwards.
 func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, err error) {
 	_, sp := obs.StartSpan(ctx, "perfdmf.save")
 	defer func() {
@@ -274,27 +279,45 @@ func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, e
 	sp.SetAttr("trial", c.Name)
 	// isPivot shows the columns are how the encoder pivots this trial, equal
 	// bytes that the body is how it writes those columns.
-	var canon []byte
 	canonical := c.isPivot()
-	if canonical {
-		if canon, err = c.encodeEnveloped(nil); err != nil {
+	switch {
+	case !canonical:
+	case isColumnarPrev(payload):
+		if data, err = c.encodeEnveloped(); err != nil {
 			return Stored{}, err
 		}
-		canonical = bytes.Equal(canon, data) || isColumnarPrev(payload)
+	default:
+		if canonical, err = encodesTo(c, data); err != nil {
+			return Stored{}, err
+		}
 	}
 	if !canonical {
 		return Stored{}, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)
 	}
 	st = Stored{App: c.App, Experiment: c.Experiment, Name: c.Name,
-		Threads: c.Threads, Events: len(c.EventNames), Metrics: len(c.Metrics), Encoded: canon}
-	if err := r.store(c, canon); err != nil {
+		Threads: c.Threads, Events: len(c.EventNames), Metrics: len(c.Metrics), Encoded: data}
+	if err := r.store(c, data); err != nil {
 		return Stored{}, err
 	}
 	return st, nil
 }
 
-// store persists data, the encoded form of c (unused when in-memory), and
-// then caches c, which the caller must not touch again.
+// encodesTo reports whether data is the encoding of c, which it writes into
+// a pooled encoder to compare.
+func encodesTo(c *Columns, data []byte) (bool, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.columns(envelopeMagic, c); err != nil {
+		return false, fmt.Errorf("perfdmf: encode trial: %w", err)
+	}
+	return bytes.Equal(e.seal(), data), nil
+}
+
+// store keeps a trial: an in-memory repository caches c, its columns, which
+// the caller must not touch again; a file-backed one persists data, its
+// encoded form, and drops any cached copy — on a file-backed repository
+// reads fill the cache and writes only empty it. Only c's coordinates are
+// read then.
 func (r *Repository) store(c *Columns, data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,16 +330,15 @@ func (r *Repository) store(c *Columns, data []byte) error {
 	if r.readOnly.Load() {
 		return fmt.Errorf("perfdmf: save trial %q/%q/%q: %w", c.App, c.Experiment, c.Name, ErrReadOnly)
 	}
+	// Whether persist fails or not, the cached copy is no longer the trial
+	// on disk (a failed rename or directory sync leaves the disk uncertain):
+	// reads fall back to the disk, the source of truth.
+	delete(r.cache, k)
 	if err := r.persist(c.App, c.Experiment, c.Name, data); err != nil {
-		// The on-disk state is now uncertain (the rename may or may not
-		// have happened before a directory-sync failure), so drop any
-		// cached copy: reads fall back to the disk, the source of truth.
-		delete(r.cache, k)
 		r.noteWriteError(err)
 		return err
 	}
 	r.enospcStreak.Store(0)
-	r.cache[k] = c
 	return nil
 }
 
@@ -430,7 +452,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		if !ok {
 			return fail(ErrNotFound)
 		}
-		return c.encodeEnveloped(nil)
+		return c.encodeEnveloped()
 	}
 	data, p, err := r.readStored(app, experiment, trial)
 	if err != nil {
@@ -462,7 +484,7 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		r.quarantine(p)
 		return fail(err)
 	}
-	return c.encodeEnveloped(nil)
+	return c.encodeEnveloped()
 }
 
 // readStored reads the file at the path of a trial's coordinates.

@@ -17,8 +17,9 @@ import (
 	"perfknow/internal/vfs"
 )
 
-// The repository keeps every trial as the columns it encoded. These tests
-// pin what that must not change: the trial GetTrial hands out is the one
+// The repository keeps the trials it holds in memory as columns: everything an
+// in-memory repository stored, what a file-backed one read. These tests pin
+// what that must not change: the trial GetTrial hands out is the one
 // Trial.Clone used to produce, nothing the caller holds aliases the cache,
 // the bytes written are the ones written before, SaveEncoded's canonical
 // check on columns accepts exactly what re-encoding the trial accepted, and
@@ -95,7 +96,7 @@ func sameAsClone(t *testing.T, what string, got, saved *Trial) {
 
 // What GetTrial returns is what it returned when the cache held a Clone and
 // handed out a Clone of that: for in-memory and file-backed repositories,
-// stored by Save and by SaveEncoded, served from the cache and read cold.
+// stored by Save and by SaveEncoded, read cold and served from the cache.
 func TestGetTrialMatchesClone(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	dir := t.TempDir()
@@ -124,7 +125,7 @@ func TestGetTrialMatchesClone(t *testing.T) {
 			what string
 			repo *Repository
 		}{
-			{"in-memory", mem}, {"file-backed warm", disk}, {"SaveEncoded", viaEncoded},
+			{"in-memory", mem}, {"file-backed after Save", disk}, {"SaveEncoded", viaEncoded},
 			{"file-backed cold", cold}, {"file-backed after the cold read", cold},
 		} {
 			got, err := c.repo.GetTrial(tr.App, tr.Experiment, tr.Name)
@@ -215,7 +216,7 @@ func TestIsPivotMatchesReencoding(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: decoded columns hold an invalid trial: %v", what, err)
 		}
-		direct, err := d.encodeEnveloped(nil)
+		direct, err := d.encodeEnveloped()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
