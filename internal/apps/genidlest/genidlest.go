@@ -506,19 +506,25 @@ func (st *runState) exchange() {
 
 // timestep runs one outer iteration: diffusion coefficients, then the
 // BiCGSTAB solver sweeps with preconditioning, the ghost-cell boundary
-// update after every sweep, and the solver's dot-product reductions.
+// update after every sweep, and the solver's dot-product reductions. The
+// sweeps all do the same work, so the engine runs them under Repeat; the
+// timesteps stay a plain loop, because the first one first-touches the
+// exchange buffers.
 func (st *runState) timestep() {
 	st.computePhase(EventDiffCoeff)
 	st.exchange()
-	for it := 0; it < st.cfg.InnerIters; it++ {
-		st.computePhase(EventMatxvec)
-		st.computePhase(EventPC)
-		st.computePhase(EventPCJacGlb)
-		st.computePhase(EventBicgstab)
-		st.exchange()
-		if st.cfg.Mode == MPI || st.cfg.Mode == Hybrid {
-			st.eng.AllReduce(16) // two dot products per sweep
-		}
+	st.eng.Repeat(st.cfg.InnerIters, st.sweep)
+}
+
+// sweep is one BiCGSTAB solver sweep.
+func (st *runState) sweep() {
+	st.computePhase(EventMatxvec)
+	st.computePhase(EventPC)
+	st.computePhase(EventPCJacGlb)
+	st.computePhase(EventBicgstab)
+	st.exchange()
+	if st.cfg.Mode == MPI || st.cfg.Mode == Hybrid {
+		st.eng.AllReduce(16) // two dot products per sweep
 	}
 }
 

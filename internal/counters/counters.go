@@ -168,25 +168,6 @@ func (s *Set) Add(other *Set) {
 	}
 }
 
-// Sub subtracts other from s, saturating at zero (counter deltas can never
-// be negative; saturation guards against caller bookkeeping errors).
-func (s *Set) Sub(other *Set) {
-	for i := range s {
-		if s[i] >= other[i] {
-			s[i] -= other[i]
-		} else {
-			s[i] = 0
-		}
-	}
-}
-
-// Delta returns s - base as a new Set.
-func (s *Set) Delta(base *Set) Set {
-	out := *s
-	out.Sub(base)
-	return out
-}
-
 // Get returns the count for id.
 func (s *Set) Get(id ID) uint64 { return s[id] }
 

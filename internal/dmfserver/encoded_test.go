@@ -406,15 +406,11 @@ func wrapEnvelope(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%%PDMF1\n%s\n%%PDMF1 crc32c=%08x len=%d\n", payload, sum, len(payload)))
 }
 
-// columnarCol3 is the %PDMFCOL3 payload of c, the encoding two versions
-// back, written from its documentation: header, a JSON object, then value
-// blocks, cut from c's current encoding. It is refused by name whatever its
+// columnarCol3 is a %PDMFCOL3 payload, the encoding two versions back,
+// written from its documentation: header, a JSON object, then value blocks,
+// cut from the current payload cur. It is refused by name whatever its
 // blocks hold.
-func columnarCol3(header string, c *perfdmf.Columns) []byte {
-	cur, err := c.Encode()
-	if err != nil {
-		panic(err)
-	}
+func columnarCol3(header string, cur []byte) []byte {
 	const at = len("%PDMFCOL5\n")
 	blocks := cur[at+4+int(binary.LittleEndian.Uint32(cur[at:])):]
 	p := binary.LittleEndian.AppendUint32([]byte("%PDMFCOL3\n"), uint32(len(header)))
@@ -538,13 +534,29 @@ func TestHostileEncodedUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevHeader := jsonHeader(cols)
-	col3Payload := columnarCol3(prevHeader, cols)
-	cols.Cols[0].ExcPresent[0] = false // inclusive without exclusive: fails Validate
-	invalid, err := cols.Encode()
+	col3Payload := columnarCol3(prevHeader, payload)
+	// Inclusive without exclusive fails Validate, and the encoders refuse to
+	// write it. The rows do not depend on presence, so the payload is the
+	// valid one with the bit of event 0 cleared in column 0's exclusive
+	// bitmap: the second of the two bytes that clearing the bit in both of
+	// its bitmaps changes.
+	cols.Cols[0].IncPresent[0], cols.Cols[0].ExcPresent[0] = false, false
+	neither, err := cols.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	invalidCol3 := columnarCol3(prevHeader, cols)
+	var bits []int
+	for i := range neither {
+		if i < len(payload) && neither[i] != payload[i] {
+			bits = append(bits, i)
+		}
+	}
+	if len(neither) != len(payload) || len(bits) != 2 {
+		t.Fatalf("clearing two presence bits changed bytes %v of %d (%d before)", bits, len(neither), len(payload))
+	}
+	invalid := append([]byte(nil), payload...)
+	invalid[bits[1]] = neither[bits[1]]
+	invalidCol3 := columnarCol3(prevHeader, invalid)
 	// The encodings before that are refused whatever follows their magic.
 	retired, col2 := as("%PDMFCOL1\n"), as("%PDMFCOL2\n")
 	validV1, validCol2, validCol3 := retired(col3Payload), col2(col3Payload), wrapEnvelope(col3Payload)

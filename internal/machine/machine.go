@@ -118,6 +118,7 @@ func (c Config) Validate() error {
 type Machine struct {
 	cfg     Config
 	regions map[string]*Region
+	moves   uint64 // see Placements
 }
 
 // New builds a Machine from cfg. It panics if cfg is invalid, mirroring the
@@ -131,6 +132,12 @@ func New(cfg Config) *Machine {
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
+
+// Placements counts the changes of page placement on the machine so far: a
+// Touch that homes at least one page, a Place, and an AllocRegion (which
+// hands out unplaced pages under a name). Two equal counts bracket a span in
+// which no page of any region changed its home.
+func (m *Machine) Placements() uint64 { return m.moves }
 
 // CPUs returns the total processor count.
 func (m *Machine) CPUs() int { return m.cfg.Nodes * m.cfg.CPUsPerNode }
@@ -194,7 +201,8 @@ type Region struct {
 	Bytes int64
 	homes []int32 // -1 = unplaced
 	page  int64
-	nodes int // the machine's node count: every placed home is in [0, nodes)
+	nodes int     // the machine's node count: every placed home is in [0, nodes)
+	moves *uint64 // the machine's Placements count
 
 	unplaced int64     // pages still at -1; never rises
 	index    *runIndex // built by the first query of a fully placed region, dropped by Place
@@ -217,11 +225,12 @@ func (m *Machine) AllocRegion(name string, size int64) *Region {
 		panic(fmt.Sprintf("machine: region %q size must be positive, got %d", name, size))
 	}
 	pages := (size + m.cfg.PageBytes - 1) / m.cfg.PageBytes
-	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes, nodes: m.cfg.Nodes, unplaced: pages}
+	r := &Region{Name: name, Bytes: size, homes: make([]int32, pages), page: m.cfg.PageBytes, nodes: m.cfg.Nodes, unplaced: pages, moves: &m.moves}
 	for i := range r.homes {
 		r.homes[i] = -1
 	}
 	m.regions[name] = r
+	m.moves++
 	return r
 }
 
@@ -257,7 +266,10 @@ func (r *Region) Touch(off, length int64, node int) int {
 			placed++
 		}
 	}
-	r.unplaced -= int64(placed)
+	if placed > 0 {
+		r.unplaced -= int64(placed)
+		*r.moves++
+	}
 	return placed
 }
 
@@ -274,6 +286,7 @@ func (r *Region) Place(off, length int64, node int) {
 	}
 	r.index = nil
 	r.places++
+	*r.moves++
 }
 
 // Epoch names a placement that cannot change without the value changing: it

@@ -612,6 +612,14 @@ func (e *encoder) columns(prefix string, c *Columns) error {
 				c.Name, col.Metric)
 		}
 	}
+	for i := range c.Cols {
+		col := &c.Cols[i]
+		for ev := range col.IncPresent {
+			if col.IncPresent[ev] && !col.ExcPresent[ev] {
+				return inclusiveOnly(c, ev, col.Metric)
+			}
+		}
+	}
 	e.start(prefix, c)
 	for lo := 0; lo < block; lo += th {
 		e.appendRow(c.Calls[lo:lo+th], nil)
@@ -686,8 +694,16 @@ func (e *encoder) trial(prefix string, h *Columns, rows [][]float64) error {
 	if err := h.encodable(); err != nil {
 		return err
 	}
-	e.start(prefix, h)
 	nEv := len(h.EventNames)
+	for i := range h.Cols {
+		inc, exc := rows[(1+2*i)*nEv:(2+2*i)*nEv], rows[(2+2*i)*nEv:(3+2*i)*nEv]
+		for ev := range inc {
+			if inc[ev] != nil && exc[ev] == nil {
+				return inclusiveOnly(h, ev, h.Cols[i].Metric)
+			}
+		}
+	}
+	e.start(prefix, h)
 	for _, row := range rows[:nEv] {
 		e.appendRow(row, nil)
 	}
@@ -703,6 +719,14 @@ func (e *encoder) trial(prefix string, h *Columns, rows [][]float64) error {
 		}
 	}
 	return nil
+}
+
+// inclusiveOnly is the error of both front ends for a column with
+// inclusive data but no exclusive data on an event: the decoder calls such
+// a payload corrupt, so neither writes one.
+func inclusiveOnly(c *Columns, ev int, metric string) error {
+	return fmt.Errorf("perfdmf: encode columnar %q: event %q metric %q has inclusive but no exclusive data",
+		c.Name, c.EventNames[ev], metric)
 }
 
 // seal appends the envelope trailer to a payload written behind

@@ -147,7 +147,8 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 			tr.Events[2].Inclusive["EXTRA"] = []float64{1}
 			tr.Events[2].Exclusive["EXTRA"] = []float64{1, 2}
 		},
-		// The pivot encodes this one (the decoder refuses it); Save refuses it.
+		// Both encoders refuse this one, which the decoder would call
+		// corrupt; Save's error is Validate's, which it meets first.
 		"inclusive without exclusive": func(tr *Trial) { tr.Events[1].Inclusive["EXTRA"] = []float64{1, 2} },
 		"a bad length before a duplicate": func(tr *Trial) {
 			tr.Events[1].Exclusive[TimeMetric] = []float64{1}
@@ -195,6 +196,34 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 	}
 }
 
+// Neither encoder writes a column with inclusive data but no exclusive data
+// on an event, which DecodeTrial would refuse as corrupt: EncodeTrial and
+// Columns.Encode refuse it before writing, naming the event and the metric.
+func TestEncodersRefuseInclusiveWithoutExclusive(t *testing.T) {
+	tr := NewTrial("a", "e", "t", 2)
+	tr.AddMetric(TimeMetric)
+	for _, name := range []string{"main", "loop"} {
+		e := tr.EnsureEvent(name)
+		e.Calls[0], e.Calls[1] = 1, 1
+	}
+	tr.Events[1].Inclusive["EXTRA"] = []float64{1, 2}
+	want := `perfdmf: encode columnar "t": event "loop" metric "EXTRA" has inclusive but no exclusive data`
+	if enc, err := EncodeTrial(tr); errText(err) != "perfdmf: encode trial: "+want {
+		_, decErr := DecodeTrial(enc)
+		t.Errorf("EncodeTrial = %q (decoding its bytes: %v), want %q", errText(err), decErr, want)
+	}
+	c, err := ColumnsFromTrial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Encode(); errText(err) != want {
+		t.Errorf("Columns.Encode = %q, want %q", errText(err), want)
+	}
+	if err, valid := mustOpen(t, t.TempDir()).Save(tr), tr.Validate(); errText(err) != errText(valid) {
+		t.Errorf("Save = %q, want Validate's %q", errText(err), errText(valid))
+	}
+}
+
 // A trial whose value blocks would decode past maxDecodedBytes is refused
 // by EncodeTrial and Save with the encoder's error, before anything is
 // sized by it: every row of it is one slice, so it holds 512 KiB while the
@@ -230,11 +259,12 @@ func TestTrialFrontEndRefusesOverBoundBeforeSizing(t *testing.T) {
 	}
 }
 
-// FuzzEncodeTrial holds EncodeTrial to the pivot on generated trials whose
-// values the fuzzer writes: data is read as 8-byte bit patterns, laid over
-// the trial's rows in order (calls, then each metric's inclusive and
-// exclusive rows), every value zeroed below its top keep bytes so the
-// narrow widths and integer rows are reached.
+// FuzzEncodeTrial holds EncodeTrial to the pivot, and DecodeTrial to
+// reading whatever EncodeTrial writes, on generated trials whose values the
+// fuzzer writes: data is read as 8-byte bit patterns, laid over the trial's
+// rows in order (calls, then each metric's inclusive and exclusive rows),
+// every value zeroed below its top keep bytes so the narrow widths and
+// integer rows are reached.
 func FuzzEncodeTrial(f *testing.F) {
 	var seed []byte
 	for _, b := range packedRowEdgeValues {
@@ -274,6 +304,12 @@ func FuzzEncodeTrial(f *testing.F) {
 			}
 		}
 		checkTrialFrontEnd(t, "fuzzed trial", tr)
+		// What the encoder writes, the decoder reads.
+		if enc, err := EncodeTrial(tr); err == nil {
+			if _, err := DecodeTrial(enc); err != nil {
+				t.Fatalf("DecodeTrial refuses what EncodeTrial wrote: %v", err)
+			}
+		}
 	})
 }
 

@@ -128,15 +128,20 @@ func (t *Trial) EnsureEvent(name string) *Event {
 	if e := t.index[name]; e != nil {
 		return e
 	}
+	// Calls and every metric's two rows are cut from one block, each capped
+	// at its own end so that an append to one cannot run into the next.
+	th, nm := t.Threads, len(t.Metrics)
+	rows := make([]float64, (1+2*nm)*th)
 	e := &Event{
 		Name:      name,
-		Calls:     make([]float64, t.Threads),
-		Inclusive: make(map[string][]float64),
-		Exclusive: make(map[string][]float64),
+		Calls:     rows[:th:th],
+		Inclusive: make(map[string][]float64, nm),
+		Exclusive: make(map[string][]float64, nm),
 	}
-	for _, m := range t.Metrics {
-		e.Inclusive[m] = make([]float64, t.Threads)
-		e.Exclusive[m] = make([]float64, t.Threads)
+	for i, m := range t.Metrics {
+		inc := rows[(1+2*i)*th:]
+		e.Inclusive[m] = inc[:th:th]
+		e.Exclusive[m] = inc[th : 2*th : 2*th]
 	}
 	t.Events = append(t.Events, e)
 	t.index[name] = e

@@ -67,6 +67,57 @@ func TestTrialBasics(t *testing.T) {
 	}
 }
 
+// EnsureEvent cuts an event's calls and rows from one block: a write to one
+// row, or an append to it, leaves every other row as it was, and making an
+// event takes no more allocations with a hundred metrics than with ten.
+func TestEnsureEventRowsAreApart(t *testing.T) {
+	tr := NewTrial("a", "e", "t", 3)
+	for _, m := range []string{TimeMetric, "A", "B"} {
+		tr.AddMetric(m)
+	}
+	e := tr.EnsureEvent("main")
+	rows := [][]float64{e.Calls}
+	for _, m := range tr.Metrics {
+		rows = append(rows, e.Inclusive[m], e.Exclusive[m])
+	}
+	for i, row := range rows {
+		if len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("row %d has length %d and capacity %d, want 3 and 3", i, len(row), cap(row))
+		}
+	}
+	for i, row := range rows {
+		row[2] = float64(i + 1)
+		grown := append(row, -1)
+		grown[0] = -1
+	}
+	for i, row := range rows {
+		if want := []float64{0, 0, float64(i + 1)}; fmt.Sprint(row) != fmt.Sprint(want) {
+			t.Errorf("row %d is %v after every row was written and appended to, want %v", i, row, want)
+		}
+	}
+
+	// The maps' own layout changes with their size (a map of up to eight
+	// entries is one group), so ten metrics is the baseline, not one.
+	allocs := func(metrics int) float64 {
+		tr := NewTrial("a", "e", "t", 4)
+		for m := 0; m < metrics; m++ {
+			tr.AddMetric(fmt.Sprintf("M%d", m))
+		}
+		names := make([]string, 101)
+		for i := range names {
+			names[i] = fmt.Sprintf("e%d", i)
+		}
+		n := 0
+		return testing.AllocsPerRun(100, func() {
+			tr.EnsureEvent(names[n])
+			n++
+		})
+	}
+	if ten, hundred := allocs(10), allocs(100); hundred > ten {
+		t.Errorf("EnsureEvent allocated %v times with ten metrics, %v with a hundred", ten, hundred)
+	}
+}
+
 func TestCallpathHelpers(t *testing.T) {
 	tr := makeTrial()
 	cp := tr.Event("main => bicgstab")

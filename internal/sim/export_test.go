@@ -12,3 +12,9 @@ func (e *Engine) BypassMemo() { e.memoOff = true }
 
 // Priced returns how many kernels the engine has priced.
 func (e *Engine) Priced() uint64 { return e.priced }
+
+// BypassRepeat makes Repeat run every sweep.
+func (e *Engine) BypassRepeat() { e.rep.off = true }
+
+// Replayed returns how many sweeps Repeat charged without running them.
+func (e *Engine) Replayed() uint64 { return e.rep.replayed }

@@ -16,7 +16,7 @@ const (
 	memoBits    = 11
 	memoSlots   = 1 << memoBits // open-addressed index into the kept charges
 	memoEntries = memoSlots / 2 // charges kept; the index stays at most half full
-	memoBlock   = 64            // charges per allocation
+	memoBlock   = 16            // charges per allocation
 
 	// A program whose kernels are all different (MSAP: one per sequence)
 	// would pay for keeping each and never be paid back. After memoDry

@@ -45,15 +45,18 @@ func appRuns() map[string]func() (*perfdmf.Trial, error) {
 	return runs
 }
 
-// simulate runs one application, with the memo of every engine it builds
-// bypassed if asked, and returns the encoded trial and how many kernels those
-// engines priced.
-func simulate(t *testing.T, name string, run func() (*perfdmf.Trial, error), bypass bool) (enc []byte, priced uint64) {
+// simulate runs one application, with the memo and the repeated-sweep replay
+// of every engine it builds bypassed if asked — the plain engine, which
+// prices every kernel execution of every sweep — and returns the encoded
+// trial, how many kernels those engines priced and how many sweeps they
+// charged without running them.
+func simulate(t *testing.T, name string, run func() (*perfdmf.Trial, error), bypass bool) (enc []byte, priced, replayed uint64) {
 	t.Helper()
 	var engines []*sim.Engine
 	sim.OnNewEngine(func(e *sim.Engine) {
 		if bypass {
 			e.BypassMemo()
+			e.BypassRepeat()
 		}
 		engines = append(engines, e)
 	})
@@ -67,8 +70,9 @@ func simulate(t *testing.T, name string, run func() (*perfdmf.Trial, error), byp
 	}
 	for _, e := range engines {
 		priced += e.Priced()
+		replayed += e.Replayed()
 	}
-	return enc, priced
+	return enc, priced, replayed
 }
 
 func TestMemoLeavesPinnedRunsByteIdentical(t *testing.T) {
@@ -76,17 +80,24 @@ func TestMemoLeavesPinnedRunsByteIdentical(t *testing.T) {
 	if len(runs) != 42 {
 		t.Fatalf("%d runs, TestSimulatorOutputsPinned pins 42", len(runs))
 	}
-	var found uint64
+	var found, replayed uint64
 	for name, run := range runs {
-		with, priced := simulate(t, name, run, false)
-		without, executed := simulate(t, name, run, true)
+		with, priced, skipped := simulate(t, name, run, false)
+		without, executed, none := simulate(t, name, run, true)
 		if !bytes.Equal(with, without) {
-			t.Errorf("%s: the trial differs from the one simulated with every kernel execution priced", name)
+			t.Errorf("%s: the trial differs from the one simulated with every sweep run and every kernel execution priced", name)
+		}
+		if none != 0 {
+			t.Fatalf("%s: the plain engine charged %d sweeps without running them", name, none)
 		}
 		found += executed - priced
+		replayed += skipped
 	}
 	if found == 0 {
 		t.Error("no kernel execution of any run was found in a memo: the two sides are the same simulator")
+	}
+	if replayed == 0 {
+		t.Error("no sweep of any run was replayed: the two sides are the same simulator")
 	}
 }
 
@@ -96,9 +107,22 @@ func TestGenIDLESTPricesEachKernelOnce(t *testing.T) {
 	run := func() (*perfdmf.Trial, error) {
 		return genidlest.Run(machine.Altix(16, 2), genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16))
 	}
-	_, priced := simulate(t, "memoised", run, false)
-	_, executed := simulate(t, "bypassed", run, true)
+	_, priced, _ := simulate(t, "memoised", run, false)
+	_, executed, _ := simulate(t, "bypassed", run, true)
 	if executed != 16442 || priced > 300 {
 		t.Errorf("%d kernels priced for %d executions, want at most 300 for 16442", priced, executed)
+	}
+}
+
+// The same run replays at least 20 of its 3×10 solver sweeps: the
+// differential above compares two simulators, not one with itself.
+func TestRepeatReplaysGenIDLESTSweeps(t *testing.T) {
+	run := func() (*perfdmf.Trial, error) {
+		return genidlest.Run(machine.Altix(16, 2), genidlest.DefaultConfig(genidlest.Rib90(), genidlest.OpenMP, 16))
+	}
+	_, _, replayed := simulate(t, "shipped", run, false)
+	t.Logf("%d of 30 sweeps replayed", replayed)
+	if replayed < 20 {
+		t.Errorf("%d of 30 sweeps replayed, want at least 20", replayed)
 	}
 }

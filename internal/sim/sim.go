@@ -62,6 +62,8 @@ type Engine struct {
 	memo    chargeMemo // charges of kernels already priced, see memo.go
 	memoOff bool       // price every execution; only tests set it
 	priced  uint64     // kernels priced so far; tests read it, nothing exports it
+
+	rep repetition // the sweeps of a Repeat, see repeat.go
 }
 
 // newEngineHook, when a test of this package sets it, sees every engine

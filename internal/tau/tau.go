@@ -25,7 +25,8 @@ type Options struct {
 	CallpathDepth int     // 0 = flat profile only; n>0 records callpaths up to n frames
 }
 
-// Profiler owns one ThreadProfile per thread.
+// Profiler owns one ThreadProfile per thread. A Profiler and its
+// ThreadProfiles belong to one goroutine, as the engine driving them does.
 type Profiler struct {
 	opts    Options
 	threads []*ThreadProfile
@@ -40,8 +41,9 @@ func NewProfiler(opts Options) *Profiler {
 		panic(fmt.Sprintf("tau: ClockHz must be positive, got %g", opts.ClockHz))
 	}
 	p := &Profiler{opts: opts, threads: make([]*ThreadProfile, opts.Threads)}
+	sp := new(spare)
 	for i := range p.threads {
-		p.threads[i] = &ThreadProfile{id: i, callpathDepth: opts.CallpathDepth, accums: make(map[string]*accum)}
+		p.threads[i] = &ThreadProfile{id: i, callpathDepth: opts.CallpathDepth, accums: make(map[string]*accum), spare: sp}
 	}
 	return p
 }
@@ -57,8 +59,8 @@ func (p *Profiler) Thread(id int) *ThreadProfile {
 // Threads returns the thread count.
 func (p *Profiler) Threads() int { return len(p.threads) }
 
-// accum is the running total for one event on one thread.
-type accum struct {
+// totals is what one event has been charged on one thread.
+type totals struct {
 	calls   uint64
 	inclCyc uint64
 	exclCyc uint64
@@ -66,9 +68,27 @@ type accum struct {
 	excl    counters.Set
 }
 
+// accum is the running total for one event on one thread.
+type accum struct {
+	totals
+	step uint64     // the last step that charged it, see step.go
+	gain *[2]totals // what the steps charged it, made when a step first does
+}
+
+// context is one calling context of a thread: an event entered under the
+// chain of frames open at the time. It keeps the callpath name and, once
+// they are charged, the totals of the event and of the callpath, so Enter
+// builds no name and Leave looks neither up after the first time.
+type context struct {
+	event string
+	path  string // callpath name ("" when not recorded)
+	ev    *accum
+	cp    *accum
+	kids  []*context
+}
+
 type frame struct {
-	event    string
-	path     string // callpath name at this depth ("" when not recorded)
+	ctx      *context
 	enterCyc uint64
 	enter    counters.Set
 	childCyc uint64
@@ -80,29 +100,70 @@ type ThreadProfile struct {
 	id            int
 	callpathDepth int
 	stack         []frame
+	root          context // the contexts entered with no frame open are its kids
 	accums        map[string]*accum
 	order         []string
+
+	rec   *step  // the step being recorded, nil when none is
+	last  *step  // the lists of the steps recorded, kept from one to the next
+	spare *spare // the profiler's
+}
+
+// spare takes the charges Leave makes for a frame that has no callpath name
+// or no parent, so that its one pass over the counters need not test for
+// either. Nothing reads it; the threads of a profiler share one.
+type spare struct {
+	accum
+	frame
+}
+
+// accum returns the running total for name, made on first use.
+func (tp *ThreadProfile) accum(name string) *accum {
+	a := tp.accums[name]
+	if a == nil {
+		a = &accum{}
+		tp.accums[name] = a
+		tp.order = append(tp.order, name)
+	}
+	return a
 }
 
 // Enter pushes an instrumented region. clock and cs are the thread's current
 // virtual cycle count and counter sample; cs is copied, not retained.
 func (tp *ThreadProfile) Enter(event string, clock uint64, cs *counters.Set) {
+	parent := &tp.root
+	if len(tp.stack) > 0 {
+		parent = tp.stack[len(tp.stack)-1].ctx
+	}
+	tp.stack = append(tp.stack, frame{ctx: tp.kid(parent, event), enterCyc: clock, enter: *cs})
+}
+
+// kid returns the context of event entered under parent, made on first use.
+// Only its position tells one context from another, so a parent has few.
+func (tp *ThreadProfile) kid(parent *context, event string) *context {
+	for _, k := range parent.kids {
+		if k.event == event {
+			return k
+		}
+	}
 	path := ""
-	if tp.callpathDepth > 0 && len(tp.stack) > 0 && len(tp.stack) < tp.callpathDepth {
-		parent := &tp.stack[len(tp.stack)-1]
+	if depth := len(tp.stack); tp.callpathDepth > 0 && depth > 0 && depth < tp.callpathDepth {
 		prefix := parent.path
 		if prefix == "" {
 			prefix = parent.event
 		}
 		path = prefix + perfdmf.CallpathSeparator + event
 	}
-	tp.stack = append(tp.stack, frame{event: event, path: path, enterCyc: clock, enter: *cs})
+	k := &context{event: event, path: path}
+	parent.kids = append(parent.kids, k)
+	return k
 }
 
 // Leave pops the current region, checking that it matches event, and charges
 // the measured deltas: inclusive to the event, inclusive-minus-children to
 // the event's exclusive, and the inclusive total to the parent's child
-// accumulator.
+// accumulator. A counter's inclusive delta saturates at zero, and so does
+// its exclusive one.
 func (tp *ThreadProfile) Leave(event string, clock uint64, cs *counters.Set) {
 	if len(tp.stack) == 0 {
 		panic(fmt.Sprintf("tau: thread %d: Leave(%q) with empty timer stack", tp.id, event))
@@ -110,48 +171,85 @@ func (tp *ThreadProfile) Leave(event string, clock uint64, cs *counters.Set) {
 	// f stays valid after the pop: nothing is pushed before Leave returns.
 	f := &tp.stack[len(tp.stack)-1]
 	tp.stack = tp.stack[:len(tp.stack)-1]
-	if f.event != event {
-		panic(fmt.Sprintf("tau: thread %d: Leave(%q) does not match open region %q", tp.id, event, f.event))
+	c := f.ctx
+	if c.event != event {
+		panic(fmt.Sprintf("tau: thread %d: Leave(%q) does not match open region %q", tp.id, event, c.event))
 	}
 	if clock < f.enterCyc {
 		panic(fmt.Sprintf("tau: thread %d: clock moved backwards in %q (%d < %d)", tp.id, event, clock, f.enterCyc))
 	}
 	inclCyc := clock - f.enterCyc
-	incl := cs.Delta(&f.enter)
+	exclCyc := inclCyc - min(f.childCyc, inclCyc)
 
-	tp.charge(f.event, inclCyc, &incl, f.childCyc, &f.child)
-	if f.path != "" {
-		tp.charge(f.path, inclCyc, &incl, f.childCyc, &f.child)
+	if c.ev == nil {
+		c.ev = tp.accum(c.event)
 	}
-
+	a, b, parent := c.ev, &tp.spare.accum, &tp.spare.frame
+	if c.path != "" {
+		if c.cp == nil {
+			c.cp = tp.accum(c.path)
+		}
+		b = c.cp
+	}
 	if len(tp.stack) > 0 {
-		parent := &tp.stack[len(tp.stack)-1]
-		parent.childCyc += inclCyc
-		parent.child.Add(&incl)
+		parent = &tp.stack[len(tp.stack)-1]
+	}
+	a.charge(inclCyc, exclCyc)
+	b.charge(inclCyc, exclCyc)
+	parent.childCyc += inclCyc
+
+	// One pass over the counters charges the event, its callpath and the
+	// parent and, while a step is recorded, the step's gains of the first two.
+	r := tp.rec
+	if r == nil {
+		for i := range cs {
+			in := sub(cs[i], f.enter[i])
+			ex := sub(in, f.child[i])
+			a.incl[i] += in
+			a.excl[i] += ex
+			b.incl[i] += in
+			b.excl[i] += ex
+			parent.child[i] += in
+		}
+		return
+	}
+	if len(tp.stack) < r.base {
+		r.spoiled = true
+	}
+	ga, gb := r.gain(a), &tp.spare.totals
+	if b != &tp.spare.accum {
+		gb = r.gain(b)
+	}
+	ga.charge(inclCyc, exclCyc)
+	gb.charge(inclCyc, exclCyc)
+	for i := range cs {
+		in := sub(cs[i], f.enter[i])
+		ex := sub(in, f.child[i])
+		a.incl[i] += in
+		a.excl[i] += ex
+		b.incl[i] += in
+		b.excl[i] += ex
+		parent.child[i] += in
+		ga.incl[i] += in
+		ga.excl[i] += ex
+		gb.incl[i] += in
+		gb.excl[i] += ex
 	}
 }
 
-func (tp *ThreadProfile) charge(name string, inclCyc uint64, incl *counters.Set, childCyc uint64, child *counters.Set) {
-	a := tp.accums[name]
-	if a == nil {
-		a = &accum{}
-		tp.accums[name] = a
-		tp.order = append(tp.order, name)
-	}
-	a.calls++
-	a.inclCyc += inclCyc
-	a.incl.Add(incl)
-	excl := incl.Delta(child)
-	exclCyc := inclCyc - minU64(childCyc, inclCyc)
-	a.exclCyc += exclCyc
-	a.excl.Add(&excl)
+// charge counts one call of inclCyc cycles, exclCyc of them exclusive.
+func (t *totals) charge(inclCyc, exclCyc uint64) {
+	t.calls++
+	t.inclCyc += inclCyc
+	t.exclCyc += exclCyc
 }
 
-func minU64(a, b uint64) uint64 {
+// sub is a - b, or 0 where b is larger.
+func sub(a, b uint64) uint64 {
 	if a < b {
-		return a
+		return 0
 	}
-	return b
+	return a - b
 }
 
 // InclusiveCycles returns the inclusive cycle total recorded for an event on
@@ -184,17 +282,18 @@ func (tp *ThreadProfile) Calls(event string) uint64 {
 // engine uses this to attribute runtime overheads (barrier wait, schedule
 // dispatch, fork/join) to synthetic events such as "omp_barrier".
 func (tp *ThreadProfile) AddExclusive(event string, cyc uint64, cs counters.Set) {
-	a := tp.accums[event]
-	if a == nil {
-		a = &accum{}
-		tp.accums[event] = a
-		tp.order = append(tp.order, event)
-		a.calls = 0
+	a := tp.accum(event)
+	a.addExclusive(cyc, &cs)
+	if r := tp.rec; r != nil {
+		r.gain(a).addExclusive(cyc, &cs)
 	}
-	a.inclCyc += cyc
-	a.exclCyc += cyc
-	a.incl.Add(&cs)
-	a.excl.Add(&cs)
+}
+
+func (t *totals) addExclusive(cyc uint64, cs *counters.Set) {
+	t.inclCyc += cyc
+	t.exclCyc += cyc
+	t.incl.Add(cs)
+	t.excl.Add(cs)
 }
 
 // Trial assembles the per-thread accumulations into a perfdmf.Trial. Every
@@ -206,7 +305,7 @@ func (p *Profiler) Trial(app, experiment, name string) (*perfdmf.Trial, error) {
 		if len(tp.stack) != 0 {
 			open := make([]string, len(tp.stack))
 			for i, f := range tp.stack {
-				open[i] = f.event
+				open[i] = f.ctx.event
 			}
 			return nil, fmt.Errorf("tau: thread %d has open timers at snapshot: %s",
 				tp.id, strings.Join(open, " > "))

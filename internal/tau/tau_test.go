@@ -248,3 +248,42 @@ func TestExclusiveNeverExceedsInclusive(t *testing.T) {
 		}
 	}
 }
+
+// Leave's deltas saturate at zero: a counter that reads lower at Leave than
+// at Enter charges the region nothing inclusive, and one whose children were
+// charged more than the region's own inclusive value charges it nothing
+// exclusive.
+func TestLeaveSaturatesAtZero(t *testing.T) {
+	p := newProf(1)
+	tp := p.Thread(0)
+	var cs counters.Set
+	cs.Inc(counters.FPOps, 100)
+	tp.Enter("outer", 0, &cs)
+	tp.Enter("inner", 0, &cs)
+	cs.Inc(counters.Loads, 50)
+	tp.Leave("inner", 10, &cs) // inner: 50 loads
+	cs = counters.Set{}
+	cs.Inc(counters.FPOps, 40)
+	cs.Inc(counters.Loads, 20)
+	tp.Leave("outer", 20, &cs) // FP_OPS fell by 60; 20 loads inclusive beside inner's 50
+	tr, err := p.Trial("a", "e", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.HasMetric("FP_OPS_RETIRED") {
+		t.Error("FP_OPS_RETIRED, which only fell, was charged")
+	}
+	outer := tr.Event("outer")
+	for _, c := range []struct {
+		row  []float64
+		want float64
+	}{
+		{outer.Inclusive["LOADS_RETIRED"], 20},
+		{outer.Exclusive["LOADS_RETIRED"], 0},
+		{tr.Event("inner").Exclusive["LOADS_RETIRED"], 50},
+	} {
+		if c.row[0] != c.want {
+			t.Errorf("got %v, want %v", c.row[0], c.want)
+		}
+	}
+}
