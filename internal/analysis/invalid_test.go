@@ -52,6 +52,14 @@ func invalidTrials() map[string]*perfdmf.Trial {
 	tr.Events[1].Exclusive[perfdmf.TimeMetric] = []float64{1}
 	out[tr.Name] = tr
 
+	tr = build("short exclusive-only row")
+	tr.Events[1].Exclusive["EXTRA"] = []float64{1}
+	out[tr.Name] = tr
+
+	tr = build("inclusive without exclusive")
+	tr.Events[1].Inclusive["EXTRA"] = []float64{1, 2}
+	out[tr.Name] = tr
+
 	return out
 }
 

@@ -384,7 +384,8 @@ func readBody(r io.Reader, limit int64) ([]byte, error) {
 
 // readTrial decodes a trial response by its Content-Type: the encoded form
 // from a daemon that honours Accept, trial JSON from one that predates it.
-// Any failure is a transport fault to the caller (garbled or cut body) —
+// A JSON trial is validated here; an encoded one decodes only to a trial
+// Validate accepts. Any failure is a transport fault to the caller (garbled or cut body) —
 // in particular a checksum mismatch must not surface as perfdmf.ErrCorrupt,
 // which means "the stored trial is damaged", so the sentinel is dropped.
 func readTrial(resp *http.Response) (*perfdmf.Trial, error) {
@@ -392,6 +393,9 @@ func readTrial(resp *http.Response) (*perfdmf.Trial, error) {
 	if strings.TrimSpace(mt) != dmfwire.TrialContentType {
 		t := &perfdmf.Trial{}
 		if err := json.NewDecoder(resp.Body).Decode(t); err != nil {
+			return nil, err
+		}
+		if err := t.Validate(); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -465,9 +469,6 @@ func (c *Client) saveEncoded(ctx context.Context, t *perfdmf.Trial, hintFor stri
 	if err := requireCoords("save trial", t.App, t.Experiment, t.Name); err != nil {
 		return err
 	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	data, err := perfdmf.EncodeTrial(t)
 	if err != nil {
 		return fmt.Errorf("dmfclient: %w", err)
@@ -498,9 +499,6 @@ func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial str
 	err := c.doCtx(ctx, request{route: dmfwire.GetTrial, args: []string{app, experiment, trial},
 		accept: dmfwire.TrialContentType}, &t)
 	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil

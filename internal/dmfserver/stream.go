@@ -543,9 +543,6 @@ func (s *Server) handleStreamSeal(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		t := st.trial
-		if err := t.Validate(); err != nil {
-			return err
-		}
 		if err := s.repo.SaveContext(ctx, t); err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -156,86 +157,31 @@ func allTrue(n int) []bool {
 	return b
 }
 
-// ColumnsFromTrial pivots a trial into columnar form. The result owns
-// fresh blocks — it shares nothing with t. Column order is deterministic:
-// registered metrics first (in Metrics order), then unregistered metrics
-// found on events, first-seen in event order (sorted within one event).
-// Trials with duplicate event names or per-thread slices of the wrong length
-// are rejected.
+// ColumnsFromTrial pivots a trial into columnar form: what trialRows reads
+// of it, with every row copied into one block allocation. It refuses what
+// trialRows refuses. The result owns fresh blocks — it shares nothing with
+// t. Column order is columnOrder's.
 func ColumnsFromTrial(t *Trial) (*Columns, error) {
-	if t.Threads <= 0 {
-		return nil, fmt.Errorf("perfdmf: trial %q has %d threads", t.Name, t.Threads)
+	c, rows, err := trialRows(t)
+	if err != nil {
+		return nil, err
 	}
-	th := t.Threads
-	nEv := len(t.Events)
-	c := &Columns{
-		App:        t.App,
-		Experiment: t.Experiment,
-		Name:       t.Name,
-		Threads:    th,
-		Metrics:    append([]string(nil), t.Metrics...),
-		EventNames: make([]string, nEv),
-		Groups:     make([][]string, nEv),
-		Calls:      make([]float64, nEv*th),
+	c.Metrics, c.Metadata = append([]string(nil), c.Metrics...), maps.Clone(c.Metadata)
+	for ev, g := range c.Groups {
+		c.Groups[ev] = append([]string(nil), g...) // nil when empty, as Metrics
 	}
-	if t.Metadata != nil {
-		c.Metadata = make(map[string]string, len(t.Metadata))
-		for k, v := range t.Metadata {
-			c.Metadata[k] = v
-		}
+	// Calls and every column's blocks in one allocation, each cut off at its
+	// own end so an append to one cannot run into the next. rows lists the
+	// blocks' rows in that order; an absent row stays zeros.
+	th, n := c.Threads, len(c.EventNames)*c.Threads
+	values := make([]float64, len(rows)*th)
+	for i, row := range rows {
+		copy(values[i*th:], row)
 	}
-	order := columnOrder(t)
-	// Every column's blocks and flags in two allocations, each cut off at its
-	// own end so an append to one cannot run into the next.
-	n := nEv * th
-	values, flags := make([]float64, 2*len(order)*n), make([]bool, 2*len(order)*nEv)
-	c.Cols = make([]MetricColumn, len(order))
-	for i, m := range order {
-		v, f := values[2*i*n:], flags[2*i*nEv:]
-		c.Cols[i] = MetricColumn{
-			Metric:     m,
-			Inc:        v[:n:n],
-			Exc:        v[n : 2*n : 2*n],
-			IncPresent: f[:nEv:nEv],
-			ExcPresent: f[nEv : 2*nEv : 2*nEv],
-		}
-	}
-	seenEv := newStringTable(nEv)
-	for ev, e := range t.Events {
-		// The dictionary requires unique names (Validate does too); other
-		// trials are refused, here and so by every analysis operation.
-		ref, slot := seenEv.find(e.Name)
-		if ref > 0 {
-			return nil, fmt.Errorf("perfdmf: duplicate event %q in trial %q", e.Name, t.Name)
-		}
-		seenEv.add(e.Name, slot)
-		c.EventNames[ev] = e.Name
-		if len(e.Groups) > 0 {
-			c.Groups[ev] = append([]string(nil), e.Groups...)
-		}
-		if len(e.Calls) != th {
-			return nil, fmt.Errorf("perfdmf: event %q has %d call entries, want %d", e.Name, len(e.Calls), th)
-		}
-		copy(c.Calls[ev*th:], e.Calls)
-		for ci := range c.Cols {
-			col := &c.Cols[ci]
-			if vals, ok := e.Inclusive[col.Metric]; ok {
-				if len(vals) != th {
-					return nil, fmt.Errorf("perfdmf: event %q metric %q has %d inclusive entries, want %d",
-						e.Name, col.Metric, len(vals), th)
-				}
-				col.IncPresent[ev] = true
-				copy(col.Inc[ev*th:], vals)
-			}
-			if vals, ok := e.Exclusive[col.Metric]; ok {
-				if len(vals) != th {
-					return nil, fmt.Errorf("perfdmf: event %q metric %q has %d exclusive entries, want %d",
-						e.Name, col.Metric, len(vals), th)
-				}
-				col.ExcPresent[ev] = true
-				copy(col.Exc[ev*th:], vals)
-			}
-		}
+	block := func(b int) []float64 { return values[b*n : (b+1)*n : (b+1)*n] }
+	c.Calls = block(0)
+	for i := range c.Cols {
+		c.Cols[i].Inc, c.Cols[i].Exc = block(1+2*i), block(2+2*i)
 	}
 	return c, nil
 }
@@ -348,7 +294,7 @@ func (c *Columns) Trial() *Trial {
 // event that has them (by name within one event), and rows without presence
 // hold zeros. The decoder guarantees the rest (unique names, inclusive data
 // only beside exclusive). Only such columns encode to the canonical bytes of
-// their trial, and only such columns are cached.
+// their trial, and only such columns are stored.
 func (c *Columns) isPivot() bool {
 	if c.Metrics != nil && len(c.Metrics) == 0 {
 		return false
@@ -573,13 +519,13 @@ func (c *Columns) Encode() ([]byte, error) {
 }
 
 // encoder writes payloads, each row in one pass: its kind picked and its
-// bytes written at once (appendRow). Two front ends feed it the rows:
-// columns, from a Columns' blocks, and trial, straight from a Trial's
-// per-event slices (trialRows). The trial front end writes the bytes
-// ColumnsFromTrial followed by Encode would, without the copy.
+// bytes written at once (appendRow). write is the one writer of a payload's
+// rows: columns cuts them from a Columns' blocks, and a trial's writers hand
+// it trialRows' rows, which share the trial's per-event slices.
 type encoder struct {
 	buf  []byte
-	ints []uint64 // the row appendRow is testing for an offset row, as integers
+	ints []uint64    // the row appendRow is testing for an offset row, as integers
+	rows [][]float64 // the rows columns cuts from the blocks it writes
 }
 
 // encoders holds the encoders every payload is written with. Save drops a
@@ -594,12 +540,14 @@ func exactCopy(b []byte) []byte {
 }
 
 // columns writes prefix and the payload of c into e.buf, replacing what it
-// held.
+// held, once c is encodable, its blocks and flags have the dimensions its
+// dictionary gives and no column has inclusive data without exclusive data
+// on an event.
 func (e *encoder) columns(prefix string, c *Columns) error {
-	nEv, th := len(c.EventNames), c.Threads
 	if err := c.encodable(); err != nil {
 		return err
 	}
+	nEv, th := len(c.EventNames), c.Threads
 	block := nEv * th
 	if len(c.Calls) != block || len(c.Groups) != nEv {
 		return fmt.Errorf("perfdmf: encode columnar %q: inconsistent dimensions", c.Name)
@@ -611,50 +559,57 @@ func (e *encoder) columns(prefix string, c *Columns) error {
 			return fmt.Errorf("perfdmf: encode columnar %q: column %q has inconsistent dimensions",
 				c.Name, col.Metric)
 		}
-	}
-	for i := range c.Cols {
-		col := &c.Cols[i]
-		for ev := range col.IncPresent {
-			if col.IncPresent[ev] && !col.ExcPresent[ev] {
-				return inclusiveOnly(c, ev, col.Metric)
+		for ev, inc := range col.IncPresent {
+			if inc && !col.ExcPresent[ev] {
+				return fmt.Errorf("perfdmf: encode columnar %q: event %q metric %q has inclusive but no exclusive data",
+					c.Name, c.EventNames[ev], col.Metric)
 			}
 		}
 	}
-	e.start(prefix, c)
-	for lo := 0; lo < block; lo += th {
-		e.appendRow(c.Calls[lo:lo+th], nil)
+	e.rows = slices.Grow(e.rows[:0], nEv*(1+2*len(c.Cols)))
+	cut := func(b []float64) {
+		for lo := 0; lo < block; lo += th {
+			e.rows = append(e.rows, b[lo:lo+th])
+		}
 	}
+	cut(c.Calls)
 	for i := range c.Cols {
-		col := &c.Cols[i]
-		e.buf = appendBitmap(e.buf, col.IncPresent)
-		e.buf = appendBitmap(e.buf, col.ExcPresent)
-		for lo := 0; lo < block; lo += th {
-			e.appendRow(col.Inc[lo:lo+th], nil)
-		}
-		for lo := 0; lo < block; lo += th {
-			e.appendRow(col.Exc[lo:lo+th], col.Inc[lo:lo+th])
-		}
+		cut(c.Cols[i].Inc)
+		cut(c.Cols[i].Exc)
 	}
+	e.write(prefix, c, e.rows)
+	clear(e.rows) // the pool keeps no block alive
 	return nil
 }
 
-// trialRows reads from t what the trial front end writes: its header
-// fields and columns, in ColumnsFromTrial's order, into h (no value
-// blocks), and its rows, sharing t's slices, block after block in write
-// order — calls, then per column its inclusive and its exclusive rows — nil
-// where the event has no such metric. It refuses every trial ColumnsFromTrial
-// refuses, with the same error, found in the same order.
+// trialRows is the one reading of a trial and the one check of its shape:
+// Validate is this check, ColumnsFromTrial copies what it reads, and
+// EncodeTrial, MarshalColumnar and a file-backed Save write it. It refuses,
+// in this order, event by event and within one column by column: no
+// threads, a repeated event name, a calls, inclusive or exclusive row
+// without Threads entries, and inclusive data without exclusive data beside
+// it. It reads the header fields and the columns (in columnOrder, each with
+// its presence: whether the event has that row) into h, which holds no
+// value blocks, and the rows into rows, block after block in write order —
+// calls, then per column its inclusive and its exclusive rows — sharing t's
+// slices, nil where the event has no such row.
 func trialRows(t *Trial) (h *Columns, rows [][]float64, err error) {
 	if t.Threads <= 0 {
 		return nil, nil, fmt.Errorf("perfdmf: trial %q has %d threads", t.Name, t.Threads)
 	}
 	th, nEv := t.Threads, len(t.Events)
 	h = &Columns{App: t.App, Experiment: t.Experiment, Name: t.Name, Threads: th, Metrics: t.Metrics,
-		EventNames: make([]string, nEv), Groups: make([][]string, nEv), Metadata: t.Metadata}
-	for _, m := range columnOrder(t) {
-		h.Cols = append(h.Cols, MetricColumn{Metric: m})
+		Groups: make([][]string, nEv), Metadata: t.Metadata}
+	order := columnOrder(t)
+	h.Cols = make([]MetricColumn, len(order))
+	flags := make([]bool, 2*len(order)*nEv)
+	for i, m := range order {
+		f := flags[2*i*nEv:]
+		h.Cols[i] = MetricColumn{Metric: m, IncPresent: f[:nEv:nEv], ExcPresent: f[nEv : 2*nEv : 2*nEv]}
 	}
-	rows = make([][]float64, nEv*(1+2*len(h.Cols)))
+	rows = make([][]float64, nEv*(1+2*len(order)))
+	// The names the duplicate check enters, once each in event order, are
+	// the dictionary.
 	seenEv := newStringTable(nEv)
 	for ev, event := range t.Events {
 		ref, slot := seenEv.find(event.Name)
@@ -662,55 +617,61 @@ func trialRows(t *Trial) (h *Columns, rows [][]float64, err error) {
 			return nil, nil, fmt.Errorf("perfdmf: duplicate event %q in trial %q", event.Name, t.Name)
 		}
 		seenEv.add(event.Name, slot)
-		h.EventNames[ev], h.Groups[ev] = event.Name, event.Groups
+		h.Groups[ev] = event.Groups
 		if len(event.Calls) != th {
 			return nil, nil, fmt.Errorf("perfdmf: event %q has %d call entries, want %d", event.Name, len(event.Calls), th)
 		}
 		rows[ev] = event.Calls
 		for ci := range h.Cols {
-			m := h.Cols[ci].Metric
-			inc, incOK := event.Inclusive[m]
+			col := &h.Cols[ci]
+			inc, incOK := event.Inclusive[col.Metric]
 			if incOK && len(inc) != th {
 				return nil, nil, fmt.Errorf("perfdmf: event %q metric %q has %d inclusive entries, want %d",
-					event.Name, m, len(inc), th)
+					event.Name, col.Metric, len(inc), th)
 			}
-			exc, excOK := event.Exclusive[m]
+			exc, excOK := event.Exclusive[col.Metric]
 			if excOK && len(exc) != th {
 				return nil, nil, fmt.Errorf("perfdmf: event %q metric %q has %d exclusive entries, want %d",
-					event.Name, m, len(exc), th)
+					event.Name, col.Metric, len(exc), th)
+			}
+			if incOK && !excOK {
+				return nil, nil, fmt.Errorf("perfdmf: event %q metric %q has inclusive but no exclusive data",
+					event.Name, col.Metric)
 			}
 			// th ≥ 1, so a present row is never nil.
+			col.IncPresent[ev], col.ExcPresent[ev] = incOK, excOK
 			rows[(1+2*ci)*nEv+ev], rows[(2+2*ci)*nEv+ev] = inc, exc
 		}
 	}
+	h.EventNames = seenEv.strs
 	return h, rows, nil
 }
 
-// trial writes prefix and the payload of the trial trialRows read into
-// e.buf, replacing what it held: the bytes columns writes for
-// ColumnsFromTrial of it. An absent row is a row of zeros, and presence is
-// whether the row is there.
+// trial writes prefix and the payload of the trial trialRows read into h
+// and rows into e.buf, replacing what it held, once h is encodable.
 func (e *encoder) trial(prefix string, h *Columns, rows [][]float64) error {
 	if err := h.encodable(); err != nil {
 		return err
 	}
+	e.write(prefix, h, rows)
+	return nil
+}
+
+// write replaces what e.buf held with prefix and the payload of the trial h
+// heads: h's header, then the calls block and, per column, its presence
+// bitmaps, from h's flags, and its inclusive and exclusive blocks. rows
+// holds the blocks' rows in that order, NEvents a block; a nil row is a row
+// of zeros.
+func (e *encoder) write(prefix string, h *Columns, rows [][]float64) {
 	nEv := len(h.EventNames)
-	for i := range h.Cols {
-		inc, exc := rows[(1+2*i)*nEv:(2+2*i)*nEv], rows[(2+2*i)*nEv:(3+2*i)*nEv]
-		for ev := range inc {
-			if inc[ev] != nil && exc[ev] == nil {
-				return inclusiveOnly(h, ev, h.Cols[i].Metric)
-			}
-		}
-	}
 	e.start(prefix, h)
 	for _, row := range rows[:nEv] {
 		e.appendRow(row, nil)
 	}
 	for i := range h.Cols {
 		inc, exc := rows[(1+2*i)*nEv:(2+2*i)*nEv], rows[(2+2*i)*nEv:(3+2*i)*nEv]
-		e.buf = appendPresence(e.buf, inc)
-		e.buf = appendPresence(e.buf, exc)
+		e.buf = appendBitmap(e.buf, h.Cols[i].IncPresent)
+		e.buf = appendBitmap(e.buf, h.Cols[i].ExcPresent)
 		for _, row := range inc {
 			e.appendRow(row, nil)
 		}
@@ -718,15 +679,6 @@ func (e *encoder) trial(prefix string, h *Columns, rows [][]float64) error {
 			e.appendRow(row, inc[ev])
 		}
 	}
-	return nil
-}
-
-// inclusiveOnly is the error of both front ends for a column with
-// inclusive data but no exclusive data on an event: the decoder calls such
-// a payload corrupt, so neither writes one.
-func inclusiveOnly(c *Columns, ev int, metric string) error {
-	return fmt.Errorf("perfdmf: encode columnar %q: event %q metric %q has inclusive but no exclusive data",
-		c.Name, c.EventNames[ev], metric)
 }
 
 // seal appends the envelope trailer to a payload written behind
@@ -1122,19 +1074,6 @@ func fullWordValues(n, w, th int) int {
 		return 0
 	}
 	return (n-8)/w + 1
-}
-
-// appendPresence is appendBitmap of which rows are there.
-func appendPresence(buf []byte, rows [][]float64) []byte {
-	n := (len(rows) + 7) / 8
-	start := len(buf)
-	buf = append(buf, make([]byte, n)...)
-	for i, row := range rows {
-		if row != nil {
-			buf[start+i/8] |= 1 << (i % 8)
-		}
-	}
-	return buf
 }
 
 func appendBitmap(buf []byte, bs []bool) []byte {
@@ -1611,11 +1550,16 @@ func decodeBitmap(raw []byte, n int) ([]bool, error) {
 // MarshalColumnar encodes a trial as a binary columnar payload, suitable
 // for wrapping in a %PDMF1 envelope.
 func MarshalColumnar(t *Trial) ([]byte, error) {
-	c, err := ColumnsFromTrial(t)
+	h, rows, err := trialRows(t)
 	if err != nil {
 		return nil, err
 	}
-	return c.Encode()
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	if err := e.trial("", h, rows); err != nil {
+		return nil, err
+	}
+	return exactCopy(e.buf), nil
 }
 
 // UnmarshalColumnar decodes a binary columnar payload into a Trial.
@@ -1627,33 +1571,19 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 	return c.Trial(), nil
 }
 
-// decodeTrialPayload turns an envelope payload, columnar binary of either
-// version read, into a validated Trial. Decode and validation failures wrap
-// ErrCorrupt.
-func decodeTrialPayload(payload []byte) (*Trial, error) {
-	t, err := UnmarshalColumnar(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
-}
-
-// decodeColumnsPayload is decodeTrialPayload for the repository, which keeps
-// trials pivoted: the columns of the trial an envelope payload holds,
-// satisfying isPivot. A payload the encoder wrote decodes straight to them;
-// any other goes through the Trial it holds.
+// decodeColumnsPayload reads an envelope payload of either version for the
+// repository, which keeps only pivots: the columns it holds, when they are
+// how ColumnsFromTrial pivots their trial. Columns that are not wrap
+// ErrCorrupt — no version of the encoder wrote them.
 func decodeColumnsPayload(payload []byte) (*Columns, error) {
-	if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
-		return c, err
-	}
-	t, err := decodeTrialPayload(payload)
+	c, err := DecodeColumnar(payload)
 	if err != nil {
 		return nil, err
 	}
-	return ColumnsFromTrial(t)
+	if !c.isPivot() {
+		return nil, fmt.Errorf("%w: not the pivot of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)
+	}
+	return c, nil
 }
 
 // decodeTrialHeaderPayload reads the coordinates of the trial a columnar

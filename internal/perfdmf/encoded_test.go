@@ -193,39 +193,9 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	retired, col2, col3 := retiredAs(retiredMagic), retiredAs(col2Magic), retiredAs(col3Magic)
 	payloadCol3 := craftColumnarAs(col3Magic, minimalHeader, minimalBody(0x01, 0x01))
 	validV1, validCol2, validCol3 := retired(payload), col2(payloadCol3), encodeEnvelope(payloadCol3)
-	// Checksummed, decodable, Validate-clean and a fixed point of decode →
-	// encode, but not how ColumnsFromTrial pivots the trial held: these fall
-	// to isPivot alone, in either payload version.
-	notPivot := func(perturb func(c *Columns)) *Columns {
-		tr := miniTrial("a", "e", "n", 1)
-		tr.AddMetric("CPU_CYCLES")
-		tr.EnsureEvent("loop").Exclusive["EXTRA"] = []float64{7}
-		c, err := ColumnsFromTrial(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perturb(c)
-		if _, err := DecodeColumnar(prevColumnsPayload(t, c)); err != nil || c.isPivot() {
-			t.Fatalf("perturbed columns must decode and not be a pivot (err=%v)", err)
-		}
-		return c
-	}
-	v2 := func(c *Columns) []byte {
-		p, err := c.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return encodeEnvelope(p)
-	}
-	swapped := notPivot(func(c *Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })
-	extraFirst := notPivot(func(c *Columns) { c.Cols[0], c.Cols[1], c.Cols[2] = c.Cols[2], c.Cols[0], c.Cols[1] })
-	missing := notPivot(func(c *Columns) { c.Cols = c.Cols[1:] })
-	nobody := notPivot(func(c *Columns) {
-		c.Cols = append(c.Cols, MetricColumn{Metric: "NOBODY", Inc: make([]float64, 2), Exc: make([]float64, 2),
-			IncPresent: make([]bool, 2), ExcPresent: make([]bool, 2)})
-	})
-	ghost := notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }) // EXTRA is absent on "main"
-	emptyMetrics := notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil })
+	np := nonPivotColumns(t)
+	swapped, ghost := np["swapped"], np["ghost"]
+	v2 := func(c *Columns) []byte { return encodeEnvelope(mustEncode(t, c)) }
 	return map[string][]byte{
 		"empty":                          nil,
 		"truncated envelope":             valid[:len(valid)-9],
@@ -280,13 +250,13 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 		"v1 trailing bytes":              retired(append(append([]byte(nil), payload...), 0)),
 		"v1 invalid trial":               retired(craftColumnar(minimalHeader, minimalBody(0x01, 0x00))),
 		"columns swapped":                v2(swapped),
-		"unregistered column first":      v2(extraFirst),
-		"registered metric no column":    v2(missing),
-		"column nobody has":              v2(nobody),
+		"unregistered column first":      v2(np["extra first"]),
+		"registered metric no column":    v2(np["missing"]),
+		"column nobody has":              v2(np["nobody"]),
 		"values under a clear bit":       v2(ghost),
 		// The binary header spells an empty list one way; the JSON of
 		// %PDMFCOL3 had two, and that version is refused by name.
-		"empty metric list not null":    col3(prevColumnsPayload(t, emptyMetrics)),
+		"empty metric list not null":    col3(prevColumnsPayload(t, np["empty metrics"])),
 		"col4 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
 		"col4 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
 		"col3 columns swapped":          col3(prevColumnsPayload(t, swapped)),
@@ -295,6 +265,120 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 		"col2 values under a clear bit": col2(prevColumnsPayload(t, ghost)),
 		"v1 columns swapped":            retired(prevColumnsPayload(t, swapped)),
 		"v1 values under a clear bit":   retired(prevColumnsPayload(t, ghost)),
+	}
+}
+
+// nonPivotColumns are columns that are checksummed once enveloped,
+// decodable, Validate-clean and a fixed point of decode → encode, but not how
+// ColumnsFromTrial pivots the trial held: only isPivot tells them apart, in
+// either payload version. All hold trial a/e/n. "empty metrics" is one only
+// in memory and in %PDMFCOL3's JSON: the binary header spells an empty
+// metric list one way, which decodes as nil.
+func nonPivotColumns(t *testing.T) map[string]*Columns {
+	t.Helper()
+	notPivot := func(perturb func(c *Columns)) *Columns {
+		tr := miniTrial("a", "e", "n", 1)
+		tr.AddMetric("CPU_CYCLES")
+		tr.EnsureEvent("loop").Exclusive["EXTRA"] = []float64{7}
+		c, err := ColumnsFromTrial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturb(c)
+		if _, err := DecodeColumnar(prevColumnsPayload(t, c)); err != nil || c.isPivot() {
+			t.Fatalf("perturbed columns must decode and not be a pivot (err=%v)", err)
+		}
+		return c
+	}
+	return map[string]*Columns{
+		"swapped":     notPivot(func(c *Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] }),
+		"extra first": notPivot(func(c *Columns) { c.Cols[0], c.Cols[1], c.Cols[2] = c.Cols[2], c.Cols[0], c.Cols[1] }),
+		"missing":     notPivot(func(c *Columns) { c.Cols = c.Cols[1:] }),
+		"nobody": notPivot(func(c *Columns) {
+			c.Cols = append(c.Cols, MetricColumn{Metric: "NOBODY", Inc: make([]float64, 2), Exc: make([]float64, 2),
+				IncPresent: make([]bool, 2), ExcPresent: make([]bool, 2)})
+		}),
+		"ghost":         notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }), // EXTRA is absent on "main"
+		"empty metrics": notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil }),
+	}
+}
+
+func mustEncode(t *testing.T, c *Columns) []byte {
+	t.Helper()
+	p, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// The repository keeps only pivots. A stored file whose columns are not the
+// pivot of the trial they hold was written by no version of the encoder, and
+// SaveEncoded refuses its bytes: fsck quarantines it and reports the store
+// unclean, and a cold GetTrial — or a GetEncoded of a previous-form file,
+// which decodes it — quarantines it and answers ErrCorrupt. The file
+// survives byte for byte as .corrupt. testdata/col5_nonpivot.pdmf, trial
+// app/exp/nonpivot with its first two columns swapped, is the file CI plants
+// beside a daemon.
+func TestStoredNonPivotIsQuarantined(t *testing.T) {
+	ctx := context.Background()
+	files := map[string][]byte{}
+	for name, c := range nonPivotColumns(t) {
+		if name != "empty metrics" {
+			files[name+" in %PDMFCOL5"] = encodeEnvelope(mustEncode(t, c))
+			files[name+" in %PDMFCOL4"] = encodeEnvelope(prevColumnsPayload(t, c))
+		}
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "col5_nonpivot.pdmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files["testdata/col5_nonpivot.pdmf"] = fixture
+	for what, data := range files {
+		payload, err := decodeEnvelope(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
+			t.Fatalf("%s: the file must decode and not be a pivot (err=%v)", what, err)
+		}
+		app, exp, name, _ := EncodedCoordinates(data)
+		plant := func() (*Repository, string) {
+			dir := t.TempDir()
+			p := filepath.Join(dir, safe(app), safe(exp), safe(name)+".json")
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return mustOpen(t, dir), p
+		}
+		setAside := func(call, p string) {
+			t.Helper()
+			if kept, err := os.ReadFile(p + ".corrupt"); err != nil || !bytes.Equal(kept, data) {
+				t.Errorf("%s after %s: the file was not set aside intact (err=%v)", what, call, err)
+			}
+		}
+		repo, p := plant()
+		rep, err := repo.Verify()
+		if err != nil || rep.Clean() || rep.Trials != 0 || len(rep.Quarantined) != 1 || rep.Quarantined[0] != repo.rel(p)+".corrupt" {
+			t.Errorf("%s: fsck = %+v, %v; want the file quarantined", what, rep, err)
+		}
+		setAside("fsck", p)
+		reads := map[string]func(r *Repository) error{
+			"GetTrial": func(r *Repository) error { _, err := r.GetTrial(app, exp, name); return err },
+		}
+		if isColumnarPrev(payload) {
+			reads["GetEncoded"] = func(r *Repository) error { _, err := r.GetEncoded(ctx, app, exp, name); return err }
+		}
+		for call, read := range reads {
+			repo, p := plant()
+			if err := read(repo); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s = %v, want ErrCorrupt", what, call, err)
+			}
+			setAside(call, p)
+		}
 	}
 }
 

@@ -164,16 +164,16 @@ func decodeColumns(data []byte) (*Columns, error) {
 }
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
-// checksum, decodes the payload and validates the result. It also accepts
-// the previous payload, %PDMFCOL4. Checksum, structure and validation
-// failures all wrap ErrCorrupt, as does the refusal of trial JSON, bare or
-// inside the envelope.
+// checksum and decodes the payload, which gives a trial Validate accepts
+// (see DecodeColumnar). It also accepts the previous payload, %PDMFCOL4.
+// Checksum and structure failures wrap ErrCorrupt, as does the refusal of
+// trial JSON, bare or inside the envelope.
 func DecodeTrial(data []byte) (*Trial, error) {
 	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeTrialPayload(payload)
+	return UnmarshalColumnar(payload)
 }
 
 // IsEncodedTrial reports whether data starts like EncodeTrial output rather

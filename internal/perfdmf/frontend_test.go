@@ -16,10 +16,13 @@ import (
 	"perfknow/internal/vfs"
 )
 
-// EncodeTrial and a file-backed Save write a trial straight from its rows.
-// These tests hold them to the path they replaced, which stays in the tree
-// as ColumnsFromTrial and the columns' encoder: the same bytes for every
-// trial that path encodes, and the same error for every trial it refuses.
+// A trial reaches the one writer of a payload's rows (encoder.write) two
+// ways: straight from the rows trialRows reads, as EncodeTrial,
+// MarshalColumnar and a file-backed Save write it, and through the pivot,
+// ColumnsFromTrial's copy of those rows, as Columns.Encode and an in-memory
+// repository write it. These tests hold the two to each other: the same
+// bytes for every trial, and for every trial refused the same error, which
+// is Validate's where the trial's shape is at fault.
 
 // pivotEncodeTrial is EncodeTrial through the pivot: ColumnsFromTrial, then
 // the columns' encoding, each error wrapped as EncodeTrial wraps it.
@@ -32,11 +35,8 @@ func pivotEncodeTrial(tr *Trial) ([]byte, error) {
 }
 
 // pivotSaveError is the error a file-backed Save through the pivot returns
-// before it writes: Validate's, ColumnsFromTrial's, the encoder's.
+// before it writes: ColumnsFromTrial's, then the encoder's.
 func pivotSaveError(tr *Trial) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
 	c, err := ColumnsFromTrial(tr)
 	if err != nil {
 		return err
@@ -119,7 +119,9 @@ func TestTrialFrontEndMatchesPivot(t *testing.T) {
 
 // Every trial the pivot refuses, EncodeTrial and a file-backed Save refuse
 // with the pivot's error; where several faults are in one trial, the one
-// the pivot meets first.
+// the pivot meets first. Validate, ColumnsFromTrial and both kinds of Save
+// give one error for a trial of the wrong shape, and accept the one trial
+// here that only an encoder refuses.
 func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 	base := func(name string) *Trial {
 		tr := NewTrial("a", "e", name, 2)
@@ -133,6 +135,7 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 		}
 		return tr
 	}
+	const overBound = "over-bound callpath names"
 	cases := map[string]func(tr *Trial){
 		"zero threads":     func(tr *Trial) { tr.Threads = 0 },
 		"negative threads": func(tr *Trial) { tr.Threads = -3 },
@@ -140,15 +143,13 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 		"short calls":      func(tr *Trial) { tr.Events[1].Calls = tr.Events[1].Calls[:1] },
 		"long inclusive":   func(tr *Trial) { tr.Events[2].Inclusive[TimeMetric] = []float64{1, 2, 3} },
 		"short exclusive":  func(tr *Trial) { tr.Events[0].Exclusive[TimeMetric] = []float64{1} },
-		// Validate checks exclusive lengths only beside inclusive data: the
-		// pivot refuses this one, and so Save's error is the pivot's.
+		// An exclusive-only row is held to Threads entries like any other.
 		"short exclusive-only metric": func(tr *Trial) { tr.Events[1].Exclusive["EXTRA"] = []float64{1} },
 		"short unregistered inclusive": func(tr *Trial) {
 			tr.Events[2].Inclusive["EXTRA"] = []float64{1}
 			tr.Events[2].Exclusive["EXTRA"] = []float64{1, 2}
 		},
-		// Both encoders refuse this one, which the decoder would call
-		// corrupt; Save's error is Validate's, which it meets first.
+		// The decoder would call this one corrupt.
 		"inclusive without exclusive": func(tr *Trial) { tr.Events[1].Inclusive["EXTRA"] = []float64{1, 2} },
 		"a bad length before a duplicate": func(tr *Trial) {
 			tr.Events[1].Exclusive[TimeMetric] = []float64{1}
@@ -167,8 +168,9 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 			tr.Events[1].Exclusive["AA"] = []float64{1, 2, 3}
 		},
 		// Callpath names spelling out more than the decode bound, each a
-		// substring of one string of about 2 MiB.
-		"over-bound callpath names": func(tr *Trial) {
+		// substring of one string of about 2 MiB: the trial's shape is
+		// sound, and only an encoder refuses it.
+		overBound: func(tr *Trial) {
 			step := len("x" + CallpathSeparator)
 			path := strings.Repeat("x"+CallpathSeparator, 2<<20/step) + "x"
 			tr.Threads, tr.Metrics, tr.Events = 1, nil, nil
@@ -178,7 +180,7 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 		},
 	}
 	dir := t.TempDir()
-	repo := mustOpen(t, dir)
+	repo, mem := mustOpen(t, dir), NewRepository()
 	for name, mutate := range cases {
 		tr := base(name)
 		mutate(tr)
@@ -190,15 +192,33 @@ func TestTrialFrontEndRefusesAsPivot(t *testing.T) {
 		if err := repo.Save(tr); errText(err) != errText(want) {
 			t.Errorf("%s: Save error %q, through the pivot %q", name, errText(err), errText(want))
 		}
+		valid := tr.Validate()
+		_, pivotErr := ColumnsFromTrial(tr)
+		memErr := mem.Save(tr)
+		if name == overBound {
+			if valid != nil || pivotErr != nil || memErr != nil {
+				t.Errorf("%s: Validate = %q, ColumnsFromTrial = %q, in-memory Save = %q; want all to accept it",
+					name, errText(valid), errText(pivotErr), errText(memErr))
+			}
+			continue
+		}
+		if errText(valid) != errText(want) || errText(pivotErr) != errText(want) || errText(memErr) != errText(want) {
+			t.Errorf("%s: Validate = %q, ColumnsFromTrial = %q, in-memory Save = %q; want Save's %q",
+				name, errText(valid), errText(pivotErr), errText(memErr), errText(want))
+		}
 	}
 	if names := repo.Trials("a", "e"); len(names) != 0 {
 		t.Errorf("refused trials were stored: %v", names)
 	}
+	if names := mem.Trials("a", "e"); len(names) != 1 || names[0] != overBound {
+		t.Errorf("in memory, the trials stored are %v, want only %q", names, overBound)
+	}
 }
 
 // Neither encoder writes a column with inclusive data but no exclusive data
-// on an event, which DecodeTrial would refuse as corrupt: EncodeTrial and
-// Columns.Encode refuse it before writing, naming the event and the metric.
+// on an event, which DecodeTrial would refuse as corrupt. EncodeTrial
+// refuses such a trial with Validate's error, as Save does; Columns.Encode
+// refuses such columns before writing, naming the event and the metric.
 func TestEncodersRefuseInclusiveWithoutExclusive(t *testing.T) {
 	tr := NewTrial("a", "e", "t", 2)
 	tr.AddMetric(TimeMetric)
@@ -207,20 +227,26 @@ func TestEncodersRefuseInclusiveWithoutExclusive(t *testing.T) {
 		e.Calls[0], e.Calls[1] = 1, 1
 	}
 	tr.Events[1].Inclusive["EXTRA"] = []float64{1, 2}
-	want := `perfdmf: encode columnar "t": event "loop" metric "EXTRA" has inclusive but no exclusive data`
-	if enc, err := EncodeTrial(tr); errText(err) != "perfdmf: encode trial: "+want {
-		_, decErr := DecodeTrial(enc)
-		t.Errorf("EncodeTrial = %q (decoding its bytes: %v), want %q", errText(err), decErr, want)
+	valid := `perfdmf: event "loop" metric "EXTRA" has inclusive but no exclusive data`
+	if err := tr.Validate(); errText(err) != valid {
+		t.Fatalf("Validate = %q, want %q", errText(err), valid)
 	}
+	if enc, err := EncodeTrial(tr); errText(err) != "perfdmf: encode trial: "+valid {
+		_, decErr := DecodeTrial(enc)
+		t.Errorf("EncodeTrial = %q (decoding its bytes: %v), want %q", errText(err), decErr, "perfdmf: encode trial: "+valid)
+	}
+	if err := mustOpen(t, t.TempDir()).Save(tr); errText(err) != valid {
+		t.Errorf("Save = %q, want Validate's %q", errText(err), valid)
+	}
+	tr.Events[1].Exclusive["EXTRA"] = []float64{0, 0}
 	c, err := ColumnsFromTrial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Col("EXTRA").ExcPresent[1] = false
+	want := `perfdmf: encode columnar "t": event "loop" metric "EXTRA" has inclusive but no exclusive data`
 	if _, err := c.Encode(); errText(err) != want {
 		t.Errorf("Columns.Encode = %q, want %q", errText(err), want)
-	}
-	if err, valid := mustOpen(t, t.TempDir()).Save(tr), tr.Validate(); errText(err) != errText(valid) {
-		t.Errorf("Save = %q, want Validate's %q", errText(err), errText(valid))
 	}
 }
 

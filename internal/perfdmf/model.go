@@ -210,38 +210,14 @@ func (t *Trial) MainEvent(metric string) *Event {
 	return best
 }
 
-// Validate checks internal consistency: every metric slice has Threads
-// entries, exclusive never exceeds inclusive for monotone metrics, and
-// event names are unique.
+// Validate checks the trial's shape: a positive thread count, unique event
+// names, Threads entries in every calls, inclusive and exclusive row, and
+// exclusive data beside every inclusive row. It is the check every reader
+// of a trial makes (trialRows): what it accepts, the encoders write, the
+// repository stores and the analysis operations read.
 func (t *Trial) Validate() error {
-	if t.Threads <= 0 {
-		return fmt.Errorf("perfdmf: trial %q has %d threads", t.Name, t.Threads)
-	}
-	seen := make(map[string]bool, len(t.Events))
-	for _, e := range t.Events {
-		if seen[e.Name] {
-			return fmt.Errorf("perfdmf: duplicate event %q in trial %q", e.Name, t.Name)
-		}
-		seen[e.Name] = true
-		if len(e.Calls) != t.Threads {
-			return fmt.Errorf("perfdmf: event %q has %d call entries, want %d", e.Name, len(e.Calls), t.Threads)
-		}
-		for metric, inc := range e.Inclusive {
-			if len(inc) != t.Threads {
-				return fmt.Errorf("perfdmf: event %q metric %q has %d inclusive entries, want %d",
-					e.Name, metric, len(inc), t.Threads)
-			}
-			exc, ok := e.Exclusive[metric]
-			if !ok {
-				return fmt.Errorf("perfdmf: event %q metric %q has inclusive but no exclusive data", e.Name, metric)
-			}
-			if len(exc) != t.Threads {
-				return fmt.Errorf("perfdmf: event %q metric %q has %d exclusive entries, want %d",
-					e.Name, metric, len(exc), t.Threads)
-			}
-		}
-	}
-	return nil
+	_, _, err := trialRows(t)
+	return err
 }
 
 // Clone returns a deep copy of the trial.

@@ -65,7 +65,9 @@ const readOnlyAfterENOSPC = 2
 //     write drops the trial's cached copy and only a read of the file fills
 //     it again, so GetTrial never serves data that would vanish on restart.
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
-//     undecodable, invalid) is quarantined — renamed to <file>.corrupt —
+//     undecodable, or holding columns that are not the pivot of the trial
+//     they hold, which no encoder writes) is quarantined — renamed to
+//     <file>.corrupt —
 //     and the read fails wrapping ErrCorrupt; sibling trials and listings
 //     are unaffected. A file in the previous form (a %PDMFCOL4 payload)
 //     remains readable and is rewritten into the encoded form on its next
@@ -203,10 +205,10 @@ func (r *Repository) path(app, experiment, trial string) string {
 // the mode once space is available again.
 func (r *Repository) ReadOnly() bool { return r.readOnly.Load() }
 
-// Save stores the trial (validating first) and persists it when the
-// repository is file-backed. The repository keeps nothing that shares
-// memory with t, so mutating t after Save does not affect what later
-// GetTrial calls observe.
+// Save stores the trial and persists it when the repository is
+// file-backed, refusing a trial Validate refuses with Validate's error. The
+// repository keeps nothing that shares memory with t, so mutating t after
+// Save does not affect what later GetTrial calls observe.
 //
 // A file-backed Save writes the trial's encoding straight from its rows
 // (EncodeTrial's bytes, into a buffer reused from one save to the next),
@@ -214,9 +216,6 @@ func (r *Repository) ReadOnly() bool { return r.readOnly.Load() }
 // drops any cached copy: the next GetTrial reads the file. An in-memory
 // Save pivots the trial into the columns it keeps.
 func (r *Repository) Save(t *Trial) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	if r.root == "" {
 		c, err := ColumnsFromTrial(t)
 		if err != nil {
@@ -385,8 +384,8 @@ func (r *Repository) noteWriteError(err error) {
 // columns: callers may mutate it freely without affecting the repository.
 //
 // A damaged file — failed checksum, truncated envelope, undecodable
-// payload, invalid trial — is quarantined to <file>.corrupt and the error
-// wraps ErrCorrupt; other trials and listings are unaffected.
+// payload, columns that are not a pivot — is quarantined to <file>.corrupt
+// and the error wraps ErrCorrupt; other trials and listings are unaffected.
 func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	k := key(app, experiment, trial)
 	r.mu.RLock()
