@@ -18,12 +18,10 @@
 // address to a file so scripts and tests can find the server.
 //
 // With -fsck the daemon does not serve at all: it verifies the repository
-// (recovering orphaned temp files, quarantining corrupt trial files, moving
-// valid files that sit at another name's path to their own), prints the
-// fsck report as JSON on stdout, and exits 0 if the store is clean or 1
-// otherwise — the offline twin of GET /api/v1/fsck. Run it once over a
-// repository written before names were percent-escaped on disk: a trial
-// filed under the old underscore scheme is not served until it is moved.
+// (recovering orphaned temp files, quarantining corrupt trial files and
+// valid ones at another trial's path, rewriting files in the previous
+// payload version), prints the fsck report as JSON on stdout, and exits 0 if
+// the store is clean or 1 otherwise — the offline twin of GET /api/v1/fsck.
 //
 // Streaming ingestion: POST /api/v1/streams opens a chunked upload whose
 // seal stores a trial byte-identical to a whole-file upload; while chunks

@@ -382,23 +382,16 @@ func readBody(r io.Reader, limit int64) ([]byte, error) {
 	return data, nil
 }
 
-// readTrial decodes a trial response by its Content-Type: the encoded form
-// from a daemon that honours Accept, trial JSON from one that predates it.
-// A JSON trial is validated here; an encoded one decodes only to a trial
-// Validate accepts. Any failure is a transport fault to the caller (garbled or cut body) —
-// in particular a checksum mismatch must not surface as perfdmf.ErrCorrupt,
+// readTrial decodes a trial response, which is in the encoded form the
+// client asks for with Accept: a body of any other media type is a decode
+// fault, and an encoded one decodes only to a trial Validate accepts. Any
+// failure is a transport fault to the caller (garbled or cut body) — in
+// particular a checksum mismatch must not surface as perfdmf.ErrCorrupt,
 // which means "the stored trial is damaged", so the sentinel is dropped.
 func readTrial(resp *http.Response) (*perfdmf.Trial, error) {
 	mt, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
-	if strings.TrimSpace(mt) != dmfwire.TrialContentType {
-		t := &perfdmf.Trial{}
-		if err := json.NewDecoder(resp.Body).Decode(t); err != nil {
-			return nil, err
-		}
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		return t, nil
+	if mt = strings.TrimSpace(mt); mt != dmfwire.TrialContentType {
+		return nil, fmt.Errorf("trial body of media type %q, want %q", mt, dmfwire.TrialContentType)
 	}
 	data, err := readBody(resp.Body, dmfwire.MaxTrialBody)
 	if err != nil {
@@ -489,8 +482,7 @@ func (c *Client) postTrial(ctx context.Context, body []byte, hintFor string) err
 // GetTrialContext fetches one trial on the resource-style route
 // (/api/v1/apps/{app}/experiments/{exp}/trials/{trial}). The returned
 // trial is a private copy by construction (it was decoded off the wire).
-// It asks for the trial's encoded form and decodes whatever the daemon
-// answers with, so it still reads a JSON-only daemon.
+// It asks for the trial's encoded form and reads no other.
 func (c *Client) GetTrialContext(ctx context.Context, app, experiment, trial string) (*perfdmf.Trial, error) {
 	if err := requireCoords("get trial", app, experiment, trial); err != nil {
 		return nil, err

@@ -95,24 +95,29 @@ func TestSaveAndGetSpeakTheEncodedForm(t *testing.T) {
 	}
 }
 
-// A daemon that predates the media type ignores Accept and answers JSON;
-// the client decodes by the response's Content-Type and still reads it.
+// A trial is read in its encoded form only. A 2xx trial body of another
+// media type — trial JSON from a daemon that predates the media type and
+// ignores Accept — is a decode fault, retried like a garbled body, and never
+// ErrCorrupt or ErrNotFound.
 func TestGetTrialReadsJSONOnlyServer(t *testing.T) {
+	var hits atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(minimalTrial())
 	}))
 	defer ts.Close()
-	c, err := New(ts.URL, fastRetry(1))
+	c, err := New(ts.URL, fastRetry(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetTrialContext(context.Background(), "a", "e", "t")
-	if err != nil {
-		t.Fatalf("get from a JSON-only server: %v", err)
+	if err == nil || !strings.Contains(err.Error(), `trial body of media type "application/json"`) ||
+		errors.Is(err, perfdmf.ErrCorrupt) || errors.Is(err, perfdmf.ErrNotFound) {
+		t.Fatalf("get from a JSON-only server = %v, %v; want a decode fault", got, err)
 	}
-	if got.Name != "t" || got.Event("main") == nil {
-		t.Fatalf("decoded trial = %+v", got)
+	if n := hits.Load(); n != 3 {
+		t.Fatalf("the JSON body was fetched %d times, want 3 (retried)", n)
 	}
 }
 

@@ -536,26 +536,15 @@ func TestHostileEncodedUploads(t *testing.T) {
 	prevHeader := jsonHeader(cols)
 	col3Payload := columnarCol3(prevHeader, payload)
 	// Inclusive without exclusive fails Validate, and the encoders refuse to
-	// write it. The rows do not depend on presence, so the payload is the
-	// valid one with the bit of event 0 cleared in column 0's exclusive
-	// bitmap: the second of the two bytes that clearing the bit in both of
-	// its bitmaps changes.
-	cols.Cols[0].IncPresent[0], cols.Cols[0].ExcPresent[0] = false, false
-	neither, err := cols.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bits []int
-	for i := range neither {
-		if i < len(payload) && neither[i] != payload[i] {
-			bits = append(bits, i)
-		}
-	}
-	if len(neither) != len(payload) || len(bits) != 2 {
-		t.Fatalf("clearing two presence bits changed bytes %v of %d (%d before)", bits, len(neither), len(payload))
-	}
+	// write it. The payload is the valid one with the bit of event 0 cleared
+	// in column 0's exclusive bitmap, which follows the calls block (two
+	// one-valued rows of 3 bytes) and that column's inclusive bitmap.
+	const excBitmap = 2*3 + 1
 	invalid := append([]byte(nil), payload...)
-	invalid[bits[1]] = neither[bits[1]]
+	invalid[len(payload)-len(blocks)+excBitmap] &^= 1
+	if _, err := perfdmf.DecodeTrial(wrapEnvelope(invalid)); err == nil || !strings.Contains(err.Error(), "inclusive but no exclusive") {
+		t.Fatalf("clearing the exclusive presence bit of event 0 in column 0: %v", err)
+	}
 	invalidCol3 := columnarCol3(prevHeader, invalid)
 	// The encodings before that are refused whatever follows their magic.
 	retired, col2 := as("%PDMFCOL1\n"), as("%PDMFCOL2\n")
@@ -564,19 +553,15 @@ func TestHostileEncodedUploads(t *testing.T) {
 	// previous one, which has no such kind: the calls row of "main" respelled.
 	offsetRow := append(append([]byte(nil), payload[:colMagic+4+hlen]...), 0x21, 1, 0, 1)
 	offsetRow = append(offsetRow, blocks[3:]...)
-	// Checksummed, decodable and Validate-clean, yet not the bytes EncodeTrial
-	// writes for the trial held: only the canonical check can refuse these.
-	reencoded := func(perturb func(c *perfdmf.Columns)) []byte {
-		c, err := perfdmf.ColumnsFromTrial(tr)
+	// Checksummed, structurally decodable and Validate-clean, yet not the
+	// pivot of the trial held: only the decoder's pivot check refuses these.
+	// The perfdmf tests write them (TestNonPivotFixtures).
+	nonPivot := func(file string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "perfdmf", "testdata", file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		perturb(c)
-		p, err := c.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wrapEnvelope(p)
+		return data
 	}
 	cases := []struct {
 		name string
@@ -613,9 +598,9 @@ func TestHostileEncodedUploads(t *testing.T) {
 		{"%PDMFCOL4 with an offset row", prev(offsetRow)},
 		{"trailer in upper-case hex", upperSum},
 		{"trailer with a signed length", []byte(strings.Replace(string(valid), " len=", " len=+", 1))},
-		{"columns not in pivot order", reencoded(func(c *perfdmf.Columns) { c.Cols[0], c.Cols[1] = c.Cols[1], c.Cols[0] })},
-		{"registered metric without a column", reencoded(func(c *perfdmf.Columns) { c.Cols = c.Cols[:2] })},
-		{"values under a clear presence bit", reencoded(func(c *perfdmf.Columns) { c.Cols[2].IncPresent[1], c.Cols[2].ExcPresent[1] = false, false })},
+		{"columns not in pivot order", nonPivot("col5_nonpivot.pdmf")},
+		{"registered metric without a column", nonPivot("col5_nonpivot_nocolumn.pdmf")},
+		{"values under a clear presence bit", nonPivot("col5_nonpivot_ghost.pdmf")},
 	}
 	if !strings.HasPrefix(header, "\x00\x03app\x00\x03exp\x00\x02t1\x02") || blocks[0] != 0x12 {
 		t.Fatalf("header or calls-row layout changed, the table needs updating: %q, kind %#x", header, blocks[0])

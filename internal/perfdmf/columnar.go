@@ -75,9 +75,6 @@ func NewColumns(app, experiment, name string, threads int) *Columns {
 	return &Columns{App: app, Experiment: experiment, Name: name, Threads: threads}
 }
 
-// NEvents returns the number of events (dictionary size).
-func (c *Columns) NEvents() int { return len(c.EventNames) }
-
 // EventIndex returns the row index of the named event.
 func (c *Columns) EventIndex(name string) (int, bool) {
 	if c.eventIndex == nil {
@@ -293,8 +290,9 @@ func (c *Columns) Trial() *Trial {
 // metrics in Metrics order followed by the unregistered ones by the first
 // event that has them (by name within one event), and rows without presence
 // hold zeros. The decoder guarantees the rest (unique names, inclusive data
-// only beside exclusive). Only such columns encode to the canonical bytes of
-// their trial, and only such columns are stored.
+// only beside exclusive). It is part of the payload's one spelling: only such
+// columns encode to the canonical bytes of their trial, so Encode writes and
+// DecodeColumnar reads no others.
 func (c *Columns) isPivot() bool {
 	if c.Metrics != nil && len(c.Metrics) == 0 {
 		return false
@@ -439,6 +437,8 @@ func (c *Columns) cloneTrial() *Trial {
 // anything is sized by it), and every row in a spelling but the writer's: an
 // offset row whose width is not minimal, whose offsets hold no zero or are
 // all zero, whose values reach 2^53, or which is no smaller than its literal.
+// The columns must also be the pivot of the trial they hold (isPivot): their
+// order, and zeros under every clear presence bit, follow from the trial.
 // So decode → encode reproduces every payload the decoder accepts, byte for
 // byte, which is what lets SaveEncoded and the differential test harness
 // compare whole trials by comparing encodings. The header's size depends on
@@ -508,12 +508,17 @@ func isColumnarPrev(payload []byte) bool {
 	return bytes.HasPrefix(payload, []byte(columnarMagicPrev))
 }
 
-// Encode serializes the columnar trial into the binary payload format.
+// Encode serializes the columnar trial into the binary payload format. It
+// refuses columns that are not the pivot of their trial, which no decoder
+// reads.
 func (c *Columns) Encode() ([]byte, error) {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
 	if err := e.columns("", c); err != nil {
 		return nil, err
+	}
+	if !c.isPivot() {
+		return nil, fmt.Errorf("perfdmf: encode columnar %q: columns are not the pivot of their trial", c.Name)
 	}
 	return exactCopy(e.buf), nil
 }
@@ -1229,9 +1234,10 @@ func (r *blockReader) block(inc []float64) ([]float64, error) {
 // %PDMFCOL4. Any structural problem — bad magic, a header not in its one
 // spelling, truncated blocks, dimension/length mismatch, a row not in its
 // version's one spelling, duplicate names, presence inconsistent with Trial
-// validity — wraps ErrCorrupt. A successful decode always yields a Columns
-// whose Trial() passes Validate, and re-encoding a decoded %PDMFCOL5 payload
-// reproduces the input bytes.
+// validity, columns that are not the pivot of the trial they hold — wraps
+// ErrCorrupt. A successful decode always yields a Columns whose Trial()
+// passes Validate and which is how ColumnsFromTrial pivots that trial, so
+// re-encoding a decoded %PDMFCOL5 payload reproduces the input bytes.
 func DecodeColumnar(payload []byte) (*Columns, error) {
 	cur := IsColumnar(payload)
 	if !cur && !isColumnarPrev(payload) {
@@ -1308,6 +1314,9 @@ func DecodeColumnar(payload []byte) (*Columns, error) {
 	}
 	if len(r.rest) != 0 {
 		return nil, corruptf("%d trailing bytes", len(r.rest))
+	}
+	if !c.isPivot() {
+		return nil, corruptf("not the pivot of trial %q/%q/%q", c.App, c.Experiment, c.Name)
 	}
 	return c, nil
 }
@@ -1569,21 +1578,6 @@ func UnmarshalColumnar(payload []byte) (*Trial, error) {
 		return nil, err
 	}
 	return c.Trial(), nil
-}
-
-// decodeColumnsPayload reads an envelope payload of either version for the
-// repository, which keeps only pivots: the columns it holds, when they are
-// how ColumnsFromTrial pivots their trial. Columns that are not wrap
-// ErrCorrupt — no version of the encoder wrote them.
-func decodeColumnsPayload(payload []byte) (*Columns, error) {
-	c, err := DecodeColumnar(payload)
-	if err != nil {
-		return nil, err
-	}
-	if !c.isPivot() {
-		return nil, fmt.Errorf("%w: not the pivot of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)
-	}
-	return c, nil
 }
 
 // decodeTrialHeaderPayload reads the coordinates of the trial a columnar

@@ -714,11 +714,7 @@ func prevColumnarPayload(t testing.TB, tr *Trial) []byte {
 // pivoted as ColumnsFromTrial never would.
 func prevColumnsPayload(t testing.TB, c *Columns) []byte {
 	t.Helper()
-	cur, err := c.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, _, err := splitHeader(cur)
+	header, _, err := splitHeader(rawPayload(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,94 +178,62 @@ func TestRetiredJSONFormsRefusedNothingLost(t *testing.T) {
 	}
 }
 
-// A file written by the old underscore path scheme sits at another name's
-// path: until Verify moves it home it is listed under the name of that path
-// and served under neither name; afterwards it is a normal trial. A move
-// onto an existing file is refused and reported.
-func TestVerifyRelocatesMisplacedFiles(t *testing.T) {
+// The path is the name: a valid trial file at another trial's path (the
+// underscore scheme of old releases put "my app" where "my_app" lives, or a
+// copy by hand) is damage like any other. A cold GetTrial, a GetEncoded and
+// Verify each quarantine it, byte for byte, and the name its path spells is
+// listed no more.
+func TestMisplacedFileIsQuarantined(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	tr := miniTrial("my app", "exp one", "trial 1", 7)
-	data, err := EncodeTrial(tr)
+	data, err := EncodeTrial(miniTrial("my app", "exp one", "trial 1", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old scheme: spaces replaced by underscores.
-	lp := filepath.Join(dir, "my_app", "exp_one", "trial_1.json")
-	if err := os.MkdirAll(filepath.Dir(lp), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lp, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	repo, err := OpenRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my_app" {
-		t.Fatalf("Applications before fsck = %v, want the directory name [my_app]", apps)
-	}
-	for _, c := range [][3]string{{"my app", "exp one", "trial 1"}, {"my_app", "exp_one", "trial_1"}} {
-		if _, err := repo.GetTrial(c[0], c[1], c[2]); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("GetTrial(%q) before fsck = %v, want ErrNotFound", c, err)
+	for call, check := range map[string]func(r *Repository) error{
+		"GetTrial": func(r *Repository) error {
+			_, err := r.GetTrial("my_app", "exp_one", "trial_1")
+			return err
+		},
+		"GetEncoded": func(r *Repository) error {
+			_, err := r.GetEncoded(ctx, "my_app", "exp_one", "trial_1")
+			return err
+		},
+		"Verify": func(r *Repository) error {
+			rep, err := r.Verify()
+			if err != nil || rep.Clean() || rep.Trials != 0 ||
+				!reflect.DeepEqual(rep.Quarantined, []string{"my_app/exp_one/trial_1.json.corrupt"}) {
+				t.Errorf("Verify = %+v, %v; want the one file quarantined, unclean", rep, err)
+			}
+			return ErrCorrupt
+		},
+	} {
+		dir := t.TempDir()
+		lp := filepath.Join(dir, "my_app", "exp_one", "trial_1.json")
+		if err := os.MkdirAll(filepath.Dir(lp), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := repo.GetEncoded(ctx, c[0], c[1], c[2]); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("GetEncoded(%q) before fsck = %v, want ErrNotFound", c, err)
+		if err := os.WriteFile(lp, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if onDisk, err := os.ReadFile(lp); err != nil || !bytes.Equal(onDisk, data) {
-		t.Fatalf("misplaced file touched by the reads: %v", err)
-	}
-	if q, _, _ := repo.StoreStats(); q != 0 {
-		t.Fatalf("misplaced file quarantined %d times; it is valid", q)
-	}
-
-	rep, err := repo.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FsckMove{From: "my_app/exp_one/trial_1.json", To: "my%20app/exp%20one/trial%201.json"}
-	if len(rep.Relocated) != 1 || rep.Relocated[0] != want || rep.Trials != 1 || !rep.Clean() {
-		t.Fatalf("Verify = %+v, want 1 trial, clean, relocated %v", rep, want)
-	}
-	if apps := repo.Applications(); len(apps) != 1 || apps[0] != "my app" {
-		t.Fatalf("Applications after fsck = %v, want [my app]", apps)
-	}
-	if trials := repo.Trials("my app", "exp one"); len(trials) != 1 || trials[0] != "trial 1" {
-		t.Fatalf("Trials after fsck = %v, want [trial 1]", trials)
-	}
-	got, err := repo.GetTrial("my app", "exp one", "trial 1")
-	if err != nil || got.Events[0].Inclusive[TimeMetric][0] != 7 {
-		t.Fatalf("GetTrial after fsck: %v", err)
-	}
-	if _, err := repo.GetEncoded(ctx, "my app", "exp one", "trial 1"); err != nil {
-		t.Fatalf("GetEncoded after fsck: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "my_app")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("emptied underscore directory not pruned: %v", err)
-	}
-	if rep, err := repo.Verify(); err != nil || len(rep.Relocated) != 0 || !rep.Clean() {
-		t.Fatalf("second Verify = %+v, %v; want nothing left to move", rep, err)
-	}
-
-	// The same file planted again now collides with its relocated twin.
-	if err := os.MkdirAll(filepath.Dir(lp), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lp, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := trialFiles(t, dir, ".json")
-	rep, err = repo.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Relocated) != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], "already exists") || rep.Clean() {
-		t.Fatalf("Verify over a collision = %+v, want one error and no move", rep)
-	}
-	if after := trialFiles(t, dir, ".json"); len(after) != 2 || !reflect.DeepEqual(after, before) {
-		t.Fatalf("refused move altered the files: %d before, %d after", len(before), len(after))
+		repo := mustOpen(t, dir)
+		if trials := repo.Trials("my_app", "exp_one"); !reflect.DeepEqual(trials, []string{"trial_1"}) {
+			t.Fatalf("Trials before %s = %v, want the name the path spells", call, trials)
+		}
+		if err := check(repo); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s = %v, want ErrCorrupt", call, err)
+		}
+		if kept, err := os.ReadFile(lp + ".corrupt"); err != nil || !bytes.Equal(kept, data) {
+			t.Errorf("%s: the file was not set aside intact (err=%v)", call, err)
+		}
+		if q, _, _ := repo.StoreStats(); q != 1 {
+			t.Errorf("%s quarantined %d files, want 1", call, q)
+		}
+		if apps := repo.Applications(); len(apps) != 0 {
+			t.Errorf("Applications after %s = %v, want none", call, apps)
+		}
+		if _, err := repo.GetTrial("my app", "exp one", "trial 1"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("the trial the file holds is served after %s: %v", call, err)
+		}
 	}
 }
 

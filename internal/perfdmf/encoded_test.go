@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"math"
 	"math/rand"
 	"os"
@@ -195,7 +196,13 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 	validV1, validCol2, validCol3 := retired(payload), col2(payloadCol3), encodeEnvelope(payloadCol3)
 	np := nonPivotColumns(t)
 	swapped, ghost := np["swapped"], np["ghost"]
-	v2 := func(c *Columns) []byte { return encodeEnvelope(mustEncode(t, c)) }
+	// An empty metric list, not nil: see "empty metric list not null".
+	emptyMetrics, err := ColumnsFromTrial(miniTrial("a", "e", "n", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyMetrics.Metrics, emptyMetrics.Cols = []string{}, nil
+	v2 := func(c *Columns) []byte { return encodeEnvelope(rawPayload(t, c)) }
 	return map[string][]byte{
 		"empty":                          nil,
 		"truncated envelope":             valid[:len(valid)-9],
@@ -256,7 +263,7 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 		"values under a clear bit":       v2(ghost),
 		// The binary header spells an empty list one way; the JSON of
 		// %PDMFCOL3 had two, and that version is refused by name.
-		"empty metric list not null":    col3(prevColumnsPayload(t, np["empty metrics"])),
+		"empty metric list not null":    col3(prevColumnsPayload(t, emptyMetrics)),
 		"col4 columns swapped":          encodeEnvelope(prevColumnsPayload(t, swapped)),
 		"col4 values under a clear bit": encodeEnvelope(prevColumnsPayload(t, ghost)),
 		"col3 columns swapped":          col3(prevColumnsPayload(t, swapped)),
@@ -269,11 +276,9 @@ func hostileEncodings(t *testing.T) map[string][]byte {
 }
 
 // nonPivotColumns are columns that are checksummed once enveloped,
-// decodable, Validate-clean and a fixed point of decode → encode, but not how
-// ColumnsFromTrial pivots the trial held: only isPivot tells them apart, in
-// either payload version. All hold trial a/e/n. "empty metrics" is one only
-// in memory and in %PDMFCOL3's JSON: the binary header spells an empty
-// metric list one way, which decodes as nil.
+// structurally decodable, Validate-clean and a fixed point of decode → encode,
+// but not how ColumnsFromTrial pivots the trial held: only isPivot tells them
+// apart, in either payload version. All hold trial a/e/n.
 func nonPivotColumns(t *testing.T) map[string]*Columns {
 	t.Helper()
 	notPivot := func(perturb func(c *Columns)) *Columns {
@@ -285,8 +290,8 @@ func nonPivotColumns(t *testing.T) map[string]*Columns {
 			t.Fatal(err)
 		}
 		perturb(c)
-		if _, err := DecodeColumnar(prevColumnsPayload(t, c)); err != nil || c.isPivot() {
-			t.Fatalf("perturbed columns must decode and not be a pivot (err=%v)", err)
+		if _, err := DecodeColumnar(prevColumnsPayload(t, c)); !onlyNotPivot(err) || c.isPivot() {
+			t.Fatalf("perturbed columns must fail the pivot check alone (err=%v)", err)
 		}
 		return c
 	}
@@ -298,49 +303,122 @@ func nonPivotColumns(t *testing.T) map[string]*Columns {
 			c.Cols = append(c.Cols, MetricColumn{Metric: "NOBODY", Inc: make([]float64, 2), Exc: make([]float64, 2),
 				IncPresent: make([]bool, 2), ExcPresent: make([]bool, 2)})
 		}),
-		"ghost":         notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }), // EXTRA is absent on "main"
-		"empty metrics": notPivot(func(c *Columns) { c.Metrics, c.Cols = []string{}, nil }),
+		"ghost": notPivot(func(c *Columns) { c.Cols[2].Exc[0] = 3 }), // EXTRA is absent on "main"
 	}
 }
 
-func mustEncode(t *testing.T, c *Columns) []byte {
+// onlyNotPivot reports whether err is the decoder's refusal of columns that
+// are not the pivot of their trial, the check it makes last.
+func onlyNotPivot(err error) bool {
+	return errors.Is(err, ErrCorrupt) && strings.Contains(errText(err), "not the pivot of trial")
+}
+
+// rawPayload writes the payload of c as the encoder writes any columns it
+// accepts, without Encode's refusal of columns that are not a pivot: how
+// these tests make the bytes no encoder writes.
+func rawPayload(t testing.TB, c *Columns) []byte {
 	t.Helper()
-	p, err := c.Encode()
-	if err != nil {
+	var e encoder
+	if err := e.columns("", c); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return e.buf
 }
 
-// The repository keeps only pivots. A stored file whose columns are not the
-// pivot of the trial they hold was written by no version of the encoder, and
-// SaveEncoded refuses its bytes: fsck quarantines it and reports the store
-// unclean, and a cold GetTrial — or a GetEncoded of a previous-form file,
-// which decodes it — quarantines it and answers ErrCorrupt. The file
-// survives byte for byte as .corrupt. testdata/col5_nonpivot.pdmf, trial
-// app/exp/nonpivot with its first two columns swapped, is the file CI plants
-// beside a daemon.
-func TestStoredNonPivotIsQuarantined(t *testing.T) {
-	ctx := context.Background()
-	files := map[string][]byte{}
-	for name, c := range nonPivotColumns(t) {
-		if name != "empty metrics" {
-			files[name+" in %PDMFCOL5"] = encodeEnvelope(mustEncode(t, c))
-			files[name+" in %PDMFCOL4"] = encodeEnvelope(prevColumnsPayload(t, c))
+// nonPivotFixtures are the checked-in files of non-pivot columns, all of
+// trial app/exp/nonpivot, which tests outside this package and CI plant or
+// upload: col5_nonpivot.pdmf has its first two columns swapped.
+var nonPivotFixtures = map[string]string{
+	"col5_nonpivot.pdmf":          "swapped",
+	"col5_nonpivot_nocolumn.pdmf": "missing",
+	"col5_nonpivot_ghost.pdmf":    "ghost",
+}
+
+var updateFixtures = flag.Bool("update", false, "rewrite the checked-in non-pivot fixtures")
+
+// The non-pivot fixtures are what the raw writer writes for their columns,
+// so they cannot drift from nonPivotColumns; -update rewrites them.
+func TestNonPivotFixtures(t *testing.T) {
+	np := nonPivotColumns(t)
+	for file, name := range nonPivotFixtures {
+		c := *np[name]
+		c.App, c.Experiment, c.Name = "app", "exp", "nonpivot"
+		want := encodeEnvelope(rawPayload(t, &c))
+		p := filepath.Join("testdata", file)
+		if *updateFixtures {
+			if err := os.WriteFile(p, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s is not the %q columns as the raw writer writes them (err=%v); rerun with -update", p, name, err)
 		}
 	}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "col5_nonpivot.pdmf"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// nonPivotFiles are the envelopes of nonPivotColumns in both payload
+// versions, and the checked-in fixtures.
+func nonPivotFiles(t *testing.T) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	for name, c := range nonPivotColumns(t) {
+		files[name+" in %PDMFCOL5"] = encodeEnvelope(rawPayload(t, c))
+		files[name+" in %PDMFCOL4"] = encodeEnvelope(prevColumnsPayload(t, c))
 	}
-	files["testdata/col5_nonpivot.pdmf"] = fixture
-	for what, data := range files {
+	for file := range nonPivotFixtures {
+		fixture, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files["testdata/"+file] = fixture
+	}
+	return files
+}
+
+// Every decoder refuses columns that are not the pivot of their trial, in
+// either payload version, and says so: the codec, not the repository, is
+// where a stored trial is defined.
+func TestEveryDecoderRefusesNonPivot(t *testing.T) {
+	dir := t.TempDir()
+	for what, data := range nonPivotFiles(t) {
 		payload, err := decodeEnvelope(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err := DecodeColumnar(payload); err != nil || c.isPivot() {
-			t.Fatalf("%s: the file must decode and not be a pivot (err=%v)", what, err)
+		p := filepath.Join(dir, "trial.pdmf")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for call, decode := range map[string]func() error{
+			"DecodeTrial":       func() error { _, err := DecodeTrial(data); return err },
+			"UnmarshalColumnar": func() error { _, err := UnmarshalColumnar(payload); return err },
+			"DecodeColumnar":    func() error { _, err := DecodeColumnar(payload); return err },
+			"ReadTrialFile":     func() error { _, err := ReadTrialFile(p); return err },
+			"SaveEncoded": func() error {
+				_, err := mustOpen(t, t.TempDir()).SaveEncoded(context.Background(), data)
+				return err
+			},
+		} {
+			if err := decode(); !onlyNotPivot(err) {
+				t.Errorf("%s: %s = %v, want ErrCorrupt: not the pivot", what, call, err)
+			}
+		}
+	}
+}
+
+// The repository keeps only pivots. A stored file whose columns are not the
+// pivot of the trial they hold was written by no version of the encoder, and
+// no decoder reads it: fsck quarantines it and reports the store unclean,
+// and a cold GetTrial — or a GetEncoded of a previous-form file, which
+// decodes it — quarantines it and answers ErrCorrupt. The file survives byte
+// for byte as .corrupt. testdata/col5_nonpivot.pdmf is the file CI plants
+// beside a daemon.
+func TestStoredNonPivotIsQuarantined(t *testing.T) {
+	ctx := context.Background()
+	for what, data := range nonPivotFiles(t) {
+		payload, err := decodeEnvelope(data)
+		if err != nil {
+			t.Fatal(err)
 		}
 		app, exp, name, _ := EncodedCoordinates(data)
 		plant := func() (*Repository, string) {
@@ -574,10 +652,9 @@ func mustOpen(t *testing.T, dir string) *Repository {
 	return repo
 }
 
-// A directory of %PDMFCOL4 files, as the previous release wrote them — one
-// of them under the underscore path scheme — serves both representations; a
-// file is upgraded by its next save, and whatever is still legacy by one
-// Verify, after which a second finds none.
+// A directory of %PDMFCOL4 files, as the previous release wrote them, serves
+// both representations; a file is upgraded by its next save, and whatever is
+// still legacy by one Verify, after which a second finds none.
 func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -590,11 +667,9 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stray := miniTrial("my app", "exp", "stray", 1)
 	unread := miniTrial("my app", "exp", "unread", 2)
 	prev := miniTrial("my app", "exp", "prev", 3)
 	prevFile := encodeEnvelope(prevColumnarPayload(t, prev))
-	plant(filepath.Join(dir, "my_app", "exp", "stray.json"), encodeEnvelope(prevColumnarPayload(t, stray))) // underscore scheme
 	plant(filepath.Join(dir, safe("my app"), "exp", "unread.json"), encodeEnvelope(prevColumnarPayload(t, unread)))
 	plant(filepath.Join(dir, safe("my app"), "exp", "prev.json"), prevFile)
 
@@ -607,8 +682,8 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 		}
 		return data
 	}
-	// The two files at their own paths read in both representations, and
-	// reading rewrites nothing.
+	// Both files read in both representations, and reading rewrites
+	// nothing.
 	for _, want := range []*Trial{unread, prev} {
 		data, err := repo.GetEncoded(ctx, want.App, want.Experiment, want.Name)
 		if err != nil {
@@ -633,24 +708,21 @@ func TestLegacyFilesServeEncodedAndUpgrade(t *testing.T) {
 	if file := rawTrialFile(t, repo, prev.App, prev.Experiment, prev.Name); !bytes.Equal(file, canon(prev)) {
 		t.Error("prev: file not upgraded to the encoded form by its save")
 	}
-	// Verify moves the underscore-scheme file home and upgrades the rest.
+	// Verify upgrades the rest.
 	rep, err := repo.Verify()
-	if err != nil || rep.Trials != 3 || rep.Legacy != 2 || rep.Upgraded != 2 || len(rep.Relocated) != 1 || !rep.Clean() {
-		t.Fatalf("fsck over legacy files = %+v, %v; want 3 trials, 2 legacy, 2 upgraded, 1 relocated, clean", rep, err)
+	if err != nil || rep.Trials != 2 || rep.Legacy != 1 || rep.Upgraded != 1 || !rep.Clean() {
+		t.Fatalf("fsck over legacy files = %+v, %v; want 2 trials, 1 legacy, 1 upgraded, clean", rep, err)
 	}
-	for _, want := range []*Trial{stray, unread, prev} {
+	for _, want := range []*Trial{unread, prev} {
 		if file := rawTrialFile(t, repo, want.App, want.Experiment, want.Name); !bytes.Equal(file, canon(want)) {
 			t.Errorf("%s: file is not EncodeTrial's output after fsck", want.Name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "my_app", "exp", "stray.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("underscore-scheme twin survived the upgrade: %v", err)
+	if rep, err := repo.Verify(); err != nil || rep.Trials != 2 || rep.Legacy != 0 || rep.Upgraded != 0 || !rep.Clean() {
+		t.Fatalf("second fsck = %+v, %v; want 2 trials, 0 legacy, 0 upgraded", rep, err)
 	}
-	if rep, err := repo.Verify(); err != nil || rep.Trials != 3 || rep.Legacy != 0 || rep.Upgraded != 0 || !rep.Clean() {
-		t.Fatalf("second fsck = %+v, %v; want 3 trials, 0 legacy, 0 upgraded", rep, err)
-	}
-	// The legacy path of "a b" is the current path of "a_b": a raw read
-	// must not serve one trial under the other's name.
+	// The underscore scheme of old releases put "a b" where "a_b" lives
+	// now: a raw read must not serve one trial under the other's name.
 	if err := repo.Save(miniTrial("my app", "exp", "a_b", 3)); err != nil {
 		t.Fatal(err)
 	}

@@ -154,20 +154,23 @@ func (c *Columns) encodeEnveloped() ([]byte, error) {
 }
 
 // decodeColumns is DecodeTrial for the repository, which keeps trials
-// pivoted: see decodeColumnsPayload.
+// pivoted.
 func decodeColumns(data []byte) (*Columns, error) {
 	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeColumnsPayload(payload)
+	return DecodeColumnar(payload)
 }
 
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum and decodes the payload, which gives a trial Validate accepts
-// (see DecodeColumnar). It also accepts the previous payload, %PDMFCOL4.
-// Checksum and structure failures wrap ErrCorrupt, as does the refusal of
-// trial JSON, bare or inside the envelope.
+// (see DecodeColumnar), and EncodeTrial of that trial is data itself for
+// every current-form input it accepts. It also accepts the previous payload,
+// %PDMFCOL4, which EncodeTrial of its trial rewrites in the current form.
+// Checksum and structure failures wrap ErrCorrupt, as do columns that are not
+// the pivot of their trial and the refusal of trial JSON, bare or inside the
+// envelope.
 func DecodeTrial(data []byte) (*Trial, error) {
 	payload, err := decodeEnvelope(data)
 	if err != nil {

@@ -1,8 +1,6 @@
 package perfdmf
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,24 +31,14 @@ type FsckReport struct {
 	// RecoveredTmp lists orphaned .tmp files from interrupted saves that
 	// this scan removed.
 	RecoveredTmp []string `json:"recovered_tmp,omitempty"`
-	// Relocated lists valid trial files this scan moved to the path of the
-	// coordinates they embed — files written under the old underscore path
-	// scheme, or copied in by hand under the wrong name.
-	Relocated []FsckMove `json:"relocated,omitempty"`
 	// Errors lists I/O failures encountered while scanning (unreadable
-	// files that were NOT identified as corrupt, e.g. EIO) and refused
-	// relocations (the destination already holds a file). Corruption is
-	// not an error here: it is handled by quarantine.
+	// files that were NOT identified as corrupt, e.g. EIO) and failed
+	// upgrades. Corruption is not an error here: it is handled by
+	// quarantine.
 	Errors []string `json:"errors,omitempty"`
 	// ReadOnly reports whether the repository is (still) in read-only
 	// degraded mode after the scan's write probe.
 	ReadOnly bool `json:"read_only"`
-}
-
-// FsckMove is one relocation: both paths relative to the repository root.
-type FsckMove struct {
-	From string `json:"from"`
-	To   string `json:"to"`
 }
 
 // Clean reports whether the scan found nothing wrong: no quarantined
@@ -60,13 +48,13 @@ func (rep *FsckReport) Clean() bool {
 }
 
 // Verify runs fsck over the repository: removes orphaned .tmp files,
-// validates every trial file (quarantining damaged ones to <file>.corrupt),
-// moves valid files that sit at another name's path to their own, reports
-// quarantined entries, when the repository is in read-only degraded mode
-// probes the volume and clears the mode if writes succeed again, and —
-// unless it stays read-only — rewrites every legacy-form file into the
-// encoded form, which makes it the one-shot format migration. It never
-// fails the whole scan because of one bad file.
+// validates every trial file (quarantining damaged ones, valid files at
+// another trial's path among them, to <file>.corrupt), reports quarantined
+// entries, when the repository is in read-only degraded mode probes the
+// volume and clears the mode if writes succeed again, and — unless it stays
+// read-only — rewrites every legacy-form file into the encoded form, which
+// makes it the one-shot format migration. It never fails the whole scan
+// because of one bad file.
 func (r *Repository) Verify() (*FsckReport, error) {
 	rep := &FsckReport{Root: r.root}
 	if r.root == "" {
@@ -76,7 +64,7 @@ func (r *Repository) Verify() (*FsckReport, error) {
 		return rep, nil
 	}
 	r.recoverTmp(rep)
-	var misplaced, legacy []string
+	var legacy []string
 	r.walkTrialDirs(func(dir string, files []os.DirEntry) {
 		for _, f := range files {
 			if f.IsDir() {
@@ -87,21 +75,12 @@ func (r *Repository) Verify() (*FsckReport, error) {
 			case strings.HasSuffix(f.Name(), ".corrupt"):
 				rep.Quarantined = append(rep.Quarantined, r.rel(p))
 			case strings.HasSuffix(f.Name(), ".json"):
-				home, isLegacy := r.verifyTrialFile(p, rep)
-				if home != "" && home != p {
-					misplaced = append(misplaced, p)
-				}
-				if isLegacy {
-					legacy = append(legacy, home)
+				if r.verifyTrialFile(p, rep) {
+					legacy = append(legacy, p)
 				}
 			}
 		}
 	})
-	// After the walk, so a file moved into a directory not yet visited is
-	// not verified and counted twice.
-	for _, p := range misplaced {
-		r.relocate(p, rep)
-	}
 	r.probeWritable()
 	for _, p := range legacy {
 		r.upgrade(p, rep)
@@ -110,39 +89,38 @@ func (r *Repository) Verify() (*FsckReport, error) {
 	return rep, nil
 }
 
-// verifyTrialFile checks one .json file end to end; damaged files are
-// quarantined and recorded, unreadable ones recorded as scan errors. For a
-// valid trial it returns home, the path of the coordinates the file embeds
-// (the file is misplaced when that is not p), and whether the file is in a
-// legacy form.
-func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (home string, legacy bool) {
+// verifyTrialFile checks one .json file end to end: damaged files, and
+// valid ones at another trial's path, are quarantined and recorded,
+// unreadable ones recorded as scan errors. It reports whether a trial it
+// counted is in a legacy form.
+func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (legacy bool) {
 	data, err := r.fsys.ReadFile(p)
 	if err != nil {
 		rep.Errors = append(rep.Errors, r.rel(p)+": "+err.Error())
-		return "", false
+		return false
 	}
 	var c *Columns
 	payload, err := decodeEnvelope(data)
 	if err == nil {
-		c, err = decodeColumnsPayload(payload)
+		c, err = DecodeColumnar(payload)
 	}
-	if err != nil {
+	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
 		r.quarantine(p)
 		rep.Quarantined = append(rep.Quarantined, r.rel(p)+".corrupt")
-		return "", false
+		return false
 	}
 	rep.Trials++
 	if legacy = !IsColumnar(payload); legacy {
 		rep.Legacy++
 	}
-	return r.path(c.App, c.Experiment, c.Name), legacy
+	return legacy
 }
 
 // upgrade rewrites the legacy-form trial file at p, its own path, as
-// EncodeTrial output through persist. Like relocate it holds the write lock
-// and re-reads the file under it, so a Save racing the scan is not
-// overwritten with the older trial. A file that is gone, already upgraded,
-// or still misplaced because its relocation was refused is left alone.
+// EncodeTrial output through persist. It holds the write lock and re-reads
+// the file under it, so a Save racing the scan is not overwritten with the
+// older trial. A file that is gone, already upgraded, or not at the path of
+// the trial it holds is left alone.
 func (r *Repository) upgrade(p string, rep *FsckReport) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -157,7 +135,7 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	if err != nil || IsColumnar(payload) {
 		return
 	}
-	c, err := decodeColumnsPayload(payload)
+	c, err := DecodeColumnar(payload)
 	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
 		return
 	}
@@ -173,57 +151,6 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	}
 	r.enospcStreak.Store(0)
 	rep.Upgraded++
-}
-
-// relocate moves the valid trial file at from to the path of the
-// coordinates it embeds, never over an existing file. It holds the write
-// lock and re-reads the file under it, so a Save racing the scan is
-// neither overwritten at the destination nor carried off from the source.
-func (r *Repository) relocate(from string, rep *FsckReport) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	to, err := r.moveHome(from)
-	switch {
-	case err != nil:
-		rep.Errors = append(rep.Errors, r.rel(from)+": relocate: "+err.Error())
-	case to != from:
-		rep.Relocated = append(rep.Relocated, FsckMove{From: r.rel(from), To: r.rel(to)})
-	}
-}
-
-func (r *Repository) moveHome(from string) (to string, err error) {
-	data, err := r.fsys.ReadFile(from)
-	if err != nil {
-		return "", err
-	}
-	c, err := decodeColumns(data)
-	if err != nil {
-		return "", err
-	}
-	if to = r.path(c.App, c.Experiment, c.Name); to == from {
-		return to, nil
-	}
-	if _, err := r.fsys.Stat(to); err == nil {
-		return "", fmt.Errorf("%s already exists", r.rel(to))
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return "", err
-	}
-	if err := r.fsys.MkdirAll(filepath.Dir(to), 0o755); err != nil {
-		return "", err
-	}
-	if err := r.fsys.Rename(from, to); err != nil {
-		return "", err
-	}
-	// Make the move durable, then prune the directories it emptied
-	// (Remove fails harmlessly on one that still has entries).
-	for _, dir := range []string{filepath.Dir(to), filepath.Dir(from)} {
-		if err := r.fsys.SyncDir(dir); err != nil {
-			r.fsyncErrors.inc()
-		}
-	}
-	_ = r.fsys.Remove(filepath.Dir(from))
-	_ = r.fsys.Remove(filepath.Dir(filepath.Dir(from)))
-	return to, nil
 }
 
 // recoverTmp removes orphaned .tmp files left by interrupted saves. It

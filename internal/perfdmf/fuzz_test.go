@@ -201,7 +201,8 @@ func FuzzParseCSV(f *testing.F) {
 // payload decode, trial validation. The invariants: every failure wraps
 // ErrCorrupt; every decode that succeeds yields a Validate-clean trial; a
 // %PDMFCOL5 payload the decoder accepts is exactly what encoding the decoded
-// columns writes; and a %PDMFCOL4 one is exactly what the previous version's
+// columns writes, and its envelope exactly what EncodeTrial writes for the
+// trial it decodes to; and a %PDMFCOL4 one is exactly what the previous version's
 // writer writes for them, and re-encodes to the same columns in the current
 // form. The checked-in corpus entries without a prefix predate %PDMFCOL2, are
 // kept byte for byte and are all refused now, as the col2_ and col3_ entries
@@ -235,6 +236,9 @@ func FuzzDecodeColumnarEnvelope(f *testing.F) {
 		if IsColumnar(payload) {
 			if !bytes.Equal(e1, payload) {
 				t.Fatal("a %PDMFCOL5 payload the decoder accepts is not what encoding its columns writes")
+			}
+			if enc, err := EncodeTrial(tr); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("a %%PDMFCOL5 trial the decoder accepts is not what EncodeTrial writes for it (err=%v)", err)
 			}
 			return
 		}

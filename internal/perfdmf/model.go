@@ -42,23 +42,6 @@ type Event struct {
 // chain) rather than a flat region.
 func (e *Event) IsCallpath() bool { return strings.Contains(e.Name, CallpathSeparator) }
 
-// LeafName returns the last component of a callpath event name, or the name
-// itself for flat events.
-func (e *Event) LeafName() string {
-	if i := strings.LastIndex(e.Name, CallpathSeparator); i >= 0 {
-		return e.Name[i+len(CallpathSeparator):]
-	}
-	return e.Name
-}
-
-// ParentName returns the callpath prefix of the event ("" for flat events).
-func (e *Event) ParentName() string {
-	if i := strings.LastIndex(e.Name, CallpathSeparator); i >= 0 {
-		return e.Name[:i]
-	}
-	return ""
-}
-
 // Trial is one execution of an instrumented application: a complete parallel
 // profile over some set of metrics, plus the metadata (performance context)
 // recorded when it ran.

@@ -65,14 +65,14 @@ const readOnlyAfterENOSPC = 2
 //     write drops the trial's cached copy and only a read of the file fills
 //     it again, so GetTrial never serves data that would vanish on restart.
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
-//     undecodable, or holding columns that are not the pivot of the trial
-//     they hold, which no encoder writes) is quarantined — renamed to
-//     <file>.corrupt —
-//     and the read fails wrapping ErrCorrupt; sibling trials and listings
-//     are unaffected. A file in the previous form (a %PDMFCOL4 payload)
-//     remains readable and is rewritten into the encoded form on its next
-//     save, or all at once by Verify; a file in a form older than that is
-//     refused by name and quarantined like a damaged one.
+//     undecodable, holding columns that are not the pivot of the trial
+//     they hold, which no encoder writes, or holding another trial) is
+//     quarantined — renamed to <file>.corrupt — and the read fails
+//     wrapping ErrCorrupt; sibling trials and listings are unaffected. A
+//     file in the previous form (a %PDMFCOL4 payload) remains readable and
+//     is rewritten into the encoded form on its next save, or all at once
+//     by Verify; a file in a form older than that is refused by name and
+//     quarantined like a damaged one.
 //   - Opening runs a recovery sweep that deletes orphaned .tmp files left
 //     by interrupted saves. Verify runs a full fsck on demand.
 //   - Persistent ENOSPC on save flips the repository into read-only
@@ -85,9 +85,8 @@ const readOnlyAfterENOSPC = 2
 // Directory and file names on disk are the trial's coordinates under a
 // bijective percent-escaping (safe and its inverse nameOf), so the path is
 // the name: a file-backed repository lists by reading directory entries and
-// opens no trial file to do so. A file that is not at the path of the
-// coordinates it embeds — one written by older versions under their lossy
-// underscore scheme — is never served; Verify moves it into place.
+// opens no trial file to do so. A valid file that is not at the path of the
+// coordinates it embeds is damage like any other, and quarantined.
 //
 // Repository is safe for concurrent use.
 type Repository struct {
@@ -276,21 +275,15 @@ func (r *Repository) SaveEncoded(ctx context.Context, data []byte) (st Stored, e
 	sp.SetAttr("app", c.App)
 	sp.SetAttr("experiment", c.Experiment)
 	sp.SetAttr("trial", c.Name)
-	// isPivot shows the columns are how the encoder pivots this trial, equal
-	// bytes that the body is how it writes those columns.
-	canonical := c.isPivot()
-	switch {
-	case !canonical:
-	case isColumnarPrev(payload):
+	// The decoder holds the columns to how the encoder pivots this trial,
+	// equal bytes the body to how it writes those columns.
+	if isColumnarPrev(payload) {
 		if data, err = c.encodeEnveloped(); err != nil {
 			return Stored{}, err
 		}
-	default:
-		if canonical, err = encodesTo(c, data); err != nil {
-			return Stored{}, err
-		}
-	}
-	if !canonical {
+	} else if canonical, err := encodesTo(c, data); err != nil {
+		return Stored{}, err
+	} else if !canonical {
 		return Stored{}, fmt.Errorf("%w: not the canonical encoding of trial %q/%q/%q", ErrCorrupt, c.App, c.Experiment, c.Name)
 	}
 	st = Stored{App: c.App, Experiment: c.Experiment, Name: c.Name,
@@ -384,8 +377,9 @@ func (r *Repository) noteWriteError(err error) {
 // columns: callers may mutate it freely without affecting the repository.
 //
 // A damaged file — failed checksum, truncated envelope, undecodable
-// payload, columns that are not a pivot — is quarantined to <file>.corrupt
-// and the error wraps ErrCorrupt; other trials and listings are unaffected.
+// payload, columns that are not a pivot, another trial's coordinates — is
+// quarantined to <file>.corrupt and the error wraps ErrCorrupt; other trials
+// and listings are unaffected.
 func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	k := key(app, experiment, trial)
 	r.mu.RLock()
@@ -403,15 +397,12 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 		return fail(err)
 	}
 	c, err = decodeColumns(data)
+	if err == nil && (c.App != app || c.Experiment != experiment || c.Name != trial) {
+		err = misplaced(c.App, c.Experiment, c.Name)
+	}
 	if err != nil {
 		r.quarantine(p)
 		return fail(err)
-	}
-	// A valid file at another trial's path (the old underscore scheme put
-	// "a b" where "a_b" lives) is not this trial, and not damage either:
-	// Verify moves it to its own path.
-	if c.App != app || c.Experiment != experiment || c.Name != trial {
-		return fail(ErrNotFound)
 	}
 	// The file was read outside the lock: a save or delete since then may
 	// have replaced what it held, and must not be undone in the cache.
@@ -473,17 +464,24 @@ func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
 		return fail(err)
 	}
 	if hApp != app || hExp != experiment || hName != trial {
-		return fail(ErrNotFound) // see GetTrial
+		r.quarantine(p)
+		return fail(misplaced(hApp, hExp, hName))
 	}
 	if IsColumnar(payload) {
 		return data, nil
 	}
-	c, err := decodeColumnsPayload(payload)
+	c, err := DecodeColumnar(payload)
 	if err != nil {
 		r.quarantine(p)
 		return fail(err)
 	}
 	return c.encodeEnveloped()
+}
+
+// misplaced is the damage of a valid file at another trial's path: the path
+// is the name, so the file is not the trial asked for.
+func misplaced(app, experiment, trial string) error {
+	return fmt.Errorf("%w: the file holds trial %q/%q/%q", ErrCorrupt, app, experiment, trial)
 }
 
 // readStored reads the file at the path of a trial's coordinates.

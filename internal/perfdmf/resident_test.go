@@ -191,46 +191,34 @@ func TestRepositoryTrialsDoNotAlias(t *testing.T) {
 	}
 }
 
-// isPivot is the columns form of SaveEncoded's canonical check: it holds of
-// decoded columns exactly when encoding them gives the bytes EncodeTrial
-// gives for the trial they hold, which is how the check was made before.
-// Every decodable input also holds a trial Validate accepts, so no further
-// validity check on columns is needed. Inputs: the generator's trials, each
-// also perturbed in every way that leaves the payload decodable but is not
-// how ColumnsFromTrial pivots, plus the fuzz corpus.
+// The decoder's pivot check is the columns form of comparing with
+// EncodeTrial: the payload the encoder writes for some columns decodes
+// exactly when it is the bytes EncodeTrial gives for the trial they hold,
+// and the columns it decodes to hold a trial Validate accepts. Encode and
+// SaveEncoded agree. Inputs: the generator's trials, each also perturbed in
+// every way that leaves the payload structurally decodable but is not how
+// ColumnsFromTrial pivots, plus the fuzz corpus.
 func TestIsPivotMatchesReencoding(t *testing.T) {
 	check := func(what string, c *Columns) {
 		t.Helper()
-		payload, err := c.Encode()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
+		payload := rawPayload(t, c)
+		viaTrial, err := EncodeTrial(c.Trial())
+		canonical := err == nil && bytes.Equal(encodeEnvelope(payload), viaTrial)
 		d, err := DecodeColumnar(payload)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: decode error does not wrap ErrCorrupt: %v", what, err)
+		if (err == nil) != canonical || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: DecodeColumnar = %v, EncodeTrial writes the payload = %v", what, err, canonical)
+		}
+		if err == nil {
+			if err := d.Trial().Validate(); err != nil {
+				t.Fatalf("%s: decoded columns hold an invalid trial: %v", what, err)
 			}
-			return
 		}
-		tr := d.Trial()
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%s: decoded columns hold an invalid trial: %v", what, err)
+		if _, err := c.Encode(); (err == nil) != c.isPivot() {
+			t.Fatalf("%s: Encode = %v, isPivot = %v", what, err, c.isPivot())
 		}
-		direct, err := d.encodeEnveloped()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		viaTrial, err := EncodeTrial(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if got, want := d.isPivot(), bytes.Equal(direct, viaTrial); got != want {
-			t.Fatalf("%s: isPivot = %v, re-encoding the trial gives equal bytes = %v", what, got, want)
-		}
-		// And SaveEncoded acts on it.
 		_, err = NewRepository().SaveEncoded(context.Background(), encodeEnvelope(payload))
-		if want := bytes.Equal(direct, viaTrial); (err == nil) != want || err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: SaveEncoded = %v, canonical = %v", what, err, want)
+		if (err == nil) != canonical || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: SaveEncoded = %v, canonical = %v", what, err, canonical)
 		}
 	}
 	r := rand.New(rand.NewSource(29))
