@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -162,18 +163,28 @@ func (h *HintStore) All() ([]dmfwire.Hint, []error) {
 	return hints, errs
 }
 
-// Remove deletes the record for a delivered hint.
+// Remove deletes the record for a delivered hint, and only that record: a
+// Put for the same (owner, coordinate) since the hint was read replaced it
+// with a body not yet delivered, which stays.
 func (h *HintStore) Remove(hint dmfwire.Hint) error {
-	name := fileName(hint)
+	want, err := dmfwire.EncodeHint(hint)
+	if err != nil {
+		return err
+	}
+	p := h.path(fileName(hint))
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.fs.Remove(h.path(name)); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("cluster: hint store: %w", err)
+	data, err := h.fs.ReadFile(p)
+	if errors.Is(err, fs.ErrNotExist) || err == nil && !bytes.Equal(data, want) {
+		return nil // already gone, or replaced by a hint not yet delivered
 	}
-	if err := h.fs.SyncDir(h.dir); err != nil {
+	if err == nil {
+		err = h.fs.Remove(p)
+	}
+	if err == nil {
+		err = h.fs.SyncDir(h.dir)
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: hint store: %w", err)
 	}
 	h.pending--

@@ -70,6 +70,39 @@ func TestHintStorePutAllRemove(t *testing.T) {
 	}
 }
 
+// A replay removes only the record it delivered: a Put for the same owner
+// and coordinate between the replay's All and its Remove holds a body not
+// yet delivered, and stays for the next replay.
+func TestHintStoreRemoveKeepsNewerHint(t *testing.T) {
+	h, err := OpenHintStore(vfs.OS{}, filepath.Join(t.TempDir(), "hints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Put(testHint("http://node-a:7360", "np64", `{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	read, errs := h.All()
+	if len(errs) != 0 || len(read) != 1 {
+		t.Fatalf("All = %v, %v; want the one hint", read, errs)
+	}
+	newer := testHint("http://node-a:7360", "np64", `{"v":2}`)
+	if err := h.Put(newer); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Remove(read[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, errs := h.All(); len(errs) != 0 || !reflect.DeepEqual(got, []dmfwire.Hint{newer}) || h.Pending() != 1 {
+		t.Fatalf("after removing the delivered hint: All = %+v, %v, pending %d; want the newer hint kept", got, errs, h.Pending())
+	}
+	if err := h.Remove(newer); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := h.All(); len(got) != 0 || h.Pending() != 0 {
+		t.Fatalf("after delivering the newer hint: All = %+v, pending %d; want none", got, h.Pending())
+	}
+}
+
 func TestHintStoreSurvivesReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hints")
 	h, err := OpenHintStore(vfs.OS{}, dir)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -343,6 +344,169 @@ func TestVerifyQuarantinesProactively(t *testing.T) {
 	}
 	if _, err := os.Stat(p + ".corrupt"); err != nil {
 		t.Fatalf("Verify did not quarantine: %v", err)
+	}
+}
+
+// plantDamaged writes bytes no encoder writes at the path of app/exp/t1.
+func plantDamaged(t *testing.T, dir string) string {
+	t.Helper()
+	p := filepath.Join(dir, "app", "exp", "t1.json")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, []byte("%PDMF1\ngarbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// A read that judged a file damaged quarantines it only if the file still
+// holds what it read: a Save acknowledged between the read and the
+// quarantine wrote the trial at that path, and must stay readable. Each of
+// the three readers reads the damaged file, is held there while the Save
+// runs, and then judges what it read.
+func TestQuarantineSparesSaveAfterRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(repo *Repository) error
+	}{
+		{"GetTrial", func(repo *Repository) error {
+			if _, err := repo.GetTrial("app", "exp", "t1"); !errors.Is(err, ErrCorrupt) {
+				return fmt.Errorf("GetTrial = %v, want ErrCorrupt for the bytes it read", err)
+			}
+			return nil
+		}},
+		{"GetEncoded", func(repo *Repository) error {
+			if _, err := repo.GetEncoded(context.Background(), "app", "exp", "t1"); !errors.Is(err, ErrCorrupt) {
+				return fmt.Errorf("GetEncoded = %v, want ErrCorrupt for the bytes it read", err)
+			}
+			return nil
+		}},
+		{"Verify", func(repo *Repository) error {
+			rep, err := repo.Verify()
+			if err != nil || len(rep.Quarantined) != 0 || len(rep.Errors) != 0 || rep.Trials != 0 {
+				return fmt.Errorf("Verify = %+v, %v; want the file that changed since its read neither moved nor listed", rep, err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := plantDamaged(t, dir)
+			fsys := &blockingFS{FS: vfs.OS{}, read: make(chan struct{}), release: make(chan struct{})}
+			repo, err := OpenRepositoryFS(dir, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.read(repo) }()
+			<-fsys.read
+			if err := repo.Save(miniTrial("app", "exp", "t1", 5)); err != nil {
+				t.Fatal(err)
+			}
+			close(fsys.release)
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+			got, err := repo.GetTrial("app", "exp", "t1")
+			if err != nil || got.Events[0].Inclusive[TimeMetric][0] != 5 {
+				t.Fatalf("acknowledged Save lost to the quarantine: GetTrial = %v", err)
+			}
+			if _, err := os.Stat(p + ".corrupt"); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("the saved trial was moved aside: stat .corrupt = %v", err)
+			}
+			if q, _, _ := repo.StoreStats(); q != 0 {
+				t.Errorf("store_quarantined = %d, want 0", q)
+			}
+		})
+	}
+}
+
+// fsck reports what it did: damage it could not move aside is a scan error
+// naming the file, which stays where it was, and the report is unclean.
+func TestVerifyReportsFailedQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	p := plantDamaged(t, dir)
+	fsys := vfs.NewFaulty(vfs.OS{})
+	fsys.Inject(vfs.Fault{Op: vfs.OpRename, Path: ".corrupt", Err: syscall.EIO})
+	repo, err := OpenRepositoryFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := repo.Verify()
+	if err != nil || rep.Clean() || len(rep.Quarantined) != 0 || len(rep.Errors) != 1 ||
+		!strings.HasPrefix(rep.Errors[0], "app/exp/t1.json: quarantine: ") || !strings.Contains(rep.Errors[0], syscall.EIO.Error()) {
+		t.Fatalf("Verify = %+v, %v; want one scan error naming the file and nothing quarantined", rep, err)
+	}
+	if _, err := os.Stat(p); err != nil {
+		t.Errorf("the damaged file left its place: %v", err)
+	}
+	if q, _, _ := repo.StoreStats(); q != 0 {
+		t.Errorf("store_quarantined = %d after a failed rename, want 0", q)
+	}
+}
+
+// sweepRaceFS starts a Save of app/exp/t1 and holds it between writing its
+// temp file and renaming it, when the repository goes to remove that temp
+// file with its lock free: the window in which a sweep that does not take
+// the lock removes the temp file of a save in flight.
+type sweepRaceFS struct {
+	vfs.FS
+	repo    *Repository
+	saved   chan error    // the Save's result, once one was started
+	written chan struct{} // receives once the Save has written its temp file
+	removed chan struct{} // closed once the temp file's removal has run
+}
+
+func (f *sweepRaceFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	err := f.FS.WriteFile(name, data, perm)
+	if f.saved != nil && strings.HasSuffix(name, ".tmp") {
+		f.written <- struct{}{}
+		<-f.removed
+	}
+	return err
+}
+
+func (f *sweepRaceFS) Remove(name string) error {
+	if f.saved == nil && strings.HasSuffix(name, ".tmp") && f.repo.mu.TryLock() {
+		f.repo.mu.Unlock()
+		f.saved = make(chan error, 1)
+		go func() { f.saved <- f.repo.Save(miniTrial("app", "exp", "t1", 5)) }()
+		<-f.written
+		defer close(f.removed)
+	}
+	return f.FS.Remove(name)
+}
+
+// An fsck on a serving repository removes orphaned temp files, never the
+// temp file of a save in flight: the save holds the lock from its write to
+// its rename, and the sweep removes each temp file under the lock.
+func TestOnlineFsckSparesSaveInFlight(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &sweepRaceFS{FS: vfs.OS{}, written: make(chan struct{}), removed: make(chan struct{})}
+	repo, err := OpenRepositoryFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.repo = repo
+	orphan := filepath.Join(dir, "app", "exp", "t1.json.tmp")
+	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := repo.Verify()
+	if err != nil || !reflect.DeepEqual(rep.RecoveredTmp, []string{"app/exp/t1.json.tmp"}) {
+		t.Fatalf("Verify = %+v, %v; want the orphaned temp file recovered", rep, err)
+	}
+	if fsys.saved != nil {
+		if err := <-fsys.saved; err != nil {
+			t.Fatalf("a Save in flight during the sweep failed: %v", err)
+		}
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("orphaned temp file still present: %v", err)
 	}
 }
 

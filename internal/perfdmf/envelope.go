@@ -153,16 +153,6 @@ func (c *Columns) encodeEnveloped() ([]byte, error) {
 	return exactCopy(e.seal()), nil
 }
 
-// decodeColumns is DecodeTrial for the repository, which keeps trials
-// pivoted.
-func decodeColumns(data []byte) (*Columns, error) {
-	payload, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeColumnar(payload)
-}
-
 // DecodeTrial is the inverse of EncodeTrial: it verifies the envelope
 // checksum and decodes the payload, which gives a trial Validate accepts
 // (see DecodeColumnar), and EncodeTrial of that trial is data itself for

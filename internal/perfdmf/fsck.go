@@ -32,9 +32,9 @@ type FsckReport struct {
 	// this scan removed.
 	RecoveredTmp []string `json:"recovered_tmp,omitempty"`
 	// Errors lists I/O failures encountered while scanning (unreadable
-	// files that were NOT identified as corrupt, e.g. EIO) and failed
-	// upgrades. Corruption is not an error here: it is handled by
-	// quarantine.
+	// files, e.g. EIO), failed upgrades, and damaged files that could not
+	// be moved aside. Corruption that was quarantined is not an error
+	// here.
 	Errors []string `json:"errors,omitempty"`
 	// ReadOnly reports whether the repository is (still) in read-only
 	// degraded mode after the scan's write probe.
@@ -82,6 +82,7 @@ func (r *Repository) Verify() (*FsckReport, error) {
 		}
 	})
 	r.probeWritable()
+	rep.Legacy = len(legacy)
 	for _, p := range legacy {
 		r.upgrade(p, rep)
 	}
@@ -89,38 +90,35 @@ func (r *Repository) Verify() (*FsckReport, error) {
 	return rep, nil
 }
 
-// verifyTrialFile checks one .json file end to end: damaged files, and
-// valid ones at another trial's path, are quarantined and recorded,
-// unreadable ones recorded as scan errors. It reports whether a trial it
-// counted is in a legacy form.
+// verifyTrialFile checks one .json file end to end: a damaged file, or a
+// valid one at another trial's path, is quarantined and recorded unless it
+// changed since it was read; an unreadable file, or damage that could not
+// be moved aside, is a scan error. It reports whether a trial it counted is
+// in a legacy form.
 func (r *Repository) verifyTrialFile(p string, rep *FsckReport) (legacy bool) {
 	data, err := r.fsys.ReadFile(p)
+	if err == nil {
+		if _, err = r.judge(p, data, true); err == nil {
+			rep.Trials++
+			legacy = isColumnarPrev(data[len(envelopeMagic):])
+		} else {
+			var moved bool
+			if moved, err = r.quarantine(p, data); moved {
+				rep.Quarantined = append(rep.Quarantined, r.rel(p)+".corrupt")
+			}
+		}
+	}
 	if err != nil {
 		rep.Errors = append(rep.Errors, r.rel(p)+": "+err.Error())
-		return false
-	}
-	var c *Columns
-	payload, err := decodeEnvelope(data)
-	if err == nil {
-		c, err = DecodeColumnar(payload)
-	}
-	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
-		r.quarantine(p)
-		rep.Quarantined = append(rep.Quarantined, r.rel(p)+".corrupt")
-		return false
-	}
-	rep.Trials++
-	if legacy = !IsColumnar(payload); legacy {
-		rep.Legacy++
 	}
 	return legacy
 }
 
 // upgrade rewrites the legacy-form trial file at p, its own path, as
 // EncodeTrial output through persist. It holds the write lock and re-reads
-// the file under it, so a Save racing the scan is not overwritten with the
-// older trial. A file that is gone, already upgraded, or not at the path of
-// the trial it holds is left alone.
+// and judges the file under it, so a Save racing the scan is not overwritten
+// with the older trial. A file that is gone, already upgraded, or no longer
+// the trial its path names is left alone.
 func (r *Repository) upgrade(p string, rep *FsckReport) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -131,12 +129,8 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	if err != nil {
 		return
 	}
-	payload, err := decodeEnvelope(data)
-	if err != nil || IsColumnar(payload) {
-		return
-	}
-	c, err := DecodeColumnar(payload)
-	if err != nil || r.path(c.App, c.Experiment, c.Name) != p {
+	c, err := r.judge(p, data, false)
+	if err != nil || c == nil {
 		return
 	}
 	enc, err := c.encodeEnveloped()
@@ -153,9 +147,10 @@ func (r *Repository) upgrade(p string, rep *FsckReport) {
 	rep.Upgraded++
 }
 
-// recoverTmp removes orphaned .tmp files left by interrupted saves. It
-// runs at open (rep == nil: only the counter records the recovery) and as
-// part of Verify (removed paths are reported).
+// recoverTmp removes orphaned .tmp files left by interrupted saves: at open
+// (rep == nil: only the counter records the recovery) and in Verify (removed
+// paths are reported). It removes each under r.mu, which persist holds from
+// its write to its rename, so no save in flight loses its temp file.
 func (r *Repository) recoverTmp(rep *FsckReport) {
 	r.walkTrialDirs(func(dir string, files []os.DirEntry) {
 		for _, f := range files {
@@ -163,7 +158,10 @@ func (r *Repository) recoverTmp(rep *FsckReport) {
 				continue
 			}
 			p := filepath.Join(dir, f.Name())
-			if err := r.fsys.Remove(p); err != nil {
+			r.mu.Lock()
+			err := r.fsys.Remove(p)
+			r.mu.Unlock()
+			if err != nil {
 				continue
 			}
 			r.recoveredTmp.inc()

@@ -65,14 +65,13 @@ const readOnlyAfterENOSPC = 2
 //     write drops the trial's cached copy and only a read of the file fills
 //     it again, so GetTrial never serves data that would vanish on restart.
 //   - Reads validate the envelope. A damaged file (torn, bit-rotted,
-//     undecodable, holding columns that are not the pivot of the trial
-//     they hold, which no encoder writes, or holding another trial) is
-//     quarantined — renamed to <file>.corrupt — and the read fails
-//     wrapping ErrCorrupt; sibling trials and listings are unaffected. A
-//     file in the previous form (a %PDMFCOL4 payload) remains readable and
-//     is rewritten into the encoded form on its next save, or all at once
-//     by Verify; a file in a form older than that is refused by name and
-//     quarantined like a damaged one.
+//     undecodable, holding columns that are not a pivot or another trial)
+//     is quarantined — renamed to <file>.corrupt under the lock, if it still
+//     holds the bytes read — and the read fails wrapping ErrCorrupt; sibling
+//     trials and listings are unaffected. A file in the previous form (a
+//     %PDMFCOL4 payload) remains readable and is rewritten into the encoded
+//     form on its next save, or all at once by Verify; a file in a form
+//     older than that is refused by name and quarantined like a damaged one.
 //   - Opening runs a recovery sweep that deletes orphaned .tmp files left
 //     by interrupted saves. Verify runs a full fsck on demand.
 //   - Persistent ENOSPC on save flips the repository into read-only
@@ -389,20 +388,9 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 	if ok {
 		return c.cloneTrial(), nil
 	}
-	fail := func(err error) (*Trial, error) {
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
-	}
-	data, p, err := r.readStored(app, experiment, trial)
+	_, c, err := r.load(app, experiment, trial, true)
 	if err != nil {
-		return fail(err)
-	}
-	c, err = decodeColumns(data)
-	if err == nil && (c.App != app || c.Experiment != experiment || c.Name != trial) {
-		err = misplaced(c.App, c.Experiment, c.Name)
-	}
-	if err != nil {
-		r.quarantine(p)
-		return fail(err)
+		return nil, err
 	}
 	// The file was read outside the lock: a save or delete since then may
 	// have replaced what it held, and must not be undone in the cache.
@@ -425,86 +413,89 @@ func (r *Repository) GetTrial(app, experiment, trial string) (*Trial, error) {
 func (r *Repository) GetEncoded(ctx context.Context, app, experiment, trial string) ([]byte, error) {
 	_, sp := obs.StartSpan(ctx, "perfdmf.get_trial",
 		"app", app, "experiment", experiment, "trial", trial)
-	data, err := r.getEncoded(app, experiment, trial)
+	data, c, err := r.load(app, experiment, trial, false)
+	if c != nil { // held in memory, or stored in the previous form
+		data, err = c.encodeEnveloped()
+	}
 	sp.SetError(err)
 	sp.End()
 	return data, err
 }
 
-func (r *Repository) getEncoded(app, experiment, trial string) ([]byte, error) {
-	fail := func(err error) ([]byte, error) {
-		return nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
-	}
+// load reads the trial at the path of its coordinates and judges it,
+// quarantining a file judged damaged; an in-memory repository answers from
+// its cache. A missing trial is ErrNotFound.
+func (r *Repository) load(app, experiment, trial string, columns bool) (data []byte, c *Columns, err error) {
 	if r.root == "" {
 		r.mu.RLock()
-		c, ok := r.cache[key(app, experiment, trial)]
+		c = r.cache[key(app, experiment, trial)]
 		r.mu.RUnlock()
-		if !ok {
-			return fail(ErrNotFound)
+		if c == nil {
+			err = ErrNotFound
 		}
-		return c.encodeEnveloped()
+	} else {
+		p := r.path(app, experiment, trial)
+		if data, err = r.fsys.ReadFile(p); errors.Is(err, os.ErrNotExist) {
+			err = ErrNotFound
+		} else if err == nil {
+			if c, err = r.judge(p, data, columns); err != nil {
+				_, _ = r.quarantine(p, data) // the read fails whatever the rename does
+			}
+		}
 	}
-	data, p, err := r.readStored(app, experiment, trial)
 	if err != nil {
-		return fail(err)
+		return nil, nil, fmt.Errorf("perfdmf: trial %q/%q/%q: %w", app, experiment, trial, err)
 	}
+	return data, c, nil
+}
+
+// judge decides whether data is the trial that belongs at path p: an intact
+// envelope around a payload this release reads, holding the coordinates that
+// give p, because the path is the name. Every failure wraps ErrCorrupt. It
+// decodes the payload, and returns the columns, when columns is set or the
+// payload is in the previous form; a current-form payload is otherwise read
+// only as far as the coordinates at the head of its header, and c is nil.
+func (r *Repository) judge(p string, data []byte, columns bool) (c *Columns, err error) {
 	payload, err := decodeEnvelope(data)
 	if err != nil {
-		r.quarantine(p)
-		return fail(err)
+		return nil, err
 	}
-	hApp, hExp, hName, ok := decodeTrialHeaderPayload(payload)
-	if !ok {
-		r.quarantine(p)
-		// Not a payload this release reads, or a damaged one: the decoder
-		// says which.
-		if _, err = DecodeColumnar(payload); err == nil {
-			err = corruptf("unreadable trial header")
+	app, experiment, trial, ok := "", "", "", false
+	if !columns && IsColumnar(payload) {
+		app, experiment, trial, ok = decodeTrialHeaderPayload(payload)
+	}
+	if !ok { // the decoder reads the payload, or says why it cannot
+		if c, err = DecodeColumnar(payload); err != nil {
+			return nil, err
 		}
-		return fail(err)
+		app, experiment, trial = c.App, c.Experiment, c.Name
 	}
-	if hApp != app || hExp != experiment || hName != trial {
-		r.quarantine(p)
-		return fail(misplaced(hApp, hExp, hName))
+	if r.path(app, experiment, trial) != p {
+		return nil, fmt.Errorf("%w: the file holds trial %q/%q/%q", ErrCorrupt, app, experiment, trial)
 	}
-	if IsColumnar(payload) {
-		return data, nil
+	return c, nil
+}
+
+// quarantine moves the file at p aside to <p>.corrupt, so listings and fsck
+// see it flagged, if it still holds judged, the bytes found damaged. It holds
+// r.mu, as every writer does: a trial saved or deleted since those bytes were
+// read stays as it is. It reports whether the file moved; a failed rename
+// leaves it in place.
+func (r *Repository) quarantine(p string, judged []byte) (moved bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now, err := r.fsys.ReadFile(p)
+	if errors.Is(err, os.ErrNotExist) || err == nil && !bytes.Equal(now, judged) {
+		return false, nil // saved over or deleted since it was judged
 	}
-	c, err := DecodeColumnar(payload)
+	if err == nil {
+		err = r.fsys.Rename(p, p+".corrupt")
+	}
 	if err != nil {
-		r.quarantine(p)
-		return fail(err)
+		return false, fmt.Errorf("quarantine: %w", err)
 	}
-	return c.encodeEnveloped()
-}
-
-// misplaced is the damage of a valid file at another trial's path: the path
-// is the name, so the file is not the trial asked for.
-func misplaced(app, experiment, trial string) error {
-	return fmt.Errorf("%w: the file holds trial %q/%q/%q", ErrCorrupt, app, experiment, trial)
-}
-
-// readStored reads the file at the path of a trial's coordinates.
-func (r *Repository) readStored(app, experiment, trial string) (data []byte, p string, err error) {
-	if r.root == "" {
-		return nil, "", ErrNotFound
-	}
-	p = r.path(app, experiment, trial)
-	data, err = r.fsys.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		err = ErrNotFound
-	}
-	return data, p, err
-}
-
-// quarantine moves a damaged trial file aside to <path>.corrupt so the
-// next listing or fsck sees it flagged instead of tripping over it again.
-// Best-effort: a failing rename leaves the file in place, and the read
-// that triggered the quarantine still fails with ErrCorrupt.
-func (r *Repository) quarantine(path string) {
-	if err := r.fsys.Rename(path, path+".corrupt"); err == nil {
-		r.quarantined.inc()
-	}
+	r.quarantined.inc()
+	return true, nil
 }
 
 // DeleteContext removes a trial from the cache and, when file-backed, from
